@@ -132,7 +132,7 @@ impl Experiment {
         }
     }
 
-    /// Assemble an experiment from a lazily backed store (format-v2
+    /// Assemble an experiment from a lazily backed store (CPDB
     /// databases): `raw` and `columns` should have a
     /// [`crate::metrics::ColumnSource`] attached, `aggregates` come from
     /// the stored per-column totals, and `derived` carries the parsed

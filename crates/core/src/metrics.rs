@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// On-demand provider of column contents, the hook behind lazily opened
-/// experiment databases (format v2): a [`ColumnSet`] or [`RawMetrics`]
+/// experiment databases (CPDB): a [`ColumnSet`] or [`RawMetrics`]
 /// with a source attached starts with **no resident column data** and
 /// faults each column in on first touch, so opening a database costs
 /// only topology decoding and untouched metric columns are never paid
@@ -35,8 +35,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 ///
 /// Both methods return entries **sorted ascending by node id** with no
 /// duplicates — either decoded into an owned buffer or borrowed
-/// zero-copy from the file image ([`ColumnData::Mapped`], format
-/// v2.1). They are called at most once per column/metric (results are
+/// zero-copy from the file image ([`ColumnData::Mapped`]). They are
+/// called at most once per column/metric (results are
 /// cached in the owning set). A `Err(reason)` materializes the column
 /// as all-zeros and is surfaced through [`ColumnSet::lazy_error`] /
 /// [`RawMetrics::lazy_error`] instead of panicking, so a corrupt block
@@ -715,7 +715,7 @@ pub struct RawMetrics {
     /// Bumped by every mutation; caches key on it ([`RawMetrics::generation`]).
     generation: u64,
     /// Lazy-fault slots for metrics backed by a [`ColumnSource`]
-    /// (format-v2 databases). Not serialized: persisting a lazily
+    /// (CPDB databases). Not serialized: persisting a lazily
     /// opened experiment goes through the database model, which reads
     /// every column via the faulting accessors.
     #[serde(skip)]
@@ -940,7 +940,7 @@ pub struct ColumnSet {
     #[serde(default)]
     generation: u64,
     /// Lazy-fault bookkeeping for columns backed by a [`ColumnSource`]
-    /// (format v2 databases). Not serialized: persisting goes through the
+    /// (CPDB databases). Not serialized: persisting goes through the
     /// database model, which reads values via the faulting accessors.
     #[serde(skip)]
     lazy: LazySlots,

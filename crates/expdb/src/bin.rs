@@ -1,27 +1,16 @@
-//! The compact binary format, version 1 (the paper's Section IX
-//! future-work item).
-//!
-//! Layout: magic `CPDB`, version varint, then sections in fixed order.
-//! All integers are LEB128 varints; node ids within a cost list are
-//! delta-coded (ascending), which is where most of the size win over XML
-//! comes from; floats are IEEE-754 LE.
-//!
-//! The primitive and record codecs in this module are `pub(crate)`:
-//! format v2 ([`crate::bin2`]) reuses them verbatim inside its sections,
-//! so the two formats differ only in framing (v2 adds a table of
-//! contents, checksums, and per-column blocks), never in value encoding.
+//! Primitive value codecs shared by every CPDB section ([`crate::bin2`],
+//! [`crate::ens`]): LEB128 varints, length-prefixed strings, IEEE-754
+//! LE floats, and sparse cost lists whose ascending node ids are
+//! delta-coded — which is where most of the size win over XML comes
+//! from.
 //!
 //! Decoding is hardened against hostile input: every length read from
 //! the wire is capped by what the remaining bytes could possibly hold
-//! (a node record is ≥ 3 bytes, a cost entry ≥ 9), so a length-lying
-//! prefix cannot make us allocate gigabytes before the first "truncated"
-//! error.
+//! (a cost entry is ≥ 9 bytes), so a length-lying prefix cannot make us
+//! allocate gigabytes before the first "truncated" error.
 
-use crate::model::{DbError, DbMetric, DbModel, DbNode, DbScope};
+use crate::model::DbError;
 use bytes::{Buf, BufMut};
-
-pub(crate) const MAGIC: &[u8; 4] = b"CPDB";
-const VERSION: u64 = 1;
 
 pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -161,118 +150,9 @@ pub(crate) fn get_strings(buf: &mut &[u8]) -> Result<Vec<String>, DbError> {
     Ok(out)
 }
 
-// Scope tags.
-const TAG_FRAME: u64 = 0;
-const TAG_FRAME_TOP: u64 = 1; // frame without a call site
-const TAG_INLINED: u64 = 2;
-const TAG_LOOP: u64 = 3;
-const TAG_STMT: u64 = 4;
-
-/// Serialize one CCT node record (scope tag, parent, scope fields).
-pub(crate) fn put_node(out: &mut Vec<u8>, n: &DbNode) {
-    match &n.scope {
-        DbScope::Frame {
-            proc,
-            module,
-            def_file,
-            def_line,
-            call_site,
-        } => match call_site {
-            Some((csf, csl)) => {
-                put_varint(out, TAG_FRAME);
-                put_varint(out, n.parent as u64);
-                put_varint(out, *proc as u64);
-                put_varint(out, *module as u64);
-                put_varint(out, *def_file as u64);
-                put_varint(out, *def_line as u64);
-                put_varint(out, *csf as u64);
-                put_varint(out, *csl as u64);
-            }
-            None => {
-                put_varint(out, TAG_FRAME_TOP);
-                put_varint(out, n.parent as u64);
-                put_varint(out, *proc as u64);
-                put_varint(out, *module as u64);
-                put_varint(out, *def_file as u64);
-                put_varint(out, *def_line as u64);
-            }
-        },
-        DbScope::Inlined {
-            proc,
-            def_file,
-            def_line,
-            cs_file,
-            cs_line,
-        } => {
-            put_varint(out, TAG_INLINED);
-            put_varint(out, n.parent as u64);
-            put_varint(out, *proc as u64);
-            put_varint(out, *def_file as u64);
-            put_varint(out, *def_line as u64);
-            put_varint(out, *cs_file as u64);
-            put_varint(out, *cs_line as u64);
-        }
-        DbScope::Loop { file, line } => {
-            put_varint(out, TAG_LOOP);
-            put_varint(out, n.parent as u64);
-            put_varint(out, *file as u64);
-            put_varint(out, *line as u64);
-        }
-        DbScope::Stmt { file, line } => {
-            put_varint(out, TAG_STMT);
-            put_varint(out, n.parent as u64);
-            put_varint(out, *file as u64);
-            put_varint(out, *line as u64);
-        }
-    }
-}
-
 fn get_u32(buf: &mut &[u8], what: &str) -> Result<u32, DbError> {
     let v = get_varint(buf)?;
     u32::try_from(v).map_err(|_| DbError::new(format!("{what} out of u32 range")))
-}
-
-/// Decode one CCT node record.
-pub(crate) fn get_node(buf: &mut &[u8]) -> Result<DbNode, DbError> {
-    let tag = get_varint(buf)?;
-    let parent = get_u32(buf, "parent")?;
-    let scope = match tag {
-        TAG_FRAME | TAG_FRAME_TOP => {
-            let proc = get_u32(buf, "proc")?;
-            let module = get_u32(buf, "module")?;
-            let def_file = get_u32(buf, "def_file")?;
-            let def_line = get_u32(buf, "def_line")?;
-            let call_site = if tag == TAG_FRAME {
-                Some((get_u32(buf, "csf")?, get_u32(buf, "csl")?))
-            } else {
-                None
-            };
-            DbScope::Frame {
-                proc,
-                module,
-                def_file,
-                def_line,
-                call_site,
-            }
-        }
-        TAG_INLINED => DbScope::Inlined {
-            proc: get_u32(buf, "proc")?,
-            def_file: get_u32(buf, "def_file")?,
-            def_line: get_u32(buf, "def_line")?,
-            cs_file: get_u32(buf, "cs_file")?,
-            cs_line: get_u32(buf, "cs_line")?,
-        },
-        TAG_LOOP => DbScope::Loop {
-            file: get_u32(buf, "file")?,
-            line: get_u32(buf, "line")?,
-        },
-        TAG_STMT => DbScope::Stmt {
-            file: get_u32(buf, "file")?,
-            line: get_u32(buf, "line")?,
-        },
-        other => return Err(DbError::new(format!("unknown scope tag {other}"))),
-    };
-    Ok(DbNode { parent, scope })
 }
 
 /// Serialize a sparse cost list: count, then delta-coded ascending node
@@ -307,143 +187,9 @@ pub(crate) fn get_costs(buf: &mut &[u8]) -> Result<Vec<(u32, f64)>, DbError> {
     Ok(costs)
 }
 
-/// Encode a model.
-pub fn write(model: &DbModel) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024);
-    out.put_slice(MAGIC);
-    put_varint(&mut out, VERSION);
-    out.put_u8(model.sparse as u8);
-
-    put_strings(&mut out, &model.procs);
-    put_strings(&mut out, &model.files);
-    put_strings(&mut out, &model.modules);
-
-    put_varint(&mut out, model.nodes.len() as u64);
-    for n in &model.nodes {
-        put_node(&mut out, n);
-    }
-
-    put_varint(&mut out, model.metrics.len() as u64);
-    for m in &model.metrics {
-        put_string(&mut out, &m.name);
-        put_string(&mut out, &m.unit);
-        put_f64(&mut out, m.period);
-        put_costs(&mut out, &m.costs);
-    }
-
-    put_varint(&mut out, model.derived.len() as u64);
-    for (name, formula) in &model.derived {
-        put_string(&mut out, name);
-        put_string(&mut out, formula);
-    }
-    out
-}
-
-/// Decode a model.
-pub fn read(data: &[u8]) -> Result<DbModel, DbError> {
-    let mut buf = data;
-    if buf.remaining() < 4 || &buf[..4] != MAGIC {
-        return Err(DbError::new("bad magic"));
-    }
-    buf.advance(4);
-    let version = get_varint(&mut buf)?;
-    if version != VERSION {
-        return Err(DbError::new(format!("unsupported version {version}")));
-    }
-    if !buf.has_remaining() {
-        return Err(DbError::new("truncated header"));
-    }
-    let sparse = buf.get_u8() != 0;
-
-    let procs = get_strings(&mut buf)?;
-    let files = get_strings(&mut buf)?;
-    let modules = get_strings(&mut buf)?;
-
-    // A node record is ≥ 3 bytes (tag, parent, and at least one field).
-    let n_nodes = get_count(&mut buf, 3, "node")?;
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        nodes.push(get_node(&mut buf)?);
-    }
-
-    // A metric record is ≥ 11 bytes (two length-prefixed strings, the
-    // period f64, a cost count).
-    let n_metrics = get_count(&mut buf, 11, "metric")?;
-    let mut metrics = Vec::with_capacity(n_metrics);
-    for _ in 0..n_metrics {
-        let name = get_string(&mut buf)?;
-        let unit = get_string(&mut buf)?;
-        let period = get_f64(&mut buf)?;
-        let costs = get_costs(&mut buf)?;
-        metrics.push(DbMetric {
-            name,
-            unit,
-            period,
-            costs,
-        });
-    }
-
-    let n_derived = get_count(&mut buf, 2, "derived metric")?;
-    let mut derived = Vec::with_capacity(n_derived);
-    for _ in 0..n_derived {
-        let name = get_string(&mut buf)?;
-        let formula = get_string(&mut buf)?;
-        derived.push((name, formula));
-    }
-
-    if buf.has_remaining() {
-        return Err(DbError::new(format!(
-            "{} trailing bytes after experiment",
-            buf.remaining()
-        )));
-    }
-
-    Ok(DbModel {
-        procs,
-        files,
-        modules,
-        nodes,
-        metrics,
-        derived,
-        sparse,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::tests::sample_experiment;
-    use crate::DbModel;
-
-    #[test]
-    fn roundtrip() {
-        let exp = sample_experiment();
-        let model = DbModel::from_experiment(&exp);
-        let bytes = write(&model);
-        let parsed = read(&bytes).unwrap();
-        assert_eq!(parsed, model);
-    }
-
-    #[test]
-    fn full_experiment_roundtrip() {
-        let exp = sample_experiment();
-        let bytes = crate::to_binary(&exp);
-        let rebuilt = crate::from_binary(&bytes).unwrap();
-        assert_eq!(crate::to_binary(&rebuilt), bytes);
-    }
-
-    #[test]
-    fn binary_is_smaller_than_xml() {
-        let exp = sample_experiment();
-        let xml = crate::to_xml(&exp);
-        let bin = crate::to_binary(&exp);
-        assert!(
-            bin.len() * 2 < xml.len(),
-            "binary {} vs xml {}",
-            bin.len(),
-            xml.len()
-        );
-    }
 
     #[test]
     fn varint_roundtrip() {
@@ -508,39 +254,17 @@ mod tests {
     }
 
     #[test]
-    fn rejects_corruption() {
-        let exp = sample_experiment();
-        let bytes = crate::to_binary(&exp);
-        assert!(read(&bytes[..3]).is_err(), "truncated magic");
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(read(&bad).is_err(), "bad magic");
-        assert!(read(&bytes[..bytes.len() / 2]).is_err(), "truncated body");
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(read(&extended).is_err(), "trailing bytes");
-    }
-
-    #[test]
-    fn rejects_unknown_version() {
-        let mut bytes = crate::to_binary(&sample_experiment());
-        bytes[4] = 99; // version varint
-        assert!(read(&bytes).is_err());
-    }
-
-    #[test]
     fn rejects_length_lying_counts_without_huge_allocs() {
-        // A tiny buffer claiming 2^40 nodes must fail fast on the count
-        // check, not attempt a giant reservation.
+        // A tiny buffer claiming 2^40 entries must fail fast on the
+        // count check, not attempt a giant reservation.
         let mut bytes = Vec::new();
-        bytes.put_slice(MAGIC);
-        put_varint(&mut bytes, VERSION);
-        bytes.put_u8(0); // dense
-        put_strings(&mut bytes, &[]); // procs
-        put_strings(&mut bytes, &[]); // files
-        put_strings(&mut bytes, &[]); // modules
-        put_varint(&mut bytes, 1 << 40); // node count lie
-        let err = read(&bytes).unwrap_err();
-        assert!(err.message.contains("count"), "got: {}", err.message);
+        put_varint(&mut bytes, 1 << 40);
+        bytes.extend_from_slice(&[0u8; 16]);
+        for err in [
+            get_strings(&mut bytes.as_slice()).unwrap_err(),
+            get_costs(&mut bytes.as_slice()).unwrap_err(),
+        ] {
+            assert!(err.message.contains("count"), "got: {}", err.message);
+        }
     }
 }

@@ -1,6 +1,7 @@
-//! The lazy v2 reader: open decodes only the table of contents, name
-//! tables, CCT topology, and metric *descriptors*; every metric column
-//! stays as undecoded bytes until some view first reads it.
+//! The lazy reader: open decodes only the table of contents, name
+//! tables and metric *descriptors*, and borrows the CCT topology from
+//! the file image; every metric column stays as undecoded bytes until
+//! some view first reads it.
 //!
 //! [`open_lazy`] returns an ordinary [`Experiment`] whose
 //! [`RawMetrics`] and [`ColumnSet`] have a [`ColumnSource`] attached
@@ -14,8 +15,8 @@
 //! `LazyShared` keeps its **own copy** of the CCT (the `Experiment`
 //! owns another) so attribution of a faulted column never needs a
 //! back-reference into the experiment it serves. Topology is a small
-//! fraction of a profile database, so the duplication is cheap; see
-//! DESIGN.md §10.
+//! fraction of a profile database (and both copies borrow the same
+//! mapped arrays), so the duplication is cheap; see DESIGN.md §10.
 //!
 //! Batch consumers that will touch everything anyway (replay, diffing,
 //! format conversion) should call [`decode_all`] right after opening:
@@ -26,7 +27,7 @@ use crate::bin2::{self, MetricInfo};
 use crate::image::FileImage;
 use crate::model::{build_cct, DbError};
 use crate::toc::{
-    Toc, SEC_BLOCK_BASE, SEC_CCT, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS, SEC_NAMES,
+    Toc, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS, SEC_NAMES,
 };
 use callpath_core::prelude::*;
 use callpath_obs as obs;
@@ -73,23 +74,15 @@ impl LazyShared {
             .section(self.data.bytes(), self.sections[m])
             .map_err(|e| e.message)?;
         obs::observe("expdb.block_bytes", payload.len() as u64);
-        let info = &self.infos[m];
-        if self.toc.aligned {
-            bin2::read_block_v21(payload, info, self.n_nodes()).map_err(|e| e.message)
-        } else {
-            bin2::read_block(payload, info, self.n_nodes()).map_err(|e| e.message)
-        }
+        bin2::read_block_v21(payload, &self.infos[m], self.n_nodes()).map_err(|e| e.message)
     }
 
     /// Raw direct costs of metric `m` as [`ColumnData`]. For fixed-kind
-    /// blocks in an aligned file this *borrows* the key/value arrays
-    /// from the image (after verifying the block's checksum — paid once,
-    /// on this first fault) instead of decoding them; everything else
-    /// decodes to owned entries.
+    /// blocks this *borrows* the key/value arrays from the image (after
+    /// verifying the block's checksum — paid once, on this first fault)
+    /// instead of decoding them; everything else decodes to owned
+    /// entries.
     fn raw_column(&self, m: usize) -> Result<ColumnData, String> {
-        if !self.toc.aligned {
-            return self.block(m).map(ColumnData::Owned);
-        }
         let _span = obs::span("expdb.block_decode");
         let id = self.sections[m];
         let data = self.data.bytes();
@@ -228,21 +221,21 @@ fn check_keys(keys: &[u32], n_nodes: u32) -> Result<(), String> {
     Ok(())
 }
 
-/// Open a v2/v2.1 container lazily from bytes already in memory: decode
-/// the TOC, names, topology, metric descriptors and derived definitions
-/// now; leave every cost block on the shelf until a view touches a
-/// column computed from it. For aligned (v2.1) images the topology is
-/// *borrowed*, not decoded — see [`open_lazy_path`] for the mmap-backed
-/// variant that extends the same property to the file itself.
+/// Open a database lazily from bytes already in memory: decode the TOC,
+/// names, metric descriptors and derived definitions now; leave every
+/// cost block on the shelf until a view touches a column computed from
+/// it. The topology is *borrowed*, not decoded — see [`open_lazy_path`]
+/// for the mmap-backed variant that extends the same property to the
+/// file itself.
 pub fn open_lazy(data: Vec<u8>) -> Result<Experiment, DbError> {
     open_image(FileImage::from_vec(data))
 }
 
 /// Open a database file lazily. With the `mmap` feature the file is
 /// memory-mapped, so open-time cost is bounded by the sections actually
-/// touched (header, TOC, names, descriptors, and — for v2.1 — one
-/// structural pass over the topology arrays); cost blocks fault in
-/// page by page as columns are first read.
+/// touched (header, TOC, names, descriptors, and one structural pass
+/// over the topology arrays); cost blocks fault in page by page as
+/// columns are first read.
 pub fn open_lazy_path(path: &Path) -> Result<Experiment, DbError> {
     let image = FileImage::open(path).map_err(|e| DbError::new(format!("open failed: {e}")))?;
     open_image(image)
@@ -285,12 +278,7 @@ pub(crate) fn open_image_with(
             )));
         }
     }
-    let cct = if toc.aligned {
-        open_topology(&image, &toc, &procs, &files, &modules)?
-    } else {
-        let nodes = bin2::read_nodes(toc.section(data, SEC_CCT)?)?;
-        build_cct(&procs, &files, &modules, &nodes)?
-    };
+    let cct = open_topology(&image, &toc, &procs, &files, &modules)?;
     let storage = if toc.sparse {
         StorageKind::Sparse
     } else {
@@ -369,8 +357,8 @@ pub(crate) fn open_image_with(
     ))
 }
 
-/// Build the CCT for an aligned (v2.1) image by *borrowing* the
-/// topology arrays instead of decoding node records.
+/// Build the CCT by *borrowing* the topology arrays from the image
+/// instead of decoding node records.
 ///
 /// The mapped sections are deliberately **not** checksummed here — an
 /// FNV pass over tens of megabytes of topology would swamp the whole
@@ -472,9 +460,14 @@ mod tests {
     #[test]
     fn lazy_open_matches_eager_column_for_column() {
         let eager = sample_experiment();
-        let bytes = crate::to_binary_v2(&eager);
+        let bytes = crate::to_binary_v21(&eager);
         let lazy = open_lazy(bytes).unwrap();
+        assert!(lazy.cct.is_mapped(), "topology should be borrowed");
         assert_eq!(lazy.cct.len(), eager.cct.len());
+        for n in 0..eager.cct.len() as u32 {
+            assert_eq!(lazy.cct.kind(NodeId(n)), eager.cct.kind(NodeId(n)));
+            assert_eq!(lazy.cct.parent(NodeId(n)), eager.cct.parent(NodeId(n)));
+        }
         assert_eq!(lazy.columns.column_count(), eager.columns.column_count());
         assert_eq!(lazy.columns.materialized_columns(), 0);
         for c in eager.columns.columns() {
@@ -495,11 +488,17 @@ mod tests {
         for (a, b) in lazy.aggregates().iter().zip(eager.aggregates()) {
             assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
         }
+        for m in 0..eager.raw.metric_count() {
+            let m = MetricId::from_usize(m);
+            for n in 0..eager.cct.len() as u32 {
+                assert_eq!(lazy.raw.column(m).get(n), eager.raw.column(m).get(n));
+            }
+        }
     }
 
     #[test]
     fn untouched_columns_stay_on_disk() {
-        let bytes = crate::to_binary_v2(&sample_experiment());
+        let bytes = crate::to_binary_v21(&sample_experiment());
         let lazy = open_lazy(bytes).unwrap();
         // Touch only the first metric's inclusive column: its sibling
         // exclusive column shares the attribution but stays
@@ -512,8 +511,8 @@ mod tests {
     #[test]
     fn decode_all_materializes_everything() {
         let eager = sample_experiment();
-        let bytes = crate::to_binary_v2(&eager);
-        let lazy = open_lazy(bytes).unwrap();
+        let bytes = crate::to_binary_v21(&eager);
+        let lazy = open_lazy(bytes.clone()).unwrap();
         decode_all(&lazy, 0);
         assert_eq!(
             lazy.columns.materialized_columns(),
@@ -522,13 +521,13 @@ mod tests {
         assert_eq!(lazy.raw.materialized_metrics(), eager.raw.metric_count());
         // Re-extracting the model from the lazily opened experiment
         // yields the exact bytes we opened (raw costs round-trip).
-        assert_eq!(crate::to_binary_v2(&lazy), crate::to_binary_v2(&eager));
+        assert_eq!(crate::to_binary_v21(&lazy), bytes);
     }
 
     #[test]
     fn callers_view_path_faults_raw_metrics() {
         let eager = sample_experiment();
-        let lazy = open_lazy(crate::to_binary_v2(&eager)).unwrap();
+        let lazy = open_lazy(crate::to_binary_v21(&eager)).unwrap();
         let m = MetricId(0);
         let root = lazy.cct.root();
         assert_eq!(lazy.inclusive(m, root), eager.inclusive(m, root));
@@ -540,47 +539,10 @@ mod tests {
     }
 
     #[test]
-    fn lazy_v21_open_matches_eager_column_for_column() {
-        let eager = sample_experiment();
-        let bytes = crate::to_binary_v21(&eager);
-        let lazy = open_lazy(bytes).unwrap();
-        assert!(lazy.cct.is_mapped(), "v2.1 topology should be borrowed");
-        assert_eq!(lazy.cct.len(), eager.cct.len());
-        for n in 0..eager.cct.len() as u32 {
-            assert_eq!(lazy.cct.kind(NodeId(n)), eager.cct.kind(NodeId(n)));
-            assert_eq!(lazy.cct.parent(NodeId(n)), eager.cct.parent(NodeId(n)));
-        }
-        for c in eager.columns.columns() {
-            for n in 0..eager.cct.len() as u32 {
-                assert_eq!(
-                    lazy.columns.get(c, n),
-                    eager.columns.get(c, n),
-                    "column {c:?} node {n}"
-                );
-            }
-        }
-        assert!(lazy.columns.lazy_error().is_none());
-        for m in 0..eager.raw.metric_count() {
-            let m = MetricId::from_usize(m);
-            for n in 0..eager.cct.len() as u32 {
-                assert_eq!(lazy.raw.column(m).get(n), eager.raw.column(m).get(n));
-            }
-        }
-    }
-
-    #[test]
-    fn v21_decode_all_round_trips_to_identical_bytes() {
-        let eager = sample_experiment();
-        let bytes = crate::to_binary_v21(&eager);
-        let lazy = open_lazy(bytes.clone()).unwrap();
-        decode_all(&lazy, 0);
-        assert_eq!(crate::to_binary_v21(&lazy), bytes);
-        assert_eq!(crate::to_binary_v21(&lazy), crate::to_binary_v21(&eager));
-    }
-
-    #[test]
-    fn v21_corrupt_block_degrades_to_zeros_with_error() {
+    fn corrupt_block_degrades_to_zeros_with_error() {
         let mut bytes = crate::to_binary_v21(&sample_experiment());
+        // Flip a byte in the last section (a cost block), leaving the
+        // header/TOC and topology sections intact so open succeeds.
         let n = bytes.len();
         bytes[n - 3] ^= 0xff;
         let lazy = open_lazy(bytes).expect("topology is intact");
@@ -590,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn v21_corrupt_topology_is_caught_by_verify_container() {
+    fn corrupt_topology_is_caught_by_verify_container() {
         let bytes = crate::to_binary_v21(&sample_experiment());
         crate::verify_container(&bytes).unwrap();
         let toc = Toc::parse(&bytes).unwrap();
@@ -605,18 +567,5 @@ mod tests {
         // checksum borrowed topology, but verify_container must.
         bad[links.offset as usize + links.len as usize - 1] ^= 0x04;
         assert!(crate::verify_container(&bad).is_err());
-    }
-
-    #[test]
-    fn corrupt_block_degrades_to_zeros_with_error() {
-        let mut bytes = crate::to_binary_v2(&sample_experiment());
-        // Flip a byte in the last section (a cost block), leaving the
-        // header/TOC and topology sections intact so open succeeds.
-        let n = bytes.len();
-        bytes[n - 3] ^= 0xff;
-        let lazy = open_lazy(bytes).expect("topology is intact");
-        let c = ColumnId(2); // second metric's inclusive column
-        assert_eq!(lazy.columns.get(c, 0), 0.0);
-        assert!(lazy.columns.lazy_error().unwrap().contains("checksum"));
     }
 }

@@ -255,8 +255,8 @@ pub(crate) fn topology_parts(cct: &Cct) -> (Vec<String>, Vec<String>, Vec<String
 
 /// Reconstruct a validated [`Cct`] from serialized name tables and node
 /// records — the shared topology-decoding half of
-/// [`DbModel::into_experiment`], also used by the lazy v2 reader (which
-/// decodes topology eagerly but leaves metric columns on disk).
+/// [`DbModel::into_experiment`], also the lazy reader's fallback when
+/// the topology arrays cannot be borrowed in place.
 pub(crate) fn build_cct(
     proc_names: &[String],
     file_names: &[String],

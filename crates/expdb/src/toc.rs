@@ -1,4 +1,4 @@
-//! Container framing for format v2: a fixed-size header, a table of
+//! Container framing of a CPDB file: a fixed-size header, a table of
 //! contents, and checksummed sections that exactly tile the rest of the
 //! file.
 //!
@@ -6,7 +6,7 @@
 //! offset  size  field
 //! 0       4     magic "CPDB"
 //! 4       1     version byte (2)
-//! 5       1     flags (bit 0: sparse storage)
+//! 5       1     flags (bit 0: sparse storage, bit 1: aligned — always set)
 //! 6       2     reserved (zero)
 //! 8       4     section count, u32 LE
 //! 12      8     FNV-1a 64 checksum of bytes 0..12 and all TOC entries
@@ -28,15 +28,12 @@
 //!   one of these.
 //!
 //! Sections are identified by numeric id, not position, so readers skip
-//! ids they do not understand and future revisions can append sections
-//! without breaking v2 readers.
+//! ids they do not understand (this is how a `.cpens` ensemble stays a
+//! valid database, see [`crate::ens`]).
 //!
-//! ## The aligned revision (v2.1)
+//! ## Aligned payloads
 //!
-//! Flag bit 1 ([`FLAG_ALIGNED`]) marks the *aligned* encoding used by
-//! the zero-copy read path. The framing is unchanged (same header, same
-//! TOC, same tiling and checksum rules); what changes is that every
-//! section payload wraps its body in a self-padding prefix:
+//! Every section payload wraps its body in a self-padding prefix:
 //!
 //! ```text
 //! payload = pad_len u8, pad_len zero bytes, body
@@ -46,10 +43,14 @@
 //! file offset that is a multiple of 8. Readers that hold the file in
 //! 8-aligned memory (an mmap, or an aligned buffer) can then borrow
 //! `u32`/`f64` arrays straight out of the body with no decode step.
-//! Section checksums cover the whole payload, padding included, so the
-//! bit-flip guarantee is unchanged. [`Toc::section`] strips the padding
-//! transparently; the borrow path uses [`Toc::raw_payload`] to learn
-//! absolute body offsets.
+//! Section checksums cover the whole payload, padding included.
+//! [`Toc::section`] strips the padding transparently; the borrow path
+//! uses [`Toc::raw_payload`] to learn absolute body offsets.
+//!
+//! Files written by the two retired encodings — version byte 1, and
+//! version 2 without [`FLAG_ALIGNED`] — carry the same magic;
+//! [`Toc::parse`] names them and asks for a re-record instead of
+//! misreading them.
 
 use crate::model::DbError;
 use std::collections::HashMap;
@@ -58,27 +59,30 @@ use std::collections::HashMap;
 /// at [`SEC_BLOCK_BASE`] (block for metric `m` has id `SEC_BLOCK_BASE + m`),
 /// leaving room for more fixed sections below.
 pub(crate) const SEC_NAMES: u32 = 1;
-/// CCT topology (node records).
-pub(crate) const SEC_CCT: u32 = 2;
 /// Metric descriptors (name, unit, period, nnz, total) — no cost data.
 pub(crate) const SEC_METRICS: u32 = 3;
 /// Derived-metric definitions (name, formula).
 pub(crate) const SEC_DERIVED: u32 = 4;
-/// Aligned CCT link arrays (parent / first-child / next-sibling), v2.1
-/// files only — replaces [`SEC_CCT`] there.
+/// CCT link arrays (parent / first-child / next-sibling). Id 2 was the
+/// retired varint node-record section and is not reused.
 pub(crate) const SEC_CCT_LINKS: u32 = 5;
-/// Aligned CCT scope kinds (tag bytes + fixed-width fields), v2.1 only.
+/// CCT scope kinds (tag bytes + fixed-width fields).
 pub(crate) const SEC_CCT_KINDS: u32 = 6;
 /// Ensemble directory (run labels, fingerprints, per-run per-metric
-/// totals) — `.cpens` files only ([`crate::ens`]); plain v2.1 readers
-/// skip it, which is what makes an ensemble container a valid database.
+/// totals) — `.cpens` files only ([`crate::ens`]); plain database
+/// readers skip it, which is what makes an ensemble container a valid
+/// database.
 pub(crate) const SEC_ENSEMBLE: u32 = 7;
 /// First per-metric cost block id.
 pub(crate) const SEC_BLOCK_BASE: u32 = 16;
 
-pub(crate) const VERSION_BYTE: u8 = 2;
+pub(crate) const MAGIC: &[u8; 4] = b"CPDB";
+const VERSION_BYTE: u8 = 2;
+/// Version byte of the retired single-stream encoding.
+const VERSION_V1: u8 = 1;
 const FLAG_SPARSE: u8 = 1;
-/// Flag bit marking the aligned (v2.1) payload encoding.
+/// Flag bit marking the aligned payload encoding; every file has it
+/// (a version-2 header without it is the retired unaligned encoding).
 const FLAG_ALIGNED: u8 = 2;
 const HEADER_LEN: usize = 20;
 const ENTRY_LEN: usize = 32;
@@ -105,12 +109,10 @@ pub(crate) struct TocEntry {
     pub checksum: u64,
 }
 
-/// The parsed table of contents of a v2 file.
+/// The parsed table of contents of a CPDB file.
 #[derive(Debug, Clone)]
 pub(crate) struct Toc {
     pub sparse: bool,
-    /// True for v2.1 files: payloads carry the self-padding prefix.
-    pub aligned: bool,
     pub entries: Vec<TocEntry>,
     /// Section id → index into `entries`, so lookups are O(1) even for
     /// files with thousands of per-metric blocks.
@@ -121,14 +123,21 @@ impl Toc {
     /// Parse and fully validate the header + TOC of `data`: magic,
     /// version, header checksum, and the tiling invariant.
     pub fn parse(data: &[u8]) -> Result<Toc, DbError> {
-        if data.len() < HEADER_LEN {
-            return Err(DbError::new("truncated v2 header"));
+        // Magic and version come first: a v1 file has no fixed-size
+        // header and may be shorter than one.
+        if data.len() < 5 {
+            return Err(DbError::new("truncated header"));
         }
-        if &data[..4] != super::bin::MAGIC {
+        if &data[..4] != MAGIC {
             return Err(DbError::new("bad magic"));
         }
-        if data[4] != VERSION_BYTE {
-            return Err(DbError::new(format!("unsupported version {}", data[4])));
+        match data[4] {
+            VERSION_BYTE => {}
+            VERSION_V1 => return Err(retired("format v1")),
+            other => return Err(DbError::new(format!("unsupported version {other}"))),
+        }
+        if data.len() < HEADER_LEN {
+            return Err(DbError::new("truncated header"));
         }
         let flags = data[5];
         if flags & !(FLAG_SPARSE | FLAG_ALIGNED) != 0 {
@@ -150,6 +159,9 @@ impl Toc {
         digest_input.extend_from_slice(&data[HEADER_LEN..toc_end]);
         if fnv1a64(&digest_input) != stored {
             return Err(DbError::new("header/TOC checksum mismatch"));
+        }
+        if flags & FLAG_ALIGNED == 0 {
+            return Err(retired("unaligned format v2"));
         }
 
         let mut entries = Vec::with_capacity(count);
@@ -195,7 +207,6 @@ impl Toc {
         }
         Ok(Toc {
             sparse: flags & FLAG_SPARSE != 0,
-            aligned: flags & FLAG_ALIGNED != 0,
             entries,
             index,
         })
@@ -213,9 +224,9 @@ impl Toc {
             .ok_or_else(|| DbError::new(format!("missing section {id}")))
     }
 
-    /// Body of the section with `id`, checksum-verified on access. For
-    /// aligned files the self-padding prefix is stripped, so callers
-    /// always see the logical section content.
+    /// Body of the section with `id`, checksum-verified on access. The
+    /// self-padding prefix is stripped, so callers always see the
+    /// logical section content.
     pub fn section<'a>(&self, data: &'a [u8], id: u32) -> Result<&'a [u8], DbError> {
         self.verify_section(data, id)?;
         let (_, body) = self.raw_payload(data, id)?;
@@ -248,18 +259,15 @@ impl Toc {
     }
 
     /// Body of section `id` *without* checksum verification, plus its
-    /// absolute offset in `data`. This is the zero-copy entry point: for
-    /// aligned files the returned offset is a multiple of 8 (validated
-    /// here), so fixed-width arrays inside the body can be borrowed
-    /// directly when the backing memory is 8-aligned. Callers decide
-    /// when to pay for verification ([`Toc::verify_section`]).
+    /// absolute offset in `data`. This is the zero-copy entry point: the
+    /// returned offset is a multiple of 8 (validated here), so
+    /// fixed-width arrays inside the body can be borrowed directly when
+    /// the backing memory is 8-aligned. Callers decide when to pay for
+    /// verification ([`Toc::verify_section`]).
     pub fn raw_payload<'a>(&self, data: &'a [u8], id: u32) -> Result<(usize, &'a [u8]), DbError> {
         let entry = self.entry(id)?;
         let start = entry.offset as usize;
         let payload = &data[start..start + entry.len as usize];
-        if !self.aligned {
-            return Ok((start, payload));
-        }
         let pad = *payload
             .first()
             .ok_or_else(|| DbError::new(format!("section {id}: empty aligned payload")))?
@@ -284,29 +292,27 @@ fn toc_overflow() -> DbError {
     DbError::new("table of contents length overflow")
 }
 
+/// The error for a file in one of the encodings this crate no longer
+/// reads. Nothing converts them: re-recording is the only way forward.
+fn retired(what: &str) -> DbError {
+    DbError::new(format!(
+        "this file is in the retired {what}, which is no longer read; re-record it to get a current .cpdb"
+    ))
+}
+
 /// Accumulates sections and emits the framed file.
 pub(crate) struct TocBuilder {
     sparse: bool,
-    aligned: bool,
     sections: Vec<(u32, Vec<u8>)>,
 }
 
 impl TocBuilder {
-    pub fn new(sparse: bool) -> Self {
-        TocBuilder {
-            sparse,
-            aligned: false,
-            sections: Vec::new(),
-        }
-    }
-
-    /// A builder for the aligned (v2.1) encoding: `finish` wraps every
-    /// section body in the self-padding prefix so bodies land on file
-    /// offsets that are multiples of 8.
+    /// An empty container; `finish` wraps every section body in the
+    /// self-padding prefix so bodies land on file offsets that are
+    /// multiples of 8.
     pub fn new_aligned(sparse: bool) -> Self {
         TocBuilder {
             sparse,
-            aligned: true,
             sections: Vec::new(),
         }
     }
@@ -317,38 +323,26 @@ impl TocBuilder {
 
     pub fn finish(self) -> Vec<u8> {
         let toc_end = HEADER_LEN + self.sections.len() * ENTRY_LEN;
-        // Wrap bodies for the aligned encoding. Payload offsets depend
-        // on the lengths of everything before them, so pad lengths are
+        // Wrap bodies in their padding. Payload offsets depend on the
+        // lengths of everything before them, so pad lengths are
         // computed here, in one pass over the final layout.
         let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(self.sections.len());
         let mut offset = toc_end;
         for (id, body) in self.sections {
-            let payload = if self.aligned {
-                let pad = (8 - (offset + 1) % 8) % 8;
-                let mut p = Vec::with_capacity(1 + pad + body.len());
-                p.push(pad as u8);
-                p.resize(1 + pad, 0);
-                p.extend_from_slice(&body);
-                p
-            } else {
-                body
-            };
+            let pad = (8 - (offset + 1) % 8) % 8;
+            let mut payload = Vec::with_capacity(1 + pad + body.len());
+            payload.push(pad as u8);
+            payload.resize(1 + pad, 0);
+            payload.extend_from_slice(&body);
             offset += payload.len();
             sections.push((id, payload));
         }
 
         let total: usize = toc_end + sections.iter().map(|(_, p)| p.len()).sum::<usize>();
         let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(super::bin::MAGIC);
+        out.extend_from_slice(MAGIC);
         out.push(VERSION_BYTE);
-        let mut flags = 0u8;
-        if self.sparse {
-            flags |= FLAG_SPARSE;
-        }
-        if self.aligned {
-            flags |= FLAG_ALIGNED;
-        }
-        out.push(flags);
+        out.push(FLAG_ALIGNED | if self.sparse { FLAG_SPARSE } else { 0 });
         out.extend_from_slice(&[0, 0]); // reserved
         out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         out.extend_from_slice(&[0u8; 8]); // checksum, patched below
@@ -380,23 +374,29 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        let mut b = TocBuilder::new(true);
+        let mut b = TocBuilder::new_aligned(true);
         b.add(SEC_NAMES, vec![1, 2, 3]);
-        b.add(SEC_CCT, vec![]);
+        b.add(SEC_CCT_LINKS, vec![]);
         b.add(SEC_BLOCK_BASE, vec![9; 40]);
         b.finish()
     }
 
     #[test]
-    fn roundtrip_sections() {
+    fn sections_strip_padding_and_land_on_8() {
         let bytes = sample();
         let toc = Toc::parse(&bytes).unwrap();
         assert!(toc.sparse);
         assert_eq!(toc.entries.len(), 3);
         assert_eq!(toc.section(&bytes, SEC_NAMES).unwrap(), &[1, 2, 3]);
-        assert_eq!(toc.section(&bytes, SEC_CCT).unwrap(), &[] as &[u8]);
+        assert_eq!(toc.section(&bytes, SEC_CCT_LINKS).unwrap(), &[] as &[u8]);
         assert_eq!(toc.section(&bytes, SEC_BLOCK_BASE).unwrap(), &[9; 40]);
         assert!(toc.section(&bytes, 99).is_err());
+        for e in &toc.entries {
+            let (off, body) = toc.raw_payload(&bytes, e.id).unwrap();
+            assert_eq!(off % 8, 0, "section {} body misaligned", e.id);
+            assert_eq!(&bytes[off..off + body.len()], body);
+        }
+        toc.verify_all(&bytes).unwrap();
     }
 
     #[test]
@@ -408,46 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn every_bit_flip_is_detected() {
+    fn bit_flips_are_detected_by_verify_all() {
         let bytes = sample();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            let detected = match Toc::parse(&bad) {
-                Err(_) => true,
-                Ok(toc) => toc.entries.iter().any(|e| toc.section(&bad, e.id).is_err()),
-            };
-            assert!(detected, "flip at byte {i} slipped through");
-        }
-    }
-
-    fn sample_aligned() -> Vec<u8> {
-        let mut b = TocBuilder::new_aligned(true);
-        b.add(SEC_NAMES, vec![1, 2, 3]);
-        b.add(SEC_CCT_LINKS, vec![]);
-        b.add(SEC_BLOCK_BASE, vec![9; 40]);
-        b.finish()
-    }
-
-    #[test]
-    fn aligned_sections_strip_padding_and_land_on_8() {
-        let bytes = sample_aligned();
-        let toc = Toc::parse(&bytes).unwrap();
-        assert!(toc.aligned);
-        assert_eq!(toc.section(&bytes, SEC_NAMES).unwrap(), &[1, 2, 3]);
-        assert_eq!(toc.section(&bytes, SEC_CCT_LINKS).unwrap(), &[] as &[u8]);
-        assert_eq!(toc.section(&bytes, SEC_BLOCK_BASE).unwrap(), &[9; 40]);
-        for e in &toc.entries {
-            let (off, body) = toc.raw_payload(&bytes, e.id).unwrap();
-            assert_eq!(off % 8, 0, "section {} body misaligned", e.id);
-            assert_eq!(&bytes[off..off + body.len()], body);
-        }
-        toc.verify_all(&bytes).unwrap();
-    }
-
-    #[test]
-    fn aligned_bit_flips_are_detected_by_verify_all() {
-        let bytes = sample_aligned();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0x40;
@@ -461,7 +423,7 @@ mod tests {
 
     #[test]
     fn duplicate_section_ids_are_rejected() {
-        let mut b = TocBuilder::new(false);
+        let mut b = TocBuilder::new_aligned(false);
         b.add(SEC_NAMES, vec![1]);
         b.add(SEC_NAMES, vec![2]);
         let bytes = b.finish();

@@ -1,6 +1,10 @@
-//! The XML-like text format (what HPCToolkit historically used for
-//! experiment databases). Hand-rolled writer and parser for exactly the
-//! subset we emit: nested elements, attributes, escaped text.
+//! The XML-like text format: the paper's `experiment.xml`, the one
+//! interchange file `hpcprof` hands to `hpcviewer`. It is kept as that
+//! paper-faithful, human-readable interchange — parsed whole and
+//! attributed eagerly — while the tools' working format is the binary
+//! CPDB container ([`crate::bin2`]). Hand-rolled writer and parser for
+//! exactly the subset we emit: nested elements, attributes, escaped
+//! text.
 
 use crate::model::{DbError, DbMetric, DbModel, DbNode, DbScope};
 use std::collections::HashMap;

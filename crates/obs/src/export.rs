@@ -21,7 +21,7 @@
 //! * Direct `calls` cost = the span's closure count.
 //!
 //! The result is an ordinary eager [`Experiment`]; callers wanting the
-//! headline round trip write it with `callpath_expdb::to_binary_v2` and
+//! headline round trip write it with `callpath_expdb::to_binary_v21` and
 //! reopen it lazily.
 
 use crate::Snapshot;

@@ -38,7 +38,7 @@
 //! [`Snapshot::to_json`] renders the `--stats` dump, and
 //! [`to_experiment`] converts the span tree into a CCT with
 //! inclusive/exclusive time (Eq. 1/2 attribution) and call-count
-//! metrics, ready for `to_binary_v2` and all three views.
+//! metrics, ready for `to_binary_v21` and all three views.
 
 mod export;
 

@@ -1,8 +1,8 @@
 //! Snapshot and replay of SPMD runs through the experiment database:
-//! persist a merged run as a format-v2 container, reload it later for
+//! persist a merged run as a CPDB container, reload it later for
 //! re-analysis without re-simulating the ranks.
 //!
-//! Replay is the canonical *batch* consumer of the v2 format: unlike an
+//! Replay is the canonical *batch* consumer of the format: unlike an
 //! interactive viewer session (which faults in the two or three columns
 //! it sorts and renders), replay re-derives summaries over **every**
 //! metric, so [`replay`] opens lazily and immediately calls
@@ -13,16 +13,16 @@ use crate::spmd::SpmdRun;
 use callpath_core::prelude::Experiment;
 use callpath_expdb::{decode_all, open_lazy, DbError};
 
-/// Serialize a finished run's merged experiment as a format-v2
-/// container (topology, metric descriptors, one cost block per metric,
+/// Serialize a finished run's merged experiment as a CPDB container
+/// (topology, metric descriptors, one cost block per metric,
 /// derived definitions — see `callpath-expdb`). Per-rank series data is
 /// not part of the database; persist it separately if Fig. 7-style
 /// charts must survive the snapshot.
 pub fn snapshot(run: &SpmdRun) -> Vec<u8> {
-    callpath_expdb::to_binary_v2(&run.experiment)
+    callpath_expdb::to_binary_v21(&run.experiment)
 }
 
-/// Reload a snapshot for batch re-analysis: open the v2 container
+/// Reload a snapshot for batch re-analysis: open the container
 /// lazily (topology only), then materialize every metric column across
 /// `threads` workers (0 = automatic). The returned experiment is fully
 /// resident — summarization, imbalance charts and diffing can hit any
@@ -66,8 +66,8 @@ mod tests {
                 );
             }
         }
-        // And the snapshot of the replay is byte-identical: the v2
+        // And the snapshot of the replay is byte-identical: the
         // encoding is canonical.
-        assert_eq!(callpath_expdb::to_binary_v2(&replayed), snapshot(&run));
+        assert_eq!(callpath_expdb::to_binary_v21(&replayed), snapshot(&run));
     }
 }

@@ -24,17 +24,14 @@ pub struct Correlator<'s> {
     /// CCT node (hash map: rank counts × profile sizes make linear scans
     /// quadratic).
     pub(crate) totals: std::collections::HashMap<NodeId, [f64; Counter::COUNT]>,
-    /// When enabled, an ordered `(parent, child)` visit log a parallel
+    /// When enabled, an ordered `(parent, child)` log a parallel
     /// reduction replays to reproduce this correlator's node ids
-    /// exactly (see `crate::parallel`).
+    /// exactly (see `crate::parallel`). It records only
+    /// **first-appearance** edges — the calls that created `child`.
+    /// Repeat visits find an existing node and replay to a no-op, so
+    /// leaving them out keeps the journal at O(nodes), not O(visits),
+    /// without changing what it rebuilds.
     pub(crate) journal: Option<Vec<(NodeId, NodeId)>>,
-    /// Pruned journals record only **first-appearance** edges — the
-    /// calls that created `child`. Repeat visits find an existing node
-    /// and replay to a no-op, so dropping them at record time shrinks
-    /// the journal from O(visits) to O(nodes) without changing what it
-    /// rebuilds. The unpruned variant exists only as the pre-pruning
-    /// baseline the thread-scaling bench gates against.
-    pub(crate) prune_journal: bool,
 }
 
 impl<'s> Correlator<'s> {
@@ -82,11 +79,10 @@ impl<'s> Correlator<'s> {
             periods,
             totals: std::collections::HashMap::new(),
             journal: None,
-            prune_journal: true,
         }
     }
 
-    /// A correlator that additionally records its (pruned) visit log,
+    /// A correlator that additionally records its first-appearance log,
     /// for use as a worker shard of the parallel reduction. Journaling
     /// shards skip the totals fold in [`Self::add`]: their totals are
     /// never read — the reduction folds remapped per-rank costs into
@@ -97,32 +93,15 @@ impl<'s> Correlator<'s> {
         c
     }
 
-    /// [`Self::with_journal`] without pruning: every visit is recorded,
-    /// repeats included. Only the pre-pruning replay baseline
-    /// (`parallel::correlate_replay_baseline`) wants this.
-    pub(crate) fn with_full_journal(
-        structure: &'s Structure,
-        periods: [u64; Counter::COUNT],
-    ) -> Self {
-        let mut c = Self::with_journal(structure, periods);
-        c.prune_journal = false;
-        c
-    }
-
     /// `find_or_add_child` plus journaling.
     fn touch(&mut self, parent: NodeId, kind: ScopeKind) -> NodeId {
         let (child, created) = self.cct.find_or_add_child_tracked(parent, kind);
         if let Some(j) = &mut self.journal {
-            if created || !self.prune_journal {
+            if created {
                 j.push((parent, child));
             }
         }
         child
-    }
-
-    /// Fold pre-converted per-node costs into the running totals.
-    pub(crate) fn fold_costs(&mut self, costs: &PerNodeCosts) {
-        fold_costs_into(&mut self.totals, costs);
     }
 
     /// The canonical CCT built so far.
@@ -140,7 +119,7 @@ impl<'s> Correlator<'s> {
         // remapped costs itself, in global rank order, so f64 sums stay
         // bit-identical to the sequential path.
         if self.journal.is_none() {
-            self.fold_costs(&out);
+            fold_costs_into(&mut self.totals, &out);
         }
         out
     }

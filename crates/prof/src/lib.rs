@@ -27,6 +27,4 @@ pub mod parallel;
 
 pub use correlate::{correlate, Correlator, PerNodeCosts};
 pub use object_view::{object_view, render_object_view, ObjectLine, ObjectView};
-#[doc(hidden)]
-pub use parallel::correlate_replay_baseline;
 pub use parallel::{IngestMode, ParallelCorrelator, SHARD_CUTOVER};

@@ -46,11 +46,6 @@
 //!    fresh totals map in ascending rank order on the reducing thread:
 //!    the same additions in the same order as a sequential `add` loop,
 //!    hence bit-identical column values.
-//!
-//! The pre-pruning reduction — full journals replayed serially against
-//! one canonical correlator, O(total visits) on one thread — survives
-//! as [`correlate_replay_baseline`] so the thread-scaling bench can
-//! prove the new path does strictly less work even on one core.
 
 use crate::correlate::{finish_parts, fold_costs_into, Correlator, PerNodeCosts};
 use callpath_core::prelude::*;
@@ -223,49 +218,6 @@ impl<'s> ParallelCorrelator<'s> {
     }
 }
 
-/// The pre-pruning reduction this PR replaced, kept compilable so the
-/// thread-scaling bench can gate the new path against it: every shard
-/// records its **full** journal (repeat visits included) and one
-/// thread replays all of them — O(total visits) — against a canonical
-/// correlator. Not part of the public API surface; do not use outside
-/// benchmarks.
-#[doc(hidden)]
-pub fn correlate_replay_baseline(
-    structure: &Structure,
-    periods: [u64; Counter::COUNT],
-    profiles: &[RawProfile],
-    threads: usize,
-    storage: StorageKind,
-) -> (Experiment, Vec<PerNodeCosts>) {
-    // An unpruned shard: CCT, full visit journal, per-rank costs.
-    type FullShard = (Cct, Vec<(NodeId, NodeId)>, Vec<PerNodeCosts>);
-    let shards: Vec<FullShard> = chunked_map(profiles, threads, |_ci, batch| {
-        let mut corr = Correlator::with_full_journal(structure, periods);
-        let per_rank: Vec<PerNodeCosts> = batch.iter().map(|p| corr.add(p)).collect();
-        (corr.cct, corr.journal.take().unwrap_or_default(), per_rank)
-    });
-    let mut canon = Correlator::new(structure, periods);
-    let mut out: Vec<PerNodeCosts> = Vec::with_capacity(profiles.len());
-    for (cct, journal, per_rank) in shards {
-        let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); cct.len()];
-        remap[cct.root().index()] = canon.cct.root();
-        for &(parent, child) in &journal {
-            let kind = cct.kind(child);
-            let canon_parent = remap[parent.index()];
-            remap[child.index()] = canon.cct.find_or_add_child(canon_parent, kind);
-        }
-        for costs in per_rank {
-            let mapped: PerNodeCosts = costs
-                .into_iter()
-                .map(|(n, cs)| (remap[n.index()], cs))
-                .collect();
-            canon.fold_costs(&mapped);
-            out.push(mapped);
-        }
-    }
-    (canon.finish(storage), out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,49 +294,20 @@ mod tests {
     }
 
     #[test]
-    fn replay_baseline_also_matches_sequential() {
-        // The bench gate compares new-vs-baseline timings; that only
-        // means something if both compute the same result.
-        let (structure, profiles, cfg) = profiles_for(7);
-        let mut seq = Correlator::new(&structure, cfg.periods);
-        let seq_costs: Vec<PerNodeCosts> = profiles.iter().map(|p| seq.add(p)).collect();
-        let seq_exp = seq.finish(StorageKind::Dense);
-        let (base_exp, base_costs) =
-            correlate_replay_baseline(&structure, cfg.periods, &profiles, 4, StorageKind::Dense);
-        assert_eq!(base_costs, seq_costs);
-        assert_eq!(base_exp.cct.len(), seq_exp.cct.len());
-        for c in seq_exp.columns.columns() {
-            let a: Vec<(u32, f64)> = seq_exp.columns.vec(c).nonzero_sorted().collect();
-            let b: Vec<(u32, f64)> = base_exp.columns.vec(c).nonzero_sorted().collect();
-            assert_eq!(a, b, "column {c:?}");
-        }
-    }
-
-    #[test]
     fn pruned_journal_is_one_entry_per_non_root_node() {
         let (structure, profiles, cfg) = profiles_for(6);
         let mut pruned = Correlator::with_journal(&structure, cfg.periods);
-        let mut full = Correlator::with_full_journal(&structure, cfg.periods);
         for p in &profiles {
             pruned.add(p);
-            full.add(p);
         }
         let pj = pruned.journal.take().unwrap();
-        let fj = full.journal.take().unwrap();
         assert_eq!(
             pj.len(),
             pruned.cct.len() - 1,
             "pruned journal must hold every non-root node exactly once"
         );
-        assert!(
-            fj.len() > pj.len(),
-            "repeat visits must make the full journal strictly larger \
-             (full {} vs pruned {})",
-            fj.len(),
-            pj.len()
-        );
-        // The pruned journal is the subsequence of first appearances:
-        // same set of children, creation order, parents before children.
+        // The journal is the sequence of first appearances: creation
+        // order, parents before children.
         let mut seen = vec![false; pruned.cct.len()];
         seen[pruned.cct.root().index()] = true;
         for &(parent, child) in &pj {

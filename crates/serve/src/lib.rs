@@ -44,7 +44,7 @@ use callpath_viewer::{Command, Session};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -209,7 +209,7 @@ impl Engine {
         if let Some(exp) = self.experiments.lock().get(&key) {
             return Ok(Arc::clone(exp));
         }
-        let exp = open_database(path)?;
+        let exp = callpath_expdb::open_path(Path::new(path)).map_err(|e| e.to_string())?;
         let exp = Arc::new(exp);
         // Double-open race is benign: last writer wins, both Arcs are
         // valid, sessions keep whichever they were built on alive.
@@ -493,32 +493,5 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
-    }
-}
-
-/// Open a database file of any supported flavor: v2/v2.1 containers
-/// open lazily (mmap-backed), v1 decodes eagerly, anything else is
-/// tried as XML.
-fn open_database(path: &str) -> Result<Experiment, String> {
-    let p = std::path::Path::new(path);
-    let mut prefix = [0u8; 8];
-    let n = {
-        use std::io::Read;
-        let mut f = std::fs::File::open(p).map_err(|e| format!("cannot open {path}: {e}"))?;
-        f.read(&mut prefix)
-            .map_err(|e| format!("cannot read {path}: {e}"))?
-    };
-    match callpath_expdb::sniff_version(&prefix[..n]) {
-        Some(2) => callpath_expdb::open_lazy_path(p).map_err(|e| e.to_string()),
-        Some(_) => {
-            let bytes = std::fs::read(p).map_err(|e| format!("cannot read {path}: {e}"))?;
-            callpath_expdb::from_binary(&bytes).map_err(|e| e.to_string())
-        }
-        None => {
-            let bytes = std::fs::read(p).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let text = String::from_utf8(bytes)
-                .map_err(|_| format!("{path} is neither CPDB nor UTF-8"))?;
-            callpath_expdb::from_xml(&text).map_err(|e| e.to_string())
-        }
     }
 }

@@ -52,7 +52,7 @@ impl RequestError {
 pub enum Request {
     /// Open a database and start a fresh session on it.
     Open {
-        /// Filesystem path of the database (v1, v2, v2.1 or XML).
+        /// Filesystem path of the database (`.cpdb`, `.cpens` or XML).
         path: String,
     },
     /// Drop a session explicitly (instead of waiting for eviction).

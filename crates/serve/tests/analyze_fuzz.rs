@@ -12,31 +12,39 @@ use callpath_serve::json::{self, Json};
 use callpath_serve::{Engine, ServeConfig};
 use callpath_workloads::{pipeline, s3d};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn s3d_db() -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "callpath-analyze-fuzz-{}-s3d.cpdb",
-        std::process::id()
-    ));
-    if !p.exists() {
+    // Built once per process: sibling tests map this file, and a
+    // second writer would truncate it under them.
+    static S3D: OnceLock<std::path::PathBuf> = OnceLock::new();
+    S3D.get_or_init(|| {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "callpath-analyze-fuzz-{}-s3d.cpdb",
+            std::process::id()
+        ));
         let exp = pipeline::build_experiment(
             &s3d::program(s3d::S3dConfig::default()),
             &ExecConfig::default(),
         );
         std::fs::write(&p, callpath_expdb::to_binary_v21(&exp)).unwrap();
-    }
-    p
+        p
+    })
+    .clone()
 }
 
 /// A small on-disk ensemble, to prove `analyze` works over `.cpens`.
 fn ens_db() -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "callpath-analyze-fuzz-{}-runs.cpens",
-        std::process::id()
-    ));
-    if !p.exists() {
+    // Built once per process: sibling tests map this file, and a
+    // second writer would truncate it under them.
+    static ENS: OnceLock<std::path::PathBuf> = OnceLock::new();
+    ENS.get_or_init(|| {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "callpath-analyze-fuzz-{}-runs.cpens",
+            std::process::id()
+        ));
         let cfg = callpath_workloads::synth::EnsembleConfig {
             n_runs: 6,
             base_nodes: 200,
@@ -55,8 +63,9 @@ fn ens_db() -> std::path::PathBuf {
             })
             .collect();
         std::fs::write(&p, callpath_ensemble::build(&runs, 2).to_bytes()).unwrap();
-    }
-    p
+        p
+    })
+    .clone()
 }
 
 /// Every reply must parse as JSON and carry `ok`.

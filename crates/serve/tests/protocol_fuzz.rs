@@ -16,21 +16,26 @@ use callpath_serve::{Engine, ServeConfig};
 use callpath_viewer::{Command, Session};
 use callpath_workloads::{pipeline, s3d};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn s3d_db() -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "callpath-serve-fuzz-{}-s3d.cpdb",
-        std::process::id()
-    ));
-    if !p.exists() {
+    // Built once per process: sibling tests map this file, and a
+    // second writer would truncate it under them.
+    static S3D: OnceLock<std::path::PathBuf> = OnceLock::new();
+    S3D.get_or_init(|| {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "callpath-serve-fuzz-{}-s3d.cpdb",
+            std::process::id()
+        ));
         let exp = pipeline::build_experiment(
             &s3d::program(s3d::S3dConfig::default()),
             &ExecConfig::default(),
         );
         std::fs::write(&p, to_binary_v21(&exp)).unwrap();
-    }
-    p
+        p
+    })
+    .clone()
 }
 
 fn engine() -> Engine {
@@ -39,12 +44,15 @@ fn engine() -> Engine {
 
 /// A small on-disk ensemble: 6 synthetic runs, run 4 inflated.
 fn ens_db() -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "callpath-serve-fuzz-{}-runs.cpens",
-        std::process::id()
-    ));
-    if !p.exists() {
+    // Built once per process: sibling tests map this file, and a
+    // second writer would truncate it under them.
+    static ENS: OnceLock<std::path::PathBuf> = OnceLock::new();
+    ENS.get_or_init(|| {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "callpath-serve-fuzz-{}-runs.cpens",
+            std::process::id()
+        ));
         let cfg = callpath_workloads::synth::EnsembleConfig {
             n_runs: 6,
             base_nodes: 200,
@@ -63,8 +71,9 @@ fn ens_db() -> std::path::PathBuf {
             })
             .collect();
         std::fs::write(&p, callpath_ensemble::build(&runs, 2).to_bytes()).unwrap();
-    }
-    p
+        p
+    })
+    .clone()
 }
 
 /// Every reply must parse as JSON and carry `ok`.

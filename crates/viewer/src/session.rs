@@ -136,7 +136,7 @@ impl<'e> Session<'e> {
 
     /// How many of the experiment's presentation columns hold resident
     /// values. On an eagerly built experiment this equals the column
-    /// count; on a lazily opened v2 database it counts the columns
+    /// count; on a lazily opened database it counts the columns
     /// faulted in so far — the acceptance hook for the storage-path
     /// tentpole: rendering one sorted view must materialize only the
     /// columns that view reads.

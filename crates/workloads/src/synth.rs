@@ -355,11 +355,8 @@ mod tests {
         let model = synth_model(&cfg);
         let exp = model.clone().into_experiment().unwrap();
         assert_eq!(exp.cct.len(), 2001);
-        // And round-trips through both v2 revisions.
-        let v2 = callpath_expdb::bin2::write(&model);
+        // And round-trips through the database format.
         let v21 = callpath_expdb::bin2::write_v21(&model);
-        assert_eq!(callpath_expdb::bin2::read(&v2).unwrap(), model);
         assert_eq!(callpath_expdb::bin2::read(&v21).unwrap(), model);
-        assert!(v21.len() > v2.len(), "fixed-width trades size for speed");
     }
 }

@@ -1,5 +1,5 @@
 //! Experiment databases: write the same experiment in the XML-like format
-//! and the compact binary format, compare sizes, and reload.
+//! and the binary CPDB format, compare sizes, and reload.
 //!
 //! ```sh
 //! cargo run --example expdb_tour
@@ -10,7 +10,7 @@
 //! demonstrates both formats and quantifies the size difference.
 
 use callpath_core::prelude::*;
-use callpath_expdb::{from_binary, from_xml, to_binary, to_xml};
+use callpath_expdb::{from_binary, from_xml, to_binary_v21, to_xml};
 use callpath_profiler::ExecConfig;
 use callpath_workloads::{pipeline, s3d};
 
@@ -26,7 +26,7 @@ fn main() {
         .unwrap();
 
     let xml = to_xml(&exp);
-    let bin = to_binary(&exp);
+    let bin = to_binary_v21(&exp);
     println!(
         "experiment: {} CCT nodes, {} metrics, {} columns",
         exp.cct.len(),
@@ -34,7 +34,7 @@ fn main() {
         exp.columns.column_count()
     );
     println!("XML-like database:     {:>9} bytes", xml.len());
-    println!("compact binary:        {:>9} bytes", bin.len());
+    println!("CPDB database:         {:>9} bytes", bin.len());
     println!(
         "compression ratio:     {:>8.2}x",
         xml.len() as f64 / bin.len() as f64

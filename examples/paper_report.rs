@@ -276,13 +276,13 @@ fn main() {
     {
         let exp = pipeline::build_experiment(&moab::program(), &ExecConfig::default());
         let xml = callpath_expdb::to_xml(&exp);
-        let bin = callpath_expdb::to_binary(&exp);
+        let bin = callpath_expdb::to_binary_v21(&exp);
         rows.push(Row {
             id: "E9",
             claim: "Section IX: compact binary format vs XML",
             paper: "future work".into(),
             measured: format!(
-                "{} B xml vs {} B binary ({:.1}x smaller)",
+                "{} B xml vs {} B cpdb ({:.1}x smaller)",
                 xml.len(),
                 bin.len(),
                 xml.len() as f64 / bin.len() as f64

@@ -5,18 +5,17 @@
 #  * interactive navigation latency (expand-all / warm re-sort /
 #    hot-path walk) -> BENCH_session_nav.json at the repo root;
 #  * experiment-database open latency (cold open / first render /
-#    decode_all, XML vs v1 vs v2 on s3d) -> BENCH_expdb_open.json
+#    decode_all, XML vs CPDB on s3d) -> BENCH_expdb_open.json
 #    at the repo root;
 #  * instrumentation overhead (session navigation with the obs feature
 #    on vs off) -> BENCH_obs_overhead.json at the repo root. The two
 #    runs write fragments under target/; the second one merges them;
-#  * zero-copy scaling (million-node synthetic v2.1 database: mmap cold
-#    open vs v2, first-render fault counts, decode-all)
+#  * zero-copy scaling (million-node synthetic database: mmap cold
+#    open vs a 33-node one, first-render fault counts, decode-all)
 #    -> BENCH_zero_copy.json at the repo root. This row runs under a
 #    hard wall-clock budget so a scaling regression fails the script
 #    instead of silently stretching it;
-#  * thread scaling (ingest + decode_all at 1/2/4/8 workers, plus the
-#    pruned-merge-beats-old-replay gate that holds even on one core)
+#  * thread scaling (ingest + decode_all at 1/2/4/8 workers)
 #    -> BENCH_thread_scaling.json at the repo root, same hard-budget
 #    treatment;
 #  * serving latency (4 concurrent protocol clients driving scripted
@@ -29,7 +28,7 @@
 #    -> BENCH_ensemble.json at the repo root, same hard-budget
 #    treatment;
 #  * the analysis path (cold-open + sorted query over a 200k-context
-#    v2.1 database at 1/2/4/8 threads with exact lazy-fault counts,
+#    database at 1/2/4/8 threads with exact lazy-fault counts,
 #    the waste detector on s3d, the perf gate over the repo's own
 #    records) -> BENCH_analyze.json at the repo root.
 set -eu

@@ -17,30 +17,15 @@ cargo test -q --no-default-features --features obs
 # must be set at process start — which is exactly what happens here.)
 CALLPATH_THREADS=1 cargo test -q -p callpath-core --lib -- pool:: chunked::
 CALLPATH_THREADS=4 cargo test -q -p callpath-core --lib -- pool:: chunked::
-# The serving path: protocol fuzz (engine never panics on hostile
-# input) and the end-to-end TCP smoke (concurrent clients, renders
-# byte-identical to a direct Session, SIGINT drain).
-cargo test -q -p callpath-serve
-cargo test -q --test serve_smoke
-# The ensemble path: N-way union determinism and .cpens corruption
-# rejection, with the mmap borrow path on (default) and off — the
-# grafted per-run drill-down columns must fault identically from an
-# owned aligned buffer.
-cargo test -q -p callpath-ensemble
-cargo test -q --test ensemble_properties
-cargo test -q -p callpath-expdb --features mmap ens::
-cargo test -q -p callpath-expdb ens::
-cargo test -q --no-default-features --features obs --test ensemble_properties
-# The analysis path: query/detector/gate unit tests, the serve
-# `analyze` RPC fuzz (covered by `-p callpath-serve` above), exact
-# lazy-fault accounting with the mmap borrow path on (default) and
-# off, and the query-property file pinned to both degenerate and
-# fanned-out thread counts (its doc comment promises this).
-cargo test -q -p callpath-analyze
-cargo test -q --test analyze_lazy_fault
-cargo test -q --no-default-features --features obs --test analyze_lazy_fault
+# `resolve_threads` likewise decides the query-property file's fan-out
+# (its doc comment promises both pins).
 CALLPATH_THREADS=1 cargo test -q --test analyze_properties
 CALLPATH_THREADS=4 cargo test -q --test analyze_properties
+# The `--no-default-features` pass above runs only the root package's
+# tests, and the workspace pass compiles expdb with `mmap` on (feature
+# unification through the root package), so this is the one place
+# expdb's own unit tests see the read-to-buffer file image.
+cargo test -q -p callpath-expdb
 # Self-gate: the repo's committed BENCH_*.json trajectory against
 # itself under the committed policy. Zero deltas by construction, so
 # this is deterministic and non-flaky — it exercises the gate's full

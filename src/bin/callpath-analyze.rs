@@ -83,7 +83,7 @@ COMMON OPTIONS:
     --json             machine-readable report on stdout
     --stats            dump instrumentation counters/spans as JSON on
                        stderr after the run
-    --self-profile <FILE>  write the tool's own recorded profile as a v2
+    --self-profile <FILE>  write the tool's own recorded profile as a .cpdb
                        database (open it with callpath-view)
     -h, --help         print this help
 
@@ -190,16 +190,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn load_exp(path: &str) -> Result<Experiment, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    match callpath_expdb::sniff_version(&bytes) {
-        Some(2) => callpath_expdb::open_lazy(bytes).map_err(|e| e.to_string()),
-        Some(_) => callpath_expdb::from_binary(&bytes).map_err(|e| e.to_string()),
-        None => {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| "file is neither CPDB nor UTF-8".to_owned())?;
-            callpath_expdb::from_xml(&text).map_err(|e| e.to_string())
-        }
-    }
+    callpath_expdb::open_path(Path::new(path)).map_err(|e| e.to_string())
 }
 
 fn stem(path: &str) -> String {
@@ -357,20 +348,13 @@ fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-/// One side of the gate: a profile database reduces to per-metric
-/// totals (no column is faulted); anything else is a `BENCH_*.json`
-/// file or a directory of them.
+/// One side of the gate: a `*.json` file or a directory is bench
+/// records; any other file is a profile database, which reduces to
+/// per-metric totals (no column is faulted).
 fn gate_side(path: &str) -> Result<Vec<BenchRecord>, String> {
     let p = Path::new(path);
-    if p.is_file() {
-        let bytes = std::fs::read(p).map_err(|e| format!("cannot read {path}: {e}"))?;
-        if callpath_expdb::sniff_version(&bytes).is_some() {
-            let exp = match callpath_expdb::sniff_version(&bytes) {
-                Some(2) => callpath_expdb::open_lazy(bytes).map_err(|e| e.to_string())?,
-                _ => callpath_expdb::from_binary(&bytes).map_err(|e| e.to_string())?,
-            };
-            return Ok(vec![record_from_experiment(&stem(path), &exp)]);
-        }
+    if p.is_file() && p.extension().is_none_or(|e| e != "json") {
+        return Ok(vec![record_from_experiment(&stem(path), &load_exp(path)?)]);
     }
     load_bench_records(p)
 }

@@ -32,7 +32,7 @@ OPTIONS:
     --top <N>           children per scope in full mode [default: 20]
     --stats             dump instrumentation counters/spans as JSON on
                         stderr after the run
-    --self-profile <FILE>  write the tool's own recorded profile as a v2
+    --self-profile <FILE>  write the tool's own recorded profile as a .cpdb
                         database (open it with callpath-view)
     -h, --help          print this help
 ";
@@ -110,23 +110,12 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn load(path: &str) -> Result<Experiment, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    match callpath_expdb::sniff_version(&bytes) {
-        // Diffing touches every column of both databases, so the v2
-        // path opens lazily and immediately fans block decode across
-        // workers instead of paying faults serially mid-analysis.
-        Some(2) => {
-            let exp = callpath_expdb::open_lazy(bytes).map_err(|e| e.to_string())?;
-            callpath_expdb::decode_all(&exp, 0);
-            Ok(exp)
-        }
-        Some(_) => callpath_expdb::from_binary(&bytes).map_err(|e| e.to_string()),
-        None => {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| "file is neither CPDB nor UTF-8".to_owned())?;
-            callpath_expdb::from_xml(&text).map_err(|e| e.to_string())
-        }
-    }
+    let exp = callpath_expdb::open_path(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    // Diffing touches every column of both databases, so fan block
+    // decode across workers now instead of paying faults serially
+    // mid-analysis (a no-op for an eagerly parsed XML file).
+    callpath_expdb::decode_all(&exp, 0);
+    Ok(exp)
 }
 
 fn run() -> Result<(), String> {

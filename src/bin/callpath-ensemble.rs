@@ -64,7 +64,7 @@ OUTLIERS OPTIONS:
 COMMON OPTIONS:
     --stats            dump instrumentation counters/spans as JSON on
                        stderr after the run
-    --self-profile <FILE>  write the tool's own recorded profile as a v2
+    --self-profile <FILE>  write the tool's own recorded profile as a .cpdb
                        database (open it with callpath-view)
     -h, --help         print this help
 ";
@@ -177,16 +177,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn load_run(path: &str) -> Result<RunData, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let exp = match callpath_expdb::sniff_version(&bytes) {
-        Some(2) => callpath_expdb::open_lazy(bytes).map_err(|e| e.to_string())?,
-        Some(_) => callpath_expdb::from_binary(&bytes).map_err(|e| e.to_string())?,
-        None => {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| "file is neither CPDB nor UTF-8".to_owned())?;
-            callpath_expdb::from_xml(&text).map_err(|e| e.to_string())?
-        }
-    };
+    let exp = callpath_expdb::open_path(Path::new(path)).map_err(|e| e.to_string())?;
     let label = Path::new(path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())

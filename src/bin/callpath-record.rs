@@ -33,11 +33,11 @@ OPTIONS:
     -o, --output <FILE>     output path (required)
     --program <FILE>        profile a .cps scenario file instead of a
                             built-in workload
-    --format <xml|bin|bin2|bin2.1>
-                            database format; bin2 is the sectioned v2,
-                            bin2.1 its aligned zero-copy revision
-                            container the viewer opens lazily [default:
-                            from extension, .xml => xml, else bin2]
+    --format <xml|cpdb>     database format: xml is the paper's
+                            experiment.xml interchange, cpdb the binary
+                            container the tools map and open lazily
+                            [default: from extension, .xml => xml,
+                            else cpdb]
     --period <N>            cycle sampling period [default: 1009]
     --ranks <N>             SPMD ranks for pflotran [default: 64]
     --seed <N>              random workload seed [default: 42]
@@ -45,7 +45,7 @@ OPTIONS:
     --stats                 dump instrumentation counters/spans as JSON
                             on stderr after the run
     --self-profile <FILE>   write the tool's own recorded profile as a
-                            v2 database (open it with callpath-view)
+                            .cpdb database (open it with callpath-view)
     -h, --help              print this help
 ";
 
@@ -189,17 +189,15 @@ fn main() -> ExitCode {
         if args.output.ends_with(".xml") {
             "xml".into()
         } else {
-            "bin2".into()
+            "cpdb".into()
         }
     });
     let encode = callpath::obs::span("record.encode");
     let bytes = match format.as_str() {
         "xml" => callpath_expdb::to_xml(&exp).into_bytes(),
-        "bin" => callpath_expdb::to_binary(&exp),
-        "bin2" => callpath_expdb::to_binary_v2(&exp),
-        "bin2.1" => callpath_expdb::to_binary_v21(&exp),
+        "cpdb" => callpath_expdb::to_binary_v21(&exp),
         other => {
-            eprintln!("error: unknown format '{other}' (xml|bin|bin2|bin2.1)");
+            eprintln!("error: unknown format '{other}' (xml|cpdb)");
             return ExitCode::FAILURE;
         }
     };

@@ -36,7 +36,7 @@ OPTIONS:
     --stats                 dump instrumentation counters/spans as JSON
                             on stderr when the server exits
     --self-profile <FILE>   write the server's own recorded profile as a
-                            v2 database on exit
+                            .cpdb database on exit
     -h, --help              print this help
 
 PROTOCOL (one JSON object per line, reply per line):

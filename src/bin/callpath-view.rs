@@ -37,7 +37,7 @@ OPTIONS:
     --stats                     dump instrumentation counters/spans as JSON
                                 on stderr after the run
     --self-profile <FILE>       write the tool's own recorded profile as a
-                                v2 database (open it with callpath-view)
+                                .cpdb database (open it with callpath-view)
     -h, --help                  print this help
 ";
 
@@ -167,21 +167,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn load(path: &str) -> Result<Experiment, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    match callpath_expdb::sniff_version(&bytes) {
-        // v2 opens lazily: only the TOC, names and topology are decoded
-        // here; metric columns fault in when a view first reads them.
-        Some(2) => callpath_expdb::open_lazy(bytes).map_err(|e| e.to_string()),
-        Some(_) => callpath_expdb::from_binary(&bytes).map_err(|e| e.to_string()),
-        None => {
-            let text = String::from_utf8(bytes)
-                .map_err(|_| "file is neither CPDB nor UTF-8".to_owned())?;
-            callpath_expdb::from_xml(&text).map_err(|e| e.to_string())
-        }
-    }
-}
-
 /// Write to stdout, tolerating a closed pipe: under `callpath-view … |
 /// head` the reader goes away mid-render, and the right behavior is to
 /// stop quietly (no panic, no error text), not to spray diagnostics.
@@ -204,7 +189,8 @@ fn emit(text: &str) -> bool {
 
 fn run() -> Result<ExitCode, String> {
     let args = parse_args()?;
-    let mut exp = load(&args.file)?;
+    let mut exp =
+        callpath_expdb::open_path(std::path::Path::new(&args.file)).map_err(|e| e.to_string())?;
     for (name, formula) in &args.derived {
         exp.add_derived(name, formula)
             .map_err(|e| format!("derived metric '{name}': {e}"))?;

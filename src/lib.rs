@@ -47,12 +47,12 @@ pub mod cli {
         eprint!("{}", snap.to_json());
     }
 
-    /// Export the recorded span tree as a v2 experiment database at
-    /// `path` — the tool's own profile, openable by `callpath-view` in
+    /// Export the recorded span tree as a `.cpdb` experiment database
+    /// at `path` — the tool's own profile, openable by `callpath-view` in
     /// all three views.
     pub fn write_self_profile(path: &str) -> Result<(), String> {
         let exp = obs::to_experiment(&obs::snapshot());
-        std::fs::write(path, callpath_expdb::to_binary_v2(&exp))
+        std::fs::write(path, callpath_expdb::to_binary_v21(&exp))
             .map_err(|e| format!("cannot write {path}: {e}"))
     }
 }

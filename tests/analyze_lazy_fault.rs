@@ -9,14 +9,19 @@ use callpath_analyze::query::{eval_mask, run_query, Query};
 use callpath_ensemble::RunData;
 use callpath_expdb::ens;
 use callpath_workloads::synth::{ensemble_run, EnsembleConfig};
+use std::sync::OnceLock;
 
-fn small_ensemble() -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!(
-        "callpath-analyze-fault-{}-runs.cpens",
-        std::process::id()
-    ));
-    if !p.exists() {
+/// Built once per test process: the tests run on parallel threads and
+/// each maps the file, so a second writer would truncate it under a
+/// sibling's mapping (SIGBUS).
+fn small_ensemble() -> &'static std::path::Path {
+    static PATH: OnceLock<std::path::PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let mut p = std::env::temp_dir();
+        p.push(format!(
+            "callpath-analyze-fault-{}-runs.cpens",
+            std::process::id()
+        ));
         let cfg = EnsembleConfig {
             n_runs: 12,
             base_nodes: 300,
@@ -29,13 +34,13 @@ fn small_ensemble() -> std::path::PathBuf {
             .map(|r| RunData::from_model(format!("run-{r:03}"), &ensemble_run(&cfg, r)).unwrap())
             .collect();
         std::fs::write(&p, callpath_ensemble::build(&runs, 2).to_bytes()).unwrap();
-    }
-    p
+        p
+    })
 }
 
 #[test]
 fn a_sorted_query_faults_exactly_the_named_columns() {
-    let e = ens::open(&small_ensemble()).unwrap();
+    let e = ens::open(small_ensemble()).unwrap();
     let exp = &e.exp;
     assert_eq!(exp.columns.materialized_columns(), 0, "open faults nothing");
 
@@ -81,7 +86,7 @@ fn a_sorted_query_faults_exactly_the_named_columns() {
 
 #[test]
 fn percent_thresholds_read_stored_aggregates_without_faulting() {
-    let e = ens::open(&small_ensemble()).unwrap();
+    let e = ens::open(small_ensemble()).unwrap();
     let exp = &e.exp;
     let max = format!("{} max (I)", e.dir.metric_names[1]);
     // `> 5%` needs the column's program total: that comes from the
@@ -98,7 +103,7 @@ fn percent_thresholds_read_stored_aggregates_without_faulting() {
 
 #[test]
 fn structural_queries_fault_no_columns_at_all() {
-    let e = ens::open(&small_ensemble()).unwrap();
+    let e = ens::open(small_ensemble()).unwrap();
     let exp = &e.exp;
     let q = Query::parse(r#"subtree(proc ~ "proc_00") or label ~ "loop""#).unwrap();
     let mask = eval_mask(exp, &q.pred, 2).unwrap();

@@ -6,8 +6,8 @@
 //!   definition;
 //! * **threads** — the mask is identical at 1, 2, 4 and 8 worker
 //!   threads (the chunk-parallel leaf evaluation is position-stable);
-//! * **storage** — an eager in-memory experiment, its v2 binary
-//!   round-trip and its lazily opened v2.1 form all answer a query
+//! * **storage** — an eager in-memory experiment, its eagerly decoded
+//!   database round-trip and its lazily opened form all answer a query
 //!   identically.
 //!
 //! `scripts/ci.sh` reruns this file with `CALLPATH_THREADS` pinned to 1
@@ -93,19 +93,20 @@ proptest! {
         }
     }
 
-    /// Eager in-memory, v2 round-trip and lazy v2.1 storage answer
-    /// identically — same matches, same scores, same paths.
+    /// Eager in-memory, eagerly decoded and lazily opened storage
+    /// answer identically — same matches, same scores, same paths.
     #[test]
     fn eager_and_lazy_storage_agree(seed in 0u64..1000) {
         let exp = random_experiment(seed.wrapping_add(21000), 220, 20);
-        let v2 = callpath_expdb::from_binary(&callpath_expdb::to_binary_v2(&exp)).unwrap();
-        let lazy = callpath_expdb::open_lazy(callpath_expdb::to_binary_v21(&exp)).unwrap();
+        let bytes = callpath_expdb::to_binary_v21(&exp);
+        let decoded = callpath_expdb::from_binary(&bytes).unwrap();
+        let lazy = callpath_expdb::open_lazy(bytes).unwrap();
         let composite = format!("({} or {}) and not {}", LEAVES[0], LEAVES[3], LEAVES[2]);
         for text in LEAVES.iter().copied().chain([composite.as_str()]) {
             let want = run_query(&exp, text, None, 25, 1).unwrap();
-            let got_v2 = run_query(&v2, text, None, 25, 1).unwrap();
+            let got_decoded = run_query(&decoded, text, None, 25, 1).unwrap();
             let got_lazy = run_query(&lazy, text, None, 25, 1).unwrap();
-            prop_assert_eq!(&got_v2, &want, "v2 diverged on {}", text);
+            prop_assert_eq!(&got_decoded, &want, "decoded diverged on {}", text);
             prop_assert_eq!(&got_lazy, &want, "lazy diverged on {}", text);
         }
     }

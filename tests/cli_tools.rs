@@ -163,6 +163,27 @@ fn helpful_errors() {
     std::fs::remove_file(&db).ok();
 }
 
+/// One format, told to the user at both ends: the retired `--format`
+/// names are refused with the list of the two that remain, and a file in
+/// a retired encoding is refused with the way out.
+#[test]
+fn retired_formats_are_refused_with_a_pointer() {
+    let out = Command::new(record())
+        .args(["--workload", "fig1", "--format", "bin2", "-o", "/tmp/x"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("xml|cpdb"), "{err}");
+
+    let legacy = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/legacy_v2.cpdb");
+    let out = Command::new(view()).arg(legacy).output().unwrap();
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("re-record"), "{err}");
+}
+
 #[test]
 fn diff_tool_finds_the_regression() {
     let base = tmp("diff-tuned.cpdb");

@@ -3,24 +3,22 @@
 //! database formats on the s3d workload and emit a JSON perf record
 //! (`BENCH_expdb_open.json`).
 //!
-//! The acceptance criterion for the format-v2 tentpole lives here: the
-//! lazy v2 open (topology only) **and** the v2 first render (fault in
-//! just the sorted column) must both beat a full v1 parse.
+//! The acceptance criterion for the lazy storage path lives here: the
+//! lazy CPDB open (topology only) **and** its first render (fault in
+//! just the sorted column) must both beat a full XML parse.
 //!
 //! "First render" is the interactive first paint: open the database,
 //! start a session on the Calling Context View, show only the column the
 //! view sorts by (the metric-properties dialog), run hot-path analysis
-//! and render. On v2 that faults exactly one presentation column; XML
-//! and v1 pay their full parse first.
+//! and render. On CPDB that faults exactly one presentation column; XML
+//! pays its full parse first.
 //!
 //! `#[ignore]`d by default: timing assertions belong in release builds
 //! on a quiet machine, not in every `cargo test` run.
 
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
-use callpath_expdb::{
-    decode_all, from_binary, from_xml, open_lazy, to_binary, to_binary_v2, to_binary_v21, to_xml,
-};
+use callpath_expdb::{decode_all, from_xml, open_lazy, to_binary_v21, to_xml};
 use callpath_profiler::ExecConfig;
 use callpath_viewer::{Command, Session};
 use callpath_workloads::{pipeline, s3d};
@@ -93,8 +91,6 @@ fn s3d_rank_database() -> Experiment {
 fn expdb_open_smoke() {
     let exp = s3d_rank_database();
     let xml = to_xml(&exp);
-    let v1 = to_binary(&exp);
-    let v2 = to_binary_v2(&exp);
     let v21 = to_binary_v21(&exp);
 
     let xml_cold = p50_ms(|| {
@@ -103,25 +99,6 @@ fn expdb_open_smoke() {
     let xml_first = p50_ms(|| {
         let e = from_xml(&xml).unwrap();
         std::hint::black_box(first_render(&e));
-    });
-    let v1_cold = p50_ms(|| {
-        std::hint::black_box(from_binary(&v1).unwrap());
-    });
-    let v1_first = p50_ms(|| {
-        let e = from_binary(&v1).unwrap();
-        std::hint::black_box(first_render(&e));
-    });
-    let v2_cold = p50_ms(|| {
-        std::hint::black_box(open_lazy(v2.clone()).unwrap());
-    });
-    let v2_first = p50_ms(|| {
-        let e = open_lazy(v2.clone()).unwrap();
-        std::hint::black_box(first_render(&e));
-    });
-    let v2_decode_all = p50_ms(|| {
-        let e = open_lazy(v2.clone()).unwrap();
-        decode_all(&e, 0);
-        std::hint::black_box(&e);
     });
     let v21_cold = p50_ms(|| {
         std::hint::black_box(open_lazy(v21.clone()).unwrap());
@@ -136,15 +113,15 @@ fn expdb_open_smoke() {
         std::hint::black_box(&e);
     });
 
-    // The tentpole's acceptance gate: the lazy open and the lazy first
-    // paint both strictly beat a full v1 parse.
+    // The acceptance gate: the lazy open and the lazy first paint both
+    // strictly beat a full XML parse.
     assert!(
-        v2_cold < v1_cold,
-        "v2 lazy cold open ({v2_cold:.3} ms) must beat the v1 full parse ({v1_cold:.3} ms)"
+        v21_cold < xml_cold,
+        "lazy cold open ({v21_cold:.3} ms) must beat the XML full parse ({xml_cold:.3} ms)"
     );
     assert!(
-        v2_first < v1_cold,
-        "v2 first render ({v2_first:.3} ms) must beat the v1 full parse ({v1_cold:.3} ms)"
+        v21_first < xml_cold,
+        "lazy first render ({v21_first:.3} ms) must beat the XML full parse ({xml_cold:.3} ms)"
     );
 
     let cores = std::thread::available_parallelism()
@@ -163,16 +140,9 @@ fn expdb_open_smoke() {
             "  \"iters\": {},\n",
             "  \"first_render_scenario\": \"CCV hot path, single sorted column\",\n",
             "  \"xml_bytes\": {},\n",
-            "  \"v1_bytes\": {},\n",
-            "  \"v2_bytes\": {},\n",
             "  \"v21_bytes\": {},\n",
             "  \"xml_cold_open_p50_ms\": {:.3},\n",
             "  \"xml_first_render_p50_ms\": {:.3},\n",
-            "  \"v1_cold_open_p50_ms\": {:.3},\n",
-            "  \"v1_first_render_p50_ms\": {:.3},\n",
-            "  \"v2_cold_open_p50_ms\": {:.3},\n",
-            "  \"v2_first_render_p50_ms\": {:.3},\n",
-            "  \"v2_decode_all_p50_ms\": {:.3},\n",
             "  \"v21_cold_open_p50_ms\": {:.3},\n",
             "  \"v21_first_render_p50_ms\": {:.3},\n",
             "  \"v21_decode_all_p50_ms\": {:.3}\n",
@@ -184,16 +154,9 @@ fn expdb_open_smoke() {
         exp.raw.metric_count(),
         ITERS,
         xml.len(),
-        v1.len(),
-        v2.len(),
         v21.len(),
         xml_cold,
         xml_first,
-        v1_cold,
-        v1_first,
-        v2_cold,
-        v2_first,
-        v2_decode_all,
         v21_cold,
         v21_first,
         v21_decode_all,

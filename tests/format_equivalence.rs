@@ -1,12 +1,12 @@
 //! Property test: the *presentation* of an experiment is independent of
 //! the storage format it travelled through. A randomly generated
-//! experiment serialized as XML, binary v1, or the sectioned v2
-//! container — opened eagerly or lazily — must render byte-identical
+//! experiment serialized as XML or as a CPDB container — the latter
+//! opened eagerly or lazily — must render byte-identical
 //! Calling Context, Callers and Flat views, and report identical
 //! root-inclusive totals.
 
 use callpath_core::prelude::*;
-use callpath_expdb::{from_binary, from_xml, open_lazy, to_binary, to_binary_v2, to_xml};
+use callpath_expdb::{from_binary, from_xml, open_lazy, to_binary_v21, to_xml};
 use callpath_viewer::{render, ExpandMode, RenderConfig};
 use callpath_workloads::generator;
 use proptest::prelude::*;
@@ -37,22 +37,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn all_four_open_paths_present_identically(seed in 0u64..1000, size in 10usize..300) {
+    fn all_three_open_paths_present_identically(seed in 0u64..1000, size in 10usize..300) {
         let eager = generator::random_experiment(seed, size, 12);
         let want_views = three_views(&eager);
         let want_totals = root_inclusives(&eager);
 
         let via_xml = from_xml(&to_xml(&eager)).unwrap();
-        let via_v1 = from_binary(&to_binary(&eager)).unwrap();
-        let v2 = to_binary_v2(&eager);
-        let via_v2_eager = from_binary(&v2).unwrap();
-        let via_v2_lazy = open_lazy(v2).unwrap();
+        let cpdb = to_binary_v21(&eager);
+        let via_cpdb_eager = from_binary(&cpdb).unwrap();
+        let via_cpdb_lazy = open_lazy(cpdb).unwrap();
 
         for (label, exp) in [
             ("xml", &via_xml),
-            ("binary v1", &via_v1),
-            ("v2 eager", &via_v2_eager),
-            ("v2 lazy", &via_v2_lazy),
+            ("cpdb eager", &via_cpdb_eager),
+            ("cpdb lazy", &via_cpdb_lazy),
         ] {
             let got_views = three_views(exp);
             for (view, (got, want)) in ["ccv", "callers", "flat"]

@@ -5,7 +5,7 @@
 //! thread must see data identical to an eager open.
 
 use callpath_core::prelude::*;
-use callpath_expdb::{open_lazy, to_binary_v2};
+use callpath_expdb::{open_lazy, to_binary_v21};
 use callpath_workloads::generator;
 
 const READERS: usize = 8;
@@ -15,7 +15,7 @@ fn racing_first_reads_decode_the_column_exactly_once() {
     callpath_obs::reset();
 
     let eager = generator::random_experiment(7, 400, 16);
-    let lazy = open_lazy(to_binary_v2(&eager)).unwrap();
+    let lazy = open_lazy(to_binary_v21(&eager)).unwrap();
     let n_nodes = eager.cct.len() as u32;
     let col = ColumnId(0);
 

@@ -1,23 +1,22 @@
-//! Acceptance tests for the sectioned v2 storage path (format v2 +
-//! `LazyDb`): opening a database must decode only the table of contents,
-//! name tables and CCT topology; metric blocks materialize when — and
+//! Acceptance tests for the lazy storage path: opening a database must
+//! decode only the table of contents, name tables and CCT topology; metric blocks materialize when — and
 //! only when — a view actually reads them. A forced `decode_all` must
 //! then be indistinguishable from an eager open, down to the rendered
 //! text of an interactive session.
 
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
-use callpath_expdb::{decode_all, from_binary, open_lazy, to_binary_v2};
+use callpath_expdb::{decode_all, from_binary, open_lazy, to_binary_v21};
 use callpath_profiler::ExecConfig;
 use callpath_viewer::{Command, Session};
 use callpath_workloads::{pipeline, s3d};
 
-fn s3d_v2() -> Vec<u8> {
+fn s3d_cpdb() -> Vec<u8> {
     let exp = pipeline::build_experiment(
         &s3d::program(s3d::S3dConfig::default()),
         &ExecConfig::default(),
     );
-    to_binary_v2(&exp)
+    to_binary_v21(&exp)
 }
 
 /// The headline laziness guarantee: an interactive session that sorts and
@@ -26,7 +25,7 @@ fn s3d_v2() -> Vec<u8> {
 /// (the CCV reads presentation columns directly).
 #[test]
 fn rendering_one_sorted_view_materializes_only_its_columns() {
-    let exp = open_lazy(s3d_v2()).unwrap();
+    let exp = open_lazy(s3d_cpdb()).unwrap();
     assert_eq!(
         exp.columns.materialized_columns(),
         0,
@@ -65,7 +64,7 @@ fn rendering_one_sorted_view_materializes_only_its_columns() {
 /// decoded costs, so equality here is exact, not approximate.
 #[test]
 fn forced_decode_matches_an_eager_open_node_for_node() {
-    let bytes = s3d_v2();
+    let bytes = s3d_cpdb();
     let eager = from_binary(&bytes).unwrap();
     let lazy = open_lazy(bytes).unwrap();
     decode_all(&lazy, 0);
@@ -103,7 +102,7 @@ fn forced_decode_matches_an_eager_open_node_for_node() {
 /// storage path is invisible to the presentation layer.
 #[test]
 fn lazy_and_eager_sessions_render_identical_text() {
-    let bytes = s3d_v2();
+    let bytes = s3d_cpdb();
     let eager = from_binary(&bytes).unwrap();
     let lazy = open_lazy(bytes).unwrap();
 

@@ -214,7 +214,7 @@ fn merged_experiments_survive_the_database() {
             "column {c}"
         );
     }
-    let bin = callpath_expdb::to_binary(exp);
+    let bin = callpath_expdb::to_binary_v21(exp);
     let back = callpath_expdb::from_binary(&bin).unwrap();
     assert_eq!(
         back.columns.get(analysis.loss_incl, root.0),

@@ -8,7 +8,7 @@
 
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
-use callpath_expdb::{open_lazy, to_binary_v2};
+use callpath_expdb::{open_lazy, to_binary_v21};
 use callpath_profiler::ExecConfig;
 use callpath_viewer::{render, render_hot_path, Command, ExpandMode, RenderConfig, Session};
 use callpath_workloads::{pipeline, s3d};
@@ -32,7 +32,7 @@ fn the_tool_presents_its_own_profile_in_its_own_three_views() {
         &s3d::program(s3d::S3dConfig::default()),
         &ExecConfig::default(),
     );
-    let bytes = to_binary_v2(&exp);
+    let bytes = to_binary_v21(&exp);
     {
         let _outer = callpath_obs::span("selftest.session");
         let opened = open_lazy(bytes).unwrap();
@@ -84,9 +84,9 @@ fn the_tool_presents_its_own_profile_in_its_own_three_views() {
         "rendering a lazy database must fault columns"
     );
 
-    // --- Export and reopen: the self-profile is an ordinary v2 database.
+    // --- Export and reopen: the self-profile is an ordinary database.
     let self_exp = callpath_obs::to_experiment(&snap);
-    let reopened = open_lazy(to_binary_v2(&self_exp)).unwrap();
+    let reopened = open_lazy(to_binary_v21(&self_exp)).unwrap();
 
     // All three views are non-empty and show the instrumented spans.
     let cfg = full_render_cfg();

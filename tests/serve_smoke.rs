@@ -16,6 +16,7 @@ use callpath_viewer::{Command, Session};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command as Proc, Stdio};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 fn serve_bin() -> &'static str {
@@ -37,8 +38,11 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 /// Record the s3d workload once per process.
 fn s3d_db() -> std::path::PathBuf {
-    let db = tmp("s3d.cpdb");
-    if !db.exists() {
+    // Built once per process: sibling tests map this file, and a
+    // second writer would truncate it under them.
+    static S3D: OnceLock<std::path::PathBuf> = OnceLock::new();
+    S3D.get_or_init(|| {
+        let db = tmp("s3d.cpdb");
         let out = Proc::new(record_bin())
             .args(["--workload", "s3d", "-o", db.to_str().unwrap()])
             .output()
@@ -48,8 +52,9 @@ fn s3d_db() -> std::path::PathBuf {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-    }
-    db
+        db
+    })
+    .clone()
 }
 
 /// A running server plus the address it bound.

@@ -147,9 +147,7 @@ proptest! {
             .map(|k| (k + 1, finite(mix(seed, 77 + k as u64))))
             .collect();
         let v21 = bin2::write_v21(&model);
-        let v2 = bin2::write(&model);
         prop_assert_eq!(&bin2::read(&v21).unwrap(), &model);
-        prop_assert_eq!(&bin2::read(&v2).unwrap(), &model);
         let lazy = open_lazy(v21).unwrap();
         for &(k, v) in &model.metrics[0].costs {
             prop_assert_eq!(lazy.raw.column(MetricId(0)).get(k).to_bits(), v.to_bits());

@@ -1,5 +1,5 @@
 //! Zero-copy scaling smoke test (run via `scripts/bench_smoke.sh`):
-//! open a ~10⁶-node, 1024-column synthetic v2.1 database through the
+//! open a ~10⁶-node, 1024-column synthetic database through the
 //! mmap-backed lazy path and emit `BENCH_zero_copy.json`.
 //!
 //! This is the tentpole's acceptance gate at scale:
@@ -7,8 +7,8 @@
 //! * **cold open is topology-bounded** — opening the million-node file
 //!   must cost at most 10× opening a 33-node file with the *same*
 //!   metric schema, even though the big file carries ~30 000× more
-//!   nodes (the v2 baseline decodes every node record; v2.1 borrows
-//!   the arrays and pays one structural O(n) scan);
+//!   nodes (the open borrows the topology arrays and pays one
+//!   structural O(n) scan);
 //! * **first render faults only what it needs** — the fault counters
 //!   must show one presentation-column fault (the sorted column), not
 //!   one per column;
@@ -26,9 +26,9 @@ use callpath_workloads::synth::{synth_model, SynthConfig};
 use std::time::Instant;
 
 const ITERS: usize = 21;
-/// The v2 contrast open and first render touch every node and run
-/// hundreds of times slower than the lazy open; a handful of samples
-/// is enough for a stable median without blowing the script's budget.
+/// The first render touches every node and runs an order of magnitude
+/// slower than the lazy open; a handful of samples is enough for a
+/// stable median without blowing the script's budget.
 const HEAVY_ITERS: usize = 3;
 /// Decode-all attributes all 1024 metrics over the million-node tree —
 /// minutes of single-core work. One sample records the trajectory;
@@ -88,10 +88,8 @@ fn zero_copy_smoke() {
 
     let big = synth_model(&big_cfg);
     let v21 = bin2::write_v21(&big);
-    let v2 = bin2::write(&big);
     let small_v21 = bin2::write_v21(&synth_model(&small_cfg));
     let big_path = write_db("zero_copy_big.cpdb", &v21);
-    let big_v2_path = write_db("zero_copy_big_v2.cpdb", &v2);
     let small_path = write_db("zero_copy_small.cpdb", &small_v21);
     let mapped = FileImage::open(&big_path).unwrap().is_mapped();
 
@@ -100,11 +98,6 @@ fn zero_copy_smoke() {
     });
     let big_cold = p50_ms(|| {
         std::hint::black_box(open_lazy_path(&big_path).unwrap());
-    });
-    // The same bytes minus alignment: a v2 open of the same model must
-    // decode every node record before it can return.
-    let big_v2_cold = p50_ms_n(HEAVY_ITERS, || {
-        std::hint::black_box(open_lazy_path(&big_v2_path).unwrap());
     });
 
     // One cold first paint, with fault counters bracketing it.
@@ -144,11 +137,6 @@ fn zero_copy_smoke() {
         "million-node cold open ({big_cold:.3} ms) is {ratio:.1}x the 33-node open \
          ({small_cold:.3} ms); budget is {OPEN_SCALE_BUDGET}x"
     );
-    assert!(
-        big_cold < big_v2_cold,
-        "v2.1 lazy open ({big_cold:.3} ms) must beat the v2 eager-topology open \
-         ({big_v2_cold:.3} ms)"
-    );
 
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -170,7 +158,6 @@ fn zero_copy_smoke() {
             "  \"metrics\": {},\n",
             "  \"nnz_per_metric\": {},\n",
             "  \"v21_bytes\": {},\n",
-            "  \"v2_bytes\": {},\n",
             "  \"iters\": {},\n",
             "  \"heavy_iters\": {},\n",
             "  \"decode_iters\": {},\n",
@@ -179,7 +166,6 @@ fn zero_copy_smoke() {
             "  \"cold_open_p50_ms\": {:.3},\n",
             "  \"open_scale_ratio\": {:.2},\n",
             "  \"open_scale_budget\": {:.1},\n",
-            "  \"v2_cold_open_p50_ms\": {:.3},\n",
             "  \"first_render_p50_ms\": {:.3},\n",
             "  \"first_render_fault_columns\": {},\n",
             "  \"first_render_fault_raw\": {},\n",
@@ -195,7 +181,6 @@ fn zero_copy_smoke() {
         big_cfg.n_metrics,
         big_cfg.nnz_per_metric,
         v21.len(),
-        v2.len(),
         ITERS,
         HEAVY_ITERS,
         DECODE_ITERS,
@@ -204,7 +189,6 @@ fn zero_copy_smoke() {
         big_cold,
         ratio,
         OPEN_SCALE_BUDGET,
-        big_v2_cold,
         first,
         fault_columns,
         fault_raw,
