@@ -27,16 +27,9 @@ pub fn write_metric_value(v: f64, out: &mut String) {
     }
 }
 
-/// Format a value together with its percentage of `total`:
+/// Append a value together with its percentage of `total`:
 /// `1.23e+07 41.4%`. Zero values are blank; a zero total suppresses the
 /// percentage.
-pub fn metric_with_percent(v: f64, total: f64) -> String {
-    let mut s = String::new();
-    write_metric_with_percent(v, total, &mut s);
-    s
-}
-
-/// [`metric_with_percent`] writing into an existing buffer.
 pub fn write_metric_with_percent(v: f64, total: f64, out: &mut String) {
     if v == 0.0 {
         return;
@@ -56,16 +49,9 @@ pub fn percent(fraction: f64) -> String {
     format!("{:.1}%", 100.0 * fraction)
 }
 
-/// Right-pad or truncate a label to a fixed display width, appending an
-/// ellipsis when truncated. Keeps the tabular layout aligned without
-/// pulling in a full terminal-width library.
-pub fn fit(label: &str, width: usize) -> String {
-    let mut s = String::with_capacity(width);
-    write_fit(label, width, &mut s);
-    s
-}
-
-/// [`fit`] writing into an existing buffer.
+/// Append a label right-padded or truncated to a fixed display width,
+/// with an ellipsis when truncated. Keeps the tabular layout aligned
+/// without pulling in a full terminal-width library.
 pub fn write_fit(label: &str, width: usize, out: &mut String) {
     let n = label.chars().count();
     if n <= width {
@@ -82,6 +68,18 @@ pub fn write_fit(label: &str, width: usize, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn metric_with_percent(v: f64, total: f64) -> String {
+        let mut s = String::new();
+        write_metric_with_percent(v, total, &mut s);
+        s
+    }
+
+    fn fit(label: &str, width: usize) -> String {
+        let mut s = String::new();
+        write_fit(label, width, &mut s);
+        s
+    }
 
     #[test]
     fn zero_is_blank() {

@@ -341,7 +341,7 @@ mod tests {
             stat("cycles mean", vec![(2, 20.0), (3, 5.0)]),
             stat("cycles min", vec![(2, 10.0), (3, 5.0)]),
             stat("cycles max", vec![(2, 30.0), (3, 5.0)]),
-            stat("cycles stddev", vec![(2, 8.1649658092772603)]),
+            stat("cycles stddev", vec![(2, 8.16496580927726)]),
             stat("insns mean", vec![(2, 1.0)]),
             stat("insns min", vec![(2, 1.0)]),
             stat("insns max", vec![(2, 1.0)]),

@@ -68,7 +68,7 @@ impl Default for RenderConfig {
 /// we use a two-character arrow marker.
 const CALL_ICON: &str = "↪ ";
 /// Marker for scopes on a rendered hot path.
-const HOT_ICON: &str = "🔥";
+pub(crate) const HOT_ICON: &str = "🔥";
 /// Marker for binary-only scopes (no source: rendered "in plain black").
 const NO_SOURCE_MARK: &str = " †";
 
@@ -76,7 +76,7 @@ const NO_SOURCE_MARK: &str = " †";
 /// `{first 9}…{last 8}` — the tail usually carries the distinguishing
 /// part (metric flavor, summary statistic). Single pass over the char
 /// boundaries, no intermediate allocations; appends to `out`.
-pub(crate) fn write_truncated_name(name: &str, out: &mut String) {
+fn write_truncated_name(name: &str, out: &mut String) {
     let n_chars = name.chars().count();
     if n_chars <= 18 {
         out.push_str(name);
@@ -97,25 +97,52 @@ pub(crate) fn write_truncated_name(name: &str, out: &mut String) {
     out.push_str(&name[tail_start..]);
 }
 
-struct Renderer<'v, 'e> {
-    view: &'v mut View<'e>,
-    cfg: RenderConfig,
+/// The one tree-table writer: column-name line, metric cells and
+/// `indent label    cells` rows, appended to `out`. Two walkers decide
+/// which rows to write — the static one below ([`Renderer::run`]) and the
+/// session's interactive one (`session.rs`).
+pub(crate) struct Renderer<'a, 'e> {
+    pub(crate) view: &'a mut View<'e>,
+    cfg: &'a RenderConfig,
     cols: Vec<ColumnId>,
     aggregates: Vec<f64>,
-    out: String,
-    hot: Vec<u32>,
+    pub(crate) out: String,
     // Scratch buffers reused across rows: the row loop is the renderer's
     // hot path, and per-row `format!`/label clones dominated it before.
-    // Labels are written straight out of the interned name table.
     label_buf: String,
     cells_buf: String,
     cell_buf: String,
-    // Interned per-node labels: sort comparisons and tie-breaks share one
-    // rendered label per node instead of allocating per comparison.
-    labels: LabelCache,
+    // Interned per-node labels: sort comparisons, tie-breaks and rows share
+    // one rendered label per node instead of allocating per use. Borrowed,
+    // so a session keeps them across renders.
+    pub(crate) labels: &'a mut LabelCache,
 }
 
-impl Renderer<'_, '_> {
+impl<'a, 'e> Renderer<'a, 'e> {
+    /// A writer over `view` showing `cols`, in order.
+    pub(crate) fn new(
+        view: &'a mut View<'e>,
+        cfg: &'a RenderConfig,
+        labels: &'a mut LabelCache,
+        cols: Vec<ColumnId>,
+    ) -> Self {
+        let aggregates = cols
+            .iter()
+            .map(|&c| view.experiment().aggregate(c))
+            .collect();
+        Renderer {
+            view,
+            cfg,
+            cols,
+            aggregates,
+            out: String::new(),
+            label_buf: String::new(),
+            cells_buf: String::new(),
+            cell_buf: String::new(),
+            labels,
+        }
+    }
+
     /// Extra header line over grouped columns: each `(label, span)` in
     /// `cfg.groups` is centered over the next `span` column cells (19
     /// display chars each). Spans past the shown columns are clipped.
@@ -151,11 +178,12 @@ impl Renderer<'_, '_> {
         self.out.push('\n');
     }
 
-    fn header(&mut self) {
+    /// The `scope  <column names>` line, each name right-aligned over its
+    /// 18-character cell.
+    pub(crate) fn name_line(&mut self) {
         use std::fmt::Write as _;
-        self.group_line();
         let mut line = format!("{:width$}", "scope", width = self.cfg.label_width + 4);
-        let descs = self.view.columns().descs().to_vec();
+        let descs = self.view.columns().descs();
         let mut shown = String::new();
         for &c in &self.cols {
             // Long derived-metric names are truncated so the table stays
@@ -167,6 +195,11 @@ impl Renderer<'_, '_> {
         }
         self.out.push_str(line.trim_end());
         self.out.push('\n');
+    }
+
+    fn header(&mut self) {
+        self.group_line();
+        self.name_line();
         self.out
             .push_str(&"-".repeat(self.cfg.label_width + 4 + self.cols.len() * 19));
         self.out.push('\n');
@@ -193,15 +226,19 @@ impl Renderer<'_, '_> {
     }
 
     /// Emit one `indent label    cells` row for `n` straight into `out`.
-    fn emit_row(&mut self, n: u32, depth: usize, flame: bool, mark_no_source: bool) {
+    /// `marks` (selection, flame, expansion state — whatever the walker
+    /// decorates rows with) precede the call icon and the label.
+    pub(crate) fn emit_row(&mut self, n: u32, depth: usize, marks: &[&str], mark_no_source: bool) {
         self.label_buf.clear();
-        if flame {
-            self.label_buf.push_str(HOT_ICON);
+        for mark in marks {
+            self.label_buf.push_str(mark);
         }
         if self.view.is_call(n) && self.cfg.fused {
             self.label_buf.push_str(CALL_ICON);
         }
-        self.view.write_label(n, &mut self.label_buf);
+        let view = &*self.view;
+        self.label_buf
+            .push_str(self.labels.get(n, |buf| view.write_label(n, buf)));
         if mark_no_source && !self.view.has_source(n) {
             self.label_buf.push_str(NO_SOURCE_MARK);
         }
@@ -239,7 +276,7 @@ impl Renderer<'_, '_> {
                 self.out.push('\n');
             }
         }
-        self.emit_row(n, depth, self.hot.contains(&n), true);
+        self.emit_row(n, depth, &[], true);
 
         if remaining == 0 {
             return;
@@ -270,23 +307,16 @@ impl Renderer<'_, '_> {
         static FULL: callpath_obs::LazyCounter = callpath_obs::LazyCounter::new("viewer.sort.full");
         if self.cfg.sort_by_name {
             BY_NAME.add(1);
-            sort_nodes_with(self.view, &mut self.labels, nodes, SortKey::Name);
+            sort_nodes_with(self.view, self.labels, nodes, SortKey::Name);
         } else if let Some(c) = self.cfg.sort {
             if shown < nodes.len() {
                 TOPK.add(1);
-                top_k_by_column(
-                    self.view,
-                    &mut self.labels,
-                    nodes,
-                    c,
-                    SortDir::Descending,
-                    shown,
-                );
+                top_k_by_column(self.view, self.labels, nodes, c, SortDir::Descending, shown);
             } else {
                 FULL.add(1);
                 sort_nodes_with(
                     self.view,
-                    &mut self.labels,
+                    self.labels,
                     nodes,
                     SortKey::Column {
                         column: c,
@@ -297,6 +327,7 @@ impl Renderer<'_, '_> {
         }
     }
 
+    /// The static walker: header, then `roots` expanded per `cfg.expand`.
     fn run(&mut self, roots: &[u32]) {
         self.header();
         let mut roots = roots.to_vec();
@@ -317,56 +348,38 @@ impl Renderer<'_, '_> {
     }
 }
 
-fn make_renderer<'v, 'e>(view: &'v mut View<'e>, cfg: &RenderConfig) -> Renderer<'v, 'e> {
-    let available = view.columns().column_count();
-    let cols: Vec<ColumnId> = if cfg.columns.is_empty() {
-        view.columns().visible_columns().collect()
-    } else {
-        // Out-of-range requests are dropped rather than panicking; the
-        // header simply omits them.
-        cfg.columns
-            .iter()
-            .copied()
-            .filter(|c| c.index() < available)
-            .collect()
-    };
-    let aggregates: Vec<f64> = cols
-        .iter()
-        .map(|&c| view.experiment().aggregate(c))
-        .collect();
-    Renderer {
-        view,
-        cfg: cfg.clone(),
-        cols,
-        aggregates,
-        out: String::new(),
-        hot: Vec::new(),
-        label_buf: String::new(),
-        cells_buf: String::new(),
-        cell_buf: String::new(),
-        labels: LabelCache::new(),
+/// The columns a static render shows: `cfg.columns`, or every visible one.
+fn configured_columns(view: &View<'_>, cfg: &RenderConfig) -> Vec<ColumnId> {
+    if cfg.columns.is_empty() {
+        return view.columns().visible_columns().collect();
     }
+    // Out-of-range requests are dropped rather than panicking; the
+    // header simply omits them.
+    let available = view.columns().column_count();
+    cfg.columns
+        .iter()
+        .copied()
+        .filter(|c| c.index() < available)
+        .collect()
 }
 
 /// Render a whole view.
 pub fn render(view: &mut View<'_>, cfg: &RenderConfig) -> String {
     let roots = view.roots();
-    let mut r = make_renderer(view, cfg);
-    r.run(&roots);
-    r.out
+    render_flattened(view, &roots, cfg)
 }
 
 /// Render a zoomed subtree rooted at `start`.
 pub fn render_subtree(view: &mut View<'_>, start: u32, cfg: &RenderConfig) -> String {
-    let mut r = make_renderer(view, cfg);
-    r.run(&[start]);
-    r.out
+    render_flattened(view, &[start], cfg)
 }
 
 /// Render starting from an explicit root list — used with
 /// [`callpath_core::flat::flatten`] to present a flattened Flat View.
 pub fn render_flattened(view: &mut View<'_>, roots: &[u32], cfg: &RenderConfig) -> String {
-    let mut r = make_renderer(view, cfg);
+    let cols = configured_columns(view, cfg);
+    let mut labels = LabelCache::new();
+    let mut r = Renderer::new(view, cfg, &mut labels, cols);
     r.run(roots);
     r.out
 }
@@ -382,30 +395,24 @@ pub fn render_hot_path(
     cfg: &RenderConfig,
 ) -> String {
     let path = view.hot_path(start, col, hot_cfg);
-    let mut r = make_renderer(view, cfg);
-    r.hot = path.clone();
+    let cols = configured_columns(view, cfg);
+    let mut labels = LabelCache::new();
+    let mut r = Renderer::new(view, cfg, &mut labels, cols);
     r.header();
     for (depth, &n) in path.iter().enumerate() {
         // Render the path node, then (unless it continues) stop.
         let is_last = depth + 1 == path.len();
-        r.emit_row(n, depth, true, true);
+        r.emit_row(n, depth, &[HOT_ICON], true);
         if is_last {
             // Show where the path went cold: the children that each fell
             // below the threshold. Only the shown window needs ordering.
             let mut kids = r.view.children(n);
             let shown = kids.len().min(r.cfg.max_children.min(5));
             if let Some(c) = r.cfg.sort {
-                top_k_by_column(
-                    r.view,
-                    &mut r.labels,
-                    &mut kids,
-                    c,
-                    SortDir::Descending,
-                    shown,
-                );
+                top_k_by_column(r.view, r.labels, &mut kids, c, SortDir::Descending, shown);
             }
             for k in kids.into_iter().take(shown) {
-                r.emit_row(k, depth + 1, false, false);
+                r.emit_row(k, depth + 1, &[], false);
             }
         }
     }

@@ -16,12 +16,20 @@
 //!
 //! Commands return `Err` with a message instead of panicking, so a shell
 //! or test can drive the session blindly.
+//!
+//! Rendering is a walk, not a formatter: [`Session::render`] decides which
+//! rows are visible (top level → expanded scopes, each level in its cached
+//! sort order) and which marks they carry, and the shared
+//! [`crate::render`] row writer formats them — the same code that writes
+//! the static views.
 
-use crate::render::{render_flattened, write_truncated_name, RenderConfig};
+use crate::render::{RenderConfig, Renderer, HOT_ICON};
+use crate::source_pane::render_selection_filtered;
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
 use callpath_obs as obs;
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 /// A user action.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +71,7 @@ pub enum Command {
 }
 
 /// Per-view interaction state.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct ViewState {
     expanded: HashSet<u32>,
     selected: Option<u32>,
@@ -160,38 +168,28 @@ impl<'e> Session<'e> {
     }
 
     fn view(&mut self) -> &mut View<'e> {
-        let i = idx(self.kind);
-        if self.views[i].is_none() {
-            self.views[i] = Some(match self.kind {
-                ViewKind::CallingContext => View::calling_context(self.exp),
-                ViewKind::Callers => View::callers(self.exp),
-                ViewKind::Flat => View::flat(self.exp),
-            });
-        }
-        self.views[i].as_mut().unwrap()
+        view_slot(&mut self.views[idx(self.kind)], self.kind, self.exp)
     }
 
     /// Scopes currently visible at the top of the view (zoom target, or
     /// flattened roots, or the view's natural roots).
     fn top_level(&mut self) -> Vec<u32> {
-        let state = self.states[idx(self.kind)].clone();
+        let state = &self.states[idx(self.kind)];
         if let Some(z) = state.zoom {
             return vec![z];
         }
-        let kind = self.kind;
+        let (kind, level) = (self.kind, state.flatten_level);
         let view = self.view();
         let mut roots = view.roots();
-        if let (ViewKind::Flat, level) = (kind, state.flatten_level) {
-            if level > 0 {
-                if let View::Flat { exp, view: flat } = view {
-                    let _span = obs::span("viewer.flat_flatten");
-                    obs::count("viewer.flat.force", 1);
-                    let cur: Vec<ViewNodeId> = roots.iter().map(|&r| ViewNodeId(r)).collect();
-                    // The forcing variant: flattening must descend through
-                    // procedure interiors that haven't been filled yet.
-                    let cur = flat.flatten(exp, &cur, level);
-                    roots = cur.iter().map(|n| n.0).collect();
-                }
+        if kind == ViewKind::Flat && level > 0 {
+            if let View::Flat { exp, view: flat } = view {
+                let _span = obs::span("viewer.flat_flatten");
+                obs::count("viewer.flat.force", 1);
+                let cur: Vec<ViewNodeId> = roots.iter().map(|&r| ViewNodeId(r)).collect();
+                // The forcing variant: flattening must descend through
+                // procedure interiors that haven't been filled yet.
+                let cur = flat.flatten(exp, &cur, level);
+                roots = cur.iter().map(|n| n.0).collect();
             }
         }
         roots
@@ -205,11 +203,15 @@ impl<'e> Session<'e> {
         if tops.contains(&node) {
             return true;
         }
-        let expanded = self.states[idx(self.kind)].expanded.clone();
+        // Field-by-field borrows: the view mutably (children may be built
+        // lazily), the expansion set shared.
+        let i = idx(self.kind);
+        let view = view_slot(&mut self.views[i], self.kind, self.exp);
+        let expanded = &self.states[i].expanded;
         let mut stack = tops;
         while let Some(n) = stack.pop() {
             if expanded.contains(&n) {
-                for c in self.view().children(n) {
+                for c in view.children(n) {
                     if c == node {
                         return true;
                     }
@@ -349,14 +351,18 @@ impl<'e> Session<'e> {
                 Ok(())
             }
             Command::Find(needle) => {
-                // BFS from the top level so the shallowest match wins, and
-                // record the path for ancestor expansion.
+                // BFS from the top level so the shallowest match wins.
+                // `queue` is never popped: each entry keeps the index of
+                // its parent's entry, and only the match's path is rebuilt.
                 let tops = self.top_level();
-                let mut queue: std::collections::VecDeque<(u32, Vec<u32>)> =
-                    tops.into_iter().map(|t| (t, vec![t])).collect();
+                let mut queue: Vec<(u32, Option<usize>)> =
+                    tops.into_iter().map(|t| (t, None)).collect();
                 let mut seen = HashSet::new();
                 let mut label_buf = String::new();
-                while let Some((n, path)) = queue.pop_front() {
+                for at in 0.. {
+                    let Some(&(n, mut parent)) = queue.get(at) else {
+                        break;
+                    };
                     if !seen.insert(n) {
                         continue;
                     }
@@ -364,17 +370,15 @@ impl<'e> Session<'e> {
                     self.view().write_label(n, &mut label_buf);
                     if label_buf.contains(&needle) {
                         let state = &mut self.states[idx(self.kind)];
-                        for &a in &path[..path.len() - 1] {
-                            state.expanded.insert(a);
+                        while let Some(p) = parent {
+                            state.expanded.insert(queue[p].0);
+                            parent = queue[p].1;
                         }
                         state.selected = Some(n);
                         return Ok(());
                     }
-                    for c in self.view().children(n) {
-                        let mut p = path.clone();
-                        p.push(c);
-                        queue.push_back((c, p));
-                    }
+                    let children = self.view().children(n);
+                    queue.extend(children.into_iter().map(|c| (c, Some(at))));
                 }
                 Err(format!("no scope matching '{needle}'"))
             }
@@ -398,217 +402,128 @@ impl<'e> Session<'e> {
         static RENDER: obs::LazySpan = obs::LazySpan::new("viewer.render");
         let _span = RENDER.open();
         let tops = self.top_level();
-        let state = self.states[idx(self.kind)].clone();
-        let sort = self.sort;
-        let cfg = self.cfg.clone();
-        let title = self.kind.title();
-        let hidden = self.hidden.clone();
-        let by_name = self.sort_by_name;
-        self.view(); // materialize, then split the field borrows below
+        // Field-by-field borrows: the view, its caches and its interaction
+        // state are read in place, nothing is copied per render.
         let i = idx(self.kind);
-        let view = self.views[i].as_mut().expect("view materialized above");
-        let sort_cache = &mut self.sort_caches[i];
-        let labels = &mut self.label_caches[i];
-
-        let mut out = format!("[{title}]\n");
-        let cols: Vec<ColumnId> = view
+        let view = view_slot(&mut self.views[i], self.kind, self.exp);
+        let state = &self.states[i];
+        let hidden = &self.hidden;
+        let cols = view
             .columns()
             .visible_columns()
             .filter(|c| !hidden.contains(&c.0))
             .collect();
-        let mut header = format!("{:width$}", "scope", width = cfg.label_width + 4);
-        let descs = view.columns().descs().to_vec();
-        {
-            use std::fmt::Write as _;
-            let mut shown = String::new();
-            for &c in &cols {
-                // Same head…tail truncation as the plain renderer, so the
-                // statistic/flavor suffix of long names stays readable.
-                shown.clear();
-                write_truncated_name(&descs[c.index()].name, &mut shown);
-                let _ = write!(header, " {shown:>18}");
-            }
-        }
-        out.push_str(header.trim_end());
-        out.push('\n');
-
-        let aggregates: Vec<f64> = cols
-            .iter()
-            .map(|&c| view.experiment().aggregate(c))
-            .collect();
-
-        #[allow(clippy::too_many_arguments)]
-        fn emit(
-            view: &mut View<'_>,
-            sort_cache: &mut SortCache,
-            labels: &mut LabelCache,
-            n: u32,
-            depth: usize,
-            state: &super::session::SessionRenderCtx<'_>,
-            out: &mut String,
-            rows: &mut Vec<u32>,
-            numbered: bool,
-        ) {
-            if numbered {
-                out.push_str(&format!("[{:>3}] ", rows.len()));
-            }
-            rows.push(n);
-            let indent = "  ".repeat(depth);
-            let mut label = String::new();
-            if state.selected == Some(n) {
-                label.push('»');
-            }
-            if state.hot.contains(&n) {
-                label.push('🔥');
-            }
-            let expandable = !view.children_if_built(n).is_empty() || view.may_expand(n);
-            let marker = if state.expanded.contains(&n) {
-                "▼ "
-            } else if expandable {
-                "▶ "
+        let mut w = Walker {
+            r: Renderer::new(view, &self.cfg, &mut self.label_caches[i], cols),
+            sort_cache: &mut self.sort_caches[i],
+            state,
+            key: if self.sort_by_name {
+                SortKey::Name
             } else {
-                "  "
-            };
-            label.push_str(marker);
-            if view.is_call(n) {
-                label.push_str("↪ ");
-            }
-            label.push_str(labels.get(n, |buf| view.write_label(n, buf)));
-            if !view.has_source(n) {
-                label.push_str(" †");
-            }
-            let width = state.cfg.label_width.saturating_sub(indent.chars().count());
-            let mut cells = String::new();
-            for (i, &c) in state.cols.iter().enumerate() {
-                let v = view.value(c, n);
-                cells.push_str(&format!(
-                    " {:>18}",
-                    format::metric_with_percent(v, state.aggregates[i])
-                ));
-            }
-            out.push_str(&format!(
-                "{}{}    {}\n",
-                indent,
-                format::fit(&label, width),
-                cells.trim_end()
-            ));
-            if state.expanded.contains(&n) {
-                let kids = cached_order(view, sort_cache, labels, n as u64, state.key, |v| {
-                    v.children(n)
-                });
-                for k in kids {
-                    emit(
-                        view,
-                        sort_cache,
-                        labels,
-                        k,
-                        depth + 1,
-                        state,
-                        out,
-                        rows,
-                        numbered,
-                    );
+                SortKey::Column {
+                    column: self.sort,
+                    dir: SortDir::Descending,
                 }
-            }
-        }
-
-        let key = if by_name {
-            SortKey::Name
-        } else {
-            SortKey::Column {
-                column: sort,
-                dir: SortDir::Descending,
-            }
+            },
+            numbered,
+            rows: Vec::new(),
         };
-        let ctx = SessionRenderCtx {
-            selected: state.selected,
-            hot: &state.hot,
-            expanded: &state.expanded,
-            cols: &cols,
-            aggregates: &aggregates,
-            key,
-            cfg: &cfg,
-        };
+        let _ = writeln!(w.r.out, "[{}]", self.kind.title());
+        w.r.name_line();
         // Top-level ordering goes through the same cache under a synthetic
         // slot (per flatten level). Zoomed/singleton tops skip the sort.
         let sorted_tops: Vec<u32> = if tops.len() <= 1 {
             tops
         } else {
-            let slot = TOP_SLOT_BASE + state.flatten_level as u64;
-            cached_order(view, sort_cache, labels, slot, key, move |_| tops)
+            w.order(TOP_SLOT_BASE + state.flatten_level as u64, |_| tops)
         };
-        let mut rows: Vec<u32> = Vec::new();
         for t in sorted_tops {
-            emit(
-                view, sort_cache, labels, t, 0, &ctx, &mut out, &mut rows, numbered,
-            );
+            w.node(t, 0);
         }
-
-        // Source pane for the selection. Re-borrow view immutably so the
-        // store can be read alongside it.
+        // Source pane for the selection.
         if let Some(sel) = state.selected {
-            let i = idx(self.kind);
-            let view = self.views[i].as_ref().expect("view materialized above");
-            out.push('\n');
-            out.push_str(&crate::source_pane::render_selection_filtered(
-                view,
-                sel,
-                &self.store,
-                2,
-                &self.hidden,
-            ));
+            let pane = render_selection_filtered(w.r.view, sel, &self.store, 2, hidden);
+            w.r.out.push('\n');
+            w.r.out.push_str(&pane);
         }
-        (out, rows)
-    }
-
-    /// Convenience for tests and shells: render from flattened roots using
-    /// the plain renderer (no interaction state).
-    pub fn render_plain(&mut self) -> String {
-        let tops = self.top_level();
-        let cfg = self.cfg.clone();
-        render_flattened(self.view(), &tops, &cfg)
+        (w.r.out, w.rows)
     }
 }
 
-/// Borrowed context for the recursive renderer (kept out of the closure to
-/// satisfy the borrow checker).
-struct SessionRenderCtx<'a> {
-    selected: Option<u32>,
-    hot: &'a [u32],
-    expanded: &'a HashSet<u32>,
-    cols: &'a [ColumnId],
-    aggregates: &'a [f64],
-    key: SortKey,
-    cfg: &'a RenderConfig,
+/// Materialize-on-first-use access to one view slot, as a free function so
+/// callers can hold it next to borrows of the session's other fields.
+fn view_slot<'v, 'e>(
+    slot: &'v mut Option<View<'e>>,
+    kind: ViewKind,
+    exp: &'e Experiment,
+) -> &'v mut View<'e> {
+    slot.get_or_insert_with(|| match kind {
+        ViewKind::CallingContext => View::calling_context(exp),
+        ViewKind::Callers => View::callers(exp),
+        ViewKind::Flat => View::flat(exp),
+    })
 }
 
-/// A `(slot, key)` child ordering through the per-view [`SortCache`]:
-/// valid cached orderings are reused as-is; misses compute the node list,
-/// sort it via the interned [`LabelCache`], and stamp the entry with the
-/// generation observed *after* computing (lazy views may materialize
-/// children — and bump the generation — inside `nodes`).
-fn cached_order(
-    view: &mut View<'_>,
-    sort_cache: &mut SortCache,
-    labels: &mut LabelCache,
-    slot: u64,
+/// The interactive walker: which rows the shared [`Renderer`] writes for a
+/// session — top level, then the children of expanded scopes, each level
+/// in its cached sort order — and the marks that precede each label.
+struct Walker<'a, 'e> {
+    r: Renderer<'a, 'e>,
+    sort_cache: &'a mut SortCache,
+    state: &'a ViewState,
     key: SortKey,
-    nodes: impl FnOnce(&mut View<'_>) -> Vec<u32>,
-) -> Vec<u32> {
-    static HIT: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.hit");
-    static MISS: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.miss");
-    static FULL_SORT: obs::LazySpan = obs::LazySpan::new("viewer.full_sort");
-    let generation = view.generation();
-    if let Some(order) = sort_cache.lookup(slot, key, generation) {
-        HIT.add(1);
-        return order;
+    numbered: bool,
+    rows: Vec<u32>,
+}
+
+impl Walker<'_, '_> {
+    fn node(&mut self, n: u32, depth: usize) {
+        if self.numbered {
+            let _ = write!(self.r.out, "[{:>3}] ", self.rows.len());
+        }
+        self.rows.push(n);
+        let state = self.state;
+        let expanded = state.expanded.contains(&n);
+        let marker = if expanded {
+            "▼ "
+        } else if !self.r.view.children_if_built(n).is_empty() || self.r.view.may_expand(n) {
+            "▶ "
+        } else {
+            "  "
+        };
+        let selected = if state.selected == Some(n) { "»" } else { "" };
+        let flame = if state.hot.contains(&n) { HOT_ICON } else { "" };
+        self.r.emit_row(n, depth, &[selected, flame, marker], true);
+        if expanded {
+            for k in self.order(n as u64, |v| v.children(n)) {
+                self.node(k, depth + 1);
+            }
+        }
     }
-    MISS.add(1);
-    let _span = FULL_SORT.open();
-    let mut out = nodes(view);
-    sort_nodes_with(view, labels, &mut out, key);
-    sort_cache.insert(slot, key, view.generation(), out.clone());
-    out
+
+    /// The `slot`'s ordering under `self.key` through the per-view
+    /// [`SortCache`]: valid cached orderings are reused as-is; misses
+    /// compute the node list, sort it via the interned [`LabelCache`], and
+    /// stamp the entry with the generation observed *after* computing (lazy
+    /// views may materialize children — and bump the generation — inside
+    /// `nodes`).
+    fn order(&mut self, slot: u64, nodes: impl FnOnce(&mut View<'_>) -> Vec<u32>) -> Vec<u32> {
+        static HIT: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.hit");
+        static MISS: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.miss");
+        static FULL_SORT: obs::LazySpan = obs::LazySpan::new("viewer.full_sort");
+        let view = &mut *self.r.view;
+        if let Some(order) = self.sort_cache.lookup(slot, self.key, view.generation()) {
+            HIT.add(1);
+            return order;
+        }
+        MISS.add(1);
+        let _span = FULL_SORT.open();
+        let mut out = nodes(view);
+        sort_nodes_with(view, self.r.labels, &mut out, self.key);
+        self.sort_cache
+            .insert(slot, self.key, view.generation(), out.clone());
+        out
+    }
 }
 
 #[cfg(test)]

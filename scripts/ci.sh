@@ -5,7 +5,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 cargo fmt --check
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
 # The zero-copy borrow path must behave identically from an owned
 # aligned buffer: rerun the integration suite with `mmap` off.

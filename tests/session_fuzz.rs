@@ -51,7 +51,28 @@ proptest! {
         let text = session.render();
         prop_assert!(text.starts_with('['), "render always produces a view header");
         // Rendering is idempotent with respect to state.
-        prop_assert_eq!(session.render(), text);
+        prop_assert_eq!(session.render(), text.as_str());
+        // The numbered render is the plain one plus a `[row] ` prefix per
+        // scope row, and reports one node id per such row.
+        let (numbered, rows) = session.render_numbered();
+        let mut stripped = String::new();
+        let mut prefixed = 0;
+        for line in numbered.split_inclusive('\n') {
+            let prefix = format!("[{prefixed:>3}] ");
+            match line.strip_prefix(prefix.as_str()) {
+                Some(rest) => {
+                    prefixed += 1;
+                    stripped.push_str(rest);
+                }
+                None => stripped.push_str(line),
+            }
+        }
+        prop_assert_eq!(prefixed, rows.len());
+        prop_assert_eq!(stripped, text);
+        // Every rendered row is a scope the top-down discipline accepts.
+        for n in rows {
+            prop_assert!(session.apply(Command::Select(n)).is_ok(), "row {} not selectable", n);
+        }
     }
 
     #[test]
