@@ -5,10 +5,12 @@
 //! flavors and prints their heap footprints on a sparse profile.
 
 use callpath_bench::sized_experiment;
-use callpath_core::attribution::attribute;
+use callpath_core::attribution::{attribute, attribute_sorted};
 use callpath_core::prelude::*;
+use callpath_expdb::{bin2, open_lazy};
+use callpath_workloads::synth::{synth_model, SynthConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn print_footprints() {
     println!("--- metric storage footprint (one column, 100k-node CCT) ---");
@@ -25,8 +27,54 @@ fn print_footprints() {
     }
 }
 
+/// The sparse rows: one column of 1 024 non-zeros on the deep synthetic
+/// tree (the `nav_large` / `BENCH_zero_copy` shape), over the topology
+/// borrowed from a database image — what a lazy column fault runs on —
+/// and over the owned arena. The kernel's work follows the nodes it
+/// touches (the union of the non-zeros' ancestor chains), so its cost is
+/// read per touched node, beside the per-node reading the end-to-end
+/// benchmark prints (`core.attribute_ns_per_node`).
+fn print_sparse_rows() {
+    println!("--- sparse attribution (deep synthetic tree, one column of 1024 non-zeros) ---");
+    for n_nodes in [100_000usize, 1_000_000] {
+        let model = synth_model(&SynthConfig {
+            n_nodes,
+            n_metrics: 1,
+            nnz_per_metric: 1024,
+            ..SynthConfig::million()
+        });
+        let (keys, vals): (Vec<u32>, Vec<f64>) = model.metrics[0].costs.iter().copied().unzip();
+        let mapped = open_lazy(bin2::write_v21(&model))
+            .expect("just written")
+            .cct;
+        let owned = model.build_cct().expect("synthetic topology is valid");
+        for (topology, cct) in [("mapped", &mapped), ("owned", &owned)] {
+            let touched = attribute_sorted(cct, &keys, &vals).visited;
+            let mut ns: Vec<f64> = (0..31)
+                .map(|_| {
+                    let start = Instant::now();
+                    std::hint::black_box(attribute_sorted(cct, &keys, &vals));
+                    start.elapsed().as_nanos() as f64
+                })
+                .collect();
+            ns.sort_by(f64::total_cmp);
+            let median = ns[ns.len() / 2];
+            println!(
+                "{} nodes ({topology}), {} touched ({:.1}%): median {:.3} ms = {:.2} ns/node, {:.1} ns/touched node",
+                cct.len(),
+                touched,
+                100.0 * touched as f64 / cct.len() as f64,
+                median / 1e6,
+                median / cct.len() as f64,
+                median / touched as f64,
+            );
+        }
+    }
+}
+
 fn bench(c: &mut Criterion) {
     print_footprints();
+    print_sparse_rows();
     let mut group = c.benchmark_group("metric_storage");
     group
         .sample_size(10)

@@ -18,6 +18,21 @@
 //!   frame). The Flat View's call-site nodes display this as their
 //!   exclusive cost: in Fig. 2c, `hy = (4,0)` because all of `h`'s
 //!   statements live inside loops, while `gy/gz/gv` carry `g`'s body cost.
+//!
+//! **Cost.** One kernel, [`attribute_sorted`], does all three from a
+//! column's sorted non-zeros, and its work follows what the column
+//! touches (Section VII: "process data only when needed"): O(K) for Eq. 2,
+//! where K is the size of the union of the non-zeros' ancestor chains,
+//! and at most 3·nnz adds for Eq. 1, each found without walking above the
+//! enclosing frame. Walking every chain to the root would instead cost
+//! nnz × depth — on the 10⁶-node synthetic tree (mean depth 57 282,
+//! nnz 1 024) that is 5.9·10⁷ steps against K = 123 118 and n = 10⁶ —
+//! so each walk stops at the first node an earlier one marked. The only
+//! scratch proportional to the tree is that mark set, one bit per node,
+//! private to the call: column faults fan out over the worker pool.
+//! A column that touches a quarter of the tree or more is swept with
+//! node-indexed vectors instead, O(n) as before: there the searches and
+//! the sort that sparseness costs buy nothing.
 
 use crate::cct::Cct;
 use crate::ids::{MetricId, NodeId};
@@ -52,97 +67,300 @@ impl Attribution {
     }
 }
 
-/// Compute inclusive, exclusive and frame-direct costs for metric `m`.
-///
-/// Runs in O(nodes × frame-nesting-depth-of-statics) time and never walks
-/// above the enclosing frame, so deep call chains cost nothing extra.
-pub fn attribute(cct: &Cct, raw: &RawMetrics, m: MetricId, storage: StorageKind) -> Attribution {
-    let n = cct.len();
-    let mk = |()| match storage {
-        StorageKind::Dense => MetricVec::dense(n),
-        StorageKind::Sparse => MetricVec::sparse(),
-        // Attribution writes non-zeros in ascending node order, which is
-        // exactly the columnar store's O(1) append fast path.
-        StorageKind::Csr => MetricVec::csr(),
-    };
-    let mut inclusive = mk(());
-    let mut exclusive = mk(());
-    let mut frame_direct = mk(());
+/// What [`attribute_sorted`] returns: each result as its non-zero
+/// `(node, value)` entries in ascending node order — the shape
+/// [`MetricVec::from_sorted`] and the lazy column slots take as is.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SortedAttribution {
+    /// Eq. 2 inclusive costs.
+    pub inclusive: Vec<(u32, f64)>,
+    /// Eq. 1 hybrid exclusive costs.
+    pub exclusive: Vec<(u32, f64)>,
+    /// Frame-direct statement costs.
+    pub frame_direct: Vec<(u32, f64)>,
+    /// Nodes the inclusive pass visited: the size of the union of the
+    /// non-zeros' ancestor chains (each non-zero node included), or
+    /// every node of the tree when the column was swept. The work tests
+    /// assert on it; nothing else reads it.
+    pub visited: usize,
+}
 
-    // Pass 1: inclusive. Arena order is topological (parents precede
-    // children), so a single reverse sweep accumulates child sums.
-    // Direct costs are scattered from the sorted non-zero entries in
-    // O(nnz) instead of probing the column once per node — for
-    // compacted columnar storage each probe is a binary search, which
-    // dominated lazy column faults on wide CCTs.
-    let mut incl: Vec<f64> = vec![0.0; n];
-    for (node, v) in raw.column(m).nonzero_sorted() {
-        if (node as usize) < n {
-            incl[node as usize] = v;
-        }
+/// A column whose ancestor chains cover at least one node in this many
+/// is swept with node-indexed vectors instead (see [`attribute_sorted`]).
+/// The measured crossover (EXPERIMENTS.md, "kernel crossover"): on a
+/// bushy tree whose parents are uniformly random earlier frames — the
+/// worst case for the walk's parent search — the walk wins at K = 15 %
+/// of n (1.26 against 1.74 ms at 10⁵ nodes) and loses at 25 % (2.74
+/// against 2.31 ms); on the deep synthetic tree it wins up to 50 %.
+/// Without the branch `nav_mid`, whose dense columns each cover 2/3 of
+/// a bushy tree, read `op_ms_p95` 34–39 ms against 23–25 ms.
+const SWEEP_ABOVE_ONE_IN: usize = 4;
+
+/// The attribution kernel: one column's direct costs in, as parallel
+/// slices of strictly ascending node ids and their values (borrowed
+/// from a compacted column or straight from a mapped database block).
+/// Keys at or beyond the CCT's size and zero values are ignored.
+///
+/// Work follows what the column touches, not the tree: with `nnz`
+/// non-zeros whose ancestor chains cover `K` nodes in all, Eq. 2 costs
+/// O(K) parent steps (plus one pass over an `n`-bit mark set, the only
+/// scratch proportional to the tree) and Eq. 1 at most 3·`nnz` adds,
+/// none of which walks above the enclosing frame.
+///
+/// A column that touches most of the tree has nothing to skip, and
+/// there a sweep of node-indexed vectors does the same additions in the
+/// same order without the searches and the sort that sparseness costs:
+/// a column with `K ≥ n / 4` (known at once when `nnz` alone is that
+/// many, else once the marking has counted `K`) takes that branch.
+pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> SortedAttribution {
+    match kernel(cct, keys, vals) {
+        Kernel::Walked(sorted) => sorted,
+        Kernel::Swept(dense) => dense.into_sorted(),
     }
-    for i in (1..n).rev() {
-        let node = NodeId(i as u32);
-        if let Some(p) = cct.parent(node) {
-            let v = incl[i];
-            if v != 0.0 {
-                incl[p.index()] += v;
+}
+
+/// What the kernel's two branches leave behind.
+enum Kernel {
+    /// Sorted entries over the marked ancestor chains.
+    Walked(SortedAttribution),
+    /// Node-indexed vectors over the whole tree.
+    Swept(Swept),
+}
+
+fn kernel(cct: &Cct, keys: &[u32], vals: &[f64]) -> Kernel {
+    debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+    let n = cct.len();
+    let direct = keys
+        .iter()
+        .zip(vals)
+        .map(|(&k, &v)| (k, v))
+        .filter(|&(k, v)| (k as usize) < n && v != 0.0);
+    if keys.len() * SWEEP_ABOVE_ONE_IN >= n {
+        return Kernel::Swept(sweep(cct, direct));
+    }
+
+    // Eq. 2. Mark every non-zero's ancestor chain, stopping at the
+    // first node some earlier chain already marked: K steps in all.
+    let mut marks = vec![0u64; n.div_ceil(64)];
+    let mut visited = 0;
+    for (k, _) in direct.clone() {
+        let mut cur = k;
+        loop {
+            let (word, bit) = (cur as usize / 64, 1u64 << (cur % 64));
+            if marks[word] & bit != 0 {
+                break;
+            }
+            marks[word] |= bit;
+            visited += 1;
+            match cct.parent(NodeId(cur)) {
+                Some(p) => cur = p.0,
+                None => break,
             }
         }
     }
-    for (i, &v) in incl.iter().enumerate() {
-        if v != 0.0 {
-            inclusive.set(i as u32, v);
+    if visited * SWEEP_ABOVE_ONE_IN >= n {
+        return Kernel::Swept(sweep(cct, direct));
+    }
+    // The marked nodes in ascending order, each seeded with its direct
+    // cost (every non-zero is marked, and both sequences ascend).
+    let mut inclusive = Vec::with_capacity(visited);
+    let mut seeds = direct.clone().peekable();
+    for (w, &word) in marks.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            let node = (w * 64) as u32 + bits.trailing_zeros();
+            bits &= bits - 1;
+            let d = seeds.next_if(|&(k, _)| k == node).map_or(0.0, |(_, v)| v);
+            inclusive.push((node, d));
         }
     }
-
-    // Pass 2: exclusive (Eq. 1 hybrid) and frame-direct. A single forward
-    // sweep over nodes with non-zero direct cost attributes each cost to:
-    //   - the node itself, when static (statements keep their own cost);
-    //   - its parent, when the parent is a loop and the node a statement
-    //     (rule 2: loops sum direct child statements);
-    //   - its innermost enclosing frame-like scope (rule 1);
-    //   - the frame-direct bucket of that frame, when nothing but the frame
-    //     itself separates the cost from the frame.
-    for (i, d) in raw.column(m).nonzero_sorted() {
-        if i as usize >= n {
+    drop(marks);
+    // Arena order is topological (parents precede children), so going
+    // down the marked nodes hands every parent its children's finished
+    // sums, in descending child order — the add order of a reverse sweep
+    // over all nodes, which keeps every sum bit-identical to one.
+    for i in (1..inclusive.len()).rev() {
+        let (node, v) = inclusive[i];
+        if v == 0.0 {
             continue;
         }
-        let node = NodeId(i);
-        let kind = cct.kind(node);
-        match kind {
-            ScopeKind::Stmt { .. } | ScopeKind::Loop { .. } => {
-                exclusive.add(node.0, d);
-                if let Some(p) = cct.parent(node) {
-                    if cct.kind(p).is_loop() && kind.is_stmt() {
-                        exclusive.add(p.0, d);
-                    }
-                    // Rule 1: attribute to the innermost frame-like scope.
-                    if let Some(f) = cct.enclosing_frame_like(p) {
-                        exclusive.add(f.0, d);
-                        if f == p {
-                            frame_direct.add(f.0, d);
-                        }
+        let parent = cct.parent(NodeId(node));
+        if let Some(at) = parent.and_then(|p| rank_below(&inclusive, i, p.0)) {
+            inclusive[at].1 += v;
+        }
+    }
+    inclusive.retain(|&(_, v)| v != 0.0);
+
+    // Eq. 1: collect the adds, then sum them per node.
+    let mut exclusive = Vec::new();
+    let mut frame_direct = Vec::new();
+    for (i, d) in direct {
+        exclusive_targets(cct, NodeId(i), |bucket, target| match bucket {
+            Bucket::Exclusive => exclusive.push((target.0, d)),
+            Bucket::FrameDirect => frame_direct.push((target.0, d)),
+        });
+    }
+
+    Kernel::Walked(SortedAttribution {
+        inclusive,
+        exclusive: coalesce(exclusive),
+        frame_direct: coalesce(frame_direct),
+        visited,
+    })
+}
+
+/// The two Eq. 1 results a direct cost can add to.
+enum Bucket {
+    Exclusive,
+    FrameDirect,
+}
+
+/// Eq. 1 hybrid exclusive and frame-direct: a direct cost at `node` goes
+/// to
+///   - the node itself, when static (statements keep their own cost);
+///   - its parent, when the parent is a loop and the node a statement
+///     (rule 2: loops sum direct child statements);
+///   - its innermost enclosing frame-like scope (rule 1);
+///   - the frame-direct bucket of that frame, when nothing but the frame
+///     itself separates the cost from the frame.
+fn exclusive_targets(cct: &Cct, node: NodeId, mut add: impl FnMut(Bucket, NodeId)) {
+    let kind = cct.kind(node);
+    match kind {
+        ScopeKind::Stmt { .. } | ScopeKind::Loop { .. } => {
+            add(Bucket::Exclusive, node);
+            if let Some(p) = cct.parent(node) {
+                if cct.kind(p).is_loop() && kind.is_stmt() {
+                    add(Bucket::Exclusive, p);
+                }
+                // Rule 1: attribute to the innermost frame-like scope.
+                if let Some(f) = cct.enclosing_frame_like(p) {
+                    add(Bucket::Exclusive, f);
+                    if f == p {
+                        add(Bucket::FrameDirect, f);
                     }
                 }
             }
-            ScopeKind::Frame { .. } | ScopeKind::InlinedFrame { .. } => {
-                // Cost sampled directly at a frame (no statement info):
-                // belongs to the frame's exclusive and frame-direct buckets.
-                exclusive.add(node.0, d);
-                frame_direct.add(node.0, d);
-            }
-            ScopeKind::Root => {
-                // Unattributable cost; keep it out of every exclusive
-                // column (it still shows up in the root's inclusive value).
+        }
+        ScopeKind::Frame { .. } | ScopeKind::InlinedFrame { .. } => {
+            // Cost sampled directly at a frame (no statement info):
+            // belongs to the frame's exclusive and frame-direct buckets.
+            add(Bucket::Exclusive, node);
+            add(Bucket::FrameDirect, node);
+        }
+        ScopeKind::Root => {
+            // Unattributable cost; keep it out of every exclusive
+            // column (it still shows up in the root's inclusive value).
+        }
+    }
+}
+
+/// The three results as node-indexed vectors, one slot per CCT node.
+struct Swept {
+    inclusive: Vec<f64>,
+    exclusive: Vec<f64>,
+    frame_direct: Vec<f64>,
+}
+
+impl Swept {
+    fn into_sorted(self) -> SortedAttribution {
+        let entries = |dense: Vec<f64>| {
+            let mut out = Vec::with_capacity(dense.iter().filter(|&&v| v != 0.0).count());
+            let nonzero = dense.into_iter().enumerate().filter(|&(_, v)| v != 0.0);
+            out.extend(nonzero.map(|(i, v)| (i as u32, v)));
+            out
+        };
+        SortedAttribution {
+            visited: self.inclusive.len(),
+            inclusive: entries(self.inclusive),
+            exclusive: entries(self.exclusive),
+            frame_direct: entries(self.frame_direct),
+        }
+    }
+}
+
+/// The kernel's branch for a column that touches most of the tree: the
+/// same additions in the same order over three node-indexed vectors —
+/// a scatter for Eq. 1, one reverse sweep for Eq. 2 (arena order is
+/// topological). It visits every node.
+fn sweep(cct: &Cct, direct: impl Iterator<Item = (u32, f64)>) -> Swept {
+    let n = cct.len();
+    let (mut inclusive, mut exclusive, mut frame_direct) =
+        (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    for (i, d) in direct {
+        inclusive[i as usize] = d;
+        exclusive_targets(cct, NodeId(i), |bucket, target| match bucket {
+            Bucket::Exclusive => exclusive[target.index()] += d,
+            Bucket::FrameDirect => frame_direct[target.index()] += d,
+        });
+    }
+    for i in (1..n).rev() {
+        let v = inclusive[i];
+        if v != 0.0 {
+            if let Some(p) = cct.parent(NodeId(i as u32)) {
+                inclusive[p.index()] += v;
             }
         }
     }
-
-    Attribution {
+    Swept {
         inclusive,
         exclusive,
         frame_direct,
+    }
+}
+
+/// Position of `node` in `sorted[..end]`, galloping down from `end`: a
+/// parent usually sits a few marked nodes below its child, so the
+/// search costs the logarithm of that distance rather than of `end`.
+fn rank_below(sorted: &[(u32, f64)], end: usize, node: u32) -> Option<usize> {
+    let (mut hi, mut step) = (end, 1);
+    while hi > 0 {
+        let lo = hi.saturating_sub(step);
+        if sorted[lo].0 <= node {
+            let found = sorted[lo..hi].binary_search_by_key(&node, |e| e.0);
+            return found.ok().map(|at| lo + at);
+        }
+        (hi, step) = (lo, step * 2);
+    }
+    None
+}
+
+/// Sum `(node, delta)` adds per node. The sort is stable, so each node
+/// receives its deltas in the order they were pushed — ascending source
+/// node, as a scatter into a node-indexed vector would add them.
+fn coalesce(mut adds: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
+    adds.sort_by_key(|&(node, _)| node);
+    adds.dedup_by(|next, kept| {
+        let same = kept.0 == next.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+    adds.retain(|&(_, v)| v != 0.0);
+    adds
+}
+
+/// Compute inclusive, exclusive and frame-direct costs for metric `m`:
+/// the kernel over the column's sorted non-zeros, then one bulk
+/// [`MetricVec::from_sorted`] per result (a swept column asked for as
+/// dense vectors is the sweep's own vectors).
+pub fn attribute(cct: &Cct, raw: &RawMetrics, m: MetricId, storage: StorageKind) -> Attribution {
+    let (keys, vals) = raw.column(m).sorted_parts();
+    let sorted = match (kernel(cct, &keys, &vals), storage) {
+        (Kernel::Swept(dense), StorageKind::Dense) => {
+            return Attribution {
+                inclusive: MetricVec::Dense(dense.inclusive),
+                exclusive: MetricVec::Dense(dense.exclusive),
+                frame_direct: MetricVec::Dense(dense.frame_direct),
+            }
+        }
+        (Kernel::Swept(dense), _) => dense.into_sorted(),
+        (Kernel::Walked(sorted), _) => sorted,
+    };
+    Attribution {
+        inclusive: MetricVec::from_sorted(storage, sorted.inclusive),
+        exclusive: MetricVec::from_sorted(storage, sorted.exclusive),
+        frame_direct: MetricVec::from_sorted(storage, sorted.frame_direct),
     }
 }
 

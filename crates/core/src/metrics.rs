@@ -22,6 +22,7 @@
 use crate::ids::{ColumnId, MetricId};
 use crate::mapped::{ColumnData, MappedCol};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -111,6 +112,14 @@ impl LazySlots {
             return None;
         }
         let source = self.source.as_deref()?;
+        // A source hands over sorted entries, and sorted arrays are what
+        // a faulted column stays as: no hash build between the database
+        // block and the slot. Only a dense owner scatters them, because
+        // its readers index every node of every column.
+        let storage = match storage {
+            StorageKind::Dense => StorageKind::Dense,
+            StorageKind::Sparse | StorageKind::Csr => StorageKind::Csr,
+        };
         Some(self.slots[index].get_or_init(|| {
             self.fault_counts[index].fetch_add(1, Ordering::Relaxed);
             match load(source) {
@@ -251,10 +260,19 @@ impl CsrColumn {
         }
     }
 
-    /// Set the value at `node`, replacing any accumulated value.
+    /// Set the value at `node`, replacing any accumulated value. Like
+    /// [`CsrColumn::add`], a node past the last key is an O(1) append;
+    /// anything else binary-searches the sorted arrays.
     pub fn set(&mut self, node: u32, value: f64) {
         if !self.pending.is_empty() {
             self.compact();
+        }
+        if self.keys.last().is_none_or(|&last| node > last) {
+            if value != 0.0 {
+                self.keys.push(node);
+                self.vals.push(value);
+            }
+            return;
         }
         match self.keys.binary_search(&node) {
             Ok(i) => self.vals[i] = value,
@@ -611,6 +629,21 @@ impl MetricVec {
                 vals: m.vals(),
                 i: 0,
             },
+        }
+    }
+
+    /// The stored entries as parallel slices of strictly ascending node
+    /// ids and their values — what the attribution kernel reads. Borrowed
+    /// in place from a compacted columnar store or a mapped block (which
+    /// may hold explicit zeros); the other flavors collect their
+    /// non-zeros first.
+    pub(crate) fn sorted_parts(&self) -> (Cow<'_, [u32]>, Cow<'_, [f64]>) {
+        match self.nonzero_sorted() {
+            NonzeroSorted::Csr { keys, vals, .. } => (Cow::Borrowed(keys), Cow::Borrowed(vals)),
+            entries => {
+                let (keys, vals): (Vec<u32>, Vec<f64>) = entries.unzip();
+                (Cow::Owned(keys), Cow::Owned(vals))
+            }
         }
     }
 
@@ -1141,6 +1174,49 @@ mod tests {
         let mv = MetricVec::Csr(c);
         let nz: Vec<_> = mv.nonzero_sorted().collect();
         assert_eq!(nz, vec![(2, 5.0), (3, 2.5), (9, 7.0)]);
+    }
+
+    #[test]
+    fn csr_set_appends_past_the_last_key() {
+        let mut c = CsrColumn::new();
+        c.set(2, 1.0); // into an empty column
+        c.set(5, 2.0); // set after a set-append
+        c.add(9, 3.0);
+        c.set(12, 4.0); // set after an add-append
+        c.set(12, 6.0); // overwrite the last key
+        c.set(20, 0.0); // a zero past the end stores nothing
+        assert_eq!(
+            (c.keys.as_slice(), c.vals.as_slice()),
+            (&[2, 5, 9, 12][..], &[1.0, 2.0, 3.0, 6.0][..])
+        );
+        // Out of order: inserted in place, overwritten in place.
+        c.set(7, 7.0);
+        c.set(5, 5.5);
+        c.set(30, 8.0);
+        assert!(c.pending.is_empty());
+        assert_eq!(c.keys, [2, 5, 7, 9, 12, 30]);
+        assert_eq!(c.vals, [1.0, 5.5, 7.0, 3.0, 6.0, 8.0]);
+        // A pending overlay is folded in before the append test.
+        c.add(1, 0.5);
+        c.set(31, 9.0);
+        assert_eq!(c.keys, [1, 2, 5, 7, 9, 12, 30, 31]);
+        assert_eq!(c.get(1), 0.5);
+        assert_eq!(c.get(31), 9.0);
+    }
+
+    #[test]
+    fn sorted_parts_agree_across_flavors() {
+        let entries = [(3u32, 1.5), (0, 2.0), (10, -1.0)];
+        let mut want: Vec<(u32, f64)> = entries.to_vec();
+        want.sort_by_key(|e| e.0);
+        for mut v in [MetricVec::dense(0), MetricVec::sparse(), MetricVec::csr()] {
+            for (n, x) in entries {
+                v.add(n, x);
+            }
+            let (keys, vals) = v.sorted_parts();
+            let got: Vec<(u32, f64)> = keys.iter().copied().zip(vals.iter().copied()).collect();
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

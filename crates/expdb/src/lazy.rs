@@ -9,8 +9,32 @@
 //! bytes). The calling-context view then faults in exactly the columns
 //! it sorts and displays; the callers/flat path goes through
 //! `Experiment::attributions`, which faults the raw direct-cost
-//! columns. Per column, faulting costs one checksum pass, one block
-//! decode, and one Eq. 1/Eq. 2 attribution — each paid at most once.
+//! columns.
+//!
+//! **What one fault costs.** A column fault costs what the column
+//! touches, not what the tree holds: one checksum pass over the metric's
+//! block, then the attribution kernel
+//! ([`attribute_sorted`]) reading the block's key/value arrays where
+//! they lie in the image — O(K) for K the union of the non-zeros'
+//! ancestor chains, with one bit per node of private scratch; a column
+//! that covers a quarter of the tree or more is swept in O(n) instead —
+//! and one copy of the kernel's sorted `(node, value)` vector into the
+//! column's slot. The kernel's result is cached per metric and shared by its
+//! inclusive and exclusive columns; a derived column is evaluated on the
+//! union of its inputs' non-zeros (at every node only when its formula
+//! has a constant term). Each of these is paid at most once.
+//!
+//! A faulted column of a sparse (`FLAG_SPARSE`) database lands in its
+//! slot as sorted arrays (`MetricVec::Csr`: binary-search reads, ordered
+//! scans borrowed in place): between the mapped bytes and the slot there
+//! is no hash build and no sort. Columns of a dense database are
+//! scattered into node-indexed vectors, because their readers index
+//! every node. The experiment's *declared* storage — `raw.storage()`,
+//! `Experiment::storage()` — stays the file's flavor either way: the
+//! writer derives `FLAG_SPARSE` from it, so re-encoding an opened
+//! database is byte-identical, and Callers/Flat view trees built from a
+//! sparse experiment keep hash columns, which take their out-of-order
+//! adds without an overlay.
 //!
 //! `LazyShared` keeps its **own copy** of the CCT (the `Experiment`
 //! owns another) so attribution of a faulted column never needs a
@@ -29,8 +53,10 @@ use crate::model::{build_cct, DbError};
 use crate::toc::{
     Toc, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS, SEC_NAMES,
 };
+use callpath_core::attribution::{attribute_sorted, SortedAttribution};
 use callpath_core::prelude::*;
 use callpath_obs as obs;
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -54,27 +80,15 @@ struct LazyShared {
     /// Whole-program value per column (from stored totals), for `@n`
     /// references in derived formulas.
     aggregates: Vec<f64>,
-    storage: StorageKind,
-    /// One attribution per metric, computed on the first fault of either
-    /// of its presentation columns and shared by both.
-    attrs: Vec<OnceLock<Result<Attribution, String>>>,
+    /// One attribution per metric, as the kernel's sorted vectors,
+    /// computed on the first fault of either of its presentation columns
+    /// and shared by both.
+    attrs: Vec<OnceLock<Result<SortedAttribution, String>>>,
 }
 
 impl LazyShared {
     fn n_nodes(&self) -> u32 {
         self.cct.len() as u32
-    }
-
-    /// Decode (and range-check) metric `m`'s cost block into owned
-    /// entries — the attribution path always needs owned data.
-    fn block(&self, m: usize) -> Result<Vec<(u32, f64)>, String> {
-        let _span = obs::span("expdb.block_decode");
-        let payload = self
-            .toc
-            .section(self.data.bytes(), self.sections[m])
-            .map_err(|e| e.message)?;
-        obs::observe("expdb.block_bytes", payload.len() as u64);
-        bin2::read_block_v21(payload, &self.infos[m], self.n_nodes()).map_err(|e| e.message)
     }
 
     /// Raw direct costs of metric `m` as [`ColumnData`]. For fixed-kind
@@ -111,75 +125,93 @@ impl LazyShared {
             .map_err(|e| e.message)
     }
 
-    /// Attribution of metric `m`, computed once on first touch.
-    fn attribution(&self, m: usize) -> Result<&Attribution, String> {
+    /// Attribution of metric `m`, computed once on first touch: the
+    /// kernel reads the block's key/value arrays where they lie in the
+    /// image (small varint blocks are decoded first).
+    fn attribution(&self, m: usize) -> Result<&SortedAttribution, String> {
         self.attrs[m]
             .get_or_init(|| {
-                let info = &self.infos[m];
-                let costs: Vec<(NodeId, f64)> = self
-                    .block(m)?
-                    .into_iter()
-                    .map(|(n, v)| (NodeId(n), v))
-                    .collect();
-                let mut raw = RawMetrics::new(self.storage);
-                let id = raw.add_metric(MetricDesc::new(&info.name, &info.unit, info.period));
-                raw.add_costs(id, &costs);
-                Ok(attribute(&self.cct, &raw, id, self.storage))
+                Ok(match self.raw_column(m)? {
+                    ColumnData::Mapped(col) => attribute_sorted(&self.cct, col.keys(), col.vals()),
+                    ColumnData::Owned(entries) => {
+                        let (keys, vals): (Vec<u32>, Vec<f64>) = entries.into_iter().unzip();
+                        attribute_sorted(&self.cct, &keys, &vals)
+                    }
+                })
             })
             .as_ref()
             .map_err(Clone::clone)
     }
 
     /// Sorted non-zero entries of presentation column `c`: the
-    /// inclusive/exclusive projection of a metric, or a derived column
-    /// evaluated from (recursively materialized) referenced columns.
-    fn entries_of(&self, c: usize) -> Result<Vec<(u32, f64)>, String> {
+    /// inclusive/exclusive projection of a metric (borrowed from the
+    /// attribution cache), or a derived column evaluated from
+    /// (recursively materialized) referenced columns.
+    fn entries_of(&self, c: usize) -> Result<Cow<'_, [(u32, f64)]>, String> {
         let metric_cols = self.infos.len() * 2;
         if c < metric_cols {
             let attr = self.attribution(c / 2)?;
-            let v = if c.is_multiple_of(2) {
+            return Ok(Cow::Borrowed(if c.is_multiple_of(2) {
                 &attr.inclusive
             } else {
                 &attr.exclusive
-            };
-            return Ok(v.nonzero_sorted().collect());
+            }));
         }
         let d = c - metric_cols;
         let expr = self
             .exprs
             .get(d)
             .ok_or_else(|| format!("no column {c} in this database"))?;
-        // Materialize just the referenced columns densely. References
-        // are validated at open to point strictly backwards, so the
-        // recursion terminates.
-        let n = self.cct.len();
-        let refs = expr.references();
-        let mut dense: Vec<(u32, Vec<f64>)> = Vec::with_capacity(refs.len());
-        for &r in &refs {
+        // One cursor per referenced column. References are validated at
+        // open to point strictly backwards, so the recursion terminates.
+        let mut inputs = Vec::new();
+        for r in expr.references() {
             if r as usize >= c {
                 return Err(format!("derived column {c} references column {r}"));
             }
-            let mut v = vec![0.0; n];
-            for (node, x) in self.entries_of(r as usize)? {
-                v[node as usize] = x;
-            }
-            dense.push((r, v));
+            inputs.push((r as usize, self.entries_of(r as usize)?, 0));
         }
         let mut row = vec![0.0; c];
-        let mut out = Vec::new();
-        for node in 0..n {
-            for (r, v) in &dense {
-                row[*r as usize] = v[node];
-            }
-            let val = expr.eval(&SliceContext {
-                columns: &row,
+        let eval = |row: &[f64]| {
+            expr.eval(&SliceContext {
+                columns: row,
                 aggregates: &self.aggregates,
-            });
-            if val != 0.0 {
-                out.push((node as u32, val));
+            })
+        };
+        // A formula that is zero where all its inputs are can be non-zero
+        // only on the union of their non-zeros, so only those nodes are
+        // evaluated; one with a constant term (`$0 + 1`) has a value at
+        // every node of the tree.
+        let everywhere = eval(&row) != 0.0;
+        let mut out = Vec::new();
+        let mut node = 0;
+        loop {
+            if !everywhere {
+                let heads = inputs.iter().filter_map(|(_, e, at)| e.get(*at));
+                match heads.map(|&(k, _)| k).min() {
+                    Some(k) => node = k,
+                    None => break,
+                }
             }
+            if node >= self.n_nodes() {
+                break;
+            }
+            for (r, entries, at) in &mut inputs {
+                row[*r] = match entries.get(*at) {
+                    Some(&(k, v)) if k == node => {
+                        *at += 1;
+                        v
+                    }
+                    _ => 0.0,
+                };
+            }
+            let v = eval(&row);
+            if v != 0.0 {
+                out.push((node, v));
+            }
+            node += 1;
         }
-        Ok(out)
+        Ok(Cow::Owned(out))
     }
 }
 
@@ -188,7 +220,7 @@ impl ColumnSource for LazyShared {
         let _span = obs::span("expdb.column_fault");
         obs::count("expdb.lazy.fault.column", 1);
         self.entries_of(c.index())
-            .map(ColumnData::Owned)
+            .map(|entries| ColumnData::Owned(entries.into_owned()))
             .inspect_err(|reason| {
                 obs::count("expdb.lazy.fault.failed", 1);
                 obs::error(&format!("column {}: {reason}", c.index()));
@@ -343,7 +375,6 @@ pub(crate) fn open_image_with(
         sections,
         exprs,
         aggregates: aggregates.clone(),
-        storage,
     });
     raw.attach_source(shared.clone());
     columns.attach_source(shared);
@@ -549,6 +580,57 @@ mod tests {
         let c = ColumnId(2); // second metric's inclusive column
         assert_eq!(lazy.columns.get(c, 0), 0.0);
         assert!(lazy.columns.lazy_error().unwrap().contains("checksum"));
+    }
+
+    /// The sample tree with sparse storage and the two metrics' costs at
+    /// different nodes, so a derived column's inputs are non-zero on
+    /// different, overlapping sets.
+    fn sparse_experiment() -> Experiment {
+        let mut cct = sample_experiment().cct;
+        // Node 6: a statement of `main` no metric has a cost at.
+        let loc = SourceLoc::new(FileId(0), 2);
+        cct.add_child(NodeId(1), ScopeKind::Stmt { loc });
+        let mut raw = RawMetrics::new(StorageKind::Sparse);
+        let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1000.0));
+        let fp = raw.add_metric(MetricDesc::new("fp", "ops", 500.0));
+        raw.add_costs(cyc, &[(NodeId(3), 7_000.0), (NodeId(5), 42_000.0)]);
+        raw.add_costs(fp, &[(NodeId(4), 1_500.0), (NodeId(5), 8_000.0)]);
+        Experiment::build(cct, raw, StorageKind::Sparse)
+    }
+
+    #[test]
+    fn derived_columns_match_the_eager_decode_for_both_formula_kinds() {
+        let mut exp = sparse_experiment();
+        // Zero where its inputs are: evaluated on the union of their
+        // non-zeros only.
+        let waste = exp.add_derived("waste", "$0 * 4 - $3").unwrap();
+        // A constant term: a value at every node of the tree.
+        let plus_one = exp.add_derived("plus one", "$0 + 1").unwrap();
+        // 0/0 at every node without cycles: NaN is not zero either.
+        let ratio = exp.add_derived("ratio", "$2 / $0").unwrap();
+        let chained = exp
+            .add_derived("chained", &format!("${} - ${}", waste.0, plus_one.0))
+            .unwrap();
+        let bytes = crate::to_binary_v21(&exp);
+        let eager = crate::from_binary(&bytes).unwrap();
+        let lazy = open_lazy(bytes).unwrap();
+        for c in [chained, ratio, plus_one, waste] {
+            for n in 0..eager.cct.len() as u32 {
+                assert_eq!(
+                    lazy.columns.get(c, n).to_bits(),
+                    eager.columns.get(c, n).to_bits(),
+                    "column {c:?} node {n}"
+                );
+            }
+        }
+        assert!(lazy.columns.lazy_errors().is_empty());
+        // Node 4 (the inlined frame) has no cycles of its own and an fp
+        // cost of its own: it is in the union. Node 6 is in no input.
+        assert_eq!(lazy.columns.get(waste, 4), 4.0 * 42_000.0 - 9_500.0);
+        assert_eq!(lazy.columns.get(waste, 6), 0.0);
+        assert_eq!(lazy.columns.vec(waste).nonzero_count(), 6);
+        assert_eq!(lazy.columns.get(plus_one, 6), 1.0);
+        assert_eq!(lazy.columns.vec(plus_one).nonzero_count(), eager.cct.len());
     }
 
     #[test]

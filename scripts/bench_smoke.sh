@@ -14,7 +14,8 @@
 #    open vs a 33-node one, first-render fault counts, decode-all)
 #    -> BENCH_zero_copy.json at the repo root. This row runs under a
 #    hard wall-clock budget so a scaling regression fails the script
-#    instead of silently stretching it;
+#    instead of silently stretching it (120 s: the run, three
+#    decode-alls included, takes 15–35 s on two cores);
 #  * thread scaling (ingest + decode_all at 1/2/4/8 workers)
 #    -> BENCH_thread_scaling.json at the repo root, same hard-budget
 #    treatment;
@@ -36,7 +37,7 @@ cd "$(dirname "$0")/.."
 cargo test --release --test perf_smoke -- --ignored --nocapture
 cargo test --release --test session_nav -- --ignored --nocapture
 cargo test --release --test expdb_open_smoke -- --ignored --nocapture
-timeout 900 cargo test --release --test zero_copy_smoke -- --ignored --nocapture
+timeout 120 cargo test --release --test zero_copy_smoke -- --ignored --nocapture
 timeout 900 cargo test --release --test thread_scaling -- --ignored --nocapture
 timeout 900 cargo test --release --test serve_smoke -- --ignored --nocapture
 timeout 900 cargo test --release --test ensemble_smoke -- --ignored --nocapture

@@ -21,6 +21,14 @@ CALLPATH_THREADS=4 cargo test -q -p callpath-core --lib -- pool:: chunked::
 # (its doc comment promises both pins).
 CALLPATH_THREADS=1 cargo test -q --test analyze_properties
 CALLPATH_THREADS=4 cargo test -q --test analyze_properties
+# The attribution oracle (`tests/attribution_oracle.rs`) and the
+# fault-path properties ran in both passes above — topology borrowed
+# from a mapped file, then from a read-to-`Vec` image. Column faults fan
+# out over the pool in `decode_all`, each running the kernel with its
+# own scratch: `decode_all_equals_serial_faults` must hold whether the
+# automatic count is 1 or 4.
+CALLPATH_THREADS=1 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
+CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
 # The `--no-default-features` pass above runs only the root package's
 # tests, and the workspace pass compiles expdb with `mmap` on (feature
 # unification through the root package), so this is the one place

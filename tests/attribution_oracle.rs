@@ -1,0 +1,500 @@
+//! The attribution kernel against one obviously-right oracle.
+//!
+//! The oracle restates Section IV-A over a plain parent array, with no
+//! cleverness to get wrong: Eq. 2 by definition — a node's inclusive
+//! cost is the sum of the direct costs in its subtree, so every direct
+//! cost is added to each of its ancestors in turn, nnz × depth steps —
+//! and Eq. 1 by the four rules of `core::attribution`'s module doc.
+//! Generated costs are multiples of 1/64 of bounded size, so every sum
+//! is exact in any order and "equal" means equal bits; a separate
+//! property pins the *order* of the kernel's additions for arbitrary
+//! finite values. The kernel has two branches — the walk over marked
+//! ancestor chains, and a sweep of node-indexed vectors for a column
+//! that touches a quarter of the tree or more — and every property runs
+//! on trees padded with idle frames (the walk, asserted) and without.
+//!
+//! Every case is checked on the owned arena and on the topology borrowed
+//! from a database file opened by path (mapped with the `mmap` feature,
+//! read into a buffer without it — `scripts/ci.sh` runs both), for all
+//! three storage kinds, and through the lazy column-fault path.
+
+use callpath_core::attribution::{attribute, attribute_sorted, SortedAttribution};
+use callpath_core::prelude::*;
+use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
+use callpath_expdb::{bin2, open_lazy_path};
+use callpath_workloads::synth::{synth_model, SynthConfig};
+use proptest::prelude::*;
+use std::collections::HashSet;
+
+const KINDS: [StorageKind; 3] = [StorageKind::Dense, StorageKind::Sparse, StorageKind::Csr];
+
+/// splitmix64: models are a pure function of the proptest scalars.
+fn mix(seed: u64, i: u64) -> u64 {
+    let mut z = seed
+        .wrapping_add(0x9e37_79b9_7f4a_7c15)
+        .wrapping_add(i.wrapping_mul(0xbf58_476d_1ce4_e5b9));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A non-zero multiple of 1/64 in ±32, either sign.
+fn dyadic(r: u64) -> f64 {
+    let q = (r % 4096) as f64 - 2048.0;
+    (if q == 0.0 { 1.0 } else { q }) / 64.0
+}
+
+fn frame(r: u64) -> DbScope {
+    DbScope::Frame {
+        // Three procedures over a long chain: every one of them recurs.
+        proc: (r >> 8) as u32 % 3,
+        module: (r >> 16) as u32 % 2,
+        def_file: 0,
+        def_line: 1 + (r >> 24) as u32 % 50,
+        call_site: (r & 1 == 0).then_some((0, (r >> 32) as u32 % 400)),
+    }
+}
+
+fn inlined(r: u64) -> DbScope {
+    DbScope::Inlined {
+        proc: (r >> 8) as u32 % 3,
+        def_file: 0,
+        def_line: 1 + (r >> 24) as u32 % 50,
+        cs_file: 0,
+        cs_line: (r >> 32) as u32 % 400,
+    }
+}
+
+/// A random CCT: a call chain `chain` scopes deep (recursive frames,
+/// inlined frames and loops), then `bushy` scopes hung off random
+/// earlier ones, statements as leaves, then `idle` more frames in
+/// chains off the root. One metric with `nnz` costs at random nodes of
+/// the first two parts — the root, frames and loops included. The idle
+/// part decides the kernel's branch: with none of it a deep chain's costs
+/// touch most of the tree (the sweep), with four times the rest they
+/// touch under a quarter (the marked walk).
+fn random_model(seed: u64, chain: usize, bushy: usize, nnz: usize, idle: usize) -> DbModel {
+    let mut nodes: Vec<DbNode> = Vec::with_capacity(chain + bushy + idle);
+    // Scopes that may have children, and whether a frame encloses them.
+    let mut hosts: Vec<u32> = vec![0];
+    let mut framed = vec![false];
+    for i in 0..chain + bushy {
+        let id = i as u32 + 1;
+        let r = mix(seed, i as u64);
+        let parent = if i < chain {
+            id - 1
+        } else {
+            hosts[(r >> 40) as usize % hosts.len()]
+        };
+        let pick = if !framed[parent as usize] {
+            0
+        } else if i < chain {
+            r % 6
+        } else {
+            r % 10
+        };
+        let line = 2 + (r >> 48) as u32 % 300;
+        let scope = match pick {
+            0..=3 => frame(r),
+            4 => inlined(r),
+            5 | 6 => DbScope::Loop { file: 0, line },
+            _ => DbScope::Stmt { file: 0, line },
+        };
+        if pick < 7 {
+            hosts.push(id);
+        }
+        framed.push(framed[parent as usize] || pick <= 4);
+        nodes.push(DbNode { parent, scope });
+    }
+    let n_active = nodes.len() as u64 + 1;
+    for j in 0..idle {
+        let id = nodes.len() as u32 + 1;
+        let parent = if j % 64 == 0 { 0 } else { id - 1 };
+        let scope = frame(mix(seed ^ 0x1d1e, j as u64));
+        nodes.push(DbNode { parent, scope });
+    }
+    let mut at: Vec<u32> = (0..nnz as u64)
+        .map(|k| (mix(seed ^ 0xc057, k) % n_active) as u32)
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    let costs = at
+        .into_iter()
+        .map(|node| (node, dyadic(mix(seed ^ 0xda7a, node as u64))))
+        .collect();
+    DbModel {
+        procs: (0..3).map(|i| format!("p{i}")).collect(),
+        files: vec!["f.c".into()],
+        modules: vec!["app".into(), "libm.so".into()],
+        nodes,
+        metrics: vec![DbMetric {
+            name: "M".into(),
+            unit: "ev".into(),
+            period: 1.0,
+            costs,
+        }],
+        derived: vec![],
+        sparse: true,
+    }
+}
+
+/// Dense per-node results of the reference definition.
+struct Oracle {
+    inclusive: Vec<f64>,
+    exclusive: Vec<f64>,
+    frame_direct: Vec<f64>,
+}
+
+fn oracle(model: &DbModel, costs: &[(u32, f64)]) -> Oracle {
+    let n = model.nodes.len() + 1;
+    let parent = |x: u32| (x != 0).then(|| model.nodes[x as usize - 1].parent);
+    let scope = |x: u32| (x != 0).then(|| &model.nodes[x as usize - 1].scope);
+    let is_frame = |x: u32| {
+        matches!(
+            scope(x),
+            Some(DbScope::Frame { .. } | DbScope::Inlined { .. })
+        )
+    };
+    let mut o = Oracle {
+        inclusive: vec![0.0; n],
+        exclusive: vec![0.0; n],
+        frame_direct: vec![0.0; n],
+    };
+    for &(y, d) in costs {
+        if y as usize >= n {
+            continue;
+        }
+        // Eq. 2: y lies in the subtree of y and of each of its ancestors.
+        let mut x = Some(y);
+        while let Some(a) = x {
+            o.inclusive[a as usize] += d;
+            x = parent(a);
+        }
+        // Eq. 1.
+        match scope(y) {
+            None => {} // the root displays no exclusive cost
+            Some(DbScope::Frame { .. } | DbScope::Inlined { .. }) => {
+                o.exclusive[y as usize] += d;
+                o.frame_direct[y as usize] += d;
+            }
+            Some(s @ (DbScope::Loop { .. } | DbScope::Stmt { .. })) => {
+                o.exclusive[y as usize] += d;
+                let p = parent(y).expect("a static scope has a parent");
+                // Rule 2: a loop sums its direct child statements.
+                if matches!(s, DbScope::Stmt { .. })
+                    && matches!(scope(p), Some(DbScope::Loop { .. }))
+                {
+                    o.exclusive[p as usize] += d;
+                }
+                // Rule 1: the innermost frame at or above the parent.
+                let mut f = Some(p);
+                while f.is_some_and(|a| !is_frame(a)) {
+                    f = parent(f.unwrap());
+                }
+                if let Some(f) = f {
+                    o.exclusive[f as usize] += d;
+                    if f == p {
+                        o.frame_direct[f as usize] += d;
+                    }
+                }
+            }
+        }
+    }
+    o
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+fn column_bits(v: &MetricVec, n: usize) -> Vec<u64> {
+    (0..n as u32).map(|i| v.get(i).to_bits()).collect()
+}
+
+/// `attribute` over `cct` in every storage kind, against the oracle.
+fn check_all_kinds(cct: &Cct, costs: &[(u32, f64)], want: &Oracle) {
+    let n = cct.len();
+    for kind in KINDS {
+        let mut raw = RawMetrics::new(kind);
+        let m = raw.add_metric(MetricDesc::new("M", "ev", 1.0));
+        for &(node, v) in costs {
+            raw.add_cost(m, NodeId(node), v);
+        }
+        let got = attribute(cct, &raw, m, kind);
+        let tag = format!("{kind:?}, mapped {}", cct.is_mapped());
+        assert_eq!(
+            column_bits(&got.inclusive, n),
+            bits(&want.inclusive),
+            "inclusive, {tag}"
+        );
+        assert_eq!(
+            column_bits(&got.exclusive, n),
+            bits(&want.exclusive),
+            "exclusive, {tag}"
+        );
+        assert_eq!(
+            column_bits(&got.frame_direct, n),
+            bits(&want.frame_direct),
+            "frame-direct, {tag}"
+        );
+    }
+}
+
+/// Write `model` to a scratch file and open it by path, so the CCT's
+/// topology is borrowed from the file image this build uses.
+fn open_by_path(model: &DbModel, tag: &str) -> Experiment {
+    let path =
+        std::env::temp_dir().join(format!("callpath-oracle-{}-{tag}.cpdb", std::process::id()));
+    std::fs::write(&path, bin2::write_v21(model)).unwrap();
+    let exp = open_lazy_path(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        exp.cct.is_mapped(),
+        "an opened database borrows its topology"
+    );
+    exp
+}
+
+/// Owned and borrowed topology × three storage kinds × the lazy fault
+/// path, all against the oracle.
+fn check_model(model: &DbModel, tag: &str) {
+    let costs = &model.metrics[0].costs;
+    let want = oracle(model, costs);
+    check_all_kinds(&model.build_cct().unwrap(), costs, &want);
+    let lazy = open_by_path(model, tag);
+    check_all_kinds(&lazy.cct, costs, &want);
+    let n = lazy.cct.len();
+    assert_eq!(
+        column_bits(lazy.columns.vec(ColumnId(0)), n),
+        bits(&want.inclusive)
+    );
+    assert_eq!(
+        column_bits(lazy.columns.vec(ColumnId(1)), n),
+        bits(&want.exclusive)
+    );
+    assert!(lazy.columns.lazy_errors().is_empty());
+}
+
+/// Idle frames enough that the other `active` scopes are under a quarter
+/// of the tree — the kernel's marked walk — or none at all.
+fn idle_nodes(quiet: bool, active: usize) -> usize {
+    if quiet {
+        4 * (active + 1)
+    } else {
+        0
+    }
+}
+
+/// Did the kernel walk the marked chains (rather than sweep the tree)?
+fn walked(model: &DbModel) -> bool {
+    let (keys, vals): (Vec<u32>, Vec<f64>) = model.metrics[0].costs.iter().copied().unzip();
+    let visited = attribute_sorted(&model.build_cct().unwrap(), &keys, &vals).visited;
+    visited * 4 < model.nodes.len() + 1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn attribution_matches_the_definition_on_random_ccts(
+        seed in 0u64..100_000, bushy in 0usize..400, nnz in 0usize..80, quiet in 0usize..2
+    ) {
+        let model = random_model(seed, 0, bushy, nnz, idle_nodes(quiet == 1, bushy));
+        prop_assert!(quiet == 0 || walked(&model));
+        check_model(&model, &format!("bushy-{seed}"));
+    }
+
+    #[test]
+    fn attribution_matches_the_definition_under_deep_chains(
+        seed in 0u64..100_000, extra in 0usize..2_000, bushy in 0usize..300, nnz in 1usize..60,
+        quiet in 0usize..2
+    ) {
+        let chain = 10_000 + extra;
+        let model = random_model(seed, chain, bushy, nnz, idle_nodes(quiet == 1, chain + bushy));
+        prop_assert!(quiet == 0 || walked(&model));
+        check_model(&model, &format!("deep-{seed}"));
+    }
+
+    /// The kernel's sums are those of the sweep over node-indexed
+    /// vectors: every parent adds its children's finished sums in
+    /// descending child order, every Eq. 1 target its costs in ascending
+    /// source order. With arbitrary finite values that order shows in
+    /// the last bit, so Eq. 2 is compared against the reverse sweep
+    /// itself (the oracle, which adds in that order for Eq. 1 only,
+    /// gives the other two).
+    #[test]
+    fn sums_add_in_sweep_order_for_any_finite_values(
+        seed in 0u64..100_000, chain in 0usize..200, bushy in 1usize..300, nnz in 1usize..120,
+        quiet in 0usize..2
+    ) {
+        let mut model = random_model(seed, chain, bushy, nnz, idle_nodes(quiet == 1, chain + bushy));
+        for (k, c) in model.metrics[0].costs.iter_mut().enumerate() {
+            c.1 = f64::from_bits(mix(seed ^ 0xf17e, k as u64) & 0xffef_ffff_ffff_ffff);
+        }
+        prop_assert!(quiet == 0 || walked(&model));
+        let costs = &model.metrics[0].costs;
+        let n = model.nodes.len() + 1;
+        let mut want = oracle(&model, costs);
+        want.inclusive = vec![0.0; n];
+        for &(node, v) in costs {
+            want.inclusive[node as usize] = v;
+        }
+        for i in (1..n).rev() {
+            let v = want.inclusive[i];
+            if v != 0.0 {
+                want.inclusive[model.nodes[i - 1].parent as usize] += v;
+            }
+        }
+        let (keys, vals): (Vec<u32>, Vec<f64>) = costs.iter().copied().unzip();
+        let got = attribute_sorted(&model.build_cct().unwrap(), &keys, &vals);
+        for (name, got, want) in [
+            ("inclusive", &got.inclusive, &want.inclusive),
+            ("exclusive", &got.exclusive, &want.exclusive),
+            ("frame-direct", &got.frame_direct, &want.frame_direct),
+        ] {
+            let mut dense = vec![0.0f64; n];
+            for &(node, v) in got {
+                dense[node as usize] = v;
+            }
+            for i in 0..n {
+                // A sum that cancels (or a -0.0 cost) reads +0.0 from a
+                // sorted column.
+                let want = if want[i] == 0.0 { 0.0 } else { want[i] };
+                prop_assert_eq!(dense[i].to_bits(), want.to_bits(), "{} at node {}", name, i);
+            }
+        }
+    }
+}
+
+/// main → loop → {s1, s2}; main → callee → s3 (nodes 1 to 6), then
+/// `idle` frames nothing has a cost at.
+fn small_model(costs: Vec<(u32, f64)>, idle: usize) -> DbModel {
+    let mut model = random_model(1, 0, 0, 0, idle);
+    let top = DbScope::Frame {
+        proc: 0,
+        module: 0,
+        def_file: 0,
+        def_line: 1,
+        call_site: None,
+    };
+    let callee = DbScope::Frame {
+        proc: 1,
+        module: 0,
+        def_file: 0,
+        def_line: 20,
+        call_site: Some((0, 5)),
+    };
+    let node = |parent, scope| DbNode { parent, scope };
+    let stmt = |line| DbScope::Stmt { file: 0, line };
+    let active = vec![
+        node(0, top),
+        node(1, DbScope::Loop { file: 0, line: 3 }),
+        node(2, stmt(4)),
+        node(2, stmt(5)),
+        node(1, callee),
+        node(5, stmt(21)),
+    ];
+    // The idle frames move up by six ids, and so do the links among them.
+    for n in &mut model.nodes {
+        if n.parent != 0 {
+            n.parent += active.len() as u32;
+        }
+    }
+    model.nodes.splice(0..0, active);
+    model.metrics[0].costs = costs;
+    model
+}
+
+/// Each special case on the seven-node tree alone (the sweep) and with
+/// 28 idle frames beside it (the marked walk).
+fn on_both_branches(costs: &[(u32, f64)], tag: &str, check: impl Fn(&Cct, SortedAttribution)) {
+    for idle in [0, 28] {
+        let model = small_model(costs.to_vec(), idle);
+        assert_eq!(walked(&model), idle > 0 || costs.is_empty());
+        check_model(&model, &format!("{tag}-{idle}"));
+        let (keys, vals): (Vec<u32>, Vec<f64>) = costs.iter().copied().unzip();
+        let cct = model.build_cct().unwrap();
+        let got = attribute_sorted(&cct, &keys, &vals);
+        check(&cct, got);
+    }
+}
+
+#[test]
+fn an_empty_column_attributes_to_nothing() {
+    on_both_branches(&[], "empty", |_, got| assert_eq!(got, Default::default()));
+}
+
+#[test]
+fn cost_at_the_root_is_inclusive_only() {
+    on_both_branches(&[(0, 2.5), (6, 1.0)], "root", |_, got| {
+        assert_eq!(got.inclusive[0], (0, 3.5));
+        assert!(got.exclusive.iter().all(|&(node, _)| node != 0));
+    });
+}
+
+#[test]
+fn keys_beyond_the_tree_are_dropped() {
+    for idle in [0, 28] {
+        let model = small_model(vec![(3, 4.0)], idle);
+        let cct = model.build_cct().unwrap();
+        let got = attribute_sorted(&cct, &[3, 35, 900], &[4.0, 1.0, 1.0]);
+        assert_eq!(got, attribute_sorted(&cct, &[3], &[4.0]));
+        // And through the public entry point, where a column can carry them.
+        let costs = [(3, 4.0), (35, 1.0)];
+        check_all_kinds(&cct, &costs, &oracle(&model, &costs));
+    }
+}
+
+#[test]
+fn values_that_cancel_leave_no_entry() {
+    // s1 and s2 cancel in their loop and in everything above it; s3
+    // keeps the frames' inclusive non-zero.
+    on_both_branches(&[(3, 4.0), (4, -4.0), (6, 1.5)], "cancel", |_, got| {
+        let nodes = |v: &[(u32, f64)]| v.iter().map(|e| e.0).collect::<Vec<_>>();
+        assert_eq!(
+            nodes(&got.inclusive),
+            [0, 1, 3, 4, 5, 6],
+            "the loop (2) cancels"
+        );
+        assert_eq!(nodes(&got.exclusive), [3, 4, 5, 6], "loop and main cancel");
+        assert_eq!(got.visited, 7);
+    });
+}
+
+/// Work, not time: on a deep tree the kernel visits exactly the union
+/// of the non-zeros' ancestor chains — counted here the slow way, every
+/// chain walked to the root — and that is a small part of the tree.
+#[test]
+fn the_kernel_visits_only_the_union_of_ancestor_chains() {
+    let model = synth_model(&SynthConfig {
+        seed: 0x5eed,
+        n_nodes: 200_000,
+        n_metrics: 1,
+        nnz_per_metric: 256,
+        n_procs: 500,
+    });
+    let (keys, vals): (Vec<u32>, Vec<f64>) = model.metrics[0].costs.iter().copied().unzip();
+    let mut chains = HashSet::new();
+    for &k in &keys {
+        let mut x = k;
+        chains.insert(x);
+        while x != 0 {
+            x = model.nodes[x as usize - 1].parent;
+            chains.insert(x);
+        }
+    }
+    let n = model.nodes.len() + 1;
+    let lazy = open_by_path(&model, "work");
+    for cct in [&model.build_cct().unwrap(), &lazy.cct] {
+        let got = attribute_sorted(cct, &keys, &vals);
+        assert_eq!(got.visited, chains.len(), "mapped {}", cct.is_mapped());
+        assert!(
+            got.visited < n / 4,
+            "visited {} of {n} nodes for {} non-zeros",
+            got.visited,
+            keys.len()
+        );
+        // Costs here are positive, so every visited node has a sum.
+        assert_eq!(got.inclusive.len(), got.visited);
+    }
+}

@@ -4,11 +4,13 @@
 //! then be indistinguishable from an eager open, down to the rendered
 //! text of an interactive session.
 
+use callpath_core::attribution::attribute_sorted;
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
-use callpath_expdb::{decode_all, from_binary, open_lazy, to_binary_v21};
+use callpath_expdb::{bin2, decode_all, from_binary, open_lazy, to_binary_v21};
 use callpath_profiler::ExecConfig;
 use callpath_viewer::{Command, Session};
+use callpath_workloads::synth::{synth_model, SynthConfig};
 use callpath_workloads::{pipeline, s3d};
 
 fn s3d_cpdb() -> Vec<u8> {
@@ -120,4 +122,137 @@ fn lazy_and_eager_sessions_render_identical_text() {
         out
     };
     assert_eq!(drive(&eager), drive(&lazy));
+}
+
+/// A `FLAG_SPARSE` database: a deep synthetic tree, six sparse metrics
+/// and the generator's derived `waste` column — 13 presentation columns.
+fn sparse_cpdb() -> Vec<u8> {
+    let bytes = bin2::write_v21(&synth_model(&SynthConfig {
+        n_nodes: 20_000,
+        n_metrics: 6,
+        nnz_per_metric: 48,
+        ..Default::default()
+    }));
+    assert_eq!(bytes[5] & 1, 1, "the file declares sparse storage");
+    bytes
+}
+
+/// Non-zero entries of every presentation column and raw metric.
+type Entries = Vec<Vec<(u32, u64)>>;
+
+fn all_entries(exp: &Experiment) -> (Entries, Entries) {
+    let bits = |v: &MetricVec| v.nonzero_sorted().map(|(n, x)| (n, x.to_bits())).collect();
+    let columns = exp.columns.columns().map(|c| bits(exp.columns.vec(c)));
+    let raw = (0..exp.raw.metric_count()).map(|m| bits(exp.raw.column(MetricId::from_usize(m))));
+    (columns.collect(), raw.collect())
+}
+
+/// What a column fault leaves behind on a sparse file: sorted arrays in
+/// the slot (no hash map was built on the way), under an experiment
+/// that still declares the file's flavor — which is what re-encoding
+/// reads, so the round trip stays byte-identical.
+#[test]
+fn a_faulted_sparse_column_is_sorted_arrays_under_the_declared_storage() {
+    let bytes = sparse_cpdb();
+    let lazy = open_lazy(bytes.clone()).unwrap();
+    let waste = ColumnId(lazy.columns.column_count() as u32 - 1);
+    for c in [ColumnId(0), ColumnId(3), waste] {
+        lazy.columns.get(c, 0);
+        assert!(
+            matches!(lazy.columns.vec(c), MetricVec::Csr(_)),
+            "column {c:?} landed as {:?}",
+            lazy.columns.vec(c)
+        );
+        assert_eq!(lazy.columns.fault_count(c), 1);
+    }
+    assert_eq!(lazy.raw.storage(), StorageKind::Sparse);
+    assert_eq!(lazy.storage(), StorageKind::Sparse);
+    assert_eq!(
+        lazy.raw.materialized_metrics(),
+        0,
+        "a column fault reads the block in place, not through the raw slot"
+    );
+
+    decode_all(&lazy, 0);
+    assert!(lazy.columns.lazy_errors().is_empty() && lazy.raw.lazy_errors().is_empty());
+    assert_eq!(to_binary_v21(&lazy), bytes);
+    assert_eq!(
+        all_entries(&lazy),
+        all_entries(&from_binary(&bytes).unwrap())
+    );
+}
+
+/// `decode_all` fans the faults out over the pool; each runs the
+/// attribution kernel with its own scratch. Faulting the same columns
+/// one after another on this thread must give the same bits, whatever
+/// `CALLPATH_THREADS` resolves the automatic count to.
+#[test]
+fn decode_all_equals_serial_faults() {
+    let bytes = sparse_cpdb();
+    let serial = open_lazy(bytes.clone()).unwrap();
+    for c in serial.columns.columns() {
+        serial.columns.get(c, 0);
+    }
+    let want = all_entries(&serial);
+    // These columns are sparse enough for the kernel's marked walk, the
+    // branch with per-call scratch.
+    let (keys, vals) = want.1[0]
+        .iter()
+        .map(|&(k, v)| (k, f64::from_bits(v)))
+        .unzip::<_, _, Vec<u32>, Vec<f64>>();
+    let visited = attribute_sorted(&serial.cct, &keys, &vals).visited;
+    assert!(visited * 4 < serial.cct.len(), "visited {visited}");
+    for threads in [0, 1, 4] {
+        let fanned = open_lazy(bytes.clone()).unwrap();
+        decode_all(&fanned, threads);
+        assert_eq!(all_entries(&fanned), want, "threads {threads}");
+    }
+}
+
+/// Eight threads race the first read of every column and raw metric of
+/// a sparse file: one decode each, and everybody reads the eager values.
+#[test]
+fn racing_faults_on_a_sparse_file_decode_each_column_once() {
+    let bytes = sparse_cpdb();
+    let want = all_entries(&from_binary(&bytes).unwrap());
+    let lazy = open_lazy(bytes).unwrap();
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|scope| {
+        for _ in 0..8 {
+            scope.spawn(|| {
+                barrier.wait();
+                assert_eq!(all_entries(&lazy), want);
+            });
+        }
+    });
+    for c in lazy.columns.columns() {
+        assert_eq!(lazy.columns.fault_count(c), 1, "column {c:?}");
+    }
+    for m in 0..lazy.raw.metric_count() {
+        assert_eq!(
+            lazy.raw.fault_count(MetricId::from_usize(m)),
+            1,
+            "metric {m}"
+        );
+    }
+    assert!(lazy.columns.lazy_errors().is_empty() && lazy.raw.lazy_errors().is_empty());
+}
+
+/// A damaged block on a sparse file: the columns computed from it read
+/// as zeros and say why; the others are untouched.
+#[test]
+fn a_corrupt_block_on_a_sparse_file_reads_as_zeros_with_a_checksum_error() {
+    let mut bytes = sparse_cpdb();
+    // The last section is the last metric's cost block.
+    let n = bytes.len();
+    bytes[n - 3] ^= 0xff;
+    let lazy = open_lazy(bytes).expect("header, TOC and topology are intact");
+    let last = lazy.raw.metric_count() as u32 - 1;
+    for c in [ColumnId(2 * last), ColumnId(2 * last + 1)] {
+        assert_eq!(lazy.columns.vec(c).nonzero_count(), 0);
+        assert!(matches!(lazy.columns.vec(c), MetricVec::Csr(_)));
+    }
+    assert!(lazy.columns.lazy_error().unwrap().contains("checksum"));
+    assert!(lazy.columns.vec(ColumnId(0)).nonzero_count() > 0);
+    assert_eq!(lazy.columns.lazy_errors().len(), 1, "one block, one reason");
 }

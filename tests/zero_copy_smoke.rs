@@ -30,10 +30,10 @@ const ITERS: usize = 21;
 /// slower than the lazy open; a handful of samples is enough for a
 /// stable median without blowing the script's budget.
 const HEAVY_ITERS: usize = 3;
-/// Decode-all attributes all 1024 metrics over the million-node tree —
-/// minutes of single-core work. One sample records the trajectory;
-/// averaging it is not worth tripling the script's wall clock.
-const DECODE_ITERS: usize = 1;
+/// Decode-all attributes all 1024 metrics over the million-node tree:
+/// each costs what its ancestor chains touch (~12 % of the nodes), a few
+/// seconds for all of them, so the median of three fits the budget.
+const DECODE_ITERS: usize = 3;
 
 /// Cold open must scale with the *touched* sections, not the node
 /// count: the big open may cost at most this multiple of the small one.
