@@ -23,7 +23,8 @@ fn print_footprints() {
     for &size in &[1_000usize, 10_000, 100_000] {
         let exp = sized_experiment(size);
         let lazy = CallersView::build(&exp, StorageKind::Dense);
-        let eager = CallersView::build_eager(&exp, StorageKind::Dense);
+        let mut eager = lazy.clone();
+        eager.fully_expand(&exp);
         println!(
             "{:>10} {:>12} {:>14} {:>12} {:>14}",
             exp.cct.len(),
@@ -49,7 +50,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| CallersView::build(exp, StorageKind::Dense))
         });
         group.bench_with_input(BenchmarkId::new("eager_build", size), &exp, |b, exp| {
-            b.iter(|| CallersView::build_eager(exp, StorageKind::Dense))
+            b.iter(|| {
+                let mut view = CallersView::build(exp, StorageKind::Dense);
+                view.fully_expand(exp);
+                view
+            })
         });
         group.bench_with_input(
             BenchmarkId::new("expand_one_entry", size),
@@ -60,20 +65,6 @@ fn bench(c: &mut Criterion) {
                     let roots = view.tree.roots();
                     view.expand(exp, roots[0]);
                     view.tree.len()
-                })
-            },
-        );
-        // Repeated-query path: refreshing an already-built view is served
-        // from the per-callee memo cache (no re-aggregation) as long as
-        // the raw metrics haven't mutated.
-        group.bench_with_input(
-            BenchmarkId::new("refresh_memoized", size),
-            &exp,
-            |b, exp| {
-                let mut view = CallersView::build(exp, StorageKind::Dense);
-                b.iter(|| {
-                    view.refresh(exp);
-                    view.cache_stats().0
                 })
             },
         );

@@ -19,10 +19,15 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("build_shell", size), &exp, |b, exp| {
             b.iter(|| FlatView::build(exp, StorageKind::Dense))
         });
-        group.bench_with_input(BenchmarkId::new("build_eager", size), &exp, |b, exp| {
-            b.iter(|| FlatView::build_eager(exp, StorageKind::Dense))
+        let forced = |exp: &Experiment| {
+            let mut view = FlatView::build(exp, StorageKind::Dense);
+            view.force_all(exp);
+            view
+        };
+        group.bench_with_input(BenchmarkId::new("build_forced", size), &exp, |b, exp| {
+            b.iter(|| forced(exp))
         });
-        let flat = FlatView::build_eager(&exp, StorageKind::Dense);
+        let flat = forced(&exp);
         group.bench_with_input(
             BenchmarkId::new("flatten_to_leaves", size),
             &flat,

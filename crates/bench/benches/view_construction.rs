@@ -24,7 +24,16 @@ fn bench(c: &mut Criterion) {
         let exp = sized_experiment(size);
         group.bench_with_input(BenchmarkId::new("attribute_all", size), &exp, |b, exp| {
             b.iter(|| {
-                callpath_core::attribution::attribute_all(&exp.cct, &exp.raw, StorageKind::Dense)
+                (0..exp.raw.metric_count())
+                    .map(|m| {
+                        attribute(
+                            &exp.cct,
+                            &exp.raw,
+                            MetricId::from_usize(m),
+                            StorageKind::Dense,
+                        )
+                    })
+                    .collect::<Vec<_>>()
             })
         });
         group.bench_with_input(
@@ -36,7 +45,11 @@ fn bench(c: &mut Criterion) {
             b.iter(|| FlatView::build(exp, StorageKind::Dense))
         });
         group.bench_with_input(BenchmarkId::new("flat_view_eager", size), &exp, |b, exp| {
-            b.iter(|| FlatView::build_eager(exp, StorageKind::Dense))
+            b.iter(|| {
+                let mut view = FlatView::build(exp, StorageKind::Dense);
+                view.force_all(exp);
+                view
+            })
         });
     }
 

@@ -1,7 +1,8 @@
 //! Metric attribution: computing inclusive and exclusive costs over the
 //! canonical CCT (Section IV-A, Equations 1 and 2).
 //!
-//! Three per-node quantities are computed for every raw metric:
+//! Two per-node quantities are computed for every raw metric, and a third
+//! is defined on demand:
 //!
 //! * **inclusive** — Eq. 2: `i(x) = d(x) + Σ_children i(c)` where `d` is the
 //!   direct (sample-point) cost. Computed over direct costs rather than the
@@ -18,8 +19,10 @@
 //!   frame). The Flat View's call-site nodes display this as their
 //!   exclusive cost: in Fig. 2c, `hy = (4,0)` because all of `h`'s
 //!   statements live inside loops, while `gy/gz/gv` carry `g`'s body cost.
+//!   Nothing else reads it, so it is not stored: [`frame_direct`] sums it
+//!   from the raw column when a call-site row is filled.
 //!
-//! **Cost.** One kernel, [`attribute_sorted`], does all three from a
+//! **Cost.** One kernel, [`attribute_sorted`], does Eq. 1 and Eq. 2 from a
 //! column's sorted non-zeros, and its work follows what the column
 //! touches (Section VII: "process data only when needed"): O(K) for Eq. 2,
 //! where K is the size of the union of the non-zeros' ancestor chains,
@@ -46,8 +49,6 @@ pub struct Attribution {
     pub inclusive: MetricVec,
     /// Eq. 1 hybrid exclusive costs per node.
     pub exclusive: MetricVec,
-    /// Frame-direct statement costs per frame node.
-    pub frame_direct: MetricVec,
 }
 
 impl Attribution {
@@ -60,11 +61,6 @@ impl Attribution {
     pub fn exclusive_at(&self, n: NodeId) -> f64 {
         self.exclusive.get(n.0)
     }
-
-    /// Frame-direct cost at `n`.
-    pub fn frame_direct_at(&self, n: NodeId) -> f64 {
-        self.frame_direct.get(n.0)
-    }
 }
 
 /// What [`attribute_sorted`] returns: each result as its non-zero
@@ -76,8 +72,6 @@ pub struct SortedAttribution {
     pub inclusive: Vec<(u32, f64)>,
     /// Eq. 1 hybrid exclusive costs.
     pub exclusive: Vec<(u32, f64)>,
-    /// Frame-direct statement costs.
-    pub frame_direct: Vec<(u32, f64)>,
     /// Nodes the inclusive pass visited: the size of the union of the
     /// non-zeros' ancestor chains (each non-zero node included), or
     /// every node of the tree when the column was swept. The work tests
@@ -193,59 +187,41 @@ fn kernel(cct: &Cct, keys: &[u32], vals: &[f64]) -> Kernel {
 
     // Eq. 1: collect the adds, then sum them per node.
     let mut exclusive = Vec::new();
-    let mut frame_direct = Vec::new();
     for (i, d) in direct {
-        exclusive_targets(cct, NodeId(i), |bucket, target| match bucket {
-            Bucket::Exclusive => exclusive.push((target.0, d)),
-            Bucket::FrameDirect => frame_direct.push((target.0, d)),
-        });
+        exclusive_targets(cct, NodeId(i), |target| exclusive.push((target.0, d)));
     }
 
     Kernel::Walked(SortedAttribution {
         inclusive,
         exclusive: coalesce(exclusive),
-        frame_direct: coalesce(frame_direct),
         visited,
     })
 }
 
-/// The two Eq. 1 results a direct cost can add to.
-enum Bucket {
-    Exclusive,
-    FrameDirect,
-}
-
-/// Eq. 1 hybrid exclusive and frame-direct: a direct cost at `node` goes
-/// to
+/// Eq. 1 hybrid exclusive: a direct cost at `node` goes to
 ///   - the node itself, when static (statements keep their own cost);
 ///   - its parent, when the parent is a loop and the node a statement
 ///     (rule 2: loops sum direct child statements);
-///   - its innermost enclosing frame-like scope (rule 1);
-///   - the frame-direct bucket of that frame, when nothing but the frame
-///     itself separates the cost from the frame.
-fn exclusive_targets(cct: &Cct, node: NodeId, mut add: impl FnMut(Bucket, NodeId)) {
+///   - its innermost enclosing frame-like scope (rule 1).
+fn exclusive_targets(cct: &Cct, node: NodeId, mut add: impl FnMut(NodeId)) {
     let kind = cct.kind(node);
     match kind {
         ScopeKind::Stmt { .. } | ScopeKind::Loop { .. } => {
-            add(Bucket::Exclusive, node);
+            add(node);
             if let Some(p) = cct.parent(node) {
                 if cct.kind(p).is_loop() && kind.is_stmt() {
-                    add(Bucket::Exclusive, p);
+                    add(p);
                 }
                 // Rule 1: attribute to the innermost frame-like scope.
                 if let Some(f) = cct.enclosing_frame_like(p) {
-                    add(Bucket::Exclusive, f);
-                    if f == p {
-                        add(Bucket::FrameDirect, f);
-                    }
+                    add(f);
                 }
             }
         }
         ScopeKind::Frame { .. } | ScopeKind::InlinedFrame { .. } => {
-            // Cost sampled directly at a frame (no statement info):
-            // belongs to the frame's exclusive and frame-direct buckets.
-            add(Bucket::Exclusive, node);
-            add(Bucket::FrameDirect, node);
+            // Cost sampled directly at a frame (no statement info)
+            // belongs to the frame's exclusive.
+            add(node);
         }
         ScopeKind::Root => {
             // Unattributable cost; keep it out of every exclusive
@@ -254,11 +230,10 @@ fn exclusive_targets(cct: &Cct, node: NodeId, mut add: impl FnMut(Bucket, NodeId
     }
 }
 
-/// The three results as node-indexed vectors, one slot per CCT node.
+/// Both results as node-indexed vectors, one slot per CCT node.
 struct Swept {
     inclusive: Vec<f64>,
     exclusive: Vec<f64>,
-    frame_direct: Vec<f64>,
 }
 
 impl Swept {
@@ -273,25 +248,20 @@ impl Swept {
             visited: self.inclusive.len(),
             inclusive: entries(self.inclusive),
             exclusive: entries(self.exclusive),
-            frame_direct: entries(self.frame_direct),
         }
     }
 }
 
 /// The kernel's branch for a column that touches most of the tree: the
-/// same additions in the same order over three node-indexed vectors —
+/// same additions in the same order over two node-indexed vectors —
 /// a scatter for Eq. 1, one reverse sweep for Eq. 2 (arena order is
 /// topological). It visits every node.
 fn sweep(cct: &Cct, direct: impl Iterator<Item = (u32, f64)>) -> Swept {
     let n = cct.len();
-    let (mut inclusive, mut exclusive, mut frame_direct) =
-        (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let (mut inclusive, mut exclusive) = (vec![0.0; n], vec![0.0; n]);
     for (i, d) in direct {
         inclusive[i as usize] = d;
-        exclusive_targets(cct, NodeId(i), |bucket, target| match bucket {
-            Bucket::Exclusive => exclusive[target.index()] += d,
-            Bucket::FrameDirect => frame_direct[target.index()] += d,
-        });
+        exclusive_targets(cct, NodeId(i), |target| exclusive[target.index()] += d);
     }
     for i in (1..n).rev() {
         let v = inclusive[i];
@@ -304,7 +274,6 @@ fn sweep(cct: &Cct, direct: impl Iterator<Item = (u32, f64)>) -> Swept {
     Swept {
         inclusive,
         exclusive,
-        frame_direct,
     }
 }
 
@@ -340,7 +309,7 @@ fn coalesce(mut adds: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
     adds
 }
 
-/// Compute inclusive, exclusive and frame-direct costs for metric `m`:
+/// Compute inclusive and exclusive costs for metric `m`:
 /// the kernel over the column's sorted non-zeros, then one bulk
 /// [`MetricVec::from_sorted`] per result (a swept column asked for as
 /// dense vectors is the sweep's own vectors).
@@ -351,7 +320,6 @@ pub fn attribute(cct: &Cct, raw: &RawMetrics, m: MetricId, storage: StorageKind)
             return Attribution {
                 inclusive: MetricVec::Dense(dense.inclusive),
                 exclusive: MetricVec::Dense(dense.exclusive),
-                frame_direct: MetricVec::Dense(dense.frame_direct),
             }
         }
         (Kernel::Swept(dense), _) => dense.into_sorted(),
@@ -360,15 +328,24 @@ pub fn attribute(cct: &Cct, raw: &RawMetrics, m: MetricId, storage: StorageKind)
     Attribution {
         inclusive: MetricVec::from_sorted(storage, sorted.inclusive),
         exclusive: MetricVec::from_sorted(storage, sorted.exclusive),
-        frame_direct: MetricVec::from_sorted(storage, sorted.frame_direct),
     }
 }
 
-/// Attribute every metric of `raw`, in metric-id order.
-pub fn attribute_all(cct: &Cct, raw: &RawMetrics, storage: StorageKind) -> Vec<Attribution> {
-    (0..raw.metric_count())
-        .map(|i| attribute(cct, raw, MetricId::from_usize(i), storage))
-        .collect()
+/// Frame-direct cost of `frame`, by definition: the direct cost sampled
+/// at the frame itself plus that of its immediate statement and loop
+/// children, added in ascending node order; zero for a scope that is not
+/// a frame. `direct` is the raw metric's column. The Flat View calls this
+/// when it fills a call-site row — the one place the quantity is shown.
+pub fn frame_direct(cct: &Cct, direct: &MetricVec, frame: NodeId) -> f64 {
+    if !cct.kind(frame).is_frame() {
+        return 0.0;
+    }
+    let body = cct
+        .children(frame)
+        .filter(|&c| matches!(cct.kind(c), ScopeKind::Stmt { .. } | ScopeKind::Loop { .. }));
+    std::iter::once(frame)
+        .chain(body)
+        .fold(0.0, |sum, n| sum + direct.get(n.0))
 }
 
 #[cfg(test)]
@@ -422,7 +399,7 @@ mod tests {
         assert_eq!(a.inclusive_at(l2), 4.0);
         assert_eq!(a.exclusive_at(l2), 4.0);
         // No statement is an immediate child of h.
-        assert_eq!(a.frame_direct_at(h), 0.0);
+        assert_eq!(frame_direct(&cct, raw.column(m), h), 0.0);
     }
 
     #[test]
@@ -441,7 +418,12 @@ mod tests {
 
         let a = attribute(&cct, &raw, m, StorageKind::Dense);
         assert_eq!(a.exclusive_at(f), 5.0, "rule 1: frame absorbs all stmts");
-        assert_eq!(a.frame_direct_at(f), 2.0, "only the body statement");
+        assert_eq!(
+            frame_direct(&cct, raw.column(m), f),
+            2.0,
+            "only the body statement"
+        );
+        assert_eq!(frame_direct(&cct, raw.column(m), l), 0.0, "not a frame");
         assert_eq!(a.exclusive_at(l), 3.0, "rule 2: direct child statement");
     }
 
@@ -522,7 +504,6 @@ mod tests {
         for n in cct.all_nodes() {
             assert_eq!(dense.inclusive_at(n), sparse.inclusive_at(n));
             assert_eq!(dense.exclusive_at(n), sparse.exclusive_at(n));
-            assert_eq!(dense.frame_direct_at(n), sparse.frame_direct_at(n));
         }
     }
 
@@ -536,6 +517,6 @@ mod tests {
         raw.add_cost(m, f, 3.0);
         let a = attribute(&cct, &raw, m, StorageKind::Dense);
         assert_eq!(a.exclusive_at(f), 3.0);
-        assert_eq!(a.frame_direct_at(f), 3.0);
+        assert_eq!(frame_direct(&cct, raw.column(m), f), 3.0);
     }
 }

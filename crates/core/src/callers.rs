@@ -15,27 +15,20 @@
 //! entries are built eagerly from one pass over the CCT; children
 //! materialize on first expansion. `CallersView::fully_expand` provides
 //! the eager variant for the ablation bench.
+//!
+//! A node's numbers are set-exposed sums over its instances of the
+//! experiment's attributed columns (`ViewTree::fill`, shared with the
+//! Flat View), computed when the node is materialized.
 
 use crate::experiment::Experiment;
-use crate::exposure::exposed;
-use crate::ids::{ColumnId, MetricId, NodeId, ProcId, ViewNodeId};
+use crate::ids::{NodeId, ProcId, ViewNodeId};
 use crate::metrics::StorageKind;
 use crate::scope::ScopeKind;
-use crate::viewtree::{ViewScope, ViewTree};
-use parking_lot::RwLock;
+use crate::viewtree::{Exclusive, ViewScope, ViewTree};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Memoized per-callee aggregation results: column values for one
-/// top-level procedure entry, keyed by `(procedure, metrics generation)`.
-/// The generation key makes mutation-safety automatic — after the raw
-/// metrics change, lookups miss and the entry is recomputed; until then,
-/// repeated view constructions and refreshes share one computation.
-type CalleeCache = HashMap<(ProcId, u64), Arc<Vec<f64>>>;
 
 /// Bottom-up (callers) view over an experiment.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CallersView {
     /// The materialized view nodes and their metric columns.
     pub tree: ViewTree,
@@ -44,24 +37,6 @@ pub struct CallersView {
     /// level the cursor is the instance itself; each expansion moves every
     /// cursor one caller up.
     cursors: Vec<Vec<NodeId>>,
-    /// Memoized top-level aggregation, shared across refreshes.
-    agg_cache: RwLock<CalleeCache>,
-    /// Cache hit counter (observable via [`CallersView::cache_stats`]).
-    hits: AtomicU64,
-    /// Cache miss counter.
-    misses: AtomicU64,
-}
-
-impl Clone for CallersView {
-    fn clone(&self) -> Self {
-        CallersView {
-            tree: self.tree.clone(),
-            cursors: self.cursors.clone(),
-            agg_cache: RwLock::new(self.agg_cache.read().clone()),
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            misses: AtomicU64::new(self.misses.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl CallersView {
@@ -72,9 +47,6 @@ impl CallersView {
         let mut view = CallersView {
             tree: ViewTree::new(storage),
             cursors: Vec::new(),
-            agg_cache: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         };
         // Mirror the experiment's column layout.
         for d in exp.columns.descs() {
@@ -82,8 +54,8 @@ impl CallersView {
         }
         // One pass over the CCT: bucket frames by procedure, preserving
         // first-appearance order for determinism.
-        let mut order: Vec<crate::ids::ProcId> = Vec::new();
-        let mut buckets: HashMap<crate::ids::ProcId, Vec<NodeId>> = HashMap::new();
+        let mut order: Vec<ProcId> = Vec::new();
+        let mut buckets: HashMap<ProcId, Vec<NodeId>> = HashMap::new();
         for n in exp.cct.all_nodes() {
             if let ScopeKind::Frame { proc, .. } = exp.cct.kind(n) {
                 let b = buckets.entry(proc).or_default();
@@ -100,16 +72,8 @@ impl CallersView {
             for &i in &instances {
                 view.tree.push_instance(node, i);
             }
-            view.fill_values(exp, node);
+            view.tree.fill(exp, node, Exclusive::Instances);
         }
-        view
-    }
-
-    /// Build and eagerly expand every node (the non-scalable variant, kept
-    /// for the lazy-vs-eager ablation of Section VII).
-    pub fn build_eager(exp: &Experiment, storage: StorageKind) -> Self {
-        let mut view = Self::build(exp, storage);
-        view.fully_expand(exp);
         view
     }
 
@@ -159,12 +123,13 @@ impl CallersView {
             for i in gi {
                 self.tree.push_instance(child, i);
             }
-            self.fill_values(exp, child);
+            self.tree.fill(exp, child, Exclusive::Instances);
         }
     }
 
-    /// Expand every reachable node (terminates because each level moves
-    /// every cursor strictly closer to the root).
+    /// Expand every reachable node — the eager, non-scalable variant of
+    /// the lazy-vs-eager ablation of Section VII (terminates because each
+    /// level moves every cursor strictly closer to the root).
     pub fn fully_expand(&mut self, exp: &Experiment) {
         let mut stack: Vec<ViewNodeId> = self.tree.roots();
         while let Some(n) = stack.pop() {
@@ -187,91 +152,6 @@ impl CallersView {
         self.cursors[n.index()]
             .iter()
             .any(|&c| exp.cct.caller_frame(c).is_some())
-    }
-
-    /// Compute one node's column values from its instance set:
-    /// set-exposed sums of both inclusive and (rule-1 frame) exclusive
-    /// values, then derived formulas over those aggregates. Pure in the
-    /// experiment — this is the unit the per-callee cache memoizes.
-    fn compute_values(exp: &Experiment, instances: &[NodeId], ncols: usize) -> Vec<f64> {
-        let keep = exposed(&exp.cct, instances);
-        let mut vals = vec![0.0; ncols];
-        let attrs = exp.attributions();
-        for mi in 0..exp.raw.metric_count() {
-            let m = MetricId::from_usize(mi);
-            let attr = &attrs[m.index()];
-            let (mut incl, mut excl) = (0.0, 0.0);
-            for &i in &keep {
-                incl += attr.inclusive.get(i.0);
-                excl += attr.exclusive.get(i.0);
-            }
-            vals[exp.inclusive_col(m).index()] = incl;
-            vals[exp.exclusive_col(m).index()] = excl;
-        }
-        for (c, expr) in exp.derived_formulas() {
-            vals[c.index()] = expr.eval(&crate::derived::SliceContext {
-                columns: &vals,
-                aggregates: exp.aggregates(),
-            });
-        }
-        vals
-    }
-
-    /// Aggregated column values for top-level callee `proc`, memoized by
-    /// `(proc, metrics generation)` so repeated view constructions and
-    /// refreshes over unchanged metrics share one aggregation pass.
-    fn callee_totals(&self, exp: &Experiment, proc: ProcId, instances: &[NodeId]) -> Arc<Vec<f64>> {
-        let key = (proc, exp.raw.generation());
-        if let Some(v) = self.agg_cache.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let vals = Arc::new(Self::compute_values(
-            exp,
-            instances,
-            self.tree.columns.column_count(),
-        ));
-        self.agg_cache.write().insert(key, vals.clone());
-        vals
-    }
-
-    /// `(hits, misses)` of the per-callee aggregation cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Recompute every materialized node's column values against the
-    /// experiment's current metrics. Top-level entries go through the
-    /// `(proc, generation)` cache: a refresh over unchanged metrics is
-    /// pure cache hits, while one after mutation recomputes (and caches)
-    /// fresh aggregates.
-    pub fn refresh(&mut self, exp: &Experiment) {
-        for i in 0..self.tree.len() as u32 {
-            self.fill_values(exp, ViewNodeId(i));
-        }
-    }
-
-    /// Write a node's column values, routing top-level procedure entries
-    /// through the memoized per-callee aggregation.
-    fn fill_values(&mut self, exp: &Experiment, n: ViewNodeId) {
-        let vals: Arc<Vec<f64>> = match *self.tree.scope(n) {
-            ViewScope::ProcTop { proc } => {
-                let instances = self.tree.instances(n).to_vec();
-                self.callee_totals(exp, proc, &instances)
-            }
-            _ => Arc::new(Self::compute_values(
-                exp,
-                self.tree.instances(n),
-                self.tree.columns.column_count(),
-            )),
-        };
-        for (i, &v) in vals.iter().enumerate() {
-            self.tree.columns.set(ColumnId(i as u32), n.0, v);
-        }
     }
 }
 
@@ -432,14 +312,16 @@ mod tests {
         let (exp, procs) = fig1_experiment();
         let view = CallersView::build(&exp, StorageKind::Dense);
         assert_eq!(view.tree.len(), procs.len(), "no children materialized");
-        let eager = CallersView::build_eager(&exp, StorageKind::Dense);
+        let mut eager = view.clone();
+        eager.fully_expand(&exp);
         assert!(eager.tree.len() > procs.len());
     }
 
     #[test]
     fn eager_matches_fig2b_node_count() {
         let (exp, _) = fig1_experiment();
-        let eager = CallersView::build_eager(&exp, StorageKind::Dense);
+        let mut eager = CallersView::build(&exp, StorageKind::Dense);
+        eager.fully_expand(&exp);
         // Fig. 2b has 15 nodes: ga..gd, fa..fd, ma..me, m, h.
         assert_eq!(eager.tree.len(), 15);
     }
@@ -455,39 +337,6 @@ mod tests {
         let len = view.tree.len();
         view.expand(&exp, ga);
         assert_eq!(view.tree.len(), len);
-    }
-
-    #[test]
-    fn refresh_hits_cache_until_metrics_mutate() {
-        let (exp, procs) = fig1_experiment();
-        let mut view = CallersView::build(&exp, StorageKind::Dense);
-        let (h0, m0) = view.cache_stats();
-        assert_eq!(h0, 0);
-        assert_eq!(m0, procs.len() as u64, "one miss per top-level entry");
-
-        // Same generation: a refresh is pure cache hits.
-        view.refresh(&exp);
-        let (h1, m1) = view.cache_stats();
-        assert_eq!(m1, m0, "no new misses");
-        assert_eq!(h1, procs.len() as u64);
-
-        // Mutate the raw metrics: the generation key changes, so the next
-        // refresh recomputes every top-level aggregate.
-        let mut exp = exp;
-        let g_root = view
-            .tree
-            .roots()
-            .into_iter()
-            .find(|&r| view.tree.label(r, &exp.cct.names) == "g")
-            .unwrap();
-        let before = value(&view, g_root, 0);
-        // Node 12 is s_g3, a statement under the exposed g3 activation.
-        exp.raw.add_cost(MetricId(0), NodeId(12), 2.0);
-        view.refresh(&exp);
-        let (_, m2) = view.cache_stats();
-        assert_eq!(m2, m1 + procs.len() as u64, "every entry recomputed");
-        let after = value(&view, g_root, 0);
-        assert_eq!(after, before + 2.0, "g's exposed inclusive grew");
     }
 
     #[test]

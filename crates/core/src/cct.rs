@@ -28,11 +28,10 @@ use crate::ids::NodeId;
 use crate::mapped::MappedTopology;
 use crate::names::NameTable;
 use crate::scope::{ScopeKind, StaticKey};
-use serde::{Deserialize, Serialize};
 
 const NONE: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Node {
     kind: ScopeKind,
     parent: u32,
@@ -42,7 +41,7 @@ struct Node {
 }
 
 /// The arena backing: owned nodes or a borrowed database image.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum NodeStore {
     Owned(Vec<Node>),
     Mapped(MappedTopology),
@@ -50,7 +49,7 @@ enum NodeStore {
 
 /// A canonical calling context tree plus the name tables its scopes
 /// reference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cct {
     store: NodeStore,
     /// Name tables the scopes reference.

@@ -27,11 +27,10 @@
 //! Functions: `min`, `max` (n-ary), `sqrt`, `abs`, `ln`, `exp`, `floor`,
 //! `ceil`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Parsed formula AST.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// A numeric literal.
     Num(f64),
@@ -56,7 +55,7 @@ pub enum Expr {
 }
 
 /// Built-in functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Func {
     /// N-ary minimum.
     Min,

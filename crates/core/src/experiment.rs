@@ -1,57 +1,33 @@
 //! The in-memory experiment database: a canonical CCT plus attributed
 //! metric columns — what `hpcprof` hands to `hpcviewer`.
 //!
-//! Attribution results (the Eq. 2 inclusive and Eq. 1 exclusive columns)
-//! are **cached per metrics generation**: they are computed once, shared
-//! by every view that asks, and transparently recomputed after the raw
-//! metrics mutate (e.g. a late-arriving rank folded in with
-//! [`RawMetrics::add_cost`]). Callers never observe stale sums.
+//! Attributed values (the Eq. 2 inclusive and Eq. 1 exclusive columns)
+//! live in exactly one place, [`Experiment::columns`], and all three
+//! views read them there. [`Experiment::build`] attributes every metric
+//! once and installs the results as the columns; a lazily opened
+//! database ([`Experiment::open_lazy`]) attributes a metric when one of
+//! its two columns is first read. Either way an experiment is attributed
+//! as of its construction: to fold in late costs (a late-arriving rank,
+//! say), take the public `cct` and `raw` back out, [`RawMetrics::add_cost`]
+//! and `build` again — every view built from the new experiment then
+//! shows the new numbers.
 
-use crate::attribution::{attribute_all, Attribution};
+use crate::attribution::attribute;
 use crate::cct::Cct;
 use crate::derived::{Expr, FormulaError, SliceContext};
 use crate::ids::{ColumnId, MetricId, NodeId};
 use crate::metrics::{ColumnDesc, ColumnFlavor, ColumnSet, RawMetrics, StorageKind};
-use parking_lot::RwLock;
-use std::sync::Arc;
-
-/// Generation-stamped attribution results shared behind the cache lock.
-#[derive(Debug)]
-struct AttrCache {
-    /// [`RawMetrics::generation`] at compute time.
-    generation: u64,
-    /// One [`Attribution`] per raw metric, in metric-id order.
-    attributions: Arc<Vec<Attribution>>,
-}
-
-/// Shared handle to one metric's cached attribution; derefs to
-/// [`Attribution`] so call sites read `handle.inclusive` directly.
-#[derive(Debug, Clone)]
-pub struct AttributionHandle {
-    attrs: Arc<Vec<Attribution>>,
-    index: usize,
-}
-
-impl std::ops::Deref for AttributionHandle {
-    type Target = Attribution;
-
-    fn deref(&self) -> &Attribution {
-        &self.attrs[self.index]
-    }
-}
 
 /// A fully attributed experiment: the input to every presentation view.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Experiment {
     /// The canonical calling context tree.
     pub cct: Cct,
     /// Direct (sample-point) costs per raw metric.
     pub raw: RawMetrics,
-    /// Cached per-metric attribution results, keyed by the raw metrics
-    /// generation they were computed at.
-    attr_cache: RwLock<AttrCache>,
     /// Presentation columns over CCT nodes: two per raw metric (inclusive,
-    /// exclusive) followed by any derived columns.
+    /// exclusive) followed by any derived columns. The only store of
+    /// attributed values.
     pub columns: ColumnSet,
     /// Parsed formulas for derived columns, in column order.
     derived: Vec<(ColumnId, Expr)>,
@@ -61,70 +37,44 @@ pub struct Experiment {
     storage: StorageKind,
 }
 
-impl Clone for Experiment {
-    fn clone(&self) -> Self {
-        let cache = self.attr_cache.read();
-        Experiment {
-            cct: self.cct.clone(),
-            raw: self.raw.clone(),
-            attr_cache: RwLock::new(AttrCache {
-                generation: cache.generation,
-                attributions: cache.attributions.clone(),
-            }),
-            columns: self.columns.clone(),
-            derived: self.derived.clone(),
-            aggregates: self.aggregates.clone(),
-            storage: self.storage,
-        }
-    }
-}
-
 impl Experiment {
     /// Attribute all metrics of `raw` over `cct` and set up the standard
     /// inclusive/exclusive column pair per metric.
     pub fn build(cct: Cct, raw: RawMetrics, storage: StorageKind) -> Self {
-        let generation = raw.generation();
-        let attributions = attribute_all(&cct, &raw, storage);
         let mut columns = ColumnSet::new(storage);
         let mut aggregates = Vec::new();
         let root = cct.root();
-        for (mi, attr) in attributions.iter().enumerate() {
+        for mi in 0..raw.metric_count() {
             let m = MetricId::from_usize(mi);
-            let desc = raw.desc(m);
-            let ci = columns.add_column(ColumnDesc {
-                name: format!("{} (I)", desc.name),
-                flavor: ColumnFlavor::Inclusive(m),
-                visible: true,
-            });
-            let ce = columns.add_column(ColumnDesc {
-                name: format!("{} (E)", desc.name),
-                flavor: ColumnFlavor::Exclusive(m),
-                visible: true,
-            });
-            for n in cct.all_nodes() {
-                let iv = attr.inclusive.get(n.0);
-                if iv != 0.0 {
-                    columns.set(ci, n.0, iv);
-                }
-                let ev = attr.exclusive.get(n.0);
-                if ev != 0.0 {
-                    columns.set(ce, n.0, ev);
-                }
-            }
-            aggregates.push(attr.inclusive.get(root.0));
+            let attr = attribute(&cct, &raw, m, storage);
+            let total = attr.inclusive.get(root.0);
+            let name = &raw.desc(m).name;
+            columns.add_column_with(
+                ColumnDesc {
+                    name: format!("{name} (I)"),
+                    flavor: ColumnFlavor::Inclusive(m),
+                    visible: true,
+                },
+                attr.inclusive,
+            );
+            columns.add_column_with(
+                ColumnDesc {
+                    name: format!("{name} (E)"),
+                    flavor: ColumnFlavor::Exclusive(m),
+                    visible: true,
+                },
+                attr.exclusive,
+            );
+            aggregates.push(total);
             // The aggregate of an exclusive column is the program total as
             // well: summed over all scopes, exclusive costs cover each
             // sample exactly once at statement level; using the root
             // inclusive keeps `$e/@e` percentages meaningful.
-            aggregates.push(attr.inclusive.get(root.0));
+            aggregates.push(total);
         }
         Experiment {
             cct,
             raw,
-            attr_cache: RwLock::new(AttrCache {
-                generation,
-                attributions: Arc::new(attributions),
-            }),
             columns,
             derived: Vec::new(),
             aggregates,
@@ -138,12 +88,10 @@ impl Experiment {
     /// the stored per-column totals, and `derived` carries the parsed
     /// formulas of any derived columns already present in `columns`.
     ///
-    /// Nothing is attributed here — that is the point. The attribution
-    /// cache starts *stale* (generation deliberately mismatched), so the
-    /// first caller of [`Experiment::attributions`] — the callers/flat
-    /// view path — computes it then, faulting the raw columns in. The
-    /// calling-context view reads `columns` directly and faults only the
-    /// columns it renders.
+    /// Nothing is attributed here — that is the point. Every view reads
+    /// `columns`, whose source attributes a metric the first time one of
+    /// its two columns is read; the raw columns are faulted only by what
+    /// reads direct costs (Flat call-site rows, re-encoding).
     pub fn open_lazy(
         cct: Cct,
         raw: RawMetrics,
@@ -152,14 +100,9 @@ impl Experiment {
         aggregates: Vec<f64>,
         storage: StorageKind,
     ) -> Self {
-        let stale = raw.generation().wrapping_sub(1);
         Experiment {
             cct,
             raw,
-            attr_cache: RwLock::new(AttrCache {
-                generation: stale,
-                attributions: Arc::new(Vec::new()),
-            }),
             columns,
             derived,
             aggregates,
@@ -177,44 +120,23 @@ impl Experiment {
         ColumnId(m.0 * 2 + 1)
     }
 
-    /// All cached attribution results, revalidated against the raw
-    /// metrics generation: if `raw` has mutated since the cache was
-    /// filled, every metric is re-attributed once (under the write lock)
-    /// and the fresh results are shared from then on.
-    pub fn attributions(&self) -> Arc<Vec<Attribution>> {
-        let generation = self.raw.generation();
-        {
-            let cache = self.attr_cache.read();
-            if cache.generation == generation {
-                return cache.attributions.clone();
-            }
-        }
-        let mut cache = self.attr_cache.write();
-        // Another thread may have refreshed while we waited for the lock.
-        if cache.generation != generation {
-            cache.attributions = Arc::new(attribute_all(&self.cct, &self.raw, self.storage));
-            cache.generation = generation;
-        }
-        cache.attributions.clone()
-    }
-
-    /// Attribution results of metric `m` (from the generation-validated
-    /// cache; cheap to call repeatedly).
-    pub fn attribution(&self, m: MetricId) -> AttributionHandle {
-        AttributionHandle {
-            attrs: self.attributions(),
-            index: m.index(),
+    /// Make every metric's inclusive and exclusive column resident — what
+    /// the first Callers or Flat View of a lazily opened database needs.
+    /// Free on a built experiment and on columns already faulted in.
+    pub fn attributions(&self) {
+        for c in 0..self.raw.metric_count() * 2 {
+            self.columns.vec(ColumnId::from_usize(c));
         }
     }
 
-    /// Cached Eq. 2 inclusive cost of metric `m` at node `n`.
+    /// Eq. 2 inclusive cost of metric `m` at node `n`.
     pub fn inclusive(&self, m: MetricId, n: NodeId) -> f64 {
-        self.attribution(m).inclusive.get(n.0)
+        self.columns.get(self.inclusive_col(m), n.0)
     }
 
-    /// Cached Eq. 1 exclusive cost of metric `m` at node `n`.
+    /// Eq. 1 exclusive cost of metric `m` at node `n`.
     pub fn exclusive(&self, m: MetricId, n: NodeId) -> f64 {
-        self.attribution(m).exclusive.get(n.0)
+        self.columns.get(self.exclusive_col(m), n.0)
     }
 
     /// The storage flavor this experiment's columns use.
@@ -279,35 +201,6 @@ impl Experiment {
         }
         self.derived.push((c, expr));
         Ok(c)
-    }
-
-    /// Evaluate all derived columns of this experiment into `target`, a
-    /// column set over some view tree whose inclusive/exclusive (and
-    /// summary) columns are already filled for nodes `0..n_nodes`.
-    pub fn eval_derived_into(&self, target: &mut ColumnSet, n_nodes: usize) {
-        self.eval_derived_range(target, 0, n_nodes);
-    }
-
-    /// [`Experiment::eval_derived_into`] restricted to view nodes
-    /// `start..end` — lazy views call this for just-materialized children
-    /// instead of re-deriving the whole tree.
-    pub fn eval_derived_range(&self, target: &mut ColumnSet, start: usize, end: usize) {
-        if self.derived.is_empty() {
-            return;
-        }
-        let ncols = target.column_count() as u32;
-        for node in start as u32..end as u32 {
-            for (c, expr) in &self.derived {
-                let inputs: Vec<f64> = (0..ncols).map(|i| target.get(ColumnId(i), node)).collect();
-                let v = expr.eval(&SliceContext {
-                    columns: &inputs,
-                    aggregates: &self.aggregates,
-                });
-                if v != 0.0 {
-                    target.set(*c, node, v);
-                }
-            }
-        }
     }
 
     /// Direct (sample-point) cost column for metric `m` — needed when views
@@ -412,34 +305,38 @@ mod tests {
     }
 
     #[test]
-    fn attribution_cache_is_shared_until_mutation() {
+    fn late_cost_is_folded_in_by_rebuild() {
         let exp = tiny_experiment();
-        let a = exp.attributions();
-        let b = exp.attributions();
-        assert!(Arc::ptr_eq(&a, &b), "unchanged raw must share the cache");
-    }
-
-    #[test]
-    fn inclusive_cache_invalidates_after_add_cost() {
-        let mut exp = tiny_experiment();
         let cyc = MetricId(0);
-        let root = exp.cct.root();
-        let stale = exp.attributions();
-        assert_eq!(exp.inclusive(cyc, root), 1000.0);
-        // A late-arriving cost at the statement node (id 3 in the tiny
-        // tree) must show up in freshly queried inclusive sums.
         let stmt = NodeId(3);
-        exp.raw.add_cost(cyc, stmt, 500.0);
-        let fresh = exp.attributions();
-        assert!(
-            !Arc::ptr_eq(&stale, &fresh),
-            "mutation must invalidate the attribution cache"
-        );
-        assert_eq!(exp.inclusive(cyc, root), 1500.0);
-        assert_eq!(exp.inclusive(cyc, stmt), 1500.0);
+        let chain: Vec<NodeId> = std::iter::once(stmt)
+            .chain(exp.cct.ancestors(stmt))
+            .collect();
+        assert_eq!(chain.len(), 4, "stmt, work, main, root");
+        let before: Vec<f64> = chain.iter().map(|&n| exp.inclusive(cyc, n)).collect();
+        // A late-arriving cost at the statement: take the tree and the
+        // raw metrics back out, add it, attribute again.
+        let Experiment { cct, mut raw, .. } = exp;
+        raw.add_cost(cyc, stmt, 500.0);
+        let exp = Experiment::build(cct, raw, StorageKind::Dense);
+        for (&n, &old) in chain.iter().zip(&before) {
+            assert_eq!(exp.inclusive(cyc, n), old + 500.0, "node {n:?}");
+            assert_eq!(exp.columns.get(exp.inclusive_col(cyc), n.0), old + 500.0);
+        }
         assert_eq!(exp.exclusive(cyc, stmt), 1500.0);
-        // And the refreshed cache is stable until the next mutation.
-        assert!(Arc::ptr_eq(&fresh, &exp.attributions()));
+        assert_eq!(exp.aggregate(exp.inclusive_col(cyc)), 1500.0);
+        // The other views read the same columns: `work`'s Callers entry.
+        let callers = crate::callers::CallersView::build(&exp, StorageKind::Dense);
+        let work = callers
+            .tree
+            .roots()
+            .into_iter()
+            .find(|&r| callers.tree.label(r, &exp.cct.names) == "work")
+            .unwrap();
+        assert_eq!(
+            callers.tree.columns.get(exp.inclusive_col(cyc), work.0),
+            1500.0
+        );
     }
 
     #[test]

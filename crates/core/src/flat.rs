@@ -30,11 +30,10 @@
 //! trees that are already fully forced.
 
 use crate::experiment::Experiment;
-use crate::exposure::exposed;
-use crate::ids::{MetricId, ViewNodeId};
+use crate::ids::ViewNodeId;
 use crate::metrics::StorageKind;
 use crate::scope::ScopeKind;
-use crate::viewtree::{ViewScope, ViewTree};
+use crate::viewtree::{Exclusive, ViewScope, ViewTree};
 use std::collections::HashMap;
 
 /// Static (flat) view over an experiment, with lazily filled procedure
@@ -96,31 +95,20 @@ impl FlatView {
         // procedures'/files' exclusives.
         for &v in &all {
             if matches!(tree.scope(v), ViewScope::Procedure { .. }) {
-                Self::fill_from_instances(exp, &mut tree, v, false);
+                tree.fill(exp, v, Exclusive::Instances);
             }
         }
-        for &v in all.iter() {
+        for &v in &all {
             if matches!(tree.scope(v), ViewScope::File { .. }) {
-                Self::fill_container(exp, &mut tree, v);
+                tree.fill(exp, v, Exclusive::Children);
             }
         }
-        for &v in all.iter() {
+        for &v in &all {
             if matches!(tree.scope(v), ViewScope::Module { .. }) {
-                Self::fill_container(exp, &mut tree, v);
+                tree.fill(exp, v, Exclusive::Children);
             }
         }
-
-        let n_nodes = tree.len();
-        exp.eval_derived_into(&mut tree.columns, n_nodes);
         FlatView { tree }
-    }
-
-    /// Build the Flat View with every node materialized, as the
-    /// pre-lazy implementation did: the shell plus [`FlatView::force_all`].
-    pub fn build_eager(exp: &Experiment, storage: StorageKind) -> Self {
-        let mut view = Self::build(exp, storage);
-        view.force_all(exp);
-        view
     }
 
     /// Materialize `v`'s children if they haven't been yet. Idempotent.
@@ -175,11 +163,14 @@ impl FlatView {
         }
         for id in first_new..self.tree.len() as u32 {
             let child = ViewNodeId(id);
-            let call_site = matches!(self.tree.scope(child), ViewScope::CallSite { .. });
-            Self::fill_from_instances(exp, &mut self.tree, child, call_site);
+            // A call-site row's exclusive is the callee frames' own body
+            // cost (`hy = (4,0)` in Fig. 2c); static scopes show Eq. 1.
+            let exclusive = match self.tree.scope(child) {
+                ViewScope::CallSite { .. } => Exclusive::FrameDirect,
+                _ => Exclusive::Instances,
+            };
+            self.tree.fill(exp, child, exclusive);
         }
-        let end = self.tree.len();
-        exp.eval_derived_range(&mut self.tree.columns, first_new as usize, end);
     }
 
     /// Children of `v`, materializing them on first use.
@@ -245,63 +236,6 @@ impl FlatView {
             cur = next;
         }
         cur
-    }
-
-    /// Inclusive = set-exposed instance sum; exclusive = set-exposed sum of
-    /// either the rule-1/rule-2 exclusive (static scopes) or the
-    /// frame-direct cost (dynamic call-site nodes, cf. `hy = (4,0)` in
-    /// Fig. 2c).
-    fn fill_from_instances(exp: &Experiment, tree: &mut ViewTree, v: ViewNodeId, call_site: bool) {
-        let keep = exposed(&exp.cct, tree.instances(v));
-        for mi in 0..exp.raw.metric_count() {
-            let m = MetricId::from_usize(mi);
-            let attr = exp.attribution(m);
-            let (mut incl, mut excl) = (0.0, 0.0);
-            for &i in &keep {
-                incl += attr.inclusive.get(i.0);
-                excl += if call_site {
-                    attr.frame_direct.get(i.0)
-                } else {
-                    attr.exclusive.get(i.0)
-                };
-            }
-            if incl != 0.0 {
-                tree.columns.set(exp.inclusive_col(m), v.0, incl);
-            }
-            if excl != 0.0 {
-                tree.columns.set(exp.exclusive_col(m), v.0, excl);
-            }
-        }
-    }
-
-    /// Containers (file, module): inclusive from set-exposed instances,
-    /// exclusive as the sum of child containers'/procedures' exclusives
-    /// (`file2.e = gx.e + hx.e = 8` in Fig. 2c).
-    fn fill_container(exp: &Experiment, tree: &mut ViewTree, v: ViewNodeId) {
-        let keep = exposed(&exp.cct, tree.instances(v));
-        let children = tree.children(v);
-        for mi in 0..exp.raw.metric_count() {
-            let m = MetricId::from_usize(mi);
-            let attr = exp.attribution(m);
-            let incl: f64 = keep.iter().map(|i| attr.inclusive.get(i.0)).sum();
-            let ce = exp.exclusive_col(m);
-            let excl: f64 = children
-                .iter()
-                .filter(|&&c| {
-                    matches!(
-                        tree.scope(c),
-                        ViewScope::Procedure { .. } | ViewScope::File { .. }
-                    )
-                })
-                .map(|&c| tree.columns.get(ce, c.0))
-                .sum();
-            if incl != 0.0 {
-                tree.columns.set(exp.inclusive_col(m), v.0, incl);
-            }
-            if excl != 0.0 {
-                tree.columns.set(ce, v.0, excl);
-            }
-        }
     }
 }
 
@@ -401,6 +335,13 @@ mod tests {
         Experiment::build(cct, raw, StorageKind::Dense)
     }
 
+    /// The shell with every deferred fill forced: the whole tree.
+    fn forced(exp: &Experiment) -> FlatView {
+        let mut view = FlatView::build(exp, StorageKind::Dense);
+        view.force_all(exp);
+        view
+    }
+
     fn val(view: &FlatView, n: ViewNodeId, col: u32) -> f64 {
         view.tree.columns.get(ColumnId(col), n.0)
     }
@@ -457,7 +398,7 @@ mod tests {
     #[test]
     fn loops_match_fig2c() {
         let exp = fig1_experiment();
-        let view = FlatView::build_eager(&exp, StorageKind::Dense);
+        let view = forced(&exp);
         let module = find(&view, &exp, None, "a.out");
         let file2 = find(&view, &exp, Some(module), "file2.c");
         let hx = find(&view, &exp, Some(file2), "h");
@@ -470,7 +411,7 @@ mod tests {
     #[test]
     fn call_site_nodes_match_fig2c() {
         let exp = fig1_experiment();
-        let view = FlatView::build_eager(&exp, StorageKind::Dense);
+        let view = forced(&exp);
         let module = find(&view, &exp, None, "a.out");
         let file1 = find(&view, &exp, Some(module), "file1.c");
         let file2 = find(&view, &exp, Some(module), "file2.c");
@@ -553,7 +494,7 @@ mod tests {
     #[test]
     fn flatten_keeps_leaves() {
         let exp = fig1_experiment();
-        let view = FlatView::build_eager(&exp, StorageKind::Dense);
+        let view = forced(&exp);
         let deep = flatten(&view.tree, &view.tree.roots(), 100);
         // Fixed point: every element is a leaf.
         assert!(deep.iter().all(|&n| !view.tree.has_children(n)));
@@ -586,7 +527,7 @@ mod tests {
                 _ => assert!(shell.tree.is_expanded(v)),
             }
         }
-        let eager = FlatView::build_eager(&exp, StorageKind::Dense);
+        let eager = forced(&exp);
         assert!(eager.tree.len() > shell.tree.len());
     }
 
@@ -655,7 +596,7 @@ mod tests {
             }
             cur = next;
         }
-        let eager = FlatView::build_eager(&exp, StorageKind::Dense);
+        let eager = forced(&exp);
         assert_eq!(lazy.tree.len(), eager.tree.len());
         assert_same_forest(&lazy, &eager);
     }
@@ -664,7 +605,7 @@ mod tests {
     fn forcing_flatten_on_unforced_tree_matches_eager_flatten() {
         let exp = fig1_experiment();
         let mut lazy = FlatView::build(&exp, StorageKind::Dense);
-        let eager = FlatView::build_eager(&exp, StorageKind::Dense);
+        let eager = forced(&exp);
         for level in 0..6 {
             let from_lazy = lazy.flatten(&exp, &lazy.tree.roots(), level);
             let from_eager = flatten(&eager.tree, &eager.tree.roots(), level);

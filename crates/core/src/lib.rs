@@ -91,7 +91,7 @@ pub mod viewtree;
 
 /// Convenient re-exports of the types most users need.
 pub mod prelude {
-    pub use crate::attribution::{attribute, attribute_all, Attribution};
+    pub use crate::attribution::{attribute, Attribution};
     pub use crate::callers::CallersView;
     pub use crate::cct::Cct;
     pub use crate::chunked::{chunked_map, chunked_reduce, resolve_threads};

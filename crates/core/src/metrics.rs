@@ -15,13 +15,12 @@
 //! the parallel-ingestion workhorse: workers accumulate into
 //! [`ColumnBuilder`]s and the reduction merges frozen columns in O(nnz).
 //!
-//! [`RawMetrics`] additionally carries a **generation counter** bumped by
-//! every mutation; derived caches (attribution results, callers-view
-//! aggregates) key on it to revalidate instead of serving stale values.
+//! [`RawMetrics`] and [`ColumnSet`] each carry a **generation counter**
+//! bumped by every mutation; cached child orderings key on it to
+//! revalidate instead of serving stale values.
 
 use crate::ids::{ColumnId, MetricId};
 use crate::mapped::{ColumnData, MappedCol};
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,7 +165,7 @@ impl LazySlots {
 }
 
 /// Description of a raw (measured) metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricDesc {
     /// e.g. `PAPI_TOT_CYC`, `PAPI_L1_DCM`, `PAPI_FP_OPS`, `IDLENESS`.
     pub name: String,
@@ -196,7 +195,7 @@ impl MetricDesc {
 /// the sorted arrays once it grows past a threshold, keeping amortized
 /// cost near O(log nnz) per operation while ordered scans stay a plain
 /// slice walk.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CsrColumn {
     /// Node ids with (potentially) non-zero values, strictly ascending.
     keys: Vec<u32>,
@@ -457,7 +456,7 @@ impl ColumnBuilder {
 
 /// Per-node storage for one metric column. Indices are node ids of whatever
 /// tree the containing table is attached to (CCT or a view tree).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum MetricVec {
     /// Dense vector indexed by node id.
     Dense(Vec<f64>),
@@ -715,7 +714,7 @@ impl Iterator for NonzeroSorted<'_> {
 }
 
 /// Which storage flavor new columns use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageKind {
     /// One `f64` slot per node; fastest lookups, O(nodes) memory.
     Dense,
@@ -740,7 +739,7 @@ fn empty_vec(storage: StorageKind) -> MetricVec {
 ///
 /// `values[m].get(n)` is the cost measured *at* node `n` for metric `m`:
 /// sample count × period, before any inclusive/exclusive attribution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RawMetrics {
     descs: Vec<MetricDesc>,
     values: Vec<MetricVec>,
@@ -748,10 +747,7 @@ pub struct RawMetrics {
     /// Bumped by every mutation; caches key on it ([`RawMetrics::generation`]).
     generation: u64,
     /// Lazy-fault slots for metrics backed by a [`ColumnSource`]
-    /// (CPDB databases). Not serialized: persisting a lazily
-    /// opened experiment goes through the database model, which reads
-    /// every column via the faulting accessors.
-    #[serde(skip)]
+    /// (CPDB databases).
     lazy: LazySlots,
 }
 
@@ -826,10 +822,8 @@ impl RawMetrics {
     /// Mutation counter: incremented by every operation that can change
     /// metric values ([`RawMetrics::add_metric`],
     /// [`RawMetrics::record_samples`], [`RawMetrics::add_cost`],
-    /// [`RawMetrics::add_costs`]). Derived caches — attribution results on
-    /// [`crate::experiment::Experiment`], callers-view per-callee
-    /// aggregates — store the generation they were computed at and
-    /// recompute when it no longer matches.
+    /// [`RawMetrics::add_costs`]). The Calling Context View's stamp for
+    /// cached child orderings includes it.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -926,7 +920,7 @@ impl RawMetrics {
 }
 
 /// How a presentation column derives its values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnFlavor {
     /// Inclusive projection of a raw metric (Eq. 2).
     Inclusive(MetricId),
@@ -948,7 +942,7 @@ pub enum ColumnFlavor {
 }
 
 /// A presentation column: what the metric pane shows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDesc {
     /// Column title shown in the metric pane.
     pub name: String,
@@ -961,7 +955,7 @@ pub struct ColumnDesc {
 
 /// A table of presentation columns attached to some tree (CCT or view
 /// tree). Column values are indexed by node id within that tree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColumnSet {
     descs: Vec<ColumnDesc>,
     values: Vec<MetricVec>,
@@ -970,12 +964,9 @@ pub struct ColumnSet {
     /// sort-order caches over view trees key on it so a column appended
     /// or rewritten after the fact (e.g. summary statistics via
     /// `append_view_columns`) invalidates cached orderings.
-    #[serde(default)]
     generation: u64,
     /// Lazy-fault bookkeeping for columns backed by a [`ColumnSource`]
-    /// (CPDB databases). Not serialized: persisting goes through the
-    /// database model, which reads values via the faulting accessors.
-    #[serde(skip)]
+    /// (CPDB databases).
     lazy: LazySlots,
 }
 
@@ -1056,6 +1047,15 @@ impl ColumnSet {
         self.descs.push(desc);
         self.values.push(empty_vec(self.storage));
         self.generation += 1;
+        id
+    }
+
+    /// Append a presentation column whose values are already computed:
+    /// the vector becomes the column's storage as it is, with no
+    /// per-node copy.
+    pub fn add_column_with(&mut self, desc: ColumnDesc, values: MetricVec) -> ColumnId {
+        let id = self.add_column(desc);
+        self.values[id.index()] = values;
         id
     }
 

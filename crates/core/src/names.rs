@@ -7,15 +7,13 @@
 //! passes rely on heavily.
 
 use crate::ids::{FileId, LoadModuleId, ProcId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A single interning table mapping strings to dense `u32` ids.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 struct Interner {
     strings: Vec<String>,
-    #[serde(skip)]
     lookup: HashMap<String, u32>,
 }
 
@@ -56,7 +54,7 @@ impl Interner {
 /// Procedures, files and load modules intern into separate namespaces, so a
 /// file and a procedure that happen to share a spelling still get distinct
 /// typed ids.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct NameTable {
     procs: Interner,
     files: Interner,
@@ -119,7 +117,7 @@ impl NameTable {
 ///
 /// Line 0 means "unknown line" (e.g. a binary-only routine with no line
 /// map, like the `main` wrapper the paper shows in plain black).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceLoc {
     /// The file.
     pub file: FileId,
@@ -183,12 +181,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_survives_serde_roundtrip() {
+    fn an_emptied_lookup_is_rebuilt_before_interning() {
         let mut t = NameTable::new();
         t.proc("f");
         t.proc("g");
-        // Simulate the post-deserialization state where the lookup map is
-        // empty but strings are present.
+        // Strings present, lookup map empty.
         let mut t2 = t.clone();
         t2.procs.lookup.clear();
         let g = t2.proc("g");

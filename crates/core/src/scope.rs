@@ -10,10 +10,9 @@
 
 use crate::ids::{FileId, LoadModuleId, ProcId};
 use crate::names::{NameTable, SourceLoc};
-use serde::{Deserialize, Serialize};
 
 /// The kind of a node in a canonical calling context tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScopeKind {
     /// The synthetic root of the experiment (aggregates whole-program cost).
     Root,
@@ -130,7 +129,7 @@ impl ScopeKind {
 /// answer is this key: procedures by id, loops and statements by their
 /// source location qualified with the owning procedure (two procedures may
 /// share a file and overlapping line ranges after inlining).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StaticKey {
     /// A procedure (all dynamic activations of it).
     Proc(ProcId),

@@ -9,10 +9,8 @@
 //! "assemble intermediate summary metric values into final values" step),
 //! so reduction can proceed in parallel over disjoint rank subsets.
 
-use serde::{Deserialize, Serialize};
-
 /// A summary statistic over per-process metric values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stat {
     /// Arithmetic mean over processes.
     Mean,
@@ -45,7 +43,7 @@ impl Stat {
 
 /// Numerically stable streaming accumulator (Welford's algorithm) with
 /// min/max tracking and parallel merge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,

@@ -3,18 +3,22 @@
 //! Unlike the canonical CCT, whose nodes are *instances* (one node per
 //! calling context), a view node *aggregates* a set of CCT instances; the
 //! set is kept on the node so that lazy expansion and recursion-correct
-//! (set-exposed) metric aggregation can be computed on demand.
+//! (set-exposed) metric aggregation can be computed on demand —
+//! `ViewTree::fill` is the one routine that does it, for both views.
 
-use crate::ids::{ColumnId, FileId, LoadModuleId, NodeId, ProcId, ViewNodeId};
+use crate::attribution::frame_direct;
+use crate::derived::SliceContext;
+use crate::experiment::Experiment;
+use crate::exposure::{exposed, plain_sum};
+use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};
 use crate::metrics::{ColumnSet, StorageKind};
 use crate::names::{NameTable, SourceLoc};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 const NONE: u32 = u32::MAX;
 
 /// What a view node presents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ViewScope {
     /// Callers View top-level entry: a procedure aggregated over all its
     /// calling contexts.
@@ -116,7 +120,7 @@ impl ViewScope {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ViewNode {
     scope: ViewScope,
     parent: u32,
@@ -129,8 +133,21 @@ struct ViewNode {
     expanded: bool,
 }
 
+/// Where [`ViewTree::fill`] takes a node's exclusive value from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Exclusive {
+    /// Set-exposed sum of the instances' Eq. 1 exclusive costs.
+    Instances,
+    /// Set-exposed sum of the instances' frame-direct costs: the Flat
+    /// View's call-site rows (`hy = (4,0)` in Fig. 2c).
+    FrameDirect,
+    /// Sum of the children's exclusive values: the Flat View's files and
+    /// modules (`file2.e = gx.e + hx.e = 8` in Fig. 2c).
+    Children,
+}
+
 /// A forest of view nodes plus their metric columns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ViewTree {
     nodes: Vec<ViewNode>,
     roots: Vec<u32>,
@@ -138,7 +155,6 @@ pub struct ViewTree {
     pub columns: ColumnSet,
     /// Structural mutation counter (node additions). See
     /// [`ViewTree::generation`].
-    #[serde(default)]
     structure_generation: u64,
 }
 
@@ -289,6 +305,48 @@ impl ViewTree {
         self.nodes[n.index()].expanded = true;
     }
 
+    /// Compute node `v`'s column values from the CCT instances it
+    /// aggregates and write the non-zero ones. Attributed values are read
+    /// from `exp.columns` — faulting a lazily opened database's columns in
+    /// on first touch — and nowhere else: the inclusive value is the
+    /// set-exposed sum of the instances' inclusive costs (Section IV-B),
+    /// the exclusive value what `exclusive` says, and derived columns
+    /// their formulas over those sums.
+    pub(crate) fn fill(&mut self, exp: &Experiment, v: ViewNodeId, exclusive: Exclusive) {
+        let keep = exposed(&exp.cct, self.instances(v));
+        let children = match exclusive {
+            Exclusive::Children => self.children(v),
+            _ => Vec::new(),
+        };
+        let mut row = vec![0.0; self.columns.column_count()];
+        for mi in 0..exp.raw.metric_count() {
+            let m = MetricId::from_usize(mi);
+            let (ci, ce) = (exp.inclusive_col(m), exp.exclusive_col(m));
+            row[ci.index()] = plain_sum(&keep, exp.columns.vec(ci));
+            row[ce.index()] = match exclusive {
+                Exclusive::Instances => plain_sum(&keep, exp.columns.vec(ce)),
+                Exclusive::FrameDirect => {
+                    let direct = exp.raw.column(m);
+                    keep.iter()
+                        .map(|&i| frame_direct(&exp.cct, direct, i))
+                        .sum()
+                }
+                Exclusive::Children => children.iter().map(|c| self.columns.get(ce, c.0)).sum(),
+            };
+        }
+        for (c, expr) in exp.derived_formulas() {
+            row[c.index()] = expr.eval(&SliceContext {
+                columns: &row,
+                aggregates: exp.aggregates(),
+            });
+        }
+        for (c, &value) in row.iter().enumerate() {
+            if value != 0.0 {
+                self.columns.set(ColumnId::from_usize(c), v.0, value);
+            }
+        }
+    }
+
     /// Human-readable label of `n`.
     pub fn label(&self, n: ViewNodeId, names: &NameTable) -> String {
         self.nodes[n.index()].scope.label(names)
@@ -348,9 +406,7 @@ struct CachedOrder {
 }
 
 /// Per-view cache of sorted child orderings, keyed by `(slot, sort key)`
-/// and validated with a generation stamp — the same scheme
-/// `Experiment::attributions()` and `CallersView::fill_values` use. A
-/// slot is either a parent view-node id or a [`TOP_SLOT_BASE`]-offset
+/// and validated with a generation stamp. A slot is either a parent view-node id or a [`TOP_SLOT_BASE`]-offset
 /// synthetic slot for a top-level list.
 ///
 /// The cache stores *orderings* (node-id vectors), not references into

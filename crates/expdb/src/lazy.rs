@@ -6,10 +6,12 @@
 //! [`open_lazy`] returns an ordinary [`Experiment`] whose
 //! [`RawMetrics`] and [`ColumnSet`] have a [`ColumnSource`] attached
 //! (the [`LazyShared`] state in this module, holding the raw file
-//! bytes). The calling-context view then faults in exactly the columns
-//! it sorts and displays; the callers/flat path goes through
-//! `Experiment::attributions`, which faults the raw direct-cost
-//! columns.
+//! bytes). Every view reads attributed values from `exp.columns` and
+//! nowhere else: the calling-context view faults in exactly the columns
+//! it sorts and displays, the callers and flat views the inclusive and
+//! exclusive column of every metric when they are built. The raw
+//! direct-cost columns are faulted only by what reads direct costs —
+//! the flat view's call-site rows, on expansion, and re-encoding.
 //!
 //! **What one fault costs.** A column fault costs what the column
 //! touches, not what the tree holds: one checksum pass over the metric's
@@ -556,17 +558,15 @@ mod tests {
     }
 
     #[test]
-    fn callers_view_path_faults_raw_metrics() {
+    fn reading_one_inclusive_value_faults_one_column_and_no_raw_metric() {
         let eager = sample_experiment();
         let lazy = open_lazy(crate::to_binary_v21(&eager)).unwrap();
         let m = MetricId(0);
         let root = lazy.cct.root();
         assert_eq!(lazy.inclusive(m, root), eager.inclusive(m, root));
-        assert_eq!(
-            lazy.raw.materialized_metrics(),
-            lazy.raw.metric_count(),
-            "attributions() faults every raw metric"
-        );
+        assert_eq!(lazy.columns.materialized_columns(), 1);
+        assert_eq!(lazy.columns.fault_count(lazy.inclusive_col(m)), 1);
+        assert_eq!(lazy.raw.materialized_metrics(), 0);
     }
 
     #[test]

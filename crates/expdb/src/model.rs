@@ -2,7 +2,6 @@
 //! reconstruct an [`Experiment`], and nothing that can be recomputed.
 
 use callpath_core::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Database error.
@@ -31,7 +30,7 @@ impl std::error::Error for DbError {}
 
 /// A CCT node in serialized form. `parent` indices refer to arena order,
 /// which always places parents before children.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DbScope {
     /// A dynamic procedure frame.
     Frame {
@@ -76,7 +75,7 @@ pub enum DbScope {
 }
 
 /// One serialized CCT node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbNode {
     /// Arena index of the parent (parents always precede children).
     pub parent: u32,
@@ -85,7 +84,7 @@ pub struct DbNode {
 }
 
 /// One serialized raw metric with its sparse costs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbMetric {
     /// Metric name, e.g. `PAPI_TOT_CYC`.
     pub name: String,
@@ -98,7 +97,7 @@ pub struct DbMetric {
 }
 
 /// The complete serializable experiment model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbModel {
     /// Procedure names, index = id.
     pub procs: Vec<String>,

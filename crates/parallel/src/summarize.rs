@@ -336,7 +336,8 @@ mod view_summary_tests {
     fn callers_view_summaries_use_exposed_aggregation() {
         let run = run();
         let exp = &run.experiment;
-        let callers = CallersView::build_eager(exp, StorageKind::Dense);
+        let mut callers = CallersView::build(exp, StorageKind::Dense);
+        callers.fully_expand(exp);
         let s = summarize_view_nodes(
             exp,
             &callers.tree,

@@ -11,13 +11,12 @@
 
 use crate::counters::Costs;
 use crate::program::{FileIdx, ProcIdx};
-use serde::{Deserialize, Serialize};
 
 /// An instruction address: an index into [`Binary::code`].
 pub type Addr = u64;
 
 /// Source location of an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LineInfo {
     /// Source file index (into [`Binary::files`]).
     pub file: FileIdx,
@@ -26,7 +25,7 @@ pub struct LineInfo {
 }
 
 /// One simulated machine instruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InstrKind {
     /// Straight-line work consuming hardware events. Non-`scalable` work
     /// ignores the engine's per-rank `work_scale` (a serial section).
@@ -67,7 +66,7 @@ pub enum InstrKind {
 }
 
 /// An instruction plus its line-map entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instr {
     /// What the instruction does.
     pub kind: InstrKind,
@@ -76,7 +75,7 @@ pub struct Instr {
 }
 
 /// Procedure bounds within the image.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinProc {
     /// Procedure name.
     pub name: String,
@@ -97,7 +96,7 @@ pub struct BinProc {
 /// A DWARF-style inline record: instructions in `[lo, hi)` originate from
 /// `callee_name`, inlined at `call_site`. Nested inlining produces nested
 /// (properly contained) ranges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InlineRange {
     /// First spliced address (inclusive).
     pub lo: Addr,
@@ -114,7 +113,7 @@ pub struct InlineRange {
 }
 
 /// A lowered load module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Binary {
     /// Main load-module name.
     pub module: String,

@@ -6,11 +6,10 @@
 //! harness uses for load-imbalance analysis (Section VI-C).
 
 use callpath_core::prelude::MetricDesc;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Index, IndexMut};
 
 /// Counter indices. Fixed at compile time: the cost model is a dense array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Counter {
     /// Total cycles (`PAPI_TOT_CYC`).
     Cycles = 0,
@@ -65,7 +64,7 @@ impl Counter {
 }
 
 /// Event counts per counter: the cost of a work chunk, or an accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Costs(pub [u64; Counter::COUNT]);
 
 impl Costs {

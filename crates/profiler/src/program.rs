@@ -9,7 +9,6 @@
 //! binary gives `hpcstruct`.
 
 use crate::counters::Costs;
-use serde::{Deserialize, Serialize};
 
 /// Index of a procedure within its program.
 pub type ProcIdx = usize;
@@ -17,7 +16,7 @@ pub type ProcIdx = usize;
 pub type FileIdx = usize;
 
 /// One operation in a procedure body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// A chunk of straight-line work at a source line. `scalable` work
     /// shrinks/grows with the per-rank `work_scale` (domain-decomposed
@@ -124,7 +123,7 @@ impl Op {
 }
 
 /// A procedure definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcDef {
     /// Procedure name.
     pub name: String,
@@ -144,7 +143,7 @@ pub struct ProcDef {
 }
 
 /// A whole program: one load module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Load module name.
     pub name: String,

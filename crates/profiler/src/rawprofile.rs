@@ -9,7 +9,6 @@
 use crate::binary::Addr;
 use crate::counters::Counter;
 use crate::program::ProcIdx;
-use serde::{Deserialize, Serialize};
 
 const NONE: u32 = u32::MAX;
 
@@ -17,7 +16,7 @@ const NONE: u32 = u32::MAX;
 pub const NO_CALL: Addr = Addr::MAX;
 
 /// Sample counts recorded at one instruction within one calling context.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeafSamples {
     /// Instruction address the samples landed on.
     pub addr: Addr,
@@ -26,7 +25,7 @@ pub struct LeafSamples {
     pub counts: [f64; Counter::COUNT],
 }
 
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct RawNode {
     /// Address of the call instruction that created this frame.
     call_addr: Addr,
@@ -41,7 +40,7 @@ struct RawNode {
 }
 
 /// Raw profile trie. Node 0 is a synthetic root.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawProfile {
     nodes: Vec<RawNode>,
 }

@@ -1,10 +1,9 @@
 //! The recovery pass: binary image → static structure tree.
 
 use callpath_profiler::{Addr, Binary, InstrKind, LineInfo};
-use serde::{Deserialize, Serialize};
 
 /// A recovered static scope inside a procedure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Scope {
     /// A loop discovered from a backward branch. `header` is the source
     /// location of the loop (taken from the branch instruction's line-map
@@ -29,7 +28,7 @@ pub enum Scope {
 /// A node in a procedure's scope tree. Ranges are half-open `[lo, hi)` and
 /// properly nested; children are stored by index into
 /// [`ProcStructure::nodes`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScopeNode {
     /// What the scope is.
     pub scope: Scope,
@@ -42,7 +41,7 @@ pub struct ScopeNode {
 }
 
 /// Recovered structure of one procedure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcStructure {
     /// Procedure name.
     pub name: String,
@@ -84,7 +83,7 @@ impl ProcStructure {
 }
 
 /// Recovered structure of a whole load module.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Structure {
     /// Main load-module name.
     pub module: String,

@@ -146,7 +146,8 @@ fn main() {
             (exp, ce, w, e)
         };
         let (exp, ce, waste, eff) = build(s3d::S3dConfig::default());
-        let flat = FlatView::build_eager(&exp, StorageKind::Dense);
+        let mut flat = FlatView::build(&exp, StorageKind::Dense);
+        flat.force_all(&exp);
         let mut loops: Vec<(String, u32)> = Vec::new();
         let mut stack: Vec<ViewNodeId> = flat.tree.roots();
         while let Some(n) = stack.pop() {
@@ -188,7 +189,8 @@ fn main() {
             ),
         });
         let (texp, tce, ..) = build(s3d::S3dConfig::tuned());
-        let tflat = FlatView::build_eager(&texp, StorageKind::Dense);
+        let mut tflat = FlatView::build(&texp, StorageKind::Dense);
+        tflat.force_all(&texp);
         let find_flux = |flat: &FlatView, exp: &Experiment, col: ColumnId| -> f64 {
             let mut stack: Vec<ViewNodeId> = flat.tree.roots();
             while let Some(n) = stack.pop() {

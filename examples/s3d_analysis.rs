@@ -19,7 +19,8 @@ use callpath_workloads::{pipeline, s3d};
 
 fn flux_loop_cycles(exp: &Experiment) -> f64 {
     let cyc_e = exp.exclusive_col(exp.raw.find("PAPI_TOT_CYC").unwrap());
-    let flat = FlatView::build_eager(exp, StorageKind::Dense);
+    let mut flat = FlatView::build(exp, StorageKind::Dense);
+    flat.force_all(exp);
     let mut stack: Vec<ViewNodeId> = flat.tree.roots();
     while let Some(n) = stack.pop() {
         if flat

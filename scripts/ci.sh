@@ -34,10 +34,3 @@ CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_a
 # unification through the root package), so this is the one place
 # expdb's own unit tests see the read-to-buffer file image.
 cargo test -q -p callpath-expdb
-# Self-gate: the repo's committed BENCH_*.json trajectory against
-# itself under the committed policy. Zero deltas by construction, so
-# this is deterministic and non-flaky — it exercises the gate's full
-# load/parse/report path, and only a >25% nav/cold-open regression
-# (the policy's hard rules) can ever fail it.
-cargo run -q --bin callpath-analyze -- gate \
-  --baseline . --candidate . --policy scripts/perf_policy.toml

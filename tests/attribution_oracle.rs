@@ -17,8 +17,11 @@
 //! from a database file opened by path (mapped with the `mmap` feature,
 //! read into a buffer without it — `scripts/ci.sh` runs both), for all
 //! three storage kinds, and through the lazy column-fault path.
+//! Frame-direct cost is not a kernel output: `frame_direct` sums it from
+//! the raw column on demand, and is held to the oracle over the same
+//! matrix.
 
-use callpath_core::attribution::{attribute, attribute_sorted, SortedAttribution};
+use callpath_core::attribution::{attribute, attribute_sorted, frame_direct, SortedAttribution};
 use callpath_core::prelude::*;
 use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
 use callpath_expdb::{bin2, open_lazy_path};
@@ -211,6 +214,13 @@ fn column_bits(v: &MetricVec, n: usize) -> Vec<u64> {
     (0..n as u32).map(|i| v.get(i).to_bits()).collect()
 }
 
+/// Frame-direct cost at every node, from the raw column `direct`.
+fn frame_direct_bits(cct: &Cct, direct: &MetricVec) -> Vec<u64> {
+    cct.all_nodes()
+        .map(|n| frame_direct(cct, direct, n).to_bits())
+        .collect()
+}
+
 /// `attribute` over `cct` in every storage kind, against the oracle.
 fn check_all_kinds(cct: &Cct, costs: &[(u32, f64)], want: &Oracle) {
     let n = cct.len();
@@ -233,7 +243,7 @@ fn check_all_kinds(cct: &Cct, costs: &[(u32, f64)], want: &Oracle) {
             "exclusive, {tag}"
         );
         assert_eq!(
-            column_bits(&got.frame_direct, n),
+            frame_direct_bits(cct, raw.column(m)),
             bits(&want.frame_direct),
             "frame-direct, {tag}"
         );
@@ -272,7 +282,12 @@ fn check_model(model: &DbModel, tag: &str) {
         column_bits(lazy.columns.vec(ColumnId(1)), n),
         bits(&want.exclusive)
     );
+    assert_eq!(
+        frame_direct_bits(&lazy.cct, lazy.raw.column(MetricId(0))),
+        bits(&want.frame_direct)
+    );
     assert!(lazy.columns.lazy_errors().is_empty());
+    assert!(lazy.raw.lazy_errors().is_empty());
 }
 
 /// Idle frames enough that the other `active` scopes are under a quarter
@@ -318,10 +333,10 @@ proptest! {
     /// The kernel's sums are those of the sweep over node-indexed
     /// vectors: every parent adds its children's finished sums in
     /// descending child order, every Eq. 1 target its costs in ascending
-    /// source order. With arbitrary finite values that order shows in
-    /// the last bit, so Eq. 2 is compared against the reverse sweep
-    /// itself (the oracle, which adds in that order for Eq. 1 only,
-    /// gives the other two).
+    /// source order — and so does `frame_direct`. With arbitrary finite
+    /// values that order shows in the last bit, so Eq. 2 is compared
+    /// against the reverse sweep itself (the oracle, which adds in that
+    /// order for Eq. 1 only, gives the other two).
     #[test]
     fn sums_add_in_sweep_order_for_any_finite_values(
         seed in 0u64..100_000, chain in 0usize..200, bushy in 1usize..300, nnz in 1usize..120,
@@ -346,11 +361,17 @@ proptest! {
             }
         }
         let (keys, vals): (Vec<u32>, Vec<f64>) = costs.iter().copied().unzip();
-        let got = attribute_sorted(&model.build_cct().unwrap(), &keys, &vals);
+        let cct = model.build_cct().unwrap();
+        let got = attribute_sorted(&cct, &keys, &vals);
+        let direct = MetricVec::from_sorted(StorageKind::Csr, costs.clone());
+        let by_definition: Vec<(u32, f64)> = cct
+            .all_nodes()
+            .map(|node| (node.0, frame_direct(&cct, &direct, node)))
+            .collect();
         for (name, got, want) in [
             ("inclusive", &got.inclusive, &want.inclusive),
             ("exclusive", &got.exclusive, &want.exclusive),
-            ("frame-direct", &got.frame_direct, &want.frame_direct),
+            ("frame-direct", &by_definition, &want.frame_direct),
         ] {
             let mut dense = vec![0.0f64; n];
             for &(node, v) in got {

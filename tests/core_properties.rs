@@ -163,17 +163,27 @@ proptest! {
     #[test]
     fn lazy_and_eager_callers_views_agree(seed in 0u64..10_000, size in 5usize..250) {
         let exp = random_experiment(seed, size, 8);
+        // On demand, level by level — the order a user would expand in —
+        // against everything at once (depth first): node ids differ, the
+        // forest and its numbers must not.
         let mut lazy = CallersView::build(&exp, StorageKind::Dense);
-        lazy.fully_expand(&exp);
-        let eager = CallersView::build_eager(&exp, StorageKind::Dense);
+        let mut level = lazy.tree.roots();
+        while !level.is_empty() {
+            level = level.iter().flat_map(|&n| lazy.children_of(&exp, n)).collect();
+        }
+        let mut eager = CallersView::build(&exp, StorageKind::Dense);
+        eager.fully_expand(&exp);
         prop_assert_eq!(lazy.tree.len(), eager.tree.len());
-        for i in 0..lazy.tree.len() as u32 {
-            let n = ViewNodeId(i);
-            prop_assert_eq!(lazy.tree.scope(n), eager.tree.scope(n));
+        let mut pairs: Vec<_> = lazy.tree.roots().into_iter().zip(eager.tree.roots()).collect();
+        while let Some((a, b)) = pairs.pop() {
+            prop_assert_eq!(lazy.tree.scope(a), eager.tree.scope(b));
             prop_assert_eq!(
-                lazy.tree.columns.get(CYC, i),
-                eager.tree.columns.get(CYC, i)
+                lazy.tree.columns.get(CYC, a.0),
+                eager.tree.columns.get(CYC, b.0)
             );
+            let (ca, cb) = (lazy.tree.children(a), eager.tree.children(b));
+            prop_assert_eq!(ca.len(), cb.len());
+            pairs.extend(ca.into_iter().zip(cb));
         }
     }
 

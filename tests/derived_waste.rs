@@ -40,7 +40,8 @@ fn build(cfg: s3d::S3dConfig) -> (Experiment, ColumnId, ColumnId) {
 
 /// All loop nodes of the Flat View, as (label, view node id).
 fn flat_loops(exp: &Experiment) -> (FlatView, Vec<(String, u32)>) {
-    let flat = FlatView::build_eager(exp, StorageKind::Dense);
+    let mut flat = FlatView::build(exp, StorageKind::Dense);
+    flat.force_all(exp);
     let mut out = Vec::new();
     let mut stack: Vec<ViewNodeId> = flat.tree.roots();
     while let Some(n) = stack.pop() {

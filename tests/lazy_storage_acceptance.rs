@@ -2,7 +2,9 @@
 //! decode only the table of contents, name tables and CCT topology; metric blocks materialize when — and
 //! only when — a view actually reads them. A forced `decode_all` must
 //! then be indistinguishable from an eager open, down to the rendered
-//! text of an interactive session.
+//! text of an interactive session. Attributed values have one store,
+//! `exp.columns`: the Callers and Flat Views fault nothing a render
+//! already did, and only Flat call-site rows ever read a raw block.
 
 use callpath_core::attribution::attribute_sorted;
 use callpath_core::prelude::*;
@@ -12,6 +14,7 @@ use callpath_profiler::ExecConfig;
 use callpath_viewer::{Command, Session};
 use callpath_workloads::synth::{synth_model, SynthConfig};
 use callpath_workloads::{pipeline, s3d};
+use std::collections::VecDeque;
 
 fn s3d_cpdb() -> Vec<u8> {
     let exp = pipeline::build_experiment(
@@ -255,4 +258,128 @@ fn a_corrupt_block_on_a_sparse_file_reads_as_zeros_with_a_checksum_error() {
     assert!(lazy.columns.lazy_error().unwrap().contains("checksum"));
     assert!(lazy.columns.vec(ColumnId(0)).nonzero_count() > 0);
     assert_eq!(lazy.columns.lazy_errors().len(), 1, "one block, one reason");
+}
+
+/// The `FLAG_SPARSE` file and a dense one (the S3D run).
+fn both_flavours() -> [(&'static str, Vec<u8>); 2] {
+    let dense = s3d_cpdb();
+    assert_eq!(dense[5] & 1, 0, "the file declares dense storage");
+    [("sparse", sparse_cpdb()), ("dense", dense)]
+}
+
+/// One store: once a render has shown every column, building the other
+/// two views faults nothing again and reads no raw block.
+#[test]
+fn callers_and_flat_fault_nothing_a_full_render_already_did() {
+    for (flavour, bytes) in both_flavours() {
+        let exp = open_lazy(bytes).unwrap();
+        Session::new(&exp, SourceStore::new()).render();
+        for c in exp.columns.columns() {
+            assert_eq!(exp.columns.fault_count(c), 1, "{flavour}: {c:?} shown");
+        }
+        assert!(View::callers(&exp).node_count() > 0);
+        assert!(View::flat(&exp).node_count() > 0);
+        for c in exp.columns.columns() {
+            assert_eq!(exp.columns.fault_count(c), 1, "{flavour}: {c:?}");
+        }
+        assert_eq!(exp.raw.materialized_metrics(), 0, "{flavour}");
+    }
+}
+
+/// Reading one attributed value costs one column — not every metric's
+/// attribution, and no raw block.
+#[test]
+fn one_inclusive_value_faults_one_column_and_no_raw_metric() {
+    for (flavour, bytes) in both_flavours() {
+        let eager = from_binary(&bytes).unwrap();
+        let exp = open_lazy(bytes).unwrap();
+        let (m, root) = (MetricId(1), exp.cct.root());
+        assert_eq!(exp.inclusive(m, root), eager.inclusive(m, root));
+        assert_eq!(exp.columns.materialized_columns(), 1, "{flavour}");
+        assert_eq!(exp.columns.fault_count(exp.inclusive_col(m)), 1);
+        assert_eq!(exp.raw.materialized_metrics(), 0, "{flavour}");
+    }
+}
+
+/// The Flat View over a lazily opened file, every interior forced, is
+/// the one over the eager build: same nodes, same bits in every column.
+/// Its shell reads attributed columns only; the call-site rows, whose
+/// exclusive is frame-direct cost, are what first touch a raw block.
+#[test]
+fn a_forced_flat_view_of_a_lazy_open_equals_the_eager_one_in_bits() {
+    for (flavour, bytes) in both_flavours() {
+        let eager = from_binary(&bytes).unwrap();
+        let lazy = open_lazy(bytes).unwrap();
+        let storage = lazy.raw.storage();
+        let mut want = FlatView::build(&eager, storage);
+        want.force_all(&eager);
+        let mut got = FlatView::build(&lazy, storage);
+        assert_eq!(lazy.raw.materialized_metrics(), 0, "{flavour}: the shell");
+        got.force_all(&lazy);
+        assert!(lazy.raw.materialized_metrics() > 0, "{flavour}: call sites");
+
+        assert_eq!(got.tree.len(), want.tree.len(), "{flavour}");
+        let mut call_sites_with_own_cost = 0;
+        for v in (0..got.tree.len() as u32).map(ViewNodeId) {
+            assert_eq!(got.tree.scope(v), want.tree.scope(v), "{flavour}: {v:?}");
+            for c in got.tree.columns.columns() {
+                assert_eq!(
+                    got.tree.columns.get(c, v.0).to_bits(),
+                    want.tree.columns.get(c, v.0).to_bits(),
+                    "{flavour}: {c:?} at {:?}",
+                    got.tree.scope(v)
+                );
+            }
+            let own = got.tree.columns.get(lazy.exclusive_col(MetricId(0)), v.0);
+            if matches!(got.tree.scope(v), ViewScope::CallSite { .. }) && own != 0.0 {
+                call_sites_with_own_cost += 1;
+            }
+        }
+        assert!(call_sites_with_own_cost > 0, "{flavour}");
+        assert!(lazy.columns.lazy_errors().is_empty() && lazy.raw.lazy_errors().is_empty());
+    }
+}
+
+/// A damaged block reads as zeros wherever its metric is shown — the
+/// first rows of all three views, Flat call-site rows among them — and
+/// the one store reports it once.
+#[test]
+fn a_corrupt_block_is_zeros_in_all_three_views_and_one_column_error() {
+    for (flavour, mut bytes) in both_flavours() {
+        // The last section is the last metric's cost block.
+        let n = bytes.len();
+        bytes[n - 3] ^= 0xff;
+        let exp = open_lazy(bytes).expect("header, TOC and topology are intact");
+        let last = exp.raw.metric_count() as u32 - 1;
+        let views = [
+            View::calling_context(&exp),
+            View::callers(&exp),
+            View::flat(&exp),
+        ];
+        for mut view in views {
+            // Breadth first, so the Flat View gets down to call sites.
+            let mut queue: VecDeque<u32> = view.roots().into();
+            let mut rows = Vec::new();
+            while let Some(n) = queue.pop_front().filter(|_| rows.len() < 4_000) {
+                rows.push(n);
+                queue.extend(view.children(n));
+            }
+            let title = view.kind().title();
+            for &n in &rows {
+                for c in [ColumnId(2 * last), ColumnId(2 * last + 1)] {
+                    assert_eq!(view.value(c, n), 0.0, "{flavour}, {title}: {c:?}");
+                }
+            }
+            assert!(
+                rows.iter().any(|&n| view.value(ColumnId(0), n) != 0.0),
+                "{flavour}, {title}: the intact metric still shows"
+            );
+            if view.kind() == ViewKind::Flat {
+                assert!(rows.iter().any(|&n| view.is_call(n)), "{flavour}");
+            }
+        }
+        let errors = exp.columns.lazy_errors();
+        assert_eq!(errors.len(), 1, "{flavour}: one block, one reason");
+        assert!(errors[0].contains("checksum"), "{}", errors[0]);
+    }
 }

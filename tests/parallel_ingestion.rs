@@ -2,8 +2,8 @@
 //! workloads and every worker count, [`ParallelCorrelator`] must produce
 //! output *identical* to the sequential [`Correlator`] — same CCT shape,
 //! same node ids, same metric columns, same totals, same per-rank
-//! costs. Plus a regression test that the cached inclusive columns are
-//! invalidated when raw metrics mutate.
+//! costs. Plus the contract for costs that arrive after the build: they
+//! are folded in by building again.
 
 use callpath_core::prelude::*;
 use callpath_prof::{Correlator, ParallelCorrelator, PerNodeCosts};
@@ -121,31 +121,52 @@ proptest! {
     }
 }
 
-/// Regression: the experiment's cached inclusive/exclusive attribution
-/// columns must be recomputed — not served stale — after `add_cost`
-/// mutates the raw metrics.
+/// An experiment is attributed when it is built. A late cost is folded
+/// in by taking the tree and the raw metrics back out, adding it and
+/// building again — after which the whole ancestor chain carries the
+/// delta wherever attributed values are read: `exp.inclusive`,
+/// `exp.columns`, and a Callers View built from the new experiment.
 #[test]
-fn inclusive_cache_invalidates_after_mutation() {
+fn late_cost_is_folded_in_by_rebuild() {
     let (structure, profiles, cfg) = random_workload(3, 8, 4);
-    let (mut exp, _) = ParallelCorrelator::new(&structure, cfg.periods)
+    let (exp, _) = ParallelCorrelator::new(&structure, cfg.periods)
         .with_threads(2)
         .correlate(&profiles, StorageKind::Csr);
     let m = MetricId(0);
-    let root = exp.cct.root();
-    let before = exp.inclusive(m, root);
-    // Find a statement to perturb; its whole ancestor chain must see the
-    // delta in the refreshed inclusive column.
     let stmt = exp
         .cct
         .all_nodes()
         .find(|&n| exp.cct.kind(n).is_stmt())
         .expect("workload has statements");
-    exp.raw.add_cost(m, stmt, 12_345.0);
-    assert_eq!(exp.inclusive(m, root), before + 12_345.0);
-    for a in exp.cct.ancestors(stmt) {
-        assert!(
-            exp.inclusive(m, a) >= 12_345.0,
-            "ancestor {a:?} missed the delta"
-        );
+    let chain: Vec<NodeId> = std::iter::once(stmt)
+        .chain(exp.cct.ancestors(stmt))
+        .collect();
+    assert_eq!(chain.last(), Some(&exp.cct.root()));
+    let before: Vec<f64> = chain.iter().map(|&n| exp.inclusive(m, n)).collect();
+    // The Callers entry of the procedure the statement runs in.
+    let frame = exp
+        .cct
+        .enclosing_frame(stmt)
+        .expect("a statement is framed");
+    let proc = exp.cct.kind(frame).frame_proc().unwrap();
+    let callers_root = |exp: &Experiment| {
+        let view = CallersView::build(exp, StorageKind::Csr);
+        let top = view
+            .tree
+            .roots()
+            .into_iter()
+            .find(|&r| *view.tree.scope(r) == ViewScope::ProcTop { proc })
+            .expect("every frame's procedure has an entry");
+        view.tree.columns.get(exp.inclusive_col(m), top.0)
+    };
+    let callers_before = callers_root(&exp);
+
+    let Experiment { cct, mut raw, .. } = exp;
+    raw.add_cost(m, stmt, 12_345.0);
+    let exp = Experiment::build(cct, raw, StorageKind::Csr);
+    for (&n, &old) in chain.iter().zip(&before) {
+        assert_eq!(exp.inclusive(m, n), old + 12_345.0, "node {n:?}");
+        assert_eq!(exp.columns.get(exp.inclusive_col(m), n.0), old + 12_345.0);
     }
+    assert_eq!(callers_root(&exp), callers_before + 12_345.0);
 }

@@ -17,7 +17,8 @@ use callpath_workloads::generator::random_experiment;
 fn lazy_callers_view_materializes_a_fraction() {
     let exp = random_experiment(3, 20_000, 60);
     let lazy = CallersView::build(&exp, StorageKind::Dense);
-    let eager = CallersView::build_eager(&exp, StorageKind::Dense);
+    let mut eager = lazy.clone();
+    eager.fully_expand(&exp);
     assert!(
         lazy.tree.len() * 10 <= eager.tree.len(),
         "lazy {} vs eager {} nodes",
@@ -43,9 +44,9 @@ fn hot_path_expansion_is_narrow() {
     sort_by_column(&view, &mut sorted, ColumnId(0));
     let path = view.hot_path(sorted[0], ColumnId(0), HotPathConfig::default());
     let after = view.node_count();
-    let eager = CallersView::build_eager(&exp, StorageKind::Dense)
-        .tree
-        .len();
+    let mut eager = CallersView::build(&exp, StorageKind::Dense);
+    eager.fully_expand(&exp);
+    let eager = eager.tree.len();
     assert!(!path.is_empty());
     assert!(
         (after - before) * 5 < eager,
