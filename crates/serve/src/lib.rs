@@ -20,12 +20,13 @@
 //! * [`json`] — a small, hostile-input-safe JSON codec (no external
 //!   parser dependency);
 //! * [`protocol`] — request validation and reply framing;
-//! * [`sessions`] — the bounded LRU session table;
+//! * [`sessions`] — the bounded session table and its eviction rule;
 //! * [`Engine`] — transport-independent dispatch: one request line in,
 //!   one reply line out, panics caught and converted into `internal`
 //!   errors;
-//! * [`server`] — the TCP front end: thread-per-connection, idle and
-//!   I/O timeouts, graceful drain on shutdown.
+//! * [`server`] — the TCP front end: thread-per-connection over
+//!   blocking I/O, idle and write timeouts, and a stop handle that
+//!   delivers shutdown to blocked threads for a graceful drain.
 //!
 //! [`Session`]: callpath_viewer::Session
 //! [`Experiment`]: callpath_core::prelude::Experiment
@@ -42,26 +43,27 @@ use callpath_core::prelude::{ColumnId, Experiment};
 use callpath_obs as obs;
 use callpath_viewer::{Command, Session};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use server::Server;
+pub use server::{Server, StopHandle};
 
 /// Tunables for a server instance. `Default` matches the documented
 /// daemon defaults.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most sessions held at once; opening past this evicts the
-    /// least-recently-used session.
+    /// Most sessions held at once; opening past this evicts one (see
+    /// [`sessions`] for which).
     pub max_sessions: usize,
-    /// Connections idle longer than this are closed.
+    /// A connection is closed once this long has passed since its last
+    /// complete request (silent or stalled mid-line alike).
     pub idle_timeout: Duration,
-    /// Per-read/write socket timeout (bounds how long one request can
-    /// hold a connection thread in I/O).
+    /// Per-write socket timeout (bounds how long a client that stops
+    /// reading can hold a connection thread in a reply).
     pub io_timeout: Duration,
     /// Longest accepted request line; longer lines are rejected with a
     /// `parse` error and the connection is dropped.
@@ -100,6 +102,11 @@ impl Default for LatencyHist {
 }
 
 impl LatencyHist {
+    /// How many requests have been recorded.
+    pub fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
     /// Record one request that took `ns` nanoseconds.
     pub fn record(&self, ns: u64) {
         let bucket = (64 - ns.max(1).leading_zeros() as usize).min(63);
@@ -145,7 +152,8 @@ pub struct ServeStats {
 
 /// Transport-independent request dispatcher: the whole server minus
 /// the sockets. Tests drive it directly via [`Engine::handle_line`];
-/// the TCP front end in [`server`] feeds it one line per request.
+/// the TCP front end in [`server`] feeds it one line per request
+/// through [`Engine::handle_line_from`].
 pub struct Engine {
     cfg: ServeConfig,
     sessions: Mutex<SessionTable>,
@@ -161,7 +169,10 @@ pub struct Engine {
     pub stats: ServeStats,
     /// In-process request latency histogram.
     pub latency: LatencyHist,
-    shutdown: Arc<AtomicBool>,
+    /// The same, per request method (`stats` reports the ones seen).
+    /// Keyed by [`Request::method`], so clients cannot grow it.
+    methods: Mutex<BTreeMap<&'static str, LatencyHist>>,
+    shutdown: AtomicBool,
     started: Instant,
 }
 
@@ -176,7 +187,8 @@ impl Engine {
             ensembles: Mutex::new(HashMap::new()),
             stats: ServeStats::default(),
             latency: LatencyHist::default(),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            methods: Mutex::new(BTreeMap::new()),
+            shutdown: AtomicBool::new(false),
             started: Instant::now(),
         }
     }
@@ -186,19 +198,15 @@ impl Engine {
         &self.cfg
     }
 
-    /// Shared flag that turns true once shutdown is requested (by the
-    /// `shutdown` RPC or the binary's SIGINT handler).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
-    /// Whether shutdown has been requested.
+    /// Whether shutdown has been requested (by the `shutdown` RPC or
+    /// [`StopHandle::stop`]).
     pub fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Request shutdown (idempotent).
-    pub fn request_shutdown(&self) {
+    /// Set the shutdown flag (idempotent). This alone wakes nobody:
+    /// [`StopHandle::stop`] delivers it to the blocked threads.
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
     }
 
@@ -217,17 +225,26 @@ impl Engine {
         Ok(exp)
     }
 
-    /// Handle one request line, returning the reply line (no trailing
-    /// newline). Never panics: dispatch runs under `catch_unwind` and a
-    /// panic becomes an `internal` error reply.
+    /// [`Engine::handle_line_from`] for a caller that is no connection
+    /// (owner 0).
     pub fn handle_line(&self, line: &str) -> String {
+        self.handle_line_from(0, line)
+    }
+
+    /// Handle one request line from connection `conn`, returning the
+    /// reply line (no trailing newline). `conn` only names the owner of
+    /// the sessions the line opens (see [`sessions`]); any connection
+    /// may use any session. Never panics: dispatch runs under
+    /// `catch_unwind` and a panic becomes an `internal` error reply.
+    pub fn handle_line_from(&self, conn: u64, line: &str) -> String {
         let start = Instant::now();
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         obs::count("serve.requests", 1);
         let (id, parsed) = parse_request(line);
+        let method = parsed.as_ref().ok().map(Request::method);
         let result = match parsed {
             Err(e) => Err(e),
-            Ok(request) => catch_unwind(AssertUnwindSafe(|| self.dispatch(request)))
+            Ok(request) => catch_unwind(AssertUnwindSafe(|| self.dispatch(conn, request)))
                 .unwrap_or_else(|payload| {
                     let detail = panic_message(&payload);
                     obs::error(&format!("serve: request panicked: {detail}"));
@@ -243,13 +260,16 @@ impl Engine {
         }
         let ns = start.elapsed().as_nanos() as u64;
         self.latency.record(ns);
+        if let Some(method) = method {
+            self.methods.lock().entry(method).or_default().record(ns);
+        }
         obs::observe("serve.request_ns", ns);
         response(&id, result)
     }
 
-    fn dispatch(&self, request: Request) -> Result<Json, RequestError> {
+    fn dispatch(&self, conn: u64, request: Request) -> Result<Json, RequestError> {
         match request {
-            Request::Open { path } => self.do_open(&path),
+            Request::Open { path } => self.do_open(conn, &path),
             Request::Close { session } => {
                 if self.sessions.lock().remove(session) {
                     Ok(obj(vec![("closed", Json::Bool(true))]))
@@ -375,7 +395,7 @@ impl Engine {
         Ok(report.to_json())
     }
 
-    fn do_open(&self, path: &str) -> Result<Json, RequestError> {
+    fn do_open(&self, conn: u64, path: &str) -> Result<Json, RequestError> {
         let exp = self
             .load_experiment(path)
             .map_err(|e| RequestError::new("open", e))?;
@@ -388,7 +408,7 @@ impl Engine {
             .collect();
         let mut table = self.sessions.lock();
         let before = table.evictions();
-        let id = table.insert(exp, path.to_owned());
+        let id = table.insert(conn, exp, path.to_owned());
         let evicted = table.evictions() - before;
         drop(table);
         self.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
@@ -432,6 +452,19 @@ impl Engine {
         let sessions = table.len();
         let evictions = table.evictions();
         drop(table);
+        let methods = self
+            .methods
+            .lock()
+            .iter()
+            .map(|(&method, hist)| {
+                let summary = obj(vec![
+                    ("count", Json::Num(hist.count() as f64)),
+                    ("p50_ns", Json::Num(hist.quantile(0.50) as f64)),
+                    ("p95_ns", Json::Num(hist.quantile(0.95) as f64)),
+                ]);
+                (method.to_owned(), summary)
+            })
+            .collect();
         obj(vec![
             ("sessions", Json::Num(sessions as f64)),
             (
@@ -459,6 +492,7 @@ impl Engine {
                 "uptime_ms",
                 Json::Num(self.started.elapsed().as_millis() as f64),
             ),
+            ("methods", Json::Obj(methods)),
         ])
     }
 

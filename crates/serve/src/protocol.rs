@@ -173,6 +173,35 @@ pub enum Request {
     Shutdown,
 }
 
+impl Request {
+    /// The wire name of the request's method: the inverse of the match
+    /// in `validate`, and the key of the per-method latency histograms.
+    pub fn method(&self) -> &'static str {
+        match self {
+            Request::Open { .. } => "open",
+            Request::Close { .. } => "close",
+            Request::Render { .. } => "render",
+            Request::Expand { .. } => "expand",
+            Request::Collapse { .. } => "collapse",
+            Request::Select { .. } => "select",
+            Request::Zoom { .. } => "zoom",
+            Request::Unzoom { .. } => "unzoom",
+            Request::Sort { .. } => "sort",
+            Request::SortName { .. } => "sort-name",
+            Request::SwitchView { .. } => "view",
+            Request::HotPath { .. } => "hot-path",
+            Request::Flatten { .. } => "flatten",
+            Request::Unflatten { .. } => "unflatten",
+            Request::Find { .. } => "find",
+            Request::EnsembleStats { .. } => "ensemble-stats",
+            Request::Analyze { .. } => "analyze",
+            Request::Stats => "stats",
+            Request::Ping => "ping",
+            Request::Shutdown => "shutdown",
+        }
+    }
+}
+
 /// Parse one request line. Always returns the echoable `id` (possibly
 /// `Json::Null`) alongside the parse outcome, so even a reply to a
 /// broken request can carry the client's correlation id when one was

@@ -1,32 +1,67 @@
-//! The TCP front end: thread-per-connection over a nonblocking accept
-//! loop, so shutdown is observed within one poll tick even with no
-//! incoming connections.
+//! The TCP front end: thread-per-connection over blocking I/O. Nothing
+//! polls: a round trip costs what the request costs, and shutdown is
+//! delivered to the blocked threads by [`StopHandle::stop`].
 //!
 //! Connection handling is deliberately boring: read one line, hand it
-//! to [`Engine::handle_line`], write one line back. Robustness lives in
-//! the bounds — a per-read socket timeout (so a stalled client can't
-//! pin a thread), an idle timeout (so abandoned connections are
-//! reclaimed), and a line-length cap (so a client can't buffer the
-//! server into the ground). On shutdown the accept loop stops, every
-//! connection finishes the request it is currently processing (the
-//! drain), and `run` joins all handler threads before returning.
+//! to [`Engine::handle_line_from`], write one line back. Robustness
+//! lives in the bounds — a read deadline counted from the last complete
+//! request (so neither an abandoned connection nor a client stalled
+//! mid-line holds a thread past the idle timeout), a write timeout, and
+//! a line-length cap (so a client can't buffer the server into the
+//! ground). On shutdown the accept loop stops, every connection
+//! finishes the request it is currently processing (the drain), and
+//! `run` joins all handler threads before returning.
 
+use crate::json::Json;
+use crate::protocol::{response, RequestError};
 use crate::Engine;
+use callpath_obs as obs;
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How often the accept loop and connection reads poll the shutdown
-/// flag while idle.
-const POLL_TICK: Duration = Duration::from_millis(50);
+/// Pause after a failed `accept` (out of descriptors, typically), so a
+/// persistent failure is a slow retry and not a spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// A bound listener plus the engine it feeds.
 pub struct Server {
-    engine: Arc<Engine>,
     listener: TcpListener,
+    stop: StopHandle,
+}
+
+/// Stops a running [`Server`] from any thread; cheap to clone.
+#[derive(Clone)]
+pub struct StopHandle {
+    engine: Arc<Engine>,
+    /// A clone of every live connection's stream, by connection number.
+    live: Arc<Mutex<HashMap<u64, TcpStream>>>,
+    /// Where a connect reaches the listener.
+    wake: SocketAddr,
+}
+
+impl StopHandle {
+    /// Request shutdown and deliver it: set the engine's flag, end the
+    /// read side of every live connection (a blocked reader sees EOF; a
+    /// handler inside a request finishes it and writes the reply), then
+    /// connect once to wake `accept`. Idempotent.
+    ///
+    /// The flag is set before the table is walked, and a connection is
+    /// in the table before the flag is re-read on its behalf; the
+    /// table's lock orders the two, so a connection racing the stop is
+    /// walked here or finds the flag set — never left blocked.
+    pub fn stop(&self) {
+        self.engine.request_shutdown();
+        for stream in self.live.lock().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let _ = TcpStream::connect(self.wake);
+    }
 }
 
 impl Server {
@@ -34,8 +69,17 @@ impl Server {
     /// with [`Server::local_addr`]).
     pub fn bind(engine: Arc<Engine>, addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        Ok(Server { engine, listener })
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            // A wildcard bind is reached through loopback.
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let live = Arc::default();
+        let stop = StopHandle { engine, live, wake };
+        Ok(Server { listener, stop })
     }
 
     /// The address actually bound (resolves port 0).
@@ -43,24 +87,35 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Accept and serve connections until shutdown is requested, then
+    /// The handle that stops this server (the binary's SIGINT watcher).
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
+    }
+
+    /// Accept and serve connections until [`StopHandle::stop`], then
     /// drain: stop accepting, let in-flight requests finish, join every
     /// connection thread.
     pub fn run(self) {
         let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-        while !self.engine.is_shutting_down() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let engine = Arc::clone(&self.engine);
-                    handlers.push(thread::spawn(move || serve_connection(&engine, stream)));
+        // Connections are numbered from 1; 0 is `Engine::handle_line`.
+        let mut conn = 0u64;
+        while !self.stop.engine.is_shutting_down() {
+            let accepted = self.listener.accept();
+            match accepted.and_then(|(stream, _peer)| Ok((stream.try_clone()?, stream))) {
+                Ok((registered, stream)) => {
+                    conn += 1;
+                    self.stop.live.lock().insert(conn, registered);
+                    // Registered; now the handler and this loop re-read the flag.
+                    let stop = self.stop.clone();
+                    handlers.push(thread::spawn(move || serve_connection(&stop, conn, stream)));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    thread::sleep(POLL_TICK);
+                Err(e) => {
+                    // De-duplicated and counted by `obs`; keep serving.
+                    obs::error(&format!("serve: accept failed: {e}"));
+                    thread::sleep(ACCEPT_BACKOFF);
                 }
-                Err(_) => thread::sleep(POLL_TICK),
             }
-            // Reap finished handlers so a long-lived server doesn't
-            // accumulate join handles.
+            // Reap finished handlers so join handles don't accumulate.
             handlers.retain(|h| !h.is_finished());
         }
         for h in handlers {
@@ -69,141 +124,86 @@ impl Server {
     }
 }
 
-/// Serve one connection: line in, line out, until the peer hangs up,
+/// Serve one connection — line in, line out — until the peer hangs up,
 /// goes idle past the configured timeout, or the server drains.
-fn serve_connection(engine: &Engine, stream: TcpStream) {
-    let cfg = engine.config().clone();
-    // A short read timeout doubles as the shutdown poll tick: reads
-    // wake up regularly to check the flag without burning CPU.
-    let _ = stream.set_read_timeout(Some(POLL_TICK.max(Duration::from_millis(1))));
+fn serve_connection(stop: &StopHandle, conn: u64, stream: TcpStream) {
+    let engine = &*stop.engine;
+    let cfg = engine.config();
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(cfg.io_timeout));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
-    let mut pending: Vec<u8> = Vec::new();
-    let mut line = String::new();
-    let mut last_activity = Instant::now();
-    loop {
-        if engine.is_shutting_down() {
-            return;
+    let mut line: Vec<u8> = Vec::new();
+    let mut last_request = Instant::now();
+    while !engine.is_shutting_down() && read_line(engine, &mut reader, last_request, &mut line) {
+        if line.len() > cfg.max_line_bytes {
+            // Reject and drop the connection: past the cap we can't
+            // resynchronize on line boundaries safely.
+            engine.stats.requests.fetch_add(1, Ordering::Relaxed);
+            engine.stats.errors.fetch_add(1, Ordering::Relaxed);
+            let message = format!("request line exceeds {} bytes", cfg.max_line_bytes);
+            let error = RequestError::new("parse", message);
+            let _ = send(reader.get_ref(), response(&Json::Null, Err(error)));
+            break;
         }
-        if last_activity.elapsed() > cfg.idle_timeout {
-            return;
+        // Non-UTF-8 bytes become a line the JSON parser rejects: a
+        // structured `parse` reply, not a torn-down connection.
+        let text = std::str::from_utf8(&line).unwrap_or("\u{fffd}");
+        if text.trim().is_empty() {
+            continue;
         }
-        line.clear();
-        match read_bounded_line(&mut reader, &mut pending, &mut line, cfg.max_line_bytes) {
-            ReadOutcome::Line => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                last_activity = Instant::now();
-                let reply = engine.handle_line(&line);
-                if writer
-                    .write_all(reply.as_bytes())
-                    .and_then(|_| writer.write_all(b"\n"))
-                    .and_then(|_| writer.flush())
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            ReadOutcome::Eof => return,
-            ReadOutcome::TooLong => {
-                // Reject and drop the connection: past the cap we can't
-                // resynchronize on line boundaries safely.
-                engine.stats.errors.fetch_add(1, Ordering::Relaxed);
-                let reply = crate::protocol::response(
-                    &crate::json::Json::Null,
-                    Err(crate::protocol::RequestError::new(
-                        "parse",
-                        format!("request line exceeds {} bytes", cfg.max_line_bytes),
-                    )),
-                );
-                let _ = writer
-                    .write_all(reply.as_bytes())
-                    .and_then(|_| writer.write_all(b"\n"))
-                    .and_then(|_| writer.flush());
-                return;
-            }
-            ReadOutcome::WouldBlock => continue,
-            ReadOutcome::Err => return,
+        last_request = Instant::now();
+        if send(reader.get_ref(), engine.handle_line_from(conn, text)).is_err() {
+            break;
         }
+    }
+    stop.live.lock().remove(&conn);
+    if engine.is_shutting_down() {
+        // Perhaps found out first, by serving the `shutdown` request.
+        stop.stop();
     }
 }
 
-enum ReadOutcome {
-    Line,
-    Eof,
-    TooLong,
-    WouldBlock,
-    Err,
+/// The reply and its newline leave in one write on a `TCP_NODELAY`
+/// socket: one segment, nothing held back for the peer's delayed ACK.
+fn send(mut stream: &TcpStream, mut reply: String) -> std::io::Result<()> {
+    reply.push('\n');
+    stream.write_all(reply.as_bytes())
 }
 
-/// Read one `\n`-terminated line into `out`, capped at `max` bytes.
-/// Bytes read ahead of a newline accumulate in `pending`, which the
-/// caller keeps alive across calls so a read timeout mid-line resumes
-/// cleanly instead of dropping the partial request.
-fn read_bounded_line(
+/// Read one line into `line`, newline included; `false` when there is
+/// none to serve (EOF, a reset, the deadline). Reading stops once `line`
+/// is past the configured cap (the caller rejects it) and at the idle
+/// timeout counted from `last_request` — not from the last byte.
+fn read_line(
+    engine: &Engine,
     reader: &mut BufReader<TcpStream>,
-    pending: &mut Vec<u8>,
-    out: &mut String,
-    max: usize,
-) -> ReadOutcome {
+    last_request: Instant,
+    line: &mut Vec<u8>,
+) -> bool {
+    let cfg = engine.config();
+    line.clear();
     loop {
+        let left = cfg.idle_timeout.saturating_sub(last_request.elapsed());
+        if left.is_zero() {
+            return false;
+        }
+        let _ = reader.get_ref().set_read_timeout(Some(left));
         let available = match reader.fill_buf() {
             Ok(buf) => buf,
-            Err(e)
-                if e.kind() == ErrorKind::WouldBlock
-                    || e.kind() == ErrorKind::TimedOut
-                    || e.kind() == ErrorKind::Interrupted =>
-            {
-                // Timeout (possibly mid-line: `pending` holds what we
-                // have). The caller re-checks shutdown and idle limits,
-                // then calls back in to keep waiting for the newline.
-                return ReadOutcome::WouldBlock;
-            }
-            Err(_) => return ReadOutcome::Err,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return false,
         };
         if available.is_empty() {
-            return if pending.is_empty() {
-                ReadOutcome::Eof
-            } else {
-                // Unterminated final line: serve it anyway.
-                finish_line(std::mem::take(pending), out)
-            };
+            // An unterminated final line is served anyway — unless the
+            // EOF is `stop()` ending the read side under a stalled line.
+            return !line.is_empty() && !engine.is_shutting_down();
         }
         let newline = available.iter().position(|&b| b == b'\n');
-        let take = newline.map(|i| i + 1).unwrap_or(available.len());
-        pending.extend_from_slice(&available[..take]);
+        let take = newline.map_or(available.len(), |i| i + 1);
+        line.extend_from_slice(&available[..take]);
         reader.consume(take);
-        if pending.len() > max {
-            pending.clear();
-            return ReadOutcome::TooLong;
-        }
-        if newline.is_some() {
-            let mut bytes = std::mem::take(pending);
-            while bytes.last() == Some(&b'\n') || bytes.last() == Some(&b'\r') {
-                bytes.pop();
-            }
-            return finish_line(bytes, out);
-        }
-    }
-}
-
-fn finish_line(bytes: Vec<u8>, out: &mut String) -> ReadOutcome {
-    match String::from_utf8(bytes) {
-        Ok(s) => {
-            out.push_str(&s);
-            ReadOutcome::Line
-        }
-        Err(_) => {
-            // Non-UTF-8 request: hand the caller a line the JSON parser
-            // will reject, producing a structured `parse` reply instead
-            // of tearing down the connection.
-            out.push('\u{fffd}');
-            ReadOutcome::Line
+        if newline.is_some() || line.len() > cfg.max_line_bytes {
+            return true;
         }
     }
 }

@@ -1,6 +1,21 @@
 //! The bounded session table: many independent viewer [`Session`]s
-//! multiplexed over shared immutable [`Experiment`]s, with LRU
-//! eviction once the table is full.
+//! multiplexed over shared immutable [`Experiment`]s, with eviction
+//! once the table is full.
+//!
+//! # Who pays for a full table
+//!
+//! Every session remembers its *owner* — the connection that opened it
+//! (0 for callers that have none: `Engine::handle_line`, the tests).
+//! When the table is full, [`SessionTable::insert`] evicts the
+//! least-recently-used session *of the owner that holds the most
+//! sessions* (owners tied on the count: the least-recently-used session
+//! among theirs). A connection that churns through sessions therefore
+//! recycles its own stale ones and cannot push out another
+//! connection's only live session. With a single owner this is plain
+//! LRU, and the cap is hard either way: when every owner holds one
+//! session, one of those goes. Ownership decides eviction only — any
+//! connection may use any live session id. DESIGN.md §14 has the
+//! arithmetic that made plain LRU fail once a request cost 30 µs.
 //!
 //! # Why the `'static` lifetime hack is sound
 //!
@@ -24,6 +39,7 @@
 use callpath_core::prelude::{Experiment, SourceStore};
 use callpath_viewer::Session;
 use parking_lot::Mutex;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,6 +51,8 @@ pub struct SessionSlot {
     pub session: Mutex<Session<'static>>,
     /// Database path the session was opened on (reported by `stats`).
     pub path: String,
+    /// The connection that opened the session (see the module docs).
+    owner: u64,
     /// Logical-clock stamp of the last request that touched this slot
     /// (atomic so `touch` can stamp through a shared `Arc`).
     last_used: AtomicU64,
@@ -43,7 +61,7 @@ pub struct SessionSlot {
 }
 
 impl SessionSlot {
-    fn new(exp: Arc<Experiment>, path: String, now: u64) -> Self {
+    fn new(owner: u64, exp: Arc<Experiment>, path: String, now: u64) -> Self {
         // SAFETY: see the module-level soundness argument. The borrow
         // is created from the Arc's stable heap pointer and outlived
         // by `_exp` in the same struct; declaration order guarantees
@@ -55,13 +73,15 @@ impl SessionSlot {
         SessionSlot {
             session: Mutex::new(session),
             path,
+            owner,
             last_used: AtomicU64::new(now),
             _exp: exp,
         }
     }
 }
 
-/// Bounded id → slot map with least-recently-used eviction.
+/// Bounded id → slot map; a full table evicts the least-recently-used
+/// session of the owner holding the most.
 pub struct SessionTable {
     slots: HashMap<u64, Arc<SessionSlot>>,
     next_id: u64,
@@ -82,28 +102,36 @@ impl SessionTable {
         }
     }
 
-    /// Open a new session over `exp`; evicts the least-recently-used
-    /// slot first if the table is full. Returns the new session id.
-    pub fn insert(&mut self, exp: Arc<Experiment>, path: String) -> u64 {
+    /// Open a new session over `exp` for `owner`; evicts first if the
+    /// table is full. Returns the new session id.
+    pub fn insert(&mut self, owner: u64, exp: Arc<Experiment>, path: String) -> u64 {
         while self.slots.len() >= self.capacity {
-            if let Some(&victim) = self
-                .slots
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
-                .map(|(id, _)| id)
-            {
-                self.slots.remove(&victim);
-                self.evictions += 1;
-            } else {
-                break;
-            }
+            let Some(victim) = self.victim() else { break };
+            self.slots.remove(&victim);
+            self.evictions += 1;
         }
         self.clock += 1;
         let id = self.next_id;
         self.next_id += 1;
-        self.slots
-            .insert(id, Arc::new(SessionSlot::new(exp, path, self.clock)));
+        let slot = SessionSlot::new(owner, exp, path, self.clock);
+        self.slots.insert(id, Arc::new(slot));
         id
+    }
+
+    /// The session to evict: the least-recently-used one among the
+    /// owners holding the most sessions.
+    fn victim(&self) -> Option<u64> {
+        let mut held: HashMap<u64, usize> = HashMap::new();
+        for slot in self.slots.values() {
+            *held.entry(slot.owner).or_default() += 1;
+        }
+        self.slots
+            .iter()
+            .min_by_key(|(_, slot)| {
+                let last_used = slot.last_used.load(Ordering::Relaxed);
+                (Reverse(held[&slot.owner]), last_used)
+            })
+            .map(|(&id, _)| id)
     }
 
     /// Look up a session and stamp it most-recently-used. The returned
@@ -134,5 +162,89 @@ impl SessionTable {
     /// How many slots eviction has reclaimed since startup.
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use callpath_core::prelude::{Cct, MetricDesc, NameTable, RawMetrics, StorageKind};
+
+    /// A root-only experiment: the table never looks inside it.
+    fn exp() -> Arc<Experiment> {
+        let mut raw = RawMetrics::new(StorageKind::Dense);
+        raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
+        let cct = Cct::new(NameTable::new());
+        Arc::new(Experiment::build(cct, raw, StorageKind::Dense))
+    }
+
+    fn open(table: &mut SessionTable, owner: u64) -> u64 {
+        table.insert(owner, exp(), "x.cpdb".into())
+    }
+
+    fn live(table: &SessionTable) -> Vec<u64> {
+        let mut ids: Vec<u64> = table.slots.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn one_owner_evicts_in_exact_lru_order() {
+        let mut table = SessionTable::new(3);
+        let ids: Vec<u64> = (0..3).map(|_| open(&mut table, 7)).collect();
+        // Recency, oldest first: ids[1], ids[2], ids[0].
+        assert!(table.touch(ids[0]).is_some());
+        let fourth = open(&mut table, 7);
+        assert_eq!(live(&table), vec![ids[0], ids[2], fourth]);
+        let fifth = open(&mut table, 7);
+        assert_eq!(live(&table), vec![ids[0], fourth, fifth]);
+        let sixth = open(&mut table, 7);
+        assert_eq!(live(&table), vec![fourth, fifth, sixth]);
+        assert_eq!(table.evictions(), 3);
+        assert!(table.touch(ids[1]).is_none());
+    }
+
+    #[test]
+    fn a_churning_owner_recycles_its_own_sessions() {
+        for capacity in [3, 4, 16] {
+            let mut table = SessionTable::new(capacity);
+            let a = open(&mut table, 1);
+            let opens = 3 * capacity;
+            for _ in 0..opens {
+                open(&mut table, 2);
+            }
+            // A's session is the least recently used of all, and stays.
+            assert!(table.touch(a).is_some(), "capacity {capacity}");
+            assert_eq!(table.len(), capacity);
+            assert_eq!(table.evictions(), (opens - (capacity - 1)) as u64);
+        }
+    }
+
+    #[test]
+    fn owners_at_equal_counts_lose_the_globally_least_recent() {
+        let mut table = SessionTable::new(4);
+        let a1 = open(&mut table, 1);
+        let b1 = open(&mut table, 2);
+        let a2 = open(&mut table, 1);
+        let b2 = open(&mut table, 2);
+        assert!(table.touch(a1).is_some());
+        // Two each; oldest first: b1, a2, b2, a1. A third owner's open
+        // takes b1, which leaves owner 1 holding the most.
+        let c1 = open(&mut table, 3);
+        assert_eq!(live(&table), vec![a1, a2, b2, c1]);
+        assert!(table.touch(b1).is_none());
+        let c2 = open(&mut table, 3);
+        assert_eq!(live(&table), vec![a1, b2, c1, c2]);
+    }
+
+    #[test]
+    fn the_cap_is_hard_when_every_owner_holds_one() {
+        let mut table = SessionTable::new(2);
+        let a = open(&mut table, 1);
+        let b = open(&mut table, 2);
+        let c = open(&mut table, 3);
+        assert_eq!(live(&table), vec![b, c]);
+        assert!(table.touch(a).is_none());
+        assert_eq!((table.len(), table.evictions()), (2, 1));
     }
 }

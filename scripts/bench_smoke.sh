@@ -39,7 +39,7 @@ cargo test --release --test session_nav -- --ignored --nocapture
 cargo test --release --test expdb_open_smoke -- --ignored --nocapture
 timeout 120 cargo test --release --test zero_copy_smoke -- --ignored --nocapture
 timeout 900 cargo test --release --test thread_scaling -- --ignored --nocapture
-timeout 900 cargo test --release --test serve_smoke -- --ignored --nocapture
+timeout 120 cargo test --release --test serve_smoke -- --ignored --nocapture
 timeout 900 cargo test --release --test ensemble_smoke -- --ignored --nocapture
 timeout 900 cargo test --release --test analyze_smoke -- --ignored --nocapture
 rm -f target/obs_overhead_on.json target/obs_overhead_off.json

@@ -34,3 +34,10 @@ CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_a
 # unification through the root package), so this is the one place
 # expdb's own unit tests see the read-to-buffer file image.
 cargo test -q -p callpath-expdb
+# The scoreboard's own checks: all four benchmark workloads at 1/50
+# size with every output verification on (server render ≡ direct
+# `Session` over TCP on three databases, eviction at a cap of 16) and no
+# timing assertion, so a serve change that breaks a reply fails here
+# rather than in the next benchmark run. Exits non-zero on any failed
+# operation; under 15 s once built.
+bash examples/bench_e2e/run.sh --check

@@ -10,7 +10,7 @@
 //! ```
 
 use callpath::cli;
-use callpath_serve::{Engine, ServeConfig, Server};
+use callpath_serve::{Engine, ServeConfig, Server, StopHandle};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -104,12 +104,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Install a SIGINT handler that flips the engine's shutdown flag, so
-/// Ctrl-C drains in-flight requests instead of killing them mid-write.
-/// Raw `signal(2)` via libc keeps this dependency-free (the same
-/// pattern the mmap backend uses for its syscalls).
+/// Install a SIGINT handler that stops the server, so Ctrl-C drains
+/// in-flight requests instead of killing them mid-write. Raw
+/// `signal(2)` via libc keeps this dependency-free (the same pattern
+/// the mmap backend uses for its syscalls).
 #[cfg(unix)]
-fn install_sigint(engine: &Arc<Engine>) {
+fn install_sigint(stop: StopHandle) {
     use std::sync::atomic::AtomicBool;
 
     static FLAG: AtomicBool = AtomicBool::new(false);
@@ -123,13 +123,12 @@ fn install_sigint(engine: &Arc<Engine>) {
     unsafe {
         signal(SIGINT, on_sigint as *const () as usize);
     }
-    // A watcher thread translates the async-signal flag into the
-    // engine's shutdown state (nothing async-signal-unsafe runs in the
-    // handler itself).
-    let engine = Arc::clone(engine);
+    // A watcher thread translates the async-signal flag into a stop
+    // (nothing async-signal-unsafe runs in the handler itself). Its
+    // sleep loop is off the request path.
     std::thread::spawn(move || loop {
         if FLAG.load(Ordering::SeqCst) {
-            engine.request_shutdown();
+            stop.stop();
             return;
         }
         std::thread::sleep(Duration::from_millis(50));
@@ -137,7 +136,7 @@ fn install_sigint(engine: &Arc<Engine>) {
 }
 
 #[cfg(not(unix))]
-fn install_sigint(_engine: &Arc<Engine>) {}
+fn install_sigint(_stop: StopHandle) {}
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
@@ -146,10 +145,9 @@ fn run() -> Result<(), String> {
         engine.load_experiment(path)?;
         eprintln!("preloaded {path}");
     }
-    install_sigint(&engine);
-
     let server = Server::bind(Arc::clone(&engine), &args.addr)
         .map_err(|e| format!("cannot bind {}: {e}", args.addr))?;
+    install_sigint(server.stop_handle());
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     // The listening line is the machine-readable startup handshake
     // (tests parse it to find the ephemeral port) — stdout, flushed.

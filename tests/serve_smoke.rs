@@ -2,8 +2,9 @@
 //! ephemeral port, drive a concurrent open/expand/sort/hot-path
 //! workload from several client threads against s3d, and require the
 //! served renders to be byte-identical to a direct [`Session`] running
-//! the same commands. A malformed-request fuzz and a SIGINT drain
-//! round out the robustness contract from DESIGN.md §14.
+//! the same commands. A malformed-request fuzz, the eviction rule
+//! across two connections, and the wire, shutdown and idle-timeout
+//! paths round out the robustness contract from DESIGN.md §14.
 //!
 //! The `#[ignore]`d bench variant records `BENCH_serve.json` — exact
 //! client-side p50/p95 request latency plus sessions held — and is run
@@ -86,24 +87,30 @@ impl ServerProc {
     }
 
     /// SIGINT, then require a clean exit within the drain budget.
-    fn interrupt_and_wait(mut self) {
+    fn interrupt_and_wait(self) {
+        self.interrupt();
+        self.wait_exit(Duration::from_secs(10));
+    }
+
+    fn interrupt(&self) {
         let pid = self.child.id().to_string();
         assert!(Proc::new("kill")
             .args(["-INT", &pid])
             .status()
             .unwrap()
             .success());
-        let deadline = Instant::now() + Duration::from_secs(10);
+    }
+
+    /// Require a clean exit within `budget`.
+    fn wait_exit(mut self, budget: Duration) {
+        let deadline = Instant::now() + budget;
         loop {
             if let Some(status) = self.child.try_wait().unwrap() {
                 assert!(status.success(), "server exited with {status}");
                 return;
             }
-            assert!(
-                Instant::now() < deadline,
-                "server did not drain after SIGINT"
-            );
-            std::thread::sleep(Duration::from_millis(50));
+            assert!(Instant::now() < deadline, "server did not drain in time");
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 }
@@ -124,15 +131,21 @@ struct Client {
 impl Client {
     fn connect(addr: &str) -> Client {
         let stream = TcpStream::connect(addr).expect("connect to server");
+        stream.set_nodelay(true).expect("set TCP_NODELAY");
         Client {
             reader: BufReader::new(stream.try_clone().unwrap()),
             writer: stream,
         }
     }
 
+    /// Line and newline in one write: two writes would leave the second
+    /// waiting on the server's delayed ACK, a stall of the client's own.
+    fn send(&mut self, line: &str) -> std::io::Result<()> {
+        self.writer.write_all(format!("{line}\n").as_bytes())
+    }
+
     fn call(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").expect("send request");
-        self.writer.flush().unwrap();
+        self.send(line).expect("send request");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply");
         json::parse(reply.trim()).unwrap_or_else(|e| panic!("bad reply {reply:?}: {e}"))
@@ -142,8 +155,7 @@ impl Client {
     /// connection instead of replying (the contract for requests past
     /// the line-length cap, where resynchronization is impossible).
     fn try_call(&mut self, line: &str) -> Option<Json> {
-        writeln!(self.writer, "{line}").ok()?;
-        self.writer.flush().ok()?;
+        self.send(line).ok()?;
         let mut reply = String::new();
         match self.reader.read_line(&mut reply) {
             Ok(0) | Err(_) => None,
@@ -319,6 +331,15 @@ fn malformed_requests_over_tcp_never_kill_the_server() {
     let line = format!(r#"{{"method":"render","params":{{"session":{sid}}}}}"#);
     client.ok(&line);
 
+    // The oversized line counts as a request as well as an error (the
+    // server counted it before it closed or replied), so `errors` can
+    // never pass `requests`: open + 8 junk + oversized + render + stats.
+    let stats = client.ok(r#"{"method":"stats"}"#);
+    let errors = stats.get("errors").and_then(Json::as_u64).unwrap();
+    let requests = stats.get("requests").and_then(Json::as_u64).unwrap();
+    assert!(errors <= requests, "{errors} errors in {requests} requests");
+    assert_eq!((errors, requests), (9, 12));
+
     server.interrupt_and_wait();
 }
 
@@ -333,6 +354,116 @@ fn eviction_is_reported_in_stats() {
     let stats = client.ok(r#"{"method":"stats"}"#);
     assert_eq!(stats.get("sessions").and_then(Json::as_u64), Some(2));
     assert_eq!(stats.get("evictions").and_then(Json::as_u64), Some(3));
+    server.interrupt_and_wait();
+}
+
+#[test]
+fn a_churning_connection_cannot_evict_another_connections_session() {
+    let db = s3d_db();
+    let server = ServerProc::start(&["--max-sessions", "4"]);
+    let mut a = Client::connect(&server.addr);
+    let sid = a.open(&db);
+    let render = format!(r#"{{"method":"render","params":{{"session":{sid}}}}}"#);
+    a.ok(&render);
+    let mut b = Client::connect(&server.addr);
+    for _ in 0..20 {
+        b.open(&db);
+    }
+    // A's session is the least recently used by far, and still there.
+    a.ok(&render);
+    let stats = a.ok(r#"{"method":"stats"}"#);
+    assert_eq!(stats.get("sessions").and_then(Json::as_u64), Some(4));
+    assert_eq!(stats.get("evictions").and_then(Json::as_u64), Some(17));
+    server.interrupt_and_wait();
+}
+
+const PING: &str = r#"{"method":"ping"}"#;
+
+/// No timer sits under a round trip or an accept. The bound is generous
+/// for work and out of reach for a timer: 120 replies held for a
+/// delayed ACK (~40 ms each) take more than 4 s.
+#[test]
+fn round_trips_and_accepts_wait_on_no_timer() {
+    let server = ServerProc::start(&[]);
+    let start = Instant::now();
+    let mut client = Client::connect(&server.addr);
+    for _ in 0..100 {
+        client.ok(PING);
+    }
+    for _ in 0..20 {
+        Client::connect(&server.addr).ok(PING);
+    }
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "120 pings took {took:?}");
+    server.interrupt_and_wait();
+}
+
+/// A connection that never speaks and one stalled mid-line.
+fn blocked_connections(addr: &str) -> (Client, Client) {
+    let silent = Client::connect(addr);
+    let mut stalled = Client::connect(addr);
+    stalled.writer.write_all(br#"{"method":"pi"#).unwrap();
+    // Accepts are sequential: once a later connection is served, both
+    // have a handler thread.
+    Client::connect(addr).ok(PING);
+    (silent, stalled)
+}
+
+/// The server closed the connection without sending anything. (The read
+/// is bounded, so a server that never closes fails the test, not hangs it.)
+fn reads_bare_eof(client: &mut Client) -> bool {
+    let bound = Some(Duration::from_secs(10));
+    client.writer.set_read_timeout(bound).unwrap();
+    let mut rest = String::new();
+    matches!(client.reader.read_line(&mut rest), Ok(0)) && rest.is_empty()
+}
+
+#[test]
+fn shutdown_rpc_reaches_blocked_connections() {
+    let server = ServerProc::start(&[]);
+    let (mut silent, mut stalled) = blocked_connections(&server.addr);
+    let start = Instant::now();
+    let reply = Client::connect(&server.addr).ok(r#"{"method":"shutdown"}"#);
+    assert_eq!(reply.get("draining").and_then(Json::as_bool), Some(true));
+    server.wait_exit(Duration::from_secs(2));
+    assert!(start.elapsed() < Duration::from_secs(2));
+    // Neither blocked connection was served a reply on the way out.
+    assert!(reads_bare_eof(&mut silent) && reads_bare_eof(&mut stalled));
+}
+
+#[test]
+fn sigint_reaches_blocked_connections() {
+    let server = ServerProc::start(&[]);
+    let (mut silent, mut stalled) = blocked_connections(&server.addr);
+    server.interrupt();
+    server.wait_exit(Duration::from_secs(2));
+    assert!(reads_bare_eof(&mut silent) && reads_bare_eof(&mut stalled));
+}
+
+/// The idle timeout counts from the last complete request: silence and
+/// half a line are both cut, a slow but steady client is not.
+#[test]
+fn idle_timeout_cuts_the_silent_and_the_stalled_but_not_the_slow() {
+    let server = ServerProc::start(&["--idle-timeout", "1"]);
+    let (mut silent, mut stalled) = blocked_connections(&server.addr);
+    let mut slow = Client::connect(&server.addr);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        let idle = scope.spawn(|| {
+            let cut = reads_bare_eof(&mut silent) && reads_bare_eof(&mut stalled);
+            (cut, start.elapsed())
+        });
+        while start.elapsed() < Duration::from_millis(2500) {
+            slow.ok(PING);
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        let (cut, after) = idle.join().unwrap();
+        assert!(
+            cut && after < Duration::from_secs(3),
+            "cut: {cut} after {after:?}"
+        );
+    });
+    slow.ok(PING);
     server.interrupt_and_wait();
 }
 
