@@ -800,11 +800,11 @@ mod tests {
                 loc: SourceLoc::new(file, 22),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         raw.add_cost(cyc, sf, 100.0);
         raw.add_cost(cyc, ss, 900.0);
-        Experiment::build(cct, raw, StorageKind::Dense)
+        Experiment::build(cct, raw, StorageKind::Csr)
     }
 
     fn mask(exp: &Experiment, text: &str) -> Vec<bool> {

@@ -6,7 +6,6 @@
 //! paper implies is "little enough to be irrelevant").
 
 use callpath_baseline::analyze;
-use callpath_core::prelude::*;
 use callpath_prof::correlate;
 use callpath_profiler::{execute, lower, ExecConfig};
 use callpath_structure::recover;
@@ -37,11 +36,7 @@ fn bench(c: &mut Criterion) {
             |b, _| b.iter(|| analyze(&binary, &res, 1_009).flat.len()),
         );
         group.bench_with_input(BenchmarkId::new("cct_correlation", name), &(), |b, _| {
-            b.iter(|| {
-                correlate(&structure, &res.profile, cfg.periods, StorageKind::Dense)
-                    .cct
-                    .len()
-            })
+            b.iter(|| correlate(&structure, &res.profile, cfg.periods).cct.len())
         });
         group.bench_with_input(BenchmarkId::new("structure_recovery", name), &(), |b, _| {
             b.iter(|| recover(&binary).unwrap().scope_count())

@@ -22,7 +22,7 @@ fn print_footprints() {
     );
     for &size in &[1_000usize, 10_000, 100_000] {
         let exp = sized_experiment(size);
-        let lazy = CallersView::build(&exp, StorageKind::Dense);
+        let lazy = CallersView::build(&exp);
         let mut eager = lazy.clone();
         eager.fully_expand(&exp);
         println!(
@@ -47,11 +47,11 @@ fn bench(c: &mut Criterion) {
     for &size in &[1_000usize, 10_000, 100_000] {
         let exp = sized_experiment(size);
         group.bench_with_input(BenchmarkId::new("lazy_build", size), &exp, |b, exp| {
-            b.iter(|| CallersView::build(exp, StorageKind::Dense))
+            b.iter(|| CallersView::build(exp))
         });
         group.bench_with_input(BenchmarkId::new("eager_build", size), &exp, |b, exp| {
             b.iter(|| {
-                let mut view = CallersView::build(exp, StorageKind::Dense);
+                let mut view = CallersView::build(exp);
                 view.fully_expand(exp);
                 view
             })
@@ -61,7 +61,7 @@ fn bench(c: &mut Criterion) {
             &exp,
             |b, exp| {
                 b.iter(|| {
-                    let mut view = CallersView::build(exp, StorageKind::Dense);
+                    let mut view = CallersView::build(exp);
                     let roots = view.tree.roots();
                     view.expand(exp, roots[0]);
                     view.tree.len()

@@ -17,10 +17,10 @@ fn bench(c: &mut Criterion) {
     for &size in &[1_000usize, 10_000, 100_000] {
         let exp = sized_experiment(size);
         group.bench_with_input(BenchmarkId::new("build_shell", size), &exp, |b, exp| {
-            b.iter(|| FlatView::build(exp, StorageKind::Dense))
+            b.iter(|| FlatView::build(exp))
         });
         let forced = |exp: &Experiment| {
-            let mut view = FlatView::build(exp, StorageKind::Dense);
+            let mut view = FlatView::build(exp);
             view.force_all(exp);
             view
         };
@@ -43,7 +43,7 @@ fn bench(c: &mut Criterion) {
     let moab = moab_experiment();
     group.bench_function("fig5_moab_flat_and_flatten", |b| {
         b.iter(|| {
-            let mut flat = FlatView::build(&moab, StorageKind::Dense);
+            let mut flat = FlatView::build(&moab);
             let roots = flat.tree.roots();
             flat.flatten(&moab, &roots, 3).len()
         })

@@ -1,8 +1,13 @@
-//! Ablation / Section V-A — sparse vs dense metric storage.
+//! Ablation / Section V-A — the two shapes of a metric column.
 //!
 //! "Performance data is sparse": most scopes have zero for most metrics.
-//! This bench measures attribution and point-lookup under both storage
-//! flavors and prints their heap footprints on a sparse profile.
+//! A column is sorted arrays of its non-zeros unless it covers one node
+//! in four or more of its tree, when it is a node-indexed vector
+//! (`MetricVec::from_sorted`; the kernel's sweep branch hands its vectors
+//! over as they are). This bench prints what that threshold buys on the
+//! read side — point lookups, ordered scans and bytes for both shapes of
+//! one column either side of it — and the kernel's cost per touched node
+//! on the sparse shape it exists for.
 
 use callpath_bench::sized_experiment;
 use callpath_core::attribution::{attribute, attribute_sorted};
@@ -12,18 +17,64 @@ use callpath_workloads::synth::{synth_model, SynthConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
 
-fn print_footprints() {
-    println!("--- metric storage footprint (one column, 100k-node CCT) ---");
-    let exp = sized_experiment(100_000);
-    for kind in [StorageKind::Dense, StorageKind::Sparse, StorageKind::Csr] {
-        let attr = attribute(&exp.cct, &exp.raw, MetricId(0), kind);
-        println!(
-            "{:?}: inclusive {} bytes ({} nonzero), exclusive {} bytes",
-            kind,
-            attr.inclusive.heap_bytes(),
-            attr.inclusive.nonzero_count(),
-            attr.exclusive.heap_bytes(),
-        );
+/// Median wall time of 31 runs of `f`, in nanoseconds.
+fn median_ns<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut ns: Vec<f64> = (0..31)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    ns[ns.len() / 2]
+}
+
+/// Both shapes of one column, read back: `n / 7` point lookups at
+/// scattered nodes, one ordered scan of the non-zeros, and the bytes held
+/// — at coverages either side of the one-in-four hand-over threshold.
+fn print_shape_rows() {
+    println!("--- dense vs sorted arrays, one column read back (medians of 31) ---");
+    println!("nodes  coverage  rule picks | lookup ns (dense, sorted) | scan ns/nonzero (dense, sorted) | bytes (dense, sorted)");
+    for n in [10_000u32, 100_000] {
+        for one_in in [16u32, 8, 4, 2] {
+            // One non-zero per stride, at a jittered offset inside it.
+            let entries: Vec<(u32, f64)> = (0..n / one_in)
+                .map(|k| {
+                    (
+                        k * one_in + k.wrapping_mul(2_654_435_761) % one_in,
+                        1.5 + k as f64,
+                    )
+                })
+                .collect();
+            let picked = match MetricVec::from_sorted(entries.clone(), n as usize) {
+                MetricVec::Dense(_) => "dense",
+                _ => "sorted",
+            };
+            let mut dense = MetricVec::dense(n as usize);
+            for &(k, v) in &entries {
+                dense.set(k, v);
+            }
+            let sorted = MetricVec::Csr(CsrColumn::from_sorted(entries));
+            let lookups = n / 7;
+            let lookup = |col: &MetricVec| {
+                median_ns(|| (0..lookups).map(|i| col.get(i * 7_919 % n)).sum::<f64>())
+                    / lookups as f64
+            };
+            let scan = |col: &MetricVec| {
+                median_ns(|| col.nonzero_sorted().map(|e| e.1).sum::<f64>())
+                    / col.nonzero_count() as f64
+            };
+            println!(
+                "{n:>6}  1/{one_in:<7} {picked:<10} | {:>6.1} {:>6.1} | {:>6.2} {:>6.2} | {:>7} {:>7}",
+                lookup(&dense),
+                lookup(&sorted),
+                scan(&dense),
+                scan(&sorted),
+                dense.heap_bytes(),
+                sorted.heap_bytes(),
+            );
+        }
     }
 }
 
@@ -50,15 +101,7 @@ fn print_sparse_rows() {
         let owned = model.build_cct().expect("synthetic topology is valid");
         for (topology, cct) in [("mapped", &mapped), ("owned", &owned)] {
             let touched = attribute_sorted(cct, &keys, &vals).visited;
-            let mut ns: Vec<f64> = (0..31)
-                .map(|_| {
-                    let start = Instant::now();
-                    std::hint::black_box(attribute_sorted(cct, &keys, &vals));
-                    start.elapsed().as_nanos() as f64
-                })
-                .collect();
-            ns.sort_by(f64::total_cmp);
-            let median = ns[ns.len() / 2];
+            let median = median_ns(|| attribute_sorted(cct, &keys, &vals));
             println!(
                 "{} nodes ({topology}), {} touched ({:.1}%): median {:.3} ms = {:.2} ns/node, {:.1} ns/touched node",
                 cct.len(),
@@ -73,7 +116,7 @@ fn print_sparse_rows() {
 }
 
 fn bench(c: &mut Criterion) {
-    print_footprints();
+    print_shape_rows();
     print_sparse_rows();
     let mut group = c.benchmark_group("metric_storage");
     group
@@ -82,50 +125,29 @@ fn bench(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1));
 
     for &size in &[10_000usize, 100_000] {
+        // A column covering 2/3 of its tree: the kernel's sweep branch.
         let exp = sized_experiment(size);
-        for kind in [StorageKind::Dense, StorageKind::Sparse, StorageKind::Csr] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("attribute_{kind:?}"), size),
-                &exp,
-                |b, exp| b.iter(|| attribute(&exp.cct, &exp.raw, MetricId(0), kind)),
-            );
-            // Point lookups: linear scan (Sparse) vs direct index (Dense)
-            // vs binary search (Csr).
-            let attr = attribute(&exp.cct, &exp.raw, MetricId(0), kind);
-            group.bench_with_input(
-                BenchmarkId::new(format!("lookup_{kind:?}"), size),
-                &attr,
-                |b, attr| {
-                    b.iter(|| {
-                        let mut acc = 0.0;
-                        for i in (0..size as u32).step_by(7) {
-                            acc += attr.inclusive.get(i);
-                        }
-                        acc
-                    })
-                },
-            );
-        }
-        // Batched ingestion: per-sample scalar `add` vs one `add_costs`
-        // sweep in ascending node order (the CSR append fast path).
+        group.bench_with_input(BenchmarkId::new("attribute", size), &exp, |b, exp| {
+            b.iter(|| attribute(&exp.cct, &exp.raw, MetricId(0), StorageKind::Csr))
+        });
+        // Batched ingestion: one `add_costs` sweep in ascending node
+        // order, the sorted arrays' append fast path.
         let entries: Vec<(NodeId, f64)> = (0..size as u32)
             .step_by(3)
             .map(|i| (NodeId(i), 1.5))
             .collect();
-        for kind in [StorageKind::Dense, StorageKind::Sparse, StorageKind::Csr] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("add_costs_batched_{kind:?}"), size),
-                &entries,
-                |b, entries| {
-                    b.iter(|| {
-                        let mut raw = RawMetrics::new(kind);
-                        let m = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
-                        raw.add_costs(m, entries);
-                        raw.generation()
-                    })
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("add_costs_batched", size),
+            &entries,
+            |b, entries| {
+                b.iter(|| {
+                    let mut raw = RawMetrics::new(StorageKind::Csr);
+                    let m = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
+                    raw.add_costs(m, entries);
+                    raw.generation()
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -31,7 +31,7 @@ fn print_overhead_table() {
             ..ExecConfig::single(Counter::Cycles, p)
         };
         let res = execute(&binary, &cfg).unwrap();
-        let exp = correlate(&structure, &res.profile, cfg.periods, StorageKind::Dense);
+        let exp = correlate(&structure, &res.profile, cfg.periods);
         let measured = exp.columns.get(ColumnId(0), exp.cct.root().0);
         let truth = res.totals[Counter::Cycles] as f64;
         println!(

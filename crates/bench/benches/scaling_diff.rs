@@ -22,13 +22,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("merge_experiments", size),
             &(&a, &b),
-            |bch, (a, b)| {
-                bch.iter(|| {
-                    merge_experiments(a, "A", b, "B", StorageKind::Dense)
-                        .cct
-                        .len()
-                })
-            },
+            |bch, (a, b)| bch.iter(|| merge_experiments(a, "A", b, "B").cct.len()),
         );
         group.bench_with_input(
             BenchmarkId::new("scaling_loss_full", size),

@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
                             &exp.cct,
                             &exp.raw,
                             MetricId::from_usize(m),
-                            StorageKind::Dense,
+                            StorageKind::Csr,
                         )
                     })
                     .collect::<Vec<_>>()
@@ -39,14 +39,14 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("callers_view_lazy", size),
             &exp,
-            |b, exp| b.iter(|| CallersView::build(exp, StorageKind::Dense)),
+            |b, exp| b.iter(|| CallersView::build(exp)),
         );
         group.bench_with_input(BenchmarkId::new("flat_view_shell", size), &exp, |b, exp| {
-            b.iter(|| FlatView::build(exp, StorageKind::Dense))
+            b.iter(|| FlatView::build(exp))
         });
         group.bench_with_input(BenchmarkId::new("flat_view_eager", size), &exp, |b, exp| {
             b.iter(|| {
-                let mut view = FlatView::build(exp, StorageKind::Dense);
+                let mut view = FlatView::build(exp);
                 view.force_all(exp);
                 view
             })
@@ -82,7 +82,7 @@ fn bench(c: &mut Criterion) {
                     for p in profiles {
                         corr.add(p);
                     }
-                    corr.finish(StorageKind::Dense).cct.len()
+                    corr.finish(StorageKind::Csr).cct.len()
                 })
             },
         );
@@ -94,7 +94,7 @@ fn bench(c: &mut Criterion) {
                     b.iter(|| {
                         let (exp, _) = ParallelCorrelator::new(&structure, base.periods)
                             .with_threads(threads)
-                            .correlate(profiles, StorageKind::Dense);
+                            .correlate(profiles, StorageKind::Csr);
                         exp.cct.len()
                     })
                 },

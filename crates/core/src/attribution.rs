@@ -35,20 +35,31 @@
 //! private to the call: column faults fan out over the worker pool.
 //! A column that touches a quarter of the tree or more is swept with
 //! node-indexed vectors instead, O(n) as before: there the searches and
-//! the sort that sparseness costs buy nothing.
+//! the sort that sparseness costs buy nothing. Either branch's result is
+//! handed over in the shape it was computed in — sorted arrays from the
+//! walk, the two node-indexed vectors from the sweep — and that is the
+//! shape the column keeps.
 
 use crate::cct::Cct;
 use crate::ids::{MetricId, NodeId};
-use crate::metrics::{MetricVec, RawMetrics, StorageKind};
+use crate::metrics::{CsrColumn, MetricVec, RawMetrics, StorageKind};
 use crate::scope::ScopeKind;
 
-/// Attribution results for a single raw metric over a CCT.
+/// Attribution results for a single raw metric over a CCT, each in the
+/// shape the kernel's branch computed it in: sorted arrays
+/// ([`MetricVec::Csr`]) when it walked the ancestor chains, node-indexed
+/// vectors ([`MetricVec::Dense`]) when it swept the tree.
 #[derive(Debug, Clone)]
 pub struct Attribution {
     /// Eq. 2 inclusive costs per node.
     pub inclusive: MetricVec,
     /// Eq. 1 hybrid exclusive costs per node.
     pub exclusive: MetricVec,
+    /// Nodes the inclusive pass visited: the size of the union of the
+    /// non-zeros' ancestor chains (each non-zero node included), or
+    /// every node of the tree when the column was swept. The work tests
+    /// assert on it; nothing else reads it.
+    pub visited: usize,
 }
 
 impl Attribution {
@@ -63,24 +74,12 @@ impl Attribution {
     }
 }
 
-/// What [`attribute_sorted`] returns: each result as its non-zero
-/// `(node, value)` entries in ascending node order — the shape
-/// [`MetricVec::from_sorted`] and the lazy column slots take as is.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SortedAttribution {
-    /// Eq. 2 inclusive costs.
-    pub inclusive: Vec<(u32, f64)>,
-    /// Eq. 1 hybrid exclusive costs.
-    pub exclusive: Vec<(u32, f64)>,
-    /// Nodes the inclusive pass visited: the size of the union of the
-    /// non-zeros' ancestor chains (each non-zero node included), or
-    /// every node of the tree when the column was swept. The work tests
-    /// assert on it; nothing else reads it.
-    pub visited: usize,
-}
-
 /// A column whose ancestor chains cover at least one node in this many
-/// is swept with node-indexed vectors instead (see [`attribute_sorted`]).
+/// is swept with node-indexed vectors instead (see [`attribute_sorted`]),
+/// and sorted entries that cover as much become a node-indexed vector
+/// ([`MetricVec::from_sorted`]): the one threshold between the two
+/// shapes, on the compute side and on the read side (EXPERIMENTS.md,
+/// "Metric storage", has the lookup and scan times either side of it).
 /// The measured crossover (EXPERIMENTS.md, "kernel crossover"): on a
 /// bushy tree whose parents are uniformly random earlier frames — the
 /// worst case for the walk's parent search — the walk wins at K = 15 %
@@ -88,7 +87,7 @@ pub struct SortedAttribution {
 /// against 2.31 ms); on the deep synthetic tree it wins up to 50 %.
 /// Without the branch `nav_mid`, whose dense columns each cover 2/3 of
 /// a bushy tree, read `op_ms_p95` 34–39 ms against 23–25 ms.
-const SWEEP_ABOVE_ONE_IN: usize = 4;
+pub(crate) const SWEEP_ABOVE_ONE_IN: usize = 4;
 
 /// The attribution kernel: one column's direct costs in, as parallel
 /// slices of strictly ascending node ids and their values (borrowed
@@ -106,22 +105,7 @@ const SWEEP_ABOVE_ONE_IN: usize = 4;
 /// same order without the searches and the sort that sparseness costs:
 /// a column with `K ≥ n / 4` (known at once when `nnz` alone is that
 /// many, else once the marking has counted `K`) takes that branch.
-pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> SortedAttribution {
-    match kernel(cct, keys, vals) {
-        Kernel::Walked(sorted) => sorted,
-        Kernel::Swept(dense) => dense.into_sorted(),
-    }
-}
-
-/// What the kernel's two branches leave behind.
-enum Kernel {
-    /// Sorted entries over the marked ancestor chains.
-    Walked(SortedAttribution),
-    /// Node-indexed vectors over the whole tree.
-    Swept(Swept),
-}
-
-fn kernel(cct: &Cct, keys: &[u32], vals: &[f64]) -> Kernel {
+pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
     let n = cct.len();
     let direct = keys
@@ -130,7 +114,7 @@ fn kernel(cct: &Cct, keys: &[u32], vals: &[f64]) -> Kernel {
         .map(|(&k, &v)| (k, v))
         .filter(|&(k, v)| (k as usize) < n && v != 0.0);
     if keys.len() * SWEEP_ABOVE_ONE_IN >= n {
-        return Kernel::Swept(sweep(cct, direct));
+        return sweep(cct, direct);
     }
 
     // Eq. 2. Mark every non-zero's ancestor chain, stopping at the
@@ -153,7 +137,7 @@ fn kernel(cct: &Cct, keys: &[u32], vals: &[f64]) -> Kernel {
         }
     }
     if visited * SWEEP_ABOVE_ONE_IN >= n {
-        return Kernel::Swept(sweep(cct, direct));
+        return sweep(cct, direct);
     }
     // The marked nodes in ascending order, each seeded with its direct
     // cost (every non-zero is marked, and both sequences ascend).
@@ -191,11 +175,11 @@ fn kernel(cct: &Cct, keys: &[u32], vals: &[f64]) -> Kernel {
         exclusive_targets(cct, NodeId(i), |target| exclusive.push((target.0, d)));
     }
 
-    Kernel::Walked(SortedAttribution {
-        inclusive,
-        exclusive: coalesce(exclusive),
+    Attribution {
+        inclusive: MetricVec::Csr(CsrColumn::from_sorted(inclusive)),
+        exclusive: MetricVec::Csr(CsrColumn::from_sorted(coalesce(exclusive))),
         visited,
-    })
+    }
 }
 
 /// Eq. 1 hybrid exclusive: a direct cost at `node` goes to
@@ -230,33 +214,11 @@ fn exclusive_targets(cct: &Cct, node: NodeId, mut add: impl FnMut(NodeId)) {
     }
 }
 
-/// Both results as node-indexed vectors, one slot per CCT node.
-struct Swept {
-    inclusive: Vec<f64>,
-    exclusive: Vec<f64>,
-}
-
-impl Swept {
-    fn into_sorted(self) -> SortedAttribution {
-        let entries = |dense: Vec<f64>| {
-            let mut out = Vec::with_capacity(dense.iter().filter(|&&v| v != 0.0).count());
-            let nonzero = dense.into_iter().enumerate().filter(|&(_, v)| v != 0.0);
-            out.extend(nonzero.map(|(i, v)| (i as u32, v)));
-            out
-        };
-        SortedAttribution {
-            visited: self.inclusive.len(),
-            inclusive: entries(self.inclusive),
-            exclusive: entries(self.exclusive),
-        }
-    }
-}
-
 /// The kernel's branch for a column that touches most of the tree: the
 /// same additions in the same order over two node-indexed vectors —
 /// a scatter for Eq. 1, one reverse sweep for Eq. 2 (arena order is
 /// topological). It visits every node.
-fn sweep(cct: &Cct, direct: impl Iterator<Item = (u32, f64)>) -> Swept {
+fn sweep(cct: &Cct, direct: impl Iterator<Item = (u32, f64)>) -> Attribution {
     let n = cct.len();
     let (mut inclusive, mut exclusive) = (vec![0.0; n], vec![0.0; n]);
     for (i, d) in direct {
@@ -271,9 +233,10 @@ fn sweep(cct: &Cct, direct: impl Iterator<Item = (u32, f64)>) -> Swept {
             }
         }
     }
-    Swept {
-        inclusive,
-        exclusive,
+    Attribution {
+        inclusive: MetricVec::Dense(inclusive),
+        exclusive: MetricVec::Dense(exclusive),
+        visited: n,
     }
 }
 
@@ -309,26 +272,12 @@ fn coalesce(mut adds: Vec<(u32, f64)>) -> Vec<(u32, f64)> {
     adds
 }
 
-/// Compute inclusive and exclusive costs for metric `m`:
-/// the kernel over the column's sorted non-zeros, then one bulk
-/// [`MetricVec::from_sorted`] per result (a swept column asked for as
-/// dense vectors is the sweep's own vectors).
-pub fn attribute(cct: &Cct, raw: &RawMetrics, m: MetricId, storage: StorageKind) -> Attribution {
+/// Inclusive and exclusive costs of metric `m`: [`attribute_sorted`]
+/// over the column's sorted non-zeros. The last argument selects nothing
+/// ([`StorageKind`]).
+pub fn attribute(cct: &Cct, raw: &RawMetrics, m: MetricId, _: StorageKind) -> Attribution {
     let (keys, vals) = raw.column(m).sorted_parts();
-    let sorted = match (kernel(cct, &keys, &vals), storage) {
-        (Kernel::Swept(dense), StorageKind::Dense) => {
-            return Attribution {
-                inclusive: MetricVec::Dense(dense.inclusive),
-                exclusive: MetricVec::Dense(dense.exclusive),
-            }
-        }
-        (Kernel::Swept(dense), _) => dense.into_sorted(),
-        (Kernel::Walked(sorted), _) => sorted,
-    };
-    Attribution {
-        inclusive: MetricVec::from_sorted(storage, sorted.inclusive),
-        exclusive: MetricVec::from_sorted(storage, sorted.exclusive),
-    }
+    attribute_sorted(cct, &keys, &vals)
 }
 
 /// Frame-direct cost of `frame`, by definition: the direct cost sampled
@@ -386,11 +335,11 @@ mod tests {
         let l2 = cct.add_child(l1, lp(9));
         let s = cct.add_child(l2, stmt(9));
 
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
         raw.add_cost(m, s, 4.0);
 
-        let a = attribute(&cct, &raw, m, StorageKind::Dense);
+        let a = attribute(&cct, &raw, m, StorageKind::Csr);
         // Fig 2a: h = (4,4), l1 = (4,0), l2 = (4,4).
         assert_eq!(a.inclusive_at(h), 4.0);
         assert_eq!(a.exclusive_at(h), 4.0);
@@ -411,12 +360,12 @@ mod tests {
         let l = cct.add_child(f, lp(4));
         let in_loop = cct.add_child(l, stmt(5));
 
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
         raw.add_cost(m, body, 2.0);
         raw.add_cost(m, in_loop, 3.0);
 
-        let a = attribute(&cct, &raw, m, StorageKind::Dense);
+        let a = attribute(&cct, &raw, m, StorageKind::Csr);
         assert_eq!(a.exclusive_at(f), 5.0, "rule 1: frame absorbs all stmts");
         assert_eq!(
             frame_direct(&cct, raw.column(m), f),
@@ -442,11 +391,11 @@ mod tests {
         );
         let s = cct.add_child(inl, stmt(21));
 
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
         raw.add_cost(m, s, 7.0);
 
-        let a = attribute(&cct, &raw, m, StorageKind::Dense);
+        let a = attribute(&cct, &raw, m, StorageKind::Csr);
         assert_eq!(
             a.exclusive_at(inl),
             7.0,
@@ -469,12 +418,12 @@ mod tests {
         let s_main = cct.add_child(main, stmt(2));
         let s_callee = cct.add_child(callee, stmt(30));
 
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
         raw.add_cost(m, s_main, 1.0);
         raw.add_cost(m, s_callee, 9.0);
 
-        let a = attribute(&cct, &raw, m, StorageKind::Dense);
+        let a = attribute(&cct, &raw, m, StorageKind::Csr);
         assert_eq!(a.inclusive_at(main), 10.0);
         assert_eq!(a.exclusive_at(main), 1.0, "rule 1 does not cross the call");
         assert_eq!(a.inclusive_at(callee), 9.0);
@@ -488,34 +437,14 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_attribution_agree() {
-        let mut cct = Cct::new(NameTable::new());
-        let root = cct.root();
-        let f = cct.add_child(root, frame(0, 0));
-        let l = cct.add_child(f, lp(4));
-        let s = cct.add_child(l, stmt(5));
-        let mut raw = RawMetrics::new(StorageKind::Dense);
-        let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
-        raw.add_cost(m, s, 11.0);
-        raw.add_cost(m, f, 0.5);
-
-        let dense = attribute(&cct, &raw, m, StorageKind::Dense);
-        let sparse = attribute(&cct, &raw, m, StorageKind::Sparse);
-        for n in cct.all_nodes() {
-            assert_eq!(dense.inclusive_at(n), sparse.inclusive_at(n));
-            assert_eq!(dense.exclusive_at(n), sparse.exclusive_at(n));
-        }
-    }
-
-    #[test]
     fn cost_sampled_at_frame_is_frame_direct() {
         let mut cct = Cct::new(NameTable::new());
         let root = cct.root();
         let f = cct.add_child(root, frame(0, 0));
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
         raw.add_cost(m, f, 3.0);
-        let a = attribute(&cct, &raw, m, StorageKind::Dense);
+        let a = attribute(&cct, &raw, m, StorageKind::Csr);
         assert_eq!(a.exclusive_at(f), 3.0);
         assert_eq!(frame_direct(&cct, raw.column(m), f), 3.0);
     }

@@ -22,7 +22,6 @@
 
 use crate::experiment::Experiment;
 use crate::ids::{NodeId, ProcId, ViewNodeId};
-use crate::metrics::StorageKind;
 use crate::scope::ScopeKind;
 use crate::viewtree::{Exclusive, ViewScope, ViewTree};
 use std::collections::HashMap;
@@ -43,9 +42,9 @@ impl CallersView {
     /// Build the top-level entries (one per procedure with at least one
     /// dynamic activation). Children are materialized on demand via
     /// [`CallersView::expand`].
-    pub fn build(exp: &Experiment, storage: StorageKind) -> Self {
+    pub fn build(exp: &Experiment) -> Self {
         let mut view = CallersView {
-            tree: ViewTree::new(storage),
+            tree: ViewTree::new(),
             cursors: Vec::new(),
         };
         // Mirror the experiment's column layout.
@@ -159,7 +158,7 @@ impl CallersView {
 mod tests {
     use super::*;
     use crate::ids::{ColumnId, FileId};
-    use crate::metrics::{MetricDesc, RawMetrics};
+    use crate::metrics::{MetricDesc, RawMetrics, StorageKind};
     use crate::names::{NameTable, SourceLoc};
 
     /// Build the Fig. 1 program's CCT by hand (same shape the golden
@@ -214,7 +213,7 @@ mod tests {
         let s_g3 = stmt(&mut cct, g3, file2, 3);
         let s_l2 = stmt(&mut cct, l2, file2, 9);
 
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cost", "samples", 1.0));
         raw.add_cost(cyc, s_f, 1.0);
         raw.add_cost(cyc, s_g1, 1.0);
@@ -222,7 +221,7 @@ mod tests {
         raw.add_cost(cyc, s_g3, 3.0);
         raw.add_cost(cyc, s_l2, 4.0);
         (
-            Experiment::build(cct, raw, StorageKind::Dense),
+            Experiment::build(cct, raw, StorageKind::Csr),
             vec!["m", "f", "g", "h"],
         )
     }
@@ -242,7 +241,7 @@ mod tests {
     #[test]
     fn top_level_matches_fig2b() {
         let (exp, _) = fig1_experiment();
-        let view = CallersView::build(&exp, StorageKind::Dense);
+        let view = CallersView::build(&exp);
         // Roots: m, f, g, h (first-appearance order in the CCT).
         let labels: Vec<String> = view
             .tree
@@ -269,7 +268,7 @@ mod tests {
     #[test]
     fn expansion_matches_fig2b_children() {
         let (exp, _) = fig1_experiment();
-        let mut view = CallersView::build(&exp, StorageKind::Dense);
+        let mut view = CallersView::build(&exp);
         let ga = find_root(&view, &exp, "g");
         let kids = view.children_of(&exp, ga);
         let kid_labels: Vec<String> = kids
@@ -301,7 +300,7 @@ mod tests {
     #[test]
     fn m_has_no_callers() {
         let (exp, _) = fig1_experiment();
-        let mut view = CallersView::build(&exp, StorageKind::Dense);
+        let mut view = CallersView::build(&exp);
         let ma = find_root(&view, &exp, "m");
         assert!(!view.can_expand(&exp, ma));
         assert!(view.children_of(&exp, ma).is_empty());
@@ -310,7 +309,7 @@ mod tests {
     #[test]
     fn lazy_build_creates_only_top_level() {
         let (exp, procs) = fig1_experiment();
-        let view = CallersView::build(&exp, StorageKind::Dense);
+        let view = CallersView::build(&exp);
         assert_eq!(view.tree.len(), procs.len(), "no children materialized");
         let mut eager = view.clone();
         eager.fully_expand(&exp);
@@ -320,7 +319,7 @@ mod tests {
     #[test]
     fn eager_matches_fig2b_node_count() {
         let (exp, _) = fig1_experiment();
-        let mut eager = CallersView::build(&exp, StorageKind::Dense);
+        let mut eager = CallersView::build(&exp);
         eager.fully_expand(&exp);
         // Fig. 2b has 15 nodes: ga..gd, fa..fd, ma..me, m, h.
         assert_eq!(eager.tree.len(), 15);
@@ -329,7 +328,7 @@ mod tests {
     #[test]
     fn expansion_is_idempotent() {
         let (exp, _) = fig1_experiment();
-        let mut view = CallersView::build(&exp, StorageKind::Dense);
+        let mut view = CallersView::build(&exp);
         let ga = find_root(&view, &exp, "g");
         let a = view.children_of(&exp, ga);
         let b = view.children_of(&exp, ga);
@@ -342,7 +341,7 @@ mod tests {
     #[test]
     fn h_chain_carries_constant_cost() {
         let (exp, _) = fig1_experiment();
-        let mut view = CallersView::build(&exp, StorageKind::Dense);
+        let mut view = CallersView::build(&exp);
         let ha = find_root(&view, &exp, "h");
         // h ← g ← g ← f ← m, all (4,4)...(4,4) with exclusive 4 only at h.
         let mut cur = ha;

@@ -51,10 +51,9 @@ pub fn merge_experiments(
     label_a: &str,
     b: &Experiment,
     label_b: &str,
-    storage: StorageKind,
 ) -> Experiment {
     let mut cct = Cct::new(NameTable::new());
-    let mut raw = RawMetrics::new(storage);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
     for (exp, label) in [(a, label_a), (b, label_b)] {
         for d in exp.raw.descs() {
             raw.add_metric(MetricDesc::new(
@@ -67,7 +66,7 @@ pub fn merge_experiments(
     }
     fold_in(a, &mut cct, &mut raw, 0);
     fold_in(b, &mut cct, &mut raw, a.raw.metric_count());
-    Experiment::build(cct, raw, storage)
+    Experiment::build(cct, raw, StorageKind::Csr)
 }
 
 /// Result of a scaling-loss analysis.
@@ -109,8 +108,7 @@ pub fn scaling_loss(
         .raw
         .find(metric)
         .ok_or_else(|| format!("metric {metric} not in peer run"))?;
-    let storage = base.raw.storage();
-    let mut merged = merge_experiments(base, label_base, peer, label_peer, storage);
+    let mut merged = merge_experiments(base, label_base, peer, label_peer);
     // Metric ids in the merged table: base block then peer block.
     let merged_bm = MetricId(bm.0);
     let merged_pm = MetricId(base.raw.metric_count() as u32 + pm.0);
@@ -188,18 +186,18 @@ mod tests {
                 loc: SourceLoc::new(file, 21),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         raw.add_cost(cyc, sf, 100.0);
         raw.add_cost(cyc, ss, slow_cost);
-        Experiment::build(cct, raw, StorageKind::Dense)
+        Experiment::build(cct, raw, StorageKind::Csr)
     }
 
     #[test]
     fn merged_cct_aligns_by_name() {
         let a = sample(100.0);
         let b = sample(300.0);
-        let merged = merge_experiments(&a, "A", &b, "B", StorageKind::Dense);
+        let merged = merge_experiments(&a, "A", &b, "B");
         // Same shape: node counts equal (all scopes align).
         assert_eq!(merged.cct.len(), a.cct.len());
         assert_eq!(merged.raw.metric_count(), 2);
@@ -237,7 +235,7 @@ mod tests {
                 loc: SourceLoc::new(extra_names.1, 31),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         // Rebuild b with the extra cost (Experiment is immutable once
         // built, so construct anew).
@@ -248,9 +246,9 @@ mod tests {
             }
         }
         raw.add_cost(cyc, stmt, 50.0);
-        let b = Experiment::build(b.cct.clone(), raw, StorageKind::Dense);
+        let b = Experiment::build(b.cct.clone(), raw, StorageKind::Csr);
 
-        let merged = merge_experiments(&a, "A", &b, "B", StorageKind::Dense);
+        let merged = merge_experiments(&a, "A", &b, "B");
         assert_eq!(merged.cct.len(), a.cct.len() + 2, "extra frame + stmt");
         // Find the extra frame: base metric must be zero there.
         let extra_node = merged
@@ -335,7 +333,7 @@ mod tests {
         let peer = {
             let mut e = sample(200.0);
             // Rebuild with fast=50, slow=200.
-            let mut raw = RawMetrics::new(StorageKind::Dense);
+            let mut raw = RawMetrics::new(StorageKind::Csr);
             let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
             for n in e.cct.all_nodes() {
                 let v = e.raw.direct(MetricId(0), n);
@@ -345,7 +343,7 @@ mod tests {
                     raw.add_cost(cyc, n, v);
                 }
             }
-            e = Experiment::build(e.cct.clone(), raw, StorageKind::Dense);
+            e = Experiment::build(e.cct.clone(), raw, StorageKind::Csr);
             e
         };
         let analysis = scaling_loss(&base, "1p", &peer, "2p", "cycles", 0.5).unwrap();

@@ -16,7 +16,7 @@ use crate::attribution::attribute;
 use crate::cct::Cct;
 use crate::derived::{Expr, FormulaError, SliceContext};
 use crate::ids::{ColumnId, MetricId, NodeId};
-use crate::metrics::{ColumnDesc, ColumnFlavor, ColumnSet, RawMetrics, StorageKind};
+use crate::metrics::{ColumnDesc, ColumnFlavor, ColumnSet, MetricVec, RawMetrics, StorageKind};
 
 /// A fully attributed experiment: the input to every presentation view.
 #[derive(Debug, Clone)]
@@ -33,20 +33,22 @@ pub struct Experiment {
     derived: Vec<(ColumnId, Expr)>,
     /// Root (whole-program) value per column; the `@n` aggregate.
     aggregates: Vec<f64>,
-    /// Storage flavor for freshly computed attribution columns.
-    storage: StorageKind,
 }
 
 impl Experiment {
     /// Attribute all metrics of `raw` over `cct` and set up the standard
-    /// inclusive/exclusive column pair per metric.
-    pub fn build(cct: Cct, raw: RawMetrics, storage: StorageKind) -> Self {
-        let mut columns = ColumnSet::new(storage);
+    /// inclusive/exclusive column pair per metric. Ingestion ends here, so
+    /// the raw columns then take the shape their coverage of the tree
+    /// calls for ([`MetricVec::from_sorted`]; after attribution, which
+    /// reads their sorted arrays in place). The last argument selects
+    /// nothing ([`StorageKind`]).
+    pub fn build(cct: Cct, mut raw: RawMetrics, _: StorageKind) -> Self {
+        let mut columns = ColumnSet::new();
         let mut aggregates = Vec::new();
         let root = cct.root();
         for mi in 0..raw.metric_count() {
             let m = MetricId::from_usize(mi);
-            let attr = attribute(&cct, &raw, m, storage);
+            let attr = attribute(&cct, &raw, m, StorageKind::Csr);
             let total = attr.inclusive.get(root.0);
             let name = &raw.desc(m).name;
             columns.add_column_with(
@@ -72,13 +74,13 @@ impl Experiment {
             // inclusive keeps `$e/@e` percentages meaningful.
             aggregates.push(total);
         }
+        raw.settle(cct.len());
         Experiment {
             cct,
             raw,
             columns,
             derived: Vec::new(),
             aggregates,
-            storage,
         }
     }
 
@@ -98,7 +100,6 @@ impl Experiment {
         columns: ColumnSet,
         derived: Vec<(ColumnId, Expr)>,
         aggregates: Vec<f64>,
-        storage: StorageKind,
     ) -> Self {
         Experiment {
             cct,
@@ -106,7 +107,6 @@ impl Experiment {
             columns,
             derived,
             aggregates,
-            storage,
         }
     }
 
@@ -139,9 +139,10 @@ impl Experiment {
         self.columns.get(self.exclusive_col(m), n.0)
     }
 
-    /// The storage flavor this experiment's columns use.
+    /// Selects nothing ([`StorageKind`]); the benchmark's adapter hands it
+    /// back to [`crate::attribution::attribute`].
     pub fn storage(&self) -> StorageKind {
-        self.storage
+        StorageKind::Csr
     }
 
     /// Whole-program (`@n`) value of a column.
@@ -172,23 +173,16 @@ impl Experiment {
                 message: format!("formula references non-existent column ${bad}"),
             });
         }
-        let c = self.columns.add_column(ColumnDesc {
-            name: name.to_owned(),
-            flavor: ColumnFlavor::Derived {
-                formula: formula.to_owned(),
-            },
-            visible: true,
-        });
         // Aggregate of a derived column = formula applied to the aggregates.
         let agg = expr.eval(&SliceContext {
             columns: &self.aggregates,
             aggregates: &self.aggregates,
         });
         self.aggregates.push(agg);
-        // Per-node values.
-        let ncols = self.columns.column_count();
+        // Per-node values, in node order.
+        let mut entries = Vec::new();
         for n in self.cct.all_nodes() {
-            let inputs: Vec<f64> = (0..ncols as u32 - 1)
+            let inputs: Vec<f64> = (0..existing)
                 .map(|i| self.columns.get(ColumnId(i), n.0))
                 .collect();
             let v = expr.eval(&SliceContext {
@@ -196,9 +190,19 @@ impl Experiment {
                 aggregates: &self.aggregates,
             });
             if v != 0.0 {
-                self.columns.set(c, n.0, v);
+                entries.push((n.0, v));
             }
         }
+        let c = self.columns.add_column_with(
+            ColumnDesc {
+                name: name.to_owned(),
+                flavor: ColumnFlavor::Derived {
+                    formula: formula.to_owned(),
+                },
+                visible: true,
+            },
+            MetricVec::from_sorted(entries, self.cct.len()),
+        );
         self.derived.push((c, expr));
         Ok(c)
     }
@@ -250,13 +254,13 @@ mod tests {
                 loc: SourceLoc::new(file, 12),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         let fp = raw.add_metric(MetricDesc::new("fp_ops", "ops", 1.0));
         raw.add_cost(cyc, s, 1000.0);
         raw.add_cost(fp, s, 800.0);
         let _ = (main, work);
-        Experiment::build(cct, raw, StorageKind::Dense)
+        Experiment::build(cct, raw, StorageKind::Csr)
     }
 
     #[test]
@@ -318,7 +322,7 @@ mod tests {
         // raw metrics back out, add it, attribute again.
         let Experiment { cct, mut raw, .. } = exp;
         raw.add_cost(cyc, stmt, 500.0);
-        let exp = Experiment::build(cct, raw, StorageKind::Dense);
+        let exp = Experiment::build(cct, raw, StorageKind::Csr);
         for (&n, &old) in chain.iter().zip(&before) {
             assert_eq!(exp.inclusive(cyc, n), old + 500.0, "node {n:?}");
             assert_eq!(exp.columns.get(exp.inclusive_col(cyc), n.0), old + 500.0);
@@ -326,7 +330,7 @@ mod tests {
         assert_eq!(exp.exclusive(cyc, stmt), 1500.0);
         assert_eq!(exp.aggregate(exp.inclusive_col(cyc)), 1500.0);
         // The other views read the same columns: `work`'s Callers entry.
-        let callers = crate::callers::CallersView::build(&exp, StorageKind::Dense);
+        let callers = crate::callers::CallersView::build(&exp);
         let work = callers
             .tree
             .roots()
@@ -337,52 +341,6 @@ mod tests {
             callers.tree.columns.get(exp.inclusive_col(cyc), work.0),
             1500.0
         );
-    }
-
-    #[test]
-    fn csr_storage_builds_identical_columns() {
-        // Same tiny experiment content in Dense and Csr storage: every
-        // presentation column must agree.
-        let build = |kind: StorageKind| {
-            let mut names = NameTable::new();
-            let file = names.file("a.c");
-            let module = names.module("a.out");
-            let p_main = names.proc("main");
-            let mut cct = Cct::new(names);
-            let root = cct.root();
-            let main = cct.add_child(
-                root,
-                ScopeKind::Frame {
-                    proc: p_main,
-                    module,
-                    def: SourceLoc::new(file, 1),
-                    call_site: None,
-                },
-            );
-            let s = cct.add_child(
-                main,
-                ScopeKind::Stmt {
-                    loc: SourceLoc::new(file, 2),
-                },
-            );
-            let mut raw = RawMetrics::new(kind);
-            let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
-            raw.add_cost(cyc, s, 750.0);
-            Experiment::build(cct, raw, kind)
-        };
-        let dense = build(StorageKind::Dense);
-        let csr = build(StorageKind::Csr);
-        assert_eq!(dense.columns.column_count(), csr.columns.column_count());
-        for c in dense.columns.columns() {
-            for n in 0..dense.cct.len() as u32 {
-                assert_eq!(
-                    dense.columns.get(c, n),
-                    csr.columns.get(c, n),
-                    "column {c:?} node {n}"
-                );
-            }
-        }
-        assert_eq!(dense.aggregates(), csr.aggregates());
     }
 
     #[test]

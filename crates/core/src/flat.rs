@@ -31,7 +31,6 @@
 
 use crate::experiment::Experiment;
 use crate::ids::ViewNodeId;
-use crate::metrics::StorageKind;
 use crate::scope::ScopeKind;
 use crate::viewtree::{Exclusive, ViewScope, ViewTree};
 use std::collections::HashMap;
@@ -48,8 +47,8 @@ impl FlatView {
     /// Build the Flat View shell from an attributed experiment: module,
     /// file, and procedure nodes with final metric values; everything
     /// inside procedures is deferred to [`FlatView::expand`].
-    pub fn build(exp: &Experiment, storage: StorageKind) -> Self {
-        let mut tree = ViewTree::new(storage);
+    pub fn build(exp: &Experiment) -> Self {
+        let mut tree = ViewTree::new();
         for d in exp.columns.descs() {
             tree.columns.add_column(d.clone());
         }
@@ -272,7 +271,7 @@ pub fn flatten(tree: &ViewTree, roots: &[ViewNodeId], times: usize) -> Vec<ViewN
 mod tests {
     use super::*;
     use crate::ids::{ColumnId, FileId};
-    use crate::metrics::{MetricDesc, RawMetrics};
+    use crate::metrics::{MetricDesc, RawMetrics, StorageKind};
     use crate::names::{NameTable, SourceLoc};
 
     /// Same Fig. 1 experiment as the callers tests.
@@ -325,19 +324,19 @@ mod tests {
         let s_g3 = stmt(&mut cct, g3, file2, 3);
         let s_l2 = stmt(&mut cct, l2, file2, 9);
 
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cost", "samples", 1.0));
         raw.add_cost(cyc, s_f, 1.0);
         raw.add_cost(cyc, s_g1, 1.0);
         raw.add_cost(cyc, s_g2, 1.0);
         raw.add_cost(cyc, s_g3, 3.0);
         raw.add_cost(cyc, s_l2, 4.0);
-        Experiment::build(cct, raw, StorageKind::Dense)
+        Experiment::build(cct, raw, StorageKind::Csr)
     }
 
     /// The shell with every deferred fill forced: the whole tree.
     fn forced(exp: &Experiment) -> FlatView {
-        let mut view = FlatView::build(exp, StorageKind::Dense);
+        let mut view = FlatView::build(exp);
         view.force_all(exp);
         view
     }
@@ -365,7 +364,7 @@ mod tests {
     #[test]
     fn files_match_fig2c() {
         let exp = fig1_experiment();
-        let view = FlatView::build(&exp, StorageKind::Dense);
+        let view = FlatView::build(&exp);
         let module = find(&view, &exp, None, "a.out");
         let file1 = find(&view, &exp, Some(module), "file1.c");
         let file2 = find(&view, &exp, Some(module), "file2.c");
@@ -381,7 +380,7 @@ mod tests {
     #[test]
     fn procedures_match_fig2c() {
         let exp = fig1_experiment();
-        let view = FlatView::build(&exp, StorageKind::Dense);
+        let view = FlatView::build(&exp);
         let module = find(&view, &exp, None, "a.out");
         let file1 = find(&view, &exp, Some(module), "file1.c");
         let file2 = find(&view, &exp, Some(module), "file2.c");
@@ -475,7 +474,7 @@ mod tests {
     #[test]
     fn flatten_strips_hierarchy_layers() {
         let exp = fig1_experiment();
-        let mut view = FlatView::build(&exp, StorageKind::Dense);
+        let mut view = FlatView::build(&exp);
         let roots = view.tree.roots();
         assert_eq!(roots.len(), 1, "one load module");
         let files = view.flatten_once(&exp, &roots);
@@ -505,7 +504,7 @@ mod tests {
     #[test]
     fn recursion_does_not_double_count_inclusive() {
         let exp = fig1_experiment();
-        let view = FlatView::build(&exp, StorageKind::Dense);
+        let view = FlatView::build(&exp);
         let module = find(&view, &exp, None, "a.out");
         // Root-level (module) inclusive equals program total despite the
         // recursive g chain.
@@ -515,7 +514,7 @@ mod tests {
     #[test]
     fn shell_defers_procedure_interiors() {
         let exp = fig1_experiment();
-        let shell = FlatView::build(&exp, StorageKind::Dense);
+        let shell = FlatView::build(&exp);
         // 1 module + 2 files + 4 procedures, nothing inside procedures yet.
         assert_eq!(shell.tree.len(), 7);
         for v in (0..shell.tree.len() as u32).map(ViewNodeId) {
@@ -534,7 +533,7 @@ mod tests {
     #[test]
     fn lazy_fills_are_idempotent() {
         let exp = fig1_experiment();
-        let mut view = FlatView::build(&exp, StorageKind::Dense);
+        let mut view = FlatView::build(&exp);
         let module = find(&view, &exp, None, "a.out");
         let file2 = find(&view, &exp, Some(module), "file2.c");
         let gx = find(&view, &exp, Some(file2), "g");
@@ -585,7 +584,7 @@ mod tests {
     #[test]
     fn forced_lazy_tree_matches_eager_tree() {
         let exp = fig1_experiment();
-        let mut lazy = FlatView::build(&exp, StorageKind::Dense);
+        let mut lazy = FlatView::build(&exp);
         // Force in a deliberately different order than force_all: flatten
         // level by level to a fixed point.
         let mut cur = lazy.tree.roots();
@@ -604,7 +603,7 @@ mod tests {
     #[test]
     fn forcing_flatten_on_unforced_tree_matches_eager_flatten() {
         let exp = fig1_experiment();
-        let mut lazy = FlatView::build(&exp, StorageKind::Dense);
+        let mut lazy = FlatView::build(&exp);
         let eager = forced(&exp);
         for level in 0..6 {
             let from_lazy = lazy.flatten(&exp, &lazy.tree.roots(), level);

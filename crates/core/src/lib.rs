@@ -50,10 +50,10 @@
 //! });
 //!
 //! // Record samples and attribute them.
-//! let mut raw = RawMetrics::new(StorageKind::Dense);
+//! let mut raw = RawMetrics::new(StorageKind::Csr);
 //! let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
 //! raw.record_samples(cyc, stmt, 100);
-//! let exp = Experiment::build(cct, raw, StorageKind::Dense);
+//! let exp = Experiment::build(cct, raw, StorageKind::Csr);
 //!
 //! // All cost flows up the calling context.
 //! let incl = exp.inclusive_col(cyc);
@@ -103,10 +103,10 @@ pub mod prelude {
     pub use crate::format;
     pub use crate::hotpath::{hot_path, HotPathConfig};
     pub use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};
-    pub use crate::mapped::{ByteImage, ColumnData, MappedCol, MappedTopology};
+    pub use crate::mapped::{ByteImage, MappedCol, MappedTopology};
     pub use crate::metrics::{
-        ColumnBuilder, ColumnDesc, ColumnFlavor, ColumnSet, ColumnSource, CsrColumn, MetricDesc,
-        MetricVec, NonzeroSorted, RawMetrics, StorageKind,
+        ColumnDesc, ColumnFlavor, ColumnSet, ColumnSource, CsrColumn, MetricDesc, MetricVec,
+        NonzeroSorted, RawMetrics, StorageKind,
     };
     pub use crate::names::{NameTable, SourceLoc};
     pub use crate::pool::{reduce_pairwise, run_tasks, PoolStats};

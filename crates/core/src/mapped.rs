@@ -5,9 +5,10 @@
 //! `u32`/`f64` arrays straight out of the (possibly memory-mapped) file
 //! image instead of varint-decoding them into fresh allocations. This
 //! module is the core-side half of that contract: [`ByteImage`] is the
-//! refcounted image handle, [`MappedCol`] a validated window onto one
-//! column's parallel key/value arrays, and [`ColumnData`] the
-//! owned-or-borrowed payload a [`crate::metrics::ColumnSource`] yields.
+//! refcounted image handle and [`MappedCol`] a validated window onto one
+//! column's parallel key/value arrays, which a
+//! [`crate::metrics::ColumnSource`] hands over as
+//! [`crate::metrics::MetricVec::Mapped`].
 //!
 //! ## Safety argument
 //!
@@ -195,17 +196,6 @@ impl MappedCol {
             .zip(self.vals().iter().copied())
             .collect()
     }
-}
-
-/// What a [`crate::metrics::ColumnSource`] hands back for one column:
-/// either freshly decoded owned entries (the varint fallback path) or a
-/// borrowed window onto the file image (the v2.1 fixed-width path).
-#[derive(Debug)]
-pub enum ColumnData {
-    /// Decoded `(node, value)` entries, sorted ascending by node.
-    Owned(Vec<(u32, f64)>),
-    /// A zero-copy window onto the file image.
-    Mapped(MappedCol),
 }
 
 /// Scope-kind tag values used by the v2.1 topology encoding. The writer

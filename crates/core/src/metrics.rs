@@ -7,22 +7,28 @@
 //! the analyst add **derived** columns computed by formula (Section V-D).
 //!
 //! Performance data is sparse (Section V-A): most CCT nodes have zero for
-//! most metrics. Storage therefore comes in three interchangeable flavors —
-//! dense `Vec<f64>`, a hash-indexed sparse map, and a sorted columnar
-//! (CSR-style) layout ([`CsrColumn`]) whose non-zeros live in two parallel
-//! arrays ordered by node id — so the ablation bench (`metric_storage`)
-//! can compare them; the public API is identical. The columnar flavor is
-//! the parallel-ingestion workhorse: workers accumulate into
-//! [`ColumnBuilder`]s and the reduction merges frozen columns in O(nnz).
+//! most metrics, so a column stores its non-zeros only — two parallel
+//! arrays ordered by node id ([`CsrColumn`], or [`MappedCol`] when they
+//! are borrowed from a database image) — unless it covers a quarter of
+//! its tree or more, where a node-indexed `Vec<f64>` reads ten times
+//! faster for under three times the bytes. Nobody chooses between the
+//! two: whoever produces a column already knows which it is. The
+//! attribution kernel hands over the shape of the branch it took; sorted
+//! entries with a known node count go through [`MetricVec::from_sorted`],
+//! dense at one node in four or more (the kernel's own
+//! `SWEEP_ABOVE_ONE_IN`); a column written cell by cell starts in the
+//! shape its owner's write pattern fixes ([`ColumnSet::add_column`] dense,
+//! [`RawMetrics::add_metric`] sorted). Reads are the same either way, bit
+//! for bit.
 //!
 //! [`RawMetrics`] and [`ColumnSet`] each carry a **generation counter**
 //! bumped by every mutation; cached child orderings key on it to
 //! revalidate instead of serving stale values.
 
+use crate::attribution::SWEEP_ABOVE_ONE_IN;
 use crate::ids::{ColumnId, MetricId};
-use crate::mapped::{ColumnData, MappedCol};
+use crate::mapped::MappedCol;
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -33,27 +39,28 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// only topology decoding and untouched metric columns are never paid
 /// for.
 ///
-/// Both methods return entries **sorted ascending by node id** with no
-/// duplicates — either decoded into an owned buffer or borrowed
-/// zero-copy from the file image ([`ColumnData::Mapped`]). They are
-/// called at most once per column/metric (results are
-/// cached in the owning set). A `Err(reason)` materializes the column
-/// as all-zeros and is surfaced through [`ColumnSet::lazy_error`] /
-/// [`RawMetrics::lazy_error`] instead of panicking, so a corrupt block
-/// discovered mid-render degrades rather than aborts.
+/// Both methods return the column itself, in whatever shape the source
+/// found it — borrowed zero-copy from the file image
+/// ([`MetricVec::Mapped`]), the attribution kernel's own vectors, or
+/// decoded entries through [`MetricVec::from_sorted`] — and it becomes
+/// the slot's contents as it is. They are called at most once per
+/// column/metric (results are cached in the owning set). A `Err(reason)`
+/// materializes the column as all-zeros and is surfaced through
+/// [`ColumnSet::lazy_errors`] / [`RawMetrics::lazy_errors`] instead of
+/// panicking, so a corrupt block discovered mid-render degrades rather
+/// than aborts.
 pub trait ColumnSource: Send + Sync + std::fmt::Debug {
-    /// Sorted non-zero `(node, value)` entries of presentation column `c`.
-    fn load_column(&self, c: ColumnId) -> Result<ColumnData, String>;
-    /// Sorted non-zero direct-cost entries of raw metric `m`.
-    fn load_raw(&self, m: MetricId) -> Result<ColumnData, String>;
+    /// Presentation column `c`.
+    fn load_column(&self, c: ColumnId) -> Result<MetricVec, String>;
+    /// Direct costs of raw metric `m`.
+    fn load_raw(&self, m: MetricId) -> Result<MetricVec, String>;
 }
 
 /// Lazy-fault bookkeeping shared by [`ColumnSet`] and [`RawMetrics`]:
 /// one [`OnceLock`] slot per lazily backed column, filled from the
 /// source on first touch. Faulting a column in does **not** bump the
 /// owner's generation: a fault happens on the *first* read, so no
-/// cached ordering can ever have observed the pre-fault zeros — the
-/// PR 2 sort-cache invariants hold unchanged.
+/// cached ordering can ever have observed the pre-fault zeros.
 #[derive(Debug, Default)]
 struct LazySlots {
     source: Option<Arc<dyn ColumnSource>>,
@@ -63,12 +70,9 @@ struct LazySlots {
     /// many threads raced the first touch — the concurrency stress test
     /// asserts on it.
     fault_counts: Vec<AtomicU64>,
-    /// First load failure, kept for the original single-error API
-    /// (the column reads as zeros from then on).
-    error: OnceLock<String>,
-    /// Every *distinct* load failure, in first-seen order. The original
-    /// bookkeeping dropped all but the first; multi-column corruption
-    /// now surfaces completely via [`ColumnSet::lazy_errors`].
+    /// Every *distinct* load failure, in first-seen order (the failed
+    /// column reads as zeros from then on); surfaced through
+    /// [`ColumnSet::lazy_errors`].
     errors: Mutex<Vec<String>>,
 }
 
@@ -82,7 +86,6 @@ impl Clone for LazySlots {
                 .iter()
                 .map(|c| AtomicU64::new(c.load(Ordering::Relaxed)))
                 .collect(),
-            error: self.error.clone(),
             errors: Mutex::new(self.errors.lock().expect("lazy errors lock").clone()),
         }
     }
@@ -104,36 +107,21 @@ impl LazySlots {
     fn fault(
         &self,
         index: usize,
-        storage: StorageKind,
-        load: impl FnOnce(&dyn ColumnSource) -> Result<ColumnData, String>,
+        load: impl FnOnce(&dyn ColumnSource) -> Result<MetricVec, String>,
     ) -> Option<&MetricVec> {
         if !self.covers(index) {
             return None;
         }
         let source = self.source.as_deref()?;
-        // A source hands over sorted entries, and sorted arrays are what
-        // a faulted column stays as: no hash build between the database
-        // block and the slot. Only a dense owner scatters them, because
-        // its readers index every node of every column.
-        let storage = match storage {
-            StorageKind::Dense => StorageKind::Dense,
-            StorageKind::Sparse | StorageKind::Csr => StorageKind::Csr,
-        };
         Some(self.slots[index].get_or_init(|| {
             self.fault_counts[index].fetch_add(1, Ordering::Relaxed);
-            match load(source) {
-                Ok(ColumnData::Owned(entries)) => MetricVec::from_sorted(storage, entries),
-                Ok(ColumnData::Mapped(col)) => MetricVec::Mapped(col),
-                Err(reason) => {
-                    let mut all = self.errors.lock().expect("lazy errors lock");
-                    if !all.contains(&reason) {
-                        all.push(reason.clone());
-                    }
-                    drop(all);
-                    let _ = self.error.set(reason);
-                    empty_vec(storage)
+            load(source).unwrap_or_else(|reason| {
+                let mut all = self.errors.lock().expect("lazy errors lock");
+                if !all.contains(&reason) {
+                    all.push(reason);
                 }
-            }
+                MetricVec::csr()
+            })
         }))
     }
 
@@ -211,6 +199,18 @@ impl CsrColumn {
         CsrColumn::default()
     }
 
+    /// A column holding `entries`, which are sorted ascending by node id
+    /// with no duplicates.
+    pub fn from_sorted(entries: Vec<(u32, f64)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let (keys, vals) = entries.into_iter().unzip();
+        CsrColumn {
+            keys,
+            vals,
+            pending: Vec::new(),
+        }
+    }
+
     /// Value at `node` (0.0 when absent).
     #[inline]
     pub fn get(&self, node: u32) -> f64 {
@@ -240,17 +240,12 @@ impl CsrColumn {
                     *self.vals.last_mut().unwrap() += delta;
                     return;
                 }
-                Some(&last) if node > last => {
+                Some(&last) if node < last => {}
+                _ => {
                     self.keys.push(node);
                     self.vals.push(delta);
                     return;
                 }
-                None => {
-                    self.keys.push(node);
-                    self.vals.push(delta);
-                    return;
-                }
-                _ => {}
             }
         }
         self.pending.push((node, delta));
@@ -263,9 +258,7 @@ impl CsrColumn {
     /// [`CsrColumn::add`], a node past the last key is an O(1) append;
     /// anything else binary-searches the sorted arrays.
     pub fn set(&mut self, node: u32, value: f64) {
-        if !self.pending.is_empty() {
-            self.compact();
-        }
+        self.compact();
         if self.keys.last().is_none_or(|&last| node > last) {
             if value != 0.0 {
                 self.keys.push(node);
@@ -292,89 +285,30 @@ impl CsrColumn {
         }
         let mut overlay = std::mem::take(&mut self.pending);
         overlay.sort_unstable_by_key(|&(k, _)| k);
-        let mut keys = Vec::with_capacity(self.keys.len() + overlay.len());
-        let mut vals = Vec::with_capacity(self.keys.len() + overlay.len());
-        let mut oi = 0;
-        let mut push = |k: u32, v: f64| {
-            if v != 0.0 {
-                keys.push(k);
-                vals.push(v);
-            }
-        };
-        for (i, &k) in self.keys.iter().enumerate() {
-            while oi < overlay.len() && overlay[oi].0 < k {
-                let key = overlay[oi].0;
-                let mut v = 0.0;
-                while oi < overlay.len() && overlay[oi].0 == key {
-                    v += overlay[oi].1;
-                    oi += 1;
-                }
-                push(key, v);
-            }
-            let mut v = self.vals[i];
-            while oi < overlay.len() && overlay[oi].0 == k {
-                v += overlay[oi].1;
-                oi += 1;
-            }
-            push(k, v);
-        }
-        while oi < overlay.len() {
-            let key = overlay[oi].0;
-            let mut v = 0.0;
-            while oi < overlay.len() && overlay[oi].0 == key {
-                v += overlay[oi].1;
-                oi += 1;
-            }
-            push(key, v);
-        }
-        self.keys = keys;
-        self.vals = vals;
-    }
-
-    /// Accumulate every entry of `other` into `self` with a single
-    /// two-pointer merge: O(nnz(self) + nnz(other)), no binary searches.
-    pub fn merge(&mut self, other: &CsrColumn) {
-        self.compact();
-        let compacted_other;
-        let (okeys, ovals): (&[u32], &[f64]) = if other.pending.is_empty() {
-            (&other.keys, &other.vals)
-        } else {
-            let mut c = other.clone();
-            c.compact();
-            compacted_other = c;
-            (&compacted_other.keys, &compacted_other.vals)
-        };
-        let mut keys = Vec::with_capacity(self.keys.len() + okeys.len());
-        let mut vals = Vec::with_capacity(self.keys.len() + okeys.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.keys.len() || j < okeys.len() {
-            let (k, v) = if j >= okeys.len() || (i < self.keys.len() && self.keys[i] < okeys[j]) {
-                let e = (self.keys[i], self.vals[i]);
-                i += 1;
-                e
-            } else if i >= self.keys.len() || okeys[j] < self.keys[i] {
-                let e = (okeys[j], ovals[j]);
-                j += 1;
-                e
-            } else {
-                let e = (self.keys[i], self.vals[i] + ovals[j]);
-                i += 1;
-                j += 1;
-                e
+        let (keys, vals) = (
+            std::mem::take(&mut self.keys),
+            std::mem::take(&mut self.vals),
+        );
+        self.keys.reserve(keys.len() + overlay.len());
+        self.vals.reserve(keys.len() + overlay.len());
+        let mut stored = keys.into_iter().zip(vals).peekable();
+        let mut deltas = overlay.into_iter().peekable();
+        // Key by key, ascending: the stored value, then its deltas.
+        loop {
+            let key = match (stored.peek(), deltas.peek()) {
+                (Some(s), Some(d)) => s.0.min(d.0),
+                (Some(e), None) | (None, Some(e)) => e.0,
+                (None, None) => break,
             };
+            let mut v = stored.next_if(|e| e.0 == key).map_or(0.0, |e| e.1);
+            while let Some((_, d)) = deltas.next_if(|e| e.0 == key) {
+                v += d;
+            }
             if v != 0.0 {
-                keys.push(k);
-                vals.push(v);
+                self.keys.push(key);
+                self.vals.push(v);
             }
         }
-        self.keys = keys;
-        self.vals = vals;
-    }
-
-    /// Number of stored entries (after folding the overlay in).
-    pub fn nnz(&mut self) -> usize {
-        self.compact();
-        self.vals.iter().filter(|&&v| v != 0.0).count()
     }
 
     fn merged_entries(&self) -> Vec<(u32, f64)> {
@@ -390,78 +324,14 @@ impl CsrColumn {
     }
 }
 
-/// Accumulates `(node, value)` pairs in any order — e.g. from one
-/// ingestion worker — and freezes them into a sorted [`CsrColumn`].
-/// Builders from different workers concatenate cheaply before freezing,
-/// so a parallel reduction is "append all, sort once".
-#[derive(Debug, Clone, Default)]
-pub struct ColumnBuilder {
-    entries: Vec<(u32, f64)>,
-}
-
-impl ColumnBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        ColumnBuilder::default()
-    }
-
-    /// Accumulate `value` at `node` (duplicates are summed at freeze).
-    #[inline]
-    pub fn push(&mut self, node: u32, value: f64) {
-        if value != 0.0 {
-            self.entries.push((node, value));
-        }
-    }
-
-    /// Move every entry of `other` into this builder.
-    pub fn append(&mut self, other: &mut ColumnBuilder) {
-        self.entries.append(&mut other.entries);
-    }
-
-    /// Number of accumulated (pre-dedup) entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Sort, sum duplicates, drop zeros: the frozen immutable column.
-    pub fn freeze(mut self) -> CsrColumn {
-        self.entries.sort_unstable_by_key(|&(k, _)| k);
-        let mut keys: Vec<u32> = Vec::new();
-        let mut vals: Vec<f64> = Vec::new();
-        for (k, v) in self.entries {
-            if keys.last() == Some(&k) {
-                *vals.last_mut().unwrap() += v;
-                // Duplicates may cancel to exactly zero; drop the slot.
-                if *vals.last().unwrap() == 0.0 {
-                    keys.pop();
-                    vals.pop();
-                }
-            } else {
-                keys.push(k);
-                vals.push(v);
-            }
-        }
-        CsrColumn {
-            keys,
-            vals,
-            pending: Vec::new(),
-        }
-    }
-}
-
 /// Per-node storage for one metric column. Indices are node ids of whatever
-/// tree the containing table is attached to (CCT or a view tree).
+/// tree the containing table is attached to (CCT or a view tree). Which
+/// shape a column has is decided by its producer from what it has in
+/// hand (module docs); every read gives the same bits from either.
 #[derive(Debug, Clone)]
 pub enum MetricVec {
     /// Dense vector indexed by node id.
     Dense(Vec<f64>),
-    /// Sparse map from node id to value; zeros are absent.
-    Sparse(HashMap<u32, f64>),
     /// Sorted columnar non-zeros; see [`CsrColumn`].
     Csr(CsrColumn),
     /// Sorted columnar non-zeros borrowed zero-copy from a database
@@ -477,40 +347,28 @@ impl MetricVec {
         MetricVec::Dense(vec![0.0; len])
     }
 
-    /// An empty sparse column.
-    pub fn sparse() -> Self {
-        MetricVec::Sparse(HashMap::new())
-    }
-
     /// An empty sorted columnar column.
     pub fn csr() -> Self {
         MetricVec::Csr(CsrColumn::new())
     }
 
-    /// Build a column of the given storage flavor from entries sorted
-    /// ascending by node id (no duplicates) — the shape lazy column
-    /// sources and frozen reductions hand over.
-    pub fn from_sorted(storage: StorageKind, entries: Vec<(u32, f64)>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        match storage {
-            StorageKind::Dense => {
-                let len = entries.last().map(|&(k, _)| k as usize + 1).unwrap_or(0);
-                let mut v = vec![0.0; len];
-                for (k, x) in entries {
-                    v[k as usize] = x;
-                }
-                MetricVec::Dense(v)
-            }
-            StorageKind::Sparse => MetricVec::Sparse(entries.into_iter().collect()),
-            StorageKind::Csr => {
-                let (keys, vals) = entries.into_iter().unzip();
-                MetricVec::Csr(CsrColumn {
-                    keys,
-                    vals,
-                    pending: Vec::new(),
-                })
-            }
+    /// A column over a tree of `n_nodes` nodes from its entries, sorted
+    /// ascending by node id with no duplicates — what a decoded database
+    /// block, a derived-column evaluation and a finished ingestion hand
+    /// over. One node in `SWEEP_ABOVE_ONE_IN` (four) or more makes it a
+    /// node-indexed vector (8 bytes a node against 12 an entry: at most
+    /// 2.7× the bytes, and a read is an index instead of a search); below
+    /// that it stays sorted arrays.
+    pub fn from_sorted(entries: Vec<(u32, f64)>, n_nodes: usize) -> Self {
+        if entries.len() * SWEEP_ABOVE_ONE_IN < n_nodes {
+            return MetricVec::Csr(CsrColumn::from_sorted(entries));
         }
+        let last = entries.last().map_or(0, |&(k, _)| k as usize + 1);
+        let mut v = vec![0.0; n_nodes.max(last)];
+        for (k, x) in entries {
+            v[k as usize] = x;
+        }
+        MetricVec::Dense(v)
     }
 
     /// Value at `node` (0.0 when absent).
@@ -518,26 +376,20 @@ impl MetricVec {
     pub fn get(&self, node: u32) -> f64 {
         match self {
             MetricVec::Dense(v) => v.get(node as usize).copied().unwrap_or(0.0),
-            MetricVec::Sparse(m) => m.get(&node).copied().unwrap_or(0.0),
             MetricVec::Csr(c) => c.get(node),
             MetricVec::Mapped(m) => m.get(node),
         }
     }
 
-    /// Copy a mapped (zero-copy) column into owned columnar storage so
-    /// it can be mutated; no-op for already-owned flavors.
+    /// Copy a mapped (zero-copy) column into sorted arrays of its own so
+    /// it can be mutated; no-op for the owned shapes.
     fn make_owned(&mut self) {
         if let MetricVec::Mapped(m) = self {
-            let (keys, vals) = m.entries().into_iter().unzip();
-            *self = MetricVec::Csr(CsrColumn {
-                keys,
-                vals,
-                pending: Vec::new(),
-            });
+            *self = MetricVec::Csr(CsrColumn::from_sorted(m.entries()));
         }
     }
 
-    /// Set the value at `node`; setting 0.0 removes sparse entries.
+    /// Set the value at `node`.
     #[inline]
     pub fn set(&mut self, node: u32, value: f64) {
         self.make_owned();
@@ -547,13 +399,6 @@ impl MetricVec {
                     v.resize(node as usize + 1, 0.0);
                 }
                 v[node as usize] = value;
-            }
-            MetricVec::Sparse(m) => {
-                if value == 0.0 {
-                    m.remove(&node);
-                } else {
-                    m.insert(node, value);
-                }
             }
             MetricVec::Csr(c) => c.set(node, value),
             MetricVec::Mapped(_) => unreachable!("make_owned() materialized above"),
@@ -574,9 +419,6 @@ impl MetricVec {
                 }
                 v[node as usize] += delta;
             }
-            MetricVec::Sparse(m) => {
-                *m.entry(node).or_insert(0.0) += delta;
-            }
             MetricVec::Csr(c) => c.add(node, delta),
             MetricVec::Mapped(_) => unreachable!("make_owned() materialized above"),
         }
@@ -585,31 +427,21 @@ impl MetricVec {
     /// Number of nodes with a non-zero value.
     pub fn nonzero_count(&self) -> usize {
         match self {
+            // No branch per cell: a 40 %-dense column mispredicts every other.
             MetricVec::Dense(v) => v.iter().filter(|&&x| x != 0.0).count(),
-            MetricVec::Sparse(m) => m.values().filter(|&&x| x != 0.0).count(),
-            MetricVec::Csr(_) | MetricVec::Mapped(_) => self.nonzero_sorted().count(),
+            _ => self.nonzero_sorted().count(),
         }
     }
 
-    /// Non-zero entries in ascending node order (deterministic regardless of
-    /// storage flavor).
+    /// Non-zero entries in ascending node order, the same from either
+    /// shape.
     ///
-    /// Returns a borrowed iterator: the dense and compacted-columnar
-    /// flavors walk their storage in place with no per-call allocation;
-    /// only the hash-indexed flavor (and a columnar store with unmerged
-    /// pending deltas) must materialize a sorted buffer first.
+    /// Returns a borrowed iterator that walks the storage in place with
+    /// no per-call allocation; only sorted arrays with unmerged pending
+    /// deltas must materialize a merged buffer first.
     pub fn nonzero_sorted(&self) -> NonzeroSorted<'_> {
         match self {
             MetricVec::Dense(v) => NonzeroSorted::Dense { v, i: 0 },
-            MetricVec::Sparse(m) => {
-                let mut out: Vec<(u32, f64)> = m
-                    .iter()
-                    .filter(|(_, &x)| x != 0.0)
-                    .map(|(&k, &v)| (k, v))
-                    .collect();
-                out.sort_unstable_by_key(|&(k, _)| k);
-                NonzeroSorted::Owned(out.into_iter())
-            }
             MetricVec::Csr(c) => {
                 if c.pending.is_empty() {
                     NonzeroSorted::Csr {
@@ -622,7 +454,7 @@ impl MetricVec {
                 }
             }
             // Zero-copy: the parallel arrays are walked straight out of
-            // the file image, same shape as the columnar flavor.
+            // the file image.
             MetricVec::Mapped(m) => NonzeroSorted::Csr {
                 keys: m.keys(),
                 vals: m.vals(),
@@ -633,10 +465,10 @@ impl MetricVec {
 
     /// The stored entries as parallel slices of strictly ascending node
     /// ids and their values — what the attribution kernel reads. Borrowed
-    /// in place from a compacted columnar store or a mapped block (which
-    /// may hold explicit zeros); the other flavors collect their
-    /// non-zeros first.
-    pub(crate) fn sorted_parts(&self) -> (Cow<'_, [u32]>, Cow<'_, [f64]>) {
+    /// in place from compacted sorted arrays or a mapped block (which
+    /// may hold explicit zeros); a dense column collects its non-zeros
+    /// first.
+    pub fn sorted_parts(&self) -> (Cow<'_, [u32]>, Cow<'_, [f64]>) {
         match self.nonzero_sorted() {
             NonzeroSorted::Csr { keys, vals, .. } => (Cow::Borrowed(keys), Cow::Borrowed(vals)),
             entries => {
@@ -650,7 +482,6 @@ impl MetricVec {
     pub fn heap_bytes(&self) -> usize {
         match self {
             MetricVec::Dense(v) => v.capacity() * std::mem::size_of::<f64>(),
-            MetricVec::Sparse(m) => m.capacity() * (std::mem::size_of::<(u32, f64)>() + 8),
             MetricVec::Csr(c) => c.heap_bytes(),
             // Borrowed from the shared file image: no heap of its own.
             MetricVec::Mapped(_) => 0,
@@ -678,8 +509,7 @@ pub enum NonzeroSorted<'a> {
         /// Next index to inspect.
         i: usize,
     },
-    /// A materialized sorted buffer (hash-indexed storage, or a columnar
-    /// store with pending deltas).
+    /// A materialized sorted buffer (sorted arrays with pending deltas).
     Owned(std::vec::IntoIter<(u32, f64)>),
 }
 
@@ -713,37 +543,27 @@ impl Iterator for NonzeroSorted<'_> {
     }
 }
 
-/// Which storage flavor new columns use.
+/// Selects nothing. A column's representation follows its data (module
+/// docs); this type exists because the benchmark's
+/// `examples/bench_e2e/src/adapter.rs`, frozen for feature PRs, passes it
+/// to [`RawMetrics::new`], `Experiment::build`, `attribute`,
+/// `Correlator::finish` and `ParallelCorrelator::correlate` and reads it
+/// from `Experiment::storage`. All six ignore it; it goes with the
+/// adapter's arguments (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageKind {
-    /// One `f64` slot per node; fastest lookups, O(nodes) memory.
-    Dense,
-    /// Hash-indexed non-zero entries; memory proportional to samples.
-    Sparse,
-    /// Sorted columnar non-zero entries ([`CsrColumn`]); binary-search
-    /// lookups, allocation-free ordered scans, O(nnz) merges. In-memory
-    /// only: the experiment database serializes it as the dense flavor.
+    /// The only value.
     Csr,
-}
-
-/// Pick the empty column matching a storage flavor.
-fn empty_vec(storage: StorageKind) -> MetricVec {
-    match storage {
-        StorageKind::Dense => MetricVec::dense(0),
-        StorageKind::Sparse => MetricVec::sparse(),
-        StorageKind::Csr => MetricVec::csr(),
-    }
 }
 
 /// Direct (sample-point) costs for every raw metric, attached to a CCT.
 ///
 /// `values[m].get(n)` is the cost measured *at* node `n` for metric `m`:
 /// sample count × period, before any inclusive/exclusive attribution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RawMetrics {
     descs: Vec<MetricDesc>,
     values: Vec<MetricVec>,
-    storage: StorageKind,
     /// Bumped by every mutation; caches key on it ([`RawMetrics::generation`]).
     generation: u64,
     /// Lazy-fault slots for metrics backed by a [`ColumnSource`]
@@ -752,15 +572,9 @@ pub struct RawMetrics {
 }
 
 impl RawMetrics {
-    /// An empty metric set using the given storage flavor.
-    pub fn new(storage: StorageKind) -> Self {
-        RawMetrics {
-            descs: Vec::new(),
-            values: Vec::new(),
-            storage,
-            generation: 0,
-            lazy: LazySlots::default(),
-        }
+    /// An empty metric set. The argument selects nothing ([`StorageKind`]).
+    pub fn new(_: StorageKind) -> Self {
+        RawMetrics::default()
     }
 
     /// Back every currently registered metric with `source`: their
@@ -775,11 +589,6 @@ impl RawMetrics {
     /// sets; counts faulted-in columns for lazily backed ones.
     pub fn materialized_metrics(&self) -> usize {
         self.descs.len() - self.lazy.slots.len() + self.lazy.resident()
-    }
-
-    /// First failure reported by the lazy column source, if any.
-    pub fn lazy_error(&self) -> Option<&str> {
-        self.lazy.error.get().map(String::as_str)
     }
 
     /// Every distinct failure reported by the lazy column source, in
@@ -798,7 +607,7 @@ impl RawMetrics {
     /// columns in on first touch.
     fn resolved(&self, m: MetricId) -> &MetricVec {
         self.lazy
-            .fault(m.index(), self.storage, |s| s.load_raw(m))
+            .fault(m.index(), |s| s.load_raw(m))
             .unwrap_or(&self.values[m.index()])
     }
 
@@ -814,11 +623,6 @@ impl RawMetrics {
         &mut self.values[m.index()]
     }
 
-    /// The storage flavor new columns use.
-    pub fn storage(&self) -> StorageKind {
-        self.storage
-    }
-
     /// Mutation counter: incremented by every operation that can change
     /// metric values ([`RawMetrics::add_metric`],
     /// [`RawMetrics::record_samples`], [`RawMetrics::add_cost`],
@@ -828,11 +632,13 @@ impl RawMetrics {
         self.generation
     }
 
-    /// Register a raw metric, returning its id.
+    /// Register a raw metric, returning its id. Its column starts as
+    /// empty sorted arrays: ingestion puts costs on statements only, in
+    /// whatever order profiles arrive.
     pub fn add_metric(&mut self, desc: MetricDesc) -> MetricId {
         let id = MetricId::from_usize(self.descs.len());
         self.descs.push(desc);
-        self.values.push(empty_vec(self.storage));
+        self.values.push(MetricVec::csr());
         self.generation += 1;
         id
     }
@@ -885,13 +691,17 @@ impl RawMetrics {
         self.generation += 1;
     }
 
-    /// Replace the storage of metric `m` with a frozen columnar column
-    /// (used by the parallel correlator's reduction; the metric must use
-    /// [`StorageKind::Csr`]).
-    pub fn install_csr(&mut self, m: MetricId, column: CsrColumn) {
-        debug_assert_eq!(self.storage, StorageKind::Csr);
-        *self.resolved_mut(m) = MetricVec::Csr(column);
-        self.generation += 1;
+    /// Ingestion is over and the tree has `n_nodes` nodes: give every
+    /// resident column the shape [`MetricVec::from_sorted`] picks for its
+    /// coverage (`Experiment::build` calls this once it has attributed).
+    /// Values do not change, so neither does the generation; lazily
+    /// backed columns are left on the shelf.
+    pub(crate) fn settle(&mut self, n_nodes: usize) {
+        for (i, col) in self.values.iter_mut().enumerate() {
+            if !self.lazy.covers(i) {
+                *col = MetricVec::from_sorted(col.nonzero_sorted().collect(), n_nodes);
+            }
+        }
     }
 
     /// Direct (sample-point) cost of metric `m` at node `n`.
@@ -907,15 +717,7 @@ impl RawMetrics {
     /// Total direct cost of metric `m` over all nodes (the whole-program
     /// cost, which equals the root's inclusive value after attribution).
     pub fn total(&self, m: MetricId) -> f64 {
-        match self.resolved(m) {
-            MetricVec::Dense(v) => v.iter().sum(),
-            MetricVec::Sparse(map) => map.values().sum(),
-            // Pending entries are deltas, so they sum in directly.
-            MetricVec::Csr(c) => {
-                c.vals.iter().sum::<f64>() + c.pending.iter().map(|&(_, d)| d).sum::<f64>()
-            }
-            MetricVec::Mapped(m) => m.vals().iter().sum(),
-        }
+        self.resolved(m).nonzero_sorted().map(|(_, v)| v).sum()
     }
 }
 
@@ -955,11 +757,10 @@ pub struct ColumnDesc {
 
 /// A table of presentation columns attached to some tree (CCT or view
 /// tree). Column values are indexed by node id within that tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ColumnSet {
     descs: Vec<ColumnDesc>,
     values: Vec<MetricVec>,
-    storage: StorageKind,
     /// Bumped by every mutation, mirroring [`RawMetrics::generation`]:
     /// sort-order caches over view trees key on it so a column appended
     /// or rewritten after the fact (e.g. summary statistics via
@@ -971,15 +772,9 @@ pub struct ColumnSet {
 }
 
 impl ColumnSet {
-    /// An empty column table using the given storage flavor.
-    pub fn new(storage: StorageKind) -> Self {
-        ColumnSet {
-            descs: Vec::new(),
-            values: Vec::new(),
-            storage,
-            generation: 0,
-            lazy: LazySlots::default(),
-        }
+    /// An empty column table.
+    pub fn new() -> Self {
+        ColumnSet::default()
     }
 
     /// Back the first `descs().len()` columns with a lazy source: each
@@ -999,15 +794,9 @@ impl ColumnSet {
         self.descs.len() - self.lazy.slots.len() + self.lazy.resident()
     }
 
-    /// First error a lazy column load produced, if any. The failing
-    /// column reads as all zeros rather than panicking mid-render.
-    pub fn lazy_error(&self) -> Option<&str> {
-        self.lazy.error.get().map(String::as_str)
-    }
-
-    /// Every distinct lazy-load failure, in first-seen order. Unlike
-    /// [`ColumnSet::lazy_error`] this keeps reporting past the first
-    /// corrupt column, so multi-block corruption is fully visible.
+    /// Every distinct lazy-load failure, in first-seen order (empty when
+    /// all loads succeeded). A failing column reads as all zeros rather
+    /// than panicking mid-render.
     pub fn lazy_errors(&self) -> Vec<String> {
         self.lazy.all_errors()
     }
@@ -1020,7 +809,7 @@ impl ColumnSet {
 
     fn resolved(&self, c: ColumnId) -> &MetricVec {
         self.lazy
-            .fault(c.index(), self.storage, |s| s.load_column(c))
+            .fault(c.index(), |s| s.load_column(c))
             .unwrap_or(&self.values[c.index()])
     }
 
@@ -1041,11 +830,14 @@ impl ColumnSet {
         self.generation
     }
 
-    /// Append a presentation column, returning its id.
+    /// Append a presentation column, returning its id. It starts as an
+    /// empty node-indexed vector, which is what cell-by-cell writers
+    /// need: a view tree allocates node ids densely and fills rows out
+    /// of id order (Flat's files and modules after their procedures).
     pub fn add_column(&mut self, desc: ColumnDesc) -> ColumnId {
         let id = ColumnId::from_usize(self.descs.len());
         self.descs.push(desc);
-        self.values.push(empty_vec(self.storage));
+        self.values.push(MetricVec::dense(0));
         self.generation += 1;
         id
     }
@@ -1132,25 +924,120 @@ mod tests {
     use super::*;
     use crate::ids::NodeId;
 
+    /// A visible inclusive column of metric 0.
+    fn col(name: &str) -> ColumnDesc {
+        ColumnDesc {
+            name: name.into(),
+            flavor: ColumnFlavor::Inclusive(MetricId(0)),
+            visible: true,
+        }
+    }
+
+    /// Dense ≡ sorted arrays (the sparse shape) under the same writes.
     #[test]
     fn dense_sparse_and_csr_agree() {
         let mut d = MetricVec::dense(0);
-        let mut s = MetricVec::sparse();
         let mut c = MetricVec::csr();
         for (n, v) in [(3u32, 1.5), (0, 2.0), (3, 0.5), (10, -1.0)] {
             d.add(n, v);
-            s.add(n, v);
             c.add(n, v);
         }
         for n in 0..12 {
-            assert_eq!(d.get(n), s.get(n), "node {n}");
             assert_eq!(d.get(n), c.get(n), "node {n}");
         }
         let dv: Vec<_> = d.nonzero_sorted().collect();
-        let sv: Vec<_> = s.nonzero_sorted().collect();
         let cv: Vec<_> = c.nonzero_sorted().collect();
-        assert_eq!(dv, sv);
         assert_eq!(dv, cv);
+        for v in [&d, &c] {
+            let (keys, vals) = v.sorted_parts();
+            assert!(keys
+                .iter()
+                .zip(vals.iter())
+                .eq(dv.iter().map(|(k, x)| (k, x))));
+        }
+        // Setting a cell to zero removes it from both.
+        d.set(10, 0.0);
+        c.set(10, 0.0);
+        assert_eq!((d.nonzero_count(), c.nonzero_count()), (2, 2));
+    }
+
+    #[test]
+    fn from_sorted_is_dense_from_one_node_in_four() {
+        let entries: Vec<(u32, f64)> = (0..25).map(|i| (i * 4, 1.0 + i as f64)).collect();
+        // 4·len = n − 1: sorted arrays; 4·len = n: a node-indexed vector.
+        let below = MetricVec::from_sorted(entries.clone(), 101);
+        let at = MetricVec::from_sorted(entries.clone(), 100);
+        assert!(matches!(below, MetricVec::Csr(_)), "{below:?}");
+        assert!(
+            matches!(&at, MetricVec::Dense(v) if v.len() == 100),
+            "{at:?}"
+        );
+        for shape in [&below, &at] {
+            assert_eq!(shape.nonzero_sorted().collect::<Vec<_>>(), entries);
+        }
+        // A key past the stated node count still has a slot.
+        let past = MetricVec::from_sorted(vec![(0, 1.0), (9, 2.0)], 4);
+        assert_eq!((past.get(9), past.get(10)), (2.0, 0.0));
+    }
+
+    #[test]
+    fn build_settles_raw_columns_by_their_coverage() {
+        use crate::names::{NameTable, SourceLoc};
+        let mut cct = crate::cct::Cct::new(NameTable::new());
+        let mut raw = RawMetrics::new(StorageKind::Csr);
+        let third = raw.add_metric(MetricDesc::new("one in 3", "u", 1.0));
+        let hundredth = raw.add_metric(MetricDesc::new("one in 100", "u", 1.0));
+        // 299 statements under the root; costs ingested in descending
+        // node order, so through the pending overlay.
+        let stmts: Vec<NodeId> = (1..300)
+            .map(|line| {
+                let loc = SourceLoc::new(crate::ids::FileId(0), line);
+                cct.add_child(cct.root(), crate::scope::ScopeKind::Stmt { loc })
+            })
+            .collect();
+        for &s in stmts.iter().rev() {
+            if s.0 % 3 == 0 {
+                raw.add_cost(third, s, s.0 as f64);
+            }
+            if s.0 % 100 == 0 {
+                raw.add_cost(hundredth, s, s.0 as f64);
+            }
+        }
+        assert!(matches!(raw.column(third), MetricVec::Csr(_)));
+        let totals = (raw.total(third), raw.total(hundredth));
+        let exp = crate::experiment::Experiment::build(cct, raw, StorageKind::Csr);
+        assert!(matches!(exp.raw.column(third), MetricVec::Dense(v) if v.len() == 300));
+        assert!(matches!(exp.raw.column(hundredth), MetricVec::Csr(_)));
+        assert_eq!(exp.raw.column(third).nonzero_count(), 99);
+        assert_eq!(exp.raw.column(hundredth).nonzero_count(), 2);
+        assert_eq!((exp.raw.total(third), exp.raw.total(hundredth)), totals);
+        // The attributed columns follow the kernel's branch: a statement's
+        // chain is itself and the root.
+        let inclusive = |m| exp.columns.vec(exp.inclusive_col(m));
+        assert!(matches!(inclusive(third), MetricVec::Dense(_)));
+        assert!(matches!(inclusive(hundredth), MetricVec::Csr(_)));
+        assert_eq!(exp.inclusive(hundredth, exp.cct.root()), totals.1);
+    }
+
+    #[test]
+    fn both_shapes_of_one_column_read_bit_identically() {
+        let entries = vec![(1u32, 0.1), (2, 1e-17), (5, -3e300), (9, f64::NAN)];
+        let mut raw = RawMetrics::new(StorageKind::Csr);
+        let sorted = raw.add_metric(MetricDesc::new("sorted", "u", 1.0));
+        let dense = raw.add_metric(MetricDesc::new("dense", "u", 1.0));
+        raw.values[sorted.index()] = MetricVec::Csr(CsrColumn::from_sorted(entries.clone()));
+        raw.values[dense.index()] = MetricVec::from_sorted(entries, 12);
+        assert!(matches!(raw.column(dense), MetricVec::Dense(_)));
+        assert_eq!(raw.total(sorted).to_bits(), raw.total(dense).to_bits());
+        let bits = |m| -> Vec<(u32, u64)> {
+            let entries = raw.column(m).nonzero_sorted();
+            entries.map(|(k, v)| (k, v.to_bits())).collect()
+        };
+        assert_eq!(bits(sorted), bits(dense));
+        for n in 0..14 {
+            let (s, d) = (raw.direct(sorted, NodeId(n)), raw.direct(dense, NodeId(n)));
+            assert_eq!(s.to_bits(), d.to_bits(), "node {n}");
+        }
     }
 
     #[test]
@@ -1166,11 +1053,7 @@ mod tests {
         c.set(9, 7.0);
         c.set(3, 2.5);
         c.set(1, 0.0);
-        assert_eq!(c.get(1), 0.0);
-        assert_eq!(c.get(2), 5.0);
-        assert_eq!(c.get(3), 2.5);
-        assert_eq!(c.get(4), 0.0);
-        assert_eq!(c.get(9), 7.0);
+        assert_eq!([1, 2, 3, 4, 9].map(|n| c.get(n)), [0.0, 5.0, 2.5, 0.0, 7.0]);
         let mv = MetricVec::Csr(c);
         let nz: Vec<_> = mv.nonzero_sorted().collect();
         assert_eq!(nz, vec![(2, 5.0), (3, 2.5), (9, 7.0)]);
@@ -1205,24 +1088,9 @@ mod tests {
     }
 
     #[test]
-    fn sorted_parts_agree_across_flavors() {
-        let entries = [(3u32, 1.5), (0, 2.0), (10, -1.0)];
-        let mut want: Vec<(u32, f64)> = entries.to_vec();
-        want.sort_by_key(|e| e.0);
-        for mut v in [MetricVec::dense(0), MetricVec::sparse(), MetricVec::csr()] {
-            for (n, x) in entries {
-                v.add(n, x);
-            }
-            let (keys, vals) = v.sorted_parts();
-            let got: Vec<(u32, f64)> = keys.iter().copied().zip(vals.iter().copied()).collect();
-            assert_eq!(got, want);
-        }
-    }
-
-    #[test]
     fn csr_compaction_preserves_values_past_threshold() {
         let mut c = CsrColumn::new();
-        let mut expect = std::collections::HashMap::new();
+        let mut expect = std::collections::BTreeMap::new();
         // Alternate high/low nodes so every other add is out of order,
         // forcing several compactions.
         for i in 0..500u32 {
@@ -1233,75 +1101,48 @@ mod tests {
         for (&n, &v) in &expect {
             assert_eq!(c.get(n), v, "node {n}");
         }
-        c.compact();
-        assert_eq!(c.nnz(), expect.len());
+        assert_eq!(MetricVec::Csr(c).nonzero_count(), expect.len());
     }
 
-    #[test]
-    fn builder_freeze_and_merge_match_scalar_adds() {
-        let mut b0 = ColumnBuilder::new();
-        let mut b1 = ColumnBuilder::new();
-        b0.push(7, 1.0);
-        b0.push(2, 3.0);
-        b0.push(7, 2.0);
-        b1.push(0, 4.0);
-        b1.push(2, -3.0);
-        // Concatenate-then-freeze (the parallel reduction path)...
-        let mut cat = ColumnBuilder::new();
-        cat.append(&mut b0.clone());
-        cat.append(&mut b1.clone());
-        let frozen = cat.freeze();
-        // ...equals freeze-then-merge...
-        let mut merged = b0.freeze();
-        merged.merge(&b1.freeze());
-        // ...equals scalar adds into one column.
-        let mut scalar = CsrColumn::new();
-        for (n, v) in [(7u32, 1.0), (2, 3.0), (7, 2.0), (0, 4.0), (2, -3.0)] {
-            scalar.add(n, v);
+    /// Column 0 loads; every other column and every raw metric fails.
+    #[derive(Debug)]
+    struct PerColumnFailure;
+
+    impl ColumnSource for PerColumnFailure {
+        fn load_column(&self, c: ColumnId) -> Result<MetricVec, String> {
+            match c.index() {
+                0 => Ok(MetricVec::from_sorted(vec![(2, 5.0)], 3)),
+                i => Err(format!("column {i}: checksum mismatch")),
+            }
         }
-        scalar.compact();
-        for n in 0..10 {
-            assert_eq!(frozen.get(n), scalar.get(n), "node {n}");
-            assert_eq!(merged.get(n), scalar.get(n), "node {n}");
+        fn load_raw(&self, _m: MetricId) -> Result<MetricVec, String> {
+            Err("raw block missing".into())
         }
-        // The entry at node 2 cancelled exactly; it must not linger.
-        let mut f = frozen;
-        assert_eq!(f.nnz(), 2);
     }
 
     #[derive(Debug)]
     struct CountingSource {
         entries: Vec<(u32, f64)>,
-        loads: std::sync::atomic::AtomicUsize,
+        loads: AtomicU64,
     }
 
     impl ColumnSource for CountingSource {
-        fn load_column(&self, _c: ColumnId) -> Result<ColumnData, String> {
-            self.loads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Ok(ColumnData::Owned(self.entries.clone()))
+        fn load_column(&self, _c: ColumnId) -> Result<MetricVec, String> {
+            self.loads.fetch_add(1, Ordering::SeqCst);
+            Ok(MetricVec::from_sorted(self.entries.clone(), 100))
         }
-        fn load_raw(&self, _m: MetricId) -> Result<ColumnData, String> {
-            self.loads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            Ok(ColumnData::Owned(self.entries.clone()))
+        fn load_raw(&self, m: MetricId) -> Result<MetricVec, String> {
+            self.load_column(ColumnId(m.0))
         }
     }
 
     #[test]
     fn lazy_columns_fault_once_on_first_read() {
-        let mut cs = ColumnSet::new(StorageKind::Csr);
-        let a = cs.add_column(ColumnDesc {
-            name: "a".into(),
-            flavor: ColumnFlavor::Inclusive(MetricId(0)),
-            visible: true,
-        });
-        let b = cs.add_column(ColumnDesc {
-            name: "b".into(),
-            flavor: ColumnFlavor::Exclusive(MetricId(0)),
-            visible: true,
-        });
+        let mut cs = ColumnSet::new();
+        let (a, b) = (cs.add_column(col("a")), cs.add_column(col("b")));
         let source = Arc::new(CountingSource {
             entries: vec![(1, 2.0), (5, 7.5)],
-            loads: std::sync::atomic::AtomicUsize::new(0),
+            loads: AtomicU64::new(0),
         });
         cs.attach_source(source.clone());
         assert_eq!(cs.materialized_columns(), 0);
@@ -1312,71 +1153,42 @@ mod tests {
         // Faulting is not a mutation: reads must not invalidate caches.
         assert_eq!(cs.generation(), gen);
         assert_eq!(cs.materialized_columns(), 1);
-        assert_eq!(source.loads.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(source.loads.load(Ordering::SeqCst), 1);
 
         // A mutation lands on the faulted contents and bumps the stamp.
         cs.add(b, 1, 1.0);
         assert_eq!(cs.get(b, 1), 3.0);
         assert!(cs.generation() > gen);
         assert_eq!(cs.materialized_columns(), 2);
-        assert_eq!(source.loads.load(std::sync::atomic::Ordering::SeqCst), 2);
-        assert!(cs.lazy_error().is_none());
+        assert_eq!(source.loads.load(Ordering::SeqCst), 2);
+        assert!(cs.lazy_errors().is_empty());
     }
 
     #[test]
     fn lazy_raw_metrics_fault_and_errors_read_as_zero() {
-        #[derive(Debug)]
-        struct FailingSource;
-        impl ColumnSource for FailingSource {
-            fn load_column(&self, _c: ColumnId) -> Result<ColumnData, String> {
-                Err("no such block".into())
-            }
-            fn load_raw(&self, _m: MetricId) -> Result<ColumnData, String> {
-                Err("no such block".into())
-            }
-        }
-
-        let mut raw = RawMetrics::new(StorageKind::Sparse);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         raw.attach_source(Arc::new(CountingSource {
             entries: vec![(0, 4.0), (3, 2.0)],
-            loads: std::sync::atomic::AtomicUsize::new(0),
+            loads: AtomicU64::new(0),
         }));
         assert_eq!(raw.materialized_metrics(), 0);
         assert_eq!(raw.total(m), 6.0);
         assert_eq!(raw.direct(m, NodeId(3)), 2.0);
         assert_eq!(raw.materialized_metrics(), 1);
 
-        let mut failing = RawMetrics::new(StorageKind::Sparse);
+        let mut failing = RawMetrics::new(StorageKind::Csr);
         let f = failing.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
-        failing.attach_source(Arc::new(FailingSource));
+        failing.attach_source(Arc::new(PerColumnFailure));
         assert_eq!(failing.direct(f, NodeId(0)), 0.0);
-        assert_eq!(failing.lazy_error(), Some("no such block"));
+        assert_eq!(failing.lazy_errors(), ["raw block missing"]);
     }
 
     #[test]
     fn every_distinct_lazy_failure_is_kept_with_per_column_fault_counts() {
-        #[derive(Debug)]
-        struct PerColumnFailure;
-        impl ColumnSource for PerColumnFailure {
-            fn load_column(&self, c: ColumnId) -> Result<ColumnData, String> {
-                match c.index() {
-                    0 => Ok(ColumnData::Owned(vec![(2, 5.0)])),
-                    i => Err(format!("column {i}: checksum mismatch")),
-                }
-            }
-            fn load_raw(&self, _m: MetricId) -> Result<ColumnData, String> {
-                Err("raw block missing".into())
-            }
-        }
-
-        let mut cs = ColumnSet::new(StorageKind::Csr);
+        let mut cs = ColumnSet::new();
         for name in ["a", "b", "c"] {
-            cs.add_column(ColumnDesc {
-                name: name.into(),
-                flavor: ColumnFlavor::Inclusive(MetricId(0)),
-                visible: true,
-            });
+            cs.add_column(col(name));
         }
         cs.attach_source(Arc::new(PerColumnFailure));
 
@@ -1385,16 +1197,9 @@ mod tests {
         assert_eq!(cs.get(ColumnId(1), 2), 0.0);
         assert_eq!(cs.get(ColumnId(2), 2), 0.0);
 
-        // The legacy single-error API still reports the first failure...
-        assert_eq!(cs.lazy_error(), Some("column 1: checksum mismatch"));
-        // ...while the full list keeps both, in first-seen order.
-        assert_eq!(
-            cs.lazy_errors(),
-            vec![
-                "column 1: checksum mismatch".to_owned(),
-                "column 2: checksum mismatch".to_owned(),
-            ]
-        );
+        // Both are kept, in first-seen order.
+        let both = ["column 1: checksum mismatch", "column 2: checksum mismatch"];
+        assert_eq!(cs.lazy_errors(), both);
 
         // Fault counts: exactly one decode per touched column, repeat
         // reads never re-decode (even for the failed ones).
@@ -1426,13 +1231,9 @@ mod tests {
 
     #[test]
     fn column_set_generation_bumps_on_every_mutation() {
-        let mut cols = ColumnSet::new(StorageKind::Dense);
+        let mut cols = ColumnSet::new();
         let g0 = cols.generation();
-        let c = cols.add_column(ColumnDesc {
-            name: "cycles (I)".into(),
-            flavor: ColumnFlavor::Inclusive(MetricId(0)),
-            visible: true,
-        });
+        let c = cols.add_column(col("cycles (I)"));
         assert!(cols.generation() > g0);
         let g1 = cols.generation();
         cols.set(c, 3, 5.0);
@@ -1444,43 +1245,24 @@ mod tests {
     }
 
     #[test]
-    fn add_costs_matches_scalar_adds_across_flavors() {
-        let costs: Vec<(NodeId, f64)> = [(0u32, 1.0), (5, 2.0), (3, 4.0), (5, 0.5)]
-            .iter()
-            .map(|&(n, v)| (NodeId(n), v))
-            .collect();
-        for kind in [StorageKind::Dense, StorageKind::Sparse, StorageKind::Csr] {
-            let mut batched = RawMetrics::new(kind);
-            let mb = batched.add_metric(MetricDesc::new("m", "u", 1.0));
-            batched.add_costs(mb, &costs);
-            let mut scalar = RawMetrics::new(kind);
-            let ms = scalar.add_metric(MetricDesc::new("m", "u", 1.0));
-            for &(n, v) in &costs {
-                scalar.add_cost(ms, n, v);
-            }
-            for n in 0..8 {
-                assert_eq!(
-                    batched.direct(mb, NodeId(n)),
-                    scalar.direct(ms, NodeId(n)),
-                    "{kind:?} node {n}"
-                );
-            }
+    fn add_costs_matches_scalar_adds() {
+        let costs = [(0, 1.0), (5, 2.0), (3, 4.0), (5, 0.5)].map(|(n, v)| (NodeId(n), v));
+        let mut batched = RawMetrics::new(StorageKind::Csr);
+        let mb = batched.add_metric(MetricDesc::new("m", "u", 1.0));
+        batched.add_costs(mb, &costs);
+        let mut scalar = RawMetrics::new(StorageKind::Csr);
+        let ms = scalar.add_metric(MetricDesc::new("m", "u", 1.0));
+        for &(n, v) in &costs {
+            scalar.add_cost(ms, n, v);
+        }
+        for n in (0..8).map(NodeId) {
+            assert_eq!(batched.direct(mb, n), scalar.direct(ms, n), "{n:?}");
         }
     }
 
     #[test]
-    fn sparse_set_zero_removes_entry() {
-        let mut s = MetricVec::sparse();
-        s.set(5, 3.0);
-        assert_eq!(s.nonzero_count(), 1);
-        s.set(5, 0.0);
-        assert_eq!(s.nonzero_count(), 0);
-        assert_eq!(s.get(5), 0.0);
-    }
-
-    #[test]
     fn record_samples_scales_by_period() {
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("PAPI_TOT_CYC", "cycles", 1000.0));
         raw.record_samples(m, NodeId(4), 3);
         assert_eq!(raw.direct(m, NodeId(4)), 3000.0);
@@ -1489,7 +1271,7 @@ mod tests {
 
     #[test]
     fn find_metric_by_name() {
-        let mut raw = RawMetrics::new(StorageKind::Sparse);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         let l1 = raw.add_metric(MetricDesc::new("l1_dcm", "misses", 1.0));
         assert_eq!(raw.find("cycles"), Some(cyc));
@@ -1499,12 +1281,8 @@ mod tests {
 
     #[test]
     fn column_set_visibility() {
-        let mut cs = ColumnSet::new(StorageKind::Dense);
-        let a = cs.add_column(ColumnDesc {
-            name: "cycles (I)".into(),
-            flavor: ColumnFlavor::Inclusive(MetricId(0)),
-            visible: true,
-        });
+        let mut cs = ColumnSet::new();
+        let a = cs.add_column(col("cycles (I)"));
         let b = cs.add_column(ColumnDesc {
             name: "scratch".into(),
             flavor: ColumnFlavor::Derived {
@@ -1515,13 +1293,5 @@ mod tests {
         let visible: Vec<ColumnId> = cs.visible_columns().collect();
         assert_eq!(visible, vec![a]);
         assert_eq!(cs.find("scratch"), Some(b));
-    }
-
-    #[test]
-    fn dense_auto_grows() {
-        let mut d = MetricVec::dense(0);
-        d.add(100, 1.0);
-        assert_eq!(d.get(100), 1.0);
-        assert_eq!(d.get(99), 0.0);
     }
 }

@@ -74,19 +74,17 @@ impl<'a> View<'a> {
 
     /// The bottom-up Callers View (lazily constructed).
     pub fn callers(exp: &'a Experiment) -> Self {
-        let storage = exp.raw.storage();
         View::Callers {
             exp,
-            view: CallersView::build(exp, storage),
+            view: CallersView::build(exp),
         }
     }
 
     /// The static Flat View.
     pub fn flat(exp: &'a Experiment) -> Self {
-        let storage = exp.raw.storage();
         View::Flat {
             exp,
-            view: FlatView::build(exp, storage),
+            view: FlatView::build(exp),
         }
     }
 
@@ -472,12 +470,12 @@ mod tests {
                 loc: SourceLoc::new(file, 3),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
         raw.add_cost(m, s, 90.0);
         raw.add_cost(m, s2, 10.0);
         let _ = LoadModuleId(0);
-        Experiment::build(cct, raw, StorageKind::Dense)
+        Experiment::build(cct, raw, StorageKind::Csr)
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::derived::SliceContext;
 use crate::experiment::Experiment;
 use crate::exposure::{exposed, plain_sum};
 use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};
-use crate::metrics::{ColumnSet, StorageKind};
+use crate::metrics::ColumnSet;
 use crate::names::{NameTable, SourceLoc};
 use std::collections::HashMap;
 
@@ -147,7 +147,7 @@ pub(crate) enum Exclusive {
 }
 
 /// A forest of view nodes plus their metric columns.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ViewTree {
     nodes: Vec<ViewNode>,
     roots: Vec<u32>,
@@ -159,14 +159,9 @@ pub struct ViewTree {
 }
 
 impl ViewTree {
-    /// An empty forest whose columns use the given storage flavor.
-    pub fn new(storage: StorageKind) -> Self {
-        ViewTree {
-            nodes: Vec::new(),
-            roots: Vec::new(),
-            columns: ColumnSet::new(storage),
-            structure_generation: 0,
-        }
+    /// An empty forest.
+    pub fn new() -> Self {
+        ViewTree::default()
     }
 
     /// Generation stamp covering **both** structure (lazy expansion
@@ -533,7 +528,7 @@ mod tests {
 
     #[test]
     fn forest_roots_and_children() {
-        let mut t = ViewTree::new(StorageKind::Dense);
+        let mut t = ViewTree::new();
         let a = t.add_root(ViewScope::ProcTop { proc: ProcId(0) });
         let b = t.add_root(ViewScope::ProcTop { proc: ProcId(1) });
         let c = t.add_child(
@@ -553,7 +548,7 @@ mod tests {
 
     #[test]
     fn find_or_add_deduplicates_children_and_roots() {
-        let mut t = ViewTree::new(StorageKind::Dense);
+        let mut t = ViewTree::new();
         let r1 = t.find_or_add_root(ViewScope::Module {
             module: LoadModuleId(0),
         });
@@ -569,7 +564,7 @@ mod tests {
 
     #[test]
     fn instances_accumulate() {
-        let mut t = ViewTree::new(StorageKind::Sparse);
+        let mut t = ViewTree::new();
         let a = t.add_root(ViewScope::Procedure { proc: ProcId(0) });
         t.push_instance(a, NodeId(5));
         t.push_instance(a, NodeId(9));
@@ -581,7 +576,7 @@ mod tests {
         let mut names = NameTable::new();
         let g = names.proc("g");
         let f = names.file("file2.c");
-        let mut t = ViewTree::new(StorageKind::Dense);
+        let mut t = ViewTree::new();
         let top = t.add_root(ViewScope::ProcTop { proc: g });
         assert_eq!(t.label(top, &names), "g");
         assert!(!t.scope(top).is_call());
@@ -604,7 +599,7 @@ mod tests {
 
     #[test]
     fn generation_bumps_on_structure_and_columns() {
-        let mut t = ViewTree::new(StorageKind::Dense);
+        let mut t = ViewTree::new();
         let g0 = t.generation();
         let a = t.add_root(ViewScope::Procedure { proc: ProcId(0) });
         let g1 = t.generation();

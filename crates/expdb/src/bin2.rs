@@ -73,7 +73,7 @@ const BLOCK_FIXED: u8 = 1;
 /// Encode a model as a CPDB container; see the module docs for the
 /// section encodings.
 pub fn write_v21(model: &DbModel) -> Vec<u8> {
-    let mut b = TocBuilder::new_aligned(model.sparse);
+    let mut b = TocBuilder::new_aligned();
     add_v21_sections(&mut b, model);
     b.finish()
 }
@@ -596,7 +596,6 @@ pub fn read(data: &[u8]) -> Result<DbModel, DbError> {
         nodes,
         metrics,
         derived,
-        sparse: toc.sparse,
     })
 }
 
@@ -670,7 +669,6 @@ mod tests {
                 },
             ],
             derived: vec![],
-            sparse: true,
         };
         let bytes = write_v21(&model);
         let toc = Toc::parse(&bytes).unwrap();

@@ -139,9 +139,8 @@ pub fn write_cpens(
         nodes,
         metrics: stat_metrics,
         derived: Vec::new(),
-        sparse: true,
     };
-    let mut b = TocBuilder::new_aligned(true);
+    let mut b = TocBuilder::new_aligned();
     bin2::add_v21_sections(&mut b, &base);
 
     let mut dir = Vec::new();

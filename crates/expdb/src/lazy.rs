@@ -20,23 +20,21 @@
 //! they lie in the image — O(K) for K the union of the non-zeros'
 //! ancestor chains, with one bit per node of private scratch; a column
 //! that covers a quarter of the tree or more is swept in O(n) instead —
-//! and one copy of the kernel's sorted `(node, value)` vector into the
-//! column's slot. The kernel's result is cached per metric and shared by its
-//! inclusive and exclusive columns; a derived column is evaluated on the
-//! union of its inputs' non-zeros (at every node only when its formula
-//! has a constant term). Each of these is paid at most once.
+//! and one copy of the kernel's vector into the column's slot. The
+//! kernel's result is cached per metric and shared by its inclusive and
+//! exclusive columns; a derived column is evaluated on the union of its
+//! inputs' non-zeros (at every node only when its formula has a constant
+//! term). Each of these is paid at most once.
 //!
-//! A faulted column of a sparse (`FLAG_SPARSE`) database lands in its
-//! slot as sorted arrays (`MetricVec::Csr`: binary-search reads, ordered
-//! scans borrowed in place): between the mapped bytes and the slot there
-//! is no hash build and no sort. Columns of a dense database are
-//! scattered into node-indexed vectors, because their readers index
-//! every node. The experiment's *declared* storage — `raw.storage()`,
-//! `Experiment::storage()` — stays the file's flavor either way: the
-//! writer derives `FLAG_SPARSE` from it, so re-encoding an opened
-//! database is byte-identical, and Callers/Flat view trees built from a
-//! sparse experiment keep hash columns, which take their out-of-order
-//! adds without an overlay.
+//! **What shape a faulted column has** follows from what was read, never
+//! from the file's header: a fixed-width block stays a window onto the
+//! image (`MetricVec::Mapped`); an attributed column keeps the shape of
+//! the kernel branch that computed it — sorted arrays from the walk
+//! (binary-search reads, ordered scans in place), node-indexed vectors
+//! from the sweep; a decoded varint block and a derived column are sorted
+//! entries and go through `MetricVec::from_sorted`, which makes them
+//! node-indexed from one node in four. Between the mapped bytes and the
+//! slot there is no sort and no conversion from one shape to the other.
 //!
 //! `LazyShared` keeps its **own copy** of the CCT (the `Experiment`
 //! owns another) so attribution of a faulted column never needs a
@@ -55,7 +53,7 @@ use crate::model::{build_cct, DbError};
 use crate::toc::{
     Toc, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS, SEC_NAMES,
 };
-use callpath_core::attribution::{attribute_sorted, SortedAttribution};
+use callpath_core::attribution::{attribute_sorted, Attribution};
 use callpath_core::prelude::*;
 use callpath_obs as obs;
 use std::borrow::Cow;
@@ -82,10 +80,10 @@ struct LazyShared {
     /// Whole-program value per column (from stored totals), for `@n`
     /// references in derived formulas.
     aggregates: Vec<f64>,
-    /// One attribution per metric, as the kernel's sorted vectors,
+    /// One attribution per metric, in the shape the kernel left it,
     /// computed on the first fault of either of its presentation columns
     /// and shared by both.
-    attrs: Vec<OnceLock<Result<SortedAttribution, String>>>,
+    attrs: Vec<OnceLock<Result<Attribution, String>>>,
 }
 
 impl LazyShared {
@@ -93,12 +91,11 @@ impl LazyShared {
         self.cct.len() as u32
     }
 
-    /// Raw direct costs of metric `m` as [`ColumnData`]. For fixed-kind
-    /// blocks this *borrows* the key/value arrays from the image (after
-    /// verifying the block's checksum — paid once, on this first fault)
-    /// instead of decoding them; everything else decodes to owned
-    /// entries.
-    fn raw_column(&self, m: usize) -> Result<ColumnData, String> {
+    /// Raw direct costs of metric `m`. For fixed-kind blocks this
+    /// *borrows* the key/value arrays from the image (after verifying the
+    /// block's checksum — paid once, on this first fault) instead of
+    /// decoding them; everything else decodes to owned entries.
+    fn raw_column(&self, m: usize) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.block_decode");
         let id = self.sections[m];
         let data = self.data.bytes();
@@ -119,37 +116,32 @@ impl LazyShared {
                 check_keys(col.keys(), self.n_nodes())
                     .map_err(|reason| format!("metric '{}': {reason}", info.name))?;
                 obs::count("expdb.lazy.fault.mapped", 1);
-                return Ok(ColumnData::Mapped(col));
+                return Ok(MetricVec::Mapped(col));
             }
         }
         bin2::read_block_v21(body, info, self.n_nodes())
-            .map(ColumnData::Owned)
+            .map(|entries| MetricVec::from_sorted(entries, self.cct.len()))
             .map_err(|e| e.message)
     }
 
     /// Attribution of metric `m`, computed once on first touch: the
     /// kernel reads the block's key/value arrays where they lie in the
     /// image (small varint blocks are decoded first).
-    fn attribution(&self, m: usize) -> Result<&SortedAttribution, String> {
+    fn attribution(&self, m: usize) -> Result<&Attribution, String> {
         self.attrs[m]
             .get_or_init(|| {
-                Ok(match self.raw_column(m)? {
-                    ColumnData::Mapped(col) => attribute_sorted(&self.cct, col.keys(), col.vals()),
-                    ColumnData::Owned(entries) => {
-                        let (keys, vals): (Vec<u32>, Vec<f64>) = entries.into_iter().unzip();
-                        attribute_sorted(&self.cct, &keys, &vals)
-                    }
-                })
+                let raw = self.raw_column(m)?;
+                let (keys, vals) = raw.sorted_parts();
+                Ok(attribute_sorted(&self.cct, &keys, &vals))
             })
             .as_ref()
             .map_err(Clone::clone)
     }
 
-    /// Sorted non-zero entries of presentation column `c`: the
-    /// inclusive/exclusive projection of a metric (borrowed from the
-    /// attribution cache), or a derived column evaluated from
-    /// (recursively materialized) referenced columns.
-    fn entries_of(&self, c: usize) -> Result<Cow<'_, [(u32, f64)]>, String> {
+    /// Presentation column `c`: the inclusive/exclusive projection of a
+    /// metric (borrowed from the attribution cache), or a derived column
+    /// evaluated from (recursively materialized) referenced columns.
+    fn column(&self, c: usize) -> Result<Cow<'_, MetricVec>, String> {
         let metric_cols = self.infos.len() * 2;
         if c < metric_cols {
             let attr = self.attribution(c / 2)?;
@@ -171,8 +163,12 @@ impl LazyShared {
             if r as usize >= c {
                 return Err(format!("derived column {c} references column {r}"));
             }
-            inputs.push((r as usize, self.entries_of(r as usize)?, 0));
+            inputs.push((r as usize, self.column(r as usize)?));
         }
+        let mut cursors: Vec<_> = inputs
+            .iter()
+            .map(|(r, col)| (*r, col.nonzero_sorted().peekable()))
+            .collect();
         let mut row = vec![0.0; c];
         let eval = |row: &[f64]| {
             expr.eval(&SliceContext {
@@ -189,7 +185,7 @@ impl LazyShared {
         let mut node = 0;
         loop {
             if !everywhere {
-                let heads = inputs.iter().filter_map(|(_, e, at)| e.get(*at));
+                let heads = cursors.iter_mut().filter_map(|(_, it)| it.peek());
                 match heads.map(|&(k, _)| k).min() {
                     Some(k) => node = k,
                     None => break,
@@ -198,14 +194,8 @@ impl LazyShared {
             if node >= self.n_nodes() {
                 break;
             }
-            for (r, entries, at) in &mut inputs {
-                row[*r] = match entries.get(*at) {
-                    Some(&(k, v)) if k == node => {
-                        *at += 1;
-                        v
-                    }
-                    _ => 0.0,
-                };
+            for (r, it) in &mut cursors {
+                row[*r] = it.next_if(|&(k, _)| k == node).map_or(0.0, |(_, v)| v);
             }
             let v = eval(&row);
             if v != 0.0 {
@@ -213,23 +203,23 @@ impl LazyShared {
             }
             node += 1;
         }
-        Ok(Cow::Owned(out))
+        Ok(Cow::Owned(MetricVec::from_sorted(out, self.cct.len())))
     }
 }
 
 impl ColumnSource for LazyShared {
-    fn load_column(&self, c: ColumnId) -> Result<ColumnData, String> {
+    fn load_column(&self, c: ColumnId) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.column_fault");
         obs::count("expdb.lazy.fault.column", 1);
-        self.entries_of(c.index())
-            .map(|entries| ColumnData::Owned(entries.into_owned()))
+        self.column(c.index())
+            .map(Cow::into_owned)
             .inspect_err(|reason| {
                 obs::count("expdb.lazy.fault.failed", 1);
                 obs::error(&format!("column {}: {reason}", c.index()));
             })
     }
 
-    fn load_raw(&self, m: MetricId) -> Result<ColumnData, String> {
+    fn load_raw(&self, m: MetricId) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.raw_fault");
         obs::count("expdb.lazy.fault.raw", 1);
         if m.index() >= self.infos.len() {
@@ -313,14 +303,9 @@ pub(crate) fn open_image_with(
         }
     }
     let cct = open_topology(&image, &toc, &procs, &files, &modules)?;
-    let storage = if toc.sparse {
-        StorageKind::Sparse
-    } else {
-        StorageKind::Dense
-    };
 
-    let mut raw = RawMetrics::new(storage);
-    let mut columns = ColumnSet::new(storage);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
+    let mut columns = ColumnSet::new();
     let mut aggregates = Vec::with_capacity(infos.len() * 2 + derived.len());
     for (i, info) in infos.iter().enumerate() {
         let m = MetricId::from_usize(i);
@@ -386,7 +371,6 @@ pub(crate) fn open_image_with(
         columns,
         derived_cols,
         aggregates,
-        storage,
     ))
 }
 
@@ -517,7 +501,7 @@ mod tests {
             lazy.columns.materialized_columns(),
             eager.columns.column_count()
         );
-        assert!(lazy.columns.lazy_error().is_none());
+        assert!(lazy.columns.lazy_errors().is_empty());
         for (a, b) in lazy.aggregates().iter().zip(eager.aggregates()) {
             assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
         }
@@ -579,23 +563,23 @@ mod tests {
         let lazy = open_lazy(bytes).expect("topology is intact");
         let c = ColumnId(2); // second metric's inclusive column
         assert_eq!(lazy.columns.get(c, 0), 0.0);
-        assert!(lazy.columns.lazy_error().unwrap().contains("checksum"));
+        assert!(lazy.columns.lazy_errors()[0].contains("checksum"));
     }
 
-    /// The sample tree with sparse storage and the two metrics' costs at
-    /// different nodes, so a derived column's inputs are non-zero on
-    /// different, overlapping sets.
+    /// The sample tree with the two metrics' costs at different nodes, so
+    /// a derived column's inputs are non-zero on different, overlapping
+    /// sets.
     fn sparse_experiment() -> Experiment {
         let mut cct = sample_experiment().cct;
         // Node 6: a statement of `main` no metric has a cost at.
         let loc = SourceLoc::new(FileId(0), 2);
         cct.add_child(NodeId(1), ScopeKind::Stmt { loc });
-        let mut raw = RawMetrics::new(StorageKind::Sparse);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1000.0));
         let fp = raw.add_metric(MetricDesc::new("fp", "ops", 500.0));
         raw.add_costs(cyc, &[(NodeId(3), 7_000.0), (NodeId(5), 42_000.0)]);
         raw.add_costs(fp, &[(NodeId(4), 1_500.0), (NodeId(5), 8_000.0)]);
-        Experiment::build(cct, raw, StorageKind::Sparse)
+        Experiment::build(cct, raw, StorageKind::Csr)
     }
 
     #[test]

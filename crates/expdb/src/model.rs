@@ -97,7 +97,7 @@ pub struct DbMetric {
 }
 
 /// The complete serializable experiment model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DbModel {
     /// Procedure names, index = id.
     pub procs: Vec<String>,
@@ -111,8 +111,6 @@ pub struct DbModel {
     pub metrics: Vec<DbMetric>,
     /// Derived metric definitions: (column name, formula source).
     pub derived: Vec<(String, String)>,
-    /// Storage flavor to rebuild with.
-    pub sparse: bool,
 }
 
 impl DbModel {
@@ -150,7 +148,6 @@ impl DbModel {
             nodes,
             metrics,
             derived,
-            sparse: exp.raw.storage() == StorageKind::Sparse,
         }
     }
 
@@ -166,12 +163,7 @@ impl DbModel {
     pub fn into_experiment(self) -> Result<Experiment, DbError> {
         let cct = build_cct(&self.procs, &self.files, &self.modules, &self.nodes)?;
 
-        let storage = if self.sparse {
-            StorageKind::Sparse
-        } else {
-            StorageKind::Dense
-        };
-        let mut raw = RawMetrics::new(storage);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let n_nodes = cct.len() as u32;
         for m in &self.metrics {
             let id = raw.add_metric(MetricDesc::new(&m.name, &m.unit, m.period));
@@ -185,7 +177,7 @@ impl DbModel {
             }
         }
 
-        let mut exp = Experiment::build(cct, raw, storage);
+        let mut exp = Experiment::build(cct, raw, StorageKind::Csr);
         for (name, formula) in &self.derived {
             exp.add_derived(name, formula)
                 .map_err(|e| DbError::new(format!("derived metric '{name}': {e}")))?;
@@ -386,12 +378,12 @@ pub(crate) mod tests {
                 loc: SourceLoc::new(file, 12),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1000.0));
         let fp = raw.add_metric(MetricDesc::new("fp", "ops", 500.0));
         raw.add_cost(cyc, s, 42_000.0);
         raw.add_cost(fp, s, 8_000.0);
-        let mut exp = Experiment::build(cct, raw, StorageKind::Dense);
+        let mut exp = Experiment::build(cct, raw, StorageKind::Csr);
         exp.add_derived("waste", "$0 * 4 - $2").unwrap();
         exp
     }

@@ -6,7 +6,9 @@
 //! offset  size  field
 //! 0       4     magic "CPDB"
 //! 4       1     version byte (2)
-//! 5       1     flags (bit 0: sparse storage, bit 1: aligned — always set)
+//! 5       1     flags (bit 1: aligned — always set; bit 0: reserved —
+//!               accepted and ignored, never written: FLAG_WAS_SPARSE,
+//!               older writers' hint for the reader's memory layout)
 //! 6       2     reserved (zero)
 //! 8       4     section count, u32 LE
 //! 12      8     FNV-1a 64 checksum of bytes 0..12 and all TOC entries
@@ -80,7 +82,8 @@ pub(crate) const MAGIC: &[u8; 4] = b"CPDB";
 const VERSION_BYTE: u8 = 2;
 /// Version byte of the retired single-stream encoding.
 const VERSION_V1: u8 = 1;
-const FLAG_SPARSE: u8 = 1;
+/// Reserved bit older writers set; [`Toc::parse`] accepts it.
+const FLAG_WAS_SPARSE: u8 = 1;
 /// Flag bit marking the aligned payload encoding; every file has it
 /// (a version-2 header without it is the retired unaligned encoding).
 const FLAG_ALIGNED: u8 = 2;
@@ -112,7 +115,6 @@ pub(crate) struct TocEntry {
 /// The parsed table of contents of a CPDB file.
 #[derive(Debug, Clone)]
 pub(crate) struct Toc {
-    pub sparse: bool,
     pub entries: Vec<TocEntry>,
     /// Section id → index into `entries`, so lookups are O(1) even for
     /// files with thousands of per-metric blocks.
@@ -140,7 +142,7 @@ impl Toc {
             return Err(DbError::new("truncated header"));
         }
         let flags = data[5];
-        if flags & !(FLAG_SPARSE | FLAG_ALIGNED) != 0 {
+        if flags & !(FLAG_WAS_SPARSE | FLAG_ALIGNED) != 0 {
             return Err(DbError::new(format!("unknown flags {flags:#x}")));
         }
         if data[6] != 0 || data[7] != 0 {
@@ -205,11 +207,7 @@ impl Toc {
                 data.len() as u64 - expect_offset
             )));
         }
-        Ok(Toc {
-            sparse: flags & FLAG_SPARSE != 0,
-            entries,
-            index,
-        })
+        Ok(Toc { entries, index })
     }
 
     /// True if a section with `id` exists.
@@ -301,8 +299,8 @@ fn retired(what: &str) -> DbError {
 }
 
 /// Accumulates sections and emits the framed file.
+#[derive(Default)]
 pub(crate) struct TocBuilder {
-    sparse: bool,
     sections: Vec<(u32, Vec<u8>)>,
 }
 
@@ -310,11 +308,8 @@ impl TocBuilder {
     /// An empty container; `finish` wraps every section body in the
     /// self-padding prefix so bodies land on file offsets that are
     /// multiples of 8.
-    pub fn new_aligned(sparse: bool) -> Self {
-        TocBuilder {
-            sparse,
-            sections: Vec::new(),
-        }
+    pub fn new_aligned() -> Self {
+        TocBuilder::default()
     }
 
     pub fn add(&mut self, id: u32, payload: Vec<u8>) {
@@ -342,7 +337,7 @@ impl TocBuilder {
         let mut out = Vec::with_capacity(total);
         out.extend_from_slice(MAGIC);
         out.push(VERSION_BYTE);
-        out.push(FLAG_ALIGNED | if self.sparse { FLAG_SPARSE } else { 0 });
+        out.push(FLAG_ALIGNED);
         out.extend_from_slice(&[0, 0]); // reserved
         out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
         out.extend_from_slice(&[0u8; 8]); // checksum, patched below
@@ -374,7 +369,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Vec<u8> {
-        let mut b = TocBuilder::new_aligned(true);
+        let mut b = TocBuilder::new_aligned();
         b.add(SEC_NAMES, vec![1, 2, 3]);
         b.add(SEC_CCT_LINKS, vec![]);
         b.add(SEC_BLOCK_BASE, vec![9; 40]);
@@ -385,7 +380,7 @@ mod tests {
     fn sections_strip_padding_and_land_on_8() {
         let bytes = sample();
         let toc = Toc::parse(&bytes).unwrap();
-        assert!(toc.sparse);
+        assert_eq!(bytes[5], FLAG_ALIGNED);
         assert_eq!(toc.entries.len(), 3);
         assert_eq!(toc.section(&bytes, SEC_NAMES).unwrap(), &[1, 2, 3]);
         assert_eq!(toc.section(&bytes, SEC_CCT_LINKS).unwrap(), &[] as &[u8]);
@@ -423,7 +418,7 @@ mod tests {
 
     #[test]
     fn duplicate_section_ids_are_rejected() {
-        let mut b = TocBuilder::new_aligned(false);
+        let mut b = TocBuilder::new_aligned();
         b.add(SEC_NAMES, vec![1]);
         b.add(SEC_NAMES, vec![2]);
         let bytes = b.finish();

@@ -56,11 +56,7 @@ fn unescape(s: &str) -> Result<String, DbError> {
 /// Serialize a model as XML-like text.
 pub fn write(model: &DbModel) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "<Experiment version=\"1\" sparse=\"{}\">",
-        model.sparse
-    );
+    out.push_str("<Experiment version=\"1\">\n");
 
     let name_list = |out: &mut String, tag: &str, items: &[String]| {
         let _ = writeln!(out, "  <{tag}>");
@@ -246,23 +242,12 @@ fn num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, DbError> {
 /// Parse the XML-like text format.
 pub fn read(text: &str) -> Result<DbModel, DbError> {
     let mut lx = Lexer { src: text, pos: 0 };
-    let mut model = DbModel {
-        procs: Vec::new(),
-        files: Vec::new(),
-        modules: Vec::new(),
-        nodes: Vec::new(),
-        metrics: Vec::new(),
-        derived: Vec::new(),
-        sparse: false,
-    };
+    let mut model = DbModel::default();
 
-    // <Experiment ...>
+    // <Experiment ...>: older writers added a `sparse` attribute (a hint
+    // for the reader's memory layout); like any attribute, it is ignored.
     match lx.next_tag()? {
-        Some(Tag::Open(name, attrs)) if name == "Experiment" => {
-            if let Some(s) = attrs.get("sparse") {
-                model.sparse = s == "true";
-            }
-        }
+        Some(Tag::Open(name, _)) if name == "Experiment" => {}
         _ => return Err(DbError::new("expected <Experiment>")),
     }
 
@@ -400,6 +385,10 @@ mod tests {
         let text = write(&model);
         let parsed = read(&text).unwrap();
         assert_eq!(parsed, model);
+        // Yesterday's files say `sparse=` in the root tag: read, ignored.
+        assert!(!text.contains("sparse"));
+        let old = text.replacen("version=\"1\"", "version=\"1\" sparse=\"true\"", 1);
+        assert_eq!(read(&old).unwrap(), model);
     }
 
     #[test]

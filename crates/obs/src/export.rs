@@ -78,7 +78,7 @@ pub fn to_experiment(snap: &Snapshot) -> Experiment {
     // the populated one so labels resolve.
     cct.names = names;
 
-    let mut raw = RawMetrics::new(StorageKind::Sparse);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
     let time = raw.add_metric(MetricDesc::new(TIME_METRIC_NAME, "ns", 1.0));
     let calls = raw.add_metric(MetricDesc::new("calls", "calls", 1.0));
     for (i, s) in snap.spans.iter().enumerate().skip(1) {
@@ -91,7 +91,7 @@ pub fn to_experiment(snap: &Snapshot) -> Experiment {
         }
     }
 
-    Experiment::build(cct, raw, StorageKind::Sparse)
+    Experiment::build(cct, raw, StorageKind::Csr)
 }
 
 #[cfg(test)]

@@ -152,7 +152,7 @@ pub fn run_spmd(program: &Program, cfg: &SpmdConfig) -> SpmdRun {
     let profiles: Vec<RawProfile> = results.into_iter().map(|r| r.profile).collect();
     let (experiment, costs) = ParallelCorrelator::new(&structure, periods)
         .with_threads(cfg.threads)
-        .correlate(&profiles, StorageKind::Dense);
+        .correlate(&profiles, StorageKind::Csr);
     let rank_direct = if cfg.keep_rank_data {
         costs
     } else {

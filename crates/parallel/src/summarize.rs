@@ -57,10 +57,10 @@ impl Summaries {
     }
 }
 
-/// Build a temporary [`RawMetrics`] carrying one rank's direct costs.
-/// Dense storage: one f64 per node per metric, freed right after use.
+/// Build a temporary [`RawMetrics`] carrying one rank's direct costs,
+/// freed right after use.
 fn rank_raw(counters: &[Counter], costs: &PerNodeCosts) -> (RawMetrics, Vec<MetricId>) {
-    let mut raw = RawMetrics::new(StorageKind::Dense);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
     let ids: Vec<MetricId> = counters
         .iter()
         .map(|c| raw.add_metric(MetricDesc::new(c.papi_name(), c.unit(), 1.0)))
@@ -82,9 +82,12 @@ fn fold_rank(exp: &Experiment, counters: &[Counter], costs: &PerNodeCosts, into:
     let n_metrics = counters.len();
     let (raw, ids) = rank_raw(counters, costs);
     for (mi, &id) in ids.iter().enumerate() {
-        let attr = attribute(&exp.cct, &raw, id, StorageKind::Dense);
+        let attr = attribute(&exp.cct, &raw, id, StorageKind::Csr);
+        // One ordered scan, whichever shape the kernel handed over.
+        let mut inclusive = attr.inclusive.nonzero_sorted().peekable();
         for n in exp.cct.all_nodes() {
-            into[n.index() * n_metrics + mi].push(attr.inclusive.get(n.0));
+            let v = inclusive.next_if(|&(k, _)| k == n.0).map_or(0.0, |e| e.1);
+            into[n.index() * n_metrics + mi].push(v);
         }
     }
 }
@@ -250,7 +253,7 @@ pub fn summarize_view_nodes(
                 // aggregation via the exposed sets.
                 let (raw, ids) = rank_raw(counters, costs);
                 for (mi, &id) in ids.iter().enumerate() {
-                    let attr = attribute(&exp.cct, &raw, id, StorageKind::Dense);
+                    let attr = attribute(&exp.cct, &raw, id, StorageKind::Csr);
                     for (vi, set) in keep.iter().enumerate() {
                         let v: f64 = set.iter().map(|n| attr.inclusive.get(n.0)).sum();
                         acc[vi * n_metrics + mi].push(v);
@@ -336,7 +339,7 @@ mod view_summary_tests {
     fn callers_view_summaries_use_exposed_aggregation() {
         let run = run();
         let exp = &run.experiment;
-        let mut callers = CallersView::build(exp, StorageKind::Dense);
+        let mut callers = CallersView::build(exp);
         callers.fully_expand(exp);
         let s = summarize_view_nodes(
             exp,
@@ -366,7 +369,7 @@ mod view_summary_tests {
     fn flat_view_summary_columns_append() {
         let run = run();
         let exp = &run.experiment;
-        let mut flat = FlatView::build(exp, StorageKind::Dense);
+        let mut flat = FlatView::build(exp);
         let s = summarize_view_nodes(
             exp,
             &flat.tree,

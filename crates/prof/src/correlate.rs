@@ -247,9 +247,10 @@ impl<'s> Correlator<'s> {
             .collect()
     }
 
-    /// Build the experiment from everything added so far.
-    pub fn finish(self, storage: StorageKind) -> Experiment {
-        finish_parts(self.cct, self.totals, self.periods, storage)
+    /// Build the experiment from everything added so far. The argument
+    /// selects nothing ([`StorageKind`]).
+    pub fn finish(self, _: StorageKind) -> Experiment {
+        finish_parts(self.cct, self.totals, self.periods)
     }
 }
 
@@ -277,9 +278,8 @@ pub(crate) fn finish_parts(
     cct: Cct,
     totals: std::collections::HashMap<NodeId, [f64; Counter::COUNT]>,
     periods: [u64; Counter::COUNT],
-    storage: StorageKind,
 ) -> Experiment {
-    let mut raw = RawMetrics::new(storage);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
     let active: Vec<Counter> = Counter::ALL
         .iter()
         .copied()
@@ -296,8 +296,8 @@ pub(crate) fn finish_parts(
         })
         .collect();
     // Deterministic insertion independent of hash order; the batched
-    // per-metric write walks nodes ascending, which is the columnar
-    // store's append fast path.
+    // per-metric write walks nodes ascending, which is the sorted
+    // arrays' append fast path.
     let mut totals: Vec<(NodeId, [f64; Counter::COUNT])> = totals.into_iter().collect();
     totals.sort_unstable_by_key(|(n, _)| *n);
     let mut batch: Vec<(NodeId, f64)> = Vec::with_capacity(totals.len());
@@ -309,7 +309,7 @@ pub(crate) fn finish_parts(
         }));
         raw.add_costs(metric_ids[mi], &batch);
     }
-    Experiment::build(cct, raw, storage)
+    Experiment::build(cct, raw, StorageKind::Csr)
 }
 
 /// One-shot correlation of a single profile.
@@ -317,13 +317,12 @@ pub fn correlate(
     structure: &Structure,
     profile: &RawProfile,
     periods: [u64; Counter::COUNT],
-    storage: StorageKind,
 ) -> Experiment {
     let _span = callpath_obs::span("prof.correlate");
     callpath_obs::count("prof.profiles_ingested", 1);
     let mut c = Correlator::new(structure, periods);
     c.add(profile);
-    c.finish(storage)
+    c.finish(StorageKind::Csr)
 }
 
 #[cfg(test)]
@@ -343,7 +342,7 @@ mod tests {
         let bin = lower(&b.build());
         let res = execute(&bin, cfg).unwrap();
         let s = recover(&bin).unwrap();
-        let exp = correlate(&s, &res.profile, cfg.periods, StorageKind::Dense);
+        let exp = correlate(&s, &res.profile, cfg.periods);
         (exp, res)
     }
 
@@ -501,7 +500,7 @@ mod tests {
         let c0 = corr.add(&r0.profile);
         let c1 = corr.add(&r1.profile);
         assert!(!c0.is_empty() && !c1.is_empty());
-        let exp = corr.finish(StorageKind::Dense);
+        let exp = corr.finish(StorageKind::Csr);
         let incl = exp.inclusive_col(MetricId(0));
         assert_eq!(exp.columns.get(incl, exp.cct.root().0), 30_000.0);
         // Per-profile costs are reported separately and sum to the total.

@@ -160,11 +160,12 @@ impl<'s> ParallelCorrelator<'s> {
     /// Correlate every profile (rank r = `profiles[r]`) and build the
     /// experiment. Returns the experiment plus each rank's direct
     /// per-node costs in canonical node ids — the same pair of results
-    /// the sequential path produces, in the same order.
+    /// the sequential path produces, in the same order. The last
+    /// argument selects nothing ([`StorageKind`]).
     pub fn correlate(
         &self,
         profiles: &[RawProfile],
-        storage: StorageKind,
+        _: StorageKind,
     ) -> (Experiment, Vec<PerNodeCosts>) {
         let _span = callpath_obs::span("prof.correlate");
         callpath_obs::count("prof.profiles_ingested", profiles.len() as u64);
@@ -173,7 +174,7 @@ impl<'s> ParallelCorrelator<'s> {
             // trip is pure overhead, so feed a plain correlator.
             let mut corr = Correlator::new(self.structure, self.periods);
             let out: Vec<PerNodeCosts> = profiles.iter().map(|p| corr.add(p)).collect();
-            return (corr.finish(storage), out);
+            return (corr.finish(StorageKind::Csr), out);
         }
 
         // Fan out: contiguous rank chunks, one journaling correlator per
@@ -212,7 +213,7 @@ impl<'s> ParallelCorrelator<'s> {
             fold_costs_into(&mut totals, costs);
         }
         (
-            finish_parts(canon.cct, totals, self.periods, storage),
+            finish_parts(canon.cct, totals, self.periods),
             canon.per_rank,
         )
     }
@@ -269,12 +270,12 @@ mod tests {
         let (structure, profiles, cfg) = profiles_for(9);
         let mut seq = Correlator::new(&structure, cfg.periods);
         let seq_costs: Vec<PerNodeCosts> = profiles.iter().map(|p| seq.add(p)).collect();
-        let seq_exp = seq.finish(StorageKind::Dense);
+        let seq_exp = seq.finish(StorageKind::Csr);
 
         for threads in [1, 2, 4, 8] {
             let (par_exp, par_costs) = ParallelCorrelator::new(&structure, cfg.periods)
                 .with_threads(threads)
-                .correlate(&profiles, StorageKind::Dense);
+                .correlate(&profiles, StorageKind::Csr);
             assert_eq!(par_exp.cct.len(), seq_exp.cct.len(), "threads={threads}");
             for n in par_exp.cct.all_nodes() {
                 assert_eq!(
@@ -336,28 +337,11 @@ mod tests {
         let (structure, profiles, cfg) = profiles_for(SHARD_CUTOVER - 1);
         let mut seq = Correlator::new(&structure, cfg.periods);
         let seq_costs: Vec<PerNodeCosts> = profiles.iter().map(|p| seq.add(p)).collect();
-        let seq_exp = seq.finish(StorageKind::Dense);
+        let seq_exp = seq.finish(StorageKind::Csr);
         let par = ParallelCorrelator::new(&structure, cfg.periods).with_threads(8);
         assert_eq!(par.mode_for(profiles.len()), IngestMode::Sequential);
-        let (par_exp, par_costs) = par.correlate(&profiles, StorageKind::Dense);
+        let (par_exp, par_costs) = par.correlate(&profiles, StorageKind::Csr);
         assert_eq!(par_costs, seq_costs);
         assert_eq!(par_exp.cct.len(), seq_exp.cct.len());
-    }
-
-    #[test]
-    fn csr_storage_round_trips_through_parallel_ingestion() {
-        let (structure, profiles, cfg) = profiles_for(5);
-        let (dense, _) = ParallelCorrelator::new(&structure, cfg.periods)
-            .with_threads(2)
-            .correlate(&profiles, StorageKind::Dense);
-        let (csr, _) = ParallelCorrelator::new(&structure, cfg.periods)
-            .with_threads(2)
-            .correlate(&profiles, StorageKind::Csr);
-        assert_eq!(csr.storage(), StorageKind::Csr);
-        for c in dense.columns.columns() {
-            let a: Vec<(u32, f64)> = dense.columns.vec(c).nonzero_sorted().collect();
-            let b: Vec<(u32, f64)> = csr.columns.vec(c).nonzero_sorted().collect();
-            assert_eq!(a, b, "column {c:?}");
-        }
     }
 }

@@ -172,10 +172,10 @@ mod tests {
 
     /// A root-only experiment: the table never looks inside it.
     fn exp() -> Arc<Experiment> {
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         let cct = Cct::new(NameTable::new());
-        Arc::new(Experiment::build(cct, raw, StorageKind::Dense))
+        Arc::new(Experiment::build(cct, raw, StorageKind::Csr))
     }
 
     fn open(table: &mut SessionTable, owner: u64) -> u64 {

@@ -454,11 +454,11 @@ mod tests {
                 loc: SourceLoc::new(file, 21),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         raw.add_cost(cyc, sh, 90.0);
         raw.add_cost(cyc, sc, 10.0);
-        Experiment::build(cct, raw, StorageKind::Dense)
+        Experiment::build(cct, raw, StorageKind::Csr)
     }
 
     #[test]
@@ -605,7 +605,7 @@ mod tests {
                 call_site: None,
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         for (i, &p) in procs.iter().enumerate() {
             let f = cct.add_child(
@@ -625,7 +625,7 @@ mod tests {
             );
             raw.add_cost(cyc, s, 1.0 + i as f64);
         }
-        let exp = Experiment::build(cct, raw, StorageKind::Dense);
+        let exp = Experiment::build(cct, raw, StorageKind::Csr);
         let mut view = View::calling_context(&exp);
         let text = render(
             &mut view,
@@ -641,7 +641,7 @@ mod tests {
     #[test]
     fn flattened_render_uses_custom_roots() {
         let exp = sample();
-        let flat = FlatView::build(&exp, StorageKind::Dense);
+        let flat = FlatView::build(&exp);
         let roots = flat.tree.roots();
         let once = flatten_once(&flat.tree, &roots);
         let ids: Vec<u32> = once.iter().map(|n| n.0).collect();
@@ -682,10 +682,10 @@ mod tests {
                 loc: SourceLoc::new(file, 0),
             },
         );
-        let mut raw = RawMetrics::new(StorageKind::Dense);
+        let mut raw = RawMetrics::new(StorageKind::Csr);
         let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
         raw.add_cost(cyc, s, 5.0);
-        let exp = Experiment::build(cct, raw, StorageKind::Dense);
+        let exp = Experiment::build(cct, raw, StorageKind::Csr);
         let mut view = View::calling_context(&exp);
         let text = render(&mut view, &RenderConfig::default());
         assert!(text.contains("__libc_start_main †"), "{text}");

@@ -92,7 +92,7 @@ pub fn experiment() -> (Experiment, Fig2Nodes) {
     let s_g3 = stmt(&mut cct, g3, file2, 3);
     let s_l2 = stmt(&mut cct, l2, file2, 9);
 
-    let mut raw = RawMetrics::new(StorageKind::Dense);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
     let cost = raw.add_metric(MetricDesc::new("cost", "samples", 1.0));
     raw.add_cost(cost, s_f, 1.0);
     raw.add_cost(cost, s_g1, 1.0);
@@ -100,7 +100,7 @@ pub fn experiment() -> (Experiment, Fig2Nodes) {
     raw.add_cost(cost, s_g3, 3.0);
     raw.add_cost(cost, s_l2, 4.0);
 
-    let exp = Experiment::build(cct, raw, StorageKind::Dense);
+    let exp = Experiment::build(cct, raw, StorageKind::Csr);
     (
         exp,
         Fig2Nodes {

@@ -99,7 +99,7 @@ pub fn random_experiment(seed: u64, target_nodes: usize, n_procs: usize) -> Expe
         },
     );
     let mut frames = vec![main];
-    let mut raw = RawMetrics::new(StorageKind::Dense);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
     let cyc = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
 
     while cct.len() < target_nodes {
@@ -141,7 +141,7 @@ pub fn random_experiment(seed: u64, target_nodes: usize, n_procs: usize) -> Expe
             raw.add_cost(cyc, stmt, rng.gen_range(1..1000) as f64);
         }
     }
-    Experiment::build(cct, raw, StorageKind::Dense)
+    Experiment::build(cct, raw, StorageKind::Csr)
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! program → binary → simulated execution → structure recovery →
 //! correlation → attributed experiment.
 
-use callpath_core::prelude::{Experiment, StorageKind};
+use callpath_core::prelude::Experiment;
 use callpath_prof::correlate;
 use callpath_profiler::{execute, lower, ExecConfig, ExecResult, Program};
 use callpath_structure::recover;
@@ -21,11 +21,11 @@ pub struct PipelineOutput {
 }
 
 /// Run the full pipeline on `program` under `config`.
-pub fn run(program: &Program, config: &ExecConfig, storage: StorageKind) -> PipelineOutput {
+pub fn run(program: &Program, config: &ExecConfig) -> PipelineOutput {
     let binary = lower(program);
     let exec = execute(&binary, config).expect("simulated execution failed");
     let structure = recover(&binary).expect("structure recovery failed");
-    let experiment = correlate(&structure, &exec.profile, config.periods, storage);
+    let experiment = correlate(&structure, &exec.profile, config.periods);
     PipelineOutput {
         binary,
         structure,
@@ -36,7 +36,7 @@ pub fn run(program: &Program, config: &ExecConfig, storage: StorageKind) -> Pipe
 
 /// Run the pipeline and return only the experiment.
 pub fn build_experiment(program: &Program, config: &ExecConfig) -> Experiment {
-    run(program, config, StorageKind::Dense).experiment
+    run(program, config).experiment
 }
 
 #[cfg(test)]
@@ -55,7 +55,7 @@ mod tests {
             jitter_seed: None,
             ..ExecConfig::single(Counter::Cycles, 100)
         };
-        let out = run(&b.build(), &cfg, StorageKind::Dense);
+        let out = run(&b.build(), &cfg);
         let incl = out
             .experiment
             .inclusive_col(callpath_core::prelude::MetricId(0));

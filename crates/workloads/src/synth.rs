@@ -166,7 +166,6 @@ pub fn synth_model(cfg: &SynthConfig) -> DbModel {
         nodes,
         metrics,
         derived: vec![("waste".into(), "$0 * 2 - $1".into())],
-        sparse: true,
     }
 }
 

@@ -20,7 +20,7 @@ use callpath_workloads::{moab, pipeline};
 
 fn main() {
     let cfg = ExecConfig::default();
-    let out = pipeline::run(&moab::program(), &cfg, StorageKind::Dense);
+    let out = pipeline::run(&moab::program(), &cfg);
     let exp = out.experiment.clone();
     let l1_i = exp.inclusive_col(exp.raw.find("PAPI_L1_DCM").unwrap());
     let l1_e = exp.exclusive_col(exp.raw.find("PAPI_L1_DCM").unwrap());

@@ -146,7 +146,7 @@ fn main() {
             (exp, ce, w, e)
         };
         let (exp, ce, waste, eff) = build(s3d::S3dConfig::default());
-        let mut flat = FlatView::build(&exp, StorageKind::Dense);
+        let mut flat = FlatView::build(&exp);
         flat.force_all(&exp);
         let mut loops: Vec<(String, u32)> = Vec::new();
         let mut stack: Vec<ViewNodeId> = flat.tree.roots();
@@ -189,7 +189,7 @@ fn main() {
             ),
         });
         let (texp, tce, ..) = build(s3d::S3dConfig::tuned());
-        let mut tflat = FlatView::build(&texp, StorageKind::Dense);
+        let mut tflat = FlatView::build(&texp);
         tflat.force_all(&texp);
         let find_flux = |flat: &FlatView, exp: &Experiment, col: ColumnId| -> f64 {
             let mut stack: Vec<ViewNodeId> = flat.tree.roots();

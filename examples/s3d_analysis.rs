@@ -19,7 +19,7 @@ use callpath_workloads::{pipeline, s3d};
 
 fn flux_loop_cycles(exp: &Experiment) -> f64 {
     let cyc_e = exp.exclusive_col(exp.raw.find("PAPI_TOT_CYC").unwrap());
-    let mut flat = FlatView::build(exp, StorageKind::Dense);
+    let mut flat = FlatView::build(exp);
     flat.force_all(exp);
     let mut stack: Vec<ViewNodeId> = flat.tree.roots();
     while let Some(n) = stack.pop() {
@@ -77,7 +77,7 @@ fn main() {
 
     // Flatten the Flat View down to loops and sort by waste — exactly the
     // paper's Fig. 6 workflow.
-    let mut flat = FlatView::build(&exp, StorageKind::Dense);
+    let mut flat = FlatView::build(&exp);
     let roots = flat.tree.roots();
     let level = flat.flatten(&exp, &roots, 3);
     let ids: Vec<u32> = level.iter().map(|n| n.0).collect();

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The full local gate, in the order failures are cheapest to find:
 # formatting, lints as errors across every target, then the test suite
-# in both storage configurations.
+# with the `mmap` feature on and off (the two passes below), the thread
+# pins, and the benchmark's own checks and tests.
 set -eu
 cd "$(dirname "$0")/.."
 cargo fmt --check
@@ -41,3 +42,8 @@ cargo test -q -p callpath-expdb
 # rather than in the next benchmark run. Exits non-zero on any failed
 # operation; under 15 s once built.
 bash examples/bench_e2e/run.sh --check
+# The harness's own tests (8, under a second once built). The harness is
+# frozen for feature PRs, so with `--check` this is what proves the six
+# signatures its adapter calls still compile as they are, and that a
+# corrupt column still fails an operation.
+bash examples/bench_e2e/run.sh --test

@@ -15,21 +15,21 @@
 //!
 //! Every case is checked on the owned arena and on the topology borrowed
 //! from a database file opened by path (mapped with the `mmap` feature,
-//! read into a buffer without it — `scripts/ci.sh` runs both), for all
-//! three storage kinds, and through the lazy column-fault path.
+//! read into a buffer without it — `scripts/ci.sh` runs both), and
+//! through the lazy column-fault path. Results are read through
+//! `nonzero_sorted()` and `get`, which give the same entries whether the
+//! kernel handed over sorted arrays (the walk) or vectors (the sweep).
 //! Frame-direct cost is not a kernel output: `frame_direct` sums it from
 //! the raw column on demand, and is held to the oracle over the same
 //! matrix.
 
-use callpath_core::attribution::{attribute, attribute_sorted, frame_direct, SortedAttribution};
+use callpath_core::attribution::{attribute, attribute_sorted, frame_direct, Attribution};
 use callpath_core::prelude::*;
 use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
 use callpath_expdb::{bin2, open_lazy_path};
 use callpath_workloads::synth::{synth_model, SynthConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
-
-const KINDS: [StorageKind; 3] = [StorageKind::Dense, StorageKind::Sparse, StorageKind::Csr];
 
 /// splitmix64: models are a pure function of the proptest scalars.
 fn mix(seed: u64, i: u64) -> u64 {
@@ -137,7 +137,6 @@ fn random_model(seed: u64, chain: usize, bushy: usize, nnz: usize, idle: usize) 
             costs,
         }],
         derived: vec![],
-        sparse: true,
     }
 }
 
@@ -221,33 +220,36 @@ fn frame_direct_bits(cct: &Cct, direct: &MetricVec) -> Vec<u64> {
         .collect()
 }
 
-/// `attribute` over `cct` in every storage kind, against the oracle.
-fn check_all_kinds(cct: &Cct, costs: &[(u32, f64)], want: &Oracle) {
+/// A column's non-zero entries, the same from either shape.
+fn entries(v: &MetricVec) -> Vec<(u32, f64)> {
+    v.nonzero_sorted().collect()
+}
+
+/// `attribute` over `cct`, from an ingested column, against the oracle.
+fn check_attribute(cct: &Cct, costs: &[(u32, f64)], want: &Oracle) {
     let n = cct.len();
-    for kind in KINDS {
-        let mut raw = RawMetrics::new(kind);
-        let m = raw.add_metric(MetricDesc::new("M", "ev", 1.0));
-        for &(node, v) in costs {
-            raw.add_cost(m, NodeId(node), v);
-        }
-        let got = attribute(cct, &raw, m, kind);
-        let tag = format!("{kind:?}, mapped {}", cct.is_mapped());
-        assert_eq!(
-            column_bits(&got.inclusive, n),
-            bits(&want.inclusive),
-            "inclusive, {tag}"
-        );
-        assert_eq!(
-            column_bits(&got.exclusive, n),
-            bits(&want.exclusive),
-            "exclusive, {tag}"
-        );
-        assert_eq!(
-            frame_direct_bits(cct, raw.column(m)),
-            bits(&want.frame_direct),
-            "frame-direct, {tag}"
-        );
+    let mut raw = RawMetrics::new(StorageKind::Csr);
+    let m = raw.add_metric(MetricDesc::new("M", "ev", 1.0));
+    for &(node, v) in costs {
+        raw.add_cost(m, NodeId(node), v);
     }
+    let got = attribute(cct, &raw, m, StorageKind::Csr);
+    let tag = format!("mapped {}", cct.is_mapped());
+    assert_eq!(
+        column_bits(&got.inclusive, n),
+        bits(&want.inclusive),
+        "inclusive, {tag}"
+    );
+    assert_eq!(
+        column_bits(&got.exclusive, n),
+        bits(&want.exclusive),
+        "exclusive, {tag}"
+    );
+    assert_eq!(
+        frame_direct_bits(cct, raw.column(m)),
+        bits(&want.frame_direct),
+        "frame-direct, {tag}"
+    );
 }
 
 /// Write `model` to a scratch file and open it by path, so the CCT's
@@ -265,14 +267,14 @@ fn open_by_path(model: &DbModel, tag: &str) -> Experiment {
     exp
 }
 
-/// Owned and borrowed topology × three storage kinds × the lazy fault
-/// path, all against the oracle.
+/// Owned and borrowed topology and the lazy fault path, all against the
+/// oracle.
 fn check_model(model: &DbModel, tag: &str) {
     let costs = &model.metrics[0].costs;
     let want = oracle(model, costs);
-    check_all_kinds(&model.build_cct().unwrap(), costs, &want);
+    check_attribute(&model.build_cct().unwrap(), costs, &want);
     let lazy = open_by_path(model, tag);
-    check_all_kinds(&lazy.cct, costs, &want);
+    check_attribute(&lazy.cct, costs, &want);
     let n = lazy.cct.len();
     assert_eq!(
         column_bits(lazy.columns.vec(ColumnId(0)), n),
@@ -363,14 +365,14 @@ proptest! {
         let (keys, vals): (Vec<u32>, Vec<f64>) = costs.iter().copied().unzip();
         let cct = model.build_cct().unwrap();
         let got = attribute_sorted(&cct, &keys, &vals);
-        let direct = MetricVec::from_sorted(StorageKind::Csr, costs.clone());
+        let direct = MetricVec::from_sorted(costs.clone(), n);
         let by_definition: Vec<(u32, f64)> = cct
             .all_nodes()
             .map(|node| (node.0, frame_direct(&cct, &direct, node)))
             .collect();
         for (name, got, want) in [
-            ("inclusive", &got.inclusive, &want.inclusive),
-            ("exclusive", &got.exclusive, &want.exclusive),
+            ("inclusive", &entries(&got.inclusive), &want.inclusive),
+            ("exclusive", &entries(&got.exclusive), &want.exclusive),
             ("frame-direct", &by_definition, &want.frame_direct),
         ] {
             let mut dense = vec![0.0f64; n];
@@ -428,7 +430,7 @@ fn small_model(costs: Vec<(u32, f64)>, idle: usize) -> DbModel {
 
 /// Each special case on the seven-node tree alone (the sweep) and with
 /// 28 idle frames beside it (the marked walk).
-fn on_both_branches(costs: &[(u32, f64)], tag: &str, check: impl Fn(&Cct, SortedAttribution)) {
+fn on_both_branches(costs: &[(u32, f64)], tag: &str, check: impl Fn(&Cct, Attribution)) {
     for idle in [0, 28] {
         let model = small_model(costs.to_vec(), idle);
         assert_eq!(walked(&model), idle > 0 || costs.is_empty());
@@ -442,14 +444,17 @@ fn on_both_branches(costs: &[(u32, f64)], tag: &str, check: impl Fn(&Cct, Sorted
 
 #[test]
 fn an_empty_column_attributes_to_nothing() {
-    on_both_branches(&[], "empty", |_, got| assert_eq!(got, Default::default()));
+    on_both_branches(&[], "empty", |_, got| {
+        let nonzeros = got.inclusive.nonzero_count() + got.exclusive.nonzero_count();
+        assert_eq!((nonzeros, got.visited), (0, 0));
+    });
 }
 
 #[test]
 fn cost_at_the_root_is_inclusive_only() {
     on_both_branches(&[(0, 2.5), (6, 1.0)], "root", |_, got| {
-        assert_eq!(got.inclusive[0], (0, 3.5));
-        assert!(got.exclusive.iter().all(|&(node, _)| node != 0));
+        assert_eq!(got.inclusive.nonzero_sorted().next(), Some((0, 3.5)));
+        assert!(got.exclusive.nonzero_sorted().all(|(node, _)| node != 0));
     });
 }
 
@@ -458,11 +463,12 @@ fn keys_beyond_the_tree_are_dropped() {
     for idle in [0, 28] {
         let model = small_model(vec![(3, 4.0)], idle);
         let cct = model.build_cct().unwrap();
+        let all = |a: Attribution| (entries(&a.inclusive), entries(&a.exclusive), a.visited);
         let got = attribute_sorted(&cct, &[3, 35, 900], &[4.0, 1.0, 1.0]);
-        assert_eq!(got, attribute_sorted(&cct, &[3], &[4.0]));
+        assert_eq!(all(got), all(attribute_sorted(&cct, &[3], &[4.0])));
         // And through the public entry point, where a column can carry them.
         let costs = [(3, 4.0), (35, 1.0)];
-        check_all_kinds(&cct, &costs, &oracle(&model, &costs));
+        check_attribute(&cct, &costs, &oracle(&model, &costs));
     }
 }
 
@@ -471,7 +477,7 @@ fn values_that_cancel_leave_no_entry() {
     // s1 and s2 cancel in their loop and in everything above it; s3
     // keeps the frames' inclusive non-zero.
     on_both_branches(&[(3, 4.0), (4, -4.0), (6, 1.5)], "cancel", |_, got| {
-        let nodes = |v: &[(u32, f64)]| v.iter().map(|e| e.0).collect::<Vec<_>>();
+        let nodes = |v: &MetricVec| v.nonzero_sorted().map(|e| e.0).collect::<Vec<_>>();
         assert_eq!(
             nodes(&got.inclusive),
             [0, 1, 3, 4, 5, 6],
@@ -516,6 +522,6 @@ fn the_kernel_visits_only_the_union_of_ancestor_chains() {
             keys.len()
         );
         // Costs here are positive, so every visited node has a sum.
-        assert_eq!(got.inclusive.len(), got.visited);
+        assert_eq!(got.inclusive.nonzero_count(), got.visited);
     }
 }

@@ -28,7 +28,7 @@ fn run() -> (
     };
     let res = execute(&bin, &cfg).unwrap();
     let s = recover(&bin).unwrap();
-    let exp = callpath_prof::correlate(&s, &res.profile, cfg.periods, StorageKind::Dense);
+    let exp = callpath_prof::correlate(&s, &res.profile, cfg.periods);
     (bin, res, exp)
 }
 
@@ -93,7 +93,7 @@ fn callers_view_reports_the_contextual_truth_where_gprof_inverts_it() {
     };
     let res = execute(&bin, &cfg).unwrap();
     let s = recover(&bin).unwrap();
-    let exp = callpath_prof::correlate(&s, &res.profile, cfg.periods, StorageKind::Dense);
+    let exp = callpath_prof::correlate(&s, &res.profile, cfg.periods);
 
     // Truth from the Callers View: w-from-main is the expensive context.
     let mut view = View::callers(&exp);

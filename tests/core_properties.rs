@@ -166,12 +166,12 @@ proptest! {
         // On demand, level by level — the order a user would expand in —
         // against everything at once (depth first): node ids differ, the
         // forest and its numbers must not.
-        let mut lazy = CallersView::build(&exp, StorageKind::Dense);
+        let mut lazy = CallersView::build(&exp);
         let mut level = lazy.tree.roots();
         while !level.is_empty() {
             level = level.iter().flat_map(|&n| lazy.children_of(&exp, n)).collect();
         }
-        let mut eager = CallersView::build(&exp, StorageKind::Dense);
+        let mut eager = CallersView::build(&exp);
         eager.fully_expand(&exp);
         prop_assert_eq!(lazy.tree.len(), eager.tree.len());
         let mut pairs: Vec<_> = lazy.tree.roots().into_iter().zip(eager.tree.roots()).collect();
@@ -196,25 +196,6 @@ proptest! {
             let orig = exp.columns.get(CYC, n.0);
             let back = exp.columns.get(identity, n.0);
             prop_assert!((orig - back).abs() < 1e-9 * orig.abs().max(1.0));
-        }
-    }
-}
-
-#[test]
-fn dense_and_sparse_experiments_agree_end_to_end() {
-    // Same CCT + costs attributed under both storage flavors: identical
-    // values in all three views.
-    let exp_dense = random_experiment(99, 300, 10);
-    // Rebuild sparse via the expdb model (which preserves everything).
-    let mut model = callpath_expdb::DbModel::from_experiment(&exp_dense);
-    model.sparse = true;
-    let exp_sparse = model.into_experiment().unwrap();
-    for n in exp_dense.cct.all_nodes() {
-        for c in 0..exp_dense.columns.column_count() as u32 {
-            assert_eq!(
-                exp_dense.columns.get(ColumnId(c), n.0),
-                exp_sparse.columns.get(ColumnId(c), n.0),
-            );
         }
     }
 }

@@ -40,7 +40,7 @@ fn build(cfg: s3d::S3dConfig) -> (Experiment, ColumnId, ColumnId) {
 
 /// All loop nodes of the Flat View, as (label, view node id).
 fn flat_loops(exp: &Experiment) -> (FlatView, Vec<(String, u32)>) {
-    let mut flat = FlatView::build(exp, StorageKind::Dense);
+    let mut flat = FlatView::build(exp);
     flat.force_all(exp);
     let mut out = Vec::new();
     let mut stack: Vec<ViewNodeId> = flat.tree.roots();
@@ -158,7 +158,7 @@ fn sorting_by_derived_metric_beats_mental_arithmetic() {
     // The paper's point: a derived column can drive the sort. Render the
     // flattened loop list sorted by waste and check the flux loop leads.
     let (exp, waste, eff) = build(s3d::S3dConfig::default());
-    let mut flat = FlatView::build(&exp, StorageKind::Dense);
+    let mut flat = FlatView::build(&exp);
     let start = flat.tree.roots();
     let roots = flat.flatten(&exp, &start, 3);
     let ids: Vec<u32> = roots.iter().map(|n| n.0).collect();

@@ -97,7 +97,7 @@ fn correlation_tolerates_profiles_with_unknown_addresses() {
     let mut periods = [0u64; Counter::COUNT];
     periods[Counter::Cycles as usize] = 1;
     // Should not panic; the in-range sample attributes fine.
-    let exp = callpath_prof::correlate(&structure, &profile, periods, StorageKind::Dense);
+    let exp = callpath_prof::correlate(&structure, &profile, periods);
     assert!(exp.cct.len() >= 2);
 }
 
@@ -126,10 +126,10 @@ fn nan_and_negative_costs_do_not_break_attribution() {
             loc: SourceLoc::new(file, 2),
         },
     );
-    let mut raw = RawMetrics::new(StorageKind::Dense);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
     let m = raw.add_metric(MetricDesc::new("delta", "cycles", 1.0));
     raw.add_cost(m, s, -50.0);
-    let exp = Experiment::build(cct, raw, StorageKind::Dense);
+    let exp = Experiment::build(cct, raw, StorageKind::Csr);
     assert_eq!(exp.columns.get(ColumnId(0), root.0), -50.0);
     // Sorting a view with negative values stays total.
     let mut view = View::calling_context(&exp);

@@ -59,8 +59,8 @@ fn rendering_one_sorted_view_materializes_only_its_columns() {
         0,
         "the CCV never reads raw metrics"
     );
-    assert!(exp.columns.lazy_error().is_none());
-    assert!(exp.raw.lazy_error().is_none());
+    assert!(exp.columns.lazy_errors().is_empty());
+    assert!(exp.raw.lazy_errors().is_empty());
 }
 
 /// `decode_all` brings every block in, and the result matches an eager
@@ -79,8 +79,8 @@ fn forced_decode_matches_an_eager_open_node_for_node() {
         lazy.columns.column_count()
     );
     assert_eq!(lazy.raw.materialized_metrics(), lazy.raw.metric_count());
-    assert!(lazy.columns.lazy_error().is_none());
-    assert!(lazy.raw.lazy_error().is_none());
+    assert!(lazy.columns.lazy_errors().is_empty());
+    assert!(lazy.raw.lazy_errors().is_empty());
 
     assert_eq!(eager.cct.len(), lazy.cct.len());
     assert_eq!(eager.columns.column_count(), lazy.columns.column_count());
@@ -127,17 +127,16 @@ fn lazy_and_eager_sessions_render_identical_text() {
     assert_eq!(drive(&eager), drive(&lazy));
 }
 
-/// A `FLAG_SPARSE` database: a deep synthetic tree, six sparse metrics
-/// and the generator's derived `waste` column — 13 presentation columns.
+/// A sparse database: a deep synthetic tree, six metrics of 48 non-zeros
+/// over 20 000 nodes and the generator's derived `waste` column — 13
+/// presentation columns.
 fn sparse_cpdb() -> Vec<u8> {
-    let bytes = bin2::write_v21(&synth_model(&SynthConfig {
+    bin2::write_v21(&synth_model(&SynthConfig {
         n_nodes: 20_000,
         n_metrics: 6,
         nnz_per_metric: 48,
         ..Default::default()
-    }));
-    assert_eq!(bytes[5] & 1, 1, "the file declares sparse storage");
-    bytes
+    }))
 }
 
 /// Non-zero entries of every presentation column and raw metric.
@@ -150,12 +149,31 @@ fn all_entries(exp: &Experiment) -> (Entries, Entries) {
     (columns.collect(), raw.collect())
 }
 
-/// What a column fault leaves behind on a sparse file: sorted arrays in
-/// the slot (no hash map was built on the way), under an experiment
-/// that still declares the file's flavor — which is what re-encoding
-/// reads, so the round trip stays byte-identical.
+/// What a column fault leaves behind follows the data, and nothing in
+/// the file says which: sorted arrays on the sparse file (48 non-zeros
+/// of 20 000: the kernel walked), node-indexed vectors on the S3D run
+/// wherever a metric covers the tree (the kernel swept) — column by
+/// column, so the same file holds both. Re-encoding reads the same
+/// entries from either, so the round trip stays byte-identical.
 #[test]
-fn a_faulted_sparse_column_is_sorted_arrays_under_the_declared_storage() {
+fn a_faulted_column_has_the_shape_of_its_data() {
+    let dense = open_lazy(s3d_cpdb()).unwrap();
+    let n = dense.cct.len();
+    for m in (0..dense.raw.metric_count()).map(MetricId::from_usize) {
+        // Costs are positive, so the inclusive non-zeros are the nodes
+        // the kernel visited: it sweeps from one node in four.
+        let swept = dense.columns.vec(dense.inclusive_col(m)).nonzero_count() * 4 >= n;
+        assert!(swept || m != MetricId(0), "cycles cover the tree");
+        for c in [dense.inclusive_col(m), dense.exclusive_col(m)] {
+            let shape = dense.columns.vec(c);
+            let is_dense = matches!(shape, MetricVec::Dense(v) if v.len() == n);
+            let is_sorted = matches!(shape, MetricVec::Csr(_));
+            assert_eq!((is_dense, is_sorted), (swept, !swept), "{c:?}: {shape:?}");
+            assert_eq!(dense.columns.fault_count(c), 1);
+        }
+    }
+    assert_eq!(dense.raw.materialized_metrics(), 0);
+
     let bytes = sparse_cpdb();
     let lazy = open_lazy(bytes.clone()).unwrap();
     let waste = ColumnId(lazy.columns.column_count() as u32 - 1);
@@ -168,8 +186,6 @@ fn a_faulted_sparse_column_is_sorted_arrays_under_the_declared_storage() {
         );
         assert_eq!(lazy.columns.fault_count(c), 1);
     }
-    assert_eq!(lazy.raw.storage(), StorageKind::Sparse);
-    assert_eq!(lazy.storage(), StorageKind::Sparse);
     assert_eq!(
         lazy.raw.materialized_metrics(),
         0,
@@ -241,7 +257,7 @@ fn racing_faults_on_a_sparse_file_decode_each_column_once() {
     assert!(lazy.columns.lazy_errors().is_empty() && lazy.raw.lazy_errors().is_empty());
 }
 
-/// A damaged block on a sparse file: the columns computed from it read
+/// A damaged block on the sparse file: the columns computed from it read
 /// as zeros and say why; the others are untouched.
 #[test]
 fn a_corrupt_block_on_a_sparse_file_reads_as_zeros_with_a_checksum_error() {
@@ -253,36 +269,33 @@ fn a_corrupt_block_on_a_sparse_file_reads_as_zeros_with_a_checksum_error() {
     let last = lazy.raw.metric_count() as u32 - 1;
     for c in [ColumnId(2 * last), ColumnId(2 * last + 1)] {
         assert_eq!(lazy.columns.vec(c).nonzero_count(), 0);
-        assert!(matches!(lazy.columns.vec(c), MetricVec::Csr(_)));
     }
-    assert!(lazy.columns.lazy_error().unwrap().contains("checksum"));
+    assert!(lazy.columns.lazy_errors()[0].contains("checksum"));
     assert!(lazy.columns.vec(ColumnId(0)).nonzero_count() > 0);
     assert_eq!(lazy.columns.lazy_errors().len(), 1, "one block, one reason");
 }
 
-/// The `FLAG_SPARSE` file and a dense one (the S3D run).
-fn both_flavours() -> [(&'static str, Vec<u8>); 2] {
-    let dense = s3d_cpdb();
-    assert_eq!(dense[5] & 1, 0, "the file declares dense storage");
-    [("sparse", sparse_cpdb()), ("dense", dense)]
+/// The sparse file and a dense one (the S3D run).
+fn both_files() -> [(&'static str, Vec<u8>); 2] {
+    [("sparse", sparse_cpdb()), ("dense", s3d_cpdb())]
 }
 
 /// One store: once a render has shown every column, building the other
 /// two views faults nothing again and reads no raw block.
 #[test]
 fn callers_and_flat_fault_nothing_a_full_render_already_did() {
-    for (flavour, bytes) in both_flavours() {
+    for (file, bytes) in both_files() {
         let exp = open_lazy(bytes).unwrap();
         Session::new(&exp, SourceStore::new()).render();
         for c in exp.columns.columns() {
-            assert_eq!(exp.columns.fault_count(c), 1, "{flavour}: {c:?} shown");
+            assert_eq!(exp.columns.fault_count(c), 1, "{file}: {c:?} shown");
         }
         assert!(View::callers(&exp).node_count() > 0);
         assert!(View::flat(&exp).node_count() > 0);
         for c in exp.columns.columns() {
-            assert_eq!(exp.columns.fault_count(c), 1, "{flavour}: {c:?}");
+            assert_eq!(exp.columns.fault_count(c), 1, "{file}: {c:?}");
         }
-        assert_eq!(exp.raw.materialized_metrics(), 0, "{flavour}");
+        assert_eq!(exp.raw.materialized_metrics(), 0, "{file}");
     }
 }
 
@@ -290,14 +303,14 @@ fn callers_and_flat_fault_nothing_a_full_render_already_did() {
 /// attribution, and no raw block.
 #[test]
 fn one_inclusive_value_faults_one_column_and_no_raw_metric() {
-    for (flavour, bytes) in both_flavours() {
+    for (file, bytes) in both_files() {
         let eager = from_binary(&bytes).unwrap();
         let exp = open_lazy(bytes).unwrap();
         let (m, root) = (MetricId(1), exp.cct.root());
         assert_eq!(exp.inclusive(m, root), eager.inclusive(m, root));
-        assert_eq!(exp.columns.materialized_columns(), 1, "{flavour}");
+        assert_eq!(exp.columns.materialized_columns(), 1, "{file}");
         assert_eq!(exp.columns.fault_count(exp.inclusive_col(m)), 1);
-        assert_eq!(exp.raw.materialized_metrics(), 0, "{flavour}");
+        assert_eq!(exp.raw.materialized_metrics(), 0, "{file}");
     }
 }
 
@@ -307,26 +320,25 @@ fn one_inclusive_value_faults_one_column_and_no_raw_metric() {
 /// exclusive is frame-direct cost, are what first touch a raw block.
 #[test]
 fn a_forced_flat_view_of_a_lazy_open_equals_the_eager_one_in_bits() {
-    for (flavour, bytes) in both_flavours() {
+    for (file, bytes) in both_files() {
         let eager = from_binary(&bytes).unwrap();
         let lazy = open_lazy(bytes).unwrap();
-        let storage = lazy.raw.storage();
-        let mut want = FlatView::build(&eager, storage);
+        let mut want = FlatView::build(&eager);
         want.force_all(&eager);
-        let mut got = FlatView::build(&lazy, storage);
-        assert_eq!(lazy.raw.materialized_metrics(), 0, "{flavour}: the shell");
+        let mut got = FlatView::build(&lazy);
+        assert_eq!(lazy.raw.materialized_metrics(), 0, "{file}: the shell");
         got.force_all(&lazy);
-        assert!(lazy.raw.materialized_metrics() > 0, "{flavour}: call sites");
+        assert!(lazy.raw.materialized_metrics() > 0, "{file}: call sites");
 
-        assert_eq!(got.tree.len(), want.tree.len(), "{flavour}");
+        assert_eq!(got.tree.len(), want.tree.len(), "{file}");
         let mut call_sites_with_own_cost = 0;
         for v in (0..got.tree.len() as u32).map(ViewNodeId) {
-            assert_eq!(got.tree.scope(v), want.tree.scope(v), "{flavour}: {v:?}");
+            assert_eq!(got.tree.scope(v), want.tree.scope(v), "{file}: {v:?}");
             for c in got.tree.columns.columns() {
                 assert_eq!(
                     got.tree.columns.get(c, v.0).to_bits(),
                     want.tree.columns.get(c, v.0).to_bits(),
-                    "{flavour}: {c:?} at {:?}",
+                    "{file}: {c:?} at {:?}",
                     got.tree.scope(v)
                 );
             }
@@ -335,7 +347,7 @@ fn a_forced_flat_view_of_a_lazy_open_equals_the_eager_one_in_bits() {
                 call_sites_with_own_cost += 1;
             }
         }
-        assert!(call_sites_with_own_cost > 0, "{flavour}");
+        assert!(call_sites_with_own_cost > 0, "{file}");
         assert!(lazy.columns.lazy_errors().is_empty() && lazy.raw.lazy_errors().is_empty());
     }
 }
@@ -345,7 +357,7 @@ fn a_forced_flat_view_of_a_lazy_open_equals_the_eager_one_in_bits() {
 /// the one store reports it once.
 #[test]
 fn a_corrupt_block_is_zeros_in_all_three_views_and_one_column_error() {
-    for (flavour, mut bytes) in both_flavours() {
+    for (file, mut bytes) in both_files() {
         // The last section is the last metric's cost block.
         let n = bytes.len();
         bytes[n - 3] ^= 0xff;
@@ -367,19 +379,19 @@ fn a_corrupt_block_is_zeros_in_all_three_views_and_one_column_error() {
             let title = view.kind().title();
             for &n in &rows {
                 for c in [ColumnId(2 * last), ColumnId(2 * last + 1)] {
-                    assert_eq!(view.value(c, n), 0.0, "{flavour}, {title}: {c:?}");
+                    assert_eq!(view.value(c, n), 0.0, "{file}, {title}: {c:?}");
                 }
             }
             assert!(
                 rows.iter().any(|&n| view.value(ColumnId(0), n) != 0.0),
-                "{flavour}, {title}: the intact metric still shows"
+                "{file}, {title}: the intact metric still shows"
             );
             if view.kind() == ViewKind::Flat {
-                assert!(rows.iter().any(|&n| view.is_call(n)), "{flavour}");
+                assert!(rows.iter().any(|&n| view.is_call(n)), "{file}");
             }
         }
         let errors = exp.columns.lazy_errors();
-        assert_eq!(errors.len(), 1, "{flavour}: one block, one reason");
+        assert_eq!(errors.len(), 1, "{file}: one block, one reason");
         assert!(errors[0].contains("checksum"), "{}", errors[0]);
     }
 }

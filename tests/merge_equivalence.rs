@@ -68,7 +68,7 @@ fn sequential_reference(
 ) -> (Experiment, Vec<PerNodeCosts>) {
     let mut seq = Correlator::new(structure, cfg.periods);
     let costs: Vec<PerNodeCosts> = profiles.iter().map(|p| seq.add(p)).collect();
-    (seq.finish(StorageKind::Dense), costs)
+    (seq.finish(StorageKind::Csr), costs)
 }
 
 /// Full identity check: tree shape and ids, raw columns bit-for-bit,
@@ -78,7 +78,7 @@ fn assert_equivalent(structure: &Structure, cfg: &ExecConfig, profiles: &[RawPro
     for threads in THREAD_POINTS {
         let (par_exp, par_costs) = ParallelCorrelator::new(structure, cfg.periods)
             .with_threads(threads)
-            .correlate(profiles, StorageKind::Dense);
+            .correlate(profiles, StorageKind::Csr);
         assert_eq!(
             seq_exp.cct.len(),
             par_exp.cct.len(),
@@ -140,7 +140,7 @@ fn single_rank_shards_merge_correctly() {
     let (seq_exp, seq_costs) = sequential_reference(&structure, &cfg, &profiles);
     let (par_exp, par_costs) = ParallelCorrelator::new(&structure, cfg.periods)
         .with_threads(8)
-        .correlate(&profiles, StorageKind::Dense);
+        .correlate(&profiles, StorageKind::Csr);
     assert_eq!(par_exp.cct.len(), seq_exp.cct.len());
     assert_eq!(par_costs, seq_costs);
 }
@@ -151,7 +151,7 @@ fn all_empty_ranks_reduce_to_a_bare_root() {
     let profiles: Vec<RawProfile> = (0..6).map(|_| RawProfile::new()).collect();
     let (par_exp, par_costs) = ParallelCorrelator::new(&structure, cfg.periods)
         .with_threads(3)
-        .correlate(&profiles, StorageKind::Dense);
+        .correlate(&profiles, StorageKind::Csr);
     assert_eq!(par_exp.cct.len(), 1, "only the root survives");
     assert!(par_costs.iter().all(|c| c.is_empty()));
 }

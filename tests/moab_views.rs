@@ -131,7 +131,7 @@ fn flattening_exposes_loops_for_cross_routine_comparison() {
     // Fig. 6's flattening use-case: strip modules/files/procedures so
     // loops in different routines can be compared side by side.
     let exp = build();
-    let mut flat = FlatView::build(&exp, StorageKind::Dense);
+    let mut flat = FlatView::build(&exp);
     let start = flat.tree.roots();
     // Three flattening steps strip module -> file -> procedure, leaving
     // loops (and call sites) side by side. The forcing variant fills the

@@ -87,36 +87,15 @@ proptest! {
         let (structure, profiles, cfg) = random_workload(seed, n_procs, n_ranks);
         let mut seq = Correlator::new(&structure, cfg.periods);
         let seq_costs: Vec<PerNodeCosts> = profiles.iter().map(|p| seq.add(p)).collect();
-        let seq_exp = seq.finish(StorageKind::Dense);
+        let seq_exp = seq.finish(StorageKind::Csr);
 
         for threads in [1usize, 2, 4, 8] {
             let (par_exp, par_costs) = ParallelCorrelator::new(&structure, cfg.periods)
                 .with_threads(threads)
-                .correlate(&profiles, StorageKind::Dense);
+                .correlate(&profiles, StorageKind::Csr);
             let ctx = format!("seed={seed} procs={n_procs} ranks={n_ranks} threads={threads}");
             assert_identical(&seq_exp, &par_exp, &ctx);
             prop_assert_eq!(&par_costs, &seq_costs, "{}: per-rank costs", ctx);
-        }
-    }
-
-    #[test]
-    fn storage_flavor_does_not_change_parallel_results(
-        seed in 0u64..1_000,
-        n_ranks in 1usize..8,
-    ) {
-        let (structure, profiles, cfg) = random_workload(seed, 10, n_ranks);
-        let pc = ParallelCorrelator::new(&structure, cfg.periods).with_threads(4);
-        let (dense, dc) = pc.correlate(&profiles, StorageKind::Dense);
-        let (sparse, sc) = pc.correlate(&profiles, StorageKind::Sparse);
-        let (csr, cc) = pc.correlate(&profiles, StorageKind::Csr);
-        prop_assert_eq!(&dc, &sc);
-        prop_assert_eq!(&dc, &cc);
-        for c in dense.columns.columns() {
-            let d: Vec<(u32, f64)> = dense.columns.vec(c).nonzero_sorted().collect();
-            let s: Vec<(u32, f64)> = sparse.columns.vec(c).nonzero_sorted().collect();
-            let r: Vec<(u32, f64)> = csr.columns.vec(c).nonzero_sorted().collect();
-            prop_assert_eq!(&d, &s, "sparse column {:?}", c);
-            prop_assert_eq!(&d, &r, "csr column {:?}", c);
         }
     }
 }
@@ -150,7 +129,7 @@ fn late_cost_is_folded_in_by_rebuild() {
         .expect("a statement is framed");
     let proc = exp.cct.kind(frame).frame_proc().unwrap();
     let callers_root = |exp: &Experiment| {
-        let view = CallersView::build(exp, StorageKind::Csr);
+        let view = CallersView::build(exp);
         let top = view
             .tree
             .roots()

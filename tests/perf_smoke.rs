@@ -70,7 +70,7 @@ fn sixty_four_rank_ingestion_smoke() {
         for p in &profiles {
             corr.add(p);
         }
-        seq_nodes = corr.finish(StorageKind::Dense).cct.len();
+        seq_nodes = corr.finish(StorageKind::Csr).cct.len();
     });
 
     let par = ParallelCorrelator::new(&structure, cfg.periods).with_threads(0);

@@ -17,7 +17,7 @@ fn exact_cycles() -> ExecConfig {
 #[test]
 fn fig1_program_measures_exactly_with_period_one() {
     let unit = 1_000;
-    let out = pipeline::run(&fig1::program(unit), &exact_cycles(), StorageKind::Dense);
+    let out = pipeline::run(&fig1::program(unit), &exact_cycles());
     let exp = &out.experiment;
     // Period-1 sampling is exact: the root inclusive equals ground truth.
     let root = exp.cct.root();
@@ -57,7 +57,7 @@ fn fig1_program_measures_exactly_with_period_one() {
 
 #[test]
 fn fig1_loops_survive_the_whole_pipeline() {
-    let out = pipeline::run(&fig1::program(1_000), &exact_cycles(), StorageKind::Dense);
+    let out = pipeline::run(&fig1::program(1_000), &exact_cycles());
     let exp = &out.experiment;
     // h's loop nest: find the l1 -> l2 chain somewhere in the CCT.
     let mut found = false;
@@ -106,7 +106,7 @@ fn generated_programs_survive_the_pipeline() {
             n_procs: 40,
             ..Default::default()
         });
-        let out = pipeline::run(&program, &ExecConfig::default(), StorageKind::Dense);
+        let out = pipeline::run(&program, &ExecConfig::default());
         let exp = &out.experiment;
         assert!(exp.cct.validate().is_ok());
         // Sampling accuracy: within 2% of ground truth for ~10^5+ cycles.
@@ -125,7 +125,7 @@ fn generated_programs_survive_the_pipeline() {
 fn overhead_is_a_few_percent_at_realistic_periods() {
     // E8 headline: asynchronous sampling costs only a few percent.
     let program = callpath_workloads::s3d::program(Default::default());
-    let out = pipeline::run(&program, &ExecConfig::default(), StorageKind::Dense);
+    let out = pipeline::run(&program, &ExecConfig::default());
     let frac = out.exec.overhead_fraction();
     assert!(
         frac < 0.05,

@@ -135,7 +135,7 @@ fn rendered_hot_path_highlights_chemkin() {
 #[test]
 fn sampled_totals_track_ground_truth() {
     let program = s3d::program(s3d::S3dConfig::default());
-    let out = pipeline::run(&program, &ExecConfig::default(), StorageKind::Dense);
+    let out = pipeline::run(&program, &ExecConfig::default());
     let exp = &out.experiment;
     let ci = cycles_incl(exp);
     let measured = exp.aggregate(ci);

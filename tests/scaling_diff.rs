@@ -88,8 +88,8 @@ fn weak_scaling_diff_between_ranks() {
         },
     )
     .unwrap();
-    let light_exp = callpath_prof::correlate(&s, &light.profile, cfg.periods, StorageKind::Dense);
-    let heavy_exp = callpath_prof::correlate(&s, &heavy.profile, cfg.periods, StorageKind::Dense);
+    let light_exp = callpath_prof::correlate(&s, &light.profile, cfg.periods);
+    let heavy_exp = callpath_prof::correlate(&s, &heavy.profile, cfg.periods);
 
     let analysis = scaling_loss(
         &light_exp,
@@ -124,7 +124,7 @@ fn merged_experiment_presents_in_all_views() {
         &s3d::program(s3d::S3dConfig::tuned()),
         &ExecConfig::default(),
     );
-    let merged = merge_experiments(&a, "base", &b, "tuned", StorageKind::Dense);
+    let merged = merge_experiments(&a, "base", &b, "tuned");
     assert_eq!(merged.raw.metric_count(), 6, "3 metrics per side");
     // All three views build and the callers view distinguishes both runs.
     let callers = View::callers(&merged);

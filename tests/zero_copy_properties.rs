@@ -91,7 +91,6 @@ fn random_model(seed: u64, n_nodes: usize, n_metrics: usize, max_nnz: usize) -> 
         nodes,
         metrics,
         derived: vec![],
-        sparse: true,
     }
 }
 
@@ -133,7 +132,7 @@ proptest! {
                 }
             }
         }
-        prop_assert!(lazy.raw.lazy_error().is_none());
+        prop_assert!(lazy.raw.lazy_errors().is_empty());
     }
 
     #[test]
