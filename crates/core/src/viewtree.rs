@@ -401,15 +401,20 @@ struct CachedOrder {
 }
 
 /// Per-view cache of sorted child orderings, keyed by `(slot, sort key)`
-/// and validated with a generation stamp. A slot is either a parent view-node id or a [`TOP_SLOT_BASE`]-offset
-/// synthetic slot for a top-level list.
+/// and validated with a generation stamp. A slot is either a parent
+/// view-node id or a [`TOP_SLOT_BASE`]-offset synthetic slot for a
+/// top-level list.
 ///
-/// The cache stores *orderings* (node-id vectors), not references into
-/// the tree, so holding one never borrows the view. Lookups at a stale
-/// generation miss; the caller recomputes and [`SortCache::insert`]s at
-/// the generation observed *after* recomputing (child materialization
-/// during the recompute bumps the tree generation, and stamping afterward
-/// keeps the entry valid).
+/// What is cached: the sorted node-id vector of every list the caller
+/// had to sort — two or more scopes. What is not: a list of zero or one
+/// scope has a single order under every key, so callers neither sort it
+/// nor [`SortCache::insert`] it, and `full_sorts` counts exactly the
+/// entries written. Entries are node ids, not references into the tree,
+/// and a hit is read in place ([`SortCache::lookup`] lends the slice;
+/// nothing is copied). Lookups at a stale generation miss; the caller
+/// recomputes and inserts at the generation observed *after* recomputing
+/// (child materialization during the recompute bumps the tree
+/// generation, and stamping afterward keeps the entry valid).
 #[derive(Debug, Default)]
 pub struct SortCache {
     entries: HashMap<(u64, SortKey), CachedOrder>,
@@ -425,11 +430,11 @@ impl SortCache {
 
     /// The cached ordering for `(slot, key)` if it was computed at
     /// exactly `generation`; counts a hit when present.
-    pub fn lookup(&mut self, slot: u64, key: SortKey, generation: u64) -> Option<Vec<u32>> {
+    pub fn lookup(&mut self, slot: u64, key: SortKey, generation: u64) -> Option<&[u32]> {
         match self.entries.get(&(slot, key)) {
             Some(c) if c.generation == generation => {
                 self.hits += 1;
-                Some(c.order.clone())
+                Some(&c.order)
             }
             _ => None,
         }
@@ -635,7 +640,7 @@ mod tests {
         };
         assert_eq!(cache.lookup(3, key, 10), None);
         cache.insert(3, key, 10, vec![2, 0, 1]);
-        assert_eq!(cache.lookup(3, key, 10), Some(vec![2, 0, 1]));
+        assert_eq!(cache.lookup(3, key, 10), Some(&[2, 0, 1][..]));
         // Stale generation misses; by-name entry is a distinct key.
         assert_eq!(cache.lookup(3, key, 11), None);
         assert_eq!(cache.lookup(3, SortKey::Name, 10), None);

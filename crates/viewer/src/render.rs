@@ -71,6 +71,24 @@ const CALL_ICON: &str = "↪ ";
 pub(crate) const HOT_ICON: &str = "🔥";
 /// Marker for binary-only scopes (no source: rendered "in plain black").
 const NO_SOURCE_MARK: &str = " †";
+/// Levels that indent by two columns each. Deeper rows stop moving right:
+/// the `2 * GUTTER_LEVELS` gutter columns carry the row's absolute depth
+/// (`⋯4612`; consecutive numbers read as parent and child) and the label
+/// keeps a field of `label_width - 2 * GUTTER_LEVELS`, so a row costs the
+/// same bytes and its cells sit under their headers at any depth.
+const GUTTER_LEVELS: usize = 12;
+
+/// The one indentation rule: append the gutter of a row at `depth` and
+/// return its display width.
+fn write_indent(depth: usize, out: &mut String) -> usize {
+    use std::fmt::Write as _;
+    if depth <= GUTTER_LEVELS {
+        out.extend(std::iter::repeat_n("  ", depth));
+        return 2 * depth;
+    }
+    let _ = write!(out, "⋯{depth:<width$}", width = 2 * GUTTER_LEVELS - 1);
+    2 * GUTTER_LEVELS
+}
 
 /// Truncate a column/metric name longer than 18 characters to
 /// `{first 9}…{last 8}` — the tail usually carries the distinguishing
@@ -217,10 +235,9 @@ impl<'a, 'e> Renderer<'a, 'e> {
             } else {
                 format::write_metric_value(v, &mut self.cell_buf);
             }
-            self.cells_buf.push(' ');
-            for _ in self.cell_buf.chars().count()..18 {
-                self.cells_buf.push(' ');
-            }
+            // A cell is ASCII, so its length is its display width.
+            let pad = 19usize.saturating_sub(self.cell_buf.len()).max(1);
+            self.cells_buf.extend(std::iter::repeat_n(' ', pad));
             self.cells_buf.push_str(&self.cell_buf);
         }
     }
@@ -242,23 +259,19 @@ impl<'a, 'e> Renderer<'a, 'e> {
         if mark_no_source && !self.view.has_source(n) {
             self.label_buf.push_str(NO_SOURCE_MARK);
         }
-        let width = self.cfg.label_width.saturating_sub(2 * depth);
         self.write_cells(n);
-        for _ in 0..depth {
-            self.out.push_str("  ");
-        }
+        let gutter = write_indent(depth, &mut self.out);
+        let width = self.cfg.label_width.saturating_sub(gutter);
         format::write_fit(&self.label_buf, width, &mut self.out);
         self.out.push_str("    ");
         self.out.push_str(self.cells_buf.trim_end());
         self.out.push('\n');
     }
 
-    fn node(&mut self, n: u32, depth: usize, remaining: usize) {
-        if depth >= self.cfg.max_depth {
-            return;
-        }
+    /// One static row: in separate-lines mode a called frame is preceded
+    /// by its call site's own row.
+    fn static_row(&mut self, n: u32, depth: usize) {
         if !self.cfg.fused && self.view.is_call(n) {
-            // Separate-lines mode: the call site gets its own row.
             if let Some(cs) = self.view.call_site(n) {
                 use std::fmt::Write as _;
                 self.label_buf.clear();
@@ -269,31 +282,24 @@ impl<'a, 'e> Renderer<'a, 'e> {
                     names.file_name(cs.file),
                     cs.line
                 );
-                for _ in 0..depth {
-                    self.out.push_str("  ");
-                }
+                write_indent(depth, &mut self.out);
                 format::write_fit(&self.label_buf, self.cfg.label_width, &mut self.out);
                 self.out.push('\n');
             }
         }
         self.emit_row(n, depth, &[], true);
+    }
 
-        if remaining == 0 {
-            return;
-        }
-        let mut kids = self.view.children(n);
-        let total = kids.len();
+    /// Queue the visible window of `nodes` at `depth`, first on top, over
+    /// a `… k more` line for the rest.
+    fn queue(&mut self, mut nodes: Vec<u32>, depth: usize, pending: &mut Vec<(Line, usize)>) {
+        let total = nodes.len();
         let shown = total.min(self.cfg.max_children);
-        self.sort_visible(&mut kids, shown);
-        let hidden = total - shown;
-        for &k in kids.iter().take(shown) {
-            self.node(k, depth + 1, remaining - 1);
+        self.sort_visible(&mut nodes, shown);
+        if total > shown {
+            pending.push((Line::More(total - shown), depth));
         }
-        if hidden > 0 {
-            let indent = "  ".repeat(depth + 1);
-            self.out
-                .push_str(&std::format!("{indent}… {hidden} more\n"));
-        }
+        pending.extend(nodes[..shown].iter().rev().map(|&n| (Line::Row(n), depth)));
     }
 
     /// Order `nodes` so the first `shown` are what the pane displays.
@@ -327,25 +333,43 @@ impl<'a, 'e> Renderer<'a, 'e> {
         }
     }
 
-    /// The static walker: header, then `roots` expanded per `cfg.expand`.
+    /// The static walker: header, then `roots` expanded per `cfg.expand`,
+    /// over an explicit stack of lines still to write (next on top), so a
+    /// deep tree costs heap, not call stack.
     fn run(&mut self, roots: &[u32]) {
+        use std::fmt::Write as _;
         self.header();
-        let mut roots = roots.to_vec();
-        let total = roots.len();
-        let shown = total.min(self.cfg.max_children);
-        self.sort_visible(&mut roots, shown);
         let levels = match self.cfg.expand {
             ExpandMode::All => usize::MAX,
             ExpandMode::Levels(n) => n,
         };
-        for &r in roots.iter().take(shown) {
-            self.node(r, 0, levels.saturating_sub(1));
-        }
-        if total > shown {
-            self.out
-                .push_str(&std::format!("… {} more\n", total - shown));
+        let mut pending = Vec::new();
+        self.queue(roots.to_vec(), 0, &mut pending);
+        while let Some((line, depth)) = pending.pop() {
+            match line {
+                Line::More(hidden) => {
+                    write_indent(depth, &mut self.out);
+                    let _ = writeln!(self.out, "… {hidden} more");
+                }
+                Line::Row(n) if depth < self.cfg.max_depth => {
+                    self.static_row(n, depth);
+                    if depth + 1 < levels {
+                        let kids = self.view.children(n);
+                        self.queue(kids, depth + 1, &mut pending);
+                    }
+                }
+                Line::Row(_) => {}
+            }
         }
     }
+}
+
+/// What the static walker's stack holds beside a depth.
+enum Line {
+    /// A scope's row.
+    Row(u32),
+    /// The `… k more` line closing a truncated child list.
+    More(usize),
 }
 
 /// The columns a static render shows: `cfg.columns`, or every visible one.

@@ -77,7 +77,7 @@ struct ViewState {
     selected: Option<u32>,
     zoom: Option<u32>,
     flatten_level: usize,
-    hot: Vec<u32>,
+    hot: HashSet<u32>,
 }
 
 /// An interactive session over one experiment.
@@ -303,7 +303,7 @@ impl<'e> Session<'e> {
                     state.expanded.insert(n);
                 }
                 state.selected = path.last().copied();
-                state.hot = path;
+                state.hot = path.into_iter().collect();
                 Ok(())
             }
             Command::Zoom(n) => {
@@ -427,19 +427,17 @@ impl<'e> Session<'e> {
             },
             numbered,
             rows: Vec::new(),
+            pending: Vec::new(),
         };
         let _ = writeln!(w.r.out, "[{}]", self.kind.title());
         w.r.name_line();
-        // Top-level ordering goes through the same cache under a synthetic
-        // slot (per flatten level). Zoomed/singleton tops skip the sort.
-        let sorted_tops: Vec<u32> = if tops.len() <= 1 {
-            tops
-        } else {
-            w.order(TOP_SLOT_BASE + state.flatten_level as u64, |_| tops)
-        };
-        for t in sorted_tops {
-            w.node(t, 0);
+        // Top-level ordering goes through the same cache under a synthetic slot
+        // (per flatten level); a zoom target, which no slot names, bypasses it.
+        match state.zoom {
+            Some(z) => w.pending.push((z, 0)),
+            None => w.queue(TOP_SLOT_BASE + state.flatten_level as u64, 0, |_| tops),
         }
+        w.walk();
         // Source pane for the selection.
         if let Some(sel) = state.selected {
             let pane = render_selection_filtered(w.r.view, sel, &self.store, 2, hidden);
@@ -474,55 +472,70 @@ struct Walker<'a, 'e> {
     key: SortKey,
     numbered: bool,
     rows: Vec<u32>,
+    /// The explicit stack: `(scope, depth)` rows still to write, next on
+    /// top. Depth costs heap here, never call stack.
+    pending: Vec<(u32, usize)>,
 }
 
 impl Walker<'_, '_> {
-    fn node(&mut self, n: u32, depth: usize) {
-        if self.numbered {
-            let _ = write!(self.r.out, "[{:>3}] ", self.rows.len());
-        }
-        self.rows.push(n);
-        let state = self.state;
-        let expanded = state.expanded.contains(&n);
-        let marker = if expanded {
-            "▼ "
-        } else if !self.r.view.children_if_built(n).is_empty() || self.r.view.may_expand(n) {
-            "▶ "
-        } else {
-            "  "
-        };
-        let selected = if state.selected == Some(n) { "»" } else { "" };
-        let flame = if state.hot.contains(&n) { HOT_ICON } else { "" };
-        self.r.emit_row(n, depth, &[selected, flame, marker], true);
-        if expanded {
-            for k in self.order(n as u64, |v| v.children(n)) {
-                self.node(k, depth + 1);
+    /// Write every queued row; an expanded scope queues its children.
+    fn walk(&mut self) {
+        while let Some((n, depth)) = self.pending.pop() {
+            if self.numbered {
+                let _ = write!(self.r.out, "[{:>3}] ", self.rows.len());
+            }
+            self.rows.push(n);
+            let state = self.state;
+            let expanded = state.expanded.contains(&n);
+            let marker = if expanded {
+                "▼ "
+            } else if self.r.view.may_expand(n) || !self.r.view.children_if_built(n).is_empty() {
+                "▶ "
+            } else {
+                "  "
+            };
+            let selected = if state.selected == Some(n) { "»" } else { "" };
+            let flame = if state.hot.contains(&n) { HOT_ICON } else { "" };
+            self.r.emit_row(n, depth, &[selected, flame, marker], true);
+            if expanded {
+                self.queue(n as u64, depth + 1, |v| v.children(n));
             }
         }
     }
 
-    /// The `slot`'s ordering under `self.key` through the per-view
-    /// [`SortCache`]: valid cached orderings are reused as-is; misses
-    /// compute the node list, sort it via the interned [`LabelCache`], and
-    /// stamp the entry with the generation observed *after* computing (lazy
-    /// views may materialize children — and bump the generation — inside
-    /// `nodes`).
-    fn order(&mut self, slot: u64, nodes: impl FnOnce(&mut View<'_>) -> Vec<u32>) -> Vec<u32> {
+    /// Queue `slot`'s scopes at `depth` in `self.key` order, first on top.
+    /// Two or more go through the per-view [`SortCache`]: a valid cached
+    /// ordering is read in place; a miss sorts via the interned
+    /// [`LabelCache`] and hands the vector over, stamped with the
+    /// generation observed *after* computing (lazy views may materialize
+    /// children — and bump the generation — inside `nodes`). A shorter
+    /// list has one order: no sort, no span, no entry. Invariant: `nodes`'
+    /// list is a function of `(slot, generation)` alone, because the cache
+    /// answers first; a list that also depends on zoom must not come here.
+    fn queue(&mut self, slot: u64, depth: usize, nodes: impl FnOnce(&mut View<'_>) -> Vec<u32>) {
         static HIT: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.hit");
         static MISS: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.miss");
         static FULL_SORT: obs::LazySpan = obs::LazySpan::new("viewer.full_sort");
         let view = &mut *self.r.view;
+        fn rows(order: &[u32], depth: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
+            order.iter().rev().map(move |&n| (n, depth))
+        }
         if let Some(order) = self.sort_cache.lookup(slot, self.key, view.generation()) {
             HIT.add(1);
-            return order;
+            self.pending.extend(rows(order, depth));
+            return;
+        }
+        let mut out = nodes(view);
+        if out.len() < 2 {
+            self.pending.extend(rows(&out, depth));
+            return;
         }
         MISS.add(1);
         let _span = FULL_SORT.open();
-        let mut out = nodes(view);
         sort_nodes_with(view, self.r.labels, &mut out, self.key);
+        self.pending.extend(rows(&out, depth));
         self.sort_cache
-            .insert(slot, self.key, view.generation(), out.clone());
-        out
+            .insert(slot, self.key, view.generation(), out);
     }
 }
 
@@ -639,6 +652,35 @@ mod tests {
         );
         s.apply(Command::Unzoom).unwrap();
         assert!(s.render().contains("main"));
+    }
+
+    /// With several top-level scopes the unzoomed ordering is cached; a
+    /// zoom changes neither the generation nor the sort key and must still
+    /// show the zoom target alone.
+    #[test]
+    fn zoom_among_several_roots_shows_only_the_target() {
+        let (exp, store) = experiment();
+        // Flat flattened twice: module and file stripped, procedures on top.
+        for (kind, flattens) in [(ViewKind::Callers, 0), (ViewKind::Flat, 2)] {
+            let open = || {
+                let mut s = Session::new(&exp, store.clone());
+                s.apply(Command::SwitchView(kind)).unwrap();
+                for _ in 0..flattens {
+                    s.apply(Command::Flatten).unwrap();
+                }
+                s
+            };
+            let mut s = open();
+            let (before, roots) = s.render_numbered();
+            assert!(roots.len() >= 2, "{kind:?} needs several roots:\n{before}");
+            let target = roots[1];
+            s.apply(Command::Zoom(target)).unwrap();
+            let (zoomed, rows) = s.render_numbered();
+            assert_eq!(rows, [target], "{kind:?}:\n{zoomed}");
+            s.apply(Command::Unzoom).unwrap();
+            assert_eq!(s.render_numbered(), open().render_numbered());
+            assert_eq!(s.render_numbered().0, before);
+        }
     }
 
     #[test]

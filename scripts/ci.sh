@@ -3,6 +3,13 @@
 # formatting, lints as errors across every target, then the test suite
 # with the `mmap` feature on and off (the two passes below), the thread
 # pins, and the benchmark's own checks and tests.
+# Both feature passes run the depth tests of `tests/session_nav.rs` (a
+# 100 000-level chain through both render walkers on a 64 KiB stack, a
+# 2 000-level hot path whose rows keep label, column alignment and byte
+# budget, rows above the indentation gutter byte-identical to before it)
+# and the cell property tests of `crates/core/src/format.rs` (the fast
+# formatters equal `core::fmt` on random bit patterns and the edges) —
+# the first pass only for the latter, a unit test of the core crate.
 set -eu
 cd "$(dirname "$0")/.."
 cargo fmt --check

@@ -49,7 +49,7 @@ fn cached(
 ) -> Vec<u32> {
     let generation = view.generation();
     if let Some(order) = cache.lookup(slot, key, generation) {
-        return order;
+        return order.to_vec();
     }
     let mut out = nodes.to_vec();
     sort_nodes_with(view, labels, &mut out, key);
