@@ -12,30 +12,42 @@
 //! Construction is **lazy** by default — the paper calls this out as a
 //! scalability feature ("the Callers View is constructed dynamically...
 //! we store and process data only when needed", Section VII). Top-level
-//! entries are built eagerly from one pass over the CCT; children
-//! materialize on first expansion. `CallersView::fully_expand` provides
-//! the eager variant for the ablation bench.
-//!
-//! A node's numbers are set-exposed sums over its instances of the
-//! experiment's attributed columns (`ViewTree::fill`, shared with the
-//! Flat View), computed when the node is materialized.
+//! entries are built from two passes over the CCT — frames bucketed by
+//! procedure in node order, then one depth-first walk that decides every
+//! entry's exposed activations at once; children materialize on first
+//! expansion, numbers on the first read of their column
+//! ([`ViewTree::value`]). `CallersView::fully_expand` provides the eager
+//! variant for the ablation bench.
 
 use crate::experiment::Experiment;
+use crate::exposure::exposed_on_entry;
 use crate::ids::{NodeId, ProcId, ViewNodeId};
 use crate::scope::ScopeKind;
-use crate::viewtree::{Exclusive, ViewScope, ViewTree};
+use crate::viewtree::{ViewScope, ViewTree};
 use std::collections::HashMap;
+
+const NONE: u32 = u32::MAX;
 
 /// Bottom-up (callers) view over an experiment.
 #[derive(Debug, Clone)]
 pub struct CallersView {
     /// The materialized view nodes and their metric columns.
     pub tree: ViewTree,
-    /// For each view node, one "cursor" per aggregated instance: the CCT
-    /// frame whose caller determines the next grouping level. At the top
-    /// level the cursor is the instance itself; each expansion moves every
-    /// cursor one caller up.
+    /// For each caller line, one "cursor" per aggregated instance, in
+    /// ascending instance order: the CCT frame whose caller determines
+    /// the next grouping level; each expansion moves every cursor one
+    /// caller up. A top-level entry stores none: its cursors are its
+    /// instances.
     cursors: Vec<Vec<NodeId>>,
+}
+
+/// A caller line [`CallersView::expand`] is gathering: its instances,
+/// ascending, each with whether the expanded node kept it, and their
+/// cursors.
+struct Line {
+    scope: ViewScope,
+    members: Vec<(NodeId, bool)>,
+    cursors: Vec<NodeId>,
 }
 
 impl CallersView {
@@ -43,37 +55,47 @@ impl CallersView {
     /// dynamic activation). Children are materialized on demand via
     /// [`CallersView::expand`].
     pub fn build(exp: &Experiment) -> Self {
-        let mut view = CallersView {
-            tree: ViewTree::new(),
-            cursors: Vec::new(),
-        };
-        // Mirror the experiment's column layout.
-        for d in exp.columns.descs() {
-            view.tree.columns.add_column(d.clone());
-        }
-        // One pass over the CCT: bucket frames by procedure, preserving
-        // first-appearance order for determinism.
-        let mut order: Vec<ProcId> = Vec::new();
-        let mut buckets: HashMap<ProcId, Vec<NodeId>> = HashMap::new();
-        for n in exp.cct.all_nodes() {
-            if let ScopeKind::Frame { proc, .. } = exp.cct.kind(n) {
-                let b = buckets.entry(proc).or_default();
-                if b.is_empty() {
-                    order.push(proc);
-                }
-                b.push(n);
+        let cct = &exp.cct;
+        let mut tree = ViewTree::new(exp);
+        // Entries in first-appearance order, instances ascending: both
+        // follow from walking the arena in node order.
+        let mut entries: HashMap<ProcId, ViewNodeId> = HashMap::new();
+        let mut entry_of = vec![NONE; cct.len()];
+        for n in cct.all_nodes() {
+            if let ScopeKind::Frame { proc, .. } = cct.kind(n) {
+                let entry = entries
+                    .entry(proc)
+                    .or_insert_with(|| tree.add_root(ViewScope::ProcTop { proc }));
+                entry_of[n.index()] = entry.0;
             }
         }
-        for proc in order {
-            let instances = buckets.remove(&proc).unwrap();
-            let node = view.tree.add_root(ViewScope::ProcTop { proc });
-            view.cursors.push(instances.clone());
-            for &i in &instances {
-                view.tree.push_instance(node, i);
+        let entry = |n: NodeId| Some(entry_of[n.index()]).filter(|&e| e != NONE);
+        let exposed = exposed_on_entry(cct, tree.len(), |n| entry(n).map(|e| [e]));
+        for n in cct.all_nodes() {
+            if let Some(e) = entry(n) {
+                tree.push_instance(ViewNodeId(e), n, exposed[n.index()] != 0);
             }
-            view.tree.fill(exp, node, Exclusive::Instances);
         }
-        view
+        CallersView {
+            cursors: vec![Vec::new(); tree.len()],
+            tree,
+        }
+    }
+
+    /// `(instance, cursor, kept)` for every instance `n` aggregates,
+    /// ascending by instance.
+    fn instances(&self, n: ViewNodeId) -> Vec<(NodeId, NodeId, bool)> {
+        let (kept, covered) = (self.tree.kept(n), self.tree.covered(n));
+        let mut all: Vec<(NodeId, bool)> = kept.iter().map(|&i| (i, true)).collect();
+        if !covered.is_empty() {
+            all.extend(covered.iter().map(|&i| (i, false)));
+            all.sort_unstable_by_key(|&(i, _)| i);
+        }
+        let cursors = &self.cursors[n.index()];
+        all.into_iter()
+            .enumerate()
+            .map(|(at, (i, kept))| (i, *cursors.get(at).unwrap_or(&i), kept))
+            .collect()
     }
 
     /// Materialize the children of `n` if not yet done.
@@ -82,13 +104,12 @@ impl CallersView {
             return;
         }
         self.tree.mark_expanded(n);
-        // Group (instance, cursor) pairs by the cursor's caller frame:
-        // key = (caller procedure, call site of the cursor activation).
-        let instances: Vec<NodeId> = self.tree.instances(n).to_vec();
-        let cursors = self.cursors[n.index()].clone();
-        let mut order: Vec<ViewScope> = Vec::new();
-        let mut groups: HashMap<ViewScope, (Vec<NodeId>, Vec<NodeId>)> = HashMap::new();
-        for (&inst, &cursor) in instances.iter().zip(cursors.iter()) {
+        // Group the instances by their cursor's caller frame:
+        // key = (caller procedure, call site of the cursor activation),
+        // lines in first-appearance order.
+        let mut lines: Vec<Line> = Vec::new();
+        let mut line_of: HashMap<ViewScope, usize> = HashMap::new();
+        for (inst, cursor, kept) in self.instances(n) {
             let Some(caller) = exp.cct.caller_frame(cursor) else {
                 continue; // top-level activation (e.g. main): no caller line
             };
@@ -102,28 +123,29 @@ impl CallersView {
                 ScopeKind::Frame { call_site, .. } => call_site,
                 _ => None,
             };
-            let key = ViewScope::Caller {
+            let scope = ViewScope::Caller {
                 proc: caller_proc,
                 call_site,
             };
-            let entry = groups.entry(key);
-            if let std::collections::hash_map::Entry::Vacant(_) = entry {
-                order.push(key);
-            }
-            let (gi, gc) = groups.entry(key).or_default();
-            gi.push(inst);
-            gc.push(caller);
+            let at = *line_of.entry(scope).or_insert_with(|| {
+                lines.push(Line {
+                    scope,
+                    members: Vec::new(),
+                    cursors: Vec::new(),
+                });
+                lines.len() - 1
+            });
+            lines[at].members.push((inst, kept));
+            lines[at].cursors.push(caller);
         }
-        for key in order {
-            let (gi, gc) = groups.remove(&key).unwrap();
-            let child = self.tree.add_child(n, key);
+        let first_new = self.tree.len();
+        for line in lines {
+            let child = self.tree.add_child(n, line.scope);
+            self.tree.set_instances(&exp.cct, child, &line.members);
             debug_assert_eq!(child.index(), self.cursors.len());
-            self.cursors.push(gc);
-            for i in gi {
-                self.tree.push_instance(child, i);
-            }
-            self.tree.fill(exp, child, Exclusive::Instances);
+            self.cursors.push(line.cursors);
         }
+        self.tree.fill_new_nodes(exp, first_new);
     }
 
     /// Expand every reachable node — the eager, non-scalable variant of
@@ -148,9 +170,12 @@ impl CallersView {
         if self.tree.is_expanded(n) {
             return self.tree.has_children(n);
         }
-        self.cursors[n.index()]
-            .iter()
-            .any(|&c| exp.cct.caller_frame(c).is_some())
+        // A top-level entry's cursors are its instances.
+        let is_entry = self.tree.parent(n).is_none();
+        let (kept, covered) = (self.tree.kept(n), self.tree.covered(n));
+        let instances = kept.iter().chain(covered).filter(|_| is_entry);
+        let mut cursors = self.cursors[n.index()].iter().chain(instances);
+        cursors.any(|&c| exp.cct.caller_frame(c).is_some())
     }
 }
 
@@ -226,8 +251,8 @@ mod tests {
         )
     }
 
-    fn value(view: &CallersView, n: ViewNodeId, col: u32) -> f64 {
-        view.tree.columns.get(ColumnId(col), n.0)
+    fn value(view: &CallersView, exp: &Experiment, n: ViewNodeId, col: u32) -> f64 {
+        view.tree.value(exp, ColumnId(col), n)
     }
 
     fn find_root(view: &CallersView, exp: &Experiment, name: &str) -> ViewNodeId {
@@ -252,17 +277,21 @@ mod tests {
         assert_eq!(labels, vec!["m", "f", "g", "h"]);
 
         let ga = find_root(&view, &exp, "g");
-        assert_eq!(value(&view, ga, 0), 9.0, "ga inclusive: exposed g1+g3");
-        assert_eq!(value(&view, ga, 1), 4.0, "ga exclusive: exposed 1+3");
+        assert_eq!(
+            value(&view, &exp, ga, 0),
+            9.0,
+            "ga inclusive: exposed g1+g3"
+        );
+        assert_eq!(value(&view, &exp, ga, 1), 4.0, "ga exclusive: exposed 1+3");
         let fa = find_root(&view, &exp, "f");
-        assert_eq!(value(&view, fa, 0), 7.0);
-        assert_eq!(value(&view, fa, 1), 1.0);
+        assert_eq!(value(&view, &exp, fa, 0), 7.0);
+        assert_eq!(value(&view, &exp, fa, 1), 1.0);
         let ha = find_root(&view, &exp, "h");
-        assert_eq!(value(&view, ha, 0), 4.0);
-        assert_eq!(value(&view, ha, 1), 4.0);
+        assert_eq!(value(&view, &exp, ha, 0), 4.0);
+        assert_eq!(value(&view, &exp, ha, 1), 4.0);
         let ma = find_root(&view, &exp, "m");
-        assert_eq!(value(&view, ma, 0), 10.0);
-        assert_eq!(value(&view, ma, 1), 0.0);
+        assert_eq!(value(&view, &exp, ma, 0), 10.0);
+        assert_eq!(value(&view, &exp, ma, 1), 0.0);
     }
 
     #[test]
@@ -277,24 +306,24 @@ mod tests {
             .collect();
         // Callers of g: f (g1), g (g2), m (g3) — first-appearance order.
         assert_eq!(kid_labels, vec!["f", "g", "m"]);
-        assert_eq!(value(&view, kids[0], 0), 6.0, "g←f = g1 (6,1)");
-        assert_eq!(value(&view, kids[0], 1), 1.0);
-        assert_eq!(value(&view, kids[1], 0), 5.0, "g←g = g2 (5,1)");
-        assert_eq!(value(&view, kids[1], 1), 1.0);
-        assert_eq!(value(&view, kids[2], 0), 3.0, "g←m = g3 (3,3)");
-        assert_eq!(value(&view, kids[2], 1), 3.0);
+        assert_eq!(value(&view, &exp, kids[0], 0), 6.0, "g←f = g1 (6,1)");
+        assert_eq!(value(&view, &exp, kids[0], 1), 1.0);
+        assert_eq!(value(&view, &exp, kids[1], 0), 5.0, "g←g = g2 (5,1)");
+        assert_eq!(value(&view, &exp, kids[1], 1), 1.0);
+        assert_eq!(value(&view, &exp, kids[2], 0), 3.0, "g←m = g3 (3,3)");
+        assert_eq!(value(&view, &exp, kids[2], 1), 3.0);
 
         // Grandchildren: g←g←f = (5,1), then g←g←f←m = (5,1).
         let gg = kids[1];
         let gg_kids = view.children_of(&exp, gg);
         assert_eq!(gg_kids.len(), 1);
         assert_eq!(view.tree.label(gg_kids[0], &exp.cct.names), "f");
-        assert_eq!(value(&view, gg_kids[0], 0), 5.0);
-        assert_eq!(value(&view, gg_kids[0], 1), 1.0);
+        assert_eq!(value(&view, &exp, gg_kids[0], 0), 5.0);
+        assert_eq!(value(&view, &exp, gg_kids[0], 1), 1.0);
         let ggf_kids = view.children_of(&exp, gg_kids[0]);
         assert_eq!(ggf_kids.len(), 1);
         assert_eq!(view.tree.label(ggf_kids[0], &exp.cct.names), "m");
-        assert_eq!(value(&view, ggf_kids[0], 0), 5.0);
+        assert_eq!(value(&view, &exp, ggf_kids[0], 0), 5.0);
     }
 
     #[test]
@@ -350,7 +379,7 @@ mod tests {
             let kids = view.children_of(&exp, cur);
             assert_eq!(kids.len(), 1);
             assert_eq!(view.tree.label(kids[0], &exp.cct.names), name);
-            assert_eq!(value(&view, kids[0], 0), 4.0);
+            assert_eq!(value(&view, &exp, kids[0], 0), 4.0);
             cur = kids[0];
         }
         assert!(view.children_of(&exp, cur).is_empty());

@@ -268,6 +268,47 @@ impl Cct {
         }
     }
 
+    /// Depth-first walk of the whole tree: `visit(n, true)` when `n` is
+    /// entered, `visit(n, false)` when its subtree is done, so a visitor
+    /// can keep per-path state (what is on the call stack) in counters.
+    /// Allocation-free like [`Cct::preorder`], and under the same kind of
+    /// step budget: a corrupt mapped image, whose links need not agree with
+    /// one another, can make the walk stop early or leave a node it never
+    /// entered, but not run on.
+    pub fn walk(&self, mut visit: impl FnMut(NodeId, bool)) {
+        let mut budget = 2 * self.len();
+        let mut cur = self.root().0;
+        visit(NodeId(cur), true);
+        loop {
+            let fc = self.first_child_raw(cur);
+            if fc != NONE && budget > 0 {
+                budget -= 1;
+                cur = fc;
+                visit(NodeId(cur), true);
+                continue;
+            }
+            // `cur`'s subtree is done: leave it, and every ancestor it was
+            // the last child of, until a sibling is left to enter.
+            loop {
+                visit(NodeId(cur), false);
+                if cur == self.root().0 || budget == 0 {
+                    return;
+                }
+                budget -= 1;
+                let next = self.next_sibling_raw(cur);
+                if next != NONE {
+                    cur = next;
+                    visit(NodeId(cur), true);
+                    break;
+                }
+                match self.parent_raw(cur) {
+                    NONE => return,
+                    parent => cur = parent,
+                }
+            }
+        }
+    }
+
     /// All node ids, in arena order. Arena order is a valid topological
     /// order (parents precede children) because children are always
     /// appended after their parent.
@@ -610,6 +651,36 @@ mod tests {
         assert_eq!(order, vec![root, a, b, d, c]);
         let sub: Vec<NodeId> = cct.preorder(b).collect();
         assert_eq!(sub, vec![b, d]);
+    }
+
+    #[test]
+    fn walk_enters_in_preorder_and_leaves_each_subtree_once() {
+        let mut cct = Cct::new(NameTable::new());
+        let root = cct.root();
+        let a = cct.add_child(root, frame(0));
+        let b = cct.add_child(a, frame(1));
+        let c = cct.add_child(a, frame(2));
+        let d = cct.add_child(b, frame(3));
+        let mut events = Vec::new();
+        cct.walk(|n, entering| events.push((n, entering)));
+        let enter = |n| (n, true);
+        let leave = |n| (n, false);
+        let want = [
+            enter(root),
+            enter(a),
+            enter(b),
+            enter(d),
+            leave(d),
+            leave(b),
+            enter(c),
+            leave(c),
+            leave(a),
+            leave(root),
+        ];
+        assert_eq!(events, want);
+        let mut bare = Vec::new();
+        Cct::new(NameTable::new()).walk(|n, entering| bare.push((n, entering)));
+        assert_eq!(bare, [enter(root), leave(root)]);
     }
 
     #[test]

@@ -93,7 +93,8 @@ impl Experiment {
     /// Nothing is attributed here — that is the point. Every view reads
     /// `columns`, whose source attributes a metric the first time one of
     /// its two columns is read; the raw columns are faulted only by what
-    /// reads direct costs (Flat call-site rows, re-encoding).
+    /// reads direct costs (the exclusive cells of Flat call-site rows,
+    /// re-encoding).
     pub fn open_lazy(
         cct: Cct,
         raw: RawMetrics,
@@ -120,9 +121,10 @@ impl Experiment {
         ColumnId(m.0 * 2 + 1)
     }
 
-    /// Make every metric's inclusive and exclusive column resident — what
-    /// the first Callers or Flat View of a lazily opened database needs.
-    /// Free on a built experiment and on columns already faulted in.
+    /// Make every metric's inclusive and exclusive column resident. No
+    /// view needs it — each faults the columns it is asked for — but a
+    /// caller about to read them all can pay for them in one place. Free
+    /// on a built experiment and on columns already faulted in.
     pub fn attributions(&self) {
         for c in 0..self.raw.metric_count() * 2 {
             self.columns.vec(ColumnId::from_usize(c));
@@ -338,7 +340,7 @@ mod tests {
             .find(|&r| callers.tree.label(r, &exp.cct.names) == "work")
             .unwrap();
         assert_eq!(
-            callers.tree.columns.get(exp.inclusive_col(cyc), work.0),
+            callers.tree.value(&exp, exp.inclusive_col(cyc), work),
             1500.0
         );
     }

@@ -19,21 +19,26 @@
 //! ## Lazy containers
 //!
 //! [`FlatView::build`] is *shell-first*, mirroring the lazy Callers View:
-//! only the load-module → file → procedure skeleton is materialized (and
-//! valued) eagerly; each procedure's interior — loops, statements,
-//! inlined bodies, and fused call-site nodes — is filled on first expand
-//! from the CCT instances recorded on the node. Container metrics don't
-//! depend on the deferred children (a file's exclusive sums its child
-//! *procedures'* exclusives), so the shell's numbers are final.
+//! only the load-module → file → procedure skeleton is materialized
+//! eagerly, each node with the activations it sums already decided by one
+//! depth-first walk of the CCT; each procedure's interior — loops,
+//! statements, inlined bodies, and fused call-site nodes — is filled on
+//! first expand from the CCT instances recorded on the node, and numbers
+//! on the first read of their column ([`ViewTree::value`]). Container
+//! metrics don't depend on the deferred children (a file's exclusive sums
+//! its child *procedures'* exclusives), so the shell's numbers are final.
 //! [`FlatView::flatten_once`]/[`FlatView::flatten`] force fills on
 //! demand; the free [`flatten_once`]/[`flatten`] functions remain for
 //! trees that are already fully forced.
 
 use crate::experiment::Experiment;
-use crate::ids::ViewNodeId;
+use crate::exposure::exposed_on_entry;
+use crate::ids::{NodeId, ViewNodeId};
 use crate::scope::ScopeKind;
-use crate::viewtree::{Exclusive, ViewScope, ViewTree};
+use crate::viewtree::{ViewScope, ViewTree};
 use std::collections::HashMap;
+
+const NONE: u32 = u32::MAX;
 
 /// Static (flat) view over an experiment, with lazily filled procedure
 /// interiors (see the module docs).
@@ -44,14 +49,12 @@ pub struct FlatView {
 }
 
 impl FlatView {
-    /// Build the Flat View shell from an attributed experiment: module,
-    /// file, and procedure nodes with final metric values; everything
-    /// inside procedures is deferred to [`FlatView::expand`].
+    /// Build the Flat View shell from an experiment: module, file, and
+    /// procedure nodes; everything inside procedures is deferred to
+    /// [`FlatView::expand`].
     pub fn build(exp: &Experiment) -> Self {
-        let mut tree = ViewTree::new();
-        for d in exp.columns.descs() {
-            tree.columns.add_column(d.clone());
-        }
+        let cct = &exp.cct;
+        let mut tree = ViewTree::new(exp);
 
         // (parent, scope) -> node index, to avoid quadratic sibling scans.
         let mut index: HashMap<(Option<ViewNodeId>, ViewScope), ViewNodeId> = HashMap::new();
@@ -65,46 +68,47 @@ impl FlatView {
                     })
             };
 
-        for n in exp.cct.all_nodes() {
+        // Shell nodes in first-appearance order: the arena in node order.
+        let mut procedure_of = vec![NONE; cct.len()];
+        for n in cct.all_nodes() {
             if let ScopeKind::Frame {
                 proc, module, def, ..
-            } = exp.cct.kind(n)
+            } = cct.kind(n)
             {
                 let m_node = node_at(&mut tree, None, ViewScope::Module { module });
                 let f_node = node_at(&mut tree, Some(m_node), ViewScope::File { file: def.file });
                 let p_node = node_at(&mut tree, Some(f_node), ViewScope::Procedure { proc });
-                tree.push_instance(m_node, n);
-                tree.push_instance(f_node, n);
-                tree.push_instance(p_node, n);
+                procedure_of[n.index()] = p_node.0;
             }
         }
 
-        // The skeleton's child sets are complete: a module only ever
-        // contains files, a file only procedures. Only procedure
-        // interiors stay lazy.
-        let all: Vec<ViewNodeId> = (0..tree.len() as u32).map(ViewNodeId).collect();
-        for &v in &all {
+        // A frame is an instance of its procedure, file and module nodes.
+        let containers = |tree: &ViewTree, n: NodeId| {
+            let p = Some(procedure_of[n.index()]).filter(|&p| p != NONE)?;
+            let f = tree.parent(ViewNodeId(p))?;
+            let m = tree.parent(f)?;
+            Some([p, f.0, m.0])
+        };
+        let exposed = exposed_on_entry(cct, tree.len(), |n| containers(&tree, n));
+        for n in cct.all_nodes() {
+            let Some([p, f, m]) = containers(&tree, n) else {
+                continue;
+            };
+            let bits = exposed[n.index()];
+            tree.push_instance(ViewNodeId(p), n, bits & 1 != 0);
+            // The skeleton's child sets are complete — a module only ever
+            // contains files, a file only procedures — so nothing will
+            // ask them for the instances their values leave out.
+            for (container, bit) in [(f, 2), (m, 4)] {
+                if bits & bit != 0 {
+                    tree.push_instance(ViewNodeId(container), n, true);
+                }
+            }
+        }
+        // Only procedure interiors stay lazy.
+        for v in (0..tree.len() as u32).map(ViewNodeId) {
             if !matches!(tree.scope(v), ViewScope::Procedure { .. }) {
                 tree.mark_expanded(v);
-            }
-        }
-
-        // Fill metric values: procedures first (instance aggregation),
-        // then containers, whose exclusive column sums their child
-        // procedures'/files' exclusives.
-        for &v in &all {
-            if matches!(tree.scope(v), ViewScope::Procedure { .. }) {
-                tree.fill(exp, v, Exclusive::Instances);
-            }
-        }
-        for &v in &all {
-            if matches!(tree.scope(v), ViewScope::File { .. }) {
-                tree.fill(exp, v, Exclusive::Children);
-            }
-        }
-        for &v in &all {
-            if matches!(tree.scope(v), ViewScope::Module { .. }) {
-                tree.fill(exp, v, Exclusive::Children);
             }
         }
         FlatView { tree }
@@ -113,9 +117,10 @@ impl FlatView {
     /// Materialize `v`'s children if they haven't been yet. Idempotent.
     ///
     /// Children are derived from the CCT children of `v`'s instances,
-    /// visited in ascending CCT-node order — exactly the order the
-    /// one-pass eager build would have created them in, so the lazy tree
-    /// matches the eager tree node-for-node (per parent, in order).
+    /// visited in ascending CCT-node order — exactly the order a one-pass
+    /// build of the whole tree would have created them in, so the tree
+    /// comes out the same (per parent, in order) whatever is expanded
+    /// when.
     pub fn expand(&mut self, exp: &Experiment, v: ViewNodeId) {
         if self.tree.is_expanded(v) {
             return;
@@ -128,48 +133,50 @@ impl FlatView {
             return;
         }
 
-        let instances: Vec<_> = self.tree.instances(v).to_vec();
-        let mut pending: Vec<(u32, ViewScope)> = Vec::new();
-        for &i in &instances {
-            for c in exp.cct.children(i) {
-                let scope = match exp.cct.kind(c) {
-                    ScopeKind::Frame {
-                        proc, call_site, ..
-                    } => ViewScope::CallSite {
-                        callee: proc,
-                        loc: call_site,
-                    },
-                    ScopeKind::InlinedFrame {
-                        proc, call_site, ..
-                    } => ViewScope::Inlined {
-                        callee: proc,
-                        call_site,
-                    },
-                    ScopeKind::Loop { header } => ViewScope::Loop { header },
-                    ScopeKind::Stmt { loc } => ViewScope::Stmt { loc },
-                    ScopeKind::Root => unreachable!("the CCT root is never a child"),
-                };
-                pending.push((c.0, scope));
+        // (CCT child, its scope, whether `v` keeps its parent).
+        let mut pending: Vec<(NodeId, ViewScope, bool)> = Vec::new();
+        for (instances, kept) in [(self.tree.kept(v), true), (self.tree.covered(v), false)] {
+            for &i in instances {
+                for c in exp.cct.children(i) {
+                    let scope = match exp.cct.kind(c) {
+                        ScopeKind::Frame {
+                            proc, call_site, ..
+                        } => ViewScope::CallSite {
+                            callee: proc,
+                            loc: call_site,
+                        },
+                        ScopeKind::InlinedFrame {
+                            proc, call_site, ..
+                        } => ViewScope::Inlined {
+                            callee: proc,
+                            call_site,
+                        },
+                        ScopeKind::Loop { header } => ViewScope::Loop { header },
+                        ScopeKind::Stmt { loc } => ViewScope::Stmt { loc },
+                        ScopeKind::Root => unreachable!("the CCT root is never a child"),
+                    };
+                    pending.push((c, scope, kept));
+                }
             }
         }
-        // Ascending CCT id = the eager build's creation/instance order.
-        pending.sort_unstable_by_key(|&(c, _)| c);
+        // Ascending CCT id = creation and instance order.
+        pending.sort_unstable_by_key(|&(c, ..)| c);
 
-        let first_new = self.tree.len() as u32;
-        for (c, scope) in pending {
+        let first_new = self.tree.len();
+        let mut members: Vec<Vec<(NodeId, bool)>> = Vec::new();
+        for (c, scope, parent_kept) in pending {
             let child = self.tree.find_or_add_child(v, scope);
-            self.tree.push_instance(child, crate::ids::NodeId(c));
+            let at = child.index() - first_new;
+            if at == members.len() {
+                members.push(Vec::new());
+            }
+            members[at].push((c, parent_kept));
         }
-        for id in first_new..self.tree.len() as u32 {
-            let child = ViewNodeId(id);
-            // A call-site row's exclusive is the callee frames' own body
-            // cost (`hy = (4,0)` in Fig. 2c); static scopes show Eq. 1.
-            let exclusive = match self.tree.scope(child) {
-                ViewScope::CallSite { .. } => Exclusive::FrameDirect,
-                _ => Exclusive::Instances,
-            };
-            self.tree.fill(exp, child, exclusive);
+        for (at, members) in members.iter().enumerate() {
+            let child = ViewNodeId((first_new + at) as u32);
+            self.tree.set_instances(&exp.cct, child, members);
         }
+        self.tree.fill_new_nodes(exp, first_new);
     }
 
     /// Children of `v`, materializing them on first use.
@@ -187,10 +194,8 @@ impl FlatView {
         if self.tree.is_expanded(v) {
             return self.tree.has_children(v);
         }
-        self.tree
-            .instances(v)
-            .iter()
-            .any(|&i| exp.cct.children(i).next().is_some())
+        let instances = self.tree.kept(v).iter().chain(self.tree.covered(v));
+        instances.into_iter().any(|&i| !exp.cct.is_leaf(i))
     }
 
     /// Force every deferred fill (the eager tree).
@@ -341,8 +346,8 @@ mod tests {
         view
     }
 
-    fn val(view: &FlatView, n: ViewNodeId, col: u32) -> f64 {
-        view.tree.columns.get(ColumnId(col), n.0)
+    fn val(view: &FlatView, exp: &Experiment, n: ViewNodeId, col: u32) -> f64 {
+        view.tree.value(exp, ColumnId(col), n)
     }
 
     fn find(
@@ -368,13 +373,17 @@ mod tests {
         let module = find(&view, &exp, None, "a.out");
         let file1 = find(&view, &exp, Some(module), "file1.c");
         let file2 = find(&view, &exp, Some(module), "file2.c");
-        assert_eq!(val(&view, file1, 0), 10.0, "file1 inclusive");
-        assert_eq!(val(&view, file1, 1), 1.0, "file1 exclusive");
-        assert_eq!(val(&view, file2, 0), 9.0, "file2 inclusive");
-        assert_eq!(val(&view, file2, 1), 8.0, "file2 exclusive = gx.e + hx.e");
+        assert_eq!(val(&view, &exp, file1, 0), 10.0, "file1 inclusive");
+        assert_eq!(val(&view, &exp, file1, 1), 1.0, "file1 exclusive");
+        assert_eq!(val(&view, &exp, file2, 0), 9.0, "file2 inclusive");
+        assert_eq!(
+            val(&view, &exp, file2, 1),
+            8.0,
+            "file2 exclusive = gx.e + hx.e"
+        );
         // The module spans the whole program.
-        assert_eq!(val(&view, module, 0), 10.0);
-        assert_eq!(val(&view, module, 1), 9.0);
+        assert_eq!(val(&view, &exp, module, 0), 10.0);
+        assert_eq!(val(&view, &exp, module, 1), 9.0);
     }
 
     #[test]
@@ -388,10 +397,26 @@ mod tests {
         let hx = find(&view, &exp, Some(file2), "h");
         let fx = find(&view, &exp, Some(file1), "f");
         let mx = find(&view, &exp, Some(file1), "m");
-        assert_eq!((val(&view, gx, 0), val(&view, gx, 1)), (9.0, 4.0), "gx");
-        assert_eq!((val(&view, hx, 0), val(&view, hx, 1)), (4.0, 4.0), "hx");
-        assert_eq!((val(&view, fx, 0), val(&view, fx, 1)), (7.0, 1.0), "fx");
-        assert_eq!((val(&view, mx, 0), val(&view, mx, 1)), (10.0, 0.0), "m");
+        assert_eq!(
+            (val(&view, &exp, gx, 0), val(&view, &exp, gx, 1)),
+            (9.0, 4.0),
+            "gx"
+        );
+        assert_eq!(
+            (val(&view, &exp, hx, 0), val(&view, &exp, hx, 1)),
+            (4.0, 4.0),
+            "hx"
+        );
+        assert_eq!(
+            (val(&view, &exp, fx, 0), val(&view, &exp, fx, 1)),
+            (7.0, 1.0),
+            "fx"
+        );
+        assert_eq!(
+            (val(&view, &exp, mx, 0), val(&view, &exp, mx, 1)),
+            (10.0, 0.0),
+            "m"
+        );
     }
 
     #[test]
@@ -403,8 +428,16 @@ mod tests {
         let hx = find(&view, &exp, Some(file2), "h");
         let l1 = find(&view, &exp, Some(hx), "loop at file2.c:8");
         let l2 = find(&view, &exp, Some(l1), "loop at file2.c:9");
-        assert_eq!((val(&view, l1, 0), val(&view, l1, 1)), (4.0, 0.0), "l1");
-        assert_eq!((val(&view, l2, 0), val(&view, l2, 1)), (4.0, 4.0), "l2");
+        assert_eq!(
+            (val(&view, &exp, l1, 0), val(&view, &exp, l1, 1)),
+            (4.0, 0.0),
+            "l1"
+        );
+        assert_eq!(
+            (val(&view, &exp, l2, 0), val(&view, &exp, l2, 1)),
+            (4.0, 4.0),
+            "l2"
+        );
     }
 
     #[test]
@@ -425,7 +458,11 @@ mod tests {
             .into_iter()
             .find(|&n| view.tree.scope(n).is_call())
             .expect("fx has a call site child");
-        assert_eq!((val(&view, gy, 0), val(&view, gy, 1)), (6.0, 1.0), "gy");
+        assert_eq!(
+            (val(&view, &exp, gy, 0), val(&view, &exp, gy, 1)),
+            (6.0, 1.0),
+            "gy"
+        );
 
         // Under m: fy (7,1) and gv (3,3).
         let m_calls: Vec<ViewNodeId> = view
@@ -445,8 +482,16 @@ mod tests {
             .copied()
             .find(|&n| view.tree.label(n, &exp.cct.names) == "g")
             .unwrap();
-        assert_eq!((val(&view, fy, 0), val(&view, fy, 1)), (7.0, 1.0), "fy");
-        assert_eq!((val(&view, gv, 0), val(&view, gv, 1)), (3.0, 3.0), "gv");
+        assert_eq!(
+            (val(&view, &exp, fy, 0), val(&view, &exp, fy, 1)),
+            (7.0, 1.0),
+            "fy"
+        );
+        assert_eq!(
+            (val(&view, &exp, gv, 0), val(&view, &exp, gv, 1)),
+            (3.0, 3.0),
+            "gv"
+        );
 
         // Under gx: gz (5,1) recursive call, hy (4,0) whose statements all
         // live inside loops.
@@ -467,8 +512,16 @@ mod tests {
             .copied()
             .find(|&n| view.tree.label(n, &exp.cct.names) == "h")
             .unwrap();
-        assert_eq!((val(&view, gz, 0), val(&view, gz, 1)), (5.0, 1.0), "gz");
-        assert_eq!((val(&view, hy, 0), val(&view, hy, 1)), (4.0, 0.0), "hy");
+        assert_eq!(
+            (val(&view, &exp, gz, 0), val(&view, &exp, gz, 1)),
+            (5.0, 1.0),
+            "gz"
+        );
+        assert_eq!(
+            (val(&view, &exp, hy, 0), val(&view, &exp, hy, 1)),
+            (4.0, 0.0),
+            "hy"
+        );
     }
 
     #[test]
@@ -508,7 +561,7 @@ mod tests {
         let module = find(&view, &exp, None, "a.out");
         // Root-level (module) inclusive equals program total despite the
         // recursive g chain.
-        assert_eq!(val(&view, module, 0), 10.0);
+        assert_eq!(val(&view, &exp, module, 0), 10.0);
     }
 
     #[test]
@@ -554,14 +607,16 @@ mod tests {
     /// tree position-for-position: same scopes, same child order, same
     /// column values. Node *ids* may differ (creation order depends on
     /// which parent was forced first), so compare recursively by position.
-    fn assert_same_forest(a: &FlatView, b: &FlatView) {
-        fn assert_same_subtree(a: &FlatView, b: &FlatView, na: ViewNodeId, nb: ViewNodeId) {
+    fn assert_same_forest(exp: &Experiment, a: &FlatView, b: &FlatView) {
+        let mut pairs: Vec<_> = a.tree.roots().into_iter().zip(b.tree.roots()).collect();
+        assert_eq!(a.tree.roots().len(), b.tree.roots().len());
+        while let Some((na, nb)) = pairs.pop() {
             assert_eq!(a.tree.scope(na), b.tree.scope(nb));
-            for c in 0..a.tree.columns.column_count() {
+            for c in 0..a.tree.column_descs().len() {
                 let c = ColumnId::from_usize(c);
                 assert_eq!(
-                    a.tree.columns.get(c, na.0),
-                    b.tree.columns.get(c, nb.0),
+                    a.tree.value(exp, c, na),
+                    b.tree.value(exp, c, nb),
                     "column {c:?} at {:?}",
                     a.tree.scope(na)
                 );
@@ -569,15 +624,7 @@ mod tests {
             let ca = a.tree.children(na);
             let cb = b.tree.children(nb);
             assert_eq!(ca.len(), cb.len(), "children of {:?}", a.tree.scope(na));
-            for (&x, &y) in ca.iter().zip(cb.iter()) {
-                assert_same_subtree(a, b, x, y);
-            }
-        }
-        let ra = a.tree.roots();
-        let rb = b.tree.roots();
-        assert_eq!(ra.len(), rb.len());
-        for (&x, &y) in ra.iter().zip(rb.iter()) {
-            assert_same_subtree(a, b, x, y);
+            pairs.extend(ca.into_iter().zip(cb));
         }
     }
 
@@ -597,7 +644,7 @@ mod tests {
         }
         let eager = forced(&exp);
         assert_eq!(lazy.tree.len(), eager.tree.len());
-        assert_same_forest(&lazy, &eager);
+        assert_same_forest(&exp, &lazy, &eager);
     }
 
     #[test]
@@ -614,8 +661,8 @@ mod tests {
                     .map(|&n| {
                         (
                             view.tree.label(n, &exp.cct.names),
-                            val(view, n, 0),
-                            val(view, n, 1),
+                            val(view, &exp, n, 0),
+                            val(view, &exp, n, 1),
                         )
                     })
                     .collect()

@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::derived::{EvalContext, Expr, FormulaError, SliceContext};
     pub use crate::diff::{merge_experiments, scaling_loss, ScalingAnalysis};
     pub use crate::experiment::Experiment;
-    pub use crate::exposure::{exposed, exposed_sum};
+    pub use crate::exposure::exposed;
     pub use crate::flat::{flatten, flatten_once, FlatView};
     pub use crate::format;
     pub use crate::hotpath::{hot_path, HotPathConfig};

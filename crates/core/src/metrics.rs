@@ -755,16 +755,24 @@ pub struct ColumnDesc {
     pub visible: bool,
 }
 
-/// A table of presentation columns attached to some tree (CCT or view
-/// tree). Column values are indexed by node id within that tree.
+/// Ids of the columns among `descs` (in id order) that the metric pane
+/// renders.
+pub fn visible_columns(descs: &[ColumnDesc]) -> impl Iterator<Item = ColumnId> + '_ {
+    let shown = descs.iter().enumerate().filter(|(_, d)| d.visible);
+    shown.map(|(i, _)| ColumnId::from_usize(i))
+}
+
+/// The table of presentation columns over the CCT's nodes (a view tree
+/// keeps the values it sums from them itself, `viewtree::ViewTree`).
+/// Column values are indexed by node id.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnSet {
     descs: Vec<ColumnDesc>,
     values: Vec<MetricVec>,
     /// Bumped by every mutation, mirroring [`RawMetrics::generation`]:
-    /// sort-order caches over view trees key on it so a column appended
-    /// or rewritten after the fact (e.g. summary statistics via
-    /// `append_view_columns`) invalidates cached orderings.
+    /// the Calling Context View's sort-order caches key on it so a column
+    /// appended or rewritten after the fact (e.g. summary statistics via
+    /// `append_columns`) invalidates cached orderings.
     generation: u64,
     /// Lazy-fault bookkeeping for columns backed by a [`ColumnSource`]
     /// (CPDB databases).
@@ -831,9 +839,8 @@ impl ColumnSet {
     }
 
     /// Append a presentation column, returning its id. It starts as an
-    /// empty node-indexed vector, which is what cell-by-cell writers
-    /// need: a view tree allocates node ids densely and fills rows out
-    /// of id order (Flat's files and modules after their procedures).
+    /// empty node-indexed vector, which is what its cell-by-cell writers
+    /// need (summary statistics: a value at most nodes, in node order).
     pub fn add_column(&mut self, desc: ColumnDesc) -> ColumnId {
         let id = ColumnId::from_usize(self.descs.len());
         self.descs.push(desc);
@@ -873,11 +880,7 @@ impl ColumnSet {
 
     /// Column ids the metric pane renders (visible ones).
     pub fn visible_columns(&self) -> impl Iterator<Item = ColumnId> + '_ {
-        self.descs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.visible)
-            .map(|(i, _)| ColumnId::from_usize(i))
+        visible_columns(&self.descs)
     }
 
     /// Look a column up by its title.

@@ -12,7 +12,7 @@ use crate::experiment::Experiment;
 use crate::flat::FlatView;
 use crate::hotpath::HotPathConfig;
 use crate::ids::{ColumnId, NodeId, ViewNodeId};
-use crate::metrics::ColumnSet;
+use crate::metrics::{visible_columns, ColumnDesc};
 use crate::names::SourceLoc;
 use crate::scope::ScopeKind;
 use crate::viewtree::{LabelCache, SortDir, SortKey, ViewScope};
@@ -253,18 +253,30 @@ impl<'a> View<'a> {
         loc.filter(|l| l.is_known())
     }
 
-    /// The metric columns of this view's tree.
-    pub fn columns(&self) -> &ColumnSet {
+    /// Descriptors of this view's metric columns, in id order.
+    pub fn column_descs(&self) -> &[ColumnDesc] {
         match self {
-            View::CallingContext(exp) => &exp.columns,
-            View::Callers { view, .. } => &view.tree.columns,
-            View::Flat { view, .. } => &view.tree.columns,
+            View::CallingContext(exp) => exp.columns.descs(),
+            View::Callers { view, .. } => view.tree.column_descs(),
+            View::Flat { view, .. } => view.tree.column_descs(),
         }
     }
 
-    /// Value of column `c` at scope `n`.
+    /// Column ids the metric pane renders (visible ones).
+    pub fn visible_columns(&self) -> impl Iterator<Item = ColumnId> + '_ {
+        visible_columns(self.column_descs())
+    }
+
+    /// Value of column `c` at scope `n`. The first read of a column
+    /// computes it — from the database for the Calling Context View, from
+    /// the experiment's column for the nodes of the other two — so a view
+    /// costs the columns it is asked for.
     pub fn value(&self, c: ColumnId, n: u32) -> f64 {
-        self.columns().get(c, n)
+        match self {
+            View::CallingContext(exp) => exp.columns.get(c, n),
+            View::Callers { exp, view } => view.tree.value(exp, c, ViewNodeId(n)),
+            View::Flat { exp, view } => view.tree.value(exp, c, ViewNodeId(n)),
+        }
     }
 
     /// Hot path analysis (Eq. 3) starting at `start` for column `c`,

@@ -1,19 +1,28 @@
 //! Arena tree for derived presentation views (Callers View, Flat View).
 //!
 //! Unlike the canonical CCT, whose nodes are *instances* (one node per
-//! calling context), a view node *aggregates* a set of CCT instances; the
-//! set is kept on the node so that lazy expansion and recursion-correct
-//! (set-exposed) metric aggregation can be computed on demand —
-//! `ViewTree::fill` is the one routine that does it, for both views.
+//! calling context), a view node *aggregates* a set of CCT instances. The
+//! node keeps the set, split once into the instances its values sum — the
+//! ones with no proper ancestor in the set (Section IV-B) — and the rest,
+//! which only an expansion reads.
+//!
+//! Values are column-lazy: a column of the experiment is summed over the
+//! materialized view nodes the first time it is read
+//! ([`ViewTree::value`]), the way the experiment's own columns fault in,
+//! and nodes an expansion adds later are filled for the columns resident
+//! by then. A read faults; it never sees a zero that only means "not
+//! computed yet".
 
 use crate::attribution::frame_direct;
-use crate::derived::SliceContext;
+use crate::cct::Cct;
+use crate::derived::EvalContext;
 use crate::experiment::Experiment;
-use crate::exposure::{exposed, plain_sum};
+use crate::exposure::Marks;
 use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};
-use crate::metrics::ColumnSet;
+use crate::metrics::{ColumnDesc, MetricVec};
 use crate::names::{NameTable, SourceLoc};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 const NONE: u32 = u32::MAX;
 
@@ -127,23 +136,14 @@ struct ViewNode {
     first_child: u32,
     last_child: u32,
     next_sibling: u32,
-    /// CCT instances this node aggregates.
-    instances: Vec<NodeId>,
+    /// The aggregated CCT instances with no proper ancestor among them,
+    /// ascending: the ones the node's values sum.
+    kept: Vec<NodeId>,
+    /// The other aggregated instances, ascending. An expansion groups
+    /// them with the kept ones; no value reads them.
+    covered: Vec<NodeId>,
     /// Lazy views: whether children have been materialized yet.
     expanded: bool,
-}
-
-/// Where [`ViewTree::fill`] takes a node's exclusive value from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Exclusive {
-    /// Set-exposed sum of the instances' Eq. 1 exclusive costs.
-    Instances,
-    /// Set-exposed sum of the instances' frame-direct costs: the Flat
-    /// View's call-site rows (`hy = (4,0)` in Fig. 2c).
-    FrameDirect,
-    /// Sum of the children's exclusive values: the Flat View's files and
-    /// modules (`file2.e = gx.e + hx.e = 8` in Fig. 2c).
-    Children,
 }
 
 /// A forest of view nodes plus their metric columns.
@@ -151,26 +151,41 @@ pub(crate) enum Exclusive {
 pub struct ViewTree {
     nodes: Vec<ViewNode>,
     roots: Vec<u32>,
-    /// Metric columns indexed by view node id.
-    pub columns: ColumnSet,
-    /// Structural mutation counter (node additions). See
-    /// [`ViewTree::generation`].
+    /// The experiment's column descriptors, in its order, then those of
+    /// columns appended to this tree ([`ViewTree::add_column`]).
+    descs: Vec<ColumnDesc>,
+    /// Column values over view node ids, parallel to `descs`. A column of
+    /// the experiment is filled, for every node there is, on first read;
+    /// an appended one comes with its values.
+    values: Vec<OnceLock<MetricVec>>,
+    /// Node additions. See [`ViewTree::generation`].
     structure_generation: u64,
+    /// Column appends and cell writes; a first read is neither.
+    column_generation: u64,
+    /// Scratch for the set-relative exposure of expanded nodes.
+    marks: Marks,
 }
 
 impl ViewTree {
-    /// An empty forest.
-    pub fn new() -> Self {
-        ViewTree::default()
+    /// An empty forest with the columns of `exp`, none of them filled.
+    pub fn new(exp: &Experiment) -> Self {
+        let descs = exp.columns.descs().to_vec();
+        ViewTree {
+            values: descs.iter().map(|_| OnceLock::new()).collect(),
+            descs,
+            ..ViewTree::default()
+        }
     }
 
     /// Generation stamp covering **both** structure (lazy expansion
-    /// materializing children) and column values (metric fills, appended
-    /// summary columns). Each component is monotone non-decreasing, so
-    /// their sum is too: any mutation makes a previously observed stamp
-    /// stale, which is exactly what [`SortCache`] needs.
+    /// materializing children) and column values (appended summary
+    /// columns, cell writes). Each component is monotone non-decreasing,
+    /// so their sum is too: any mutation makes a previously observed stamp
+    /// stale, which is exactly what [`SortCache`] needs. Filling a column
+    /// on its first read is not a mutation: no ordering can have been
+    /// computed from values nobody had read.
     pub fn generation(&self) -> u64 {
-        self.structure_generation + self.columns.generation()
+        self.structure_generation + self.column_generation
     }
 
     /// Number of materialized view nodes.
@@ -188,35 +203,32 @@ impl ViewTree {
         self.roots.iter().map(|&r| ViewNodeId(r)).collect()
     }
 
-    /// Append a new top-level node.
-    pub fn add_root(&mut self, scope: ViewScope) -> ViewNodeId {
+    fn push_node(&mut self, scope: ViewScope, parent: u32) -> u32 {
         let id = u32::try_from(self.nodes.len()).expect("view tree overflow");
         self.nodes.push(ViewNode {
             scope,
-            parent: NONE,
+            parent,
             first_child: NONE,
             last_child: NONE,
             next_sibling: NONE,
-            instances: Vec::new(),
+            kept: Vec::new(),
+            covered: Vec::new(),
             expanded: false,
         });
-        self.roots.push(id);
         self.structure_generation += 1;
+        id
+    }
+
+    /// Append a new top-level node.
+    pub fn add_root(&mut self, scope: ViewScope) -> ViewNodeId {
+        let id = self.push_node(scope, NONE);
+        self.roots.push(id);
         ViewNodeId(id)
     }
 
     /// Append a child under `parent` (insertion order preserved).
     pub fn add_child(&mut self, parent: ViewNodeId, scope: ViewScope) -> ViewNodeId {
-        let id = u32::try_from(self.nodes.len()).expect("view tree overflow");
-        self.nodes.push(ViewNode {
-            scope,
-            parent: parent.0,
-            first_child: NONE,
-            last_child: NONE,
-            next_sibling: NONE,
-            instances: Vec::new(),
-            expanded: false,
-        });
+        let id = self.push_node(scope, parent.0);
         let p = &mut self.nodes[parent.index()];
         if p.first_child == NONE {
             p.first_child = id;
@@ -225,7 +237,6 @@ impl ViewTree {
             self.nodes[last as usize].next_sibling = id;
         }
         self.nodes[parent.index()].last_child = id;
-        self.structure_generation += 1;
         ViewNodeId(id)
     }
 
@@ -241,18 +252,6 @@ impl ViewTree {
         self.add_child(parent, scope)
     }
 
-    /// Find a root with this exact scope, or create it.
-    pub fn find_or_add_root(&mut self, scope: ViewScope) -> ViewNodeId {
-        if let Some(&r) = self
-            .roots
-            .iter()
-            .find(|&&r| self.nodes[r as usize].scope == scope)
-        {
-            return ViewNodeId(r);
-        }
-        self.add_root(scope)
-    }
-
     /// What node `n` presents.
     pub fn scope(&self, n: ViewNodeId) -> &ViewScope {
         &self.nodes[n.index()].scope
@@ -266,13 +265,15 @@ impl ViewTree {
 
     /// Children of `n`, in insertion order.
     pub fn children(&self, n: ViewNodeId) -> Vec<ViewNodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.nodes[n.index()].first_child;
-        while cur != NONE {
-            out.push(ViewNodeId(cur));
-            cur = self.nodes[cur as usize].next_sibling;
-        }
-        out
+        self.child_ids(n.0).map(ViewNodeId).collect()
+    }
+
+    fn child_ids(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = self.nodes[n as usize].first_child;
+        std::iter::successors((first != NONE).then_some(first), |&c| {
+            let next = self.nodes[c as usize].next_sibling;
+            (next != NONE).then_some(next)
+        })
     }
 
     /// True when `n` has at least one materialized child.
@@ -280,14 +281,55 @@ impl ViewTree {
         self.nodes[n.index()].first_child != NONE
     }
 
-    /// Record that `n` aggregates the CCT instance `inst`.
-    pub fn push_instance(&mut self, n: ViewNodeId, inst: NodeId) {
-        self.nodes[n.index()].instances.push(inst);
+    /// The CCT instances `n` aggregates that have no proper ancestor among
+    /// them, ascending: the ones its values are sums over.
+    pub fn kept(&self, n: ViewNodeId) -> &[NodeId] {
+        &self.nodes[n.index()].kept
     }
 
-    /// The CCT instances node `n` aggregates.
-    pub fn instances(&self, n: ViewNodeId) -> &[NodeId] {
-        &self.nodes[n.index()].instances
+    /// The other instances `n` aggregates, ascending: each lies below a
+    /// kept one, so it adds nothing to `n`'s values, but an expansion of
+    /// `n` groups it with the rest. Flat files and modules, whose children
+    /// exist from the start, keep none.
+    pub fn covered(&self, n: ViewNodeId) -> &[NodeId] {
+        &self.nodes[n.index()].covered
+    }
+
+    /// Record an instance of `n` whose place in the set is known: what the
+    /// one-pass exposure of a view's build decides for every frame.
+    pub(crate) fn push_instance(&mut self, n: ViewNodeId, inst: NodeId, kept: bool) {
+        let node = &mut self.nodes[n.index()];
+        let side = if kept {
+            &mut node.kept
+        } else {
+            &mut node.covered
+        };
+        side.push(inst);
+    }
+
+    /// Record the whole instance set of a node an expansion made:
+    /// `members` ascending, each with whether it is already known to be
+    /// kept — an instance is, whenever the one it was grouped from was
+    /// kept by the expanded node, because any ancestor of it in this set
+    /// would put an ancestor of that one in the expanded node's set. Only
+    /// the others climb ([`Marks`]), so a set none of whose members sits
+    /// under recursion costs its length.
+    pub(crate) fn set_instances(&mut self, cct: &Cct, n: ViewNodeId, members: &[(NodeId, bool)]) {
+        let climb = members.len() > 1 && members.iter().any(|&(_, known)| !known);
+        if climb {
+            self.marks.stamp(cct, members.iter().map(|&(i, _)| i));
+        }
+        let mut kept = Vec::with_capacity(members.len());
+        let mut covered = Vec::new();
+        for &(i, known) in members {
+            if known || !climb || self.marks.is_exposed(cct, i) {
+                kept.push(i);
+            } else {
+                covered.push(i);
+            }
+        }
+        let node = &mut self.nodes[n.index()];
+        (node.kept, node.covered) = (kept, covered);
     }
 
     /// Lazy views: whether `n`'s children have been materialized.
@@ -300,46 +342,110 @@ impl ViewTree {
         self.nodes[n.index()].expanded = true;
     }
 
-    /// Compute node `v`'s column values from the CCT instances it
-    /// aggregates and write the non-zero ones. Attributed values are read
-    /// from `exp.columns` — faulting a lazily opened database's columns in
-    /// on first touch — and nowhere else: the inclusive value is the
-    /// set-exposed sum of the instances' inclusive costs (Section IV-B),
-    /// the exclusive value what `exclusive` says, and derived columns
-    /// their formulas over those sums.
-    pub(crate) fn fill(&mut self, exp: &Experiment, v: ViewNodeId, exclusive: Exclusive) {
-        let keep = exposed(&exp.cct, self.instances(v));
-        let children = match exclusive {
-            Exclusive::Children => self.children(v),
-            _ => Vec::new(),
-        };
-        let mut row = vec![0.0; self.columns.column_count()];
-        for mi in 0..exp.raw.metric_count() {
-            let m = MetricId::from_usize(mi);
-            let (ci, ce) = (exp.inclusive_col(m), exp.exclusive_col(m));
-            row[ci.index()] = plain_sum(&keep, exp.columns.vec(ci));
-            row[ce.index()] = match exclusive {
-                Exclusive::Instances => plain_sum(&keep, exp.columns.vec(ce)),
-                Exclusive::FrameDirect => {
-                    let direct = exp.raw.column(m);
-                    keep.iter()
-                        .map(|&i| frame_direct(&exp.cct, direct, i))
-                        .sum()
+    /// Descriptors of every column, in id order.
+    pub fn column_descs(&self) -> &[ColumnDesc] {
+        &self.descs
+    }
+
+    /// Value of column `c` at node `n`, filling the column first if this
+    /// is its first read. `exp` is the experiment the tree was built
+    /// from: attributed values are read from `exp.columns` — faulting a
+    /// lazily opened database's column in on first touch — and nowhere
+    /// else.
+    pub fn value(&self, exp: &Experiment, c: ColumnId, n: ViewNodeId) -> f64 {
+        self.column(exp, c).get(n.0)
+    }
+
+    fn column(&self, exp: &Experiment, c: ColumnId) -> &MetricVec {
+        self.values[c.index()].get_or_init(|| {
+            let mut values = vec![0.0; self.nodes.len()];
+            self.fill(exp, c, 0, &mut values);
+            MetricVec::Dense(values)
+        })
+    }
+
+    /// Compute column `c` for nodes `from..`, into `values` (one cell per
+    /// node of the tree). The inclusive value of a node is the sum of its
+    /// kept instances' inclusive costs (Section IV-B), added in ascending
+    /// CCT order; the exclusive value the same sum over the exclusive
+    /// column — except on a Flat call-site row, where it is the kept
+    /// callee frames' frame-direct cost (`hy = (4,0)` in Fig. 2c; the one
+    /// reader of a raw metric, and only of the metric whose exclusive
+    /// column is being filled), and on Flat files and modules, where it is
+    /// the children's exclusive values added in child order (`file2.e =
+    /// gx.e + hx.e = 8`); a derived column is its formula over the node's
+    /// values of the columns it names, faulting those. Children have
+    /// higher ids than their parents, so the cells are written last node
+    /// first.
+    fn fill(&self, exp: &Experiment, c: ColumnId, from: usize, values: &mut [f64]) {
+        // Zero, of either sign, is the blank cell.
+        let blank_zero = |value: f64| if value != 0.0 { value } else { 0.0 };
+        let nodes = from..self.nodes.len();
+        if c.index() >= 2 * exp.raw.metric_count() {
+            let formulas = exp.derived_formulas();
+            if let Some((_, formula)) = formulas.iter().find(|(d, _)| *d == c) {
+                for v in nodes {
+                    let inputs = Inputs {
+                        tree: self,
+                        exp,
+                        node: ViewNodeId(v as u32),
+                        below: c,
+                    };
+                    values[v] = blank_zero(formula.eval(&inputs));
                 }
-                Exclusive::Children => children.iter().map(|c| self.columns.get(ce, c.0)).sum(),
-            };
-        }
-        for (c, expr) in exp.derived_formulas() {
-            row[c.index()] = expr.eval(&SliceContext {
-                columns: &row,
-                aggregates: exp.aggregates(),
-            });
-        }
-        for (c, &value) in row.iter().enumerate() {
-            if value != 0.0 {
-                self.columns.set(ColumnId::from_usize(c), v.0, value);
             }
+            return;
         }
+        let column = exp.columns.vec(c);
+        let exclusive_of = (c.0 % 2 == 1).then_some(MetricId(c.0 / 2));
+        let mut direct = None;
+        for v in nodes.rev() {
+            let node = &self.nodes[v];
+            let kept = node.kept.iter();
+            let value: f64 = match (exclusive_of, &node.scope) {
+                (Some(m), ViewScope::CallSite { .. }) => {
+                    let direct = *direct.get_or_insert_with(|| exp.raw.column(m));
+                    kept.map(|&i| frame_direct(&exp.cct, direct, i)).sum()
+                }
+                (Some(_), ViewScope::File { .. } | ViewScope::Module { .. }) => {
+                    self.child_ids(v as u32).map(|k| values[k as usize]).sum()
+                }
+                _ => kept.map(|i| column.get(i.0)).sum(),
+            };
+            values[v] = blank_zero(value);
+        }
+    }
+
+    /// Nodes `from..` are new: give them their values in every column
+    /// that has been read. Ascending, so that a derived column finds the
+    /// columns it names already extended.
+    pub(crate) fn fill_new_nodes(&mut self, exp: &Experiment, from: usize) {
+        for c in 0..exp.columns.column_count().min(self.values.len()) {
+            let Some(MetricVec::Dense(mut values)) = self.values[c].take() else {
+                continue;
+            };
+            values.resize(self.nodes.len(), 0.0);
+            self.fill(exp, ColumnId::from_usize(c), from, &mut values);
+            self.values[c] = OnceLock::from(MetricVec::Dense(values));
+        }
+    }
+
+    /// Append a column that comes with its values (summary statistics
+    /// over the tree's nodes, say), returning its id.
+    pub fn add_column(&mut self, desc: ColumnDesc, values: MetricVec) -> ColumnId {
+        let id = ColumnId::from_usize(self.descs.len());
+        self.descs.push(desc);
+        self.values.push(OnceLock::from(values));
+        self.column_generation += 1;
+        id
+    }
+
+    /// Accumulate into column `c` at node `n`.
+    pub fn add(&mut self, exp: &Experiment, c: ColumnId, n: ViewNodeId, delta: f64) {
+        let _ = self.column(exp, c);
+        let column = self.values[c.index()].get_mut();
+        column.expect("filled above").add(n.0, delta);
+        self.column_generation += 1;
     }
 
     /// Human-readable label of `n`.
@@ -359,9 +465,40 @@ impl ViewTree {
         let instances: usize = self
             .nodes
             .iter()
-            .map(|n| n.instances.capacity() * std::mem::size_of::<NodeId>())
+            .map(|n| (n.kept.capacity() + n.covered.capacity()) * std::mem::size_of::<NodeId>())
             .sum();
-        nodes + instances + self.columns.heap_bytes()
+        let columns: usize = self
+            .values
+            .iter()
+            .filter_map(|v| v.get())
+            .map(MetricVec::heap_bytes)
+            .sum();
+        nodes + instances + columns
+    }
+}
+
+/// What a derived column's formula reads at one view node: the node's
+/// values of the columns before it (a formula names no later one; such a
+/// reference reads 0, as on the CCT), faulted in by the read, and the
+/// experiment's whole-program aggregates.
+struct Inputs<'a> {
+    tree: &'a ViewTree,
+    exp: &'a Experiment,
+    node: ViewNodeId,
+    below: ColumnId,
+}
+
+impl EvalContext for Inputs<'_> {
+    fn column(&self, idx: u32) -> f64 {
+        if idx < self.below.0 {
+            self.tree.value(self.exp, ColumnId(idx), self.node)
+        } else {
+            0.0
+        }
+    }
+
+    fn aggregate(&self, idx: u32) -> f64 {
+        self.exp.aggregate(ColumnId(idx))
     }
 }
 
@@ -533,7 +670,7 @@ mod tests {
 
     #[test]
     fn forest_roots_and_children() {
-        let mut t = ViewTree::new();
+        let mut t = ViewTree::default();
         let a = t.add_root(ViewScope::ProcTop { proc: ProcId(0) });
         let b = t.add_root(ViewScope::ProcTop { proc: ProcId(1) });
         let c = t.add_child(
@@ -552,28 +689,26 @@ mod tests {
     }
 
     #[test]
-    fn find_or_add_deduplicates_children_and_roots() {
-        let mut t = ViewTree::new();
-        let r1 = t.find_or_add_root(ViewScope::Module {
+    fn find_or_add_deduplicates_children() {
+        let mut t = ViewTree::default();
+        let r = t.add_root(ViewScope::Module {
             module: LoadModuleId(0),
         });
-        let r2 = t.find_or_add_root(ViewScope::Module {
-            module: LoadModuleId(0),
-        });
-        assert_eq!(r1, r2);
-        let c1 = t.find_or_add_child(r1, ViewScope::File { file: FileId(3) });
-        let c2 = t.find_or_add_child(r1, ViewScope::File { file: FileId(3) });
+        let c1 = t.find_or_add_child(r, ViewScope::File { file: FileId(3) });
+        let c2 = t.find_or_add_child(r, ViewScope::File { file: FileId(3) });
         assert_eq!(c1, c2);
         assert_eq!(t.len(), 2);
     }
 
     #[test]
-    fn instances_accumulate() {
-        let mut t = ViewTree::new();
+    fn instances_accumulate_on_their_side_of_the_set() {
+        let mut t = ViewTree::default();
         let a = t.add_root(ViewScope::Procedure { proc: ProcId(0) });
-        t.push_instance(a, NodeId(5));
-        t.push_instance(a, NodeId(9));
-        assert_eq!(t.instances(a), &[NodeId(5), NodeId(9)]);
+        t.push_instance(a, NodeId(5), true);
+        t.push_instance(a, NodeId(7), false);
+        t.push_instance(a, NodeId(9), true);
+        assert_eq!(t.kept(a), &[NodeId(5), NodeId(9)]);
+        assert_eq!(t.covered(a), &[NodeId(7)]);
     }
 
     #[test]
@@ -581,7 +716,7 @@ mod tests {
         let mut names = NameTable::new();
         let g = names.proc("g");
         let f = names.file("file2.c");
-        let mut t = ViewTree::new();
+        let mut t = ViewTree::default();
         let top = t.add_root(ViewScope::ProcTop { proc: g });
         assert_eq!(t.label(top, &names), "g");
         assert!(!t.scope(top).is_call());
@@ -604,7 +739,7 @@ mod tests {
 
     #[test]
     fn generation_bumps_on_structure_and_columns() {
-        let mut t = ViewTree::new();
+        let mut t = ViewTree::default();
         let g0 = t.generation();
         let a = t.add_root(ViewScope::Procedure { proc: ProcId(0) });
         let g1 = t.generation();
@@ -617,18 +752,25 @@ mod tests {
         );
         let g2 = t.generation();
         assert!(g2 > g1, "add_child must bump the generation");
-        let c = t.columns.add_column(crate::metrics::ColumnDesc {
+        let desc = ColumnDesc {
             name: "x".into(),
-            flavor: crate::metrics::ColumnFlavor::Inclusive(crate::ids::MetricId(0)),
+            flavor: crate::metrics::ColumnFlavor::Inclusive(MetricId(0)),
             visible: true,
-        });
+        };
+        let c = t.add_column(desc, MetricVec::dense(2));
         assert!(
             t.generation() > g2,
             "column append must bump the generation"
         );
         let g3 = t.generation();
-        t.columns.set(c, a.0, 7.0);
+        let exp = Experiment::build(
+            Cct::new(NameTable::new()),
+            crate::metrics::RawMetrics::default(),
+            crate::metrics::StorageKind::Csr,
+        );
+        t.add(&exp, c, a, 7.0);
         assert!(t.generation() > g3, "column write must bump the generation");
+        assert_eq!(t.value(&exp, c, a), 7.0);
     }
 
     #[test]

@@ -216,10 +216,10 @@ mod tests {
 }
 
 /// Summarize per-rank values over the nodes of a *derived view*
-/// (Callers or Flat), using each view node's aggregated CCT instance set
-/// with the same set-exposed rule the view's own columns use — so the
-/// mean/min/max/stddev columns are consistent with the inclusive column
-/// they summarize.
+/// (Callers or Flat), summing over the instances each view node keeps
+/// ([`callpath_core::viewtree::ViewTree::kept`]) — the set the view's own
+/// columns sum — so the mean/min/max/stddev columns are consistent with
+/// the inclusive column they summarize.
 ///
 /// Returns one [`Welford`] per (view node, metric), indexed by view node
 /// id.
@@ -230,18 +230,9 @@ pub fn summarize_view_nodes(
     rank_costs: &[PerNodeCosts],
     threads: usize,
 ) -> Summaries {
-    use callpath_core::exposure::exposed;
+    use callpath_core::prelude::ViewNodeId;
     let n_metrics = counters.len();
     let n_nodes = tree.len();
-    // Precompute each node's exposed instance set once.
-    let keep: Vec<Vec<callpath_core::prelude::NodeId>> = (0..n_nodes as u32)
-        .map(|i| {
-            exposed(
-                &exp.cct,
-                tree.instances(callpath_core::prelude::ViewNodeId(i)),
-            )
-        })
-        .collect();
 
     let stats = chunked_reduce(
         rank_costs,
@@ -254,8 +245,9 @@ pub fn summarize_view_nodes(
                 let (raw, ids) = rank_raw(counters, costs);
                 for (mi, &id) in ids.iter().enumerate() {
                     let attr = attribute(&exp.cct, &raw, id, StorageKind::Csr);
-                    for (vi, set) in keep.iter().enumerate() {
-                        let v: f64 = set.iter().map(|n| attr.inclusive.get(n.0)).sum();
+                    for vi in 0..n_nodes {
+                        let kept = tree.kept(ViewNodeId(vi as u32));
+                        let v: f64 = kept.iter().map(|n| attr.inclusive.get(n.0)).sum();
                         acc[vi * n_metrics + mi].push(v);
                     }
                 }
@@ -288,18 +280,13 @@ impl Summaries {
             let m = MetricId::from_usize(mi);
             let base = exp.raw.desc(m).name.clone();
             for &st in stats {
-                let col = tree.columns.add_column(ColumnDesc {
+                let desc = ColumnDesc {
                     name: format!("{} (I) {}", base, st.label()),
                     flavor: ColumnFlavor::Summary { base: m, stat: st },
                     visible: true,
-                });
-                for i in 0..n_nodes as u32 {
-                    let v = self.stats[i as usize * self.n_metrics + mi].stat(st);
-                    if v != 0.0 {
-                        tree.columns.set(col, i, v);
-                    }
-                }
-                out.push(col);
+                };
+                let values = (0..n_nodes).map(|i| self.stats[i * self.n_metrics + mi].stat(st));
+                out.push(tree.add_column(desc, MetricVec::Dense(values.collect())));
             }
         }
         out
@@ -361,7 +348,7 @@ mod view_summary_tests {
         assert_eq!(w.min(), 2_000.0);
         assert_eq!(w.max(), 6_000.0);
         // Consistency: mean × ranks == the view's own (summed) inclusive.
-        let summed = callers.tree.columns.get(ColumnId(0), g_top.0);
+        let summed = callers.tree.value(exp, ColumnId(0), g_top);
         assert_eq!(w.sum(), summed);
     }
 
@@ -377,11 +364,11 @@ mod view_summary_tests {
             &run.rank_direct,
             2,
         );
-        let before = flat.tree.columns.column_count();
+        let before = flat.tree.column_descs().len();
         let cols = s.append_view_columns(exp, &mut flat.tree, &[Stat::Mean, Stat::Max]);
-        assert_eq!(flat.tree.columns.column_count(), before + 2);
+        assert_eq!(flat.tree.column_descs().len(), before + 2);
         let module = flat.tree.roots()[0];
-        assert_eq!(flat.tree.columns.get(cols[0], module.0), 4_000.0, "mean");
-        assert_eq!(flat.tree.columns.get(cols[1], module.0), 6_000.0, "max");
+        assert_eq!(flat.tree.value(exp, cols[0], module), 4_000.0, "mean");
+        assert_eq!(flat.tree.value(exp, cols[1], module), 6_000.0, "max");
     }
 }

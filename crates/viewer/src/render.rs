@@ -201,7 +201,7 @@ impl<'a, 'e> Renderer<'a, 'e> {
     pub(crate) fn name_line(&mut self) {
         use std::fmt::Write as _;
         let mut line = format!("{:width$}", "scope", width = self.cfg.label_width + 4);
-        let descs = self.view.columns().descs();
+        let descs = self.view.column_descs();
         let mut shown = String::new();
         for &c in &self.cols {
             // Long derived-metric names are truncated so the table stays
@@ -375,11 +375,11 @@ enum Line {
 /// The columns a static render shows: `cfg.columns`, or every visible one.
 fn configured_columns(view: &View<'_>, cfg: &RenderConfig) -> Vec<ColumnId> {
     if cfg.columns.is_empty() {
-        return view.columns().visible_columns().collect();
+        return view.visible_columns().collect();
     }
     // Out-of-range requests are dropped rather than panicking; the
     // header simply omits them.
-    let available = view.columns().column_count();
+    let available = view.column_descs().len();
     cfg.columns
         .iter()
         .copied()

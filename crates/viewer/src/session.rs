@@ -409,7 +409,6 @@ impl<'e> Session<'e> {
         let state = &self.states[i];
         let hidden = &self.hidden;
         let cols = view
-            .columns()
             .visible_columns()
             .filter(|c| !hidden.contains(&c.0))
             .collect();

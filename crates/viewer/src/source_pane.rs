@@ -84,7 +84,6 @@ pub fn render_selection_filtered(
     let label = view.label(node);
     out.push_str(&format!("selected: {label}\n"));
     let cols: Vec<ColumnId> = view
-        .columns()
         .visible_columns()
         .filter(|c| !hidden.contains(&c.0))
         .collect();
@@ -93,7 +92,7 @@ pub fn render_selection_filtered(
         if v != 0.0 {
             out.push_str(&format!(
                 "  {} = {}\n",
-                view.columns().desc(c).name,
+                view.column_descs()[c.index()].name,
                 format::metric_value(v)
             ));
         }

@@ -158,14 +158,13 @@ fn main() {
         }
         loops.sort_by(|a, b| {
             flat.tree
-                .columns
-                .get(waste, b.1)
-                .partial_cmp(&flat.tree.columns.get(waste, a.1))
+                .value(&exp, waste, ViewNodeId(b.1))
+                .partial_cmp(&flat.tree.value(&exp, waste, ViewNodeId(a.1)))
                 .unwrap()
         });
         let total_waste: f64 = loops
             .iter()
-            .map(|&(_, n)| flat.tree.columns.get(waste, n))
+            .map(|&(_, n)| flat.tree.value(&exp, waste, ViewNodeId(n)))
             .sum();
         let top = &loops[0];
         rows.push(Row {
@@ -174,7 +173,7 @@ fn main() {
             paper: "13.5%, ranked #1".into(),
             measured: format!(
                 "{:.1}%, ranked #1 ({})",
-                100.0 * flat.tree.columns.get(waste, top.1) / total_waste,
+                100.0 * flat.tree.value(&exp, waste, ViewNodeId(top.1)) / total_waste,
                 top.0
             ),
         });
@@ -184,8 +183,8 @@ fn main() {
             paper: "6% / 39%".into(),
             measured: format!(
                 "{:.0}% / {:.0}%",
-                100.0 * flat.tree.columns.get(eff, top.1),
-                100.0 * flat.tree.columns.get(eff, loops[1].1)
+                100.0 * flat.tree.value(&exp, eff, ViewNodeId(top.1)),
+                100.0 * flat.tree.value(&exp, eff, ViewNodeId(loops[1].1))
             ),
         });
         let (texp, tce, ..) = build(s3d::S3dConfig::tuned());
@@ -199,7 +198,7 @@ fn main() {
                     .label(n, &exp.cct.names)
                     .starts_with("loop at diffflux")
                 {
-                    return flat.tree.columns.get(col, n.0);
+                    return flat.tree.value(exp, col, n);
                 }
                 stack.extend(flat.tree.children(n));
             }

@@ -28,7 +28,7 @@ fn flux_loop_cycles(exp: &Experiment) -> f64 {
             .label(n, &exp.cct.names)
             .starts_with("loop at diffflux.f90")
         {
-            return flat.tree.columns.get(cyc_e, n.0);
+            return flat.tree.value(exp, cyc_e, n);
         }
         stack.extend(flat.tree.children(n));
     }

@@ -49,6 +49,11 @@ cargo test -q -p callpath-expdb
 # rather than in the next benchmark run. Exits non-zero on any failed
 # operation; under 15 s once built.
 bash examples/bench_e2e/run.sh --check
+# E7 at the size the benchmark does not reach yet: on a 10^6-node
+# database a session's switch to the Callers View and to the Flat View
+# (build, first columns, sort, render) is asserted under 2 s each — an
+# optimized build, like the benchmark's; some 0.15 s each on two cores.
+cargo test -q --release --test scalability -- --ignored million_node
 # The harness's own tests (8, under a second once built). The harness is
 # frozen for feature PRs, so with `--check` this is what proves the six
 # signatures its adapter calls still compile as they are, and that a

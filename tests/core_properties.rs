@@ -178,8 +178,8 @@ proptest! {
         while let Some((a, b)) = pairs.pop() {
             prop_assert_eq!(lazy.tree.scope(a), eager.tree.scope(b));
             prop_assert_eq!(
-                lazy.tree.columns.get(CYC, a.0),
-                eager.tree.columns.get(CYC, b.0)
+                lazy.tree.value(&exp, CYC, a),
+                eager.tree.value(&exp, CYC, b)
             );
             let (ca, cb) = (lazy.tree.children(a), eager.tree.children(b));
             prop_assert_eq!(ca.len(), cb.len());

@@ -62,17 +62,15 @@ fn waste_ranking_inverts_the_cycle_ranking() {
     let mut by_waste = loops.clone();
     by_waste.sort_by(|a, b| {
         flat.tree
-            .columns
-            .get(waste, b.1)
-            .partial_cmp(&flat.tree.columns.get(waste, a.1))
+            .value(&exp, waste, ViewNodeId(b.1))
+            .partial_cmp(&flat.tree.value(&exp, waste, ViewNodeId(a.1)))
             .unwrap()
     });
     let mut by_cycles = loops.clone();
     by_cycles.sort_by(|a, b| {
         flat.tree
-            .columns
-            .get(cyc_e, b.1)
-            .partial_cmp(&flat.tree.columns.get(cyc_e, a.1))
+            .value(&exp, cyc_e, ViewNodeId(b.1))
+            .partial_cmp(&flat.tree.value(&exp, cyc_e, ViewNodeId(a.1)))
             .unwrap()
     });
 
@@ -101,13 +99,13 @@ fn flux_loop_waste_share_is_near_the_papers() {
     let (flat, loops) = flat_loops(&exp);
     let total_waste: f64 = loops
         .iter()
-        .map(|&(_, n)| flat.tree.columns.get(waste, n))
+        .map(|&(_, n)| flat.tree.value(&exp, waste, ViewNodeId(n)))
         .sum();
     let flux = loops
         .iter()
         .find(|(l, _)| l.starts_with("loop at diffflux.f90"))
         .unwrap();
-    let share = 100.0 * flat.tree.columns.get(waste, flux.1) / total_waste;
+    let share = 100.0 * flat.tree.value(&exp, waste, ViewNodeId(flux.1)) / total_waste;
     // Paper: 13.5%. Our synthetic budget gives the same ballpark.
     assert!(
         (10.0..20.0).contains(&share),
@@ -127,8 +125,8 @@ fn relative_efficiency_matches_the_papers_numbers() {
         .iter()
         .find(|(l, _)| l.starts_with("loop at libm_exp.c"))
         .unwrap();
-    let flux_eff = flat.tree.columns.get(eff, flux.1);
-    let exp_eff = flat.tree.columns.get(eff, exp_loop.1);
+    let flux_eff = flat.tree.value(&exp, eff, ViewNodeId(flux.1));
+    let exp_eff = flat.tree.value(&exp, eff, ViewNodeId(exp_loop.1));
     assert!(
         (flux_eff - 0.06).abs() < 0.01,
         "flux efficiency {flux_eff:.3}"
@@ -146,7 +144,7 @@ fn tuned_flux_loop_runs_2_9x_faster() {
         loops
             .iter()
             .find(|(l, _)| l.starts_with("loop at diffflux.f90"))
-            .map(|&(_, n)| flat.tree.columns.get(cyc_e, n))
+            .map(|&(_, n)| flat.tree.value(exp, cyc_e, ViewNodeId(n)))
             .unwrap()
     };
     let speedup = find_flux(&base) / find_flux(&tuned);

@@ -63,6 +63,56 @@ fn rendering_one_sorted_view_materializes_only_its_columns() {
     assert!(exp.raw.lazy_errors().is_empty());
 }
 
+/// The same guarantee for the other two views: building one faults
+/// nothing, and a render faults the one column it shows and sorts by —
+/// `View::value` sums an experiment column over the view's nodes when it
+/// is first read. The raw blocks stay on the shelf until the exclusive
+/// column of a Flat call-site row is on screen, and then one is read.
+#[test]
+fn callers_and_flat_renders_fault_only_the_columns_they_show() {
+    for (file, bytes) in both_files() {
+        let exp = open_lazy(bytes).unwrap();
+        for build in [View::callers, View::flat] {
+            assert!(build(&exp).node_count() > 0);
+        }
+        assert_eq!(exp.columns.materialized_columns(), 0, "{file}: builds");
+        assert_eq!(exp.raw.materialized_metrics(), 0, "{file}: builds");
+
+        let shown = exp.inclusive_col(MetricId(1));
+        let mut session = Session::new(&exp, SourceStore::new());
+        for c in exp.columns.columns().filter(|&c| c != shown) {
+            session.apply(Command::HideColumn(c)).unwrap();
+        }
+        session.apply(Command::SortBy(shown)).unwrap();
+        for kind in [ViewKind::Callers, ViewKind::Flat] {
+            session.apply(Command::SwitchView(kind)).unwrap();
+            session.apply(Command::HotPath).unwrap();
+            let text = session.render();
+            assert!(text.contains("🔥"), "{file}: hot path rendered:\n{text}");
+            assert_eq!(session.materialized_columns(), 1, "{file}, {kind:?}");
+            assert_eq!(exp.columns.fault_count(shown), 1, "{file}, {kind:?}");
+        }
+        // Down to the call-site rows, still on the inclusive column.
+        for _ in 0..3 {
+            session.apply(Command::Flatten).unwrap();
+        }
+        assert!(
+            session.render().contains('↪'),
+            "{file}: call sites on screen"
+        );
+        assert_eq!(exp.raw.materialized_metrics(), 0, "{file}: inclusive only");
+
+        // Their exclusive cells are frame-direct cost: one raw block.
+        let own = exp.exclusive_col(MetricId(1));
+        session.apply(Command::ShowColumn(own)).unwrap();
+        session.render();
+        assert_eq!(session.materialized_columns(), 2, "{file}");
+        assert_eq!(exp.raw.materialized_metrics(), 1, "{file}");
+        assert_eq!(exp.raw.fault_count(MetricId(1)), 1, "{file}");
+        assert!(exp.columns.lazy_errors().is_empty() && exp.raw.lazy_errors().is_empty());
+    }
+}
+
 /// `decode_all` brings every block in, and the result matches an eager
 /// open of the same bytes node-for-node — presentation columns and raw
 /// metrics alike. Both paths run the same attribution code over the same
@@ -316,7 +366,7 @@ fn one_inclusive_value_faults_one_column_and_no_raw_metric() {
 
 /// The Flat View over a lazily opened file, every interior forced, is
 /// the one over the eager build: same nodes, same bits in every column.
-/// Its shell reads attributed columns only; the call-site rows, whose
+/// Its structure reads no metric at all; the call-site rows, whose
 /// exclusive is frame-direct cost, are what first touch a raw block.
 #[test]
 fn a_forced_flat_view_of_a_lazy_open_equals_the_eager_one_in_bits() {
@@ -326,28 +376,28 @@ fn a_forced_flat_view_of_a_lazy_open_equals_the_eager_one_in_bits() {
         let mut want = FlatView::build(&eager);
         want.force_all(&eager);
         let mut got = FlatView::build(&lazy);
-        assert_eq!(lazy.raw.materialized_metrics(), 0, "{file}: the shell");
         got.force_all(&lazy);
-        assert!(lazy.raw.materialized_metrics() > 0, "{file}: call sites");
+        assert_eq!(lazy.raw.materialized_metrics(), 0, "{file}: structure");
 
         assert_eq!(got.tree.len(), want.tree.len(), "{file}");
         let mut call_sites_with_own_cost = 0;
         for v in (0..got.tree.len() as u32).map(ViewNodeId) {
             assert_eq!(got.tree.scope(v), want.tree.scope(v), "{file}: {v:?}");
-            for c in got.tree.columns.columns() {
+            for c in lazy.columns.columns() {
                 assert_eq!(
-                    got.tree.columns.get(c, v.0).to_bits(),
-                    want.tree.columns.get(c, v.0).to_bits(),
+                    got.tree.value(&lazy, c, v).to_bits(),
+                    want.tree.value(&eager, c, v).to_bits(),
                     "{file}: {c:?} at {:?}",
                     got.tree.scope(v)
                 );
             }
-            let own = got.tree.columns.get(lazy.exclusive_col(MetricId(0)), v.0);
+            let own = got.tree.value(&lazy, lazy.exclusive_col(MetricId(0)), v);
             if matches!(got.tree.scope(v), ViewScope::CallSite { .. }) && own != 0.0 {
                 call_sites_with_own_cost += 1;
             }
         }
         assert!(call_sites_with_own_cost > 0, "{file}");
+        assert!(lazy.raw.materialized_metrics() > 0, "{file}: call sites");
         assert!(lazy.columns.lazy_errors().is_empty() && lazy.raw.lazy_errors().is_empty());
     }
 }

@@ -136,7 +136,7 @@ fn late_cost_is_folded_in_by_rebuild() {
             .into_iter()
             .find(|&r| *view.tree.scope(r) == ViewScope::ProcTop { proc })
             .expect("every frame's procedure has an entry");
-        view.tree.columns.get(exp.inclusive_col(m), top.0)
+        view.tree.value(exp, exp.inclusive_col(m), top)
     };
     let callers_before = callers_root(&exp);
 

@@ -123,10 +123,10 @@ proptest! {
             prop_assert_eq!(sorts_after, sorts_before);
 
             // Mutate a metric value; the next query must reflect it.
-            if let View::Flat { view: flat, .. } = &mut view {
-                let len = flat.tree.len() as u32;
+            if let View::Flat { exp, view: flat } = &mut view {
+                let node = ViewNodeId(b as u32 % flat.tree.len() as u32);
                 let col = ColumnId(u32::from(b % 2 == 0));
-                flat.tree.columns.add(col, b as u32 % len, f64::from(delta));
+                flat.tree.add(exp, col, node, f64::from(delta));
             }
             let after = cached(&mut view, &mut cache, &mut labels, slot, key, &nodes);
             prop_assert_eq!(&after, &naive_sorted(&view, &nodes, key));
