@@ -29,19 +29,27 @@
 //! side of a lazily opened database is never touched, which is what the
 //! lazy-fault accounting tests pin.
 //!
+//! ## What a `~` atom costs
+//!
+//! A profile refers to the same few names from all of its nodes, so a
+//! `proc` / `module` / `file` atom runs the matcher once per distinct
+//! name id its nodes refer to and answers each node with a table load
+//! (`analyze.rex_evals` counts the matcher calls). `label ~` matches
+//! per node: a label carries a line number.
+//!
 //! ## Determinism
 //!
 //! Leaf predicates are evaluated tile-parallel over
 //! [`callpath_core::chunked::chunked_map`]; the per-node boolean
-//! outputs are position-stable, so results are bit-identical across
-//! thread counts. Hits are ordered by score descending with node id as
-//! the tie-break.
+//! outputs are position-stable and each chunk fills its own verdict
+//! table, so results are bit-identical across thread counts. Hits are
+//! ordered by score descending with node id as the tie-break.
 
 use crate::rex::Rex;
 use callpath_core::cct::Cct;
 use callpath_core::chunked::chunked_map;
 use callpath_core::experiment::Experiment;
-use callpath_core::ids::{ColumnId, NodeId};
+use callpath_core::ids::{ColumnId, FileId, LoadModuleId, NodeId, ProcId};
 use callpath_core::jsonval::{obj, Json};
 use callpath_core::metrics::ColumnSet;
 use callpath_core::scope::ScopeKind;
@@ -501,29 +509,86 @@ impl Query {
 
 // ------------------------------------------------------------ evaluation
 
-fn field_matches(cct: &Cct, field: Field, rex: &Rex, n: NodeId, buf: &mut String) -> bool {
+/// One chunk of a `proc` / `module` / `file` atom over a namespace of
+/// `names` ids, and how often it ran the matcher. The verdict table has
+/// one entry per name id: unknown until a node refers to the id, then
+/// the answer `Rex::is_match` gave for that name, so every later node
+/// is a load and a name no node refers to is never matched. The table
+/// lives for one chunk of one atom: workers share nothing.
+fn name_mask<'n>(
+    kinds: impl Iterator<Item = ScopeKind>,
+    rex: &Rex,
+    names: usize,
+    id_of: impl Fn(ScopeKind) -> Option<u32>,
+    name_of: impl Fn(u32) -> &'n str,
+) -> (Vec<bool>, u64) {
+    let mut verdicts: Vec<Option<bool>> = vec![None; names];
+    let mut evals = 0;
+    let mask = kinds
+        .map(|k| {
+            id_of(k).is_some_and(|id| {
+                *verdicts[id as usize].get_or_insert_with(|| {
+                    evals += 1;
+                    rex.is_match(name_of(id))
+                })
+            })
+        })
+        .collect();
+    (mask, evals)
+}
+
+/// One chunk of a `~` atom: a name atom through [`name_mask`]; a label
+/// carries a line number, so `label ~` matches per node.
+fn match_chunk(cct: &Cct, field: Field, rex: &Rex, chunk: &[u32]) -> Vec<bool> {
     let names = &cct.names;
-    match (field, cct.kind(n)) {
-        (Field::Proc, ScopeKind::Frame { proc, .. })
-        | (Field::Proc, ScopeKind::InlinedFrame { proc, .. }) => {
-            rex.is_match(names.proc_name(proc))
+    let kinds = chunk.iter().map(|&n| cct.kind(NodeId(n)));
+    let (mask, evals) = match field {
+        Field::Proc => name_mask(
+            kinds,
+            rex,
+            names.proc_count(),
+            |k| k.frame_proc().map(|p| p.0),
+            |id| names.proc_name(ProcId(id)),
+        ),
+        Field::Module => name_mask(
+            kinds,
+            rex,
+            names.module_count(),
+            |k| match k {
+                ScopeKind::Frame { module, .. } => Some(module.0),
+                _ => None,
+            },
+            |id| names.module_name(LoadModuleId(id)),
+        ),
+        // A frame's definition file, a loop's header file, a
+        // statement's file.
+        Field::File => name_mask(
+            kinds,
+            rex,
+            names.file_count(),
+            |k| match k {
+                ScopeKind::Frame { def: loc, .. }
+                | ScopeKind::InlinedFrame { def: loc, .. }
+                | ScopeKind::Loop { header: loc }
+                | ScopeKind::Stmt { loc } => Some(loc.file.0),
+                ScopeKind::Root => None,
+            },
+            |id| names.file_name(FileId(id)),
+        ),
+        Field::Label => {
+            let mut buf = String::new();
+            let mask = kinds
+                .map(|k| {
+                    buf.clear();
+                    k.write_label(names, &mut buf);
+                    rex.is_match(&buf)
+                })
+                .collect();
+            (mask, chunk.len() as u64)
         }
-        (Field::Proc, _) => false,
-        (Field::Module, ScopeKind::Frame { module, .. }) => rex.is_match(names.module_name(module)),
-        (Field::Module, _) => false,
-        (Field::File, ScopeKind::Frame { def, .. })
-        | (Field::File, ScopeKind::InlinedFrame { def, .. }) => {
-            rex.is_match(names.file_name(def.file))
-        }
-        (Field::File, ScopeKind::Loop { header }) => rex.is_match(names.file_name(header.file)),
-        (Field::File, ScopeKind::Stmt { loc }) => rex.is_match(names.file_name(loc.file)),
-        (Field::File, ScopeKind::Root) => false,
-        (Field::Label, kind) => {
-            buf.clear();
-            kind.write_label(names, buf);
-            rex.is_match(buf)
-        }
-    }
+    };
+    callpath_obs::count("analyze.rex_evals", evals);
+    mask
 }
 
 /// Evaluate `pred` over every CCT node of `exp`, returning one boolean
@@ -545,12 +610,7 @@ fn eval_pred(
 ) -> Result<Vec<bool>, String> {
     match pred {
         Pred::Match { field, rex } => Ok(chunked_map(ids, threads, |_ci, chunk| {
-            let mut out = Vec::with_capacity(chunk.len());
-            let mut buf = String::new();
-            for &n in chunk {
-                out.push(field_matches(&exp.cct, *field, rex, NodeId(n), &mut buf));
-            }
-            out
+            match_chunk(&exp.cct, *field, rex, chunk)
         })
         .concat()),
         Pred::Metric { col, cmp, rhs } => {
@@ -603,9 +663,16 @@ pub fn path_labels(exp: &Experiment, n: NodeId) -> Vec<String> {
     let mut path: Vec<NodeId> = exp.cct.ancestors(n).collect();
     path.reverse();
     path.push(n);
+    // Labels are written into one buffer and copied out at their exact
+    // size: a hit deep in the tree has a hundred of them.
+    let mut buf = String::new();
     path.iter()
         .filter(|&&p| p != exp.cct.root())
-        .map(|&p| exp.cct.kind(p).label(&exp.cct.names))
+        .map(|&p| {
+            buf.clear();
+            exp.cct.kind(p).write_label(&exp.cct.names, &mut buf);
+            buf.clone()
+        })
         .collect()
 }
 

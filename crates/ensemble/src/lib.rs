@@ -213,6 +213,10 @@ pub struct Union {
     /// `node_maps[i][local]` = union node of canonical run `i`'s
     /// `local` node.
     pub node_maps: Vec<Vec<NodeId>>,
+    /// `fingerprints[i]` = [`fingerprint`] of canonical run `i`: the
+    /// canonical order sorts by it, and the written run records carry
+    /// it.
+    pub fingerprints: Vec<u64>,
 }
 
 /// Per-run payload carried through the shard merge: the canonical
@@ -293,6 +297,7 @@ pub fn build_union(runs: &[RunData], threads: usize) -> Union {
     debug_assert!(merged.payload.windows(2).all(|w| w[0].pos + 1 == w[1].pos));
     Union {
         cct: merged.cct,
+        fingerprints: order.iter().map(|&ri| fps[ri]).collect(),
         order,
         node_maps: merged.payload.into_iter().map(|s| s.map).collect(),
     }
@@ -383,7 +388,7 @@ pub fn build_from_union(runs: &[RunData], union: Union, threads: usize) -> Built
                     .collect();
                 EnsembleRun {
                     label: run.label.clone(),
-                    fingerprint: fingerprint(run),
+                    fingerprint: union.fingerprints[i],
                     costs,
                 }
             })

@@ -20,10 +20,9 @@ pub struct Correlator<'s> {
     procs: Vec<ProcId>,
     /// Sampling periods used to convert sample counts to event costs.
     periods: [u64; Counter::COUNT],
-    /// Accumulated direct costs over all profiles added so far, keyed by
-    /// CCT node (hash map: rank counts × profile sizes make linear scans
-    /// quadratic).
-    pub(crate) totals: std::collections::HashMap<NodeId, [f64; Counter::COUNT]>,
+    /// Accumulated direct costs over all profiles added so far, indexed
+    /// by CCT node id (node ids are dense) and grown with the tree.
+    pub(crate) totals: Vec<[f64; Counter::COUNT]>,
     /// When enabled, an ordered `(parent, child)` log a parallel
     /// reduction replays to reproduce this correlator's node ids
     /// exactly (see `crate::parallel`). It records only
@@ -77,7 +76,7 @@ impl<'s> Correlator<'s> {
             files,
             procs,
             periods,
-            totals: std::collections::HashMap::new(),
+            totals: Vec::new(),
             journal: None,
         }
     }
@@ -119,6 +118,7 @@ impl<'s> Correlator<'s> {
         // remapped costs itself, in global rank order, so f64 sums stay
         // bit-identical to the sequential path.
         if self.journal.is_none() {
+            self.totals.resize(self.cct.len(), [0.0; Counter::COUNT]);
             fold_costs_into(&mut self.totals, &out);
         }
         out
@@ -164,27 +164,22 @@ impl<'s> Correlator<'s> {
             self.walk(profile, child, frame_node, out);
         }
         // Map leaves: samples recorded at instructions within this frame.
-        let leaves: Vec<(u64, [f64; Counter::COUNT])> = profile
-            .leaves(raw)
-            .iter()
-            .map(|l| (l.addr, l.counts))
-            .collect();
-        for (addr, counts) in leaves {
+        for leaf in profile.leaves(raw) {
             if raw == profile.root() {
                 // Samples outside any frame (should not happen); attribute
                 // to the root as unattributable cost.
-                self.push_costs(cct_parent, counts, out);
+                self.push_costs(cct_parent, leaf.counts, out);
                 continue;
             }
-            let anchor = self.descend_static(cct_parent, addr);
-            let loc = self.structure.line_of(addr);
+            let anchor = self.descend_static(cct_parent, leaf.addr);
+            let loc = self.structure.line_of(leaf.addr);
             let stmt = self.touch(
                 anchor,
                 ScopeKind::Stmt {
                     loc: SourceLoc::new(self.files[loc.file], loc.line),
                 },
             );
-            self.push_costs(stmt, counts, out);
+            self.push_costs(stmt, leaf.counts, out);
         }
     }
 
@@ -192,12 +187,14 @@ impl<'s> Correlator<'s> {
     /// inline frames) containing `addr`, creating CCT nodes as needed, and
     /// return the innermost node.
     fn descend_static(&mut self, frame_node: NodeId, addr: u64) -> NodeId {
-        let Some((proc, chain)) = self.structure.scope_chain(addr) else {
+        let structure = self.structure;
+        let Some(proc) = structure.proc_at(addr) else {
             return frame_node;
         };
+        let proc = &structure.procs[proc];
         let mut cur = frame_node;
-        for idx in chain {
-            let node = &self.structure.procs[proc].nodes[idx];
+        for idx in proc.scopes_at(addr) {
+            let node = &proc.nodes[idx];
             let kind = match &node.scope {
                 Scope::Loop { header } => ScopeKind::Loop {
                     header: SourceLoc::new(self.files[header.file], header.line),
@@ -254,16 +251,14 @@ impl<'s> Correlator<'s> {
     }
 }
 
-/// Fold pre-converted per-node costs into a running totals map, entry
-/// by entry in vector order. Both the sequential correlator and the
-/// parallel reduction fold through this one function so their f64
-/// accumulation order — and therefore every rounded bit — is identical.
-pub(crate) fn fold_costs_into(
-    totals: &mut std::collections::HashMap<NodeId, [f64; Counter::COUNT]>,
-    costs: &PerNodeCosts,
-) {
+/// Fold pre-converted per-node costs into running totals (one row per
+/// node of the tree the costs refer to), entry by entry in vector
+/// order. Both the sequential correlator and the parallel reduction
+/// fold through this one function so their f64 accumulation order —
+/// and therefore every rounded bit — is identical.
+pub(crate) fn fold_costs_into(totals: &mut [[f64; Counter::COUNT]], costs: &PerNodeCosts) {
     for &(n, cs) in costs {
-        let t = totals.entry(n).or_insert([0.0; Counter::COUNT]);
+        let t = &mut totals[n.index()];
         for i in 0..Counter::COUNT {
             t[i] += cs[i];
         }
@@ -276,7 +271,7 @@ pub(crate) fn fold_costs_into(
 /// folded totals into itself.
 pub(crate) fn finish_parts(
     cct: Cct,
-    totals: std::collections::HashMap<NodeId, [f64; Counter::COUNT]>,
+    totals: Vec<[f64; Counter::COUNT]>,
     periods: [u64; Counter::COUNT],
 ) -> Experiment {
     let mut raw = RawMetrics::new(StorageKind::Csr);
@@ -295,17 +290,14 @@ pub(crate) fn finish_parts(
             ))
         })
         .collect();
-    // Deterministic insertion independent of hash order; the batched
-    // per-metric write walks nodes ascending, which is the sorted
-    // arrays' append fast path.
-    let mut totals: Vec<(NodeId, [f64; Counter::COUNT])> = totals.into_iter().collect();
-    totals.sort_unstable_by_key(|(n, _)| *n);
-    let mut batch: Vec<(NodeId, f64)> = Vec::with_capacity(totals.len());
+    // The batched per-metric write walks nodes ascending, which is the
+    // sorted arrays' append fast path.
+    let mut batch: Vec<(NodeId, f64)> = Vec::new();
     for (mi, &c) in active.iter().enumerate() {
         batch.clear();
-        batch.extend(totals.iter().filter_map(|&(node, costs)| {
+        batch.extend(totals.iter().enumerate().filter_map(|(node, costs)| {
             let v = costs[c as usize];
-            (v != 0.0).then_some((node, v))
+            (v != 0.0).then_some((NodeId(node as u32), v))
         }));
         raw.add_costs(metric_ids[mi], &batch);
     }

@@ -43,7 +43,7 @@
 //!    the per-node totals are *not* summed during the concurrent
 //!    merges. Per-rank costs are remapped to canonical ids on the pool
 //!    (cheap, exact — a table lookup per entry), then folded into a
-//!    fresh totals map in ascending rank order on the reducing thread:
+//!    fresh totals table in ascending rank order on the reducing thread:
 //!    the same additions in the same order as a sequential `add` loop,
 //!    hence bit-identical column values.
 
@@ -208,7 +208,7 @@ impl<'s> ParallelCorrelator<'s> {
 
         // Fold totals in ascending rank order — the exact sequential
         // accumulation order, so every f64 sum rounds identically.
-        let mut totals = std::collections::HashMap::new();
+        let mut totals = vec![[0.0; Counter::COUNT]; canon.cct.len()];
         for costs in &canon.per_rank {
             fold_costs_into(&mut totals, costs);
         }

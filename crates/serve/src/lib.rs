@@ -231,6 +231,28 @@ impl Engine {
         self.handle_line_from(0, line)
     }
 
+    /// A request arrived: one count in the `stats` RPC's numbers and one
+    /// in the `--stats` dump's, here and nowhere else.
+    fn count_request(&self) {
+        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        obs::count("serve.requests", 1);
+    }
+
+    /// A request failed; see [`Self::count_request`].
+    fn count_error(&self) {
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        obs::count("serve.errors", 1);
+    }
+
+    /// The reply to a line the front end will not hand over (it is past
+    /// the length cap): a failed request like any other, with no id to
+    /// echo.
+    pub(crate) fn refuse_line(&self, error: RequestError) -> String {
+        self.count_request();
+        self.count_error();
+        response(&Json::Null, Err(error))
+    }
+
     /// Handle one request line from connection `conn`, returning the
     /// reply line (no trailing newline). `conn` only names the owner of
     /// the sessions the line opens (see [`sessions`]); any connection
@@ -238,8 +260,7 @@ impl Engine {
     /// `catch_unwind` and a panic becomes an `internal` error reply.
     pub fn handle_line_from(&self, conn: u64, line: &str) -> String {
         let start = Instant::now();
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        obs::count("serve.requests", 1);
+        self.count_request();
         let (id, parsed) = parse_request(line);
         let method = parsed.as_ref().ok().map(Request::method);
         let result = match parsed {
@@ -255,8 +276,7 @@ impl Engine {
                 }),
         };
         if result.is_err() {
-            self.stats.errors.fetch_add(1, Ordering::Relaxed);
-            obs::count("serve.errors", 1);
+            self.count_error();
         }
         let ns = start.elapsed().as_nanos() as u64;
         self.latency.record(ns);

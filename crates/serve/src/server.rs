@@ -12,15 +12,13 @@
 //! finishes the request it is currently processing (the drain), and
 //! `run` joins all handler threads before returning.
 
-use crate::json::Json;
-use crate::protocol::{response, RequestError};
+use crate::protocol::RequestError;
 use crate::Engine;
 use callpath_obs as obs;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -138,11 +136,9 @@ fn serve_connection(stop: &StopHandle, conn: u64, stream: TcpStream) {
         if line.len() > cfg.max_line_bytes {
             // Reject and drop the connection: past the cap we can't
             // resynchronize on line boundaries safely.
-            engine.stats.requests.fetch_add(1, Ordering::Relaxed);
-            engine.stats.errors.fetch_add(1, Ordering::Relaxed);
             let message = format!("request line exceeds {} bytes", cfg.max_line_bytes);
             let error = RequestError::new("parse", message);
-            let _ = send(reader.get_ref(), response(&Json::Null, Err(error)));
+            let _ = send(reader.get_ref(), engine.refuse_line(error));
             break;
         }
         // Non-UTF-8 bytes become a line the JSON parser rejects: a

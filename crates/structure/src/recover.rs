@@ -64,21 +64,23 @@ pub struct ProcStructure {
 }
 
 impl ProcStructure {
+    /// The scopes containing `addr`, outermost first, found as the
+    /// iterator advances: the correlator's per-sample walk.
+    pub fn scopes_at(&self, addr: Addr) -> impl Iterator<Item = usize> + '_ {
+        let mut level = &self.top;
+        std::iter::from_fn(move || {
+            let i = *level.iter().find(|&&i| {
+                let n = &self.nodes[i];
+                n.lo <= addr && addr < n.hi
+            })?;
+            level = &self.nodes[i].children;
+            Some(i)
+        })
+    }
+
     /// Scope chain containing `addr`, outermost first.
     pub fn scope_chain(&self, addr: Addr) -> Vec<usize> {
-        let mut chain = Vec::new();
-        let mut level = &self.top;
-        'outer: loop {
-            for &i in level {
-                let n = &self.nodes[i];
-                if n.lo <= addr && addr < n.hi {
-                    chain.push(i);
-                    level = &self.nodes[i].children;
-                    continue 'outer;
-                }
-            }
-            return chain;
-        }
+        self.scopes_at(addr).collect()
     }
 }
 

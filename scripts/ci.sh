@@ -26,7 +26,10 @@ cargo test -q --no-default-features --features obs
 CALLPATH_THREADS=1 cargo test -q -p callpath-core --lib -- pool:: chunked::
 CALLPATH_THREADS=4 cargo test -q -p callpath-core --lib -- pool:: chunked::
 # `resolve_threads` likewise decides the query-property file's fan-out
-# (its doc comment promises both pins).
+# (its doc comment promises both pins). That includes
+# `name_atoms_match_each_nodes_own_name`: a `proc` / `module` / `file`
+# atom answers from one verdict table per chunk, so its mask must equal
+# the per-node definition with one chunk and with four.
 CALLPATH_THREADS=1 cargo test -q --test analyze_properties
 CALLPATH_THREADS=4 cargo test -q --test analyze_properties
 # The attribution oracle (`tests/attribution_oracle.rs`) and the

@@ -8,13 +8,17 @@
 //!   threads (the chunk-parallel leaf evaluation is position-stable);
 //! * **storage** — an eager in-memory experiment, its eagerly decoded
 //!   database round-trip and its lazily opened form all answer a query
-//!   identically.
+//!   identically;
+//! * **names** — a `proc` / `module` / `file` / `label` atom, which asks
+//!   the matcher once per distinct name, answers every node as
+//!   `Rex::is_match` on that node's own name does.
 //!
 //! `scripts/ci.sh` reruns this file with `CALLPATH_THREADS` pinned to 1
 //! and 4, so the auto-resolved thread count is covered at both
 //! degenerate and fanned-out settings.
 
-use callpath_analyze::query::{eval_mask, run_query, Query};
+use callpath_analyze::query::{eval_mask, run_query, Field, Query};
+use callpath_analyze::Rex;
 use callpath_core::prelude::*;
 use callpath_workloads::generator::random_experiment;
 use proptest::prelude::*;
@@ -34,8 +38,206 @@ fn mask_of(exp: &Experiment, text: &str, threads: usize) -> Vec<bool> {
     eval_mask(exp, &q.pred, threads).unwrap_or_else(|e| panic!("{text}: {e}"))
 }
 
+/// Name pools of [`named_experiment`]. A spelling appears in several
+/// namespaces but never under the same id in two of them, so a verdict
+/// looked up in the wrong namespace's table is a wrong answer here.
+/// `(a*)*b` exhausts the matcher's step budget on the run of `a`s.
+const PROCS: [&str; 8] = [
+    "main",
+    "x.c",
+    "naïve_φ",
+    "libm.so",
+    "solve_α",
+    "aaab",
+    "shared",
+    "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+];
+const FILES: [&str; 6] = [
+    "shared",
+    "main",
+    "x.c",
+    "δ/solve_α.f90",
+    "lib.h",
+    "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa",
+];
+const MODULES: [&str; 4] = ["x.c", "shared", "libm.so", "main"];
+const FIELDS: [(&str, Field); 4] = [
+    ("proc", Field::Proc),
+    ("module", Field::Module),
+    ("file", Field::File),
+    ("label", Field::Label),
+];
+const PATTERNS: [&str; 11] = [
+    "^main$",
+    "shared",
+    r"x\.c",
+    "φ|α|δ",
+    "^.",
+    "(a*)*b",
+    "lib",
+    "[a-m]+_",
+    ":[12]$",
+    "^loop at",
+    "inlined from [a-z]",
+];
+
+/// A random tree of every scope kind over the pools above, in a name
+/// table that also holds names no node refers to (every even id, and a
+/// tail longer than the tree).
+fn named_experiment(seed: u64, nodes: usize) -> Experiment {
+    let state = std::cell::Cell::new(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let below = |n: usize| {
+        let mut x = state.get();
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        state.set(x);
+        (x >> 11) as usize % n
+    };
+    let mut names = NameTable::new();
+    let procs: Vec<ProcId> = PROCS
+        .iter()
+        .map(|p| {
+            names.proc(&format!("{p} (unreferenced)"));
+            names.proc(p)
+        })
+        .collect();
+    let files: Vec<FileId> = FILES
+        .iter()
+        .map(|f| {
+            names.file(&format!("{f} (unreferenced)"));
+            names.file(f)
+        })
+        .collect();
+    let modules: Vec<LoadModuleId> = MODULES
+        .iter()
+        .map(|m| {
+            names.module(&format!("{m} (unreferenced)"));
+            names.module(m)
+        })
+        .collect();
+    for i in 0..2 * nodes {
+        names.proc(&format!("main_{i}"));
+        names.file(&format!("x.c.{i}"));
+    }
+    let mut cct = Cct::new(names);
+    let mut parents = vec![cct.root()];
+    for _ in 0..nodes {
+        let parent = parents[below(parents.len())];
+        // The budget-exhausting names are the last of their pools and
+        // rare: a reference evaluation pays for them node by node.
+        let rare_last = |n: usize| below(n).min(below(n)).min(below(n));
+        let proc = procs[rare_last(procs.len())];
+        let loc = || SourceLoc::new(files[rare_last(files.len())], below(3) as u32);
+        let kind = match below(5) {
+            0 => ScopeKind::Frame {
+                proc,
+                module: modules[below(modules.len())],
+                def: loc(),
+                call_site: None,
+            },
+            1 => ScopeKind::Frame {
+                proc,
+                module: modules[below(modules.len())],
+                def: loc(),
+                call_site: Some(loc()),
+            },
+            2 => ScopeKind::InlinedFrame {
+                proc,
+                def: loc(),
+                call_site: loc(),
+            },
+            3 => ScopeKind::Loop { header: loc() },
+            _ => ScopeKind::Stmt { loc: loc() },
+        };
+        let child = cct.find_or_add_child(parent, kind);
+        if !kind.is_stmt() && !parents.contains(&child) {
+            parents.push(child);
+        }
+    }
+    Experiment::build(cct, RawMetrics::new(StorageKind::Csr), StorageKind::Csr)
+}
+
+/// What a `~` atom means: the matcher's verdict on the node's own name.
+fn own_name_matches(cct: &Cct, field: Field, rex: &Rex, n: NodeId) -> bool {
+    let names = &cct.names;
+    match (field, cct.kind(n)) {
+        (Field::Proc, ScopeKind::Frame { proc, .. })
+        | (Field::Proc, ScopeKind::InlinedFrame { proc, .. }) => {
+            rex.is_match(names.proc_name(proc))
+        }
+        (Field::Module, ScopeKind::Frame { module, .. }) => rex.is_match(names.module_name(module)),
+        (Field::File, ScopeKind::Frame { def: loc, .. })
+        | (Field::File, ScopeKind::InlinedFrame { def: loc, .. })
+        | (Field::File, ScopeKind::Loop { header: loc })
+        | (Field::File, ScopeKind::Stmt { loc }) => rex.is_match(names.file_name(loc.file)),
+        (Field::Label, kind) => rex.is_match(&kind.label(names)),
+        _ => false,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Three random name atoms and their compositions against the
+    /// per-node definition, at the automatic thread count (which
+    /// `scripts/ci.sh` pins to 1 and to 4) and at explicit ones.
+    #[test]
+    fn name_atoms_match_each_nodes_own_name(
+        seed in 0u64..1000,
+        atoms in proptest::collection::vec((0usize..4, 0usize..11), 3),
+    ) {
+        let exp = named_experiment(seed.wrapping_add(28000), 160);
+        let cct = &exp.cct;
+        let mut texts = Vec::new();
+        let mut masks = Vec::new();
+        for &(f, p) in &atoms {
+            let (field_name, field) = FIELDS[f];
+            let rex = Rex::compile(PATTERNS[p]).unwrap();
+            texts.push(format!("{field_name} ~ \"{}\"", PATTERNS[p]));
+            masks.push(
+                cct.all_nodes()
+                    .map(|n| own_name_matches(cct, field, &rex, n))
+                    .collect::<Vec<bool>>(),
+            );
+        }
+        let (a, b, c) = (&masks[0], &masks[1], &masks[2]);
+        let (ta, tb, tc) = (&texts[0], &texts[1], &texts[2]);
+        let subtree = |inner: &dyn Fn(usize) -> bool| -> Vec<bool> {
+            cct.all_nodes()
+                .map(|n| cct.preorder(n).any(|d| inner(d.index())))
+                .collect()
+        };
+        let either = subtree(&|n| a[n] || b[n]);
+        let cases: Vec<(String, Vec<bool>)> = vec![
+            (ta.clone(), a.clone()),
+            (tb.clone(), b.clone()),
+            (tc.clone(), c.clone()),
+            (
+                format!("({ta} and {tb}) or not {tc}"),
+                (0..cct.len()).map(|n| (a[n] && b[n]) || !c[n]).collect(),
+            ),
+            (
+                format!("subtree({ta} or {tb}) and not {tc}"),
+                (0..cct.len()).map(|n| either[n] && !c[n]).collect(),
+            ),
+            (
+                format!("not subtree({tc})"),
+                subtree(&|n| c[n]).iter().map(|&m| !m).collect(),
+            ),
+        ];
+        for (text, want) in &cases {
+            for threads in [0usize, 1, 3] {
+                prop_assert_eq!(
+                    &mask_of(&exp, text, threads),
+                    want,
+                    "threads={} query={}",
+                    threads,
+                    text
+                );
+            }
+        }
+    }
 
     /// `(A and B) or not C` == the same formula applied node-wise to
     /// the leaf masks.

@@ -10,7 +10,7 @@
 //! `callpath-ensemble` binary.
 
 use callpath_core::prelude::*;
-use callpath_ensemble::{build, build_union, RunData};
+use callpath_ensemble::{build, build_union, fingerprint, RunData};
 use callpath_expdb::ens;
 use proptest::prelude::*;
 use std::process::Command;
@@ -173,4 +173,44 @@ fn env_thread_counts_produce_identical_files() {
         outputs.windows(2).all(|w| w[0] == w[1]),
         "ensemble bytes differ across CALLPATH_THREADS settings"
     );
+}
+
+/// One fixed `EnsembleConfig` family, the FNV-1a 64 of its `.cpens`
+/// bytes as recorded before the union's replay translated name ids
+/// instead of strings (commit b20c22c): "no byte of any `.cpens`
+/// changed" as an assertion. Every written run record carries the
+/// `fingerprint` of its run, which the union computed once and handed
+/// on.
+#[test]
+fn cpens_bytes_and_run_fingerprints_are_pinned() {
+    use callpath_workloads::synth::{ensemble_run, EnsembleConfig};
+    let cfg = EnsembleConfig {
+        seed: 0x5eed_2317,
+        n_runs: 6,
+        base_nodes: 300,
+        tail_nodes: 25,
+        n_metrics: 2,
+        nnz_per_metric: 60,
+        outlier_every: 6,
+    };
+    let runs: Vec<RunData> = (0..cfg.n_runs)
+        .map(|r| RunData::from_model(format!("run-{r:04}"), &ensemble_run(&cfg, r)).unwrap())
+        .collect();
+
+    let union = build_union(&runs, 1);
+    let built = build(&runs, 1);
+    assert_eq!(built.runs.len(), runs.len());
+    for (i, written) in built.runs.iter().enumerate() {
+        let run = &runs[union.order[i]];
+        assert_eq!(written.label, run.label);
+        assert_eq!(written.fingerprint, fingerprint(run), "run {i}");
+        assert_eq!(union.fingerprints[i], written.fingerprint, "run {i}");
+    }
+
+    let bytes = built.to_bytes();
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(bytes.len(), 45_200);
+    assert_eq!(digest, 0x54ae_c452_3fd1_9bdd, "digest {digest:#018x}");
 }

@@ -2,9 +2,10 @@
 //! ephemeral port, drive a concurrent open/expand/sort/hot-path
 //! workload from several client threads against s3d, and require the
 //! served renders to be byte-identical to a direct [`Session`] running
-//! the same commands. A malformed-request fuzz, the eviction rule
-//! across two connections, and the wire, shutdown and idle-timeout
-//! paths round out the robustness contract from DESIGN.md §14.
+//! the same commands. A malformed-request fuzz, the line-length cap,
+//! the eviction rule across two connections, and the wire, shutdown and
+//! idle-timeout paths round out the robustness contract from DESIGN.md
+//! §14.
 //!
 //! The `#[ignore]`d bench variant records `BENCH_serve.json` — exact
 //! client-side p50/p95 request latency plus sessions held — and is run
@@ -465,6 +466,58 @@ fn idle_timeout_cuts_the_silent_and_the_stalled_but_not_the_slow() {
     });
     slow.ok(PING);
     server.interrupt_and_wait();
+}
+
+/// A line over the cap gets the structured `parse` reply, then the
+/// connection closes, and it is one request and one error in the `stats`
+/// RPC and in the instrumentation's counters alike. The binary has no
+/// flag for the cap, so the server runs in this process (the only one in
+/// this file that does: the counters below are its alone); the line is
+/// one segment, read whole, so no unread tail resets the reply away.
+#[test]
+fn an_oversized_line_is_refused_and_counted_once_everywhere() {
+    use callpath::serve::{Engine, ServeConfig, Server};
+    let cap = 256;
+    let engine = std::sync::Arc::new(Engine::new(ServeConfig {
+        max_line_bytes: cap,
+        ..ServeConfig::default()
+    }));
+    let server = Server::bind(engine, "127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let stop = server.stop_handle();
+    let running = std::thread::spawn(move || server.run());
+    let counted = || {
+        (
+            callpath::obs::counter_value("serve.errors"),
+            callpath::obs::counter_value("serve.requests"),
+        )
+    };
+    let before = counted();
+
+    let mut client = Client::connect(&addr);
+    let line = format!(r#"{{"method":"ping","pad":"{}"}}"#, "x".repeat(cap));
+    let reply = client.call(&line);
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let error = reply.get("error").expect("an error object");
+    assert_eq!(error.get("code").and_then(Json::as_str), Some("parse"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("exceeds 256 bytes"), "{message}");
+    assert!(reads_bare_eof(&mut client), "the connection stayed open");
+
+    // The refused line and this request.
+    let stats = Client::connect(&addr).ok(r#"{"method":"stats"}"#);
+    let rpc = (
+        stats.get("errors").and_then(Json::as_u64).unwrap(),
+        stats.get("requests").and_then(Json::as_u64).unwrap(),
+    );
+    assert_eq!(rpc, (1, 2));
+    if callpath::obs::enabled() {
+        let after = counted();
+        assert_eq!((after.0 - before.0, after.1 - before.1), rpc);
+    }
+
+    stop.stop();
+    running.join().unwrap();
 }
 
 /// Release-mode bench: exact client-side request latencies across
