@@ -39,15 +39,13 @@
 //!
 //! ## Determinism
 //!
-//! Leaf predicates are evaluated tile-parallel over
-//! [`callpath_core::chunked::chunked_map`]; the per-node boolean
-//! outputs are position-stable and each chunk fills its own verdict
-//! table, so results are bit-identical across thread counts. Hits are
-//! ordered by score descending with node id as the tie-break.
+//! A predicate is one loop over the nodes per atom — an atom's work is
+//! a load or a compare per node, too little to divide — so there is no
+//! thread count to vary. Hits are ordered by score descending with node
+//! id as the tie-break.
 
 use crate::rex::Rex;
 use callpath_core::cct::Cct;
-use callpath_core::chunked::chunked_map;
 use callpath_core::experiment::Experiment;
 use callpath_core::ids::{ColumnId, FileId, LoadModuleId, NodeId, ProcId};
 use callpath_core::jsonval::{obj, Json};
@@ -509,12 +507,12 @@ impl Query {
 
 // ------------------------------------------------------------ evaluation
 
-/// One chunk of a `proc` / `module` / `file` atom over a namespace of
-/// `names` ids, and how often it ran the matcher. The verdict table has
-/// one entry per name id: unknown until a node refers to the id, then
-/// the answer `Rex::is_match` gave for that name, so every later node
-/// is a load and a name no node refers to is never matched. The table
-/// lives for one chunk of one atom: workers share nothing.
+/// A `proc` / `module` / `file` atom over a namespace of `names` ids,
+/// and how often it ran the matcher. The verdict table has one entry
+/// per name id: unknown until a node refers to the id, then the answer
+/// `Rex::is_match` gave for that name, so every later node is a load
+/// and a name no node refers to is never matched. The table lives for
+/// one atom.
 fn name_mask<'n>(
     kinds: impl Iterator<Item = ScopeKind>,
     rex: &Rex,
@@ -537,11 +535,11 @@ fn name_mask<'n>(
     (mask, evals)
 }
 
-/// One chunk of a `~` atom: a name atom through [`name_mask`]; a label
-/// carries a line number, so `label ~` matches per node.
-fn match_chunk(cct: &Cct, field: Field, rex: &Rex, chunk: &[u32]) -> Vec<bool> {
+/// A `~` atom over every node: a name atom through [`name_mask`]; a
+/// label carries a line number, so `label ~` matches per node.
+fn match_mask(cct: &Cct, field: Field, rex: &Rex) -> Vec<bool> {
     let names = &cct.names;
-    let kinds = chunk.iter().map(|&n| cct.kind(NodeId(n)));
+    let kinds = cct.all_nodes().map(|n| cct.kind(n));
     let (mask, evals) = match field {
         Field::Proc => name_mask(
             kinds,
@@ -584,7 +582,7 @@ fn match_chunk(cct: &Cct, field: Field, rex: &Rex, chunk: &[u32]) -> Vec<bool> {
                     rex.is_match(&buf)
                 })
                 .collect();
-            (mask, chunk.len() as u64)
+            (mask, cct.len() as u64)
         }
     };
     callpath_obs::count("analyze.rex_evals", evals);
@@ -593,56 +591,33 @@ fn match_chunk(cct: &Cct, field: Field, rex: &Rex, chunk: &[u32]) -> Vec<bool> {
 
 /// Evaluate `pred` over every CCT node of `exp`, returning one boolean
 /// per node (arena order). Only the columns named by metric atoms are
-/// read — a lazily opened database faults exactly those. `threads`
-/// follows the [`callpath_core::chunked::resolve_threads`] convention
-/// (0 = auto/`CALLPATH_THREADS`).
-pub fn eval_mask(exp: &Experiment, pred: &Pred, threads: usize) -> Result<Vec<bool>, String> {
-    let n = exp.cct.len();
-    let ids: Vec<u32> = (0..n as u32).collect();
-    eval_pred(exp, pred, &ids, threads)
-}
-
-fn eval_pred(
-    exp: &Experiment,
-    pred: &Pred,
-    ids: &[u32],
-    threads: usize,
-) -> Result<Vec<bool>, String> {
+/// read — a lazily opened database faults exactly those.
+pub fn eval_mask(exp: &Experiment, pred: &Pred) -> Result<Vec<bool>, String> {
     match pred {
-        Pred::Match { field, rex } => Ok(chunked_map(ids, threads, |_ci, chunk| {
-            match_chunk(&exp.cct, *field, rex, chunk)
-        })
-        .concat()),
+        Pred::Match { field, rex } => Ok(match_mask(&exp.cct, *field, rex)),
         Pred::Metric { col, cmp, rhs } => {
             let c = col.resolve(&exp.columns)?;
             let threshold = match rhs {
                 Rhs::Const(v) => *v,
                 Rhs::PercentOfAgg(p) => p / 100.0 * exp.aggregate(c),
             };
-            Ok(chunked_map(ids, threads, |_ci, chunk| {
-                chunk
-                    .iter()
-                    .map(|&n| cmp.eval(exp.columns.get(c, n), threshold))
-                    .collect::<Vec<bool>>()
-            })
-            .concat())
+            Ok((0..exp.cct.len() as u32)
+                .map(|n| cmp.eval(exp.columns.get(c, n), threshold))
+                .collect())
         }
         Pred::And(a, b) => {
-            let ma = eval_pred(exp, a, ids, threads)?;
-            let mb = eval_pred(exp, b, ids, threads)?;
+            let ma = eval_mask(exp, a)?;
+            let mb = eval_mask(exp, b)?;
             Ok(ma.iter().zip(&mb).map(|(&x, &y)| x && y).collect())
         }
         Pred::Or(a, b) => {
-            let ma = eval_pred(exp, a, ids, threads)?;
-            let mb = eval_pred(exp, b, ids, threads)?;
+            let ma = eval_mask(exp, a)?;
+            let mb = eval_mask(exp, b)?;
             Ok(ma.iter().zip(&mb).map(|(&x, &y)| x || y).collect())
         }
-        Pred::Not(a) => Ok(eval_pred(exp, a, ids, threads)?
-            .into_iter()
-            .map(|x| !x)
-            .collect()),
+        Pred::Not(a) => Ok(eval_mask(exp, a)?.into_iter().map(|x| !x).collect()),
         Pred::Subtree(a) => {
-            let mut mask = eval_pred(exp, a, ids, threads)?;
+            let mut mask = eval_mask(exp, a)?;
             // Arena order guarantees parent < child, so one reverse pass
             // propagates "subtree contains a match" transitively.
             for i in (1..mask.len()).rev() {
@@ -764,17 +739,18 @@ impl QueryReport {
 
 /// Parse and evaluate `text` over `exp`, scoring matches by
 /// `score_col` (an exact column name; defaults to the first column) and
-/// keeping the `top` best.
+/// keeping the `top` best. The last argument, once a thread count,
+/// selects nothing.
 pub fn run_query(
     exp: &Experiment,
     text: &str,
     score_col: Option<&str>,
     top: usize,
-    threads: usize,
+    _threads: usize,
 ) -> Result<QueryReport, String> {
     let _span = callpath_obs::span("analyze.query");
     let q = Query::parse(text).map_err(|e| e.to_string())?;
-    let mask = eval_mask(exp, &q.pred, threads)?;
+    let mask = eval_mask(exp, &q.pred)?;
     let score_c = match score_col {
         Some(name) => Some(
             exp.columns
@@ -876,7 +852,7 @@ mod tests {
 
     fn mask(exp: &Experiment, text: &str) -> Vec<bool> {
         let q = Query::parse(text).unwrap();
-        eval_mask(exp, &q.pred, 1).unwrap()
+        eval_mask(exp, &q.pred).unwrap()
     }
 
     #[test]
@@ -955,7 +931,7 @@ mod tests {
     fn unknown_column_is_an_error_not_a_panic() {
         let exp = sample();
         let q = Query::parse("incl(\"nope\") > 1").unwrap();
-        assert!(eval_mask(&exp, &q.pred, 1).is_err());
+        assert!(eval_mask(&exp, &q.pred).is_err());
         assert!(run_query(&exp, "proc ~ \"m\"", Some("nope"), 5, 1).is_err());
     }
 
@@ -981,19 +957,5 @@ mod tests {
         assert!(Query::parse(&deep).is_err(), "depth bomb rejected");
         let long = format!("proc ~ \"{}\"", "a".repeat(MAX_QUERY));
         assert!(Query::parse(&long).is_err(), "oversized query rejected");
-    }
-
-    #[test]
-    fn thread_counts_do_not_change_masks() {
-        let exp = sample();
-        let q = "subtree(incl(\"cycles\") > 50) and not proc ~ \"fast\" or label ~ \":2\"";
-        let base = {
-            let q = Query::parse(q).unwrap();
-            eval_mask(&exp, &q.pred, 1).unwrap()
-        };
-        for t in [2, 4, 8] {
-            let qq = Query::parse(q).unwrap();
-            assert_eq!(eval_mask(&exp, &qq.pred, t).unwrap(), base, "threads={t}");
-        }
     }
 }

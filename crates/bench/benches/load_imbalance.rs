@@ -54,22 +54,15 @@ fn bench(c: &mut Criterion) {
 
     // Summarization alone, decoupled from simulation.
     let run = run_spmd(&pflotran::program(), &config(64));
-    for &threads in &[1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("summarize_64_ranks_threads", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    summarize_ranks(
-                        &run.experiment,
-                        &[Counter::Cycles, Counter::Idleness],
-                        &run.rank_direct,
-                        threads,
-                    )
-                })
-            },
-        );
-    }
+    group.bench_function("summarize_64_ranks", |b| {
+        b.iter(|| {
+            summarize_ranks(
+                &run.experiment,
+                &[Counter::Cycles, Counter::Idleness],
+                &run.rank_direct,
+            )
+        })
+    });
 
     // Hot path on the summed idleness metric (the paper's diagnosis step).
     let idle = run

@@ -32,7 +32,8 @@
 //! nnz 1 024) that is 5.9·10⁷ steps against K = 123 118 and n = 10⁶ —
 //! so each walk stops at the first node an earlier one marked. The only
 //! scratch proportional to the tree is that mark set, one bit per node,
-//! private to the call: column faults fan out over the worker pool.
+//! private to the call: `decode_all` runs column faults on several
+//! threads at once.
 //! A column that touches a quarter of the tree or more is swept with
 //! node-indexed vectors instead, O(n) as before: there the searches and
 //! the sort that sparseness costs buy nothing. Either branch's result is

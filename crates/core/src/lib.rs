@@ -68,7 +68,6 @@
 pub mod attribution;
 pub mod callers;
 pub mod cct;
-pub mod chunked;
 pub mod derived;
 pub mod diff;
 pub mod experiment;
@@ -94,7 +93,6 @@ pub mod prelude {
     pub use crate::attribution::{attribute, Attribution};
     pub use crate::callers::CallersView;
     pub use crate::cct::Cct;
-    pub use crate::chunked::{chunked_map, chunked_reduce, resolve_threads};
     pub use crate::derived::{EvalContext, Expr, FormulaError, SliceContext};
     pub use crate::diff::{merge_experiments, scaling_loss, ScalingAnalysis};
     pub use crate::experiment::Experiment;
@@ -109,7 +107,7 @@ pub mod prelude {
         NonzeroSorted, RawMetrics, StorageKind,
     };
     pub use crate::names::{NameTable, SourceLoc};
-    pub use crate::pool::{reduce_pairwise, run_tasks, PoolStats};
+    pub use crate::pool::{chunked_map, reduce_pairwise, resolve_threads, PoolStats};
     pub use crate::scope::{ScopeKind, StaticKey};
     pub use crate::source::SourceStore;
     pub use crate::summary::{Stat, Welford};

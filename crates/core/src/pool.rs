@@ -1,322 +1,184 @@
-//! A persistent, lazily-initialized worker pool behind every fan-out
-//! site in the pipeline.
+//! The one fan-out helper of the pipeline: [`chunked_map`] on
+//! `std::thread::scope`, with [`reduce_pairwise`] and
+//! [`resolve_threads`] beside it.
 //!
-//! Before this module existed, [`crate::chunked`] spawned (and joined) a
-//! fresh set of OS threads on **every** call — shard correlation, column
-//! decode, rank simulation and streaming summarization each paid thread
-//! creation per invocation, which is why the parallel ingestion path
-//! lost to sequential on small-to-medium inputs. The pool amortizes that
-//! cost to zero: workers are spawned on first use, block on a condvar
-//! between fan-outs, and are reused for the life of the process.
+//! Three sites divide enough work per call to win on two cores and go
+//! through here: rank simulation (`parallel::run_spmd`), column decode
+//! (`expdb::decode_all`) and the ensemble union
+//! (`ensemble::build_union`); the sharded correlator
+//! (`prof::ParallelCorrelator`) does too, on `SHARD_CUTOVER`'s say.
+//! Everything else — query atoms, rank summaries, the ensemble
+//! statistics — is a plain loop: a sub-millisecond fan-out loses to one
+//! (DESIGN.md §13).
 //!
-//! ## Shape
+//! A fan-out of *n* chunks is *n* runnable threads: the caller runs
+//! chunk 0 and *n* − 1 scoped threads run the rest, so chunks borrow
+//! from the caller's frame and nothing outlives the call. Results come
+//! back in chunk order whatever the scheduling, which is what makes
+//! every caller's output independent of the thread count.
 //!
-//! * One global FIFO job queue (`Mutex<VecDeque>` + `Condvar`); workers
-//!   loop on pop-run. Jobs are type-erased `FnOnce` boxes that send
-//!   their result back over a per-call channel.
-//! * [`run_tasks`] submits a batch of closures and blocks until every
-//!   result (or panic) has come back. While waiting it **helps**: it
-//!   pops queued jobs and runs them on the calling thread instead of
-//!   idling, so a busy pool can never stall a submitter that has
-//!   runnable work.
-//! * Worker panics are caught per job and re-raised **once** on the
-//!   submitting thread with the original payload — a panicking closure
-//!   behaves exactly as it would have under `std::thread::scope`, minus
-//!   the process abort `join().unwrap()` used to cause.
-//! * A closure submitted *from* a pool worker runs inline (workers never
-//!   re-enter the queue), so nested fan-outs degrade to sequential
-//!   instead of deadlocking a fully busy pool.
-//!
-//! ## Why the borrows are sound
-//!
-//! Jobs capture references into the submitting call's stack frame
-//! (chunk slices, the shared `map` closure). [`run_tasks`] erases those
-//! lifetimes to put jobs in the global queue, which is sound because it
-//! does not return until it has received one result per submitted job,
-//! and a job sends its result strictly after the user closure — and
-//! every borrow inside it — has been consumed.
-//!
-//! ## Observability
-//!
-//! The pool cannot call `callpath-obs` directly (obs depends on this
-//! crate for its exporter), so it keeps its own always-on relaxed
-//! atomics and exposes them via [`stats`]; the obs registry folds them
-//! into every snapshot as `pool.*` counters, which is how `--stats` and
-//! `--self-profile` show where reduction time goes.
+//! `callpath-obs` depends on this crate, so the helper counts its own
+//! chunks in two relaxed atomics ([`stats`]) that the obs snapshot
+//! folds in as `pool.*` counters.
 
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Mutex, OnceLock};
 
-/// Hard ceiling on spawned workers, far above any sane `CALLPATH_THREADS`
-/// value — a guard against a runaway env override, not a tuning knob.
-const MAX_WORKERS: usize = 256;
+/// Ceiling on the chunks of one fan-out, far above any sane
+/// `CALLPATH_THREADS` — a guard on outside input, not a tuning knob.
+const MAX_CHUNKS: usize = 256;
 
-/// A type-erased unit of work. The `'static` here is a lie told by
-/// [`run_tasks`]; see the module docs for why it is a safe one.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+static CHUNKS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+static CHUNKS_ON_CALLER: AtomicU64 = AtomicU64::new(0);
 
-/// Always-on pool counters (relaxed atomics; ~one add per *chunk*, not
-/// per item, so they cost nothing measurable even with obs disabled).
-#[derive(Default)]
-struct Counters {
-    tasks_queued: AtomicU64,
-    tasks_run: AtomicU64,
-    tasks_stolen: AtomicU64,
-    workers_spawned: AtomicU64,
-    idle_ns: AtomicU64,
-}
-
-/// A point-in-time copy of the pool's counters, in the order and with
-/// the names the obs bridge publishes them under.
+/// How many chunks ran where, over the life of the process. Only calls
+/// that fan out count: a single-chunk call is a plain function call.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Jobs ever submitted to the queue.
-    pub tasks_queued: u64,
-    /// Jobs executed by pool workers.
+    /// Chunks run on spawned threads.
     pub tasks_run: u64,
-    /// Jobs executed by a *submitting* thread that helped while waiting.
+    /// Chunks run by the thread that called [`chunked_map`].
     pub tasks_stolen: u64,
-    /// Workers spawned over the life of the process.
-    pub workers_spawned: u64,
-    /// Total nanoseconds workers spent blocked waiting for work.
-    pub idle_ns: u64,
 }
 
 impl PoolStats {
     /// The stats as `(name, value)` pairs, for the obs counter bridge.
-    pub fn named(&self) -> [(&'static str, u64); 5] {
+    pub fn named(&self) -> [(&'static str, u64); 2] {
         [
-            ("pool.tasks_queued", self.tasks_queued),
             ("pool.tasks_run", self.tasks_run),
             ("pool.tasks_stolen", self.tasks_stolen),
-            ("pool.workers_spawned", self.workers_spawned),
-            ("pool.idle_ns", self.idle_ns),
         ]
     }
 }
 
-struct Queue {
-    jobs: Mutex<VecDeque<Job>>,
-    ready: Condvar,
+/// Current values of the fan-out counters.
+pub fn stats() -> PoolStats {
+    PoolStats {
+        tasks_run: CHUNKS_SPAWNED.load(Relaxed),
+        tasks_stolen: CHUNKS_ON_CALLER.load(Relaxed),
+    }
 }
 
-struct Pool {
-    queue: Queue,
-    /// Number of workers spawned so far, behind its own lock so growth
-    /// never contends with job submission.
-    spawned: Mutex<usize>,
-    counters: Counters,
+/// Resolve a requested thread count. An explicit nonzero request is
+/// used as given; `0` means the `CALLPATH_THREADS` environment variable
+/// when it holds a positive integer (read once per process: set it
+/// before the first fan-out), otherwise the available parallelism
+/// capped at 8 — and 1 on a host that cannot say how many cores it has.
+pub fn resolve_threads(threads: usize) -> usize {
+    static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
+    let env = *ENV_THREADS
+        .get_or_init(|| parse_threads_env(std::env::var("CALLPATH_THREADS").ok().as_deref()));
+    resolve_threads_from(threads, env)
 }
 
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        queue: Queue {
-            jobs: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        },
-        spawned: Mutex::new(0),
-        counters: Counters::default(),
+/// The policy behind [`resolve_threads`] with the environment's
+/// contribution injected, so tests mutate no process-global state.
+fn resolve_threads_from(threads: usize, env_override: Option<usize>) -> usize {
+    if threads != 0 {
+        return threads;
+    }
+    env_override.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get().min(8))
+            .unwrap_or(1)
     })
 }
 
-thread_local! {
-    /// Set inside pool workers so a nested [`run_tasks`] runs inline
-    /// instead of submitting to the queue it is itself draining.
-    static IS_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+/// A `CALLPATH_THREADS` value: a positive integer overrides the
+/// automatic choice; unset, zero or garbage means no override.
+fn parse_threads_env(value: Option<&str>) -> Option<usize> {
+    value
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
 }
 
-/// Current values of the pool's counters. Zero everywhere until the
-/// first fan-out actually reaches the pool.
-pub fn stats() -> PoolStats {
-    let c = &pool().counters;
-    PoolStats {
-        tasks_queued: c.tasks_queued.load(Relaxed),
-        tasks_run: c.tasks_run.load(Relaxed),
-        tasks_stolen: c.tasks_stolen.load(Relaxed),
-        workers_spawned: c.workers_spawned.load(Relaxed),
-        idle_ns: c.idle_ns.load(Relaxed),
-    }
-}
-
-fn worker_loop(p: &'static Pool) {
-    IS_POOL_WORKER.with(|w| w.set(true));
-    loop {
-        let wait_start = Instant::now();
-        let job = {
-            let mut q = p.queue.jobs.lock().expect("pool queue poisoned");
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                q = p.queue.ready.wait(q).expect("pool queue poisoned");
-            }
-        };
-        p.counters
-            .idle_ns
-            .fetch_add(wait_start.elapsed().as_nanos() as u64, Relaxed);
-        p.counters.tasks_run.fetch_add(1, Relaxed);
-        // Jobs wrap the user closure in catch_unwind, so this call never
-        // unwinds and the worker never dies (the queue mutex is not held
-        // here, so it cannot be poisoned by a job either).
-        job();
-    }
-}
-
-/// Make sure at least `want` workers exist (capped at [`MAX_WORKERS`]).
-fn ensure_workers(p: &'static Pool, want: usize) {
-    let want = want.min(MAX_WORKERS);
-    let mut spawned = p.spawned.lock().expect("pool spawn lock poisoned");
-    while *spawned < want {
-        std::thread::Builder::new()
-            .name(format!("callpath-pool-{}", *spawned))
-            .spawn(move || worker_loop(p))
-            .expect("spawn pool worker");
-        *spawned += 1;
-        p.counters.workers_spawned.fetch_add(1, Relaxed);
-    }
-}
-
-/// Run every closure in `tasks` to completion — on pool workers when
-/// possible, inline otherwise — and return their results **in task
-/// order**. If any closure panicked, exactly one panic is re-raised on
-/// the calling thread with the first (lowest task index) payload, after
-/// all the other tasks have finished.
+/// Split `items` into at most `threads` contiguous chunks
+/// (0 = [`resolve_threads`]' choice), run `map(chunk_index, chunk)` on
+/// each — chunk 0 on the calling thread, the others on scoped threads —
+/// and return the results **in chunk order**.
 ///
-/// Single-task batches and calls made from inside a pool worker run
-/// inline without touching the queue.
-pub fn run_tasks<'env, A, F>(tasks: Vec<F>) -> Vec<A>
+/// An empty `items` yields an empty vec; a single chunk runs inline. If
+/// chunks panic, the lowest-index payload is re-raised on the caller
+/// after every chunk has finished. A thread that cannot be spawned
+/// costs parallelism, not the result: its chunk runs on the caller.
+pub fn chunked_map<T, A, F>(items: &[T], threads: usize, map: F) -> Vec<A>
 where
-    A: Send + 'env,
-    F: FnOnce() -> A + Send + 'env,
+    T: Sync,
+    A: Send,
+    F: Fn(usize, &[T]) -> A + Sync,
 {
-    let n = tasks.len();
-    if n == 0 {
+    if items.is_empty() {
         return Vec::new();
     }
-    if n == 1 || IS_POOL_WORKER.with(|w| w.get()) {
-        // Inline: nothing to fan out, or we *are* a pool worker and
-        // queueing could deadlock a fully busy pool. Panics propagate
-        // directly, which matches the pooled contract (first payload).
-        return tasks.into_iter().map(|f| f()).collect();
+    let threads = resolve_threads(threads).min(MAX_CHUNKS);
+    let chunk_len = items.len().div_ceil(threads);
+    let (first, rest) = items.split_at(chunk_len);
+    if rest.is_empty() {
+        return vec![map(0, first)];
     }
-
-    let p = pool();
-    ensure_workers(p, n);
-    let (tx, rx) = channel::<(usize, std::thread::Result<A>)>();
-    {
-        let mut q = p.queue.jobs.lock().expect("pool queue poisoned");
-        for (i, f) in tasks.into_iter().enumerate() {
-            let tx: Sender<(usize, std::thread::Result<A>)> = tx.clone();
-            let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(f));
-                // The receiver may already have left after a panic
-                // elsewhere; a dead channel just drops the result.
-                let _ = tx.send((i, result));
+    let map = &map;
+    // The scope joins every thread before it returns or unwinds, and an
+    // unwind out of its closure wins over a thread's unjoined panic —
+    // so the first payload met in chunk order is the one re-raised.
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..)
+            .zip(rest.chunks(chunk_len))
+            .map(|(ci, chunk)| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || map(ci, chunk))
+                    .map_err(|_| (ci, chunk))
+            })
+            .collect();
+        let on_threads = spawned.iter().filter(|s| s.is_ok()).count();
+        CHUNKS_SPAWNED.fetch_add(on_threads as u64, Relaxed);
+        CHUNKS_ON_CALLER.fetch_add((1 + spawned.len() - on_threads) as u64, Relaxed);
+        let mut out = Vec::with_capacity(1 + spawned.len());
+        out.push(map(0, first));
+        for chunk in spawned {
+            out.push(match chunk {
+                Ok(thread) => thread
+                    .join()
+                    .unwrap_or_else(|payload| resume_unwind(payload)),
+                Err((ci, chunk)) => map(ci, chunk),
             });
-            // SAFETY: `run_tasks` blocks below until it has received one
-            // message per job, and a job sends its message only after
-            // the user closure — the sole holder of `'env` borrows —
-            // has been consumed. No job can therefore outlive the
-            // borrows it captured. The transmute only erases the
-            // lifetime; the vtable and layout are unchanged.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-            q.push_back(job);
         }
-        p.counters.tasks_queued.fetch_add(n as u64, Relaxed);
-        p.queue.ready.notify_all();
-    }
-    drop(tx);
-
-    let mut results: Vec<Option<std::thread::Result<A>>> = (0..n).map(|_| None).collect();
-    let mut received = 0;
-    while received < n {
-        // Drain finished results first, then help with queued work
-        // (ours or another submitter's) instead of blocking while
-        // runnable jobs exist.
-        match rx.try_recv() {
-            Ok((i, r)) => {
-                results[i] = Some(r);
-                received += 1;
-                continue;
-            }
-            Err(std::sync::mpsc::TryRecvError::Empty)
-            | Err(std::sync::mpsc::TryRecvError::Disconnected) => {}
-        }
-        let job = p
-            .queue
-            .jobs
-            .lock()
-            .expect("pool queue poisoned")
-            .pop_front();
-        if let Some(job) = job {
-            p.counters.tasks_stolen.fetch_add(1, Relaxed);
-            job();
-            continue;
-        }
-        // Queue empty: every outstanding job of ours is running on a
-        // worker; block until the next one reports in.
-        let (i, r) = rx
-            .recv()
-            .expect("pool worker vanished with results outstanding");
-        results[i] = Some(r);
-        received += 1;
-    }
-
-    let mut out = Vec::with_capacity(n);
-    let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-    for slot in results {
-        match slot.expect("every task reported") {
-            Ok(v) => out.push(v),
-            Err(payload) => {
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-    }
-    if let Some(payload) = first_panic {
-        resume_unwind(payload);
-    }
-    out
+        out
+    })
 }
 
-/// Reduce `items` to one value by merging adjacent pairs level by level,
-/// every level's pairs running concurrently via [`run_tasks`]. `merge`
-/// is always called as `merge(left, right)` with `left` the lower-index
-/// operand, and an odd item out passes through to the next level
-/// unchanged in its position — so for any merge with the property
-/// "`merge(a, b)` extends `a` in `b`'s order" the result is identical
-/// to the sequential left-to-right fold, whatever the worker count.
-/// Returns `None` only for an empty input.
+/// Reduce `items` to one value by merging adjacent pairs level by
+/// level, a level's pairs running concurrently. `merge` is always
+/// called as `merge(left, right)` with `left` the lower-index operand,
+/// and an odd item out passes to the next level in its position — so
+/// for any merge where `merge(a, b)` extends `a` in `b`'s order, the
+/// result equals the sequential left-to-right fold. `None` only for an
+/// empty input.
 pub fn reduce_pairwise<T, F>(mut items: Vec<T>, merge: F) -> Option<T>
 where
     T: Send,
     F: Fn(T, T) -> T + Sync,
 {
     while items.len() > 1 {
-        let mut inputs: Vec<(T, Option<T>)> = Vec::with_capacity(items.len() / 2 + 1);
+        // A chunk sees its pairs by reference; the cell lets it take them.
+        let mut pairs = Vec::with_capacity(items.len().div_ceil(2));
         let mut it = items.into_iter();
         while let Some(a) = it.next() {
-            inputs.push((a, it.next()));
+            pairs.push(Mutex::new(Some((a, it.next()))));
         }
-        let merge = &merge;
-        items = run_tasks(
-            inputs
-                .into_iter()
-                .map(|(a, b)| {
-                    move || match b {
-                        Some(b) => merge(a, b),
-                        None => a,
-                    }
-                })
-                .collect(),
-        );
+        let merge_pair = |pair: &Mutex<Option<(T, Option<T>)>>| {
+            let taken = pair.lock().expect("a pair is locked once").take();
+            match taken.expect("a pair is merged once") {
+                (a, Some(b)) => merge(a, b),
+                (a, None) => a,
+            }
+        };
+        items = chunked_map(&pairs, pairs.len(), |_, chunk| {
+            chunk.iter().map(merge_pair).collect::<Vec<T>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
     }
     items.pop()
 }
@@ -325,151 +187,135 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::thread::{current, ThreadId};
 
-    #[test]
-    fn results_come_back_in_task_order() {
-        let tasks: Vec<_> = (0..32)
-            .map(|i| {
-                move || {
-                    // Uneven task durations scramble completion order.
-                    if i % 3 == 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    i * 2
-                }
-            })
-            .collect();
-        let out = run_tasks(tasks);
-        assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+    fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
     }
 
     #[test]
-    fn tasks_can_borrow_from_the_caller() {
-        let data: Vec<u64> = (0..1000).collect();
-        let chunks: Vec<&[u64]> = data.chunks(97).collect();
-        let sums = run_tasks(
-            chunks
-                .iter()
-                .map(|c| move || c.iter().sum::<u64>())
-                .collect(),
-        );
-        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
+    fn results_come_back_in_chunk_order_under_uneven_durations() {
+        let items: Vec<usize> = (0..32).collect();
+        let out = chunked_map(&items, 32, |ci, chunk| {
+            if ci % 3 == 0 {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            (ci, chunk[0] * 2)
+        });
+        assert_eq!(out, (0..32).map(|i| (i, i * 2)).collect::<Vec<_>>());
     }
 
     #[test]
-    fn workers_are_reused_across_calls() {
-        // Warm the pool, then check repeated fan-outs do not grow it.
-        let fan = || {
-            run_tasks((0..4).map(|i| move || i).collect::<Vec<_>>());
-        };
-        fan();
-        let spawned_after_first = stats().workers_spawned;
-        for _ in 0..16 {
-            fan();
+    fn every_item_is_mapped_once_in_order_at_any_width() {
+        let items: Vec<u32> = (0..103).collect();
+        for threads in [1, 2, 3, 8, 64, 1000] {
+            let parts = chunked_map(&items, threads, |_, chunk| chunk.to_vec());
+            assert!(parts.len() <= threads.min(items.len()), "threads={threads}");
+            assert_eq!(parts.concat(), items, "threads={threads}");
         }
-        assert_eq!(
-            stats().workers_spawned,
-            spawned_after_first,
-            "same-width fan-outs must reuse the existing workers"
-        );
-        assert!(stats().tasks_queued >= 17 * 4);
+        assert!(chunked_map(&[0u32; 0], 4, |_, c| c.len()).is_empty());
     }
 
     #[test]
-    fn a_panicking_task_surfaces_its_original_message() {
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_tasks(
-                (0..8)
-                    .map(|i| {
-                        move || {
-                            if i == 5 {
-                                panic!("injected failure in task {i}");
-                            }
-                            i
-                        }
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        }))
-        .expect_err("the panic must propagate to the submitter");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert_eq!(msg, "injected failure in task 5");
+    fn chunks_borrow_from_the_caller() {
+        let data: Vec<u64> = (0..1000).collect();
+        let seen = AtomicUsize::new(0);
+        let sums = chunked_map(&data, 7, |_, chunk| {
+            seen.fetch_add(chunk.len(), Relaxed);
+            chunk.iter().sum::<u64>()
+        });
+        assert_eq!(sums.iter().sum::<u64>(), data.iter().sum::<u64>());
+        assert_eq!(seen.load(Relaxed), data.len());
     }
 
     #[test]
-    fn all_tasks_finish_even_when_one_panics() {
-        let ran = AtomicUsize::new(0);
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_tasks(
-                (0..8)
-                    .map(|i| {
-                        let ran = &ran;
-                        move || {
-                            ran.fetch_add(1, Relaxed);
-                            if i == 0 {
-                                panic!("first task dies");
-                            }
-                        }
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        }));
-        assert_eq!(ran.load(Relaxed), 8, "panic must not cancel other tasks");
+    fn chunk_zero_runs_on_the_caller_and_the_rest_on_threads_of_their_own() {
+        let items = [0u8; 6];
+        let ids: Vec<ThreadId> = chunked_map(&items, 6, |_, _| current().id());
+        assert_eq!(ids[0], current().id());
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!(distinct.len(), 6, "n chunks are n runnable threads");
     }
 
     #[test]
-    fn nested_submission_from_a_worker_runs_inline() {
-        // Each outer task fans out again; the inner fan-out must run
-        // inline on the worker (no queue round trip, no deadlock).
-        let out = run_tasks(
-            (0..4)
-                .map(|i| {
-                    move || {
-                        let inner =
-                            run_tasks((0..4).map(|j| move || i * 10 + j).collect::<Vec<_>>());
-                        inner.into_iter().sum::<usize>()
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
+    fn a_fan_out_nested_inside_a_chunk_completes() {
+        let outer: Vec<usize> = (0..4).collect();
+        let out = chunked_map(&outer, 4, |_, chunk| {
+            let inner: Vec<usize> = (0..4).map(|j| chunk[0] * 10 + j).collect();
+            chunked_map(&inner, 4, |_, c| c[0])
+                .into_iter()
+                .sum::<usize>()
+        });
         assert_eq!(out, vec![6, 46, 86, 126]);
     }
 
     #[test]
-    fn many_more_tasks_than_workers_complete() {
-        let out = run_tasks((0..300).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(out.len(), 300);
-        assert!(out.into_iter().eq(0..300));
+    fn the_chunk_count_has_a_ceiling() {
+        let items: Vec<u32> = (0..2 * MAX_CHUNKS as u32 + 1).collect();
+        let parts = chunked_map(&items, usize::MAX, |_, chunk| chunk.to_vec());
+        assert!(parts.len() <= MAX_CHUNKS);
+        assert_eq!(parts.concat(), items);
     }
 
     #[test]
-    fn empty_task_list_is_a_no_op() {
-        let out: Vec<u32> = run_tasks(Vec::<fn() -> u32>::new());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn reduce_pairwise_preserves_left_to_right_order() {
-        // String concatenation is order-sensitive: the pairwise tree
-        // must still produce the sequential fold's result.
-        for n in [0usize, 1, 2, 3, 7, 8, 13, 64] {
-            let items: Vec<String> = (0..n).map(|i| format!("{i},")).collect();
-            let expect = items.concat();
-            let got = reduce_pairwise(items, |a, b| a + &b);
-            match got {
-                None => assert_eq!(n, 0),
-                Some(s) => assert_eq!(s, expect, "n={n}"),
-            }
+    fn the_lowest_chunks_panic_reaches_the_caller_with_its_message() {
+        let items: Vec<u32> = (0..64).collect();
+        for failing in [[0, 5], [3, 6]] {
+            let err = std::panic::catch_unwind(|| {
+                chunked_map(&items, 8, |ci, _| {
+                    if failing.contains(&ci) {
+                        panic!("chunk {ci} exploded");
+                    }
+                    ci
+                })
+            })
+            .expect_err("a chunk's panic must reach the caller");
+            assert_eq!(panic_message(err), format!("chunk {} exploded", failing[0]));
         }
     }
 
     #[test]
-    fn reduce_pairwise_single_item_passes_through() {
-        assert_eq!(reduce_pairwise(vec![41u64], |a, b| a + b), Some(41));
-        assert_eq!(reduce_pairwise(Vec::<u64>::new(), |a, b| a + b), None);
+    fn every_chunk_finishes_even_when_one_panics() {
+        let items = [0u8; 8];
+        for failing in [0, 4] {
+            let ran = AtomicUsize::new(0);
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                chunked_map(&items, 8, |ci, _| {
+                    ran.fetch_add(1, Relaxed);
+                    assert_ne!(ci, failing, "one chunk dies");
+                })
+            }));
+            assert_eq!(ran.load(Relaxed), 8, "a panic must not cancel other chunks");
+        }
+    }
+
+    #[test]
+    fn reduce_pairwise_preserves_left_to_right_order() {
+        // Concatenation is order-sensitive: the pairwise tree must
+        // still produce the sequential fold's result.
+        for n in [0usize, 1, 2, 3, 7, 8, 13, 64, 2 * MAX_CHUNKS + 3] {
+            let items: Vec<String> = (0..n).map(|i| format!("{i},")).collect();
+            let expect = (n > 0).then(|| items.concat());
+            assert_eq!(reduce_pairwise(items, |a, b| a + &b), expect, "n={n}");
+        }
+    }
+
+    #[test]
+    fn explicit_count_beats_the_environment_beats_the_host() {
+        assert_eq!(resolve_threads_from(5, Some(3)), 5);
+        assert_eq!(resolve_threads_from(0, Some(3)), 3);
+        assert!((1..=8).contains(&resolve_threads_from(0, None)));
+        // The cached read is stable and explicit requests still win.
+        assert_eq!(resolve_threads(0), resolve_threads(0));
+        assert_eq!(resolve_threads(7), 7);
+    }
+
+    #[test]
+    fn env_parse_accepts_positive_integers_only() {
+        assert_eq!(parse_threads_env(Some("3")), Some(3));
+        assert_eq!(parse_threads_env(Some("  16 ")), Some(16));
+        for no_override in [None, Some("0"), Some("not a number"), Some("-2"), Some("")] {
+            assert_eq!(parse_threads_env(no_override), None);
+        }
     }
 }

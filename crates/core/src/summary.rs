@@ -5,9 +5,7 @@
 //! keep every process's metrics in memory; HPCToolkit instead summarizes
 //! per-node metrics into mean, min, max and standard deviation. The
 //! `Welford` accumulator here implements the numerically stable streaming
-//! algorithm, and `merge` combines two partial accumulators (the
-//! "assemble intermediate summary metric values into final values" step),
-//! so reduction can proceed in parallel over disjoint rank subsets.
+//! algorithm: one `push` per process, nothing kept but the moments.
 
 /// A summary statistic over per-process metric values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,7 +40,7 @@ impl Stat {
 }
 
 /// Numerically stable streaming accumulator (Welford's algorithm) with
-/// min/max tracking and parallel merge.
+/// min/max tracking.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Welford {
     count: u64,
@@ -81,27 +79,6 @@ impl Welford {
         self.min = self.min.min(x);
         self.max = self.max.max(x);
         self.sum += x;
-    }
-
-    /// Combine two partial accumulators (Chan et al. parallel update).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
     }
 
     /// Number of observations.
@@ -205,43 +182,6 @@ mod tests {
         assert_eq!(w.max(), max);
         assert_eq!(w.sum(), sum);
         assert_eq!(w.count(), 8);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let mut seq = Welford::new();
-        for &x in &xs {
-            seq.push(x);
-        }
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-10);
-        assert!((a.variance() - seq.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), seq.min());
-        assert_eq!(a.max(), seq.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Welford::new();
-        a.push(2.0);
-        a.push(4.0);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a, before);
-
-        let mut e = Welford::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The union-supergraph core: deterministic N-way merge of calling
 //! context trees by journal replay.
 //!
-//! `prof::parallel` (PR 7) merges *rank shards* of one execution;
+//! `prof::parallel` merges *rank shards* of one execution;
 //! `diff` merges exactly two experiments. Both reduce to the same
 //! primitive — replay a pruned creation journal of one tree against
 //! another, translating scope kinds **by name** — and the ensemble

@@ -14,20 +14,19 @@
 //!
 //! ## Determinism
 //!
-//! The union is **byte-identical** regardless of worker count and of
+//! The union is **byte-identical** regardless of thread count and of
 //! the order runs are supplied in:
 //!
 //! * runs are first sorted into a *canonical order* by `(label,
 //!   content fingerprint)` — a pure function of run content;
 //! * the canonical sequence is split into one contiguous group per
-//!   worker, each group folded left-to-right into a **fresh empty
-//!   shard** (so no input's stored name-table order leaks into the
-//!   result), and the groups merged pairwise on the worker pool
+//!   thread ([`chunked_map`]), each group folded left-to-right into a
+//!   **fresh empty shard** (so no input's stored name-table order leaks
+//!   into the result), and the groups merged pairwise
 //!   ([`reduce_pairwise`] preserves left-to-right operand order), which
 //!   makes the parallel reduction equal to the sequential fold —
 //!   same node ids, same name table, bit for bit;
-//! * statistics fold runs in canonical order per node, over fixed-size
-//!   node tiles whose boundaries do not depend on the worker count, so
+//! * statistics fold runs in canonical order per node, in one loop, so
 //!   every f64 accumulation order is fixed too.
 //!
 //! The property tests in `tests/ensemble_properties.rs` pin all of
@@ -234,7 +233,7 @@ impl RemapNodes for RunSlot {
     }
 }
 
-/// Build the union supergraph of `runs` on `threads` workers
+/// Build the union supergraph of `runs` on `threads` threads
 /// (0 = automatic). Deterministic: the result is byte-identical for
 /// any thread count and any input order (see the module docs).
 pub fn build_union(runs: &[RunData], threads: usize) -> Union {
@@ -258,36 +257,21 @@ pub fn build_union(runs: &[RunData], threads: usize) -> Union {
             .then(a.cmp(&b))
     });
 
-    // One contiguous group of the canonical sequence per worker, each
+    // One contiguous group of the canonical sequence per thread, each
     // folded sequentially into a fresh empty shard; then a pairwise
     // reduction that preserves left-to-right order. Group boundaries
-    // vary with the worker count, but the result does not: merging
+    // vary with the thread count, but the result does not: merging
     // adjacent folds equals folding the concatenation.
-    let t = resolve_threads(threads);
-    let group_len = order.len().div_ceil(t).max(1);
-    let fold_group = |start: usize, group: &[usize]| -> CctShard<RunSlot> {
+    let canonical: Vec<(usize, &RunData)> = order.iter().map(|&ri| &runs[ri]).enumerate().collect();
+    let shards: Vec<CctShard<RunSlot>> = chunked_map(&canonical, threads, |_, group| {
         let mut shard = CctShard::empty();
-        for (k, &ri) in group.iter().enumerate() {
-            let src = &runs[ri].cct;
-            let journal = arena_journal(src);
-            let map = replay_into(&mut shard.cct, &mut shard.journal, src, &journal);
-            shard.payload.push(RunSlot {
-                pos: start + k,
-                map,
-            });
+        for &(pos, run) in group {
+            let journal = arena_journal(&run.cct);
+            let map = replay_into(&mut shard.cct, &mut shard.journal, &run.cct, &journal);
+            shard.payload.push(RunSlot { pos, map });
         }
         shard
-    };
-    let shards: Vec<CctShard<RunSlot>> = run_tasks(
-        order
-            .chunks(group_len)
-            .enumerate()
-            .map(|(gi, group)| {
-                let fold_group = &fold_group;
-                move || fold_group(gi * group_len, group)
-            })
-            .collect(),
-    );
+    });
     let merged = reduce_pairwise(shards, |a, b| {
         obs::count("ensemble.merge.pairs", 1);
         merge_shards(a, b)
@@ -323,10 +307,6 @@ fn remap_costs(costs: &[(u32, f64)], map: &[NodeId]) -> Vec<(u32, f64)> {
     out
 }
 
-/// Node-tile width of the statistics pass. Fixed — independent of the
-/// worker count — so per-node accumulation order never changes.
-const STAT_TILE: usize = 4096;
-
 /// A fully built ensemble, ready to serialize.
 pub struct BuiltEnsemble {
     /// The union CCT.
@@ -353,113 +333,54 @@ impl BuiltEnsemble {
 }
 
 /// Build the full ensemble: union supergraph, per-run remapped costs,
-/// and cross-run statistics, on `threads` workers (0 = automatic).
+/// and cross-run statistics; the union runs on `threads` threads
+/// (0 = automatic).
 pub fn build(runs: &[RunData], threads: usize) -> BuiltEnsemble {
     let union = build_union(runs, threads);
     build_from_union(runs, union, threads)
 }
 
 /// The post-union half of [`build`], split out so benches can time the
-/// union and the statistics separately.
-pub fn build_from_union(runs: &[RunData], union: Union, threads: usize) -> BuiltEnsemble {
+/// union and the statistics separately. The remap and the statistics
+/// are loops (DESIGN.md §13 has the measurement), so the last argument
+/// selects nothing.
+pub fn build_from_union(runs: &[RunData], union: Union, _threads: usize) -> BuiltEnsemble {
     let _span = obs::span("ensemble.stats");
     let first = &runs[union.order[0]];
     let base: Vec<MetricDesc> = first.metrics.clone();
     let metric_names: Vec<String> = base.iter().map(|d| d.name.clone()).collect();
 
     // Remap every run's costs into union ids, matching metrics by name
-    // against the base list. Embarrassingly parallel per run.
-    let positions: Vec<usize> = (0..union.order.len()).collect();
-    let ens_runs: Vec<EnsembleRun> = chunked_map(&positions, threads, |_, chunk| {
-        chunk
-            .iter()
-            .map(|&i| {
-                let run = &runs[union.order[i]];
-                let map = &union.node_maps[i];
-                let costs = base
-                    .iter()
-                    .map(|bd| {
-                        run.metrics
-                            .iter()
-                            .position(|d| d.name == bd.name)
-                            .map(|mi| remap_costs(&run.costs[mi], map))
-                            .unwrap_or_default()
-                    })
-                    .collect();
-                EnsembleRun {
-                    label: run.label.clone(),
-                    fingerprint: union.fingerprints[i],
-                    costs,
-                }
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    // against the base list.
+    let ens_runs: Vec<EnsembleRun> = (0..union.order.len())
+        .map(|i| {
+            let run = &runs[union.order[i]];
+            let map = &union.node_maps[i];
+            let costs = base
+                .iter()
+                .map(|bd| {
+                    run.metrics
+                        .iter()
+                        .position(|d| d.name == bd.name)
+                        .map(|mi| remap_costs(&run.costs[mi], map))
+                        .unwrap_or_default()
+                })
+                .collect();
+            EnsembleRun {
+                label: run.label.clone(),
+                fingerprint: union.fingerprints[i],
+                costs,
+            }
+        })
+        .collect();
 
-    // One streaming pass per (metric, node tile): fold runs in
-    // canonical order, then derive all four statistics. Absent nodes
-    // count as zero for min/max (a run that never reached a context
-    // spent nothing there) and for the mean/stddev denominator, which
-    // is always the run count.
+    // One streaming pass per metric: fold runs in canonical order,
+    // then derive all four statistics. Absent nodes count as zero for
+    // min/max (a run that never reached a context spent nothing there)
+    // and for the mean/stddev denominator, which is always the run
+    // count.
     let n_nodes = union.cct.len();
     let n_runs = ens_runs.len() as f64;
-    let tiles: Vec<(usize, usize)> = (0..base.len())
-        .flat_map(|m| (0..n_nodes).step_by(STAT_TILE).map(move |lo| (m, lo)))
-        .collect();
-    type TileStats = [Vec<(u32, f64)>; 4];
-    let tile_stats: Vec<TileStats> = chunked_map(&tiles, threads, |_, chunk| {
-        chunk
-            .iter()
-            .map(|&(m, lo)| {
-                let hi = (lo + STAT_TILE).min(n_nodes);
-                let w = hi - lo;
-                let mut sum = vec![0.0f64; w];
-                let mut sumsq = vec![0.0f64; w];
-                let mut cnt = vec![0u32; w];
-                let mut mn = vec![f64::INFINITY; w];
-                let mut mx = vec![f64::NEG_INFINITY; w];
-                for run in &ens_runs {
-                    let costs = &run.costs[m];
-                    let a = costs.partition_point(|&(n, _)| (n as usize) < lo);
-                    let b = costs.partition_point(|&(n, _)| (n as usize) < hi);
-                    for &(node, v) in &costs[a..b] {
-                        let k = node as usize - lo;
-                        sum[k] += v;
-                        sumsq[k] += v * v;
-                        cnt[k] += 1;
-                        mn[k] = mn[k].min(v);
-                        mx[k] = mx[k].max(v);
-                    }
-                }
-                let mut out: TileStats = Default::default();
-                for k in 0..w {
-                    if cnt[k] == 0 {
-                        continue;
-                    }
-                    let node = (lo + k) as u32;
-                    let mean = sum[k] / n_runs;
-                    let (lo_v, hi_v) = if (cnt[k] as f64) < n_runs {
-                        (mn[k].min(0.0), mx[k].max(0.0))
-                    } else {
-                        (mn[k], mx[k])
-                    };
-                    let var = (sumsq[k] / n_runs - mean * mean).max(0.0);
-                    for (s, v) in [mean, lo_v, hi_v, var.sqrt()].into_iter().enumerate() {
-                        if v != 0.0 {
-                            out[s].push((node, v));
-                        }
-                    }
-                }
-                out
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
     let mut stat_metrics: Vec<DbMetric> = base
         .iter()
         .flat_map(|d| {
@@ -471,11 +392,38 @@ pub fn build_from_union(runs: &[RunData], union: Union, threads: usize) -> Built
             })
         })
         .collect();
-    let tiles_per_metric = n_nodes.div_ceil(STAT_TILE);
-    for (ti, tile) in tile_stats.into_iter().enumerate() {
-        let m = ti / tiles_per_metric;
-        for (s, entries) in tile.into_iter().enumerate() {
-            stat_metrics[m * STAT_NAMES.len() + s].costs.extend(entries);
+    for (m, stats) in stat_metrics.chunks_mut(STAT_NAMES.len()).enumerate() {
+        let mut sum = vec![0.0f64; n_nodes];
+        let mut sumsq = vec![0.0f64; n_nodes];
+        let mut cnt = vec![0u32; n_nodes];
+        let mut mn = vec![f64::INFINITY; n_nodes];
+        let mut mx = vec![f64::NEG_INFINITY; n_nodes];
+        for run in &ens_runs {
+            for &(node, v) in &run.costs[m] {
+                let k = node as usize;
+                sum[k] += v;
+                sumsq[k] += v * v;
+                cnt[k] += 1;
+                mn[k] = mn[k].min(v);
+                mx[k] = mx[k].max(v);
+            }
+        }
+        for k in 0..n_nodes {
+            if cnt[k] == 0 {
+                continue;
+            }
+            let mean = sum[k] / n_runs;
+            let (lo_v, hi_v) = if (cnt[k] as f64) < n_runs {
+                (mn[k].min(0.0), mx[k].max(0.0))
+            } else {
+                (mn[k], mx[k])
+            };
+            let var = (sumsq[k] / n_runs - mean * mean).max(0.0);
+            for (stat, v) in stats.iter_mut().zip([mean, lo_v, hi_v, var.sqrt()]) {
+                if v != 0.0 {
+                    stat.costs.push((k as u32, v));
+                }
+            }
         }
     }
 

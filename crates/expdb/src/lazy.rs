@@ -44,7 +44,7 @@
 //!
 //! Batch consumers that will touch everything anyway (replay, diffing,
 //! format conversion) should call [`decode_all`] right after opening:
-//! it fans the per-column work across workers via `core::chunked`
+//! it divides the columns among threads (`core::pool::chunked_map`)
 //! instead of paying faults serially on first touch.
 
 use crate::bin2::{self, MetricInfo};
@@ -441,7 +441,7 @@ fn open_topology(
 }
 
 /// Materialize every column of a lazily opened experiment, fanning the
-/// per-column block decode + attribution across `threads` workers
+/// per-column block decode + attribution across `threads` threads
 /// (0 = automatic). Batch consumers — replay, diffing, re-encoding —
 /// call this once after [`open_lazy`] instead of paying faults
 /// serially; on an eagerly built experiment it is a cheap no-op scan.

@@ -13,7 +13,7 @@
 //!   by subsystem.
 //! * Direct `time` cost at a node = recorded total minus the children's
 //!   recorded totals, clamped at zero. The clamp matters under
-//!   `core::chunked` fan-out: children timed on worker threads can sum
+//!   `core::pool` fan-out: children timed on threads of their own can sum
 //!   to more wall time than their single-threaded parent, and clamping
 //!   (rather than going negative) preserves the presentation invariant
 //!   the acceptance test pins — every parent's inclusive time is at
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn concurrent_children_clamp_to_zero_self_time() {
-        // Shards timed on worker threads can out-sum their parent.
+        // Shards timed on threads of their own can out-sum their parent.
         let snap = Snapshot {
             spans: vec![
                 rec("(root)", 0, 0, 0),

@@ -152,8 +152,8 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// Open a timed span under an explicit parent — the cross-thread form:
-/// capture [`current`] before handing work to `core::chunked`, open
-/// shard spans under it inside the worker closure.
+/// capture [`current`] before handing work to `core::pool::chunked_map`,
+/// open shard spans under it inside the chunk closure.
 pub fn span_under(parent: SpanId, name: &'static str) -> SpanGuard {
     let (id, node) = {
         let mut arena = registry().arena.lock();
@@ -366,10 +366,10 @@ pub fn snapshot() -> Snapshot {
         .iter()
         .map(|(&name, c)| (name.to_owned(), c.load(Relaxed)))
         .collect();
-    // The worker pool lives below this crate in the dependency graph
-    // (callpath-obs depends on callpath-core), so it keeps its own
-    // always-on atomics; fold them in here so `--stats` and
-    // `--self-profile` show where fan-out time goes. Zero values are
+    // The fan-out helper lives below this crate in the dependency
+    // graph (callpath-obs depends on callpath-core), so it keeps its
+    // own always-on atomics; fold them in here so `--stats` and
+    // `--self-profile` show how many chunks ran where. Zero values are
     // skipped: a process that never fanned out reports no pool rows.
     for (name, value) in callpath_core::pool::stats().named() {
         if value > 0 {

@@ -17,8 +17,8 @@
 //!   instrumentation*, not a trace.
 //! * [`span_under`] opens a region under an explicitly captured parent
 //!   ([`current`]), which is how spans follow work handed to
-//!   `core::chunked` worker threads: capture the parent before the
-//!   fan-out, open shard spans under it inside the closure.
+//!   the threads of a `core::pool::chunked_map`: capture the parent
+//!   before the fan-out, open shard spans under it inside the closure.
 //! * [`count`] / [`observe`] / [`error`] are single calls into
 //!   lock-protected maps. Hot call sites use [`LazyCounter`] /
 //!   [`LazySpan`] instead, which cache the resolved registry entry in a

@@ -184,7 +184,6 @@ mod tests {
             &run.spmd.experiment,
             &[Counter::Cycles],
             &run.spmd.rank_direct,
-            0,
         );
         let root = run.spmd.experiment.cct.root();
         let w = s.get(root, callpath_core::prelude::MetricId(0));

@@ -4,8 +4,8 @@
 //! SPMD execution, scalable metric summarization and load-imbalance
 //! identification (Sections IV finalization, VI-C and VII).
 //!
-//! * [`spmd`] runs one program on N simulated ranks (in parallel, on
-//!   the persistent worker pool), each with its own work scale from an
+//! * [`spmd`] runs one program on N simulated ranks (in parallel, through
+//!   `core::pool::chunked_map`), each with its own work scale from an
 //!   uneven domain partition; barrier waiting time is converted into
 //!   `IDLENESS` samples attributed to the barrier's calling context, and
 //!   all rank profiles are correlated into one canonical CCT.

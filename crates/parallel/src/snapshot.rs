@@ -6,8 +6,8 @@
 //! interactive viewer session (which faults in the two or three columns
 //! it sorts and renders), replay re-derives summaries over **every**
 //! metric, so [`replay`] opens lazily and immediately calls
-//! `decode_all`, fanning per-column block decode and attribution across
-//! the same worker pool the rank simulation used.
+//! `decode_all`, fanning per-column block decode and attribution out
+//! as the rank simulation was (`core::pool::chunked_map`).
 
 use crate::spmd::SpmdRun;
 use callpath_core::prelude::Experiment;
@@ -24,7 +24,7 @@ pub fn snapshot(run: &SpmdRun) -> Vec<u8> {
 
 /// Reload a snapshot for batch re-analysis: open the container
 /// lazily (topology only), then materialize every metric column across
-/// `threads` workers (0 = automatic). The returned experiment is fully
+/// `threads` threads (0 = automatic). The returned experiment is fully
 /// resident — summarization, imbalance charts and diffing can hit any
 /// column without further decoding.
 pub fn replay(bytes: Vec<u8>, threads: usize) -> Result<Experiment, DbError> {

@@ -3,9 +3,8 @@
 //!
 //! For every CCT node and metric, the summarizer folds each rank's
 //! *inclusive* value into a [`Welford`] accumulator. Ranks stream through
-//! one at a time (per worker), so memory is O(nodes × metrics), not
-//! O(nodes × metrics × ranks). Partial accumulators from worker threads
-//! merge associatively — exactly the paper's "assembles intermediate
+//! one at a time, so memory is O(nodes × metrics), not
+//! O(nodes × metrics × ranks) — the paper's "assembles intermediate
 //! summary metric values into final values".
 
 use callpath_core::attribution::attribute;
@@ -92,43 +91,21 @@ fn fold_rank(exp: &Experiment, counters: &[Counter], costs: &PerNodeCosts, into:
     }
 }
 
-/// Merge two equally-sized partial accumulator vectors element-wise
-/// (the associative reduction both summarizers hand to
-/// [`chunked_reduce`]).
-fn merge_partials(mut a: Vec<Welford>, b: Vec<Welford>) -> Vec<Welford> {
-    for (x, y) in a.iter_mut().zip(b.iter()) {
-        x.merge(y);
-    }
-    a
-}
-
 /// Summarize per-rank inclusive values over the shared CCT.
 ///
 /// `rank_costs[r]` is rank r's sparse per-node direct costs (from
 /// [`callpath_prof::Correlator::add`]); `counters` selects and orders the
-/// metrics (matching the experiment's metric ids). Work is split across
-/// `threads` workers whose partial accumulators are merged.
+/// metrics (matching the experiment's metric ids).
 pub fn summarize_ranks(
     exp: &Experiment,
     counters: &[Counter],
     rank_costs: &[PerNodeCosts],
-    threads: usize,
 ) -> Summaries {
     let n_metrics = counters.len();
-    let n_nodes = exp.cct.len();
-    let stats = chunked_reduce(
-        rank_costs,
-        threads,
-        |_ci, batch| {
-            let mut acc = vec![Welford::new(); n_nodes * n_metrics];
-            for costs in batch {
-                fold_rank(exp, counters, costs, &mut acc);
-            }
-            acc
-        },
-        merge_partials,
-    )
-    .unwrap_or_else(|| vec![Welford::new(); n_nodes * n_metrics]);
+    let mut stats = vec![Welford::new(); exp.cct.len() * n_metrics];
+    for costs in rank_costs {
+        fold_rank(exp, counters, costs, &mut stats);
+    }
     Summaries { stats, n_metrics }
 }
 
@@ -158,7 +135,7 @@ mod tests {
     #[test]
     fn mean_min_max_match_partition() {
         let run = simple_run(vec![1.0, 1.0, 2.0, 2.0]);
-        let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct, 2);
+        let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct);
         let root = run.experiment.cct.root();
         let w = s.get(root, MetricId(0));
         assert_eq!(w.count(), 4);
@@ -169,21 +146,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_results() {
-        let run = simple_run(vec![1.0, 1.3, 1.7, 2.0, 2.3]);
-        let a = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct, 1);
-        let b = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct, 4);
-        let root = run.experiment.cct.root();
-        let (wa, wb) = (a.get(root, MetricId(0)), b.get(root, MetricId(0)));
-        assert_eq!(wa.count(), wb.count());
-        assert!((wa.mean() - wb.mean()).abs() < 1e-9);
-        assert!((wa.variance() - wb.variance()).abs() < 1e-6);
-    }
-
-    #[test]
     fn summary_columns_append_and_fill() {
         let run = simple_run(vec![1.0, 3.0]);
-        let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct, 1);
+        let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct);
         let mut exp = run.experiment;
         let before = exp.columns.column_count();
         let cols = s.append_columns(&mut exp, &[Stat::Mean, Stat::Max, Stat::StdDev]);
@@ -206,7 +171,7 @@ mod tests {
         b.body(main, vec![Op::call(2, work)]);
         b.entry(main);
         let run = run_spmd(&b.build(), &SpmdConfig::new(vec![1.0, 2.0], exact_cfg()));
-        let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct, 1);
+        let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct);
         let root = run.experiment.cct.root();
         let main_node = run.experiment.cct.children(root).next().unwrap();
         let w = s.get(main_node, MetricId(0));
@@ -228,35 +193,24 @@ pub fn summarize_view_nodes(
     tree: &callpath_core::viewtree::ViewTree,
     counters: &[Counter],
     rank_costs: &[PerNodeCosts],
-    threads: usize,
 ) -> Summaries {
     use callpath_core::prelude::ViewNodeId;
     let n_metrics = counters.len();
     let n_nodes = tree.len();
-
-    let stats = chunked_reduce(
-        rank_costs,
-        threads,
-        |_ci, batch| {
-            let mut acc = vec![Welford::new(); n_nodes * n_metrics];
-            for costs in batch {
-                // Per-rank inclusive values on the CCT, then view-node
-                // aggregation via the exposed sets.
-                let (raw, ids) = rank_raw(counters, costs);
-                for (mi, &id) in ids.iter().enumerate() {
-                    let attr = attribute(&exp.cct, &raw, id, StorageKind::Csr);
-                    for vi in 0..n_nodes {
-                        let kept = tree.kept(ViewNodeId(vi as u32));
-                        let v: f64 = kept.iter().map(|n| attr.inclusive.get(n.0)).sum();
-                        acc[vi * n_metrics + mi].push(v);
-                    }
-                }
+    let mut stats = vec![Welford::new(); n_nodes * n_metrics];
+    for costs in rank_costs {
+        // Per-rank inclusive values on the CCT, then view-node
+        // aggregation via the exposed sets.
+        let (raw, ids) = rank_raw(counters, costs);
+        for (mi, &id) in ids.iter().enumerate() {
+            let attr = attribute(&exp.cct, &raw, id, StorageKind::Csr);
+            for vi in 0..n_nodes {
+                let kept = tree.kept(ViewNodeId(vi as u32));
+                let v: f64 = kept.iter().map(|n| attr.inclusive.get(n.0)).sum();
+                stats[vi * n_metrics + mi].push(v);
             }
-            acc
-        },
-        merge_partials,
-    )
-    .unwrap_or_else(|| vec![Welford::new(); n_nodes * n_metrics]);
+        }
+    }
     Summaries { stats, n_metrics }
 }
 
@@ -333,7 +287,6 @@ mod view_summary_tests {
             &callers.tree,
             &[callpath_profiler::Counter::Cycles],
             &run.rank_direct,
-            0,
         );
         // Top-level g: exposed inclusive per rank = 2000 (rank 0) and
         // 6000 (rank 1, scale 3).
@@ -362,7 +315,6 @@ mod view_summary_tests {
             &flat.tree,
             &[callpath_profiler::Counter::Cycles],
             &run.rank_direct,
-            2,
         );
         let before = flat.tree.column_descs().len();
         let cols = s.append_view_columns(exp, &mut flat.tree, &[Stat::Mean, Stat::Max]);

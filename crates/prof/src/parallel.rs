@@ -1,8 +1,9 @@
-//! Parallel profile ingestion: shard N rank profiles across the worker
-//! pool, correlate each shard against its own local CCT, then merge the
-//! shards pairwise — concurrently, left-to-right — so the canonical
-//! CCT, node ids included, is **identical to what the sequential
-//! [`Correlator`] produces**.
+//! Parallel profile ingestion: split N rank profiles into contiguous
+//! shards (`core::pool::chunked_map`), correlate each shard against its
+//! own local CCT, then merge the shards pairwise — concurrently,
+//! left-to-right, through `core::supergraph::merge_shards` — so the
+//! canonical CCT, node ids included, is **identical to what the
+//! sequential [`Correlator`] produces**.
 //!
 //! ## Why the result is byte-identical
 //!
@@ -17,9 +18,9 @@
 //!    structure builds the identical name table, because
 //!    [`Correlator::new`] interns all names — including inlined callee
 //!    names — in deterministic structure order before any profile is
-//!    walked. Scope kinds therefore compare equal across shards by
-//!    value.
-//! 2. **Pruned visit journals.** Each worker correlates a *contiguous*
+//!    walked. The merge translates scope kinds by name, and between two
+//!    copies of one table that maps every id to itself.
+//! 2. **Pruned visit journals.** Each shard correlates a *contiguous*
 //!    run of ranks (chunk 0 = ranks `0..k`, chunk 1 the next run, ...)
 //!    while recording only the `(parent, child)` calls that **created**
 //!    `child`. Repeat visits find an existing node, so replaying them
@@ -34,14 +35,14 @@
 //!    of B's ranks *after* A's ranks would first encounter them. The
 //!    merged journal is A's journal followed by the newly created
 //!    edges (in merged-local ids), so the invariant holds at every
-//!    level of the merge tree. Adjacent shards merge concurrently on
-//!    the pool, but always left into right-neighbor order, so the
-//!    final CCT equals shard 0's CCT extended in sequential creation
-//!    order — and shard 0's ids are the sequential ids for its ranks
-//!    by construction. No final replay pass is needed.
+//!    level of the merge tree. Adjacent shards merge concurrently, but
+//!    always left into right-neighbor order, so the final CCT equals
+//!    shard 0's CCT extended in sequential creation order — and shard
+//!    0's ids are the sequential ids for its ranks by construction. No
+//!    final replay pass is needed.
 //! 4. **Rank-order totals fold.** f64 addition is not associative, so
 //!    the per-node totals are *not* summed during the concurrent
-//!    merges. Per-rank costs are remapped to canonical ids on the pool
+//!    merges. Per-rank costs are remapped to canonical ids inside them
 //!    (cheap, exact — a table lookup per entry), then folded into a
 //!    fresh totals table in ascending rank order on the reducing thread:
 //!    the same additions in the same order as a sequential `add` loop,
@@ -52,15 +53,16 @@ use callpath_core::prelude::*;
 use callpath_profiler::{Counter, RawProfile};
 use callpath_structure::Structure;
 
-/// One worker's output: the shard-local CCT, the pruned journal that
-/// rebuilds it, and each rank's direct costs in shard-local node ids.
-struct Shard {
-    cct: Cct,
-    /// First-appearance `(parent, child)` edges, creation order: every
-    /// non-root node of `cct` appears exactly once as `child`, after
-    /// its parent.
-    journal: Vec<(NodeId, NodeId)>,
-    per_rank: Vec<PerNodeCosts>,
+/// One rank's direct costs, riding through the shard merge in its
+/// shard's node ids.
+struct RankCosts(PerNodeCosts);
+
+impl RemapNodes for RankCosts {
+    fn remap_nodes(&mut self, map: &[NodeId]) {
+        for (n, _) in &mut self.0 {
+            *n = map[n.index()];
+        }
+    }
 }
 
 /// Below this many profiles the journal/replay machinery costs more
@@ -74,7 +76,7 @@ pub const SHARD_CUTOVER: usize = 4;
 pub enum IngestMode {
     /// One correlator fed rank-by-rank on the calling thread.
     Sequential,
-    /// Contiguous rank shards on pool workers, merged pairwise.
+    /// Contiguous rank shards on threads of their own, merged pairwise.
     Sharded,
 }
 
@@ -96,41 +98,8 @@ pub struct ParallelCorrelator<'s> {
     threads: usize,
 }
 
-/// Merge `right` into `left`: replay `right`'s pruned journal against
-/// `left`'s CCT, extend `left`'s journal with the edges that created
-/// new nodes, and remap `right`'s per-rank costs into the merged ids.
-/// `left`'s node ids are stable across the merge, so its journal and
-/// per-rank costs carry over untouched.
-fn merge_pair(mut left: Shard, right: Shard) -> Shard {
-    let mut remap: Vec<NodeId> = vec![NodeId(u32::MAX); right.cct.len()];
-    remap[right.cct.root().index()] = left.cct.root();
-    for &(parent, child) in &right.journal {
-        let kind = right.cct.kind(child);
-        let merged_parent = remap[parent.index()];
-        debug_assert_ne!(
-            merged_parent.0,
-            u32::MAX,
-            "journal references unseen parent"
-        );
-        let (merged_child, created) = left.cct.find_or_add_child_tracked(merged_parent, kind);
-        remap[child.index()] = merged_child;
-        if created {
-            left.journal.push((merged_parent, merged_child));
-        }
-    }
-    for costs in right.per_rank {
-        left.per_rank.push(
-            costs
-                .into_iter()
-                .map(|(n, cs)| (remap[n.index()], cs))
-                .collect(),
-        );
-    }
-    left
-}
-
 impl<'s> ParallelCorrelator<'s> {
-    /// A parallel correlator choosing its worker count automatically.
+    /// A parallel correlator choosing its thread count automatically.
     /// `periods` has the same meaning as for [`Correlator::new`].
     pub fn new(structure: &'s Structure, periods: [u64; Counter::COUNT]) -> Self {
         ParallelCorrelator {
@@ -140,14 +109,14 @@ impl<'s> ParallelCorrelator<'s> {
         }
     }
 
-    /// Use exactly `threads` workers (0 = automatic).
+    /// Use exactly `threads` threads (0 = automatic).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
     /// The mode [`Self::correlate`] picks for `n_profiles` inputs:
-    /// sequential when only one worker would run or the input is below
+    /// sequential when only one thread would run or the input is below
     /// [`SHARD_CUTOVER`], sharded otherwise.
     pub fn mode_for(&self, n_profiles: usize) -> IngestMode {
         if resolve_threads(self.threads) <= 1 || n_profiles < SHARD_CUTOVER {
@@ -170,7 +139,7 @@ impl<'s> ParallelCorrelator<'s> {
         let _span = callpath_obs::span("prof.correlate");
         callpath_obs::count("prof.profiles_ingested", profiles.len() as u64);
         if self.mode_for(profiles.len()) == IngestMode::Sequential {
-            // One worker (or a tiny input): the journal/merge round
+            // One thread (or a tiny input): the journal/merge round
             // trip is pure overhead, so feed a plain correlator.
             let mut corr = Correlator::new(self.structure, self.periods);
             let out: Vec<PerNodeCosts> = profiles.iter().map(|p| corr.add(p)).collect();
@@ -178,44 +147,42 @@ impl<'s> ParallelCorrelator<'s> {
         }
 
         // Fan out: contiguous rank chunks, one journaling correlator per
-        // worker. chunked_map returns shards in ascending rank order.
-        // Pool workers have no span context of their own, so each shard
-        // nests explicitly under this call's span.
+        // chunk. chunked_map returns shards in ascending rank order.
+        // A spawned thread has no span context of its own, so each
+        // shard nests explicitly under this call's span.
         let parent = callpath_obs::current();
-        let shards: Vec<Shard> = chunked_map(profiles, self.threads, |_ci, batch| {
+        let shards: Vec<CctShard<RankCosts>> = chunked_map(profiles, self.threads, |_ci, batch| {
             let _span = callpath_obs::span_under(parent, "prof.shard_correlate");
             let mut corr = Correlator::with_journal(self.structure, self.periods);
-            let per_rank: Vec<PerNodeCosts> = batch.iter().map(|p| corr.add(p)).collect();
-            Shard {
+            let payload = batch.iter().map(|p| RankCosts(corr.add(p))).collect();
+            CctShard {
                 journal: corr.journal.take().unwrap_or_default(),
                 cct: corr.cct,
-                per_rank,
+                payload,
             }
         });
 
         // Reduce: merge adjacent shards pairwise, level by level, each
-        // pair concurrently on the pool (`core::pool::reduce_pairwise`
-        // keeps left-to-right operand order and passes the odd shard
-        // out through unchanged), so the surviving shard's CCT and
-        // per-rank ids are the sequential ones (see module docs).
+        // pair concurrently (`reduce_pairwise` keeps left-to-right
+        // operand order and passes the odd shard out through unchanged),
+        // so the surviving shard's CCT and per-rank ids are the
+        // sequential ones (see module docs).
         let _merge = callpath_obs::span("prof.merge_tree");
         let canon = reduce_pairwise(shards, |a, b| {
             let _span = callpath_obs::span_under(parent, "prof.merge_pair");
             callpath_obs::count("prof.merge.pairs", 1);
-            merge_pair(a, b)
+            merge_shards(a, b)
         })
         .expect("sharded mode implies >= 1 shard");
+        let per_rank: Vec<PerNodeCosts> = canon.payload.into_iter().map(|c| c.0).collect();
 
         // Fold totals in ascending rank order — the exact sequential
         // accumulation order, so every f64 sum rounds identically.
         let mut totals = vec![[0.0; Counter::COUNT]; canon.cct.len()];
-        for costs in &canon.per_rank {
+        for costs in &per_rank {
             fold_costs_into(&mut totals, costs);
         }
-        (
-            finish_parts(canon.cct, totals, self.periods),
-            canon.per_rank,
-        )
+        (finish_parts(canon.cct, totals, self.periods), per_rank)
     }
 }
 
@@ -325,7 +292,7 @@ mod tests {
         let multi = ParallelCorrelator::new(&structure, cfg.periods).with_threads(4);
         assert_eq!(multi.mode_for(SHARD_CUTOVER - 1), IngestMode::Sequential);
         assert_eq!(multi.mode_for(SHARD_CUTOVER), IngestMode::Sharded);
-        // A single worker never shards, whatever the input size.
+        // A single thread never shards, whatever the input size.
         let single = ParallelCorrelator::new(&structure, cfg.periods).with_threads(1);
         assert_eq!(single.mode_for(1_000), IngestMode::Sequential);
     }

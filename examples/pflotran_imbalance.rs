@@ -73,7 +73,7 @@ fn main() {
 
     // Summary columns (mean/min/max/stddev across ranks), shown at the
     // top levels of the Calling Context View.
-    let s = summarize_ranks(exp, &[Counter::Cycles], &run.rank_direct, 0);
+    let s = summarize_ranks(exp, &[Counter::Cycles], &run.rank_direct);
     let mut exp2 = exp.clone();
     s.append_columns(&mut exp2, &[Stat::Mean, Stat::Min, Stat::Max, Stat::StdDev]);
     let cols: Vec<ColumnId> = (0..4)

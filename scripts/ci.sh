@@ -2,7 +2,7 @@
 # The full local gate, in the order failures are cheapest to find:
 # formatting, lints as errors across every target, then the test suite
 # with the `mmap` feature on and off (the two passes below), the thread
-# pins, and the benchmark's own checks and tests.
+# pin, and the benchmark's own checks and tests.
 # Both feature passes run the depth tests of `tests/session_nav.rs` (a
 # 100 000-level chain through both render walkers on a 64 KiB stack, a
 # 2 000-level hot path whose rows keep label, column alignment and byte
@@ -18,26 +18,13 @@ cargo test -q --workspace
 # The zero-copy borrow path must behave identically from an owned
 # aligned buffer: rerun the integration suite with `mmap` off.
 cargo test -q --no-default-features --features obs
-# The worker pool and every fan-out built on it must behave the same
-# whether the automatic thread count degenerates to 1 (inline path) or
-# fans out to 4: rerun the core fan-out unit tests pinned to both.
-# (`resolve_threads` caches the env read per process, so the variable
-# must be set at process start — which is exactly what happens here.)
-CALLPATH_THREADS=1 cargo test -q -p callpath-core --lib -- pool:: chunked::
-CALLPATH_THREADS=4 cargo test -q -p callpath-core --lib -- pool:: chunked::
-# `resolve_threads` likewise decides the query-property file's fan-out
-# (its doc comment promises both pins). That includes
-# `name_atoms_match_each_nodes_own_name`: a `proc` / `module` / `file`
-# atom answers from one verdict table per chunk, so its mask must equal
-# the per-node definition with one chunk and with four.
-CALLPATH_THREADS=1 cargo test -q --test analyze_properties
-CALLPATH_THREADS=4 cargo test -q --test analyze_properties
 # The attribution oracle (`tests/attribution_oracle.rs`) and the
 # fault-path properties ran in both passes above — topology borrowed
-# from a mapped file, then from a read-to-`Vec` image. Column faults fan
-# out over the pool in `decode_all`, each running the kernel with its
-# own scratch: `decode_all_equals_serial_faults` must hold whether the
-# automatic count is 1 or 4.
+# from a mapped file, then from a read-to-`Vec` image. `decode_all`
+# divides the column faults among threads, each running the kernel with
+# its own scratch: `decode_all_equals_serial_faults` must hold whether
+# the automatic count is 1 or 4. (`resolve_threads` reads the variable
+# once per process, so it is set at process start.)
 CALLPATH_THREADS=1 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
 CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
 # The `--no-default-features` pass above runs only the root package's

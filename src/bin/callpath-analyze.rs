@@ -58,7 +58,6 @@ SUBCOMMANDS:
 QUERY OPTIONS:
     --score <COL>      exact score column name [default: first column]
     --top <N>          hits to print [default: 10]
-    --threads <T>      worker threads; 0 = CALLPATH_THREADS or auto
 
 DETECT OPTIONS:
     --metric <NAME>    base metric (imbalance, scaling) [default: first
@@ -97,7 +96,6 @@ struct Args {
     pos: Vec<String>,
     score: Option<String>,
     top: Option<usize>,
-    threads: usize,
     metric: Option<String>,
     cycles: String,
     flops: String,
@@ -120,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
         pos: Vec::new(),
         score: None,
         top: None,
-        threads: 0,
         metric: None,
         cycles: "cycles".into(),
         flops: "flops".into(),
@@ -154,11 +151,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|_| "--top must be an integer".to_owned())?,
                 )
-            }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer".to_owned())?
             }
             "--metric" => args.metric = Some(value("--metric")?),
             "--cycles" => args.cycles = value("--cycles")?,
@@ -225,7 +217,7 @@ fn cmd_query(args: &Args) -> Result<ExitCode, String> {
         query,
         args.score.as_deref(),
         args.top.unwrap_or(10),
-        args.threads,
+        0,
     )?;
     if args.json {
         println!("{}", report.to_json().to_json());

@@ -112,7 +112,7 @@ fn parse_args() -> Result<Args, String> {
 fn load(path: &str) -> Result<Experiment, String> {
     let exp = callpath_expdb::open_path(std::path::Path::new(path)).map_err(|e| e.to_string())?;
     // Diffing touches every column of both databases, so fan block
-    // decode across workers now instead of paying faults serially
+    // decode across threads now instead of paying faults serially
     // mid-analysis (a no-op for an eagerly parsed XML file).
     callpath_expdb::decode_all(&exp, 0);
     Ok(exp)

@@ -45,8 +45,8 @@ SUBCOMMANDS:
 
 BUILD OPTIONS:
     --synth <N>        generate N synthetic runs instead of reading files
-    --threads <T>      worker threads for the union and the statistics
-                       pass; 0 = CALLPATH_THREADS or auto [default: 0]
+    --threads <T>      threads for the union; 0 = CALLPATH_THREADS or
+                       auto [default: 0]
 
 STAT OPTIONS:
     --view <V>         ccv | callers | flat [default: ccv]

@@ -92,7 +92,7 @@ fn percent_thresholds_read_stored_aggregates_without_faulting() {
     // `> 5%` needs the column's program total: that comes from the
     // stored aggregates, not from decoding the column.
     let q = Query::parse(&format!(r#"col("{max}") > 5%"#)).unwrap();
-    let mask = eval_mask(exp, &q.pred, 1).unwrap();
+    let mask = eval_mask(exp, &q.pred).unwrap();
     assert!(mask.iter().any(|&m| m), "something exceeds 5% of total");
     assert_eq!(
         exp.columns.materialized_columns(),
@@ -106,7 +106,7 @@ fn structural_queries_fault_no_columns_at_all() {
     let e = ens::open(small_ensemble()).unwrap();
     let exp = &e.exp;
     let q = Query::parse(r#"subtree(proc ~ "proc_00") or label ~ "loop""#).unwrap();
-    let mask = eval_mask(exp, &q.pred, 2).unwrap();
+    let mask = eval_mask(exp, &q.pred).unwrap();
     assert!(mask.iter().any(|&m| m), "structural query must match");
     assert_eq!(
         exp.columns.materialized_columns(),

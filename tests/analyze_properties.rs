@@ -4,18 +4,12 @@
 //!   node-by-node boolean combination of its leaves' masks, and
 //!   `subtree(p)` equals the quadratic any-descendant-matches
 //!   definition;
-//! * **threads** — the mask is identical at 1, 2, 4 and 8 worker
-//!   threads (the chunk-parallel leaf evaluation is position-stable);
 //! * **storage** — an eager in-memory experiment, its eagerly decoded
 //!   database round-trip and its lazily opened form all answer a query
 //!   identically;
 //! * **names** — a `proc` / `module` / `file` / `label` atom, which asks
 //!   the matcher once per distinct name, answers every node as
 //!   `Rex::is_match` on that node's own name does.
-//!
-//! `scripts/ci.sh` reruns this file with `CALLPATH_THREADS` pinned to 1
-//! and 4, so the auto-resolved thread count is covered at both
-//! degenerate and fanned-out settings.
 
 use callpath_analyze::query::{eval_mask, run_query, Field, Query};
 use callpath_analyze::Rex;
@@ -33,9 +27,9 @@ const LEAVES: [&str; 4] = [
     r#"file ~ "synth_0\.c""#,
 ];
 
-fn mask_of(exp: &Experiment, text: &str, threads: usize) -> Vec<bool> {
+fn mask_of(exp: &Experiment, text: &str) -> Vec<bool> {
     let q = Query::parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
-    eval_mask(exp, &q.pred, threads).unwrap_or_else(|e| panic!("{text}: {e}"))
+    eval_mask(exp, &q.pred).unwrap_or_else(|e| panic!("{text}: {e}"))
 }
 
 /// Name pools of [`named_experiment`]. A spelling appears in several
@@ -180,8 +174,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Three random name atoms and their compositions against the
-    /// per-node definition, at the automatic thread count (which
-    /// `scripts/ci.sh` pins to 1 and to 4) and at explicit ones.
+    /// per-node definition.
     #[test]
     fn name_atoms_match_each_nodes_own_name(
         seed in 0u64..1000,
@@ -227,15 +220,7 @@ proptest! {
             ),
         ];
         for (text, want) in &cases {
-            for threads in [0usize, 1, 3] {
-                prop_assert_eq!(
-                    &mask_of(&exp, text, threads),
-                    want,
-                    "threads={} query={}",
-                    threads,
-                    text
-                );
-            }
+            prop_assert_eq!(&mask_of(&exp, text), want, "query={}", text);
         }
     }
 
@@ -244,11 +229,11 @@ proptest! {
     #[test]
     fn composition_matches_nodewise_boolean_algebra(seed in 0u64..1000) {
         let exp = random_experiment(seed, 250, 24);
-        let a = mask_of(&exp, LEAVES[0], 1);
-        let b = mask_of(&exp, LEAVES[1], 1);
-        let c = mask_of(&exp, LEAVES[2], 1);
+        let a = mask_of(&exp, LEAVES[0]);
+        let b = mask_of(&exp, LEAVES[1]);
+        let c = mask_of(&exp, LEAVES[2]);
         let composite = format!("({} and {}) or not {}", LEAVES[0], LEAVES[1], LEAVES[2]);
-        let got = mask_of(&exp, &composite, 1);
+        let got = mask_of(&exp, &composite);
         for n in 0..exp.cct.len() {
             prop_assert_eq!(got[n], (a[n] && b[n]) || !c[n], "node {}", n);
         }
@@ -260,8 +245,8 @@ proptest! {
     fn subtree_matches_the_quadratic_definition(seed in 0u64..1000) {
         let exp = random_experiment(seed.wrapping_add(7000), 200, 16);
         for leaf in [LEAVES[0], LEAVES[1]] {
-            let inner = mask_of(&exp, leaf, 1);
-            let got = mask_of(&exp, &format!("subtree({leaf})"), 1);
+            let inner = mask_of(&exp, leaf);
+            let got = mask_of(&exp, &format!("subtree({leaf})"));
             for n in exp.cct.all_nodes() {
                 let want = inner[n.0 as usize]
                     || exp
@@ -269,28 +254,6 @@ proptest! {
                         .preorder(n)
                         .any(|d| inner[d.0 as usize]);
                 prop_assert_eq!(got[n.0 as usize], want, "node {} of {}", n.0, leaf);
-            }
-        }
-    }
-
-    /// The mask never depends on the worker-thread count.
-    #[test]
-    fn thread_count_never_changes_a_query(seed in 0u64..1000) {
-        let exp = random_experiment(seed.wrapping_add(14000), 300, 24);
-        let composite = format!(
-            "subtree({} and {}) or ({} and not {})",
-            LEAVES[0], LEAVES[1], LEAVES[2], LEAVES[3]
-        );
-        for text in LEAVES.iter().copied().chain([composite.as_str()]) {
-            let base = mask_of(&exp, text, 1);
-            for threads in [2usize, 4, 8] {
-                prop_assert_eq!(
-                    &mask_of(&exp, text, threads),
-                    &base,
-                    "threads={} query={}",
-                    threads,
-                    text
-                );
             }
         }
     }

@@ -1,12 +1,12 @@
 //! Analysis-path bench (run via `scripts/bench_smoke.sh`): query
-//! evaluation over a large lazily opened v2.1 database at
-//! `threads ∈ {1, 2, 4, 8}`, a detector run on the s3d fixture, and
-//! the perf gate over the repo's own committed BENCH records. Emits
-//! `BENCH_analyze.json`.
+//! evaluation over a large lazily opened v2.1 database — cold (open,
+//! fault, evaluate) and warm (evaluate) — a detector run on the s3d
+//! fixture, and the perf gate over the repo's own committed BENCH
+//! records. Emits `BENCH_analyze.json`.
 //!
-//! Honesty rules follow `BENCH_thread_scaling.json`: `cores` comes
-//! from `available_parallelism` and `speedup` is null on a single-core
-//! host. The timing fields are trajectory records gated by
+//! `cores` comes from `available_parallelism`, for the record: a query
+//! is a loop and has no thread count. The timing fields are trajectory
+//! records gated by
 //! `scripts/perf_policy.toml`, not asserted here; the hard assertions
 //! are the lazy-fault and correctness invariants that must hold at any
 //! speed.
@@ -23,7 +23,6 @@ use callpath_workloads::generator::random_experiment;
 use callpath_workloads::{pipeline, s3d};
 use std::time::Instant;
 
-const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
 /// Queries are millisecond-scale targets: min-of-N smooths page-cache
 /// and scheduler noise.
 const ITERS: usize = 5;
@@ -41,27 +40,6 @@ fn min_ms(iters: usize, mut run: impl FnMut()) -> f64 {
             t.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min)
-}
-
-/// JSON rows for one curve: `[{"threads": 1, "ms": 12.3, "speedup": null}, ...]`.
-fn curve_json(points: &[(usize, f64)], cores: usize) -> String {
-    let base_ms = points
-        .iter()
-        .find(|&&(t, _)| t == 1)
-        .map(|&(_, ms)| ms)
-        .unwrap_or(f64::NAN);
-    let rows: Vec<String> = points
-        .iter()
-        .map(|&(threads, ms)| {
-            let speedup = if cores == 1 {
-                "null".to_owned()
-            } else {
-                format!("{:.2}", base_ms / ms.max(1e-9))
-            };
-            format!("    {{ \"threads\": {threads}, \"ms\": {ms:.3}, \"speedup\": {speedup} }}")
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
 }
 
 #[test]
@@ -83,22 +61,18 @@ fn analyze_smoke() {
     let db_path = dir.join("analyze_smoke.cpdb");
     std::fs::write(&db_path, &bytes).expect("write synthetic database");
 
-    // --- Cold open + sorted query, per thread count. --------------
-    // Every iteration reopens the file, so the curve includes the
-    // mmap open and the two column faults the query causes.
+    // --- Cold open + sorted query. --------------------------------
+    // Every iteration reopens the file, so the time includes the mmap
+    // open and the two column faults the query causes.
     let mut matched = 0usize;
     let mut faulted = usize::MAX;
-    let mut cold_points: Vec<(usize, f64)> = Vec::new();
-    for &threads in &THREAD_POINTS {
-        let ms = min_ms(ITERS, || {
-            let lazy = open_lazy_path(&db_path).unwrap();
-            let report = run_query(&lazy, QUERY, Some("cycles (I)"), 25, threads).unwrap();
-            matched = report.matched;
-            faulted = lazy.columns.materialized_columns();
-            std::hint::black_box(report);
-        });
-        cold_points.push((threads, ms));
-    }
+    let cold_ms = min_ms(ITERS, || {
+        let lazy = open_lazy_path(&db_path).unwrap();
+        let report = run_query(&lazy, QUERY, Some("cycles (I)"), 25, 0).unwrap();
+        matched = report.matched;
+        faulted = lazy.columns.materialized_columns();
+        std::hint::black_box(report);
+    });
     assert!(matched > 0, "the bench query must match contexts");
     assert!(
         faulted <= 2,
@@ -107,13 +81,9 @@ fn analyze_smoke() {
 
     // --- Warm query: same experiment, evaluation cost only. -------
     let lazy = open_lazy_path(&db_path).unwrap();
-    let mut warm_points: Vec<(usize, f64)> = Vec::new();
-    for &threads in &THREAD_POINTS {
-        let ms = min_ms(ITERS, || {
-            std::hint::black_box(run_query(&lazy, QUERY, Some("cycles (I)"), 25, threads).unwrap());
-        });
-        warm_points.push((threads, ms));
-    }
+    let warm_ms = min_ms(ITERS, || {
+        std::hint::black_box(run_query(&lazy, QUERY, Some("cycles (I)"), 25, 0).unwrap());
+    });
 
     // --- One canned detector on a real fixture. -------------------
     let s3d = pipeline::build_experiment(
@@ -155,8 +125,8 @@ fn analyze_smoke() {
             "  \"query_iters\": {},\n",
             "  \"query_matched\": {},\n",
             "  \"columns_faulted_by_query\": {},\n",
-            "  \"cold_open_query_points\": {},\n",
-            "  \"warm_query_points\": {},\n",
+            "  \"cold_open_query_ms\": {:.3},\n",
+            "  \"warm_query_ms\": {:.3},\n",
             "  \"waste_detector_ms\": {:.3},\n",
             "  \"waste_detector_score\": {:.4},\n",
             "  \"gate_records\": {},\n",
@@ -172,8 +142,8 @@ fn analyze_smoke() {
         ITERS,
         matched,
         faulted,
-        curve_json(&cold_points, cores),
-        curve_json(&warm_points, cores),
+        cold_ms,
+        warm_ms,
         waste_ms,
         waste_score,
         records.len(),

@@ -20,8 +20,10 @@ use callpath_workloads::synth::{ensemble_run, is_outlier_run, EnsembleConfig};
 use std::time::Instant;
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
-/// One union of 1,000 runs takes long enough to be stable on its own.
-const UNION_ITERS: usize = 1;
+/// Min-of-N with the thread points interleaved: a single sample per
+/// point once recorded a noisy minute of a shared host as "no gain at
+/// two threads".
+const UNION_ITERS: usize = 3;
 /// Opens and renders are sub-10ms targets: min-of-N smooths page-cache
 /// and scheduler noise.
 const OPEN_ITERS: usize = 5;
@@ -76,12 +78,13 @@ fn ensemble_thousand_runs() {
     let gen_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // --- N-way union scaling curve. -------------------------------
-    let mut union_points: Vec<(usize, f64)> = Vec::new();
-    for &threads in &THREAD_POINTS {
-        let ms = min_ms(UNION_ITERS, || {
-            std::hint::black_box(build_union(&runs, threads));
-        });
-        union_points.push((threads, ms));
+    let mut union_points: Vec<(usize, f64)> = THREAD_POINTS.map(|t| (t, f64::INFINITY)).to_vec();
+    for _ in 0..UNION_ITERS {
+        for (threads, best) in &mut union_points {
+            *best = best.min(min_ms(1, || {
+                std::hint::black_box(build_union(&runs, *threads));
+            }));
+        }
     }
     let ms_at = |t: usize| {
         union_points

@@ -115,7 +115,6 @@ fn summary_statistics_expose_the_imbalance_per_node() {
         &run.experiment,
         &[Counter::Cycles, Counter::Idleness],
         &run.rank_direct,
-        0,
     );
     let root = run.experiment.cct.root();
     let cyc = s.get(root, MetricId(0));
@@ -132,7 +131,7 @@ fn summary_statistics_expose_the_imbalance_per_node() {
 #[test]
 fn summary_columns_render_in_the_viewer() {
     let run = run();
-    let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct, 0);
+    let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct);
     let mut exp = run.experiment;
     s.append_columns(&mut exp, &[Stat::Mean, Stat::Min, Stat::Max, Stat::StdDev]);
     let mut view = View::calling_context(&exp);

@@ -80,7 +80,7 @@ fn summarization_scales_in_ranks_without_keeping_them() {
         ..ExecConfig::single(Counter::Cycles, 1)
     };
     let run = run_spmd(&b.build(), &SpmdConfig::new(scales, exec));
-    let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct, 0);
+    let s = summarize_ranks(&run.experiment, &[Counter::Cycles], &run.rank_direct);
     let root = run.experiment.cct.root();
     let w = s.get(root, MetricId(0));
     assert_eq!(w.count() as usize, n_ranks);

@@ -223,7 +223,6 @@ fn append_view_columns_invalidates_cached_orders() {
             &flat.tree,
             &[callpath_profiler::Counter::Cycles],
             &run.rank_direct,
-            2,
         );
         s.append_view_columns(exp, &mut flat.tree, &[Stat::Mean, Stat::Max])
     };

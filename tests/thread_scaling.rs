@@ -1,73 +1,134 @@
-//! Thread-scaling bench (run via `scripts/bench_smoke.sh`): measure
-//! parallel ingestion and `decode_all` at `threads ∈ {1, 2, 4, 8}` and
-//! emit `BENCH_thread_scaling.json` — the multi-core curve ROADMAP open
-//! item 3 asked for, recorded honestly (`cores` comes from
-//! `available_parallelism`; `speedup` is null on a single-core host
-//! where every thread count runs the same hardware).
+//! Thread-scaling bench (run via `scripts/bench_smoke.sh`): every site
+//! that fans out through `core::pool::chunked_map`, timed at
+//! `threads ∈ {1, 2, 4, 8}` on the work it divides, into
+//! `BENCH_thread_scaling.json` — the record behind DESIGN.md §13's "who
+//! fans out and why". The sharded correlator is measured twice, on ranks
+//! that cost microseconds (s3d, where it loses) and on ranks the size of
+//! the benchmark's `batch_job` (where it wins); the ensemble union has a
+//! record of its own (`BENCH_ensemble.json`). `cores` comes from
+//! `available_parallelism`; on one core every `speedup` is null.
 //!
 //! `#[ignore]`d by default: wall-clock measurements belong in release builds
 //! on a quiet machine, not in every `cargo test` run.
 
 use callpath_core::prelude::*;
 use callpath_expdb::{bin2, decode_all, open_lazy_path};
+use callpath_parallel::{run_spmd, SpmdConfig};
 use callpath_prof::ParallelCorrelator;
-use callpath_profiler::{execute, lower, ExecConfig, RawProfile};
+use callpath_profiler::{execute, lower, Binary, ExecConfig, RawProfile};
+use callpath_workloads::generator::{random_program, GenConfig};
+use callpath_workloads::pflotran;
 use callpath_workloads::s3d::{self, S3dConfig};
 use callpath_workloads::synth::{synth_model, SynthConfig};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
-const N_RANKS: usize = 64;
-/// min-of-N timing for the (fast) ingest measurements.
-const INGEST_ITERS: usize = 3;
-/// `decode_all` on the million-node workload runs for seconds per
-/// sample — long enough to be stable without repetition.
-const DECODE_ITERS: usize = 1;
+/// Min-of-N, the thread points interleaved so that a noisy minute on a
+/// shared host falls on all of them: the fan-outs are milliseconds long.
+const ITERS: usize = 25;
+/// The million-node decode runs long enough to need fewer.
+const LONG_ITERS: usize = 5;
 
-fn min_ms(iters: usize, mut run: impl FnMut()) -> f64 {
-    (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            run();
-            t.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
+/// One site's curve: `(threads, ms)` at every thread point.
+struct Site {
+    site: &'static str,
+    work: String,
+    iters: usize,
+    points: Vec<(usize, f64)>,
 }
 
-/// s3d across 64 simulated ranks, perf_smoke-style: same binary, each
-/// rank with its own work scale and jitter stream.
-fn s3d_ranks() -> (callpath_structure::Structure, Vec<RawProfile>, ExecConfig) {
-    let bin = lower(&s3d::program(S3dConfig::default()));
-    let base = ExecConfig::default();
-    let profiles = (0..N_RANKS)
+fn curve(site: &'static str, work: String, iters: usize, mut run: impl FnMut(usize)) -> Site {
+    let mut points: Vec<(usize, f64)> = THREAD_POINTS.map(|t| (t, f64::INFINITY)).to_vec();
+    for _ in 0..iters {
+        for (threads, best) in &mut points {
+            let t = Instant::now();
+            run(*threads);
+            *best = best.min(t.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    Site {
+        site,
+        work,
+        iters,
+        points,
+    }
+}
+
+/// `n` ranks of one binary, each with its own work scale and jitter.
+fn ranks(bin: &Binary, n: usize, base: &ExecConfig) -> Vec<RawProfile> {
+    (0..n)
         .map(|r| {
             let cfg = ExecConfig {
-                work_scale: 1.0 + (r % 8) as f64 * 0.25,
+                work_scale: 0.5 + (r % 8) as f64 / 16.0,
                 jitter_seed: Some(3 + r as u64),
                 ..base.clone()
             };
-            execute(&bin, &cfg).unwrap().profile
+            execute(bin, &cfg).unwrap().profile
         })
-        .collect();
-    (callpath_structure::recover(&bin).unwrap(), profiles, base)
+        .collect()
 }
 
-/// JSON rows for one curve: `[{"threads": 1, "ms": 12.3, "speedup": null}, ...]`.
-fn curve_json(points: &[(usize, f64)], cores: usize) -> String {
-    let base_ms = points
+fn ingest_site(bin: &Binary, n_ranks: usize, what: &str) -> Site {
+    let base = ExecConfig::default();
+    let profiles = ranks(bin, n_ranks, &base);
+    let structure = callpath_structure::recover(bin).unwrap();
+    let correlate = |threads: usize| {
+        ParallelCorrelator::new(&structure, base.periods)
+            .with_threads(threads)
+            .correlate(&profiles, StorageKind::Csr)
+    };
+    let work = format!(
+        "{what} x {n_ranks} ranks, {} contexts",
+        correlate(1).0.cct.len()
+    );
+    curve("prof.ParallelCorrelator", work, ITERS, |threads| {
+        std::hint::black_box(correlate(threads));
+    })
+}
+
+fn decode_site(dir: &Path, cfg: SynthConfig, iters: usize) -> Site {
+    let path: PathBuf = dir.join(format!("thread_scaling_{}.cpdb", cfg.n_nodes));
+    std::fs::write(&path, bin2::write_v21(&synth_model(&cfg))).expect("write synthetic database");
+    let work = format!(
+        "synthetic CCT, {} nodes x {} metrics x {} non-zeros",
+        cfg.n_nodes + 1,
+        cfg.n_metrics,
+        cfg.nnz_per_metric
+    );
+    curve("expdb.decode_all", work, iters, |threads| {
+        let e = open_lazy_path(&path).unwrap();
+        decode_all(&e, threads);
+        std::hint::black_box(&e);
+    })
+}
+
+fn sites_json(sites: &[Site], cores: usize) -> String {
+    let rows: Vec<String> = sites
         .iter()
-        .find(|&&(t, _)| t == 1)
-        .map(|&(_, ms)| ms)
-        .unwrap_or(f64::NAN);
-    let rows: Vec<String> = points
-        .iter()
-        .map(|&(threads, ms)| {
-            let speedup = if cores == 1 {
-                "null".to_owned()
-            } else {
-                format!("{:.2}", base_ms / ms.max(1e-9))
-            };
-            format!("    {{ \"threads\": {threads}, \"ms\": {ms:.3}, \"speedup\": {speedup} }}")
+        .map(|s| {
+            let base_ms = s.points[0].1;
+            let points: Vec<String> = s
+                .points
+                .iter()
+                .map(|&(threads, ms)| {
+                    let speedup = if cores == 1 {
+                        "null".to_owned()
+                    } else {
+                        format!("{:.2}", base_ms / ms.max(1e-9))
+                    };
+                    format!(
+                        "      {{ \"threads\": {threads}, \"ms\": {ms:.3}, \"speedup\": {speedup} }}"
+                    )
+                })
+                .collect();
+            format!(
+                "    {{\n      \"site\": {:?},\n      \"work\": {:?},\n      \"iters\": {},\n      \"points\": [\n  {}\n      ]\n    }}",
+                s.site,
+                s.work,
+                s.iters,
+                points.join(",\n  ")
+            )
         })
         .collect();
     format!("[\n{}\n  ]", rows.join(",\n"))
@@ -79,42 +140,58 @@ fn thread_scaling_curve() {
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-
-    // --- Ingestion: s3d × 64 ranks. -------------------------------
-    let (structure, profiles, cfg) = s3d_ranks();
-    let mut ingest_points: Vec<(usize, f64)> = Vec::new();
-    for &threads in &THREAD_POINTS {
-        let par = ParallelCorrelator::new(&structure, cfg.periods).with_threads(threads);
-        let ms = min_ms(INGEST_ITERS, || {
-            std::hint::black_box(par.correlate(&profiles, StorageKind::Csr));
-        });
-        ingest_points.push((threads, ms));
-    }
-
-    // --- decode_all: million-node synthetic, 32 columns. ----------
-    // 32 metrics keeps a 4-point curve inside the script budget (the
-    // zero-copy bench pays ~3.5 minutes for all 1024 columns once).
-    let synth_cfg = SynthConfig {
-        n_metrics: 32,
-        nnz_per_metric: 1024,
-        ..SynthConfig::million()
-    };
-    let v21 = bin2::write_v21(&synth_model(&synth_cfg));
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target");
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("target");
     std::fs::create_dir_all(&dir).unwrap();
-    let db_path = dir.join("thread_scaling.cpdb");
-    std::fs::write(&db_path, &v21).expect("write synthetic database");
-
     let pool_before = callpath_core::pool::stats();
-    let mut decode_points: Vec<(usize, f64)> = Vec::new();
-    for &threads in &THREAD_POINTS {
-        let ms = min_ms(DECODE_ITERS, || {
-            let e = open_lazy_path(&db_path).unwrap();
-            decode_all(&e, threads);
-            std::hint::black_box(&e);
-        });
-        decode_points.push((threads, ms));
-    }
+
+    // A rank of s3d correlates in ~2 µs; a rank of this random program
+    // (the benchmark's `batch_job` draws one of its size) in ~0.4 ms.
+    let batch_sized = random_program(GenConfig {
+        seed: 48,
+        n_procs: 150,
+        ..Default::default()
+    });
+    let part = pflotran::Partition::default();
+    let pflotran_scales: Vec<f64> = (0..64).map(|r| part.scale(r, 64)).collect();
+    let sites = [
+        ingest_site(&lower(&s3d::program(S3dConfig::default())), 64, "s3d"),
+        ingest_site(
+            &lower(&batch_sized),
+            20,
+            "random program (batch_job's size)",
+        ),
+        // `batch_job`'s database, then the million-node one.
+        decode_site(
+            &dir,
+            SynthConfig {
+                seed: 23,
+                n_nodes: 8000,
+                n_metrics: 16,
+                nnz_per_metric: 2048,
+                n_procs: 500,
+            },
+            ITERS,
+        ),
+        decode_site(
+            &dir,
+            SynthConfig {
+                n_metrics: 32,
+                nnz_per_metric: 1024,
+                ..SynthConfig::million()
+            },
+            LONG_ITERS,
+        ),
+        curve(
+            "parallel.run_spmd",
+            "pflotran x 64 ranks: simulation fanned out, then barriers and correlation".into(),
+            ITERS,
+            |threads| {
+                let mut cfg = SpmdConfig::new(pflotran_scales.clone(), ExecConfig::default());
+                cfg.threads = threads;
+                std::hint::black_box(run_spmd(&pflotran::program(), &cfg));
+            },
+        ),
+    ];
     let pool_after = callpath_core::pool::stats();
 
     let record = format!(
@@ -122,28 +199,18 @@ fn thread_scaling_curve() {
             "{{\n",
             "  \"bench\": \"thread_scaling\",\n",
             "  \"cores\": {},\n",
-            "  \"ingest_workload\": \"s3d x {} ranks\",\n",
-            "  \"ingest_iters\": {},\n",
-            "  \"ingest_points\": {},\n",
-            "  \"decode_workload\": \"synthetic CCT, {} nodes x {} metrics\",\n",
-            "  \"decode_iters\": {},\n",
-            "  \"decode_points\": {},\n",
+            "  \"timing\": \"min of iters, thread points interleaved\",\n",
+            "  \"sites\": {},\n",
             "  \"pool_tasks_run\": {},\n",
             "  \"pool_tasks_stolen\": {}\n",
             "}}\n"
         ),
         cores,
-        N_RANKS,
-        INGEST_ITERS,
-        curve_json(&ingest_points, cores),
-        synth_cfg.n_nodes + 1,
-        synth_cfg.n_metrics,
-        DECODE_ITERS,
-        curve_json(&decode_points, cores),
+        sites_json(&sites, cores),
         pool_after.tasks_run - pool_before.tasks_run,
         pool_after.tasks_stolen - pool_before.tasks_stolen,
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_thread_scaling.json");
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_thread_scaling.json");
     std::fs::write(&path, &record).expect("write perf record");
     println!("perf record written to {}:\n{record}", path.display());
 }
