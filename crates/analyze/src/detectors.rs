@@ -304,10 +304,11 @@ pub fn scaling_loss_verdict(
     } else {
         0.0
     });
+    let topo = exp.cct.topo();
     let mut frames: Vec<(u32, f64)> = exp
         .cct
         .all_nodes()
-        .filter(|&n| exp.cct.kind(n).is_frame())
+        .filter(|&n| topo.is_frame(n))
         .map(|n| (n.0, exp.columns.get(analysis.loss_incl, n.0)))
         .filter(|&(_, v)| v > 0.0)
         .collect();
@@ -407,10 +408,11 @@ pub fn derived_waste(
     };
     let score = finite((1.0 - efficiency).clamp(0.0, 1.0));
     let total_waste = peak_total - flop_total;
+    let topo = exp.cct.topo();
     let mut frames: Vec<(u32, f64)> = exp
         .cct
         .all_nodes()
-        .filter(|&n| exp.cct.kind(n).is_frame())
+        .filter(|&n| topo.is_frame(n))
         .map(|n| {
             let w = exp.columns.get(ce, n.0) * cfg.peak_flops_per_cycle - exp.columns.get(fe, n.0);
             (n.0, w)

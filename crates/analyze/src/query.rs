@@ -539,7 +539,8 @@ fn name_mask<'n>(
 /// label carries a line number, so `label ~` matches per node.
 fn match_mask(cct: &Cct, field: Field, rex: &Rex) -> Vec<bool> {
     let names = &cct.names;
-    let kinds = cct.all_nodes().map(|n| cct.kind(n));
+    let topo = cct.topo();
+    let kinds = cct.all_nodes().map(|n| topo.kind(n));
     let (mask, evals) = match field {
         Field::Proc => name_mask(
             kinds,
@@ -620,9 +621,10 @@ pub fn eval_mask(exp: &Experiment, pred: &Pred) -> Result<Vec<bool>, String> {
             let mut mask = eval_mask(exp, a)?;
             // Arena order guarantees parent < child, so one reverse pass
             // propagates "subtree contains a match" transitively.
+            let topo = exp.cct.topo();
             for i in (1..mask.len()).rev() {
                 if mask[i] {
-                    if let Some(p) = exp.cct.parent(NodeId(i as u32)) {
+                    if let Some(p) = topo.parent(NodeId(i as u32)) {
                         mask[p.0 as usize] = true;
                     }
                 }

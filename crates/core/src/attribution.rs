@@ -44,7 +44,7 @@
 use crate::cct::Cct;
 use crate::ids::{MetricId, NodeId};
 use crate::metrics::{CsrColumn, MetricVec, RawMetrics, StorageKind};
-use crate::scope::ScopeKind;
+use crate::topo::{tags, Topo};
 
 /// Attribution results for a single raw metric over a CCT, each in the
 /// shape the kernel's branch computed it in: sorted arrays
@@ -108,14 +108,15 @@ pub(crate) const SWEEP_ABOVE_ONE_IN: usize = 4;
 /// many, else once the marking has counted `K`) takes that branch.
 pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
-    let n = cct.len();
+    let topo = cct.topo();
+    let n = topo.len();
     let direct = keys
         .iter()
         .zip(vals)
         .map(|(&k, &v)| (k, v))
         .filter(|&(k, v)| (k as usize) < n && v != 0.0);
     if keys.len() * SWEEP_ABOVE_ONE_IN >= n {
-        return sweep(cct, direct);
+        return sweep(topo, direct);
     }
 
     // Eq. 2. Mark every non-zero's ancestor chain, stopping at the
@@ -123,22 +124,22 @@ pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
     let mut marks = vec![0u64; n.div_ceil(64)];
     let mut visited = 0;
     for (k, _) in direct.clone() {
-        let mut cur = k;
+        let mut cur = NodeId(k);
         loop {
-            let (word, bit) = (cur as usize / 64, 1u64 << (cur % 64));
+            let (word, bit) = (cur.index() / 64, 1u64 << (cur.0 % 64));
             if marks[word] & bit != 0 {
                 break;
             }
             marks[word] |= bit;
             visited += 1;
-            match cct.parent(NodeId(cur)) {
-                Some(p) => cur = p.0,
+            match topo.parent(cur) {
+                Some(p) => cur = p,
                 None => break,
             }
         }
     }
     if visited * SWEEP_ABOVE_ONE_IN >= n {
-        return sweep(cct, direct);
+        return sweep(topo, direct);
     }
     // The marked nodes in ascending order, each seeded with its direct
     // cost (every non-zero is marked, and both sequences ascend).
@@ -163,7 +164,7 @@ pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
         if v == 0.0 {
             continue;
         }
-        let parent = cct.parent(NodeId(node));
+        let parent = topo.parent(NodeId(node));
         if let Some(at) = parent.and_then(|p| rank_below(&inclusive, i, p.0)) {
             inclusive[at].1 += v;
         }
@@ -173,7 +174,7 @@ pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
     // Eq. 1: collect the adds, then sum them per node.
     let mut exclusive = Vec::new();
     for (i, d) in direct {
-        exclusive_targets(cct, NodeId(i), |target| exclusive.push((target.0, d)));
+        exclusive_targets(topo, NodeId(i), |target| exclusive.push((target.0, d)));
     }
 
     Attribution {
@@ -188,30 +189,28 @@ pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
 ///   - its parent, when the parent is a loop and the node a statement
 ///     (rule 2: loops sum direct child statements);
 ///   - its innermost enclosing frame-like scope (rule 1).
-fn exclusive_targets(cct: &Cct, node: NodeId, mut add: impl FnMut(NodeId)) {
-    let kind = cct.kind(node);
-    match kind {
-        ScopeKind::Stmt { .. } | ScopeKind::Loop { .. } => {
+///
+/// Decided from tags alone: nothing is decoded.
+fn exclusive_targets(topo: Topo<'_>, node: NodeId, mut add: impl FnMut(NodeId)) {
+    match topo.tag(node) {
+        tags::STMT | tags::LOOP => {
             add(node);
-            if let Some(p) = cct.parent(node) {
-                if cct.kind(p).is_loop() && kind.is_stmt() {
+            if let Some(p) = topo.parent(node) {
+                if topo.is_stmt(node) && topo.is_loop(p) {
                     add(p);
                 }
                 // Rule 1: attribute to the innermost frame-like scope.
-                if let Some(f) = cct.enclosing_frame_like(p) {
+                if let Some(f) = topo.enclosing_frame_like(p) {
                     add(f);
                 }
             }
         }
-        ScopeKind::Frame { .. } | ScopeKind::InlinedFrame { .. } => {
-            // Cost sampled directly at a frame (no statement info)
-            // belongs to the frame's exclusive.
-            add(node);
-        }
-        ScopeKind::Root => {
-            // Unattributable cost; keep it out of every exclusive
-            // column (it still shows up in the root's inclusive value).
-        }
+        // Cost sampled directly at a frame (no statement info) belongs to
+        // the frame's exclusive.
+        tags::FRAME | tags::FRAME_TOP | tags::INLINED => add(node),
+        // The root: unattributable cost, kept out of every exclusive
+        // column (it still shows up in the root's inclusive value).
+        _ => {}
     }
 }
 
@@ -219,19 +218,21 @@ fn exclusive_targets(cct: &Cct, node: NodeId, mut add: impl FnMut(NodeId)) {
 /// same additions in the same order over two node-indexed vectors —
 /// a scatter for Eq. 1, one reverse sweep for Eq. 2 (arena order is
 /// topological). It visits every node.
-fn sweep(cct: &Cct, direct: impl Iterator<Item = (u32, f64)>) -> Attribution {
-    let n = cct.len();
+fn sweep(topo: Topo<'_>, direct: impl Iterator<Item = (u32, f64)>) -> Attribution {
+    let n = topo.len();
     let (mut inclusive, mut exclusive) = (vec![0.0; n], vec![0.0; n]);
     for (i, d) in direct {
         inclusive[i as usize] = d;
-        exclusive_targets(cct, NodeId(i), |target| exclusive[target.index()] += d);
+        exclusive_targets(topo, NodeId(i), |target| exclusive[target.index()] += d);
     }
+    // Every node hands its sum to its parent, zero or not: adding +0.0
+    // leaves any sum but −0.0 bit for bit, and no sum here is −0.0 (the
+    // seeds are non-zero, and non-zero values that cancel sum to +0.0).
+    // Without the test the loop has no branch to mispredict.
+    let parents = topo.parents();
     for i in (1..n).rev() {
-        let v = inclusive[i];
-        if v != 0.0 {
-            if let Some(p) = cct.parent(NodeId(i as u32)) {
-                inclusive[p.index()] += v;
-            }
+        if let Some(&p) = parents.get(i).filter(|&&p| (p as usize) < n) {
+            inclusive[p as usize] += inclusive[i];
         }
     }
     Attribution {
@@ -287,12 +288,13 @@ pub fn attribute(cct: &Cct, raw: &RawMetrics, m: MetricId, _: StorageKind) -> At
 /// a frame. `direct` is the raw metric's column. The Flat View calls this
 /// when it fills a call-site row — the one place the quantity is shown.
 pub fn frame_direct(cct: &Cct, direct: &MetricVec, frame: NodeId) -> f64 {
-    if !cct.kind(frame).is_frame() {
+    let topo = cct.topo();
+    if !topo.is_frame(frame) {
         return 0.0;
     }
-    let body = cct
+    let body = topo
         .children(frame)
-        .filter(|&c| matches!(cct.kind(c), ScopeKind::Stmt { .. } | ScopeKind::Loop { .. }));
+        .filter(|&c| topo.is_stmt(c) || topo.is_loop(c));
     std::iter::once(frame)
         .chain(body)
         .fold(0.0, |sum, n| sum + direct.get(n.0))
@@ -304,6 +306,7 @@ mod tests {
     use crate::ids::{FileId, LoadModuleId, ProcId};
     use crate::metrics::MetricDesc;
     use crate::names::{NameTable, SourceLoc};
+    use crate::scope::ScopeKind;
 
     fn frame(proc: u32, call_line: u32) -> ScopeKind {
         ScopeKind::Frame {

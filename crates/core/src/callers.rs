@@ -55,14 +55,14 @@ impl CallersView {
     /// dynamic activation). Children are materialized on demand via
     /// [`CallersView::expand`].
     pub fn build(exp: &Experiment) -> Self {
-        let cct = &exp.cct;
+        let topo = exp.cct.topo();
         let mut tree = ViewTree::new(exp);
         // Entries in first-appearance order, instances ascending: both
         // follow from walking the arena in node order.
         let mut entries: HashMap<ProcId, ViewNodeId> = HashMap::new();
-        let mut entry_of = vec![NONE; cct.len()];
-        for n in cct.all_nodes() {
-            if let ScopeKind::Frame { proc, .. } = cct.kind(n) {
+        let mut entry_of = vec![NONE; topo.len()];
+        for n in exp.cct.all_nodes().filter(|&n| topo.is_proc_frame(n)) {
+            if let ScopeKind::Frame { proc, .. } = topo.kind(n) {
                 let entry = entries
                     .entry(proc)
                     .or_insert_with(|| tree.add_root(ViewScope::ProcTop { proc }));
@@ -70,8 +70,8 @@ impl CallersView {
             }
         }
         let entry = |n: NodeId| Some(entry_of[n.index()]).filter(|&e| e != NONE);
-        let exposed = exposed_on_entry(cct, tree.len(), |n| entry(n).map(|e| [e]));
-        for n in cct.all_nodes() {
+        let exposed = exposed_on_entry(topo, tree.len(), |n| entry(n).map(|e| [e]));
+        for n in exp.cct.all_nodes() {
             if let Some(e) = entry(n) {
                 tree.push_instance(ViewNodeId(e), n, exposed[n.index()] != 0);
             }
@@ -104,22 +104,23 @@ impl CallersView {
             return;
         }
         self.tree.mark_expanded(n);
+        let topo = exp.cct.topo();
         // Group the instances by their cursor's caller frame:
         // key = (caller procedure, call site of the cursor activation),
         // lines in first-appearance order.
         let mut lines: Vec<Line> = Vec::new();
         let mut line_of: HashMap<ViewScope, usize> = HashMap::new();
         for (inst, cursor, kept) in self.instances(n) {
-            let Some(caller) = exp.cct.caller_frame(cursor) else {
+            let Some(caller) = topo.caller_frame(cursor) else {
                 continue; // top-level activation (e.g. main): no caller line
             };
             let ScopeKind::Frame {
                 proc: caller_proc, ..
-            } = exp.cct.kind(caller)
+            } = topo.kind(caller)
             else {
                 unreachable!("caller_frame returns dynamic frames only");
             };
-            let call_site = match exp.cct.kind(cursor) {
+            let call_site = match topo.kind(cursor) {
                 ScopeKind::Frame { call_site, .. } => call_site,
                 _ => None,
             };
@@ -141,7 +142,7 @@ impl CallersView {
         let first_new = self.tree.len();
         for line in lines {
             let child = self.tree.add_child(n, line.scope);
-            self.tree.set_instances(&exp.cct, child, &line.members);
+            self.tree.set_instances(topo, child, &line.members);
             debug_assert_eq!(child.index(), self.cursors.len());
             self.cursors.push(line.cursors);
         }
@@ -175,7 +176,8 @@ impl CallersView {
         let (kept, covered) = (self.tree.kept(n), self.tree.covered(n));
         let instances = kept.iter().chain(covered).filter(|_| is_entry);
         let mut cursors = self.cursors[n.index()].iter().chain(instances);
-        cursors.any(|&c| exp.cct.caller_frame(c).is_some())
+        let topo = exp.cct.topo();
+        cursors.any(|&c| topo.caller_frame(c).is_some())
     }
 }
 

@@ -7,43 +7,88 @@
 //! directly; the Callers View and Flat View are derived from it
 //! (`crate::callers`, `crate::flat`).
 //!
-//! Storage is a flat arena with two backings behind one API:
+//! Storage is one structure-of-arrays layout ([`crate::topo`]: three `u32`
+//! link arrays, a tag byte and six `u32` fields per node) with two
+//! backings:
 //!
-//! * **Owned** — one contiguous `Vec` of nodes, each storing `parent`,
-//!   `first_child`, `last_child` and `next_sibling` indices plus its
-//!   [`ScopeKind`]. This is what profile correlation builds.
-//! * **Mapped** — a zero-copy [`MappedTopology`] view borrowing the
-//!   same arrays straight out of a format-v2.1 database image
-//!   (structure-of-arrays: three `u32` link arrays, a tag byte and six
-//!   `u32` payload fields per node). Opening a million-node database
-//!   costs no per-node decoding; the first *mutation* materializes the
-//!   owned arena (copy-on-write).
+//! * **Owned** — an arena of `Vec`s holding those arrays, plus each
+//!   node's last child for appends. This is what profile correlation
+//!   builds.
+//! * **Mapped** — a zero-copy [`MappedTopology`] borrowing the same
+//!   arrays straight out of a format-v2.1 database image. Opening a
+//!   million-node database costs no per-node decoding; the first
+//!   *mutation* copies the arrays into an owned arena (copy-on-write).
+//!
+//! Kernels read either backing through one borrowed [`Topo`], taken once
+//! per call ([`Cct::topo`]); the per-node methods below are for cold
+//! callers, and each derives only the array it reads.
 //!
 //! Child order is insertion order and is preserved by every traversal,
-//! which keeps golden tests deterministic. Traversals over mapped
-//! topologies carry step budgets so a corrupt image can produce a wrong
-//! tree but never an unbounded walk.
+//! which keeps golden tests deterministic. Traversals carry step budgets
+//! so a corrupt image can produce a wrong tree but never an unbounded
+//! walk.
 
 use crate::ids::NodeId;
 use crate::mapped::MappedTopology;
 use crate::names::NameTable;
-use crate::scope::{ScopeKind, StaticKey};
+use crate::scope::ScopeKind;
+use crate::topo::{decode_kind, encode_kind, link, tags, Topo, LINK_NONE, UNCLAMPED};
+pub use crate::topo::{Ancestors, Children};
 
-const NONE: u32 = u32::MAX;
+const NONE: u32 = LINK_NONE;
 
-#[derive(Debug, Clone)]
-struct Node {
-    kind: ScopeKind,
-    parent: u32,
-    first_child: u32,
-    last_child: u32,
-    next_sibling: u32,
+/// The owned backing: the layout's arrays, plus each node's last child
+/// so that an append does not walk the sibling chain.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    parent: Vec<u32>,
+    first_child: Vec<u32>,
+    next_sibling: Vec<u32>,
+    last_child: Vec<u32>,
+    tags: Vec<u8>,
+    fields: Vec<u32>,
 }
 
-/// The arena backing: owned nodes or a borrowed database image.
+impl Arena {
+    #[inline]
+    fn topo(&self) -> Topo<'_> {
+        Topo::new(
+            [&self.parent, &self.first_child, &self.next_sibling],
+            &self.tags,
+            &self.fields,
+            UNCLAMPED,
+        )
+    }
+
+    /// Append `(tag, fields)` as the last child of `parent` (`NONE` for
+    /// the root).
+    fn push(&mut self, parent: u32, (tag, fields): (u8, [u32; tags::N_FIELDS])) -> NodeId {
+        let id = u32::try_from(self.tags.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("CCT node overflow");
+        self.parent.push(parent);
+        self.first_child.push(NONE);
+        self.next_sibling.push(NONE);
+        self.last_child.push(NONE);
+        self.tags.push(tag);
+        self.fields.extend_from_slice(&fields);
+        if parent != NONE {
+            let p = parent as usize;
+            match self.last_child[p] {
+                NONE => self.first_child[p] = id,
+                last => self.next_sibling[last as usize] = id,
+            }
+            self.last_child[p] = id;
+        }
+        NodeId(id)
+    }
+}
+
+/// The arena backing: owned arrays or a borrowed database image.
 #[derive(Debug, Clone)]
-enum NodeStore {
-    Owned(Vec<Node>),
+enum Store {
+    Owned(Arena),
     Mapped(MappedTopology),
 }
 
@@ -51,7 +96,7 @@ enum NodeStore {
 /// reference.
 #[derive(Debug, Clone)]
 pub struct Cct {
-    store: NodeStore,
+    store: Store,
     /// Name tables the scopes reference.
     pub names: NameTable,
 }
@@ -59,14 +104,10 @@ pub struct Cct {
 impl Cct {
     /// Create a CCT containing only the synthetic root scope.
     pub fn new(names: NameTable) -> Self {
+        let mut arena = Arena::default();
+        arena.push(NONE, encode_kind(&ScopeKind::Root));
         Cct {
-            store: NodeStore::Owned(vec![Node {
-                kind: ScopeKind::Root,
-                parent: NONE,
-                first_child: NONE,
-                last_child: NONE,
-                next_sibling: NONE,
-            }]),
+            store: Store::Owned(arena),
             names,
         }
     }
@@ -77,14 +118,14 @@ impl Cct {
     /// silently materializes an owned arena.
     pub fn from_mapped(names: NameTable, topo: MappedTopology) -> Self {
         Cct {
-            store: NodeStore::Mapped(topo),
+            store: Store::Mapped(topo),
             names,
         }
     }
 
     /// True while the tree is still backed by a borrowed database image.
     pub fn is_mapped(&self) -> bool {
-        matches!(self.store, NodeStore::Mapped(_))
+        matches!(self.store, Store::Mapped(_))
     }
 
     /// The synthetic root node.
@@ -95,95 +136,87 @@ impl Cct {
     /// Number of nodes (including the root).
     pub fn len(&self) -> usize {
         match &self.store {
-            NodeStore::Owned(nodes) => nodes.len(),
-            NodeStore::Mapped(topo) => topo.len(),
+            Store::Owned(arena) => arena.tags.len(),
+            Store::Mapped(mapped) => mapped.len(),
         }
     }
 
     /// Always false: a CCT contains at least its root.
     pub fn is_empty(&self) -> bool {
-        // A CCT always contains its root.
         false
     }
 
+    /// Lend the topology to a kernel: all five arrays, for one lookup of
+    /// the image on a mapped tree. Take it once per call, not per node.
     #[inline]
-    fn parent_raw(&self, i: u32) -> u32 {
+    pub fn topo(&self) -> Topo<'_> {
         match &self.store {
-            NodeStore::Owned(nodes) => nodes[i as usize].parent,
-            NodeStore::Mapped(topo) => topo.parent(i as usize),
+            Store::Owned(arena) => arena.topo(),
+            Store::Mapped(mapped) => mapped.topo(),
         }
     }
 
     #[inline]
-    fn first_child_raw(&self, i: u32) -> u32 {
+    fn parents(&self) -> &[u32] {
         match &self.store {
-            NodeStore::Owned(nodes) => nodes[i as usize].first_child,
-            NodeStore::Mapped(topo) => topo.first_child(i as usize),
+            Store::Owned(arena) => &arena.parent,
+            Store::Mapped(mapped) => mapped.parents(),
         }
     }
 
     #[inline]
-    fn next_sibling_raw(&self, i: u32) -> u32 {
+    fn first_children(&self) -> &[u32] {
         match &self.store {
-            NodeStore::Owned(nodes) => nodes[i as usize].next_sibling,
-            NodeStore::Mapped(topo) => topo.next_sibling(i as usize),
+            Store::Owned(arena) => &arena.first_child,
+            Store::Mapped(mapped) => mapped.first_children(),
         }
     }
 
-    /// Copy a mapped topology into the owned arena so it can be
-    /// mutated; no-op when already owned. `last_child` is recomputed by
-    /// walking each sibling chain (the mapped form does not store it).
-    fn make_owned(&mut self) {
-        if let NodeStore::Mapped(topo) = &self.store {
+    #[inline]
+    fn next_siblings(&self) -> &[u32] {
+        match &self.store {
+            Store::Owned(arena) => &arena.next_sibling,
+            Store::Mapped(mapped) => mapped.next_siblings(),
+        }
+    }
+
+    /// The owned arena, copying a mapped topology into one first. The
+    /// copy reads what [`Topo`] reads: out-of-range link words become
+    /// none, and name ids go through the decoder's clamp, since an owned
+    /// arena's are never clamped.
+    fn arena(&mut self) -> &mut Arena {
+        if let Store::Mapped(mapped) = &self.store {
+            let topo = mapped.topo();
             let n = topo.len();
-            let mut nodes: Vec<Node> = (0..n)
-                .map(|i| Node {
-                    kind: topo.kind(i),
-                    parent: topo.parent(i),
-                    first_child: topo.first_child(i),
-                    last_child: NONE,
-                    next_sibling: topo.next_sibling(i),
-                })
-                .collect();
-            for i in 0..n {
-                let mut cur = nodes[i].first_child;
-                let mut last = NONE;
-                let mut budget = n;
-                while cur != NONE && budget > 0 {
-                    last = cur;
-                    cur = nodes[cur as usize].next_sibling;
-                    budget -= 1;
-                }
-                nodes[i].last_child = last;
-            }
-            self.store = NodeStore::Owned(nodes);
+            let links = |words: &[u32]| -> Vec<u32> {
+                words
+                    .iter()
+                    .map(|&w| link(w, n).map_or(NONE, |l| l.0))
+                    .collect()
+            };
+            let nodes = || (0..n as u32).map(NodeId);
+            let arena = Arena {
+                parent: links(topo.parents()),
+                first_child: links(topo.first_children()),
+                next_sibling: links(topo.next_siblings()),
+                last_child: nodes()
+                    .map(|i| topo.children(i).last().map_or(NONE, |c| c.0))
+                    .collect(),
+                tags: topo.tags().to_vec(),
+                fields: nodes().flat_map(|i| encode_kind(&topo.kind(i)).1).collect(),
+            };
+            self.store = Store::Owned(arena);
+        }
+        match &mut self.store {
+            Store::Owned(arena) => arena,
+            Store::Mapped(_) => unreachable!("copied into an owned arena above"),
         }
     }
 
     /// Append a child scope under `parent`, returning its id. Children keep
     /// insertion order.
     pub fn add_child(&mut self, parent: NodeId, kind: ScopeKind) -> NodeId {
-        self.make_owned();
-        let NodeStore::Owned(nodes) = &mut self.store else {
-            unreachable!("make_owned() materialized above");
-        };
-        let id = u32::try_from(nodes.len()).expect("CCT node overflow");
-        nodes.push(Node {
-            kind,
-            parent: parent.0,
-            first_child: NONE,
-            last_child: NONE,
-            next_sibling: NONE,
-        });
-        let p = &mut nodes[parent.index()];
-        if p.first_child == NONE {
-            p.first_child = id;
-        } else {
-            let last = p.last_child;
-            nodes[last as usize].next_sibling = id;
-        }
-        nodes[parent.index()].last_child = id;
-        NodeId(id)
+        self.arena().push(parent.0, encode_kind(&kind))
     }
 
     /// Find an existing child of `parent` with exactly this `kind`, or add
@@ -196,62 +229,61 @@ impl Cct {
     /// [`Self::find_or_add_child`], also reporting whether the child was
     /// newly created. Journal-pruning merges need the distinction: only
     /// first-appearance edges have to be replayed to reconstruct a CCT,
-    /// so repeat visits can be dropped at record time.
+    /// so repeat visits can be dropped at record time. Siblings are
+    /// compared in their encoded form, against the encoded `kind`; a
+    /// mapped tree is copied into an owned arena first.
     pub fn find_or_add_child_tracked(&mut self, parent: NodeId, kind: ScopeKind) -> (NodeId, bool) {
-        let mut cur = self.first_child_raw(parent.0);
-        while cur != NONE {
-            if self.kind(NodeId(cur)) == kind {
-                return (NodeId(cur), false);
-            }
-            cur = self.next_sibling_raw(cur);
+        let (tag, fields) = encode_kind(&kind);
+        let arena = &*self.arena();
+        let found = arena.topo().children(parent).find(|c| {
+            let at = c.index() * tags::N_FIELDS;
+            arena.tags[c.index()] == tag && arena.fields[at..at + tags::N_FIELDS] == fields
+        });
+        match found {
+            Some(c) => (c, false),
+            None => (self.arena().push(parent.0, (tag, fields)), true),
         }
-        (self.add_child(parent, kind), true)
     }
 
-    /// Scope kind of node `n`. Returned by value (`ScopeKind` is `Copy`):
-    /// the mapped backing decodes it from the image on the fly, so there
-    /// is no stored `ScopeKind` to borrow.
+    /// Scope kind of node `n`, decoded from its tag and fields. Returned
+    /// by value (`ScopeKind` is `Copy`): there is no stored `ScopeKind`
+    /// to borrow.
     #[inline]
     pub fn kind(&self, n: NodeId) -> ScopeKind {
-        match &self.store {
-            NodeStore::Owned(nodes) => nodes[n.index()].kind,
-            NodeStore::Mapped(topo) => topo.kind(n.index()),
-        }
+        let (tags, fields, limits) = match &self.store {
+            Store::Owned(arena) => (&arena.tags[..], &arena.fields[..], UNCLAMPED),
+            Store::Mapped(mapped) => (mapped.tags(), mapped.fields(), mapped.limits()),
+        };
+        let at = n.index() * tags::N_FIELDS;
+        decode_kind(tags[n.index()], &fields[at..at + tags::N_FIELDS], limits)
     }
 
     /// Parent of `n` (`None` for the root).
     #[inline]
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        let p = self.parent_raw(n.0);
-        (p != NONE).then_some(NodeId(p))
+        link(self.parents()[n.index()], self.len())
     }
 
     /// Iterate the children of `n` in insertion order.
+    #[inline]
     pub fn children(&self, n: NodeId) -> Children<'_> {
-        Children {
-            cct: self,
-            cur: self.first_child_raw(n.0),
-            remaining: self.len(),
-        }
-    }
-
-    /// Number of children of `n`.
-    pub fn child_count(&self, n: NodeId) -> usize {
-        self.children(n).count()
+        let first = self.first_children()[n.index()];
+        let next_sibling = self.next_siblings();
+        Children::new(link(first, next_sibling.len()), next_sibling)
     }
 
     /// True when `n` has no children.
+    #[inline]
     pub fn is_leaf(&self, n: NodeId) -> bool {
-        self.first_child_raw(n.0) == NONE
+        let first_children = self.first_children();
+        link(first_children[n.index()], first_children.len()).is_none()
     }
 
     /// Iterate proper ancestors of `n`, innermost first, ending at the root.
+    #[inline]
     pub fn ancestors(&self, n: NodeId) -> Ancestors<'_> {
-        Ancestors {
-            cct: self,
-            cur: self.parent_raw(n.0),
-            remaining: self.len(),
-        }
+        let parents = self.parents();
+        Ancestors::new(link(parents[n.index()], parents.len()), parents)
     }
 
     /// Pre-order traversal of the subtree rooted at `n` (including `n`).
@@ -261,52 +293,16 @@ impl Cct {
     /// to the subtree root — O(1) state for any tree size.
     pub fn preorder(&self, n: NodeId) -> Preorder<'_> {
         Preorder {
-            cct: self,
-            start: n.0,
-            cur: n.0,
+            topo: self.topo(),
+            start: n,
+            cur: Some(n),
             remaining: self.len(),
         }
     }
 
-    /// Depth-first walk of the whole tree: `visit(n, true)` when `n` is
-    /// entered, `visit(n, false)` when its subtree is done, so a visitor
-    /// can keep per-path state (what is on the call stack) in counters.
-    /// Allocation-free like [`Cct::preorder`], and under the same kind of
-    /// step budget: a corrupt mapped image, whose links need not agree with
-    /// one another, can make the walk stop early or leave a node it never
-    /// entered, but not run on.
-    pub fn walk(&self, mut visit: impl FnMut(NodeId, bool)) {
-        let mut budget = 2 * self.len();
-        let mut cur = self.root().0;
-        visit(NodeId(cur), true);
-        loop {
-            let fc = self.first_child_raw(cur);
-            if fc != NONE && budget > 0 {
-                budget -= 1;
-                cur = fc;
-                visit(NodeId(cur), true);
-                continue;
-            }
-            // `cur`'s subtree is done: leave it, and every ancestor it was
-            // the last child of, until a sibling is left to enter.
-            loop {
-                visit(NodeId(cur), false);
-                if cur == self.root().0 || budget == 0 {
-                    return;
-                }
-                budget -= 1;
-                let next = self.next_sibling_raw(cur);
-                if next != NONE {
-                    cur = next;
-                    visit(NodeId(cur), true);
-                    break;
-                }
-                match self.parent_raw(cur) {
-                    NONE => return,
-                    parent => cur = parent,
-                }
-            }
-        }
+    /// Depth-first walk of the whole tree ([`Topo::walk`]).
+    pub fn walk(&self, visit: impl FnMut(NodeId, bool)) {
+        self.topo().walk(visit)
     }
 
     /// All node ids, in arena order. Arena order is a valid topological
@@ -325,109 +321,52 @@ impl Cct {
     /// itself if it is one). Loops and statements always live inside some
     /// frame; the root has no frame.
     pub fn enclosing_frame(&self, n: NodeId) -> Option<NodeId> {
-        if matches!(self.kind(n), ScopeKind::Frame { .. }) {
-            return Some(n);
-        }
-        self.ancestors(n)
-            .find(|&a| matches!(self.kind(a), ScopeKind::Frame { .. }))
+        let topo = self.topo();
+        std::iter::once(n)
+            .chain(topo.ancestors(n))
+            .find(|&a| topo.is_proc_frame(a))
     }
 
     /// The nearest enclosing frame-like scope (dynamic frame *or* inlined
     /// frame); used for attribution rule 1, which stops at any frame
     /// boundary.
     pub fn enclosing_frame_like(&self, n: NodeId) -> Option<NodeId> {
-        if self.kind(n).is_frame() {
-            return Some(n);
-        }
-        self.ancestors(n).find(|&a| self.kind(a).is_frame())
+        self.topo().enclosing_frame_like(n)
     }
 
     /// The caller frame of a frame node: the nearest ancestor that is a
     /// dynamic frame.
     pub fn caller_frame(&self, frame: NodeId) -> Option<NodeId> {
-        self.ancestors(frame)
-            .find(|&a| matches!(self.kind(a), ScopeKind::Frame { .. }))
-    }
-
-    /// The static object this node is an instance of, used for exposure
-    /// analysis and Flat-View aggregation. Loops and statements are
-    /// qualified by the procedure of their enclosing frame-like scope so
-    /// that identical line numbers in different procedures stay distinct.
-    pub fn static_key(&self, n: NodeId) -> StaticKey {
-        match self.kind(n) {
-            ScopeKind::Root => StaticKey::Root,
-            ScopeKind::Frame { proc, .. } => StaticKey::Proc(proc),
-            ScopeKind::InlinedFrame {
-                proc, call_site, ..
-            } => {
-                let host = self
-                    .parent(n)
-                    .and_then(|p| self.enclosing_frame_host_proc(p))
-                    .expect("inlined frame must be nested in a frame");
-                StaticKey::InlinedProc {
-                    host,
-                    callee: proc,
-                    call_site,
-                }
-            }
-            ScopeKind::Loop { header } => {
-                let proc = self
-                    .parent(n)
-                    .and_then(|p| self.enclosing_frame_host_proc(p))
-                    .expect("loop must be nested in a frame");
-                StaticKey::Loop { proc, header }
-            }
-            ScopeKind::Stmt { loc } => {
-                let proc = self
-                    .parent(n)
-                    .and_then(|p| self.enclosing_frame_host_proc(p))
-                    .expect("statement must be nested in a frame");
-                StaticKey::Stmt { proc, loc }
-            }
-        }
-    }
-
-    /// The procedure owning the innermost frame-like scope at or above `n`.
-    fn enclosing_frame_host_proc(&self, n: NodeId) -> Option<crate::ids::ProcId> {
-        self.enclosing_frame_like(n)
-            .and_then(|f| self.kind(f).frame_proc())
+        self.topo().caller_frame(frame)
     }
 
     /// Structural sanity checks; used by tests and debug assertions.
     ///
     /// Verifies that the root is unique, that every non-root node has a
-    /// parent chain ending at the root, and that loops/statements are nested
-    /// inside frames.
+    /// parent that precedes it (so every parent chain ends at the root),
+    /// and that loops, statements and inlined frames are nested inside
+    /// frames.
     pub fn validate(&self) -> Result<(), String> {
+        let topo = self.topo();
         for n in self.all_nodes() {
-            match self.kind(n) {
-                ScopeKind::Root => {
-                    if n != self.root() {
-                        return Err(format!("non-root node {n:?} has Root kind"));
-                    }
+            let parent = topo.parent(n);
+            match topo.tag(n) {
+                tags::ROOT if n != self.root() => {
+                    return Err(format!("non-root node {n:?} has Root kind"));
                 }
-                ScopeKind::Loop { .. }
-                | ScopeKind::Stmt { .. }
-                | ScopeKind::InlinedFrame { .. } => {
-                    if self.enclosing_frame_like(n).is_none()
-                        || self
-                            .parent(n)
-                            .and_then(|p| self.enclosing_frame_host_proc(p))
-                            .is_none()
-                    {
-                        return Err(format!("{:?} not nested inside a frame", self.kind(n)));
-                    }
+                tags::LOOP | tags::STMT | tags::INLINED
+                    if parent.and_then(|p| topo.enclosing_frame_like(p)).is_none() =>
+                {
+                    return Err(format!("{:?} not nested inside a frame", topo.kind(n)));
                 }
-                ScopeKind::Frame { .. } => {}
+                _ => {}
             }
-            // Parent chain must terminate (guaranteed by arena construction:
-            // parents always have smaller indices).
-            if let Some(p) = self.parent(n) {
-                if p.index() >= n.index() {
+            match parent {
+                Some(p) if p.index() >= n.index() => {
                     return Err(format!("parent {p:?} does not precede child {n:?}"));
                 }
-            } else if n != self.root() {
-                return Err(format!("orphan node {n:?}"));
+                None if n != self.root() => return Err(format!("orphan node {n:?}")),
+                _ => {}
             }
         }
         Ok(())
@@ -452,57 +391,11 @@ impl Cct {
     }
 }
 
-/// Iterator over the children of a node.
-pub struct Children<'a> {
-    cct: &'a Cct,
-    cur: u32,
-    /// Step budget (node count): terminates even on a corrupt mapped
-    /// image whose sibling links form a cycle.
-    remaining: usize,
-}
-
-impl Iterator for Children<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.cur == NONE || self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let id = NodeId(self.cur);
-        self.cur = self.cct.next_sibling_raw(self.cur);
-        Some(id)
-    }
-}
-
-/// Iterator over proper ancestors, innermost first.
-pub struct Ancestors<'a> {
-    cct: &'a Cct,
-    cur: u32,
-    /// Step budget (node count): terminates even on a corrupt mapped
-    /// image whose parent links form a cycle.
-    remaining: usize,
-}
-
-impl Iterator for Ancestors<'_> {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        if self.cur == NONE || self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let id = NodeId(self.cur);
-        self.cur = self.cct.parent_raw(self.cur);
-        Some(id)
-    }
-}
-
 /// Pre-order subtree traversal (allocation-free; see [`Cct::preorder`]).
 pub struct Preorder<'a> {
-    cct: &'a Cct,
-    start: u32,
-    cur: u32,
+    topo: Topo<'a>,
+    start: NodeId,
+    cur: Option<NodeId>,
     /// Step budget (node count): terminates even on a corrupt mapped
     /// image whose links form a cycle.
     remaining: usize,
@@ -512,39 +405,23 @@ impl Iterator for Preorder<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        if self.cur == NONE || self.remaining == 0 {
-            return None;
-        }
+        let out = self.cur.filter(|_| self.remaining > 0)?;
         self.remaining -= 1;
-        let out = self.cur;
         // Advance: descend to the first child if there is one; otherwise
         // take the next sibling, climbing parents (never past the
         // subtree root) until one exists.
-        let fc = self.cct.first_child_raw(out);
-        if fc != NONE {
-            self.cur = fc;
-        } else {
+        let topo = self.topo;
+        self.cur = topo.first_child(out).or_else(|| {
             let mut x = out;
-            loop {
-                if x == self.start {
-                    self.cur = NONE;
-                    break;
+            while x != self.start {
+                if let Some(next) = topo.next_sibling(x) {
+                    return Some(next);
                 }
-                let ns = self.cct.next_sibling_raw(x);
-                if ns != NONE {
-                    self.cur = ns;
-                    break;
-                }
-                match self.cct.parent_raw(x) {
-                    NONE => {
-                        self.cur = NONE;
-                        break;
-                    }
-                    p => x = p,
-                }
+                x = topo.parent(x)?;
             }
-        }
-        Some(NodeId(out))
+            None
+        });
+        Some(out)
     }
 }
 
@@ -585,7 +462,6 @@ mod tests {
         let ids: Vec<NodeId> = (0..5).map(|i| cct.add_child(root, frame(i))).collect();
         let got: Vec<NodeId> = cct.children(root).collect();
         assert_eq!(got, ids);
-        assert_eq!(cct.child_count(root), 5);
     }
 
     #[test]
@@ -598,6 +474,17 @@ mod tests {
         let c = cct.find_or_add_child(root, frame(1));
         assert_ne!(a, c);
         assert_eq!(cct.len(), 3);
+        // Same fields but no call site: another tag, another child.
+        let top = ScopeKind::Frame {
+            proc: ProcId(0),
+            module: LoadModuleId(0),
+            def: SourceLoc::new(FileId(0), 1),
+            call_site: None,
+        };
+        let d = cct.find_or_add_child(root, top);
+        assert!(d != a && d != c);
+        assert_eq!(cct.find_or_add_child(root, top), d);
+        assert_eq!(cct.kind(d), top);
     }
 
     #[test]
@@ -625,18 +512,6 @@ mod tests {
         assert_eq!(cct.enclosing_frame(l), Some(f));
         assert_eq!(cct.enclosing_frame(f), Some(f));
         assert_eq!(cct.enclosing_frame(root), None);
-    }
-
-    #[test]
-    fn static_keys_qualified_by_proc() {
-        let mut cct = Cct::new(NameTable::new());
-        let root = cct.root();
-        let f0 = cct.add_child(root, frame(0));
-        let f1 = cct.add_child(f0, frame(1));
-        let s0 = cct.add_child(f0, stmt(5));
-        let s1 = cct.add_child(f1, stmt(5));
-        assert_ne!(cct.static_key(s0), cct.static_key(s1));
-        assert_eq!(cct.static_key(f0), StaticKey::Proc(ProcId(0)));
     }
 
     #[test]

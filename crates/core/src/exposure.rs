@@ -25,6 +25,7 @@
 
 use crate::cct::Cct;
 use crate::ids::NodeId;
+use crate::topo::Topo;
 
 /// Return the subset of `instances` that have no proper ancestor also in
 /// `instances`. Order of the result follows the input order.
@@ -32,12 +33,13 @@ pub fn exposed(cct: &Cct, instances: &[NodeId]) -> Vec<NodeId> {
     if instances.len() <= 1 {
         return instances.to_vec();
     }
+    let topo = cct.topo();
     let mut marks = Marks::default();
-    marks.stamp(cct, instances.iter().copied());
+    marks.stamp(topo, instances.iter().copied());
     instances
         .iter()
         .copied()
-        .filter(|&n| marks.is_exposed(cct, n))
+        .filter(|&n| marks.is_exposed(topo, n))
         .collect()
 }
 
@@ -47,18 +49,18 @@ pub fn exposed(cct: &Cct, instances: &[NodeId]) -> Vec<NodeId> {
 /// is exposed in its `k`-th set: no activation of that key was on the
 /// stack when `n` was entered.
 pub(crate) fn exposed_on_entry<const K: usize>(
-    cct: &Cct,
+    topo: Topo<'_>,
     n_keys: usize,
     keys: impl Fn(NodeId) -> Option<[u32; K]>,
 ) -> Vec<u8> {
     let mut on_stack = vec![0u32; n_keys];
-    let mut bits = vec![0u8; cct.len()];
-    cct.walk(|n, entering| {
+    let mut bits = vec![0u8; topo.len()];
+    topo.walk(|n, entering| {
         let Some(keys) = keys(n) else { return };
         for (k, &key) in keys.iter().enumerate() {
             let count = &mut on_stack[key as usize];
             if !entering {
-                // Saturating: see `Cct::walk` on corrupt images.
+                // Saturating: see `Topo::walk` on corrupt images.
                 *count = count.saturating_sub(1);
                 continue;
             }
@@ -89,9 +91,9 @@ pub(crate) struct Marks {
 
 impl Marks {
     /// Start on a new set: stamp its members.
-    pub(crate) fn stamp(&mut self, cct: &Cct, set: impl IntoIterator<Item = NodeId>) {
-        if self.marks.len() != cct.len() || self.epoch > u32::MAX - 8 {
-            self.marks = vec![0; cct.len()];
+    pub(crate) fn stamp(&mut self, topo: Topo<'_>, set: impl IntoIterator<Item = NodeId>) {
+        if self.marks.len() != topo.len() || self.epoch > u32::MAX - 8 {
+            self.marks = vec![0; topo.len()];
             self.epoch = 0;
         }
         self.epoch += 4;
@@ -107,13 +109,13 @@ impl Marks {
     /// Has `n` no proper ancestor in the stamped set? Climbs to the first
     /// ancestor that is stamped or was passed by an earlier climb, then
     /// leaves the answer on the ancestors in between.
-    pub(crate) fn is_exposed(&mut self, cct: &Cct, n: NodeId) -> bool {
-        let decided = cct
+    pub(crate) fn is_exposed(&mut self, topo: Topo<'_>, n: NodeId) -> bool {
+        let decided = topo
             .ancestors(n)
             .find(|&a| matches!(self.state(a), MEMBER | CLEAR | BELOW));
         let exposed = decided.is_none_or(|a| self.state(a) == CLEAR);
         let mark = self.epoch + if exposed { CLEAR } else { BELOW };
-        for a in cct.ancestors(n).take_while(|&a| Some(a) != decided) {
+        for a in topo.ancestors(n).take_while(|&a| Some(a) != decided) {
             self.marks[a.index()] = mark;
         }
         exposed
@@ -186,7 +188,7 @@ mod tests {
     fn one_pass_decides_every_keyed_set() {
         let (cct, gs) = recursive_cct();
         // Key 0: procedure m; key 1: procedure g.
-        let bits = exposed_on_entry(&cct, 2, |n| match cct.kind(n) {
+        let bits = exposed_on_entry(cct.topo(), 2, |n| match cct.kind(n) {
             ScopeKind::Frame { proc, .. } => Some([proc.0]),
             _ => None,
         });
@@ -204,13 +206,16 @@ mod tests {
     fn marks_answer_set_after_set_without_clearing() {
         let (cct, gs) = recursive_cct();
         let mut marks = Marks::default();
-        marks.stamp(&cct, gs.iter().copied());
-        assert!(marks.is_exposed(&cct, gs[0]));
-        assert!(!marks.is_exposed(&cct, gs[2]));
+        marks.stamp(cct.topo(), gs.iter().copied());
+        assert!(marks.is_exposed(cct.topo(), gs[0]));
+        assert!(!marks.is_exposed(cct.topo(), gs[2]));
         // The next set sees none of the first one's stamps or answers.
-        marks.stamp(&cct, gs[2..].iter().copied());
-        assert!(marks.is_exposed(&cct, gs[2]), "g3: g1, g2 are not members");
-        assert!(marks.is_exposed(&cct, gs[3]));
+        marks.stamp(cct.topo(), gs[2..].iter().copied());
+        assert!(
+            marks.is_exposed(cct.topo(), gs[2]),
+            "g3: g1, g2 are not members"
+        );
+        assert!(marks.is_exposed(cct.topo(), gs[3]));
     }
 
     /// A climb stops where an earlier one passed: on a chain of n
@@ -227,11 +232,11 @@ mod tests {
         // one marks the 999 above it; the lower one stops at once.
         let set = [chain[999], chain[1000]];
         let mut marks = Marks::default();
-        marks.stamp(&cct, set);
-        assert!(marks.is_exposed(&cct, set[0]));
+        marks.stamp(cct.topo(), set);
+        assert!(marks.is_exposed(cct.topo(), set[0]));
         let marked = marks.marks.iter().filter(|&&m| m != 0).count();
         assert_eq!(marked, 2 + 999 + 1, "members, chain, root");
-        assert!(!marks.is_exposed(&cct, set[1]));
+        assert!(!marks.is_exposed(cct.topo(), set[1]));
         let again = marks.marks.iter().filter(|&&m| m != 0).count();
         assert_eq!(again, marked, "nothing new to mark");
     }

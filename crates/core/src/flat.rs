@@ -53,7 +53,7 @@ impl FlatView {
     /// procedure nodes; everything inside procedures is deferred to
     /// [`FlatView::expand`].
     pub fn build(exp: &Experiment) -> Self {
-        let cct = &exp.cct;
+        let topo = exp.cct.topo();
         let mut tree = ViewTree::new(exp);
 
         // (parent, scope) -> node index, to avoid quadratic sibling scans.
@@ -69,11 +69,11 @@ impl FlatView {
             };
 
         // Shell nodes in first-appearance order: the arena in node order.
-        let mut procedure_of = vec![NONE; cct.len()];
-        for n in cct.all_nodes() {
+        let mut procedure_of = vec![NONE; topo.len()];
+        for n in exp.cct.all_nodes().filter(|&n| topo.is_proc_frame(n)) {
             if let ScopeKind::Frame {
                 proc, module, def, ..
-            } = cct.kind(n)
+            } = topo.kind(n)
             {
                 let m_node = node_at(&mut tree, None, ViewScope::Module { module });
                 let f_node = node_at(&mut tree, Some(m_node), ViewScope::File { file: def.file });
@@ -89,8 +89,8 @@ impl FlatView {
             let m = tree.parent(f)?;
             Some([p, f.0, m.0])
         };
-        let exposed = exposed_on_entry(cct, tree.len(), |n| containers(&tree, n));
-        for n in cct.all_nodes() {
+        let exposed = exposed_on_entry(topo, tree.len(), |n| containers(&tree, n));
+        for n in exp.cct.all_nodes() {
             let Some([p, f, m]) = containers(&tree, n) else {
                 continue;
             };
@@ -120,7 +120,8 @@ impl FlatView {
     /// visited in ascending CCT-node order — exactly the order a one-pass
     /// build of the whole tree would have created them in, so the tree
     /// comes out the same (per parent, in order) whatever is expanded
-    /// when.
+    /// when. Every child of `v` is made here, so a map local to the call
+    /// finds a row's scope among its siblings.
     pub fn expand(&mut self, exp: &Experiment, v: ViewNodeId) {
         if self.tree.is_expanded(v) {
             return;
@@ -133,12 +134,13 @@ impl FlatView {
             return;
         }
 
+        let topo = exp.cct.topo();
         // (CCT child, its scope, whether `v` keeps its parent).
         let mut pending: Vec<(NodeId, ViewScope, bool)> = Vec::new();
         for (instances, kept) in [(self.tree.kept(v), true), (self.tree.covered(v), false)] {
             for &i in instances {
-                for c in exp.cct.children(i) {
-                    let scope = match exp.cct.kind(c) {
+                for c in topo.children(i) {
+                    let scope = match topo.kind(c) {
                         ScopeKind::Frame {
                             proc, call_site, ..
                         } => ViewScope::CallSite {
@@ -153,7 +155,8 @@ impl FlatView {
                         },
                         ScopeKind::Loop { header } => ViewScope::Loop { header },
                         ScopeKind::Stmt { loc } => ViewScope::Stmt { loc },
-                        ScopeKind::Root => unreachable!("the CCT root is never a child"),
+                        // Only a corrupt image links the root as a child.
+                        ScopeKind::Root => continue,
                     };
                     pending.push((c, scope, kept));
                 }
@@ -163,18 +166,19 @@ impl FlatView {
         pending.sort_unstable_by_key(|&(c, ..)| c);
 
         let first_new = self.tree.len();
+        let mut row_of: HashMap<ViewScope, usize> = HashMap::new();
         let mut members: Vec<Vec<(NodeId, bool)>> = Vec::new();
         for (c, scope, parent_kept) in pending {
-            let child = self.tree.find_or_add_child(v, scope);
-            let at = child.index() - first_new;
-            if at == members.len() {
+            let at = *row_of.entry(scope).or_insert_with(|| {
+                self.tree.add_child(v, scope);
                 members.push(Vec::new());
-            }
+                members.len() - 1
+            });
             members[at].push((c, parent_kept));
         }
         for (at, members) in members.iter().enumerate() {
             let child = ViewNodeId((first_new + at) as u32);
-            self.tree.set_instances(&exp.cct, child, members);
+            self.tree.set_instances(topo, child, members);
         }
         self.tree.fill_new_nodes(exp, first_new);
     }
@@ -194,8 +198,11 @@ impl FlatView {
         if self.tree.is_expanded(v) {
             return self.tree.has_children(v);
         }
+        let topo = exp.cct.topo();
         let instances = self.tree.kept(v).iter().chain(self.tree.covered(v));
-        instances.into_iter().any(|&i| !exp.cct.is_leaf(i))
+        instances
+            .into_iter()
+            .any(|&i| topo.first_child(i).is_some())
     }
 
     /// Force every deferred fill (the eager tree).
@@ -552,6 +559,61 @@ mod tests {
         assert!(deep.iter().all(|&n| !view.tree.has_children(n)));
         let again = flatten_once(&view.tree, &deep);
         assert_eq!(again, deep);
+    }
+
+    /// One procedure with 20 000 distinct statements over two
+    /// activations (the second repeats every other one of the first's, in
+    /// reverse): its rows are the distinct scopes in order of first
+    /// appearance over ascending CCT ids, each with its own instances.
+    #[test]
+    fn wide_procedure_expands_to_rows_in_first_appearance_order() {
+        let mut names = NameTable::new();
+        let file = names.file("wide.c");
+        let module = names.module("a.out");
+        let (p_main, p_w) = (names.proc("main"), names.proc("w"));
+        let mut cct = crate::cct::Cct::new(names);
+        let frame = |proc, line, call: Option<u32>| ScopeKind::Frame {
+            proc,
+            module,
+            def: SourceLoc::new(file, line),
+            call_site: call.map(|l| SourceLoc::new(file, l)),
+        };
+        let main = cct.add_child(cct.root(), frame(p_main, 1, None));
+        let w1 = cct.add_child(main, frame(p_w, 10, Some(2)));
+        let w2 = cct.add_child(main, frame(p_w, 10, Some(3)));
+        let stmt = |line| ScopeKind::Stmt {
+            loc: SourceLoc::new(file, line),
+        };
+        let mut raw = RawMetrics::new(StorageKind::Csr);
+        let m = raw.add_metric(MetricDesc::new("cost", "samples", 1.0));
+        let lines: Vec<u32> = (0..20_000).map(|i| 100 + (i * 7919) % 20_000).collect();
+        for &line in &lines {
+            let s = cct.add_child(w1, stmt(line));
+            raw.add_cost(m, s, 1.0);
+        }
+        for &line in lines.iter().rev().step_by(2) {
+            let s = cct.add_child(w2, stmt(line));
+            raw.add_cost(m, s, 1.0);
+        }
+        let exp = Experiment::build(cct, raw, StorageKind::Csr);
+        let mut view = FlatView::build(&exp);
+        let module_node = find(&view, &exp, None, "a.out");
+        let file_node = find(&view, &exp, Some(module_node), "wide.c");
+        let w = find(&view, &exp, Some(file_node), "w");
+        let rows = view.children_of(&exp, w);
+        let scopes: Vec<ViewScope> = rows.iter().map(|&r| *view.tree.scope(r)).collect();
+        let want: Vec<ViewScope> = lines
+            .iter()
+            .map(|&line| ViewScope::Stmt {
+                loc: SourceLoc::new(file, line),
+            })
+            .collect();
+        assert_eq!(scopes, want);
+        for (at, &r) in rows.iter().enumerate() {
+            let twice = (lines.len() - 1 - at).is_multiple_of(2);
+            assert_eq!(view.tree.kept(r).len(), 1 + twice as usize, "row {at}");
+            assert_eq!(val(&view, &exp, r, 0), 1.0 + twice as u32 as f64);
+        }
     }
 
     #[test]

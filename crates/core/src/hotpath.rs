@@ -51,27 +51,26 @@ impl HotPathConfig {
 
 /// Compute the hot path from `start` (inclusive) down the tree.
 ///
-/// * `children(n)` returns the children of `n`, materializing them if the
-///   view is lazy.
+/// * `children(n)` returns the children of `n` (any iterable: a borrowed
+///   walk over the CCT, or a list a lazy view materialized).
 /// * `value(n)` returns the selected column's (inclusive) value at `n`.
 ///
 /// Returns the nodes along the hot path, starting with `start` and ending
 /// at the scope where the path goes cold. Ties between equal-valued
 /// children resolve to the first child in tree order, keeping results
 /// deterministic.
-pub fn hot_path<N: Copy>(
+pub fn hot_path<N: Copy, I: IntoIterator<Item = N>>(
     start: N,
     config: HotPathConfig,
-    mut children: impl FnMut(N) -> Vec<N>,
+    mut children: impl FnMut(N) -> I,
     mut value: impl FnMut(N) -> f64,
 ) -> Vec<N> {
     let mut path = vec![start];
     let mut cur = start;
     let mut cur_value = value(start);
     for _ in 0..config.max_depth {
-        let kids = children(cur);
         let mut best: Option<(N, f64)> = None;
-        for k in kids {
+        for k in children(cur) {
             let v = value(k);
             match best {
                 Some((_, bv)) if v <= bv => {}

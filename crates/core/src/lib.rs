@@ -85,6 +85,7 @@ pub mod scope;
 pub mod source;
 pub mod summary;
 pub mod supergraph;
+pub mod topo;
 pub mod view;
 pub mod viewtree;
 
@@ -108,12 +109,13 @@ pub mod prelude {
     };
     pub use crate::names::{NameTable, SourceLoc};
     pub use crate::pool::{chunked_map, reduce_pairwise, resolve_threads, PoolStats};
-    pub use crate::scope::{ScopeKind, StaticKey};
+    pub use crate::scope::ScopeKind;
     pub use crate::source::SourceStore;
     pub use crate::summary::{Stat, Welford};
     pub use crate::supergraph::{
         arena_journal, merge_shards, replay_into, translate_kind, CctShard, RemapNodes,
     };
+    pub use crate::topo::Topo;
     pub use crate::view::{sort_by_column, sort_nodes_with, top_k_by_column, View, ViewKind};
     pub use crate::viewtree::{
         LabelCache, SortCache, SortDir, SortKey, ViewScope, ViewTree, TOP_SLOT_BASE,

@@ -5,10 +5,11 @@
 //! `u32`/`f64` arrays straight out of the (possibly memory-mapped) file
 //! image instead of varint-decoding them into fresh allocations. This
 //! module is the core-side half of that contract: [`ByteImage`] is the
-//! refcounted image handle and [`MappedCol`] a validated window onto one
+//! refcounted image handle, [`MappedCol`] a validated window onto one
 //! column's parallel key/value arrays, which a
 //! [`crate::metrics::ColumnSource`] hands over as
-//! [`crate::metrics::MetricVec::Mapped`].
+//! [`crate::metrics::MetricVec::Mapped`], and [`MappedTopology`] the
+//! windows onto a CCT's five topology arrays, lent as a [`Topo`].
 //!
 //! ## Safety argument
 //!
@@ -29,9 +30,7 @@
 //! lifetime: owned buffers are never written after construction, and
 //! mapped files use private (copy-on-write) mappings.
 
-use crate::ids::NodeId;
-use crate::names::SourceLoc;
-use crate::scope::ScopeKind;
+use crate::topo::{tags, Limits, Topo, LINK_NONE};
 use std::sync::Arc;
 
 /// A cheaply clonable, immutable byte image — the bytes of one database
@@ -77,14 +76,14 @@ impl std::fmt::Debug for ByteImage {
     }
 }
 
-/// Reinterpret a validated byte window as a typed slice.
+/// Reinterpret a validated window of an image's bytes as a typed slice.
 ///
 /// Alignment was checked at construction; `align_to` re-derives it from
 /// the actual pointer, so a misaligned image (impossible through the
 /// public constructors) panics instead of returning garbage.
 macro_rules! typed_window {
-    ($image:expr, $off:expr, $count:expr, $ty:ty) => {{
-        let bytes = &$image.bytes()[$off..$off + $count * std::mem::size_of::<$ty>()];
+    ($bytes:expr, $off:expr, $count:expr, $ty:ty) => {{
+        let bytes = &$bytes[$off..$off + $count * std::mem::size_of::<$ty>()];
         // SAFETY: any bit pattern is a valid $ty (u32/f64), the slice is
         // in bounds, and the window was alignment-checked at construction.
         let (pre, mid, post) = unsafe { bytes.align_to::<$ty>() };
@@ -169,13 +168,13 @@ impl MappedCol {
     /// The sorted node ids, borrowed from the image.
     #[inline]
     pub fn keys(&self) -> &[u32] {
-        typed_window!(self.image, self.keys_off, self.nnz, u32)
+        typed_window!(self.image.bytes(), self.keys_off, self.nnz, u32)
     }
 
     /// The values parallel to [`MappedCol::keys`], borrowed from the image.
     #[inline]
     pub fn vals(&self) -> &[f64] {
-        typed_window!(self.image, self.vals_off, self.nnz, f64)
+        typed_window!(self.image.bytes(), self.vals_off, self.nnz, f64)
     }
 
     /// Value at `node` by binary search (0.0 when absent).
@@ -198,41 +197,18 @@ impl MappedCol {
     }
 }
 
-/// Scope-kind tag values used by the v2.1 topology encoding. The writer
-/// (`callpath-expdb`) emits them; [`MappedTopology`] decodes them.
-pub mod tags {
-    /// The synthetic experiment root; exactly node 0, nowhere else.
-    pub const ROOT: u8 = 0;
-    /// Procedure frame with a call site.
-    pub const FRAME: u8 = 1;
-    /// Top-level procedure frame (no call site).
-    pub const FRAME_TOP: u8 = 2;
-    /// Inlined procedure body.
-    pub const INLINED: u8 = 3;
-    /// Loop scope.
-    pub const LOOP: u8 = 4;
-    /// Statement scope.
-    pub const STMT: u8 = 5;
-    /// One past the largest valid tag.
-    pub const N_TAGS: u8 = 6;
-    /// `u32` payload fields per node (fixed-width; unused fields are 0).
-    pub const N_FIELDS: usize = 6;
-}
-
-/// Sentinel for "no node" in the link arrays (same as the owned arena).
-pub const LINK_NONE: u32 = u32::MAX;
-
-/// A validated zero-copy view of the v2.1 CCT topology: parallel
-/// `parent` / `first_child` / `next_sibling` `u32` arrays, a `u8` tag
-/// per node and six `u32` payload fields per node, all borrowed from a
-/// [`ByteImage`].
+/// A validated zero-copy view of the v2.1 CCT topology: the five arrays
+/// of [`crate::topo`]'s layout — parallel `parent` / `first_child` /
+/// `next_sibling` `u32` arrays, a `u8` tag per node and six `u32` fields
+/// per node — borrowed from a [`ByteImage`].
 ///
 /// Construction performs the cheap structural checks (bounds, alignment,
 /// every tag valid, root tag placement, name tables non-empty for the
 /// tag kinds present). Link values out of range read as "none" and
-/// traversals carry step budgets, so even an adversarial image can only
-/// produce a wrong tree, never an out-of-bounds access or a hang; full
-/// bit-level integrity is the eager reader's / `verify_container`'s job.
+/// traversals carry step budgets ([`Topo`]), so even an adversarial image
+/// can only produce a wrong tree, never an out-of-bounds access or a hang;
+/// full bit-level integrity is the eager reader's / `verify_container`'s
+/// job.
 #[derive(Debug, Clone)]
 pub struct MappedTopology {
     image: ByteImage,
@@ -242,9 +218,7 @@ pub struct MappedTopology {
     next_sibling_off: usize,
     tags_off: usize,
     fields_off: usize,
-    n_procs: u32,
-    n_files: u32,
-    n_modules: u32,
+    limits: Limits,
 }
 
 impl MappedTopology {
@@ -283,9 +257,7 @@ impl MappedTopology {
             next_sibling_off,
             tags_off,
             fields_off,
-            n_procs,
-            n_files,
-            n_modules,
+            limits: [n_procs, n_files, n_modules],
         };
         topo.validate_tags()?;
         Ok(topo)
@@ -312,13 +284,14 @@ impl MappedTopology {
             || seen[tags::INLINED as usize];
         let needs_module = seen[tags::FRAME as usize] || seen[tags::FRAME_TOP as usize];
         let needs_file = seen[1..].iter().any(|&s| s);
-        if needs_proc && self.n_procs == 0 {
+        let [n_procs, n_files, n_modules] = self.limits;
+        if needs_proc && n_procs == 0 {
             return Err("frame scopes present but procedure table empty".into());
         }
-        if needs_module && self.n_modules == 0 {
+        if needs_module && n_modules == 0 {
             return Err("frame scopes present but module table empty".into());
         }
-        if needs_file && self.n_files == 0 {
+        if needs_file && n_files == 0 {
             return Err("scopes present but file table empty".into());
         }
         Ok(())
@@ -334,143 +307,62 @@ impl MappedTopology {
         false
     }
 
+    /// Lend all five arrays, from one lookup of the image.
     #[inline]
-    fn tags(&self) -> &[u8] {
+    pub fn topo(&self) -> Topo<'_> {
+        let bytes = self.image.bytes();
+        Topo::new(
+            [
+                typed_window!(bytes, self.parent_off, self.n, u32),
+                typed_window!(bytes, self.first_child_off, self.n, u32),
+                typed_window!(bytes, self.next_sibling_off, self.n, u32),
+            ],
+            &bytes[self.tags_off..self.tags_off + self.n],
+            typed_window!(bytes, self.fields_off, self.n * tags::N_FIELDS, u32),
+            self.limits,
+        )
+    }
+
+    /// The parent array alone (one window, for a single lookup).
+    #[inline]
+    pub(crate) fn parents(&self) -> &[u32] {
+        typed_window!(self.image.bytes(), self.parent_off, self.n, u32)
+    }
+
+    /// The first-child array alone.
+    #[inline]
+    pub(crate) fn first_children(&self) -> &[u32] {
+        typed_window!(self.image.bytes(), self.first_child_off, self.n, u32)
+    }
+
+    /// The next-sibling array alone.
+    #[inline]
+    pub(crate) fn next_siblings(&self) -> &[u32] {
+        typed_window!(self.image.bytes(), self.next_sibling_off, self.n, u32)
+    }
+
+    /// The tag array alone.
+    #[inline]
+    pub(crate) fn tags(&self) -> &[u8] {
         &self.image.bytes()[self.tags_off..self.tags_off + self.n]
     }
 
+    /// The field array alone, six words per node.
     #[inline]
-    fn fields(&self) -> &[u32] {
-        typed_window!(self.image, self.fields_off, self.n * tags::N_FIELDS, u32)
+    pub(crate) fn fields(&self) -> &[u32] {
+        typed_window!(
+            self.image.bytes(),
+            self.fields_off,
+            self.n * tags::N_FIELDS,
+            u32
+        )
     }
 
-    /// Read a link array entry, mapping out-of-range values to
-    /// [`LINK_NONE`] so corrupt links can never index out of bounds.
+    /// The name-table sizes decoded ids are clamped to.
     #[inline]
-    fn link(&self, off: usize, i: usize) -> u32 {
-        let v = typed_window!(self.image, off, self.n, u32)[i];
-        if (v as usize) < self.n {
-            v
-        } else {
-            LINK_NONE
-        }
+    pub(crate) fn limits(&self) -> Limits {
+        self.limits
     }
-
-    /// Parent link of node `i` ([`LINK_NONE`] for the root).
-    #[inline]
-    pub fn parent(&self, i: usize) -> u32 {
-        self.link(self.parent_off, i)
-    }
-
-    /// First-child link of node `i`.
-    #[inline]
-    pub fn first_child(&self, i: usize) -> u32 {
-        self.link(self.first_child_off, i)
-    }
-
-    /// Next-sibling link of node `i`.
-    #[inline]
-    pub fn next_sibling(&self, i: usize) -> u32 {
-        self.link(self.next_sibling_off, i)
-    }
-
-    /// Clamp a decoded name id into `[0, n)`; validation guaranteed
-    /// `n > 0` for every table a present tag kind references.
-    #[inline]
-    fn clamp(id: u32, n: u32) -> u32 {
-        if id < n {
-            id
-        } else {
-            0
-        }
-    }
-
-    /// Decode the scope kind of node `i`. Name ids are clamped to the
-    /// captured table sizes, so a corrupt field can mislabel a scope
-    /// but never panic downstream name lookups.
-    pub fn kind(&self, i: usize) -> ScopeKind {
-        use crate::ids::{FileId, LoadModuleId, ProcId};
-        let f = &self.fields()[i * tags::N_FIELDS..(i + 1) * tags::N_FIELDS];
-        let loc =
-            |file: u32, line: u32| SourceLoc::new(FileId(Self::clamp(file, self.n_files)), line);
-        match self.tags()[i] {
-            tags::ROOT => ScopeKind::Root,
-            tags::FRAME => ScopeKind::Frame {
-                proc: ProcId(Self::clamp(f[0], self.n_procs)),
-                module: LoadModuleId(Self::clamp(f[1], self.n_modules)),
-                def: loc(f[2], f[3]),
-                call_site: Some(loc(f[4], f[5])),
-            },
-            tags::FRAME_TOP => ScopeKind::Frame {
-                proc: ProcId(Self::clamp(f[0], self.n_procs)),
-                module: LoadModuleId(Self::clamp(f[1], self.n_modules)),
-                def: loc(f[2], f[3]),
-                call_site: None,
-            },
-            tags::INLINED => ScopeKind::InlinedFrame {
-                proc: ProcId(Self::clamp(f[0], self.n_procs)),
-                def: loc(f[1], f[2]),
-                call_site: loc(f[3], f[4]),
-            },
-            tags::LOOP => ScopeKind::Loop {
-                header: loc(f[0], f[1]),
-            },
-            // validate_tags let only STMT through here.
-            _ => ScopeKind::Stmt {
-                loc: loc(f[0], f[1]),
-            },
-        }
-    }
-}
-
-/// Encode a scope kind into its v2.1 `(tag, fields)` representation —
-/// the exact inverse of [`MappedTopology::kind`]. Lives here, next to
-/// the decoder, so the two halves of the contract cannot drift apart;
-/// the expdb writer calls this.
-pub fn encode_kind(kind: &ScopeKind) -> (u8, [u32; tags::N_FIELDS]) {
-    match *kind {
-        ScopeKind::Root => (tags::ROOT, [0; 6]),
-        ScopeKind::Frame {
-            proc,
-            module,
-            def,
-            call_site: Some(cs),
-        } => (
-            tags::FRAME,
-            [proc.0, module.0, def.file.0, def.line, cs.file.0, cs.line],
-        ),
-        ScopeKind::Frame {
-            proc,
-            module,
-            def,
-            call_site: None,
-        } => (
-            tags::FRAME_TOP,
-            [proc.0, module.0, def.file.0, def.line, 0, 0],
-        ),
-        ScopeKind::InlinedFrame {
-            proc,
-            def,
-            call_site,
-        } => (
-            tags::INLINED,
-            [
-                proc.0,
-                def.file.0,
-                def.line,
-                call_site.file.0,
-                call_site.line,
-                0,
-            ],
-        ),
-        ScopeKind::Loop { header } => (tags::LOOP, [header.file.0, header.line, 0, 0, 0, 0]),
-        ScopeKind::Stmt { loc } => (tags::STMT, [loc.file.0, loc.line, 0, 0, 0, 0]),
-    }
-}
-
-/// Node ids in a mapped topology (convenience for tests).
-pub fn all_nodes(topo: &MappedTopology) -> impl Iterator<Item = NodeId> + '_ {
-    (0..topo.len() as u32).map(NodeId)
 }
 
 #[cfg(test)]
@@ -526,87 +418,33 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_kind_roundtrip() {
-        use crate::ids::{FileId, LoadModuleId, ProcId};
-        let kinds = [
-            ScopeKind::Root,
-            ScopeKind::Frame {
-                proc: ProcId(2),
-                module: LoadModuleId(1),
-                def: SourceLoc::new(FileId(3), 10),
-                call_site: Some(SourceLoc::new(FileId(0), 4)),
-            },
-            ScopeKind::Frame {
-                proc: ProcId(0),
-                module: LoadModuleId(0),
-                def: SourceLoc::new(FileId(1), 1),
-                call_site: None,
-            },
-            ScopeKind::InlinedFrame {
-                proc: ProcId(1),
-                def: SourceLoc::new(FileId(2), 7),
-                call_site: SourceLoc::new(FileId(2), 30),
-            },
-            ScopeKind::Loop {
-                header: SourceLoc::new(FileId(1), 8),
-            },
-            ScopeKind::Stmt {
-                loc: SourceLoc::new(FileId(1), 9),
-            },
-        ];
-        // Build a topology image: one node per kind, all under the root.
-        let n = kinds.len();
-        let mut parent = vec![LINK_NONE; n];
-        let mut first_child = vec![LINK_NONE; n];
-        let mut next_sibling = vec![LINK_NONE; n];
-        for i in 1..n {
-            parent[i] = 0;
-            if i + 1 < n {
-                next_sibling[i] = i as u32 + 1;
-            }
-        }
-        first_child[0] = 1;
-        let mut bytes = Vec::new();
-        for arr in [&parent, &first_child, &next_sibling] {
-            for &v in arr.iter() {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-        }
+    fn mapped_topology_lends_the_arrays_it_was_given() {
+        use crate::ids::NodeId;
+        // The root, a top-level frame under it, a statement under that.
+        let n = 3;
+        let arrays: [[u32; 3]; 3] = [[LINK_NONE, 0, 1], [1, 2, LINK_NONE], [LINK_NONE; 3]];
+        let mut bytes: Vec<u8> = arrays
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
         let tags_off = bytes.len();
-        let mut tags_bytes = Vec::new();
-        let mut fields_bytes = Vec::new();
-        for k in &kinds {
-            let (t, f) = encode_kind(k);
-            tags_bytes.push(t);
-            for v in f {
-                fields_bytes.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        bytes.extend_from_slice(&tags_bytes);
-        while bytes.len() % 8 != 0 {
-            bytes.push(0);
-        }
+        bytes.extend_from_slice(&[tags::ROOT, tags::FRAME_TOP, tags::STMT, 0, 0, 0, 0, 0]);
         let fields_off = bytes.len();
-        bytes.extend_from_slice(&fields_bytes);
-        let topo = MappedTopology::new(
-            image_of(bytes),
-            n,
-            0,
-            4 * n,
-            8 * n,
-            tags_off,
-            fields_off,
-            4,
-            4,
-            4,
-        )
-        .unwrap();
-        for (i, k) in kinds.iter().enumerate() {
-            assert_eq!(topo.kind(i), *k, "node {i}");
-        }
-        assert_eq!(topo.parent(1), 0);
-        assert_eq!(topo.first_child(0), 1);
-        assert_eq!(topo.next_sibling(1), 2);
-        assert_eq!(topo.next_sibling(n - 1), LINK_NONE);
+        let fields = [[0; 6], [0, 0, 0, 1, 0, 0], [0, 7, 0, 0, 0, 0]];
+        bytes.extend(fields.iter().flatten().flat_map(|v: &u32| v.to_le_bytes()));
+        let mapped =
+            MappedTopology::new(image_of(bytes), n, 0, 12, 24, tags_off, fields_off, 1, 1, 1)
+                .unwrap();
+        let topo = mapped.topo();
+        assert_eq!(topo.parents(), &arrays[0]);
+        assert_eq!(topo.first_children(), &arrays[1]);
+        assert_eq!(topo.next_siblings(), &arrays[2]);
+        assert_eq!(topo.fields(), fields.concat());
+        assert!(topo.is_proc_frame(NodeId(1)) && topo.is_stmt(NodeId(2)));
+        assert_eq!(topo.children(NodeId(1)).collect::<Vec<_>>(), [NodeId(2)]);
+        assert_eq!(topo.parent(NodeId(2)), Some(NodeId(1)));
+        let bad_tags = image_of(vec![1u8; 64]);
+        assert!(MappedTopology::new(bad_tags, 1, 0, 0, 0, 0, 0, 1, 1, 1).is_err());
     }
 }

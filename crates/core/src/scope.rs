@@ -8,7 +8,7 @@
 //! while the loops and statements nested inside a frame are static program
 //! structure fused into the dynamic call chain.
 
-use crate::ids::{FileId, LoadModuleId, ProcId};
+use crate::ids::{LoadModuleId, ProcId};
 use crate::names::{NameTable, SourceLoc};
 
 /// The kind of a node in a canonical calling context tree.
@@ -122,48 +122,6 @@ impl ScopeKind {
     }
 }
 
-/// The static object a CCT node is an *instance* of.
-///
-/// Exposure analysis (Section IV-B) and Flat-View aggregation both need to
-/// ask "are these two CCT nodes instances of the same static thing?". The
-/// answer is this key: procedures by id, loops and statements by their
-/// source location qualified with the owning procedure (two procedures may
-/// share a file and overlapping line ranges after inlining).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum StaticKey {
-    /// A procedure (all dynamic activations of it).
-    Proc(ProcId),
-    /// An inlined procedure body at one call site within a host.
-    InlinedProc {
-        /// The procedure whose frame hosts the splice.
-        host: ProcId,
-        /// The inlined procedure.
-        callee: ProcId,
-        /// Where it was inlined.
-        call_site: SourceLoc,
-    },
-    /// A loop, qualified by its owning procedure.
-    Loop {
-        /// Procedure whose body contains the loop.
-        proc: ProcId,
-        /// Loop header location.
-        header: SourceLoc,
-    },
-    /// A statement, qualified by its owning procedure.
-    Stmt {
-        /// Procedure whose body contains the statement.
-        proc: ProcId,
-        /// Statement location.
-        loc: SourceLoc,
-    },
-    /// A source file (all frames of procedures defined in it).
-    File(FileId),
-    /// A load module.
-    Module(LoadModuleId),
-    /// The synthetic experiment root.
-    Root,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,20 +178,5 @@ mod tests {
             loc: SourceLoc::new(f, 9),
         };
         assert_eq!(st.label(&names), "file1.c:9");
-    }
-
-    #[test]
-    fn static_keys_discriminate_procs() {
-        assert_ne!(StaticKey::Proc(ProcId(0)), StaticKey::Proc(ProcId(1)));
-        assert_ne!(
-            StaticKey::Loop {
-                proc: ProcId(0),
-                header: loc(8)
-            },
-            StaticKey::Loop {
-                proc: ProcId(1),
-                header: loc(8)
-            },
-        );
     }
 }

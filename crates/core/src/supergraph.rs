@@ -163,9 +163,10 @@ pub fn translate_kind(names: &mut NameTable, src: &NameTable, k: &ScopeKind) -> 
 /// once, as `(parent, node)`, in arena (= creation) order. Replaying
 /// it against an empty tree rebuilds `cct` with identical ids.
 pub fn arena_journal(cct: &Cct) -> Vec<(NodeId, NodeId)> {
+    let topo = cct.topo();
     cct.all_nodes()
         .skip(1)
-        .map(|n| (cct.parent(n).expect("non-root node has a parent"), n))
+        .map(|n| (topo.parent(n).expect("non-root node has a parent"), n))
         .collect()
 }
 
@@ -190,6 +191,7 @@ pub fn replay_into(
     // `dst` itself stays borrowable.
     let mut names = std::mem::take(&mut dst.names);
     let mut translation = Translation::remembering(&mut names, &src.names);
+    let src_topo = src.topo();
     for &(parent, child) in journal {
         let merged_parent = remap[parent.index()];
         debug_assert_ne!(
@@ -197,7 +199,7 @@ pub fn replay_into(
             u32::MAX,
             "journal references unseen parent"
         );
-        let kind = translation.kind(&src.kind(child));
+        let kind = translation.kind(&src_topo.kind(child));
         let (merged_child, created) = dst.find_or_add_child_tracked(merged_parent, kind);
         remap[child.index()] = merged_child;
         if created {

@@ -10,12 +10,13 @@ use crate::callers::CallersView;
 use crate::cct::Cct;
 use crate::experiment::Experiment;
 use crate::flat::FlatView;
-use crate::hotpath::HotPathConfig;
+use crate::hotpath::{hot_path, HotPathConfig};
 use crate::ids::{ColumnId, NodeId, ViewNodeId};
 use crate::metrics::{visible_columns, ColumnDesc};
 use crate::names::SourceLoc;
 use crate::scope::ScopeKind;
 use crate::viewtree::{LabelCache, SortDir, SortKey, ViewScope};
+use std::cell::RefCell;
 
 /// Which of the three complementary perspectives a `View` presents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,6 +41,28 @@ impl ViewKind {
             ViewKind::Flat => "Flat View",
         }
     }
+}
+
+/// The source location a CCT scope itself stands at: a frame's
+/// definition, a loop's header, a statement's line; none for the root.
+fn own_loc(kind: ScopeKind) -> Option<SourceLoc> {
+    match kind {
+        ScopeKind::Frame { def, .. } | ScopeKind::InlinedFrame { def, .. } => Some(def),
+        ScopeKind::Loop { header } => Some(header),
+        ScopeKind::Stmt { loc } => Some(loc),
+        ScopeKind::Root => None,
+    }
+}
+
+/// A row's decorations, answered by [`View::row`] in one visit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row {
+    /// Draw the call-site icon ([`View::is_call`]).
+    pub is_call: bool,
+    /// The scope links to source ([`View::has_source`]).
+    pub has_source: bool,
+    /// Draw the collapsed-row marker ([`View::may_expand`]).
+    pub may_expand: bool,
 }
 
 /// A presentable view bound to an experiment.
@@ -135,27 +158,6 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Children without materializing anything (may be incomplete for the
-    /// lazy Callers and Flat Views; used by renderers that only show
-    /// expanded state).
-    pub fn children_if_built(&self, n: u32) -> Vec<u32> {
-        match self {
-            View::CallingContext(exp) => exp.cct.children(NodeId(n)).map(|c| c.0).collect(),
-            View::Callers { view, .. } => view
-                .tree
-                .children(ViewNodeId(n))
-                .iter()
-                .map(|c| c.0)
-                .collect(),
-            View::Flat { view, .. } => view
-                .tree
-                .children(ViewNodeId(n))
-                .iter()
-                .map(|c| c.0)
-                .collect(),
-        }
-    }
-
     /// Navigation-pane label of scope `n`.
     pub fn label(&self, n: u32) -> String {
         let mut s = String::new();
@@ -180,13 +182,7 @@ impl<'a> View<'a> {
     /// this line (fused call-site/callee presentation, Section V-B).
     pub fn is_call(&self, n: u32) -> bool {
         match self {
-            View::CallingContext(exp) => matches!(
-                exp.cct.kind(NodeId(n)),
-                ScopeKind::Frame {
-                    call_site: Some(_),
-                    ..
-                }
-            ),
+            View::CallingContext(exp) => exp.cct.topo().is_call(NodeId(n)),
             View::Callers { view, .. } => view.tree.scope(ViewNodeId(n)).is_call(),
             View::Flat { view, .. } => view.tree.scope(ViewNodeId(n)).is_call(),
         }
@@ -197,18 +193,34 @@ impl<'a> View<'a> {
     /// instead of as hyperlinks.
     pub fn has_source(&self, n: u32) -> bool {
         match self {
-            View::CallingContext(exp) => match exp.cct.kind(NodeId(n)) {
-                ScopeKind::Frame { def, .. } | ScopeKind::InlinedFrame { def, .. } => {
-                    def.is_known()
-                }
-                ScopeKind::Loop { header } => header.is_known(),
-                ScopeKind::Stmt { loc } => loc.is_known(),
-                ScopeKind::Root => false,
-            },
+            View::CallingContext(exp) => {
+                own_loc(exp.cct.kind(NodeId(n))).is_some_and(|l| l.is_known())
+            }
             View::Callers { .. } => true,
             View::Flat { view, .. } => {
                 !matches!(view.tree.scope(ViewNodeId(n)), ViewScope::Module { .. })
             }
+        }
+    }
+
+    /// What a row's decorations need to know about scope `n` — call icon,
+    /// source link, expansion marker — from one visit to the node. A
+    /// Calling Context row reads them off one borrowed [`crate::topo::Topo`].
+    pub fn row(&self, n: u32) -> Row {
+        match self {
+            View::CallingContext(exp) => {
+                let (topo, n) = (exp.cct.topo(), NodeId(n));
+                Row {
+                    is_call: topo.is_call(n),
+                    has_source: own_loc(topo.kind(n)).is_some_and(|l| l.is_known()),
+                    may_expand: topo.first_child(n).is_some(),
+                }
+            }
+            _ => Row {
+                is_call: self.is_call(n),
+                has_source: self.has_source(n),
+                may_expand: self.may_expand(n),
+            },
         }
     }
 
@@ -237,12 +249,7 @@ impl<'a> View<'a> {
     /// definition, loop header, statement line), if known.
     pub fn source_of(&self, n: u32) -> Option<SourceLoc> {
         let loc = match self {
-            View::CallingContext(exp) => match exp.cct.kind(NodeId(n)) {
-                ScopeKind::Frame { def, .. } | ScopeKind::InlinedFrame { def, .. } => Some(def),
-                ScopeKind::Loop { header } => Some(header),
-                ScopeKind::Stmt { loc } => Some(loc),
-                ScopeKind::Root => None,
-            },
+            View::CallingContext(exp) => own_loc(exp.cct.kind(NodeId(n))),
             View::Callers { .. } => None,
             View::Flat { view, .. } => match *view.tree.scope(ViewNodeId(n)) {
                 ViewScope::Loop { header } => Some(header),
@@ -280,36 +287,24 @@ impl<'a> View<'a> {
     }
 
     /// Hot path analysis (Eq. 3) starting at `start` for column `c`,
-    /// materializing lazy children along the way.
-    ///
-    /// This re-runs the generic [`crate::hotpath::hot_path`] descent inline because lazy
-    /// expansion needs `&mut self` while value lookups need `&self`; the
-    /// semantics (including deterministic tie-breaking to the first child)
-    /// are covered by shared tests against the generic implementation.
+    /// materializing lazy children along the way: the generic
+    /// [`crate::hotpath::hot_path`] descent, over the CCT's borrowed
+    /// topology for the Calling Context View.
     pub fn hot_path(&mut self, start: u32, c: ColumnId, config: HotPathConfig) -> Vec<u32> {
-        let mut path = vec![start];
-        let mut cur = start;
-        let mut cur_value = self.value(c, cur);
-        for _ in 0..config.max_depth {
-            let kids = self.children(cur);
-            let mut best: Option<(u32, f64)> = None;
-            for k in kids {
-                let v = self.value(c, k);
-                match best {
-                    Some((_, bv)) if v <= bv => {}
-                    _ => best = Some((k, v)),
-                }
-            }
-            match best {
-                Some((k, v)) if cur_value > 0.0 && v >= config.threshold * cur_value => {
-                    path.push(k);
-                    cur = k;
-                    cur_value = v;
-                }
-                _ => break,
-            }
+        if let View::CallingContext(exp) = self {
+            let topo = exp.cct.topo();
+            let children = |n: u32| topo.children(NodeId(n)).map(|k| k.0);
+            return hot_path(start, config, children, |n| exp.columns.get(c, n));
         }
-        path
+        // Expansion needs the view mutably and values read it shared; the
+        // descent never holds both at once.
+        let view = RefCell::new(self);
+        hot_path(
+            start,
+            config,
+            |n| view.borrow_mut().children(n),
+            |n| view.borrow().value(c, n),
+        )
     }
 
     /// Number of nodes currently materialized (CCT size for the Calling
@@ -342,7 +337,7 @@ impl<'a> View<'a> {
     /// discoverable by expanding).
     pub fn may_expand(&self, n: u32) -> bool {
         match self {
-            View::CallingContext(exp) => exp.cct.children(NodeId(n)).next().is_some(),
+            View::CallingContext(exp) => !exp.cct.is_leaf(NodeId(n)),
             View::Callers { .. } => true,
             View::Flat { exp, view } => view.can_expand(exp, ViewNodeId(n)),
         }

@@ -14,13 +14,13 @@
 //! computed yet".
 
 use crate::attribution::frame_direct;
-use crate::cct::Cct;
 use crate::derived::EvalContext;
 use crate::experiment::Experiment;
 use crate::exposure::Marks;
 use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};
 use crate::metrics::{ColumnDesc, MetricVec};
 use crate::names::{NameTable, SourceLoc};
+use crate::topo::Topo;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -240,18 +240,6 @@ impl ViewTree {
         ViewNodeId(id)
     }
 
-    /// Find a child of `parent` with this exact scope, or create it.
-    pub fn find_or_add_child(&mut self, parent: ViewNodeId, scope: ViewScope) -> ViewNodeId {
-        let mut cur = self.nodes[parent.index()].first_child;
-        while cur != NONE {
-            if self.nodes[cur as usize].scope == scope {
-                return ViewNodeId(cur);
-            }
-            cur = self.nodes[cur as usize].next_sibling;
-        }
-        self.add_child(parent, scope)
-    }
-
     /// What node `n` presents.
     pub fn scope(&self, n: ViewNodeId) -> &ViewScope {
         &self.nodes[n.index()].scope
@@ -314,15 +302,20 @@ impl ViewTree {
     /// would put an ancestor of that one in the expanded node's set. Only
     /// the others climb ([`Marks`]), so a set none of whose members sits
     /// under recursion costs its length.
-    pub(crate) fn set_instances(&mut self, cct: &Cct, n: ViewNodeId, members: &[(NodeId, bool)]) {
+    pub(crate) fn set_instances(
+        &mut self,
+        topo: Topo<'_>,
+        n: ViewNodeId,
+        members: &[(NodeId, bool)],
+    ) {
         let climb = members.len() > 1 && members.iter().any(|&(_, known)| !known);
         if climb {
-            self.marks.stamp(cct, members.iter().map(|&(i, _)| i));
+            self.marks.stamp(topo, members.iter().map(|&(i, _)| i));
         }
         let mut kept = Vec::with_capacity(members.len());
         let mut covered = Vec::new();
         for &(i, known) in members {
-            if known || !climb || self.marks.is_exposed(cct, i) {
+            if known || !climb || self.marks.is_exposed(topo, i) {
                 kept.push(i);
             } else {
                 covered.push(i);
@@ -667,6 +660,7 @@ impl LabelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cct::Cct;
 
     #[test]
     fn forest_roots_and_children() {
@@ -686,18 +680,6 @@ mod tests {
         assert_eq!(t.parent(a), None);
         assert!(t.has_children(a));
         assert!(!t.has_children(b));
-    }
-
-    #[test]
-    fn find_or_add_deduplicates_children() {
-        let mut t = ViewTree::default();
-        let r = t.add_root(ViewScope::Module {
-            module: LoadModuleId(0),
-        });
-        let c1 = t.find_or_add_child(r, ViewScope::File { file: FileId(3) });
-        let c2 = t.find_or_add_child(r, ViewScope::File { file: FileId(3) });
-        assert_eq!(c1, c2);
-        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -112,9 +112,10 @@ pub fn fingerprint(run: &RunData) -> u64 {
     let mut h = Fnv::new();
     let cct = &run.cct;
     let names = &cct.names;
+    let topo = cct.topo();
     for node in cct.all_nodes().skip(1) {
-        h.u32(cct.parent(node).expect("non-root has parent").0);
-        match cct.kind(node) {
+        h.u32(topo.parent(node).expect("non-root has parent").0);
+        match topo.kind(node) {
             ScopeKind::Root => unreachable!("root is node 0"),
             ScopeKind::Frame {
                 proc,

@@ -36,13 +36,13 @@ use crate::bin::{
     get_costs, get_count, get_f64, get_string, get_strings, get_varint, put_costs, put_f64,
     put_string, put_strings, put_varint,
 };
-use crate::model::{DbError, DbMetric, DbModel, DbNode, DbScope};
+use crate::model::{db_scope, DbError, DbMetric, DbModel, DbNode, DbScope};
 use crate::toc::{
     Toc, TocBuilder, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS,
     SEC_NAMES,
 };
-use callpath_core::mapped::{encode_kind, tags, LINK_NONE};
 use callpath_core::prelude::{FileId, LoadModuleId, ProcId, ScopeKind, SourceLoc};
+use callpath_core::topo::{decode_kind, encode_kind, tags, LINK_NONE, UNCLAMPED};
 
 /// Descriptor-level metric info: everything about a metric except its
 /// costs, which live in the metric's own block.
@@ -201,7 +201,7 @@ fn encode_topology(model: &DbModel) -> (Vec<u8>, Vec<u8>) {
 
 /// Lift a storage-level scope into the core scope type so the tag and
 /// field layout is defined in exactly one place
-/// (`callpath_core::mapped::encode_kind` and its paired decoder).
+/// (`callpath_core::topo::encode_kind` and its paired decoder).
 fn scope_to_kind(scope: &DbScope) -> ScopeKind {
     match *scope {
         DbScope::Frame {
@@ -350,44 +350,6 @@ pub(crate) fn topo_layout(links: &[u8], kinds: &[u8]) -> Result<TopoLayout, DbEr
     })
 }
 
-/// The storage-level inverse of [`scope_to_kind`]'s encoding: map a
-/// tag + field sextet back to a scope record. Unused trailing
-/// fields are ignored (the writer zeroes them).
-fn scope_of(tag: u8, f: &[u32; 6]) -> Result<DbScope, DbError> {
-    Ok(match tag {
-        tags::FRAME => DbScope::Frame {
-            proc: f[0],
-            module: f[1],
-            def_file: f[2],
-            def_line: f[3],
-            call_site: Some((f[4], f[5])),
-        },
-        tags::FRAME_TOP => DbScope::Frame {
-            proc: f[0],
-            module: f[1],
-            def_file: f[2],
-            def_line: f[3],
-            call_site: None,
-        },
-        tags::INLINED => DbScope::Inlined {
-            proc: f[0],
-            def_file: f[1],
-            def_line: f[2],
-            cs_file: f[3],
-            cs_line: f[4],
-        },
-        tags::LOOP => DbScope::Loop {
-            file: f[0],
-            line: f[1],
-        },
-        tags::STMT => DbScope::Stmt {
-            file: f[0],
-            line: f[1],
-        },
-        other => return Err(DbError::new(format!("unknown scope tag {other}"))),
-    })
-}
-
 /// Decode the topology sections into node records (the eager
 /// path). Sibling links are derived data — the model keeps only
 /// parents, and [`encode_topology`] rebuilds the chains on write.
@@ -404,14 +366,16 @@ pub(crate) fn read_topology_v21(links: &[u8], kinds: &[u8]) -> Result<Vec<DbNode
         if tag == tags::ROOT {
             return Err(DbError::new(format!("node {i}: root tag off node 0")));
         }
+        if tag >= tags::N_TAGS {
+            return Err(DbError::new(format!("unknown scope tag {tag}")));
+        }
         let mut f = [0u32; tags::N_FIELDS];
         for (j, slot) in f.iter_mut().enumerate() {
             *slot = u32_at(kinds, lay.fields_off + 4 * (i * tags::N_FIELDS + j));
         }
-        nodes.push(DbNode {
-            parent,
-            scope: scope_of(tag, &f)?,
-        });
+        // Ids are range-checked when the records are built into a tree.
+        let scope = db_scope(decode_kind(tag, &f, UNCLAMPED));
+        nodes.push(DbNode { parent, scope });
     }
     Ok(nodes)
 }

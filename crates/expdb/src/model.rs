@@ -202,46 +202,54 @@ pub(crate) fn topology_parts(cct: &Cct) -> (Vec<String>, Vec<String>, Vec<String
         .map(|i| names.module_name(LoadModuleId(i as u32)).to_owned())
         .collect();
 
-    let mut nodes = Vec::with_capacity(cct.len() - 1);
-    for n in cct.all_nodes().skip(1) {
-        let parent = cct.parent(n).expect("non-root has parent").0;
-        let scope = match cct.kind(n) {
-            ScopeKind::Root => unreachable!("root is implicit"),
-            ScopeKind::Frame {
-                proc,
-                module,
-                def,
-                call_site,
-            } => DbScope::Frame {
-                proc: proc.0,
-                module: module.0,
-                def_file: def.file.0,
-                def_line: def.line,
-                call_site: call_site.map(|c| (c.file.0, c.line)),
-            },
-            ScopeKind::InlinedFrame {
-                proc,
-                def,
-                call_site,
-            } => DbScope::Inlined {
-                proc: proc.0,
-                def_file: def.file.0,
-                def_line: def.line,
-                cs_file: call_site.file.0,
-                cs_line: call_site.line,
-            },
-            ScopeKind::Loop { header } => DbScope::Loop {
-                file: header.file.0,
-                line: header.line,
-            },
-            ScopeKind::Stmt { loc } => DbScope::Stmt {
-                file: loc.file.0,
-                line: loc.line,
-            },
-        };
-        nodes.push(DbNode { parent, scope });
-    }
+    let topo = cct.topo();
+    let nodes = cct
+        .all_nodes()
+        .skip(1)
+        .map(|n| DbNode {
+            parent: topo.parent(n).expect("non-root has parent").0,
+            scope: db_scope(topo.kind(n)),
+        })
+        .collect();
     (procs, files, modules, nodes)
+}
+
+/// The storage-level record of a scope kind: ids as plain numbers.
+pub(crate) fn db_scope(kind: ScopeKind) -> DbScope {
+    match kind {
+        ScopeKind::Root => unreachable!("root is implicit"),
+        ScopeKind::Frame {
+            proc,
+            module,
+            def,
+            call_site,
+        } => DbScope::Frame {
+            proc: proc.0,
+            module: module.0,
+            def_file: def.file.0,
+            def_line: def.line,
+            call_site: call_site.map(|c| (c.file.0, c.line)),
+        },
+        ScopeKind::InlinedFrame {
+            proc,
+            def,
+            call_site,
+        } => DbScope::Inlined {
+            proc: proc.0,
+            def_file: def.file.0,
+            def_line: def.line,
+            cs_file: call_site.file.0,
+            cs_line: call_site.line,
+        },
+        ScopeKind::Loop { header } => DbScope::Loop {
+            file: header.file.0,
+            line: header.line,
+        },
+        ScopeKind::Stmt { loc } => DbScope::Stmt {
+            file: loc.file.0,
+            line: loc.line,
+        },
+    }
 }
 
 /// Reconstruct a validated [`Cct`] from serialized name tables and node

@@ -55,15 +55,24 @@ impl SpmdRun {
 
     /// Per-rank inclusive value of `counter` at CCT node `node`: the sum
     /// of the rank's direct costs attributed within the node's subtree.
-    /// This is what Fig. 7's charts plot.
+    /// This is what Fig. 7's charts plot. The subtree is marked once, in
+    /// one pass over the nodes after `node` (a parent precedes its
+    /// children), and every rank's costs are filtered by the mark.
     pub fn rank_inclusive_series(&self, node: NodeId, counter: Counter) -> Vec<f64> {
-        let cct = &self.experiment.cct;
+        let topo = self.experiment.cct.topo();
+        let mut inside = vec![false; topo.len()];
+        inside[node.index()] = true;
+        for i in node.index() + 1..topo.len() {
+            inside[i] = topo
+                .parent(NodeId(i as u32))
+                .is_some_and(|p| inside[p.index()]);
+        }
         self.rank_direct
             .iter()
             .map(|costs| {
                 costs
                     .iter()
-                    .filter(|(n, _)| *n == node || cct.ancestors(*n).any(|a| a == node))
+                    .filter(|(n, _)| inside[n.index()])
                     .map(|(_, c)| c[counter as usize])
                     .sum()
             })

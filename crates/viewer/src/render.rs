@@ -1,6 +1,7 @@
 //! The tree-table renderer: navigation pane + metric pane as plain text.
 
 use callpath_core::prelude::*;
+use callpath_core::view::Row;
 
 /// How far to expand the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -244,19 +245,27 @@ impl<'a, 'e> Renderer<'a, 'e> {
 
     /// Emit one `indent label    cells` row for `n` straight into `out`.
     /// `marks` (selection, flame, expansion state — whatever the walker
-    /// decorates rows with) precede the call icon and the label.
-    pub(crate) fn emit_row(&mut self, n: u32, depth: usize, marks: &[&str], mark_no_source: bool) {
+    /// decorates rows with) precede the call icon and the label; `row` is
+    /// what [`View::row`] said about `n`.
+    pub(crate) fn emit_row(
+        &mut self,
+        n: u32,
+        row: Row,
+        depth: usize,
+        marks: &[&str],
+        mark_no_source: bool,
+    ) {
         self.label_buf.clear();
         for mark in marks {
             self.label_buf.push_str(mark);
         }
-        if self.view.is_call(n) && self.cfg.fused {
+        if row.is_call && self.cfg.fused {
             self.label_buf.push_str(CALL_ICON);
         }
         let view = &*self.view;
         self.label_buf
             .push_str(self.labels.get(n, |buf| view.write_label(n, buf)));
-        if mark_no_source && !self.view.has_source(n) {
+        if mark_no_source && !row.has_source {
             self.label_buf.push_str(NO_SOURCE_MARK);
         }
         self.write_cells(n);
@@ -271,7 +280,8 @@ impl<'a, 'e> Renderer<'a, 'e> {
     /// One static row: in separate-lines mode a called frame is preceded
     /// by its call site's own row.
     fn static_row(&mut self, n: u32, depth: usize) {
-        if !self.cfg.fused && self.view.is_call(n) {
+        let row = self.view.row(n);
+        if !self.cfg.fused && row.is_call {
             if let Some(cs) = self.view.call_site(n) {
                 use std::fmt::Write as _;
                 self.label_buf.clear();
@@ -287,7 +297,7 @@ impl<'a, 'e> Renderer<'a, 'e> {
                 self.out.push('\n');
             }
         }
-        self.emit_row(n, depth, &[], true);
+        self.emit_row(n, row, depth, &[], true);
     }
 
     /// Queue the visible window of `nodes` at `depth`, first on top, over
@@ -426,7 +436,8 @@ pub fn render_hot_path(
     for (depth, &n) in path.iter().enumerate() {
         // Render the path node, then (unless it continues) stop.
         let is_last = depth + 1 == path.len();
-        r.emit_row(n, depth, &[HOT_ICON], true);
+        let row = r.view.row(n);
+        r.emit_row(n, row, depth, &[HOT_ICON], true);
         if is_last {
             // Show where the path went cold: the children that each fell
             // below the threshold. Only the shown window needs ordering.
@@ -436,7 +447,8 @@ pub fn render_hot_path(
                 top_k_by_column(r.view, r.labels, &mut kids, c, SortDir::Descending, shown);
             }
             for k in kids.into_iter().take(shown) {
-                r.emit_row(k, depth + 1, &[], false);
+                let row = r.view.row(k);
+                r.emit_row(k, row, depth + 1, &[], false);
             }
         }
     }

@@ -486,16 +486,18 @@ impl Walker<'_, '_> {
             self.rows.push(n);
             let state = self.state;
             let expanded = state.expanded.contains(&n);
+            let row = self.r.view.row(n);
             let marker = if expanded {
                 "▼ "
-            } else if self.r.view.may_expand(n) || !self.r.view.children_if_built(n).is_empty() {
+            } else if row.may_expand {
                 "▶ "
             } else {
                 "  "
             };
             let selected = if state.selected == Some(n) { "»" } else { "" };
             let flame = if state.hot.contains(&n) { HOT_ICON } else { "" };
-            self.r.emit_row(n, depth, &[selected, flame, marker], true);
+            self.r
+                .emit_row(n, row, depth, &[selected, flame, marker], true);
             if expanded {
                 self.queue(n as u64, depth + 1, |v| v.children(n));
             }

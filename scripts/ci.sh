@@ -27,6 +27,12 @@ cargo test -q --no-default-features --features obs
 # once per process, so it is set at process start.)
 CALLPATH_THREADS=1 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
 CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
+# Topology reads (`core::topo::Topo`) clamp out-of-range links and
+# budget every walk in the code an optimized build runs, where no debug
+# assertion or overflow check stands behind them: the two oracles and
+# the adversarial-link property (`tests/arena_cct.rs`) run once more in
+# release mode, as every tool and the benchmark are built.
+cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct
 # The `--no-default-features` pass above runs only the root package's
 # tests, and the workspace pass compiles expdb with `mmap` on (feature
 # unification through the root package), so this is the one place
