@@ -7,7 +7,7 @@
 
 use callpath_bench::sized_experiment;
 use callpath_core::prelude::*;
-use callpath_prof::{Correlator, ParallelCorrelator};
+use callpath_prof::Correlator;
 use callpath_profiler::{execute, lower, Counter, ExecConfig, RawProfile};
 use callpath_workloads::generator::{random_program, GenConfig};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -53,8 +53,7 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Profile ingestion: one correlator fed rank-by-rank vs the sharded
-    // parallel correlator (identical output, see callpath-prof tests).
+    // Profile ingestion: one correlator fed rank-by-rank.
     let program = random_program(GenConfig {
         n_procs: 60,
         ..GenConfig::default()
@@ -74,7 +73,7 @@ fn bench(c: &mut Criterion) {
             })
             .collect();
         group.bench_with_input(
-            BenchmarkId::new("ingest_sequential", n_ranks),
+            BenchmarkId::new("ingest", n_ranks),
             &profiles,
             |b, profiles| {
                 b.iter(|| {
@@ -86,20 +85,6 @@ fn bench(c: &mut Criterion) {
                 })
             },
         );
-        for threads in [2usize, 4, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("ingest_parallel_t{threads}"), n_ranks),
-                &profiles,
-                |b, profiles| {
-                    b.iter(|| {
-                        let (exp, _) = ParallelCorrelator::new(&structure, base.periods)
-                            .with_threads(threads)
-                            .correlate(profiles, StorageKind::Csr);
-                        exp.cct.len()
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }

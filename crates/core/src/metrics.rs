@@ -547,9 +547,10 @@ impl Iterator for NonzeroSorted<'_> {
 /// docs); this type exists because the benchmark's
 /// `examples/bench_e2e/src/adapter.rs`, frozen for feature PRs, passes it
 /// to [`RawMetrics::new`], `Experiment::build`, `attribute`,
-/// `Correlator::finish` and `ParallelCorrelator::correlate` and reads it
-/// from `Experiment::storage`. All six ignore it; it goes with the
-/// adapter's arguments (ROADMAP item 3).
+/// `Correlator::finish` and `ParallelCorrelator::correlate` (the
+/// correlator's `add` loop under the name the adapter calls) and reads
+/// it from `Experiment::storage`. All six ignore it; it goes with the
+/// adapter's arguments (ROADMAP, "Re-baseline the scoreboard").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageKind {
     /// The only value.

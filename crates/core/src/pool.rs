@@ -5,11 +5,10 @@
 //! Three sites divide enough work per call to win on two cores and go
 //! through here: rank simulation (`parallel::run_spmd`), column decode
 //! (`expdb::decode_all`) and the ensemble union
-//! (`ensemble::build_union`); the sharded correlator
-//! (`prof::ParallelCorrelator`) does too, on `SHARD_CUTOVER`'s say.
-//! Everything else — query atoms, rank summaries, the ensemble
-//! statistics — is a plain loop: a sub-millisecond fan-out loses to one
-//! (DESIGN.md §13).
+//! (`ensemble::build_union`). Everything else — correlation, query
+//! atoms, rank summaries, the ensemble statistics — is a plain loop: a
+//! sub-millisecond fan-out loses to one, and a memoized correlator
+//! beats two shards of an unmemoized one (DESIGN.md §13).
 //!
 //! A fan-out of *n* chunks is *n* runnable threads: the caller runs
 //! chunk 0 and *n* − 1 scoped threads run the rest, so chunks borrow

@@ -1,12 +1,11 @@
 //! The union-supergraph core: deterministic N-way merge of calling
 //! context trees by journal replay.
 //!
-//! `prof::parallel` merges *rank shards* of one execution;
-//! `diff` merges exactly two experiments. Both reduce to the same
-//! primitive — replay a pruned creation journal of one tree against
-//! another, translating scope kinds **by name** — and the ensemble
-//! path (DESIGN.md §15) needs it for N arbitrary runs. This module
-//! factors that primitive out:
+//! `ensemble::build_union` merges the trees of N arbitrary runs
+//! (DESIGN.md §15); `diff` merges exactly two experiments. Both reduce
+//! to the same primitive — replay a pruned creation journal of one tree
+//! against another, translating scope kinds **by name** — which this
+//! module factors out:
 //!
 //! * [`arena_journal`] derives the pruned journal of any loaded CCT
 //!   from its arena order (arena order *is* creation order, parents
@@ -24,7 +23,8 @@
 //!   translates every later appearance with an array load;
 //! * [`CctShard`] pairs a CCT + journal with an arbitrary payload that
 //!   knows how to remap itself ([`RemapNodes`]), so the same pairwise
-//!   merge carries per-rank costs (prof) or per-run columns (ensemble).
+//!   merge carries whatever a caller keeps in node ids (the ensemble's
+//!   per-run node maps).
 //!
 //! ## Determinism
 //!

@@ -151,17 +151,16 @@ pub fn run_spmd(program: &Program, cfg: &SpmdConfig) -> SpmdRun {
         }
     }
 
-    // --- Phase 4: correlate every rank into one canonical CCT. The
-    // sharded correlator's deterministic journal replay produces the
-    // same experiment — node ids included — as a sequential `add` loop.
+    // --- Phase 4: correlate every rank into one canonical CCT, in rank
+    // order on this thread: ranks repeat each other's contexts, which
+    // the correlator resolves once (`callpath_prof::correlate`).
     let structure = recover(&binary).expect("structure recovery failed");
     let mut periods = cfg.exec.periods;
     periods[Counter::Idleness as usize] = 1; // injected as raw cycles
     let rank_cycles: Vec<u64> = results.iter().map(|r| r.totals[Counter::Cycles]).collect();
     let profiles: Vec<RawProfile> = results.into_iter().map(|r| r.profile).collect();
-    let (experiment, costs) = ParallelCorrelator::new(&structure, periods)
-        .with_threads(cfg.threads)
-        .correlate(&profiles, StorageKind::Csr);
+    let (experiment, costs) =
+        ParallelCorrelator::new(&structure, periods).correlate(&profiles, StorageKind::Csr);
     let rank_direct = if cfg.keep_rank_data {
         costs
     } else {

@@ -1,36 +1,95 @@
 //! The correlation pass: raw profile trie × recovered structure →
 //! canonical CCT with attributed direct costs.
+//!
+//! SPMD ranks share almost all of their contexts, so the pass pays per
+//! distinct context rather than per instance: the first time a (CCT
+//! frame node, address) pair is seen it is resolved against the
+//! structure — the procedure and scope tree around the address, its
+//! source line, the scope kinds, a scan of the parent's children — and
+//! the node it lands on is remembered; every later raw frame or leaf
+//! sample with the same pair, in this profile or another, is one hash
+//! lookup.
 
 use callpath_core::prelude::*;
-use callpath_profiler::{Counter, RawNodeId, RawProfile, NO_CALL};
+use callpath_profiler::{Addr, Counter, LineInfo, ProcIdx, RawProfile, NO_CALL};
 use callpath_structure::{Scope, Structure};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Direct costs one profile contributed, per CCT node, in counter order.
 /// Sparse: only nodes with at least one non-zero counter appear.
 pub type PerNodeCosts = Vec<(NodeId, [f64; Counter::COUNT])>;
 
+/// What one memo entry resolves, under the CCT frame node `parent`:
+/// the child frame entered through the call at `addr` into `callee`, or
+/// (`callee == STMT`) the statement of a sample at instruction `addr`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Site {
+    parent: NodeId,
+    addr: Addr,
+    callee: ProcIdx,
+}
+
+/// The `callee` of a statement site. No raw child frame enters it: it
+/// is the raw trie's marker for the synthetic root.
+const STMT: ProcIdx = ProcIdx::MAX;
+
+impl Hash for Site {
+    /// Two words: the parent shares one with the callee's low half.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(u64::from(self.parent.0) << 32 | self.callee as u32 as u64);
+        h.write_u64(self.addr);
+    }
+}
+
+/// Multiply-rotate hashing for the memo's keys. SipHash, the `HashMap`
+/// default, costs more than the work a hit saves, and its resistance to
+/// crafted collisions is not needed here: the keys are node ids and
+/// instruction addresses the pipeline assigns itself.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b.into()));
+    }
+    /// The product's best bits are its high ones; the table indexes
+    /// buckets with the low ones.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Incremental correlator: builds one canonical CCT shared by every
 /// profile added to it.
 pub struct Correlator<'s> {
     structure: &'s Structure,
-    pub(crate) cct: Cct,
+    cct: Cct,
     /// Per-procedure load module (library routines get their own).
     proc_modules: Vec<LoadModuleId>,
     files: Vec<FileId>,
     procs: Vec<ProcId>,
+    /// Per procedure, per structure scope node: the CCT kind of that
+    /// scope (a loop, or an inlined body with its callee's name interned).
+    scope_kinds: Vec<Vec<ScopeKind>>,
     /// Sampling periods used to convert sample counts to event costs.
     periods: [u64; Counter::COUNT],
     /// Accumulated direct costs over all profiles added so far, indexed
     /// by CCT node id (node ids are dense) and grown with the tree.
-    pub(crate) totals: Vec<[f64; Counter::COUNT]>,
-    /// When enabled, an ordered `(parent, child)` log a parallel
-    /// reduction replays to reproduce this correlator's node ids
-    /// exactly (see `crate::parallel`). It records only
-    /// **first-appearance** edges — the calls that created `child`.
-    /// Repeat visits find an existing node and replay to a no-op, so
-    /// leaving them out keeps the journal at O(nodes), not O(visits),
-    /// without changing what it rebuilds.
-    pub(crate) journal: Option<Vec<(NodeId, NodeId)>>,
+    totals: Vec<[f64; Counter::COUNT]>,
+    /// Every site resolved so far → the node it resolved to. Never
+    /// invalidated: node ids are stable and the tree only grows, so the
+    /// node a site resolved to once is the node the same static descent
+    /// and `find_or_add_child` would find again. A miss resolves in walk
+    /// order, so first appearances — and with them node ids — are those
+    /// of a correlator without the memo.
+    memo: HashMap<Site, NodeId, BuildHasherDefault<MixHasher>>,
+    /// Static descents (memo misses that consulted the structure) during
+    /// the current `add`, reported as `prof.static_descents`.
+    descents: u64,
 }
 
 impl<'s> Correlator<'s> {
@@ -55,52 +114,47 @@ impl<'s> Correlator<'s> {
                 None => main_module,
             })
             .collect();
-        // Pre-intern inlined callee names in deterministic structure
-        // order. Interning them lazily during the walk (as descend_static
-        // once did) would assign ids in visit order, which differs between
-        // profiles — every correlator over the same structure must build
-        // the identical name table or the parallel shards of
-        // `crate::parallel::ParallelCorrelator` could not share scope
-        // kinds by value.
-        for p in &structure.procs {
-            for node in &p.nodes {
-                if let Scope::Inline { callee_name, .. } = &node.scope {
-                    names.proc(callee_name);
-                }
-            }
-        }
+        // Inlined callee names are interned here, in structure order, not
+        // when a walk first meets them: name ids must not depend on which
+        // profile reaches which scope first, so that every correlation of
+        // the same structure writes the same name table and the same bytes.
+        let loc = |l: LineInfo| SourceLoc::new(files[l.file], l.line);
+        let scope_kinds: Vec<Vec<ScopeKind>> = structure
+            .procs
+            .iter()
+            .map(|p| {
+                p.nodes
+                    .iter()
+                    .map(|node| match &node.scope {
+                        Scope::Loop { header } => ScopeKind::Loop {
+                            header: loc(*header),
+                        },
+                        Scope::Inline {
+                            callee_name,
+                            callee_file,
+                            callee_def_line,
+                            call_site,
+                        } => ScopeKind::InlinedFrame {
+                            proc: names.proc(callee_name),
+                            def: SourceLoc::new(files[*callee_file], *callee_def_line),
+                            call_site: loc(*call_site),
+                        },
+                    })
+                    .collect()
+            })
+            .collect();
         Correlator {
             structure,
             cct: Cct::new(names),
             proc_modules,
             files,
             procs,
+            scope_kinds,
             periods,
             totals: Vec::new(),
-            journal: None,
+            memo: HashMap::default(),
+            descents: 0,
         }
-    }
-
-    /// A correlator that additionally records its first-appearance log,
-    /// for use as a worker shard of the parallel reduction. Journaling
-    /// shards skip the totals fold in [`Self::add`]: their totals are
-    /// never read — the reduction folds remapped per-rank costs into
-    /// the canonical totals itself.
-    pub(crate) fn with_journal(structure: &'s Structure, periods: [u64; Counter::COUNT]) -> Self {
-        let mut c = Self::new(structure, periods);
-        c.journal = Some(Vec::new());
-        c
-    }
-
-    /// `find_or_add_child` plus journaling.
-    fn touch(&mut self, parent: NodeId, kind: ScopeKind) -> NodeId {
-        let (child, created) = self.cct.find_or_add_child_tracked(parent, kind);
-        if let Some(j) = &mut self.journal {
-            if created {
-                j.push((parent, child));
-            }
-        }
-        child
     }
 
     /// The canonical CCT built so far.
@@ -110,110 +164,100 @@ impl<'s> Correlator<'s> {
 
     /// Correlate one raw profile into the shared CCT. Returns the direct
     /// costs (events = samples × period) this profile attributed per node.
+    ///
+    /// The walk keeps its own stack, so a raw trie of any depth
+    /// correlates on any thread. Child frames are mapped in order, each
+    /// before its subtree; a frame's leaf samples after all of its child
+    /// subtrees.
     pub fn add(&mut self, profile: &RawProfile) -> PerNodeCosts {
         let mut out: PerNodeCosts = Vec::new();
-        self.walk(profile, profile.root(), self.cct.root(), &mut out);
-        // Journaling shards skip the fold: the parallel reduction
-        // discards shard-local totals and folds the canonically
-        // remapped costs itself, in global rank order, so f64 sums stay
-        // bit-identical to the sequential path.
-        if self.journal.is_none() {
-            self.totals.resize(self.cct.len(), [0.0; Counter::COUNT]);
-            fold_costs_into(&mut self.totals, &out);
+        self.descents = 0;
+        let root = profile.root();
+        let mut stack = vec![(profile.children(root), root, self.cct.root())];
+        while let Some((children, raw, node)) = stack.last_mut() {
+            let (raw, node) = (*raw, *node);
+            if let Some(child) = children.next() {
+                let frame = self.resolve(node, profile.call_addr(child), profile.callee(child));
+                stack.push((profile.children(child), child, frame));
+                continue;
+            }
+            stack.pop();
+            for leaf in profile.leaves(raw) {
+                // Samples outside any frame (should not happen) are
+                // unattributable cost of the root.
+                let at = if raw == root {
+                    node
+                } else {
+                    self.resolve(node, leaf.addr, STMT)
+                };
+                self.push_costs(at, leaf.counts, &mut out);
+            }
+        }
+        callpath_obs::count("prof.static_descents", self.descents);
+        self.totals.resize(self.cct.len(), [0.0; Counter::COUNT]);
+        for &(n, cs) in &out {
+            let t = &mut self.totals[n.index()];
+            for i in 0..Counter::COUNT {
+                t[i] += cs[i];
+            }
         }
         out
     }
 
-    fn walk(
-        &mut self,
-        profile: &RawProfile,
-        raw: RawNodeId,
-        cct_parent: NodeId,
-        out: &mut PerNodeCosts,
-    ) {
-        // Map each raw child frame into the CCT, interposing the static
-        // scopes (loops, inlined bodies) that contain its call site.
-        for child in profile.children(raw) {
-            let call_addr = profile.call_addr(child);
-            let callee = profile.callee(child);
-            let callee_struct = &self.structure.procs[callee];
-            let (anchor, call_site) = if call_addr == NO_CALL {
-                (cct_parent, None)
+    /// The node of `Site { parent, addr, callee }`: from the memo, or
+    /// resolved through the structure and remembered. A frame sits under
+    /// the static scopes (loops, inlined bodies) containing its call
+    /// site; a statement under those containing its instruction.
+    fn resolve(&mut self, parent: NodeId, addr: Addr, callee: ProcIdx) -> NodeId {
+        let site = Site {
+            parent,
+            addr,
+            callee,
+        };
+        if let Some(&node) = self.memo.get(&site) {
+            return node;
+        }
+        let (anchor, kind) = if callee == STMT {
+            let loc = self.source_loc(addr);
+            (self.descend_static(parent, addr), ScopeKind::Stmt { loc })
+        } else {
+            let (anchor, call_site) = if addr == NO_CALL {
+                (parent, None)
             } else {
-                let site = self.structure.line_of(call_addr);
-                let anchor = self.descend_static(cct_parent, call_addr);
-                (
-                    anchor,
-                    Some(SourceLoc::new(self.files[site.file], site.line)),
-                )
+                let call_site = self.source_loc(addr);
+                (self.descend_static(parent, addr), Some(call_site))
             };
-            let frame_kind = ScopeKind::Frame {
+            let p = &self.structure.procs[callee];
+            let def_line = if p.has_source { p.def_line } else { 0 };
+            let frame = ScopeKind::Frame {
                 proc: self.procs[callee],
                 module: self.proc_modules[callee],
-                def: SourceLoc::new(
-                    self.files[callee_struct.file],
-                    if callee_struct.has_source {
-                        callee_struct.def_line
-                    } else {
-                        0
-                    },
-                ),
+                def: SourceLoc::new(self.files[p.file], def_line),
                 call_site,
             };
-            let frame_node = self.touch(anchor, frame_kind);
-            self.walk(profile, child, frame_node, out);
-        }
-        // Map leaves: samples recorded at instructions within this frame.
-        for leaf in profile.leaves(raw) {
-            if raw == profile.root() {
-                // Samples outside any frame (should not happen); attribute
-                // to the root as unattributable cost.
-                self.push_costs(cct_parent, leaf.counts, out);
-                continue;
-            }
-            let anchor = self.descend_static(cct_parent, leaf.addr);
-            let loc = self.structure.line_of(leaf.addr);
-            let stmt = self.touch(
-                anchor,
-                ScopeKind::Stmt {
-                    loc: SourceLoc::new(self.files[loc.file], loc.line),
-                },
-            );
-            self.push_costs(stmt, leaf.counts, out);
-        }
+            (anchor, frame)
+        };
+        let node = self.cct.find_or_add_child(anchor, kind);
+        self.memo.insert(site, node);
+        node
+    }
+
+    fn source_loc(&self, addr: Addr) -> SourceLoc {
+        let l = self.structure.line_of(addr);
+        SourceLoc::new(self.files[l.file], l.line)
     }
 
     /// From a frame's CCT node, descend through the static scopes (loops,
     /// inline frames) containing `addr`, creating CCT nodes as needed, and
     /// return the innermost node.
-    fn descend_static(&mut self, frame_node: NodeId, addr: u64) -> NodeId {
-        let structure = self.structure;
-        let Some(proc) = structure.proc_at(addr) else {
+    fn descend_static(&mut self, frame_node: NodeId, addr: Addr) -> NodeId {
+        self.descents += 1;
+        let Some(p) = self.structure.proc_at(addr) else {
             return frame_node;
         };
-        let proc = &structure.procs[proc];
         let mut cur = frame_node;
-        for idx in proc.scopes_at(addr) {
-            let node = &proc.nodes[idx];
-            let kind = match &node.scope {
-                Scope::Loop { header } => ScopeKind::Loop {
-                    header: SourceLoc::new(self.files[header.file], header.line),
-                },
-                Scope::Inline {
-                    callee_name,
-                    callee_file,
-                    callee_def_line,
-                    call_site,
-                } => {
-                    let proc_id = self.cct.names.proc(callee_name);
-                    ScopeKind::InlinedFrame {
-                        proc: proc_id,
-                        def: SourceLoc::new(self.files[*callee_file], *callee_def_line),
-                        call_site: SourceLoc::new(self.files[call_site.file], call_site.line),
-                    }
-                }
-            };
-            cur = self.touch(cur, kind);
+        for i in self.structure.procs[p].scopes_at(addr) {
+            cur = self.cct.find_or_add_child(cur, self.scope_kinds[p][i]);
         }
         cur
     }
@@ -247,61 +291,54 @@ impl<'s> Correlator<'s> {
     /// Build the experiment from everything added so far. The argument
     /// selects nothing ([`StorageKind`]).
     pub fn finish(self, _: StorageKind) -> Experiment {
-        finish_parts(self.cct, self.totals, self.periods)
-    }
-}
-
-/// Fold pre-converted per-node costs into running totals (one row per
-/// node of the tree the costs refer to), entry by entry in vector
-/// order. Both the sequential correlator and the parallel reduction
-/// fold through this one function so their f64 accumulation order —
-/// and therefore every rounded bit — is identical.
-pub(crate) fn fold_costs_into(totals: &mut [[f64; Counter::COUNT]], costs: &PerNodeCosts) {
-    for &(n, cs) in costs {
-        let t = &mut totals[n.index()];
-        for i in 0..Counter::COUNT {
-            t[i] += cs[i];
+        let mut raw = RawMetrics::new(StorageKind::Csr);
+        // The batched per-metric write walks nodes ascending, which is the
+        // sorted arrays' append fast path.
+        let mut batch: Vec<(NodeId, f64)> = Vec::new();
+        for c in self.active_counters() {
+            let period = self.periods[c as usize];
+            let m = raw.add_metric(MetricDesc::new(c.papi_name(), c.unit(), period as f64));
+            batch.clear();
+            batch.extend(self.totals.iter().enumerate().filter_map(|(node, costs)| {
+                let v = costs[c as usize];
+                (v != 0.0).then_some((NodeId(node as u32), v))
+            }));
+            raw.add_costs(m, &batch);
         }
+        Experiment::build(self.cct, raw, StorageKind::Csr)
     }
 }
 
-/// Assemble an [`Experiment`] from a finished CCT plus accumulated
-/// totals — the back half of [`Correlator::finish`], split out so the
-/// parallel reduction can build the experiment from a merged CCT it
-/// folded totals into itself.
-pub(crate) fn finish_parts(
-    cct: Cct,
-    totals: Vec<[f64; Counter::COUNT]>,
+/// The name the benchmark and `run_spmd` correlate many ranks through:
+/// a [`Correlator`] `add` loop in rank order, which on two cores beat
+/// the sharded fan-out this type used to run (EXPERIMENTS.md,
+/// "Correlation").
+pub struct ParallelCorrelator<'s> {
+    structure: &'s Structure,
     periods: [u64; Counter::COUNT],
-) -> Experiment {
-    let mut raw = RawMetrics::new(StorageKind::Csr);
-    let active: Vec<Counter> = Counter::ALL
-        .iter()
-        .copied()
-        .filter(|&c| periods[c as usize] > 0)
-        .collect();
-    let metric_ids: Vec<MetricId> = active
-        .iter()
-        .map(|&c| {
-            raw.add_metric(MetricDesc::new(
-                c.papi_name(),
-                c.unit(),
-                periods[c as usize] as f64,
-            ))
-        })
-        .collect();
-    // The batched per-metric write walks nodes ascending, which is the
-    // sorted arrays' append fast path.
-    let mut batch: Vec<(NodeId, f64)> = Vec::new();
-    for (mi, &c) in active.iter().enumerate() {
-        batch.clear();
-        batch.extend(totals.iter().enumerate().filter_map(|(node, costs)| {
-            let v = costs[c as usize];
-            (v != 0.0).then_some((NodeId(node as u32), v))
-        }));
-        raw.add_costs(metric_ids[mi], &batch);
+}
+
+impl<'s> ParallelCorrelator<'s> {
+    /// `periods` has the same meaning as for [`Correlator::new`].
+    pub fn new(structure: &'s Structure, periods: [u64; Counter::COUNT]) -> Self {
+        ParallelCorrelator { structure, periods }
     }
-    Experiment::build(cct, raw, StorageKind::Csr)
+
+    /// Correlate every profile (rank r = `profiles[r]`) and build the
+    /// experiment. Returns the experiment plus each rank's direct
+    /// per-node costs. The last argument selects nothing
+    /// ([`StorageKind`]).
+    pub fn correlate(
+        &self,
+        profiles: &[RawProfile],
+        _: StorageKind,
+    ) -> (Experiment, Vec<PerNodeCosts>) {
+        let _span = callpath_obs::span("prof.correlate");
+        callpath_obs::count("prof.profiles_ingested", profiles.len() as u64);
+        let mut corr = Correlator::new(self.structure, self.periods);
+        let per_rank = profiles.iter().map(|p| corr.add(p)).collect();
+        (corr.finish(StorageKind::Csr), per_rank)
+    }
 }
 
 /// One-shot correlation of a single profile.

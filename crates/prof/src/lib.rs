@@ -15,16 +15,13 @@
 //! CCT; [`Correlator::add`] returns the per-node direct costs of each
 //! profile so `callpath-parallel` can compute per-rank statistics, and
 //! [`Correlator::finish`] produces the aggregated
-//! [`Experiment`](callpath_core::experiment::Experiment).
-//!
-//! For many ranks, [`ParallelCorrelator`] shards the profiles across
-//! worker threads and merges the shard CCTs with a deterministic replay
-//! that reproduces the sequential correlator's node ids exactly.
+//! [`Experiment`](callpath_core::experiment::Experiment). The correlator
+//! remembers the node every (frame node, address) pair resolved to, so
+//! ranks that repeat each other's contexts cost a hash lookup per raw
+//! frame and leaf; [`ParallelCorrelator`] is its `add` loop over ranks.
 
 pub mod correlate;
 pub mod object_view;
-pub mod parallel;
 
-pub use correlate::{correlate, Correlator, PerNodeCosts};
+pub use correlate::{correlate, Correlator, ParallelCorrelator, PerNodeCosts};
 pub use object_view::{object_view, render_object_view, ObjectLine, ObjectView};
-pub use parallel::{IngestMode, ParallelCorrelator, SHARD_CUTOVER};

@@ -418,9 +418,9 @@ mod tests {
         // All samples must sit in the frame main -> work at the work
         // instruction.
         let root = res.profile.root();
-        let mains = res.profile.children(root);
+        let mains: Vec<_> = res.profile.children(root).collect();
         assert_eq!(mains.len(), 1);
-        let works = res.profile.children(mains[0]);
+        let works: Vec<_> = res.profile.children(mains[0]).collect();
         assert_eq!(works.len(), 1);
         let leaves = res.profile.leaves(works[0]);
         assert_eq!(leaves.len(), 1);
@@ -528,9 +528,9 @@ mod tests {
         let res = execute(&bin, &cfg).unwrap();
         // Only one frame (main) in the profile: the inline call pushed
         // nothing.
-        let mains = res.profile.children(res.profile.root());
+        let mains: Vec<_> = res.profile.children(res.profile.root()).collect();
         assert_eq!(mains.len(), 1);
-        assert!(res.profile.children(mains[0]).is_empty());
+        assert_eq!(res.profile.children(mains[0]).count(), 0);
         assert_eq!(res.profile.total_samples(Counter::Cycles), 100.0);
     }
 }

@@ -142,15 +142,13 @@ impl RawProfile {
         cur
     }
 
-    /// Child frames of `node`, in insertion order.
-    pub fn children(&self, node: RawNodeId) -> Vec<RawNodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.nodes[node as usize].first_child;
-        while cur != NONE {
-            out.push(cur);
-            cur = self.nodes[cur as usize].next_sibling;
-        }
-        out
+    /// Child frames of `node`, in insertion order: a walk of the
+    /// first-child / next-sibling links, allocating nothing.
+    pub fn children(&self, node: RawNodeId) -> impl Iterator<Item = RawNodeId> + '_ {
+        let link = |id: u32| (id != NONE).then_some(id);
+        std::iter::successors(link(self.nodes[node as usize].first_child), move |&c| {
+            link(self.nodes[c as usize].next_sibling)
+        })
     }
 
     /// Call-site address that created frame `node`.

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Perf smoke, in release mode:
-#  * 64-rank ingestion through `ParallelCorrelator` on one thread and
-#    on the automatic count, like for like, under a wall-clock budget
-#    and a 1.10x ceiling on the sharded leg
-#    -> BENCH_ingestion_smoke.json at the repo root;
+#  * 64-rank ingestion through `ParallelCorrelator` (the memoized
+#    correlator's `add` loop; it does not fan out) under a wall-clock
+#    budget -> BENCH_ingestion_smoke.json at the repo root;
 #  * interactive navigation latency (expand-all / warm re-sort /
 #    hot-path walk) -> BENCH_session_nav.json at the repo root;
 #  * experiment-database open latency (cold open / first render /
@@ -20,11 +19,10 @@
 #    decode-alls included, takes 15–35 s on two cores);
 #  * thread scaling: every site that fans out through
 #    `core::pool::chunked_map`, at 1/2/4/8 threads on the work it
-#    divides (the sharded correlator on s3d x 64 ranks, where it loses,
-#    and on 20 ranks of `batch_job`'s size, where it wins; `decode_all`
-#    on `batch_job`'s database and on the million-node one; `run_spmd`
-#    on 64 pflotran ranks) -> BENCH_thread_scaling.json at the repo
-#    root, same hard-budget treatment;
+#    divides (`decode_all` on `batch_job`'s database and on the
+#    million-node one; `run_spmd` on 64 pflotran ranks)
+#    -> BENCH_thread_scaling.json at the repo root, same hard-budget
+#    treatment;
 #  * serving latency (4 concurrent protocol clients driving scripted
 #    find/sort/hot-path/flatten sessions against a live callpath-serve,
 #    exact client-side p50/p95 per request) -> BENCH_serve.json at the

@@ -29,10 +29,14 @@ CALLPATH_THREADS=1 cargo test -q --test attribution_oracle --test lazy_storage_a
 CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
 # Topology reads (`core::topo::Topo`) clamp out-of-range links and
 # budget every walk in the code an optimized build runs, where no debug
-# assertion or overflow check stands behind them: the two oracles and
-# the adversarial-link property (`tests/arena_cct.rs`) run once more in
+# assertion or overflow check stands behind them, and the correlator's
+# memo and its multiply-rotate hasher are release-mode code whose hits
+# skip the structure entirely: the three oracles, the adversarial-link
+# property (`tests/arena_cct.rs`) and the 100 000-frame chain on a
+# 256 KiB stack (in `tests/correlate_oracle.rs`) run once more in
 # release mode, as every tool and the benchmark are built.
-cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct
+cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct \
+    --test correlate_oracle
 # The `--no-default-features` pass above runs only the root package's
 # tests, and the workspace pass compiles expdb with `mmap` on (feature
 # unification through the root package), so this is the one place

@@ -2,23 +2,18 @@
 //! that fans out through `core::pool::chunked_map`, timed at
 //! `threads ∈ {1, 2, 4, 8}` on the work it divides, into
 //! `BENCH_thread_scaling.json` — the record behind DESIGN.md §13's "who
-//! fans out and why". The sharded correlator is measured twice, on ranks
-//! that cost microseconds (s3d, where it loses) and on ranks the size of
-//! the benchmark's `batch_job` (where it wins); the ensemble union has a
-//! record of its own (`BENCH_ensemble.json`). `cores` comes from
+//! fans out and why". The ensemble union has a record of its own
+//! (`BENCH_ensemble.json`); the correlator does not fan out (its verdict
+//! is in EXPERIMENTS.md, "Correlation"). `cores` comes from
 //! `available_parallelism`; on one core every `speedup` is null.
 //!
 //! `#[ignore]`d by default: wall-clock measurements belong in release builds
 //! on a quiet machine, not in every `cargo test` run.
 
-use callpath_core::prelude::*;
 use callpath_expdb::{bin2, decode_all, open_lazy_path};
 use callpath_parallel::{run_spmd, SpmdConfig};
-use callpath_prof::ParallelCorrelator;
-use callpath_profiler::{execute, lower, Binary, ExecConfig, RawProfile};
-use callpath_workloads::generator::{random_program, GenConfig};
+use callpath_profiler::ExecConfig;
 use callpath_workloads::pflotran;
-use callpath_workloads::s3d::{self, S3dConfig};
 use callpath_workloads::synth::{synth_model, SynthConfig};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -53,38 +48,6 @@ fn curve(site: &'static str, work: String, iters: usize, mut run: impl FnMut(usi
         iters,
         points,
     }
-}
-
-/// `n` ranks of one binary, each with its own work scale and jitter.
-fn ranks(bin: &Binary, n: usize, base: &ExecConfig) -> Vec<RawProfile> {
-    (0..n)
-        .map(|r| {
-            let cfg = ExecConfig {
-                work_scale: 0.5 + (r % 8) as f64 / 16.0,
-                jitter_seed: Some(3 + r as u64),
-                ..base.clone()
-            };
-            execute(bin, &cfg).unwrap().profile
-        })
-        .collect()
-}
-
-fn ingest_site(bin: &Binary, n_ranks: usize, what: &str) -> Site {
-    let base = ExecConfig::default();
-    let profiles = ranks(bin, n_ranks, &base);
-    let structure = callpath_structure::recover(bin).unwrap();
-    let correlate = |threads: usize| {
-        ParallelCorrelator::new(&structure, base.periods)
-            .with_threads(threads)
-            .correlate(&profiles, StorageKind::Csr)
-    };
-    let work = format!(
-        "{what} x {n_ranks} ranks, {} contexts",
-        correlate(1).0.cct.len()
-    );
-    curve("prof.ParallelCorrelator", work, ITERS, |threads| {
-        std::hint::black_box(correlate(threads));
-    })
 }
 
 fn decode_site(dir: &Path, cfg: SynthConfig, iters: usize) -> Site {
@@ -144,22 +107,9 @@ fn thread_scaling_curve() {
     std::fs::create_dir_all(&dir).unwrap();
     let pool_before = callpath_core::pool::stats();
 
-    // A rank of s3d correlates in ~2 µs; a rank of this random program
-    // (the benchmark's `batch_job` draws one of its size) in ~0.4 ms.
-    let batch_sized = random_program(GenConfig {
-        seed: 48,
-        n_procs: 150,
-        ..Default::default()
-    });
     let part = pflotran::Partition::default();
     let pflotran_scales: Vec<f64> = (0..64).map(|r| part.scale(r, 64)).collect();
     let sites = [
-        ingest_site(&lower(&s3d::program(S3dConfig::default())), 64, "s3d"),
-        ingest_site(
-            &lower(&batch_sized),
-            20,
-            "random program (batch_job's size)",
-        ),
         // `batch_job`'s database, then the million-node one.
         decode_site(
             &dir,
