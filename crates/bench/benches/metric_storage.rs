@@ -144,7 +144,7 @@ fn bench(c: &mut Criterion) {
                     let mut raw = RawMetrics::new(StorageKind::Csr);
                     let m = raw.add_metric(MetricDesc::new("cycles", "cycles", 1.0));
                     raw.add_costs(m, entries);
-                    raw.generation()
+                    raw
                 })
             },
         );

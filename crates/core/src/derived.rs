@@ -26,7 +26,13 @@
 //!
 //! Functions: `min`, `max` (n-ary), `sqrt`, `abs`, `ln`, `exp`, `floor`,
 //! `ceil`.
+//!
+//! [`evaluate`] is the one evaluator of a derived column over a tree:
+//! `Experiment::add_derived` and a lazily opened database's column fault
+//! both call it, and it reads only the columns the formula references.
 
+use crate::ids::ColumnId;
+use crate::metrics::{ColumnSet, MetricVec};
 use std::fmt;
 
 /// Parsed formula AST.
@@ -323,6 +329,78 @@ impl Expr {
     }
 }
 
+/// The derived column `expr` over a tree of `n_nodes` nodes, reading the
+/// columns it references from `columns` (faulting a lazily backed one
+/// into its slot; no other column is read), which must not include the
+/// column being computed, and `@n` from `aggregates`.
+///
+/// A formula that is zero where all its inputs are is evaluated only on
+/// the union of their non-zeros; one that is not (`$0 + 1`, or a NaN
+/// like 0 × ∞) at every node. A zero of either sign is stored as
+/// nothing, and the entries take the shape [`MetricVec::from_sorted`]
+/// picks.
+pub fn evaluate(expr: &Expr, columns: &ColumnSet, aggregates: &[f64], n_nodes: usize) -> MetricVec {
+    let refs = expr.references();
+    let mut cursors: Vec<_> = refs
+        .iter()
+        .map(|&r| columns.vec(ColumnId(r)).nonzero_sorted().peekable())
+        .collect();
+    let mut row = vec![0.0; refs.last().map_or(0, |&r| r as usize + 1)];
+    let eval = |row: &[f64]| {
+        expr.eval(&SliceContext {
+            columns: row,
+            aggregates,
+        })
+    };
+    let everywhere = eval(&row) != 0.0;
+    let mut out = Vec::new();
+    let mut node = 0;
+    loop {
+        if !everywhere {
+            let heads = cursors.iter_mut().filter_map(|it| it.peek());
+            match heads.map(|&(k, _)| k).min() {
+                Some(k) => node = k,
+                None => break,
+            }
+        }
+        if node as usize >= n_nodes {
+            break;
+        }
+        for (&r, it) in refs.iter().zip(&mut cursors) {
+            row[r as usize] = it.next_if(|&(k, _)| k == node).map_or(0.0, |(_, v)| v);
+        }
+        let v = eval(&row);
+        if v != 0.0 {
+            out.push((node, v));
+        }
+        node += 1;
+    }
+    MetricVec::from_sorted(out, n_nodes)
+}
+
+/// Parse `formula` as a derived column to follow `existing` columns,
+/// whose whole-program values are `aggregates`: every reference must name
+/// one of them. Returns the formula and its own whole-program (`@`)
+/// value, the formula over the aggregates.
+pub fn parse_column(
+    formula: &str,
+    existing: usize,
+    aggregates: &[f64],
+) -> Result<(Expr, f64), FormulaError> {
+    let expr = Expr::parse(formula)?;
+    if let Some(&bad) = expr.references().iter().find(|&&r| r as usize >= existing) {
+        return Err(FormulaError {
+            pos: 0,
+            message: format!("formula references non-existent column ${bad}"),
+        });
+    }
+    let total = expr.eval(&SliceContext {
+        columns: aggregates,
+        aggregates,
+    });
+    Ok((expr, total))
+}
+
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
@@ -579,6 +657,67 @@ mod tests {
     fn references_collects_all_columns() {
         let e = Expr::parse("$3 + @1 * min($3, $0)").unwrap();
         assert_eq!(e.references(), vec![0, 1, 3]);
+    }
+
+    /// The per-node loop `Experiment::add_derived` ran before
+    /// [`evaluate`], every existing column read at every node, against
+    /// it: the same shape and the same bits.
+    #[test]
+    fn evaluate_matches_the_every_node_loop_bit_for_bit() {
+        use crate::metrics::{ColumnDesc, ColumnFlavor};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let formulas = [
+            "$0 * 4 - $3",
+            "$0 + 1",         // a constant term: a value at every node
+            "$2 / $0",        // `/` guards a zero divisor: zero off `$0`
+            "$1 * exp(1000)", // 0 × ∞ is NaN, not zero: every node
+            "-$0",            // −0.0 off `$0`, stored as nothing
+            "max($1, $2) - $1 + $3 / @0",
+        ];
+        let shape = |v: &MetricVec| {
+            let bits = v.nonzero_sorted().map(|(n, x)| (n, x.to_bits()));
+            (matches!(v, MetricVec::Dense(_)), bits.collect::<Vec<_>>())
+        };
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n_nodes = rng.gen_range(1..400usize);
+            let mut columns = ColumnSet::new();
+            // Sparse and dense inputs, overlapping.
+            for p in [0.01, 0.1, 0.5, 0.9].map(|p: f64| p.powi(seed as i32 % 3)) {
+                let entries = (0..n_nodes as u32).filter_map(|n| {
+                    let v = rng.gen_range(-5.0..5.0f64).round() * 1.5;
+                    (rng.gen_bool(p) && v != 0.0).then_some((n, v))
+                });
+                let flavor = ColumnFlavor::Inclusive(crate::ids::MetricId(0));
+                let desc = ColumnDesc {
+                    name: String::new(),
+                    flavor,
+                    visible: true,
+                };
+                columns.add_column_with(desc, MetricVec::from_sorted(entries.collect(), n_nodes));
+            }
+            let aggregates = [rng.gen_range(1.0..9.0f64), 2.0, 3.0, 4.0];
+            for src in formulas {
+                let expr = Expr::parse(src).unwrap();
+                let entries = (0..n_nodes as u32).filter_map(|n| {
+                    let row: Vec<f64> = columns.columns().map(|c| columns.get(c, n)).collect();
+                    let v = expr.eval(&SliceContext {
+                        columns: &row,
+                        aggregates: &aggregates,
+                    });
+                    (v != 0.0).then_some((n, v))
+                });
+                let want = MetricVec::from_sorted(entries.collect(), n_nodes);
+                let got = evaluate(&expr, &columns, &aggregates, n_nodes);
+                assert_eq!(shape(&got), shape(&want), "seed {seed}: {src}");
+                let count = got.nonzero_count();
+                match src {
+                    "$0 + 1" | "$1 * exp(1000)" => assert_eq!(count, n_nodes, "{src}"),
+                    "-$0" => assert_eq!(count, columns.vec(ColumnId(0)).nonzero_count()),
+                    _ => {}
+                }
+            }
+        }
     }
 
     #[test]

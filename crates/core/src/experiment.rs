@@ -14,9 +14,9 @@
 
 use crate::attribution::attribute;
 use crate::cct::Cct;
-use crate::derived::{Expr, FormulaError, SliceContext};
+use crate::derived::{self, Expr, FormulaError};
 use crate::ids::{ColumnId, MetricId, NodeId};
-use crate::metrics::{ColumnDesc, ColumnFlavor, ColumnSet, MetricVec, RawMetrics, StorageKind};
+use crate::metrics::{ColumnDesc, ColumnFlavor, ColumnSet, RawMetrics, StorageKind};
 
 /// A fully attributed experiment: the input to every presentation view.
 #[derive(Debug, Clone)]
@@ -164,37 +164,14 @@ impl Experiment {
 
     /// Define a derived metric column. The formula may reference any column
     /// that already exists (including earlier derived columns). Values are
-    /// computed immediately for every CCT node; views compute their own
-    /// values from their aggregated inputs when they are built.
+    /// computed immediately for every CCT node ([`derived::evaluate`]: it
+    /// reads only the columns the formula references); views compute
+    /// their own values from their aggregated inputs when they are built.
     pub fn add_derived(&mut self, name: &str, formula: &str) -> Result<ColumnId, FormulaError> {
-        let expr = Expr::parse(formula)?;
-        let existing = self.columns.column_count() as u32;
-        if let Some(&bad) = expr.references().iter().find(|&&r| r >= existing) {
-            return Err(FormulaError {
-                pos: 0,
-                message: format!("formula references non-existent column ${bad}"),
-            });
-        }
-        // Aggregate of a derived column = formula applied to the aggregates.
-        let agg = expr.eval(&SliceContext {
-            columns: &self.aggregates,
-            aggregates: &self.aggregates,
-        });
+        let existing = self.columns.column_count();
+        let (expr, agg) = derived::parse_column(formula, existing, &self.aggregates)?;
         self.aggregates.push(agg);
-        // Per-node values, in node order.
-        let mut entries = Vec::new();
-        for n in self.cct.all_nodes() {
-            let inputs: Vec<f64> = (0..existing)
-                .map(|i| self.columns.get(ColumnId(i), n.0))
-                .collect();
-            let v = expr.eval(&SliceContext {
-                columns: &inputs,
-                aggregates: &self.aggregates,
-            });
-            if v != 0.0 {
-                entries.push((n.0, v));
-            }
-        }
+        let values = derived::evaluate(&expr, &self.columns, &self.aggregates, self.cct.len());
         let c = self.columns.add_column_with(
             ColumnDesc {
                 name: name.to_owned(),
@@ -203,7 +180,7 @@ impl Experiment {
                 },
                 visible: true,
             },
-            MetricVec::from_sorted(entries, self.cct.len()),
+            values,
         );
         self.derived.push((c, expr));
         Ok(c)

@@ -21,9 +21,9 @@
 //! [`RawMetrics::add_metric`] sorted). Reads are the same either way, bit
 //! for bit.
 //!
-//! [`RawMetrics`] and [`ColumnSet`] each carry a **generation counter**
-//! bumped by every mutation; cached child orderings key on it to
-//! revalidate instead of serving stale values.
+//! A lazily backed [`ColumnSet`] is the only store of a lazily opened
+//! experiment's attributed values, and a column is faulted when it is
+//! read ([`ColumnSource`]).
 
 use crate::attribution::SWEEP_ABOVE_ONE_IN;
 use crate::ids::{ColumnId, MetricId};
@@ -42,25 +42,26 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Both methods return the column itself, in whatever shape the source
 /// found it — borrowed zero-copy from the file image
 /// ([`MetricVec::Mapped`]), the attribution kernel's own vectors, or
-/// decoded entries through [`MetricVec::from_sorted`] — and it becomes
-/// the slot's contents as it is. They are called at most once per
-/// column/metric (results are cached in the owning set). A `Err(reason)`
-/// materializes the column as all-zeros and is surfaced through
-/// [`ColumnSet::lazy_errors`] / [`RawMetrics::lazy_errors`] instead of
-/// panicking, so a corrupt block discovered mid-render degrades rather
-/// than aborts.
+/// decoded entries through [`MetricVec::from_sorted`] — and it is
+/// *moved* into the slot as it is: the source keeps no copy. They are
+/// called at most once per column/metric (results are cached in the
+/// owning set). A `Err(reason)` materializes the column as all-zeros and
+/// is surfaced through [`ColumnSet::lazy_errors`] /
+/// [`RawMetrics::lazy_errors`] instead of panicking, so a corrupt block
+/// discovered mid-render degrades rather than aborts.
 pub trait ColumnSource: Send + Sync + std::fmt::Debug {
-    /// Presentation column `c`.
-    fn load_column(&self, c: ColumnId) -> Result<MetricVec, String>;
+    /// Presentation column `c` of `columns`, the set whose slot it
+    /// fills. A derived column reads its inputs through `columns`, which
+    /// faults them into their own (earlier) slots. The call runs inside
+    /// `c`'s slot initializer, so it must not read `c` itself.
+    fn load_column(&self, c: ColumnId, columns: &ColumnSet) -> Result<MetricVec, String>;
     /// Direct costs of raw metric `m`.
     fn load_raw(&self, m: MetricId) -> Result<MetricVec, String>;
 }
 
 /// Lazy-fault bookkeeping shared by [`ColumnSet`] and [`RawMetrics`]:
 /// one [`OnceLock`] slot per lazily backed column, filled from the
-/// source on first touch. Faulting a column in does **not** bump the
-/// owner's generation: a fault happens on the *first* read, so no
-/// cached ordering can ever have observed the pre-fault zeros.
+/// source on first touch.
 #[derive(Debug, Default)]
 struct LazySlots {
     source: Option<Arc<dyn ColumnSource>>,
@@ -141,14 +142,6 @@ impl LazySlots {
     /// Every distinct load failure seen so far, in first-seen order.
     fn all_errors(&self) -> Vec<String> {
         self.errors.lock().expect("lazy errors lock").clone()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|s| s.get())
-            .map(MetricVec::heap_bytes)
-            .sum()
     }
 }
 
@@ -565,8 +558,6 @@ pub enum StorageKind {
 pub struct RawMetrics {
     descs: Vec<MetricDesc>,
     values: Vec<MetricVec>,
-    /// Bumped by every mutation; caches key on it ([`RawMetrics::generation`]).
-    generation: u64,
     /// Lazy-fault slots for metrics backed by a [`ColumnSource`]
     /// (CPDB databases).
     lazy: LazySlots,
@@ -624,15 +615,6 @@ impl RawMetrics {
         &mut self.values[m.index()]
     }
 
-    /// Mutation counter: incremented by every operation that can change
-    /// metric values ([`RawMetrics::add_metric`],
-    /// [`RawMetrics::record_samples`], [`RawMetrics::add_cost`],
-    /// [`RawMetrics::add_costs`]). The Calling Context View's stamp for
-    /// cached child orderings includes it.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Register a raw metric, returning its id. Its column starts as
     /// empty sorted arrays: ingestion puts costs on statements only, in
     /// whatever order profiles arrive.
@@ -640,7 +622,6 @@ impl RawMetrics {
         let id = MetricId::from_usize(self.descs.len());
         self.descs.push(desc);
         self.values.push(MetricVec::csr());
-        self.generation += 1;
         id
     }
 
@@ -671,32 +652,28 @@ impl RawMetrics {
     pub fn record_samples(&mut self, m: MetricId, n: crate::ids::NodeId, count: u64) {
         let period = self.descs[m.index()].period;
         self.resolved_mut(m).add(n.0, count as f64 * period);
-        self.generation += 1;
     }
 
     /// Add a pre-scaled cost at node `n`.
     pub fn add_cost(&mut self, m: MetricId, n: crate::ids::NodeId, cost: f64) {
         self.resolved_mut(m).add(n.0, cost);
-        self.generation += 1;
     }
 
-    /// Batched [`RawMetrics::add_cost`]: one generation bump for the whole
-    /// slice and a tight loop over one column, which keeps columnar
-    /// storage on its O(1) append fast path when `costs` is sorted by
-    /// node (the order correlation reductions produce).
+    /// Batched [`RawMetrics::add_cost`]: one column lookup for the whole
+    /// slice and a tight loop over it, which keeps columnar storage on
+    /// its O(1) append fast path when `costs` is sorted by node (the
+    /// order correlation reductions produce).
     pub fn add_costs(&mut self, m: MetricId, costs: &[(crate::ids::NodeId, f64)]) {
         let col = self.resolved_mut(m);
         for &(n, v) in costs {
             col.add(n.0, v);
         }
-        self.generation += 1;
     }
 
     /// Ingestion is over and the tree has `n_nodes` nodes: give every
     /// resident column the shape [`MetricVec::from_sorted`] picks for its
     /// coverage (`Experiment::build` calls this once it has attributed).
-    /// Values do not change, so neither does the generation; lazily
-    /// backed columns are left on the shelf.
+    /// Values do not change; lazily backed columns are left on the shelf.
     pub(crate) fn settle(&mut self, n_nodes: usize) {
         for (i, col) in self.values.iter_mut().enumerate() {
             if !self.lazy.covers(i) {
@@ -770,11 +747,6 @@ pub fn visible_columns(descs: &[ColumnDesc]) -> impl Iterator<Item = ColumnId> +
 pub struct ColumnSet {
     descs: Vec<ColumnDesc>,
     values: Vec<MetricVec>,
-    /// Bumped by every mutation, mirroring [`RawMetrics::generation`]:
-    /// the Calling Context View's sort-order caches key on it so a column
-    /// appended or rewritten after the fact (e.g. summary statistics via
-    /// `append_columns`) invalidates cached orderings.
-    generation: u64,
     /// Lazy-fault bookkeeping for columns backed by a [`ColumnSource`]
     /// (CPDB databases).
     lazy: LazySlots,
@@ -789,16 +761,14 @@ impl ColumnSet {
     /// Back the first `descs().len()` columns with a lazy source: each
     /// column's values materialize from `source` on first read instead of
     /// being decoded up front. Columns appended *after* this call are
-    /// ordinary eager columns. No generation bump happens when a column
-    /// faults in — faulting occurs on first read, so no cache can have
-    /// observed the pre-fault (empty) values.
+    /// ordinary eager columns.
     pub fn attach_source(&mut self, source: Arc<dyn ColumnSource>) {
         self.lazy.attach(source, self.descs.len());
     }
 
     /// How many columns have materialized values: eager columns plus
-    /// lazily-backed columns that have been faulted in. The laziness
-    /// acceptance tests pin this after a render.
+    /// lazily-backed columns that have been read (not merely computed by
+    /// their source). The laziness acceptance tests pin this.
     pub fn materialized_columns(&self) -> usize {
         self.descs.len() - self.lazy.slots.len() + self.lazy.resident()
     }
@@ -818,7 +788,7 @@ impl ColumnSet {
 
     fn resolved(&self, c: ColumnId) -> &MetricVec {
         self.lazy
-            .fault(c.index(), |s| s.load_column(c))
+            .fault(c.index(), |s| s.load_column(c, self))
             .unwrap_or(&self.values[c.index()])
     }
 
@@ -832,13 +802,6 @@ impl ColumnSet {
         &mut self.values[c.index()]
     }
 
-    /// Mutation counter: incremented by [`ColumnSet::add_column`],
-    /// [`ColumnSet::set`] and [`ColumnSet::add`]. Derived caches (cached
-    /// child sort orders) revalidate against it.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Append a presentation column, returning its id. It starts as an
     /// empty node-indexed vector, which is what its cell-by-cell writers
     /// need (summary statistics: a value at most nodes, in node order).
@@ -846,7 +809,6 @@ impl ColumnSet {
         let id = ColumnId::from_usize(self.descs.len());
         self.descs.push(desc);
         self.values.push(MetricVec::dense(0));
-        self.generation += 1;
         id
     }
 
@@ -902,24 +864,17 @@ impl ColumnSet {
     #[inline]
     pub fn set(&mut self, c: ColumnId, node: u32, value: f64) {
         self.resolved_mut(c).set(node, value);
-        self.generation += 1;
     }
 
     /// Accumulate into column `c` at `node`.
     #[inline]
     pub fn add(&mut self, c: ColumnId, node: u32, delta: f64) {
         self.resolved_mut(c).add(node, delta);
-        self.generation += 1;
     }
 
     /// The per-node storage backing column `c`.
     pub fn vec(&self, c: ColumnId) -> &MetricVec {
         self.resolved(c)
-    }
-
-    /// Approximate heap footprint of all column storage.
-    pub fn heap_bytes(&self) -> usize {
-        self.values.iter().map(MetricVec::heap_bytes).sum::<usize>() + self.lazy.heap_bytes()
     }
 }
 
@@ -1113,7 +1068,7 @@ mod tests {
     struct PerColumnFailure;
 
     impl ColumnSource for PerColumnFailure {
-        fn load_column(&self, c: ColumnId) -> Result<MetricVec, String> {
+        fn load_column(&self, c: ColumnId, _: &ColumnSet) -> Result<MetricVec, String> {
             match c.index() {
                 0 => Ok(MetricVec::from_sorted(vec![(2, 5.0)], 3)),
                 i => Err(format!("column {i}: checksum mismatch")),
@@ -1131,12 +1086,12 @@ mod tests {
     }
 
     impl ColumnSource for CountingSource {
-        fn load_column(&self, _c: ColumnId) -> Result<MetricVec, String> {
+        fn load_column(&self, _c: ColumnId, _: &ColumnSet) -> Result<MetricVec, String> {
             self.loads.fetch_add(1, Ordering::SeqCst);
             Ok(MetricVec::from_sorted(self.entries.clone(), 100))
         }
         fn load_raw(&self, m: MetricId) -> Result<MetricVec, String> {
-            self.load_column(ColumnId(m.0))
+            self.load_column(ColumnId(m.0), &ColumnSet::new())
         }
     }
 
@@ -1151,18 +1106,14 @@ mod tests {
         cs.attach_source(source.clone());
         assert_eq!(cs.materialized_columns(), 0);
 
-        let gen = cs.generation();
         assert_eq!(cs.get(a, 5), 7.5);
         assert_eq!(cs.get(a, 0), 0.0);
-        // Faulting is not a mutation: reads must not invalidate caches.
-        assert_eq!(cs.generation(), gen);
         assert_eq!(cs.materialized_columns(), 1);
         assert_eq!(source.loads.load(Ordering::SeqCst), 1);
 
-        // A mutation lands on the faulted contents and bumps the stamp.
+        // A mutation lands on the faulted contents.
         cs.add(b, 1, 1.0);
         assert_eq!(cs.get(b, 1), 3.0);
-        assert!(cs.generation() > gen);
         assert_eq!(cs.materialized_columns(), 2);
         assert_eq!(source.loads.load(Ordering::SeqCst), 2);
         assert!(cs.lazy_errors().is_empty());
@@ -1212,40 +1163,6 @@ mod tests {
             assert_eq!(cs.fault_count(c), 1, "column {}", c.index());
         }
         assert_eq!(cs.lazy_errors().len(), 2);
-    }
-
-    #[test]
-    fn generation_bumps_on_every_mutation() {
-        let mut raw = RawMetrics::new(StorageKind::Csr);
-        let g0 = raw.generation();
-        let m = raw.add_metric(MetricDesc::new("cycles", "cycles", 10.0));
-        assert!(raw.generation() > g0);
-        let g1 = raw.generation();
-        raw.record_samples(m, NodeId(3), 2);
-        assert!(raw.generation() > g1);
-        let g2 = raw.generation();
-        raw.add_cost(m, NodeId(1), 5.0);
-        assert!(raw.generation() > g2);
-        let g3 = raw.generation();
-        raw.add_costs(m, &[(NodeId(2), 1.0), (NodeId(4), 2.0)]);
-        assert!(raw.generation() > g3);
-        assert_eq!(raw.total(m), 28.0);
-        assert_eq!(raw.direct(m, NodeId(3)), 20.0);
-    }
-
-    #[test]
-    fn column_set_generation_bumps_on_every_mutation() {
-        let mut cols = ColumnSet::new();
-        let g0 = cols.generation();
-        let c = cols.add_column(col("cycles (I)"));
-        assert!(cols.generation() > g0);
-        let g1 = cols.generation();
-        cols.set(c, 3, 5.0);
-        assert!(cols.generation() > g1);
-        let g2 = cols.generation();
-        cols.add(c, 3, 1.0);
-        assert!(cols.generation() > g2);
-        assert_eq!(cols.get(c, 3), 6.0);
     }
 
     #[test]

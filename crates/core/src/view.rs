@@ -319,12 +319,12 @@ impl<'a> View<'a> {
 
     /// Generation stamp for sort-order caches over this view: any
     /// mutation that could change child sets or column values makes a
-    /// previously observed stamp stale. The Calling Context View is
-    /// backed directly by the experiment (raw metrics + CCT columns);
-    /// the derived views by their view tree (structure + columns).
+    /// previously observed stamp stale: the derived views' tree's. The
+    /// Calling Context View's is a constant, since it borrows its
+    /// experiment immutably for as long as it lives (DESIGN.md §9).
     pub fn generation(&self) -> u64 {
         match self {
-            View::CallingContext(exp) => exp.raw.generation() + exp.columns.generation(),
+            View::CallingContext(_) => 0,
             View::Callers { view, .. } => view.tree.generation(),
             View::Flat { view, .. } => view.tree.generation(),
         }

@@ -10,17 +10,16 @@
 //! allocate gigabytes before the first "truncated" error.
 
 use crate::model::DbError;
-use bytes::{Buf, BufMut};
 
 pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            out.put_u8(byte);
+            out.push(byte);
             return;
         }
-        out.put_u8(byte | 0x80);
+        out.push(byte | 0x80);
     }
 }
 
@@ -73,10 +72,10 @@ fn get_varint_slow(buf: &mut &[u8]) -> Result<u64, DbError> {
     let mut v: u64 = 0;
     let mut shift = 0;
     loop {
-        if !buf.has_remaining() {
+        let Some((&byte, rest)) = buf.split_first() else {
             return Err(DbError::new("truncated varint"));
-        }
-        let byte = buf.get_u8();
+        };
+        *buf = rest;
         if shift >= 64 {
             return Err(DbError::new("varint overflow"));
         }
@@ -99,10 +98,10 @@ pub(crate) fn get_count(
     what: &str,
 ) -> Result<usize, DbError> {
     let n = get_varint(buf)? as usize;
-    if n > buf.remaining() / min_item_bytes.max(1) {
+    if n > buf.len() / min_item_bytes.max(1) {
         return Err(DbError::new(format!(
             "{what} count {n} exceeds what {} remaining bytes can hold",
-            buf.remaining()
+            buf.len()
         )));
     }
     Ok(n)
@@ -110,28 +109,29 @@ pub(crate) fn get_count(
 
 pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
-    out.put_slice(s.as_bytes());
+    out.extend_from_slice(s.as_bytes());
 }
 
 pub(crate) fn get_string(buf: &mut &[u8]) -> Result<String, DbError> {
     let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
+    if buf.len() < len {
         return Err(DbError::new("truncated string"));
     }
-    let bytes = buf[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(bytes).map_err(|_| DbError::new("invalid utf-8 in string"))
+    let (bytes, rest) = buf.split_at(len);
+    *buf = rest;
+    String::from_utf8(bytes.to_vec()).map_err(|_| DbError::new("invalid utf-8 in string"))
 }
 
 pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.put_f64_le(v);
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
 pub(crate) fn get_f64(buf: &mut &[u8]) -> Result<f64, DbError> {
-    if buf.remaining() < 8 {
+    let Some((bytes, rest)) = buf.split_first_chunk::<8>() else {
         return Err(DbError::new("truncated f64"));
-    }
-    Ok(buf.get_f64_le())
+    };
+    *buf = rest;
+    Ok(f64::from_le_bytes(*bytes))
 }
 
 pub(crate) fn put_strings(out: &mut Vec<u8>, items: &[String]) {

@@ -280,7 +280,7 @@ pub fn open_with_runs(path: &Path, selections: &[(u32, u32)]) -> Result<Ensemble
         };
         extra.push((info, run_block_section(r as u64, m as u64, nm)?));
     }
-    let exp = open_image_with(image, extra)?;
+    let (exp, _) = open_image_with(image, extra)?;
     Ok(Ensemble { exp, dir })
 }
 

@@ -7,11 +7,10 @@
 //! [`RawMetrics`] and [`ColumnSet`] have a [`ColumnSource`] attached
 //! (the [`LazyShared`] state in this module, holding the raw file
 //! bytes). Every view reads attributed values from `exp.columns` and
-//! nowhere else: the calling-context view faults in exactly the columns
-//! it sorts and displays, the callers and flat views the inclusive and
-//! exclusive column of every metric when they are built. The raw
-//! direct-cost columns are faulted only by what reads direct costs —
-//! the flat view's call-site rows, on expansion, and re-encoding.
+//! nowhere else: every view faults in exactly the columns it sorts and
+//! displays, on their first read. The raw direct-cost columns are
+//! faulted only by what reads direct costs — the exclusive cells of the
+//! flat view's call-site rows, and re-encoding.
 //!
 //! **What one fault costs.** A column fault costs what the column
 //! touches, not what the tree holds: one checksum pass over the metric's
@@ -19,12 +18,14 @@
 //! ([`attribute_sorted`]) reading the block's key/value arrays where
 //! they lie in the image — O(K) for K the union of the non-zeros'
 //! ancestor chains, with one bit per node of private scratch; a column
-//! that covers a quarter of the tree or more is swept in O(n) instead —
-//! and one copy of the kernel's vector into the column's slot. The
-//! kernel's result is cached per metric and shared by its inclusive and
-//! exclusive columns; a derived column is evaluated on the union of its
-//! inputs' non-zeros (at every node only when its formula has a constant
-//! term). Each of these is paid at most once.
+//! that covers a quarter of the tree or more is swept in O(n) instead.
+//! The kernel runs once per metric: the half that was read moves into
+//! its slot, the other is *parked* here until its own column is read and
+//! then moves into that slot. Nothing is copied and nothing is kept, so
+//! `exp.columns` is the only store of attributed values; a parked half
+//! is not resident (a column is faulted when it is read). A derived
+//! column is [`callpath_core::derived::evaluate`] over its inputs'
+//! slots, the evaluator `Experiment::add_derived` uses.
 //!
 //! **What shape a faulted column has** follows from what was read, never
 //! from the file's header: a fixed-width block stays a window onto the
@@ -37,10 +38,12 @@
 //! slot there is no sort and no conversion from one shape to the other.
 //!
 //! `LazyShared` keeps its **own copy** of the CCT (the `Experiment`
-//! owns another) so attribution of a faulted column never needs a
-//! back-reference into the experiment it serves. Topology is a small
-//! fraction of a profile database (and both copies borrow the same
-//! mapped arrays), so the duplication is cheap; see DESIGN.md §10.
+//! owns another): a fault reaches the source through the column set, not
+//! the experiment, so the kernel needs a tree of its own. Both copies
+//! borrow the same mapped arrays, so the duplication is cheap. A block is
+//! verified by its metric's column fault and again by its raw fault, if
+//! one follows: remembering the first check would be state kept only for
+//! the flat view's call-site cells. See DESIGN.md §10.
 //!
 //! Batch consumers that will touch everything anyway (replay, diffing,
 //! format conversion) should call [`decode_all`] right after opening:
@@ -53,18 +56,18 @@ use crate::model::{build_cct, DbError};
 use crate::toc::{
     Toc, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS, SEC_NAMES,
 };
-use callpath_core::attribution::{attribute_sorted, Attribution};
+use callpath_core::attribution::attribute_sorted;
+use callpath_core::derived;
 use callpath_core::prelude::*;
 use callpath_obs as obs;
-use std::borrow::Cow;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Everything a lazily opened experiment needs to fault columns in:
 /// the file image, the parsed TOC, a private copy of the topology,
-/// and per-metric attribution caches.
+/// and the attributed halves whose columns have not been read yet.
 #[derive(Debug)]
-struct LazyShared {
+pub(crate) struct LazyShared {
     data: ByteImage,
     toc: Toc,
     /// Private topology copy for attributing faulted columns.
@@ -80,10 +83,18 @@ struct LazyShared {
     /// Whole-program value per column (from stored totals), for `@n`
     /// references in derived formulas.
     aggregates: Vec<f64>,
-    /// One attribution per metric, in the shape the kernel left it,
-    /// computed on the first fault of either of its presentation columns
-    /// and shared by both.
-    attrs: Vec<OnceLock<Result<Attribution, String>>>,
+    /// Per metric, the half of its attribution whose column has not been
+    /// read yet, tagged with that column: the first fault of either
+    /// column parks the other half here, the sibling's fault takes it.
+    /// (The tag keeps a clone of the experiment, which shares this
+    /// provider, from taking the wrong half.)
+    ///
+    /// Lock order: (1) a column's `OnceLock` slot; (2) the slots of
+    /// earlier columns, which a derived column's inputs are; (3) this
+    /// `Mutex`, which takes no other lock. A fault never fills the
+    /// sibling's slot from inside its own slot's initializer — two
+    /// threads faulting I and E at once would each wait on the other.
+    parked: Vec<Mutex<Option<(usize, MetricVec)>>>,
 }
 
 impl LazyShared {
@@ -93,8 +104,8 @@ impl LazyShared {
 
     /// Raw direct costs of metric `m`. For fixed-kind blocks this
     /// *borrows* the key/value arrays from the image (after verifying the
-    /// block's checksum — paid once, on this first fault) instead of
-    /// decoding them; everything else decodes to owned entries.
+    /// block's checksum) instead of decoding them; everything else
+    /// decodes to owned entries.
     fn raw_column(&self, m: usize) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.block_decode");
         let id = self.sections[m];
@@ -124,99 +135,47 @@ impl LazyShared {
             .map_err(|e| e.message)
     }
 
-    /// Attribution of metric `m`, computed once on first touch: the
-    /// kernel reads the block's key/value arrays where they lie in the
-    /// image (small varint blocks are decoded first).
-    fn attribution(&self, m: usize) -> Result<&Attribution, String> {
-        self.attrs[m]
-            .get_or_init(|| {
-                let raw = self.raw_column(m)?;
-                let (keys, vals) = raw.sorted_parts();
-                Ok(attribute_sorted(&self.cct, &keys, &vals))
-            })
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// Presentation column `c`: the inclusive/exclusive projection of a
-    /// metric (borrowed from the attribution cache), or a derived column
-    /// evaluated from (recursively materialized) referenced columns.
-    fn column(&self, c: usize) -> Result<Cow<'_, MetricVec>, String> {
-        let metric_cols = self.infos.len() * 2;
-        if c < metric_cols {
-            let attr = self.attribution(c / 2)?;
-            return Ok(Cow::Borrowed(if c.is_multiple_of(2) {
-                &attr.inclusive
-            } else {
-                &attr.exclusive
-            }));
+    /// Column `c`, the inclusive (even) or exclusive (odd) half of metric
+    /// `c / 2`: taken from the parking cell if the sibling's fault left
+    /// it there, else computed — the kernel reads the block's key/value
+    /// arrays where they lie in the image (small varint blocks are
+    /// decoded first) — with the sibling half parked. The cell stays
+    /// locked through the kernel, so racing faults of both halves read
+    /// the block once.
+    fn attributed(&self, c: usize) -> Result<MetricVec, String> {
+        let mut parked = self.parked[c / 2].lock().expect("parked half lock");
+        if let Some((_, half)) = parked.take_if(|(at, _)| *at == c) {
+            return Ok(half);
         }
-        let d = c - metric_cols;
-        let expr = self
-            .exprs
-            .get(d)
-            .ok_or_else(|| format!("no column {c} in this database"))?;
-        // One cursor per referenced column. References are validated at
-        // open to point strictly backwards, so the recursion terminates.
-        let mut inputs = Vec::new();
-        for r in expr.references() {
-            if r as usize >= c {
-                return Err(format!("derived column {c} references column {r}"));
-            }
-            inputs.push((r as usize, self.column(r as usize)?));
-        }
-        let mut cursors: Vec<_> = inputs
-            .iter()
-            .map(|(r, col)| (*r, col.nonzero_sorted().peekable()))
-            .collect();
-        let mut row = vec![0.0; c];
-        let eval = |row: &[f64]| {
-            expr.eval(&SliceContext {
-                columns: row,
-                aggregates: &self.aggregates,
-            })
+        let raw = self.raw_column(c / 2)?;
+        let (keys, vals) = raw.sorted_parts();
+        let attr = attribute_sorted(&self.cct, &keys, &vals);
+        let (half, sibling) = if c.is_multiple_of(2) {
+            (attr.inclusive, attr.exclusive)
+        } else {
+            (attr.exclusive, attr.inclusive)
         };
-        // A formula that is zero where all its inputs are can be non-zero
-        // only on the union of their non-zeros, so only those nodes are
-        // evaluated; one with a constant term (`$0 + 1`) has a value at
-        // every node of the tree.
-        let everywhere = eval(&row) != 0.0;
-        let mut out = Vec::new();
-        let mut node = 0;
-        loop {
-            if !everywhere {
-                let heads = cursors.iter_mut().filter_map(|(_, it)| it.peek());
-                match heads.map(|&(k, _)| k).min() {
-                    Some(k) => node = k,
-                    None => break,
-                }
-            }
-            if node >= self.n_nodes() {
-                break;
-            }
-            for (r, it) in &mut cursors {
-                row[*r] = it.next_if(|&(k, _)| k == node).map_or(0.0, |(_, v)| v);
-            }
-            let v = eval(&row);
-            if v != 0.0 {
-                out.push((node, v));
-            }
-            node += 1;
-        }
-        Ok(Cow::Owned(MetricVec::from_sorted(out, self.cct.len())))
+        *parked = Some((c ^ 1, sibling));
+        Ok(half)
     }
 }
 
 impl ColumnSource for LazyShared {
-    fn load_column(&self, c: ColumnId) -> Result<MetricVec, String> {
+    fn load_column(&self, c: ColumnId, columns: &ColumnSet) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.column_fault");
         obs::count("expdb.lazy.fault.column", 1);
-        self.column(c.index())
-            .map(Cow::into_owned)
-            .inspect_err(|reason| {
-                obs::count("expdb.lazy.fault.failed", 1);
-                obs::error(&format!("column {}: {reason}", c.index()));
-            })
+        let (c, metric_cols) = (c.index(), self.infos.len() * 2);
+        let column = if c < metric_cols {
+            self.attributed(c)
+        } else {
+            // Its inputs were checked at open to be earlier columns.
+            let (expr, n) = (&self.exprs[c - metric_cols], self.cct.len());
+            Ok(derived::evaluate(expr, columns, &self.aggregates, n))
+        };
+        column.inspect_err(|reason| {
+            obs::count("expdb.lazy.fault.failed", 1);
+            obs::error(&format!("column {c}: {reason}"));
+        })
     }
 
     fn load_raw(&self, m: MetricId) -> Result<MetricVec, String> {
@@ -266,24 +225,25 @@ pub fn open_lazy_path(path: &Path) -> Result<Experiment, DbError> {
 }
 
 fn open_image(image: FileImage) -> Result<Experiment, DbError> {
-    open_image_with(ByteImage::new(Arc::new(image)), Vec::new())
+    open_image_with(ByteImage::new(Arc::new(image)), Vec::new()).map(|(exp, _)| exp)
 }
 
 /// The full lazy-open path, optionally appending *extra* metrics whose
 /// cost blocks live in non-standard sections — the ensemble reader
 /// ([`crate::ens`]) uses this to graft per-run drill-down columns onto
 /// an opened `.cpens` container. Each extra entry is a descriptor plus
-/// the section id holding its block.
+/// the section id holding its block. The provider attached to the
+/// experiment comes back beside it.
 pub(crate) fn open_image_with(
     image: ByteImage,
     extra: Vec<(MetricInfo, u32)>,
-) -> Result<Experiment, DbError> {
+) -> Result<(Experiment, Arc<LazyShared>), DbError> {
     let _span = obs::span("expdb.open_lazy");
     let data = image.bytes();
     let toc = Toc::parse(data)?;
     let (procs, files, modules) = bin2::read_names(toc.section(data, SEC_NAMES)?)?;
     let mut infos = bin2::read_metric_infos(toc.section(data, SEC_METRICS)?)?;
-    let derived = bin2::read_derived(toc.section(data, SEC_DERIVED)?)?;
+    let defs = bin2::read_derived(toc.section(data, SEC_DERIVED)?)?;
     let mut sections: Vec<u32> = (0..infos.len() as u32)
         .map(|i| SEC_BLOCK_BASE + i)
         .collect();
@@ -306,7 +266,7 @@ pub(crate) fn open_image_with(
 
     let mut raw = RawMetrics::new(StorageKind::Csr);
     let mut columns = ColumnSet::new();
-    let mut aggregates = Vec::with_capacity(infos.len() * 2 + derived.len());
+    let mut aggregates = Vec::with_capacity(infos.len() * 2 + defs.len());
     for (i, info) in infos.iter().enumerate() {
         let m = MetricId::from_usize(i);
         raw.add_metric(MetricDesc::new(&info.name, &info.unit, info.period));
@@ -326,21 +286,10 @@ pub(crate) fn open_image_with(
         aggregates.push(info.total);
     }
 
-    let mut exprs = Vec::with_capacity(derived.len());
-    let mut derived_cols = Vec::with_capacity(derived.len());
-    for (name, formula) in &derived {
-        let expr = Expr::parse(formula)
+    let mut derived_cols = Vec::with_capacity(defs.len());
+    for (name, formula) in &defs {
+        let (expr, agg) = derived::parse_column(formula, columns.column_count(), &aggregates)
             .map_err(|e| DbError::new(format!("derived metric '{name}': {e}")))?;
-        let existing = columns.column_count() as u32;
-        if let Some(&bad) = expr.references().iter().find(|&&r| r >= existing) {
-            return Err(DbError::new(format!(
-                "derived metric '{name}' references non-existent column ${bad}"
-            )));
-        }
-        let agg = expr.eval(&SliceContext {
-            columns: &aggregates,
-            aggregates: &aggregates,
-        });
         let c = columns.add_column(ColumnDesc {
             name: name.clone(),
             flavor: ColumnFlavor::Derived {
@@ -349,29 +298,23 @@ pub(crate) fn open_image_with(
             visible: true,
         });
         aggregates.push(agg);
-        derived_cols.push((c, expr.clone()));
-        exprs.push(expr);
+        derived_cols.push((c, expr));
     }
 
     let shared = Arc::new(LazyShared {
         data: image.clone(),
         toc,
         cct: cct.clone(),
-        attrs: (0..infos.len()).map(|_| OnceLock::new()).collect(),
+        parked: (0..infos.len()).map(|_| Mutex::new(None)).collect(),
         infos,
         sections,
-        exprs,
+        exprs: derived_cols.iter().map(|(_, e)| e.clone()).collect(),
         aggregates: aggregates.clone(),
     });
     raw.attach_source(shared.clone());
-    columns.attach_source(shared);
-    Ok(Experiment::open_lazy(
-        cct,
-        raw,
-        columns,
-        derived_cols,
-        aggregates,
-    ))
+    columns.attach_source(shared.clone());
+    let exp = Experiment::open_lazy(cct, raw, columns, derived_cols, aggregates);
+    Ok((exp, shared))
 }
 
 /// Build the CCT by *borrowing* the topology arrays from the image
@@ -518,11 +461,28 @@ mod tests {
         let bytes = crate::to_binary_v21(&sample_experiment());
         let lazy = open_lazy(bytes).unwrap();
         // Touch only the first metric's inclusive column: its sibling
-        // exclusive column shares the attribution but stays
-        // unmaterialized, and the second metric's block is never read.
+        // exclusive half is parked, not resident, and the second
+        // metric's block is never read.
         lazy.columns.get(ColumnId(0), 0);
         assert_eq!(lazy.columns.materialized_columns(), 1);
         assert_eq!(lazy.raw.materialized_metrics(), 0);
+    }
+
+    #[test]
+    fn a_half_is_parked_until_its_column_is_read_then_nothing_is() {
+        let bytes = crate::to_binary_v21(&sample_experiment());
+        let image = ByteImage::new(Arc::new(FileImage::from_vec(bytes)));
+        let (lazy, shared) = open_image_with(image, Vec::new()).unwrap();
+        let parked = |m: usize| shared.parked[m].lock().unwrap().as_ref().map(|p| p.0);
+        // Metric 0's exclusive column first, metric 1's inclusive one.
+        for (first, sibling) in [(1, 0), (2, 3)] {
+            lazy.columns.get(ColumnId::from_usize(first), 0);
+            assert_eq!(parked(first / 2), Some(sibling));
+        }
+        assert_eq!(lazy.columns.materialized_columns(), 2);
+        lazy.attributions();
+        assert_eq!((parked(0), parked(1)), (None, None));
+        assert!((0..4).all(|c| lazy.columns.fault_count(ColumnId(c)) == 1));
     }
 
     #[test]
@@ -590,7 +550,7 @@ mod tests {
         let waste = exp.add_derived("waste", "$0 * 4 - $3").unwrap();
         // A constant term: a value at every node of the tree.
         let plus_one = exp.add_derived("plus one", "$0 + 1").unwrap();
-        // 0/0 at every node without cycles: NaN is not zero either.
+        // A guarded division: zero wherever there are no cycles.
         let ratio = exp.add_derived("ratio", "$2 / $0").unwrap();
         let chained = exp
             .add_derived("chained", &format!("${} - ${}", waste.0, plus_one.0))

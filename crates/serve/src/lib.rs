@@ -11,9 +11,9 @@
 //! (mmap-backed for v2.1, so the OS page cache is the working set) and
 //! every client gets its own [`Session`] — expansion state, sort
 //! column, zoom, flatten level — over the same experiment. The
-//! generation-stamped attribution/sort caches and `OnceLock` lazy
-//! column slots make the sharing safe without any per-request locking
-//! of the experiment itself.
+//! per-session sort caches and the `OnceLock` lazy column slots make
+//! the sharing safe without any per-request locking of the experiment
+//! itself.
 //!
 //! Layering:
 //!

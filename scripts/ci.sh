@@ -34,9 +34,10 @@ CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_a
 # skip the structure entirely: the three oracles, the adversarial-link
 # property (`tests/arena_cct.rs`) and the 100 000-frame chain on a
 # 256 KiB stack (in `tests/correlate_oracle.rs`) run once more in
-# release mode, as every tool and the benchmark are built.
+# release mode, as every tool and the benchmark are built — and the lazy
+# fault tests, whose parked halves and slot races are release code too.
 cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct \
-    --test correlate_oracle
+    --test correlate_oracle --test lazy_storage_acceptance --test lazy_fault_stress
 # The `--no-default-features` pass above runs only the root package's
 # tests, and the workspace pass compiles expdb with `mmap` on (feature
 # unification through the root package), so this is the one place

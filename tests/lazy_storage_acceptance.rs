@@ -192,11 +192,102 @@ fn sparse_cpdb() -> Vec<u8> {
 /// Non-zero entries of every presentation column and raw metric.
 type Entries = Vec<Vec<(u32, u64)>>;
 
+fn bits(v: &MetricVec) -> Vec<(u32, u64)> {
+    v.nonzero_sorted().map(|(n, x)| (n, x.to_bits())).collect()
+}
+
 fn all_entries(exp: &Experiment) -> (Entries, Entries) {
-    let bits = |v: &MetricVec| v.nonzero_sorted().map(|(n, x)| (n, x.to_bits())).collect();
     let columns = exp.columns.columns().map(|c| bits(exp.columns.vec(c)));
     let raw = (0..exp.raw.metric_count()).map(|m| bits(exp.raw.column(MetricId::from_usize(m))));
     (columns.collect(), raw.collect())
+}
+
+/// Cost blocks read (`expdb.block_decode` spans closed) so far inside
+/// spans named `scope`, which only the calling test opens.
+fn blocks_read_under(scope: &str) -> u64 {
+    let spans = callpath_obs::snapshot().spans;
+    let mut inside = vec![false; spans.len()];
+    let mut read = 0;
+    // Parents precede their children; index 0 is the root.
+    for (i, s) in spans.iter().enumerate().skip(1) {
+        inside[i] = s.name == scope || inside[s.parent];
+        if inside[i] && s.name == "expdb.block_decode" {
+            read += s.count;
+        }
+    }
+    read
+}
+
+/// A metric's two columns come from one kernel run, whichever is read
+/// first: the other half waits, not resident, until its own column is
+/// read. Both are the eager open's bits, each column is faulted once,
+/// and the metric's block is read once.
+#[test]
+fn either_half_first_reads_the_block_once_and_matches_the_eager_open() {
+    for (file, bytes) in both_files() {
+        let eager = from_binary(&bytes).unwrap();
+        let m = MetricId(1);
+        for (first, scope) in [(0, "test.inclusive_first"), (1, "test.exclusive_first")] {
+            let exp = open_lazy(bytes.clone()).unwrap();
+            let halves = [exp.inclusive_col(m), exp.exclusive_col(m)];
+            let before = blocks_read_under(scope);
+            {
+                let _scope = callpath_obs::span(scope);
+                exp.columns.vec(halves[first]);
+                assert_eq!(exp.columns.materialized_columns(), 1, "{file}, {scope}");
+                exp.columns.vec(halves[1 - first]);
+            }
+            for c in halves {
+                let (got, want) = (exp.columns.vec(c), eager.columns.vec(c));
+                assert_eq!(bits(got), bits(want), "{file}, {scope}: {c:?}");
+                assert_eq!(exp.columns.fault_count(c), 1, "{file}, {scope}: {c:?}");
+            }
+            assert_eq!(exp.columns.materialized_columns(), 2, "{file}, {scope}");
+            assert_eq!(exp.raw.materialized_metrics(), 0, "{file}, {scope}");
+            if callpath_obs::enabled() {
+                assert_eq!(blocks_read_under(scope) - before, 1, "{file}, {scope}");
+            }
+        }
+    }
+}
+
+/// A clone of a lazily opened experiment shares its provider, parked
+/// halves included: each copy's first read of a column still gets that
+/// column.
+#[test]
+fn a_clone_sharing_the_provider_reads_its_own_columns() {
+    let bytes = sparse_cpdb();
+    let want = all_entries(&from_binary(&bytes).unwrap()).0;
+    let first = open_lazy(bytes).unwrap();
+    let second = first.clone();
+    first.columns.vec(ColumnId(0));
+    for exp in [&second, &first] {
+        for c in [0, 1] {
+            assert_eq!(bits(exp.columns.vec(ColumnId(c))), want[c as usize], "{c}");
+        }
+    }
+}
+
+/// A derived column added to a lazily opened database reads the columns
+/// its formula names and no other: the two exclusive columns fault, the
+/// inclusive halves their kernels computed stay parked, and no raw block
+/// is read. The values are the eager open's.
+#[test]
+fn add_derived_on_a_lazy_open_faults_only_the_columns_it_names() {
+    let bytes = s3d_cpdb();
+    let mut exp = open_lazy(bytes.clone()).unwrap();
+    let stored = exp.columns.column_count();
+    let w = exp.add_derived("w", "$1 * 4 - $3").unwrap();
+    for c in (0..stored).map(ColumnId::from_usize) {
+        let want = u64::from(c == ColumnId(1) || c == ColumnId(3));
+        assert_eq!(exp.columns.fault_count(c), want, "{c:?}");
+    }
+    assert_eq!(exp.columns.fault_count(w), 0, "an appended column is eager");
+    assert_eq!(exp.raw.materialized_metrics(), 0);
+    let mut eager = from_binary(&bytes).unwrap();
+    let want = eager.add_derived("w", "$1 * 4 - $3").unwrap();
+    assert_eq!(bits(exp.columns.vec(w)), bits(eager.columns.vec(want)));
+    assert!(exp.columns.vec(w).nonzero_count() > 0);
 }
 
 /// What a column fault leaves behind follows the data, and nothing in
@@ -280,11 +371,13 @@ fn decode_all_equals_serial_faults() {
 
 /// Eight threads race the first read of every column and raw metric of
 /// a sparse file: one decode each, and everybody reads the eager values.
+/// Then two threads race each metric's two halves, one the inclusive and
+/// one the exclusive column: one block read per metric.
 #[test]
 fn racing_faults_on_a_sparse_file_decode_each_column_once() {
     let bytes = sparse_cpdb();
     let want = all_entries(&from_binary(&bytes).unwrap());
-    let lazy = open_lazy(bytes).unwrap();
+    let lazy = open_lazy(bytes.clone()).unwrap();
     let barrier = std::sync::Barrier::new(8);
     std::thread::scope(|scope| {
         for _ in 0..8 {
@@ -305,6 +398,36 @@ fn racing_faults_on_a_sparse_file_decode_each_column_once() {
         );
     }
     assert!(lazy.columns.lazy_errors().is_empty() && lazy.raw.lazy_errors().is_empty());
+
+    let halves = open_lazy(bytes).unwrap();
+    let metrics = halves.raw.metric_count();
+    let scope = "test.racing_halves";
+    let before = blocks_read_under(scope);
+    let pair = std::sync::Barrier::new(2);
+    {
+        let _scope = callpath_obs::span(scope);
+        let parent = callpath_obs::current();
+        std::thread::scope(|s| {
+            for half in [0, 1] {
+                let (halves, pair) = (&halves, &pair);
+                s.spawn(move || {
+                    let _span = callpath_obs::span_under(parent, "test.racing_half");
+                    for m in 0..metrics {
+                        pair.wait();
+                        halves.columns.vec(ColumnId::from_usize(2 * m + half));
+                    }
+                });
+            }
+        });
+    }
+    for c in (0..2 * metrics).map(ColumnId::from_usize) {
+        assert_eq!(bits(halves.columns.vec(c)), want.0[c.index()], "{c:?}");
+        assert_eq!(halves.columns.fault_count(c), 1, "{c:?}");
+    }
+    assert_eq!(halves.raw.materialized_metrics(), 0);
+    if callpath_obs::enabled() {
+        assert_eq!(blocks_read_under(scope) - before, metrics as u64);
+    }
 }
 
 /// A damaged block on the sparse file: the columns computed from it read
