@@ -16,6 +16,7 @@ use callpath_core::experiment::Experiment;
 use callpath_core::hotpath::HotPathConfig;
 use callpath_core::jsonval::{obj, Json};
 use callpath_core::view::View;
+use callpath_core::viewtree::SortDir;
 use callpath_expdb::ens::Directory;
 use callpath_parallel::imbalance::ImbalanceStats;
 
@@ -182,11 +183,7 @@ pub fn load_imbalance(series: &[f64], what: &str, cfg: &ImbalanceConfig) -> Verd
         ],
     }];
     let mut worst: Vec<(usize, f64)> = series.iter().copied().enumerate().collect();
-    worst.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    worst.sort_by(|a, b| SortDir::Descending.cmp_values(a.1, b.1).then(a.0.cmp(&b.0)));
     for (rank, v) in worst.into_iter().take(cfg.top) {
         evidence.push(Evidence {
             path: vec![format!("rank {rank}")],
@@ -312,11 +309,7 @@ pub fn scaling_loss_verdict(
         .map(|n| (n.0, exp.columns.get(analysis.loss_incl, n.0)))
         .filter(|&(_, v)| v > 0.0)
         .collect();
-    frames.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    frames.sort_by(|a, b| SortDir::Descending.cmp_values(a.1, b.1).then(a.0.cmp(&b.0)));
     let evidence = frames
         .into_iter()
         .take(cfg.top)
@@ -419,11 +412,7 @@ pub fn derived_waste(
         })
         .filter(|&(_, w)| w > 0.0)
         .collect();
-    frames.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    frames.sort_by(|a, b| SortDir::Descending.cmp_values(a.1, b.1).then(a.0.cmp(&b.0)));
     let evidence = frames
         .into_iter()
         .take(cfg.top)

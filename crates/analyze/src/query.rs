@@ -51,6 +51,7 @@ use callpath_core::ids::{ColumnId, FileId, LoadModuleId, NodeId, ProcId};
 use callpath_core::jsonval::{obj, Json};
 use callpath_core::metrics::ColumnSet;
 use callpath_core::scope::ScopeKind;
+use callpath_core::viewtree::SortDir;
 
 /// Longest accepted query text, in bytes.
 pub const MAX_QUERY: usize = 8 * 1024;
@@ -777,11 +778,7 @@ pub fn run_query(
         })
         .collect();
     let matched = scored.len();
-    scored.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    scored.sort_by(|a, b| SortDir::Descending.cmp_values(a.1, b.1).then(a.0.cmp(&b.0)));
     scored.truncate(top);
     let hits = scored
         .into_iter()

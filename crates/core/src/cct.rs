@@ -182,9 +182,23 @@ impl Cct {
 
     /// The owned arena, copying a mapped topology into one first. The
     /// copy reads what [`Topo`] reads: out-of-range link words become
-    /// none, and name ids go through the decoder's clamp, since an owned
-    /// arena's are never clamped.
+    /// none, and the fields are the canonical form (`Topo::canonical`:
+    /// name ids clamped), since an owned arena's are never clamped.
+    #[inline]
     fn arena(&mut self) -> &mut Arena {
+        if let Store::Mapped(_) = &self.store {
+            self.make_owned();
+        }
+        match &mut self.store {
+            Store::Owned(arena) => arena,
+            Store::Mapped(_) => unreachable!("copied into an owned arena above"),
+        }
+    }
+
+    /// The copy of [`Self::arena`]: once per tree, out of the per-node
+    /// paths that call it.
+    #[cold]
+    fn make_owned(&mut self) {
         if let Store::Mapped(mapped) = &self.store {
             let topo = mapped.topo();
             let n = topo.len();
@@ -203,13 +217,9 @@ impl Cct {
                     .map(|i| topo.children(i).last().map_or(NONE, |c| c.0))
                     .collect(),
                 tags: topo.tags().to_vec(),
-                fields: nodes().flat_map(|i| encode_kind(&topo.kind(i)).1).collect(),
+                fields: nodes().flat_map(|i| topo.canonical(i).1).collect(),
             };
             self.store = Store::Owned(arena);
-        }
-        match &mut self.store {
-            Store::Owned(arena) => arena,
-            Store::Mapped(_) => unreachable!("copied into an owned arena above"),
         }
     }
 
@@ -229,20 +239,38 @@ impl Cct {
     /// [`Self::find_or_add_child`], also reporting whether the child was
     /// newly created. Journal-pruning merges need the distinction: only
     /// first-appearance edges have to be replayed to reconstruct a CCT,
-    /// so repeat visits can be dropped at record time. Siblings are
-    /// compared in their encoded form, against the encoded `kind`; a
-    /// mapped tree is copied into an owned arena first.
+    /// so repeat visits can be dropped at record time.
     pub fn find_or_add_child_tracked(&mut self, parent: NodeId, kind: ScopeKind) -> (NodeId, bool) {
         let (tag, fields) = encode_kind(&kind);
-        let arena = &*self.arena();
-        let found = arena.topo().children(parent).find(|c| {
-            let at = c.index() * tags::N_FIELDS;
-            arena.tags[c.index()] == tag && arena.fields[at..at + tags::N_FIELDS] == fields
-        });
-        match found {
-            Some(c) => (c, false),
-            None => (self.arena().push(parent.0, (tag, fields)), true),
+        self.find_or_add_encoded(parent, tag, fields)
+    }
+
+    /// [`Self::find_or_add_child_tracked`] on the encoded form. Siblings
+    /// are compared word for word, so `(tag, fields)` must be canonical
+    /// (what [`encode_kind`] or `Topo::canonical` returns); a mapped tree
+    /// is copied into an owned arena first.
+    #[inline]
+    pub(crate) fn find_or_add_encoded(
+        &mut self,
+        parent: NodeId,
+        tag: u8,
+        fields: [u32; tags::N_FIELDS],
+    ) -> (NodeId, bool) {
+        let arena = self.arena();
+        // An owned arena's links are in range (a copied image's were
+        // sanitized), but a copied image may still carry a sibling cycle:
+        // the scan is budgeted like `Topo::children`.
+        let mut c = arena.first_child[parent.index()];
+        let mut budget = arena.tags.len();
+        while c != NONE && budget > 0 {
+            budget -= 1;
+            let at = c as usize * tags::N_FIELDS;
+            if arena.tags[c as usize] == tag && arena.fields[at..at + tags::N_FIELDS] == fields {
+                return (NodeId(c), false);
+            }
+            c = arena.next_sibling[c as usize];
         }
+        (arena.push(parent.0, (tag, fields)), true)
     }
 
     /// Scope kind of node `n`, decoded from its tag and fields. Returned

@@ -112,9 +112,7 @@ pub mod prelude {
     pub use crate::scope::ScopeKind;
     pub use crate::source::SourceStore;
     pub use crate::summary::{Stat, Welford};
-    pub use crate::supergraph::{
-        arena_journal, merge_shards, replay_into, translate_kind, CctShard, RemapNodes,
-    };
+    pub use crate::supergraph::{arena_journal, merge_shards, replay_into, CctShard, RemapNodes};
     pub use crate::topo::Topo;
     pub use crate::view::{sort_by_column, sort_nodes_with, top_k_by_column, View, ViewKind};
     pub use crate::viewtree::{

@@ -49,6 +49,25 @@ impl Interner {
     }
 }
 
+/// One of a [`NameTable`]'s three namespaces, for code that handles ids
+/// of all three alike (a topology's encoded fields, `crate::topo::Field`).
+/// The discriminant indexes per-namespace arrays: procedures, files,
+/// modules — the order of a topology's clamp limits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Namespace {
+    /// Procedure names ([`ProcId`]).
+    Proc = 0,
+    /// Source file names ([`FileId`]).
+    File = 1,
+    /// Load module names ([`LoadModuleId`]).
+    Module = 2,
+}
+
+impl Namespace {
+    /// All three, in discriminant order.
+    pub const ALL: [Namespace; 3] = [Namespace::Proc, Namespace::File, Namespace::Module];
+}
+
 /// Name tables shared by a CCT and all views derived from it.
 ///
 /// Procedures, files and load modules intern into separate namespaces, so a
@@ -65,6 +84,33 @@ impl NameTable {
     /// Empty name tables.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn interner(&self, ns: Namespace) -> &Interner {
+        match ns {
+            Namespace::Proc => &self.procs,
+            Namespace::File => &self.files,
+            Namespace::Module => &self.modules,
+        }
+    }
+
+    /// Intern `name` into namespace `ns`, returning its raw id.
+    pub fn intern(&mut self, ns: Namespace, name: &str) -> u32 {
+        match ns {
+            Namespace::Proc => self.procs.intern(name),
+            Namespace::File => self.files.intern(name),
+            Namespace::Module => self.modules.intern(name),
+        }
+    }
+
+    /// Name of raw id `id` in namespace `ns`.
+    pub fn name(&self, ns: Namespace, id: u32) -> &str {
+        self.interner(ns).get(id)
+    }
+
+    /// Number of names interned in namespace `ns`.
+    pub fn count(&self, ns: Namespace) -> usize {
+        self.interner(ns).len()
     }
 
     /// Intern a procedure name.
@@ -169,6 +215,19 @@ mod tests {
         assert_eq!(t.proc_name(p), "x");
         assert_eq!(t.file_name(f), "x");
         assert_eq!(t.module_name(m), "x");
+    }
+
+    #[test]
+    fn namespace_access_matches_the_typed_methods() {
+        let mut t = NameTable::new();
+        let p = t.proc("f");
+        assert_eq!(t.intern(Namespace::File, "f.c"), t.file("f.c").0);
+        assert_eq!(t.intern(Namespace::Module, "m"), 0);
+        assert_eq!(t.name(Namespace::Proc, p.0), "f");
+        assert_eq!(t.name(Namespace::Module, 0), t.module_name(LoadModuleId(0)));
+        for (ns, n) in Namespace::ALL.into_iter().zip([1, 1, 1]) {
+            assert_eq!(t.count(ns), n);
+        }
     }
 
     #[test]

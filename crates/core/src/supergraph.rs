@@ -4,23 +4,25 @@
 //! `ensemble::build_union` merges the trees of N arbitrary runs
 //! (DESIGN.md §15); `diff` merges exactly two experiments. Both reduce
 //! to the same primitive — replay a pruned creation journal of one tree
-//! against another, translating scope kinds **by name** — which this
-//! module factors out:
+//! against another, matching scopes **by name** — which this module
+//! factors out:
 //!
 //! * [`arena_journal`] derives the pruned journal of any loaded CCT
 //!   from its arena order (arena order *is* creation order, parents
 //!   precede children — see [`crate::cct`]);
-//! * [`translate_kind`] rewrites a [`ScopeKind`] from one name table
-//!   into another, interning on demand. Within one namespace the
-//!   intern order is proc, then module, then definition file, then
-//!   call-site file — the same order `diff`'s merge has always used,
-//!   so rebasing `diff` on this module is byte-identical;
 //! * [`replay_into`] replays a journal into a destination shard,
-//!   returning the node remap table. A tree refers to the same few
-//!   names from all of its nodes, so a replay interns each distinct
-//!   source name id by string once — at its first appearance, which is
-//!   where [`translate_kind`] per node would have interned it — and
-//!   translates every later appearance with an array load;
+//!   returning the node remap table. It never builds a
+//!   [`crate::scope::ScopeKind`]: each source node's canonical encoded
+//!   words (`Topo::canonical`) have their name ids
+//!   ([`crate::topo::visit_fields`]) rewritten into the destination's
+//!   table, and the child is looked up on those words. A tree refers
+//!   to the same few names from all of its nodes, so each
+//!   distinct source id is interned by string once, at its first
+//!   appearance, and every later appearance is an array load. Within a
+//!   node the ids are interned in field order — proc, module,
+//!   definition file, call-site file — the order `diff`'s merge has
+//!   always used, so the result equals translating each node's decoded
+//!   kind by string (`tests/arena_cct.rs` holds it to that oracle);
 //! * [`CctShard`] pairs a CCT + journal with an arbitrary payload that
 //!   knows how to remap itself ([`RemapNodes`]), so the same pairwise
 //!   merge carries whatever a caller keeps in node ids (the ensemble's
@@ -38,125 +40,46 @@
 //! name-table ordering or unreferenced names.
 
 use crate::cct::Cct;
-use crate::ids::{FileId, LoadModuleId, NodeId, ProcId};
-use crate::names::{NameTable, SourceLoc};
-use crate::scope::ScopeKind;
+use crate::ids::NodeId;
+use crate::names::{NameTable, Namespace};
+use crate::topo::{tags, visit_fields, Field};
 
-/// Source name ids on their way into a destination table. An id is
-/// interned by string — `names.proc / module / file(&str)` — and, when
-/// the table for its namespace has a slot for it, remembered there, so
-/// that the id's next appearance is an array load.
+/// Source name ids on their way into a destination table: an id is
+/// interned by string at its first appearance and remembered, so that
+/// its next appearance is an array load.
 struct Translation<'a> {
     names: &'a mut NameTable,
     src: &'a NameTable,
-    /// `src id -> dst id` per namespace, [`UNSEEN`] until the id first
-    /// appears; empty when nothing is to be remembered.
-    procs: Vec<u32>,
-    modules: Vec<u32>,
-    files: Vec<u32>,
+    /// `src id -> dst id`, one table per [`Namespace`] (index = its
+    /// discriminant), [`UNSEEN`] until the id first appears.
+    seen: [Vec<u32>; 3],
 }
 
 const UNSEEN: u32 = u32::MAX;
 
-/// The remembered id in `seen[src]`, or `intern()` (remembered if `seen`
-/// has the slot).
-#[inline]
-fn seen_or(seen: &mut [u32], src: u32, intern: impl FnOnce() -> u32) -> u32 {
-    match seen.get_mut(src as usize) {
-        Some(slot) => {
-            if *slot == UNSEEN {
-                *slot = intern();
-            }
-            *slot
-        }
-        None => intern(),
-    }
-}
-
 impl<'a> Translation<'a> {
-    /// Translates each appearance by string.
-    fn by_name(names: &'a mut NameTable, src: &'a NameTable) -> Self {
+    fn new(names: &'a mut NameTable, src: &'a NameTable) -> Self {
         Translation {
             names,
             src,
-            procs: Vec::new(),
-            modules: Vec::new(),
-            files: Vec::new(),
+            seen: Namespace::ALL.map(|ns| vec![UNSEEN; src.count(ns)]),
         }
     }
 
-    /// Translates each distinct id by string once: for a whole tree.
-    fn remembering(names: &'a mut NameTable, src: &'a NameTable) -> Self {
-        Translation {
-            procs: vec![UNSEEN; src.proc_count()],
-            modules: vec![UNSEEN; src.module_count()],
-            files: vec![UNSEEN; src.file_count()],
-            ..Self::by_name(names, src)
-        }
-    }
-
-    fn proc(&mut self, p: ProcId) -> ProcId {
-        let (names, src) = (&mut *self.names, self.src);
-        ProcId(seen_or(&mut self.procs, p.0, || {
-            names.proc(src.proc_name(p)).0
-        }))
-    }
-
-    fn module(&mut self, m: LoadModuleId) -> LoadModuleId {
-        let (names, src) = (&mut *self.names, self.src);
-        LoadModuleId(seen_or(&mut self.modules, m.0, || {
-            names.module(src.module_name(m)).0
-        }))
-    }
-
-    fn loc(&mut self, l: SourceLoc) -> SourceLoc {
-        let (names, src) = (&mut *self.names, self.src);
-        let file = seen_or(&mut self.files, l.file.0, || {
-            names.file(src.file_name(l.file)).0
+    /// Rewrite the name ids of a canonical encoded scope, in field order
+    /// — proc, module, def file, call-site file: the intern order.
+    #[inline]
+    fn scope(&mut self, tag: u8, fields: &mut [u32; tags::N_FIELDS]) {
+        visit_fields(tag, fields, |field, word| {
+            if let Field::Name(ns) = field {
+                let slot = &mut self.seen[ns as usize][*word as usize];
+                if *slot == UNSEEN {
+                    *slot = self.names.intern(ns, self.src.name(ns, *word));
+                }
+                *word = *slot;
+            }
         });
-        SourceLoc::new(FileId(file), l.line)
     }
-
-    /// The one definition of the intern order: proc, module, def file,
-    /// call-site file, in field order.
-    fn kind(&mut self, k: &ScopeKind) -> ScopeKind {
-        match *k {
-            ScopeKind::Root => ScopeKind::Root,
-            ScopeKind::Frame {
-                proc,
-                module,
-                def,
-                call_site,
-            } => ScopeKind::Frame {
-                proc: self.proc(proc),
-                module: self.module(module),
-                def: self.loc(def),
-                call_site: call_site.map(|c| self.loc(c)),
-            },
-            ScopeKind::InlinedFrame {
-                proc,
-                def,
-                call_site,
-            } => ScopeKind::InlinedFrame {
-                proc: self.proc(proc),
-                def: self.loc(def),
-                call_site: self.loc(call_site),
-            },
-            ScopeKind::Loop { header } => ScopeKind::Loop {
-                header: self.loc(header),
-            },
-            ScopeKind::Stmt { loc } => ScopeKind::Stmt { loc: self.loc(loc) },
-        }
-    }
-}
-
-/// Rewrite `kind` from `src` names into `names`, interning on demand.
-///
-/// Intern order within each namespace is fixed (proc, module, def
-/// file, call-site file, in field order) so that two folds seeing the
-/// same kind sequence build the same name table.
-pub fn translate_kind(names: &mut NameTable, src: &NameTable, k: &ScopeKind) -> ScopeKind {
-    Translation::by_name(names, src).kind(k)
 }
 
 /// The pruned creation journal of a loaded CCT: every non-root node
@@ -170,11 +93,11 @@ pub fn arena_journal(cct: &Cct) -> Vec<(NodeId, NodeId)> {
         .collect()
 }
 
-/// Replay `journal` (edges over `src`) into `dst`, translating scope
-/// kinds from `src.names` into `dst`'s name table and extending
-/// `dst_journal` with the edges that created new nodes. Returns the
-/// remap table: `remap[src node] = dst node` for every node the
-/// journal mentions (untouched slots stay `NodeId(u32::MAX)`).
+/// Replay `journal` (edges over `src`) into `dst`, translating each
+/// scope's name ids from `src.names` into `dst`'s name table and
+/// extending `dst_journal` with the edges that created new nodes.
+/// Returns the remap table: `remap[src node] = dst node` for every node
+/// the journal mentions (untouched slots stay `NodeId(u32::MAX)`).
 ///
 /// `dst`'s existing node ids are stable across the call; new nodes are
 /// appended in `journal` order — exactly where a sequential fold that
@@ -190,7 +113,7 @@ pub fn replay_into(
     // The name table is moved out for the duration of the replay so
     // `dst` itself stays borrowable.
     let mut names = std::mem::take(&mut dst.names);
-    let mut translation = Translation::remembering(&mut names, &src.names);
+    let mut translation = Translation::new(&mut names, &src.names);
     let src_topo = src.topo();
     for &(parent, child) in journal {
         let merged_parent = remap[parent.index()];
@@ -199,8 +122,9 @@ pub fn replay_into(
             u32::MAX,
             "journal references unseen parent"
         );
-        let kind = translation.kind(&src_topo.kind(child));
-        let (merged_child, created) = dst.find_or_add_child_tracked(merged_parent, kind);
+        let (tag, mut fields) = src_topo.canonical(child);
+        translation.scope(tag, &mut fields);
+        let (merged_child, created) = dst.find_or_add_encoded(merged_parent, tag, fields);
         remap[child.index()] = merged_child;
         if created {
             dst_journal.push((merged_parent, merged_child));
@@ -270,6 +194,8 @@ pub fn merge_shards<P: RemapNodes>(mut left: CctShard<P>, right: CctShard<P>) ->
 mod tests {
     use super::*;
     use crate::ids::ProcId;
+    use crate::names::SourceLoc;
+    use crate::scope::ScopeKind;
 
     fn tree(procs: &[&str]) -> Cct {
         let mut names = NameTable::new();
@@ -364,191 +290,35 @@ mod tests {
         assert_eq!(fa.names.proc_count(), fb.names.proc_count());
     }
 
-    struct XorShift(u64);
-
-    impl XorShift {
-        fn new(seed: u64) -> Self {
-            XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1)
-        }
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0 >> 11) as usize % n
-        }
-    }
-
-    /// A tree of every scope kind over names drawn from shared pools,
-    /// interned in an order of its own (so ids differ between trees)
-    /// with names no node refers to in between. The first half of the
-    /// nodes is the same contexts in every tree, the rest the seed's.
-    fn mixed_tree(seed: u64, nodes: usize) -> Cct {
-        const PROCS: [&str; 7] = ["main", "solve", "x.c", "naïve_φ", "pack", "unpack", "io"];
-        const FILES: [&str; 5] = ["x.c", "solve", "δ.f90", "lib.h", "io.c"];
-        const MODULES: [&str; 3] = ["app", "libm.so", "x.c"];
-        let mut own = XorShift::new(seed);
-        let mut names = NameTable::new();
-        let skew = own.below(7);
-        let mut procs = [ProcId(0); PROCS.len()];
-        let mut files = [FileId(0); FILES.len()];
-        let mut modules = [LoadModuleId(0); MODULES.len()];
-        for i in 0..PROCS.len() {
-            names.proc(&format!("unreferenced_{seed}_{i}"));
-            names.file(&format!("unreferenced_{seed}_{i}.c"));
-            let at = (i + skew) % PROCS.len();
-            procs[at] = names.proc(PROCS[at]);
-            if let Some(f) = FILES.get(at) {
-                files[at] = names.file(f);
-            }
-            if let Some(m) = MODULES.get(at) {
-                modules[at] = names.module(m);
-            }
-        }
-        names.module("unreferenced.so");
-        let mut cct = Cct::new(names);
-        let mut parents = vec![cct.root()];
-        let mut common = XorShift::new(0xc0ffee);
-        for i in 0..nodes {
-            let rng = if i < nodes / 2 { &mut common } else { &mut own };
-            let parent = parents[rng.below(parents.len())];
-            let loc = |rng: &mut XorShift| {
-                SourceLoc::new(files[rng.below(files.len())], rng.below(3) as u32)
-            };
-            let kind = match rng.below(5) {
-                0 => ScopeKind::Frame {
-                    proc: procs[rng.below(procs.len())],
-                    module: modules[rng.below(modules.len())],
-                    def: loc(rng),
-                    call_site: None,
-                },
-                1 => ScopeKind::Frame {
-                    proc: procs[rng.below(procs.len())],
-                    module: modules[rng.below(modules.len())],
-                    def: loc(rng),
-                    call_site: Some(loc(rng)),
-                },
-                2 => ScopeKind::InlinedFrame {
-                    proc: procs[rng.below(procs.len())],
-                    def: loc(rng),
-                    call_site: loc(rng),
-                },
-                3 => ScopeKind::Loop { header: loc(rng) },
-                _ => ScopeKind::Stmt { loc: loc(rng) },
-            };
-            let child = cct.find_or_add_child(parent, kind);
-            if !kind.is_stmt() && !parents.contains(&child) {
-                parents.push(child);
-            }
-        }
-        cct
-    }
-
-    fn name_lists(names: &NameTable) -> [Vec<String>; 3] {
-        [
-            (0..names.proc_count() as u32)
-                .map(|i| names.proc_name(ProcId(i)).to_owned())
-                .collect(),
-            (0..names.module_count() as u32)
-                .map(|i| names.module_name(LoadModuleId(i)).to_owned())
-                .collect(),
-            (0..names.file_count() as u32)
-                .map(|i| names.file_name(FileId(i)).to_owned())
-                .collect(),
-        ]
-    }
-
-    /// `replay_into` against its definition: `translate_kind` +
-    /// `find_or_add_child_tracked` per node. Same name-table order, node
-    /// ids, journal and remap, tree after tree into one destination.
-    #[test]
-    fn replay_equals_per_node_translation() {
-        let trees: Vec<Cct> = (1..=6)
-            .map(|s| mixed_tree(s, 40 + 25 * s as usize))
-            .collect();
-        let mut dst = Cct::new(NameTable::new());
-        let mut dst_journal = Vec::new();
-        let mut want = Cct::new(NameTable::new());
-        let mut want_journal = Vec::new();
-        for src in &trees {
-            let journal = arena_journal(src);
-            let remap = replay_into(&mut dst, &mut dst_journal, src, &journal);
-
-            let mut want_remap = vec![NodeId(u32::MAX); src.len()];
-            want_remap[src.root().index()] = want.root();
-            for &(parent, child) in &journal {
-                let mut names = std::mem::take(&mut want.names);
-                let kind = translate_kind(&mut names, &src.names, &src.kind(child));
-                want.names = names;
-                let parent = want_remap[parent.index()];
-                let (node, created) = want.find_or_add_child_tracked(parent, kind);
-                want_remap[child.index()] = node;
-                if created {
-                    want_journal.push((parent, node));
-                }
-            }
-
-            assert_eq!(remap, want_remap);
-            assert_eq!(dst_journal, want_journal);
-            assert_eq!(name_lists(&dst.names), name_lists(&want.names));
-            assert_eq!(dst.len(), want.len());
-            for n in dst.all_nodes() {
-                assert_eq!(dst.kind(n), want.kind(n), "node {n:?}");
-                assert_eq!(dst.parent(n), want.parent(n), "node {n:?}");
-            }
-        }
-        let unreferenced = |names: &[String]| names.iter().any(|n| n.starts_with("unreferenced"));
-        assert!(!name_lists(&dst.names).iter().any(|l| unreferenced(l)));
-        let separately: usize = trees.iter().map(|t| t.len() - 1).sum();
-        assert!(dst.len() - 1 < separately, "the trees share no context");
-    }
-
     /// A replay asks the destination table for a string once per
-    /// distinct name id the source tree refers to: each slot of the
-    /// translation is filled by exactly one string lookup, and only
-    /// referenced ids have one.
+    /// distinct name id the source tree refers to: only referenced ids
+    /// get a slot filled, and a second translation of every node finds
+    /// them all filled.
     #[test]
     fn a_translation_interns_each_referenced_name_once() {
-        let src = mixed_tree(9, 400);
-        let mut referenced = [
-            vec![false; src.names.proc_count()],
-            vec![false; src.names.module_count()],
-            vec![false; src.names.file_count()],
-        ];
+        let mut src = tree(&["main", "work", "main", "work"]);
+        src.names.proc("unreferenced");
+        src.names.file("unreferenced.c");
         let mut names = NameTable::new();
-        let mut translation = Translation::remembering(&mut names, &src.names);
+        let mut translation = Translation::new(&mut names, &src.names);
+        let topo = src.topo();
         for n in src.all_nodes() {
-            let kind = src.kind(n);
-            let mut file = |l: SourceLoc| referenced[2][l.file.index()] = true;
-            match kind {
-                ScopeKind::Root => {}
-                ScopeKind::Frame { def, call_site, .. } => {
-                    file(def);
-                    call_site.map(&mut file);
-                }
-                ScopeKind::InlinedFrame { def, call_site, .. } => {
-                    file(def);
-                    file(call_site);
-                }
-                ScopeKind::Loop { header: l } | ScopeKind::Stmt { loc: l } => file(l),
-            }
-            if let Some(p) = kind.frame_proc() {
-                referenced[0][p.index()] = true;
-            }
-            if let ScopeKind::Frame { module, .. } = kind {
-                referenced[1][module.index()] = true;
-            }
-            // Twice: the second translation finds every slot filled.
-            assert_eq!(translation.kind(&kind), translation.kind(&kind));
+            let (tag, words) = topo.canonical(n);
+            let [mut once, mut twice] = [words; 2];
+            translation.scope(tag, &mut once);
+            translation.scope(tag, &mut twice);
+            assert_eq!(once, twice);
         }
-        let filled = |slots: &[u32]| slots.iter().map(|&s| s != UNSEEN).collect::<Vec<bool>>();
-        assert_eq!(filled(&translation.procs), referenced[0]);
-        assert_eq!(filled(&translation.modules), referenced[1]);
-        assert_eq!(filled(&translation.files), referenced[2]);
-        assert!(referenced
-            .iter()
-            .all(|r| r.contains(&false) && r.contains(&true)));
-        let interned = names.proc_count() + names.module_count() + names.file_count();
-        let distinct: usize = referenced.iter().flatten().filter(|&&r| r).count();
-        assert_eq!(interned, distinct);
+        let filled = |ns: Namespace| -> Vec<bool> {
+            translation.seen[ns as usize]
+                .iter()
+                .map(|&s| s != UNSEEN)
+                .collect()
+        };
+        assert_eq!(filled(Namespace::Proc), [true, true, false]);
+        assert_eq!(filled(Namespace::File), [true, false]);
+        assert_eq!(filled(Namespace::Module), [true]);
+        let interned: usize = Namespace::ALL.iter().map(|&ns| names.count(ns)).sum();
+        assert_eq!(interned, 4, "main, work, x.c, x");
     }
 }

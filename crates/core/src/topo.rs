@@ -8,13 +8,17 @@
 //! * `parent`, `first_child`, `next_sibling`: one `u32` per node,
 //!   [`LINK_NONE`] for none, the root at index 0;
 //! * a `u8` tag per node ([`tags`]) and six `u32` fields per node whose
-//!   meaning the tag fixes ([`encode_kind`]; unused fields are 0).
+//!   meaning the tag fixes ([`visit_fields`]; unused fields are 0).
 //!
 //! A kernel asks the tree for a [`Topo`] once (`Cct::topo`: one image
 //! lookup on a mapped tree, none on an owned one) and then reads plain
 //! slices: a parent step is one load, and the tag tests (`is_frame`,
 //! `is_loop`, …) decode nothing. [`Topo::kind`] is the one decoder of a
-//! scope's fields.
+//! scope's fields into a [`ScopeKind`]; code that only compares, hashes
+//! or translates scopes stays on the words: [`Topo::canonical`] reads a
+//! node's clamped, zero-padded words and [`visit_fields`] says which of
+//! them hold a name id of which namespace. This module is the only one
+//! that knows the field indices.
 //!
 //! What each accessor relies on, and where it is checked:
 //!
@@ -39,7 +43,7 @@
 //!   name lookup.
 
 use crate::ids::{FileId, LoadModuleId, NodeId, ProcId};
-use crate::names::SourceLoc;
+use crate::names::{Namespace, SourceLoc};
 use crate::scope::ScopeKind;
 
 /// Scope-kind tag values of the topology encoding.
@@ -153,6 +157,95 @@ pub fn decode_kind(tag: u8, f: &[u32], limits: [u32; 3]) -> ScopeKind {
     }
 }
 
+/// What one of a node's six field words holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    /// A name id of this namespace, clamped to the table size on read.
+    Name(Namespace),
+    /// A line number, read as stored.
+    Line,
+    /// Nothing: 0 in the canonical form.
+    Unused,
+}
+
+/// The field layout of every tag, index = tag: the one description of
+/// which word holds a procedure, module or file id. [`encode_kind`] and
+/// [`decode_kind`] agree with it (unit-tested), and the name ids of a
+/// frame come in the order a translation interns them: procedure,
+/// module, definition file, call-site file.
+const LAYOUT: [[Field; tags::N_FIELDS]; tags::N_TAGS as usize] = {
+    use Field::{Line as L, Unused as U};
+    const P: Field = Field::Name(Namespace::Proc);
+    const M: Field = Field::Name(Namespace::Module);
+    const F: Field = Field::Name(Namespace::File);
+    [
+        [U, U, U, U, U, U], // ROOT
+        [P, M, F, L, F, L], // FRAME: proc, module, def, call site
+        [P, M, F, L, U, U], // FRAME_TOP: proc, module, def
+        [P, F, L, F, L, U], // INLINED: proc, def, call site
+        [F, L, U, U, U, U], // LOOP: header
+        [F, L, U, U, U, U], // STMT: loc
+    ]
+};
+
+/// Visit the six words of a scope in field order, each with what it
+/// holds — the one field layout, a table of this module: procedure,
+/// module, definition file and line, call-site file and line for a
+/// frame, and so on. A tag outside [`tags`] reads as a statement, as in
+/// [`decode_kind`]. One jump on the tag, then straight-line code: the
+/// layout row is a constant in each arm, so the per-field tests fold
+/// away. [`Topo::canonical`], the run fingerprint and the supergraph
+/// replay read the layout through this and nothing else.
+#[inline(always)]
+pub fn visit_fields(
+    tag: u8,
+    words: &mut [u32; tags::N_FIELDS],
+    mut visit: impl FnMut(Field, &mut u32),
+) {
+    #[inline(always)]
+    fn each<const TAG: usize>(
+        words: &mut [u32; tags::N_FIELDS],
+        visit: &mut impl FnMut(Field, &mut u32),
+    ) {
+        for (field, word) in LAYOUT[TAG].into_iter().zip(words) {
+            visit(field, word);
+        }
+    }
+    match canonical_tag(tag) {
+        tags::ROOT => each::<{ tags::ROOT as usize }>(words, &mut visit),
+        tags::FRAME => each::<{ tags::FRAME as usize }>(words, &mut visit),
+        tags::FRAME_TOP => each::<{ tags::FRAME_TOP as usize }>(words, &mut visit),
+        tags::INLINED => each::<{ tags::INLINED as usize }>(words, &mut visit),
+        tags::LOOP => each::<{ tags::LOOP as usize }>(words, &mut visit),
+        _ => each::<{ tags::STMT as usize }>(words, &mut visit),
+    }
+}
+
+#[inline]
+fn canonical_tag(tag: u8) -> u8 {
+    if tag < tags::N_TAGS {
+        tag
+    } else {
+        tags::STMT
+    }
+}
+
+/// [`Topo::canonical`] of one node's stored `(tag, fields)`:
+/// `encode_kind(&decode_kind(tag, f, limits))`, computed on the words.
+#[inline]
+fn canonical(tag: u8, f: &[u32], limits: [u32; 3]) -> (u8, [u32; tags::N_FIELDS]) {
+    let tag = canonical_tag(tag);
+    let mut words: [u32; tags::N_FIELDS] = f[..tags::N_FIELDS].try_into().expect("six fields");
+    visit_fields(tag, &mut words, |field, w| {
+        *w = match field {
+            Field::Name(ns) if *w < limits[ns as usize] => *w,
+            Field::Line => *w,
+            Field::Name(_) | Field::Unused => 0,
+        }
+    });
+    (tag, words)
+}
+
 /// A CCT's topology, borrowed: the five arrays of the layout (see the
 /// module docs) plus the limits its name ids are clamped to. `Copy`, and
 /// taken once per kernel call rather than once per node.
@@ -259,6 +352,21 @@ impl<'a> Topo<'a> {
     pub fn kind(&self, n: NodeId) -> ScopeKind {
         let at = n.index() * tags::N_FIELDS;
         decode_kind(
+            self.tag(n),
+            &self.fields[at..at + tags::N_FIELDS],
+            self.limits,
+        )
+    }
+
+    /// The canonical encoded form of `n`: what `encode_kind(&self.kind(n))`
+    /// returns — the same clamps, unused words zeroed, an unknown tag read
+    /// as a statement — read off the words without building a
+    /// [`ScopeKind`]. Two nodes are the same scope exactly when their
+    /// canonical forms are equal.
+    #[inline]
+    pub fn canonical(&self, n: NodeId) -> (u8, [u32; tags::N_FIELDS]) {
+        let at = n.index() * tags::N_FIELDS;
+        canonical(
             self.tag(n),
             &self.fields[at..at + tags::N_FIELDS],
             self.limits,
@@ -477,6 +585,39 @@ mod tests {
                 call_site: Some(SourceLoc::new(FileId(0), 4)),
             }
         );
+    }
+
+    /// The layout table is the decoder's: on arbitrary tags, words and
+    /// per-namespace limits (distinct, so a word read in the wrong
+    /// namespace clamps differently), `canonical` is `encode ∘ decode`.
+    #[test]
+    fn canonical_is_encode_of_decode() {
+        let mut s = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for _ in 0..20_000 {
+            let r = next();
+            let tag = (r % 9) as u8;
+            let limits = [(r >> 8) as u32 % 5 + 1, (r >> 16) as u32 % 7 + 1, 3];
+            let mut f = [0u32; tags::N_FIELDS];
+            for w in &mut f {
+                let r = next();
+                *w = match r % 3 {
+                    0 => (r >> 8) as u32 % 9,
+                    1 => u32::MAX,
+                    _ => (r >> 32) as u32,
+                };
+            }
+            assert_eq!(
+                canonical(tag, &f, limits),
+                encode_kind(&decode_kind(tag, &f, limits)),
+                "tag {tag}, fields {f:?}, limits {limits:?}"
+            );
+        }
     }
 
     #[test]

@@ -345,20 +345,20 @@ impl<'a> View<'a> {
 }
 
 /// Rank `nodes` by a column in descending order (the navigation pane's
-/// sort, Section V-A). Ties break by label so results are deterministic.
+/// sort, Section V-A), NaN last ([`SortDir::cmp_values`]). Ties break by
+/// label so results are deterministic.
 pub fn sort_by_column(view: &View<'_>, nodes: &mut [u32], c: ColumnId) {
     nodes.sort_by(|&a, &b| {
-        let va = view.value(c, a);
-        let vb = view.value(c, b);
-        vb.partial_cmp(&va)
-            .unwrap_or(std::cmp::Ordering::Equal)
+        SortDir::Descending
+            .cmp_values(view.value(c, a), view.value(c, b))
             .then_with(|| view.label(a).cmp(&view.label(b)))
     });
 }
 
 /// Compare two nodes under a metric-column sort key: by value in the
-/// key's direction, ties broken ascending by (cached) label — the exact
-/// ordering [`sort_by_column`] produces for [`SortDir::Descending`].
+/// key's direction ([`SortDir::cmp_values`]), ties broken ascending by
+/// (cached) label — the exact ordering [`sort_by_column`] produces for
+/// [`SortDir::Descending`].
 fn cmp_by_column(
     view: &View<'_>,
     labels: &LabelCache,
@@ -367,14 +367,7 @@ fn cmp_by_column(
     a: u32,
     b: u32,
 ) -> std::cmp::Ordering {
-    let va = view.value(c, a);
-    let vb = view.value(c, b);
-    let by_value = match dir {
-        SortDir::Descending => vb.partial_cmp(&va),
-        SortDir::Ascending => va.partial_cmp(&vb),
-    };
-    by_value
-        .unwrap_or(std::cmp::Ordering::Equal)
+    dir.cmp_values(view.value(c, a), view.value(c, b))
         .then_with(|| labels.peek(a).cmp(labels.peek(b)))
 }
 

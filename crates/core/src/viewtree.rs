@@ -504,6 +504,26 @@ pub enum SortDir {
     Ascending,
 }
 
+impl SortDir {
+    /// The one comparator of metric values for a ranking in this
+    /// direction: numbers by value (−0 equals +0), NaN after every number
+    /// in both directions (and equal to NaN). Without NaN it is
+    /// `partial_cmp` in this direction; with NaN it is still a total
+    /// order, which `sort_by` and `select_nth_unstable_by` require.
+    /// Callers chain their own tie key with `.then`.
+    #[inline]
+    pub fn cmp_values(self, a: f64, b: f64) -> std::cmp::Ordering {
+        match a.partial_cmp(&b) {
+            Some(by_value) => match self {
+                SortDir::Descending => by_value.reverse(),
+                SortDir::Ascending => by_value,
+            },
+            // At least one is NaN: the NaN goes last.
+            None => a.is_nan().cmp(&b.is_nan()),
+        }
+    }
+}
+
 /// What a cached child ordering was sorted by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SortKey {

@@ -18,7 +18,13 @@
 //! the order runs are supplied in:
 //!
 //! * runs are first sorted into a *canonical order* by `(label,
-//!   content fingerprint)` — a pure function of run content;
+//!   content fingerprint)` — a pure function of run content
+//!   ([`fingerprint`]: each distinct name string hashed once per run,
+//!   then a fixed 64-bit word mixer over every node and cost, so it
+//!   costs per node and per distinct name, not per byte of name);
+//! * each run's tree is replayed into the union on its encoded words
+//!   (`callpath_core::supergraph::replay_into`), its name ids
+//!   translated through per-run tables;
 //! * the canonical sequence is split into one contiguous group per
 //!   thread ([`chunked_map`]), each group folded left-to-right into a
 //!   **fresh empty shard** (so no input's stored name-table order leaks
@@ -33,7 +39,9 @@
 //! this, and `tests/ensemble_smoke.rs` measures the 1,000-run build
 //! and cold open for `BENCH_ensemble.json`.
 
+use callpath_core::names::Namespace;
 use callpath_core::prelude::*;
+use callpath_core::topo::{visit_fields, Field};
 use callpath_expdb::ens::{Directory, EnsembleRun, STAT_NAMES};
 use callpath_expdb::model::{DbError, DbMetric, DbModel};
 use callpath_obs as obs;
@@ -103,102 +111,120 @@ impl RunData {
     }
 }
 
-/// FNV-1a 64 over a canonical serialization of a run's content —
-/// resolved name strings (so the value is independent of name-table
-/// intern order), topology in arena order, metric descriptors, and
-/// cost bit patterns. The label is deliberately excluded: it is the
-/// *other* half of the canonical sort key.
+/// A content fingerprint of a run: a pure function of what the run
+/// says — its topology in arena order with every name resolved to its
+/// string, its metric descriptors and its cost bit patterns — and of
+/// nothing else: not the name tables' intern order, not names no node
+/// refers to, not the label (the *other* half of the canonical sort
+/// key).
+///
+/// Each name string a node refers to is hashed once per run, a 64-bit
+/// word at a time. Then every non-root node folds 64-bit words through
+/// a fixed multiply-xorshift mixer: its parent and tag in one word,
+/// then, in field order, its lines and the hashes of its names
+/// (`Topo::canonical`, so a mapped tree's name ids read through its
+/// clamp). Every metric folds its name, unit, period and `(node, value
+/// bits)` pairs the same way. No seed varies by process or host, so the
+/// value is stable across both.
 pub fn fingerprint(run: &RunData) -> u64 {
-    let mut h = Fnv::new();
     let cct = &run.cct;
-    let names = &cct.names;
     let topo = cct.topo();
+    let mut names = NameHashes::new(&cct.names);
+    let mut h = mix(0, topo.len() as u64);
     for node in cct.all_nodes().skip(1) {
-        h.u32(topo.parent(node).expect("non-root has parent").0);
-        match topo.kind(node) {
-            ScopeKind::Root => unreachable!("root is node 0"),
-            ScopeKind::Frame {
-                proc,
-                module,
-                def,
-                call_site,
-            } => {
-                h.u8(1);
-                h.str(names.proc_name(proc));
-                h.str(names.module_name(module));
-                h.str(names.file_name(def.file));
-                h.u32(def.line);
-                match call_site {
-                    Some(c) => {
-                        h.u8(1);
-                        h.str(names.file_name(c.file));
-                        h.u32(c.line);
-                    }
-                    None => h.u8(0),
-                }
+        let parent = topo.parents()[node.index()];
+        let (tag, mut words) = topo.canonical(node);
+        h = mix(h, u64::from(parent) << 8 | u64::from(tag));
+        visit_fields(tag, &mut words, |field, &mut word| {
+            h = match field {
+                Field::Name(ns) => mix(h, names.hash(ns, word)),
+                Field::Line => mix(h, u64::from(word)),
+                Field::Unused => h,
             }
-            ScopeKind::InlinedFrame {
-                proc,
-                def,
-                call_site,
-            } => {
-                h.u8(2);
-                h.str(names.proc_name(proc));
-                h.str(names.file_name(def.file));
-                h.u32(def.line);
-                h.str(names.file_name(call_site.file));
-                h.u32(call_site.line);
-            }
-            ScopeKind::Loop { header } => {
-                h.u8(3);
-                h.str(names.file_name(header.file));
-                h.u32(header.line);
-            }
-            ScopeKind::Stmt { loc } => {
-                h.u8(4);
-                h.str(names.file_name(loc.file));
-                h.u32(loc.line);
-            }
-        }
+        });
     }
-    h.u32(run.metrics.len() as u32);
+    h = mix(h, run.metrics.len() as u64);
     for (desc, costs) in run.metrics.iter().zip(&run.costs) {
-        h.str(&desc.name);
-        h.str(&desc.unit);
-        h.u64(desc.period.to_bits());
-        h.u32(costs.len() as u32);
+        h = mix(h, str_hash(&desc.name));
+        h = mix(h, str_hash(&desc.unit));
+        h = mix(h, desc.period.to_bits());
+        h = mix(h, costs.len() as u64);
         for &(node, v) in costs {
-            h.u32(node);
-            h.u64(v.to_bits());
+            h = mix(mix(h, u64::from(node)), v.to_bits());
         }
     }
-    h.0
+    finish(h)
 }
 
-struct Fnv(u64);
+/// One fold step of [`fingerprint`]: xor, an odd multiply, an xorshift.
+/// Each is a bijection, so for a fixed state the step is one-to-one in
+/// the word and for a fixed word in the state: two word sequences of
+/// the same length that differ in one word end in different states.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    let x = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x ^ (x >> 32)
+}
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
+/// A final avalanche (the MurmurHash3 finalizer; also a bijection).
+fn finish(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// A string's length, then its bytes as little-endian 64-bit words (the
+/// last one zero-padded), through [`mix`]. Never 0, which marks an
+/// empty slot of [`NameHashes`].
+fn str_hash(s: &str) -> u64 {
+    let bytes = s.as_bytes();
+    let mut h = mix(0, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-    fn bytes(&mut self, data: &[u8]) {
-        for &b in data {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(last));
+    }
+    finish(h).max(1)
+}
+
+/// [`str_hash`] of each name id a run refers to, computed at its first
+/// reference: one table per namespace, index = raw id, 0 = not yet.
+struct NameHashes<'a> {
+    names: &'a NameTable,
+    memo: [Vec<u64>; 3],
+}
+
+impl<'a> NameHashes<'a> {
+    fn new(names: &'a NameTable) -> Self {
+        NameHashes {
+            names,
+            memo: Namespace::ALL.map(|ns| vec![0; names.count(ns)]),
         }
     }
-    fn u8(&mut self, v: u8) {
-        self.bytes(&[v]);
+
+    #[inline]
+    fn hash(&mut self, ns: Namespace, id: u32) -> u64 {
+        match self.memo[ns as usize][id as usize] {
+            0 => self.first(ns, id),
+            h => h,
+        }
     }
-    fn u32(&mut self, v: u32) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.bytes(s.as_bytes());
+
+    /// The first reference: kept out of line, so the per-node loop stays
+    /// a load and a compare.
+    #[cold]
+    #[inline(never)]
+    fn first(&mut self, ns: Namespace, id: u32) -> u64 {
+        let h = str_hash(self.names.name(ns, id));
+        self.memo[ns as usize][id as usize] = h;
+        h
     }
 }
 
@@ -468,11 +494,7 @@ pub fn outlier_scores(dir: &Directory) -> Vec<(usize, f64)> {
         }
     }
     let mut out: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
-    out.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
+    out.sort_by(|a, b| SortDir::Descending.cmp_values(a.1, b.1).then(a.0.cmp(&b.0)));
     out
 }
 

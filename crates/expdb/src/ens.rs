@@ -60,8 +60,11 @@ const MAX_METRICS: u64 = 1 << 12;
 pub struct RunEntry {
     /// Display label (source file name, rank, ...). Need not be unique.
     pub label: String,
-    /// FNV-1a 64 fingerprint of the run's content (topology + metric
-    /// descriptors + costs, label excluded), fixed by the builder.
+    /// 64-bit fingerprint of the run's content (topology with names
+    /// resolved to strings, metric descriptors, cost bits; label, intern
+    /// order and unreferenced names excluded), fixed by the builder:
+    /// `callpath_ensemble::fingerprint`, a word-wise mixer over per-name
+    /// string hashes.
     pub fingerprint: u64,
     /// Per base metric: `(nnz, total direct cost)` of this run's block
     /// — enough for outlier scoring without faulting any block.
@@ -83,7 +86,8 @@ pub struct Directory {
 pub struct EnsembleRun {
     /// Display label.
     pub label: String,
-    /// Content fingerprint (see [`RunEntry::fingerprint`]).
+    /// Content fingerprint, written into the run's directory record
+    /// as is (see [`RunEntry::fingerprint`] for what it covers).
     pub fingerprint: u64,
     /// Per base metric: sparse `(union node, value)`, ascending by node.
     pub costs: Vec<Vec<(u32, f64)>>,

@@ -32,12 +32,18 @@ CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_a
 # assertion or overflow check stands behind them, and the correlator's
 # memo and its multiply-rotate hasher are release-mode code whose hits
 # skip the structure entirely: the three oracles, the adversarial-link
-# property (`tests/arena_cct.rs`) and the 100 000-frame chain on a
-# 256 KiB stack (in `tests/correlate_oracle.rs`) run once more in
+# property and the encoded replay's oracle (`tests/arena_cct.rs`) and
+# the 100 000-frame chain on a 256 KiB stack (in
+# `tests/correlate_oracle.rs`) run once more in
 # release mode, as every tool and the benchmark are built — and the lazy
 # fault tests, whose parked halves and slot races are release code too.
+# So do the run fingerprint's word mixer and the pinned `.cpens` digest
+# (`tests/ensemble_properties.rs`), and the one ranking comparator that
+# puts NaN last (`tests/nan_scores.rs`): the benchmark and the CLI run
+# them optimized.
 cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct \
-    --test correlate_oracle --test lazy_storage_acceptance --test lazy_fault_stress
+    --test correlate_oracle --test lazy_storage_acceptance --test lazy_fault_stress \
+    --test ensemble_properties --test nan_scores
 # The `--no-default-features` pass above runs only the root package's
 # tests, and the workspace pass compiles expdb with `mmap` on (feature
 # unification through the root package), so this is the one place

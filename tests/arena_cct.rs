@@ -8,7 +8,14 @@
 //! from it, and the arrays a mapped open of those bytes lends. What remains to check is what only one backing
 //! does: copy-on-write on the first mutation, and surviving links that
 //! the open-time checks do not cover (`adversarial_links_*`).
+//!
+//! The supergraph replay reads the same words: it translates a source's
+//! encoded fields and looks children up on them, never decoding a
+//! `ScopeKind`. It is held to its per-node definition (decode,
+//! translate by string, find or add by kind) on random owned and mapped
+//! trees and on the adversarial images.
 
+use callpath_core::names::Namespace;
 use callpath_core::prelude::*;
 use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
 use callpath_expdb::{bin2, open_lazy, open_lazy_path, to_binary_v21};
@@ -191,7 +198,9 @@ fn adversarial_db(seed: u64, n: usize) -> Vec<u8> {
 
 /// Every kernel that reads a `Topo`, over one adversarial database
 /// opened by path (mapped with the `mmap` feature, read into a buffer
-/// without it): each must return.
+/// without it): each must return. The replay also matches its oracle:
+/// out-of-range name ids read through the clamp, and a top-level frame's
+/// trailing words, which the image fills with anything, are ignored.
 fn drive_every_kernel(seed: u64, n: usize) {
     let path = std::env::temp_dir().join(format!(
         "callpath-adversarial-{}-{seed}-{n}.cpdb",
@@ -201,6 +210,8 @@ fn drive_every_kernel(seed: u64, n: usize) {
     let exp = open_lazy_path(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert!(exp.cct.is_mapped());
+    // Twice: the second replay finds every context the first one added.
+    assert_replay_matches_oracle(&[&exp.cct, &exp.cct]);
     // Attribution, both branches: the faults of the two metrics' columns.
     for c in exp.columns.columns() {
         exp.columns.get(c, 0);
@@ -240,4 +251,230 @@ proptest! {
     fn adversarial_links_never_panic_or_hang(seed in 0u64..1_000_000, n in 40usize..300) {
         drive_every_kernel(seed, n);
     }
+}
+
+/// The oracle's translation: a decoded kind's names rewritten by string
+/// into `names`, in field order — proc, module, definition file,
+/// call-site file.
+fn translate_kind(names: &mut NameTable, src: &NameTable, kind: ScopeKind) -> ScopeKind {
+    let loc = |names: &mut NameTable, l: SourceLoc| {
+        SourceLoc::new(names.file(src.file_name(l.file)), l.line)
+    };
+    match kind {
+        ScopeKind::Root => ScopeKind::Root,
+        ScopeKind::Frame {
+            proc,
+            module,
+            def,
+            call_site,
+        } => {
+            let proc = names.proc(src.proc_name(proc));
+            let module = names.module(src.module_name(module));
+            let def = loc(names, def);
+            let call_site = call_site.map(|c| loc(names, c));
+            ScopeKind::Frame {
+                proc,
+                module,
+                def,
+                call_site,
+            }
+        }
+        ScopeKind::InlinedFrame {
+            proc,
+            def,
+            call_site,
+        } => {
+            let proc = names.proc(src.proc_name(proc));
+            let def = loc(names, def);
+            let call_site = loc(names, call_site);
+            ScopeKind::InlinedFrame {
+                proc,
+                def,
+                call_site,
+            }
+        }
+        ScopeKind::Loop { header } => ScopeKind::Loop {
+            header: loc(names, header),
+        },
+        ScopeKind::Stmt { loc: l } => ScopeKind::Stmt { loc: loc(names, l) },
+    }
+}
+
+/// The replay's definition, edge by edge: decode, translate by string,
+/// find or add by kind.
+fn replay_by_kind(
+    dst: &mut Cct,
+    dst_journal: &mut Vec<(NodeId, NodeId)>,
+    src: &Cct,
+) -> Vec<NodeId> {
+    let mut remap = vec![NodeId(u32::MAX); src.len()];
+    remap[0] = dst.root();
+    for (parent, child) in arena_journal(src) {
+        let mut names = std::mem::take(&mut dst.names);
+        let kind = translate_kind(&mut names, &src.names, src.kind(child));
+        dst.names = names;
+        let parent = remap[parent.index()];
+        let (node, created) = dst.find_or_add_child_tracked(parent, kind);
+        remap[child.index()] = node;
+        if created {
+            dst_journal.push((parent, node));
+        }
+    }
+    remap
+}
+
+fn name_lists(names: &NameTable) -> [Vec<String>; 3] {
+    Namespace::ALL.map(|ns| {
+        (0..names.count(ns) as u32)
+            .map(|id| names.name(ns, id).to_owned())
+            .collect()
+    })
+}
+
+/// Fold `sources` into one destination with `replay_into` and into
+/// another with the oracle: after every source the remaps, journals,
+/// name tables (intern order included) and topology words agree.
+fn assert_replay_matches_oracle(sources: &[&Cct]) {
+    let (mut dst, mut want) = (Cct::new(NameTable::new()), Cct::new(NameTable::new()));
+    let (mut dst_journal, mut want_journal) = (Vec::new(), Vec::new());
+    for (i, src) in sources.iter().enumerate() {
+        let remap = replay_into(&mut dst, &mut dst_journal, src, &arena_journal(src));
+        let want_remap = replay_by_kind(&mut want, &mut want_journal, src);
+        assert_eq!(remap, want_remap, "source {i}");
+        assert_eq!(dst_journal, want_journal, "source {i}");
+        assert_eq!(
+            name_lists(&dst.names),
+            name_lists(&want.names),
+            "source {i}"
+        );
+        let (got, expected) = (dst.topo(), want.topo());
+        assert_eq!(got.parents(), expected.parents(), "source {i}");
+        assert_eq!(got.tags(), expected.tags(), "source {i}");
+        assert_eq!(got.fields(), expected.fields(), "source {i}");
+    }
+}
+
+/// A tree of every scope kind over names drawn from shared pools,
+/// interned in an order of its own (so ids differ between trees) with
+/// names no node refers to in between. The first node and the first half
+/// of the rest are the same contexts in every tree, the rest the seed's.
+fn mixed_tree(seed: u64, nodes: usize) -> Cct {
+    const PROCS: [&str; 7] = ["main", "solve", "x.c", "naïve_φ", "pack", "unpack", "io"];
+    const FILES: [&str; 5] = ["x.c", "solve", "δ.f90", "lib.h", "io.c"];
+    const MODULES: [&str; 3] = ["app", "libm.so", "x.c"];
+    let mut names = NameTable::new();
+    let skew = (mix(seed, u64::MAX) % 7) as usize;
+    let mut procs = [ProcId(0); PROCS.len()];
+    let mut files = [FileId(0); FILES.len()];
+    let mut modules = [LoadModuleId(0); MODULES.len()];
+    for i in 0..PROCS.len() {
+        names.proc(&format!("unreferenced_{seed}_{i}"));
+        names.file(&format!("unreferenced_{seed}_{i}.c"));
+        let at = (i + skew) % PROCS.len();
+        procs[at] = names.proc(PROCS[at]);
+        if let Some(f) = FILES.get(at) {
+            files[at] = names.file(f);
+        }
+        if let Some(m) = MODULES.get(at) {
+            modules[at] = names.module(m);
+        }
+    }
+    names.module("unreferenced.so");
+    let mut cct = Cct::new(names);
+    // First, a call defined in one file and called from another: a
+    // fresh destination interns both at this node, so the order within
+    // a node shows in its file table.
+    let call = ScopeKind::Frame {
+        proc: procs[0],
+        module: modules[0],
+        def: SourceLoc::new(files[1], 1),
+        call_site: Some(SourceLoc::new(files[2], 2)),
+    };
+    let mut parents = vec![cct.root(), cct.add_child(cct.root(), call)];
+    let (mut common, mut own) = (Draws(0xc0ffee, 0), Draws(seed, 0));
+    for i in 0..nodes {
+        let rng = if i < nodes / 2 { &mut common } else { &mut own };
+        let parent = parents[rng.below(parents.len())];
+        let loc =
+            |rng: &mut Draws| SourceLoc::new(files[rng.below(files.len())], rng.below(3) as u32);
+        let kind = match rng.below(5) {
+            0 => ScopeKind::Frame {
+                proc: procs[rng.below(procs.len())],
+                module: modules[rng.below(modules.len())],
+                def: loc(rng),
+                call_site: None,
+            },
+            1 => ScopeKind::Frame {
+                proc: procs[rng.below(procs.len())],
+                module: modules[rng.below(modules.len())],
+                def: loc(rng),
+                call_site: Some(loc(rng)),
+            },
+            2 => ScopeKind::InlinedFrame {
+                proc: procs[rng.below(procs.len())],
+                def: loc(rng),
+                call_site: loc(rng),
+            },
+            3 => ScopeKind::Loop { header: loc(rng) },
+            _ => ScopeKind::Stmt { loc: loc(rng) },
+        };
+        let child = cct.find_or_add_child(parent, kind);
+        if !kind.is_stmt() && !parents.contains(&child) {
+            parents.push(child);
+        }
+    }
+    cct
+}
+
+/// A stream of draws: `(seed, draws so far)` through [`mix`].
+struct Draws(u64, u64);
+
+impl Draws {
+    fn below(&mut self, n: usize) -> usize {
+        self.1 += 1;
+        (mix(self.0, self.1) >> 11) as usize % n
+    }
+}
+
+/// `cct` written as a v2.1 database and opened lazily: the same tree,
+/// name tables and all, borrowed from the image.
+fn reopened(cct: &Cct) -> Cct {
+    let exp = Experiment::build(
+        cct.clone(),
+        RawMetrics::new(StorageKind::Csr),
+        StorageKind::Csr,
+    );
+    let cct = open_lazy(to_binary_v21(&exp)).unwrap().cct.clone();
+    assert!(cct.is_mapped());
+    cct
+}
+
+/// The encoded replay equals its per-node definition on trees that
+/// share half their contexts and intern their names in orders of their
+/// own, owned and reopened mapped, folded into one destination in turn
+/// and then once more (every context found, none added).
+#[test]
+fn encoded_replay_equals_per_node_translation() {
+    let owned: Vec<Cct> = (1..=6)
+        .map(|s| mixed_tree(s, 40 + 25 * s as usize))
+        .collect();
+    let mapped: Vec<Cct> = owned.iter().map(reopened).collect();
+    let alternating = owned.iter().zip(&mapped).enumerate();
+    let mut sources: Vec<&Cct> = alternating
+        .map(|(i, (o, m))| if i % 2 == 0 { o } else { m })
+        .collect();
+    sources.extend(mapped.iter().rev());
+    assert_replay_matches_oracle(&sources);
+
+    let mut union = Cct::new(NameTable::new());
+    for src in &owned {
+        replay_into(&mut union, &mut Vec::new(), src, &arena_journal(src));
+    }
+    let separately: usize = owned.iter().map(|t| t.len() - 1).sum();
+    assert!(union.len() - 1 < separately, "the trees share no context");
+    let names = name_lists(&union.names);
+    assert!(!names
+        .iter()
+        .flatten()
+        .any(|n| n.starts_with("unreferenced")));
 }

@@ -176,11 +176,16 @@ fn env_thread_counts_produce_identical_files() {
 }
 
 /// One fixed `EnsembleConfig` family, the FNV-1a 64 of its `.cpens`
-/// bytes as recorded before the union's replay translated name ids
-/// instead of strings (commit b20c22c): "no byte of any `.cpens`
-/// changed" as an assertion. Every written run record carries the
-/// `fingerprint` of its run, which the union computed once and handed
-/// on.
+/// bytes as an assertion that no written byte changes unnoticed. The
+/// bytes last changed when the run fingerprint got its word-mixer
+/// definition: then only each run record's 8-byte fingerprint field and
+/// the checksum words covering them moved (EXPERIMENTS.md, "Ensemble
+/// union"). Every written run record carries the `fingerprint` of its
+/// run, which the union computed once and handed on; one of them is
+/// pinned too, so a change of the definition shows up as one. A run
+/// reopened from its own v2.1 database — a mapped tree whose ids read
+/// through the clamp — has the fingerprint of the model it was written
+/// from.
 #[test]
 fn cpens_bytes_and_run_fingerprints_are_pinned() {
     use callpath_workloads::synth::{ensemble_run, EnsembleConfig};
@@ -193,9 +198,19 @@ fn cpens_bytes_and_run_fingerprints_are_pinned() {
         nnz_per_metric: 60,
         outlier_every: 6,
     };
-    let runs: Vec<RunData> = (0..cfg.n_runs)
-        .map(|r| RunData::from_model(format!("run-{r:04}"), &ensemble_run(&cfg, r)).unwrap())
+    let models: Vec<_> = (0..cfg.n_runs).map(|r| ensemble_run(&cfg, r)).collect();
+    let runs: Vec<RunData> = models
+        .iter()
+        .enumerate()
+        .map(|(r, m)| RunData::from_model(format!("run-{r:04}"), m).unwrap())
         .collect();
+    assert_eq!(fingerprint(&runs[0]), 0x4c51_cb40_209c_a334);
+    for (run, model) in runs.iter().zip(&models) {
+        let exp = callpath_expdb::open_lazy(callpath_expdb::bin2::write_v21(model)).unwrap();
+        assert!(exp.cct.is_mapped());
+        let reopened = RunData::from_experiment(run.label.clone(), &exp);
+        assert_eq!(fingerprint(&reopened), fingerprint(run), "{}", run.label);
+    }
 
     let union = build_union(&runs, 1);
     let built = build(&runs, 1);
@@ -212,5 +227,181 @@ fn cpens_bytes_and_run_fingerprints_are_pinned() {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     });
     assert_eq!(bytes.len(), 45_200);
-    assert_eq!(digest, 0x54ae_c452_3fd1_9bdd, "digest {digest:#018x}");
+    assert_eq!(digest, 0xa983_d923_9192_18f1, "digest {digest:#018x}");
+}
+
+/// What a fingerprint is made of, as plain data: a run whose tree holds
+/// every scope kind, and the knobs the contract tests turn.
+#[derive(Clone)]
+struct Sample {
+    /// Line of the innermost scope.
+    line: u32,
+    /// Name of the called procedure.
+    callee: &'static str,
+    /// The innermost scope is a loop (else a statement) at the same place.
+    innermost_loop: bool,
+    /// The called frame records its call site.
+    call_site: bool,
+    /// The cost at the innermost scope.
+    cost: f64,
+    metric: &'static str,
+    /// Intern the names in reverse order, plus one no node refers to.
+    permuted_names: bool,
+}
+
+impl Default for Sample {
+    fn default() -> Self {
+        Sample {
+            line: 30,
+            callee: "work",
+            innermost_loop: true,
+            call_site: true,
+            cost: 12.5,
+            metric: "cycles",
+            permuted_names: false,
+        }
+    }
+}
+
+impl Sample {
+    fn run(&self) -> RunData {
+        let mut names = NameTable::new();
+        if self.permuted_names {
+            names.proc("unreferenced");
+            names.file("unreferenced.c");
+        }
+        let mut procs = vec!["helper", self.callee, "main"];
+        let mut files = vec!["b.c", "a.c"];
+        if !self.permuted_names {
+            procs.reverse();
+            files.reverse();
+        }
+        for p in procs {
+            names.proc(p);
+        }
+        for f in files {
+            names.file(f);
+        }
+        let module = names.module("app");
+        let (main, callee, helper) = (
+            names.proc("main"),
+            names.proc(self.callee),
+            names.proc("helper"),
+        );
+        let (a, b) = (names.file("a.c"), names.file("b.c"));
+        let mut cct = Cct::new(names);
+        let top = cct.add_child(
+            cct.root(),
+            ScopeKind::Frame {
+                proc: main,
+                module,
+                def: SourceLoc::new(a, 1),
+                call_site: None,
+            },
+        );
+        let called = cct.add_child(
+            top,
+            ScopeKind::Frame {
+                proc: callee,
+                module,
+                def: SourceLoc::new(b, 10),
+                call_site: self.call_site.then(|| SourceLoc::new(a, 5)),
+            },
+        );
+        let inlined = cct.add_child(
+            called,
+            ScopeKind::InlinedFrame {
+                proc: helper,
+                def: SourceLoc::new(b, 20),
+                call_site: SourceLoc::new(b, 12),
+            },
+        );
+        let at = SourceLoc::new(b, self.line);
+        let innermost = if self.innermost_loop {
+            ScopeKind::Loop { header: at }
+        } else {
+            ScopeKind::Stmt { loc: at }
+        };
+        let leaf = cct.add_child(inlined, innermost);
+        RunData {
+            label: "sample".into(),
+            cct,
+            metrics: vec![MetricDesc::new(self.metric, "ev", 1.0)],
+            costs: vec![vec![(top.0, 1.5), (leaf.0, self.cost)]],
+        }
+    }
+}
+
+/// A fingerprint is a function of content: the same tree with its names
+/// interned in another order, plus a name no node refers to, and under
+/// another label, has the same fingerprint.
+#[test]
+fn fingerprint_ignores_intern_order_unreferenced_names_and_label() {
+    let base = Sample::default().run();
+    let mut permuted = Sample {
+        permuted_names: true,
+        ..Sample::default()
+    }
+    .run();
+    permuted.label = "another label".into();
+    assert_ne!(
+        base.cct.topo().fields(),
+        permuted.cct.topo().fields(),
+        "the ids differ"
+    );
+    assert_eq!(fingerprint(&permuted), fingerprint(&base));
+}
+
+/// Any one change of content changes the fingerprint.
+#[test]
+fn fingerprint_sees_every_content_change() {
+    let base = Sample::default();
+    let changed = [
+        (
+            "a line",
+            Sample {
+                line: 31,
+                ..base.clone()
+            },
+        ),
+        (
+            "a name string",
+            Sample {
+                callee: "wurk",
+                ..base.clone()
+            },
+        ),
+        (
+            "loop versus statement",
+            Sample {
+                innermost_loop: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "a call site",
+            Sample {
+                call_site: false,
+                ..base.clone()
+            },
+        ),
+        (
+            "one cost bit",
+            Sample {
+                cost: f64::from_bits(base.cost.to_bits() ^ 1),
+                ..base.clone()
+            },
+        ),
+        (
+            "a metric name",
+            Sample {
+                metric: "instructions",
+                ..base.clone()
+            },
+        ),
+    ];
+    let want = fingerprint(&base.run());
+    for (what, sample) in changed {
+        assert_ne!(fingerprint(&sample.run()), want, "{what}");
+    }
 }

@@ -10,12 +10,11 @@ use callpath_parallel::{run_spmd, summarize_view_nodes, SpmdConfig};
 use callpath_profiler::{Costs, ExecConfig, Op, ProgramBuilder};
 use callpath_workloads::generator::random_experiment;
 use proptest::prelude::*;
-use std::cmp::Ordering;
 
 /// The reference implementation: fresh labels, full stable `sort_by`,
 /// exactly the comparator contract the viewer promises (metric order
-/// per direction, label ascending on ties; name sort is label
-/// ascending).
+/// per direction with every NaN after every number, label ascending on
+/// ties; name sort is label ascending).
 fn naive_sorted(view: &View<'_>, nodes: &[u32], key: SortKey) -> Vec<u32> {
     let mut out = nodes.to_vec();
     let label = |n: u32| view.label(n);
@@ -24,12 +23,12 @@ fn naive_sorted(view: &View<'_>, nodes: &[u32], key: SortKey) -> Vec<u32> {
         SortKey::Column { column, dir } => out.sort_by(|&a, &b| {
             let va = view.value(column, a);
             let vb = view.value(column, b);
-            let ord = match dir {
-                SortDir::Descending => vb.partial_cmp(&va),
-                SortDir::Ascending => va.partial_cmp(&vb),
+            let by_value = match (va.is_nan(), vb.is_nan(), dir) {
+                (false, false, SortDir::Descending) => vb.partial_cmp(&va).unwrap(),
+                (false, false, SortDir::Ascending) => va.partial_cmp(&vb).unwrap(),
+                (a_nan, b_nan, _) => a_nan.cmp(&b_nan),
             };
-            ord.unwrap_or(Ordering::Equal)
-                .then_with(|| label(a).cmp(&label(b)))
+            by_value.then_with(|| label(a).cmp(&label(b)))
         }),
     }
     out
@@ -134,7 +133,8 @@ proptest! {
     }
 
     /// The top-k partial selection produces exactly the first k entries
-    /// of the full stable sort, for every direction and window size.
+    /// of the full stable sort, for every direction and window size —
+    /// also when every `nan_stride`-th candidate's value is NaN (0: none).
     #[test]
     fn top_k_window_matches_full_sort_prefix(
         seed in 0u64..5_000,
@@ -143,6 +143,7 @@ proptest! {
         col in 0u32..2,
         ascending in any::<bool>(),
         from_children in any::<bool>(),
+        nan_stride in 0usize..4,
     ) {
         let exp = random_experiment(seed, size, 10);
         let mut view = View::flat(&exp);
@@ -154,6 +155,11 @@ proptest! {
         } else {
             roots
         };
+        if let (View::Flat { exp, view: flat }, true) = (&mut view, nan_stride > 0) {
+            for &n in nodes.iter().step_by(nan_stride) {
+                flat.tree.add(exp, ColumnId(col), ViewNodeId(n), f64::NAN);
+            }
+        }
         let key = SortKey::Column { column: ColumnId(col), dir };
         let want = naive_sorted(&view, &nodes, key);
         let mut got = nodes.clone();
