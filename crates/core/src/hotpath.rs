@@ -16,6 +16,8 @@
 //! the calling context tree"), expressed as closures so lazily constructed
 //! views can materialize children during the descent.
 
+use crate::viewtree::SortDir;
+
 /// Hot-path parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotPathConfig {
@@ -56,9 +58,10 @@ impl HotPathConfig {
 /// * `value(n)` returns the selected column's (inclusive) value at `n`.
 ///
 /// Returns the nodes along the hot path, starting with `start` and ending
-/// at the scope where the path goes cold. Ties between equal-valued
-/// children resolve to the first child in tree order, keeping results
-/// deterministic.
+/// at the scope where the path goes cold. Cmax is the child the
+/// navigation pane ranks first (`SortDir::Descending`, NaN last); ties
+/// between equal-valued children resolve to the first child in tree
+/// order, keeping results deterministic.
 pub fn hot_path<N: Copy, I: IntoIterator<Item = N>>(
     start: N,
     config: HotPathConfig,
@@ -72,9 +75,10 @@ pub fn hot_path<N: Copy, I: IntoIterator<Item = N>>(
         let mut best: Option<(N, f64)> = None;
         for k in children(cur) {
             let v = value(k);
-            match best {
-                Some((_, bv)) if v <= bv => {}
-                _ => best = Some((k, v)),
+            // First max in the navigation pane's ranking: NaN after every
+            // number, so a NaN child is Cmax only among NaNs.
+            if best.is_none_or(|(_, bv)| SortDir::Descending.cmp_values(v, bv).is_lt()) {
+                best = Some((k, v));
             }
         }
         match best {

@@ -18,8 +18,8 @@
 //! * **Topology** is stored as fixed-width arrays:
 //!   [`crate::toc::SEC_CCT_LINKS`] holds the parent / first-child /
 //!   next-sibling `u32` arrays and [`crate::toc::SEC_CCT_KINDS`] a tag
-//!   byte plus six `u32` fields per node (the encoding defined by
-//!   `callpath_core::mapped`). Both include the root at index 0. A lazy
+//!   byte plus six `u32` fields per node (the field layout of
+//!   `callpath_core::topo`). Both include the root at index 0. A lazy
 //!   reader borrows these arrays straight from the file image.
 //! * **Cost blocks** carry a one-byte kind header: kind 0 is the
 //!   varint/delta encoding (compact, chosen for small columns), kind 1
@@ -36,12 +36,11 @@ use crate::bin::{
     get_costs, get_count, get_f64, get_string, get_strings, get_varint, put_costs, put_f64,
     put_string, put_strings, put_varint,
 };
-use crate::model::{db_scope, DbError, DbMetric, DbModel, DbNode, DbScope};
+use crate::model::{DbError, DbMetric, DbModel, DbNode};
 use crate::toc::{
     Toc, TocBuilder, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS,
     SEC_NAMES,
 };
-use callpath_core::prelude::{FileId, LoadModuleId, ProcId, ScopeKind, SourceLoc};
 use callpath_core::topo::{decode_kind, encode_kind, tags, LINK_NONE, UNCLAMPED};
 
 /// Descriptor-level metric info: everything about a metric except its
@@ -182,58 +181,23 @@ fn encode_topology(model: &DbModel) -> (Vec<u8>, Vec<u8>) {
         }
     }
 
-    let tags_pad = n.div_ceil(8) * 8 - n;
-    let mut kinds = Vec::with_capacity(8 + n + tags_pad + 4 * tags::N_FIELDS * n);
+    // One encode per node: its tag goes to the tag array, its words to
+    // the field array, which follows the tags' padding to 8.
+    let mut kinds = Vec::with_capacity(16 + n + 4 * tags::N_FIELDS * n);
     kinds.extend_from_slice(&(n as u64).to_le_bytes());
     kinds.push(tags::ROOT);
+    let mut fields = vec![0u8; 4 * tags::N_FIELDS]; // the root's
+    fields.reserve(4 * tags::N_FIELDS * model.nodes.len());
     for node in &model.nodes {
-        kinds.push(encode_kind(&scope_to_kind(&node.scope)).0);
-    }
-    kinds.resize(kinds.len() + tags_pad, 0);
-    kinds.extend_from_slice(&[0u8; 4 * tags::N_FIELDS]); // root fields
-    for node in &model.nodes {
-        for v in encode_kind(&scope_to_kind(&node.scope)).1 {
-            kinds.extend_from_slice(&v.to_le_bytes());
+        let (tag, words) = encode_kind(&node.scope);
+        kinds.push(tag);
+        for v in words {
+            fields.extend_from_slice(&v.to_le_bytes());
         }
     }
+    kinds.resize(8 + n.div_ceil(8) * 8, 0);
+    kinds.extend_from_slice(&fields);
     (links, kinds)
-}
-
-/// Lift a storage-level scope into the core scope type so the tag and
-/// field layout is defined in exactly one place
-/// (`callpath_core::topo::encode_kind` and its paired decoder).
-fn scope_to_kind(scope: &DbScope) -> ScopeKind {
-    match *scope {
-        DbScope::Frame {
-            proc,
-            module,
-            def_file,
-            def_line,
-            call_site,
-        } => ScopeKind::Frame {
-            proc: ProcId(proc),
-            module: LoadModuleId(module),
-            def: SourceLoc::new(FileId(def_file), def_line),
-            call_site: call_site.map(|(f, l)| SourceLoc::new(FileId(f), l)),
-        },
-        DbScope::Inlined {
-            proc,
-            def_file,
-            def_line,
-            cs_file,
-            cs_line,
-        } => ScopeKind::InlinedFrame {
-            proc: ProcId(proc),
-            def: SourceLoc::new(FileId(def_file), def_line),
-            call_site: SourceLoc::new(FileId(cs_file), cs_line),
-        },
-        DbScope::Loop { file, line } => ScopeKind::Loop {
-            header: SourceLoc::new(FileId(file), line),
-        },
-        DbScope::Stmt { file, line } => ScopeKind::Stmt {
-            loc: SourceLoc::new(FileId(file), line),
-        },
-    }
 }
 
 /// The three name tables of a database: (procs, files, modules).
@@ -373,8 +337,9 @@ pub(crate) fn read_topology_v21(links: &[u8], kinds: &[u8]) -> Result<Vec<DbNode
         for (j, slot) in f.iter_mut().enumerate() {
             *slot = u32_at(kinds, lay.fields_off + 4 * (i * tags::N_FIELDS + j));
         }
-        // Ids are range-checked when the records are built into a tree.
-        let scope = db_scope(decode_kind(tag, &f, UNCLAMPED));
+        // Name ids are range-checked when the records are built into a
+        // tree (`model::build_cct`).
+        let scope = decode_kind(tag, &f, UNCLAMPED);
         nodes.push(DbNode { parent, scope });
     }
     Ok(nodes)
@@ -568,6 +533,7 @@ mod tests {
     use super::*;
     use crate::model::tests::sample_experiment;
     use crate::DbModel;
+    use callpath_core::prelude::{FileId, ScopeKind, SourceLoc};
 
     #[test]
     fn v21_roundtrip() {
@@ -615,7 +581,9 @@ mod tests {
             nodes: (0..nnz as u32 + 1)
                 .map(|i| crate::model::DbNode {
                     parent: if i == 0 { 0 } else { i },
-                    scope: DbScope::Stmt { file: 0, line: i },
+                    scope: ScopeKind::Stmt {
+                        loc: SourceLoc::new(FileId(0), i),
+                    },
                 })
                 .collect(),
             metrics: vec![

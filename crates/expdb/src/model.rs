@@ -1,7 +1,9 @@
 //! The format-independent database model: everything needed to
 //! reconstruct an [`Experiment`], and nothing that can be recomputed.
 
+use callpath_core::names::Namespace;
 use callpath_core::prelude::*;
+use callpath_core::topo::{encode_kind, visit_fields, Field};
 use std::fmt;
 
 /// Database error.
@@ -28,59 +30,17 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
-/// A CCT node in serialized form. `parent` indices refer to arena order,
-/// which always places parents before children.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DbScope {
-    /// A dynamic procedure frame.
-    Frame {
-        /// Procedure name index.
-        proc: u32,
-        /// Load-module name index.
-        module: u32,
-        /// Defining file index.
-        def_file: u32,
-        /// First line of the definition.
-        def_line: u32,
-        /// Call site as (file index, line), absent for top-level frames.
-        call_site: Option<(u32, u32)>,
-    },
-    /// An inlined procedure body.
-    Inlined {
-        /// Inlined procedure name index.
-        proc: u32,
-        /// Defining file index.
-        def_file: u32,
-        /// First line of the definition.
-        def_line: u32,
-        /// Call-site file index.
-        cs_file: u32,
-        /// Call-site line.
-        cs_line: u32,
-    },
-    /// A loop, identified by its header location.
-    Loop {
-        /// Header file index.
-        file: u32,
-        /// Header line.
-        line: u32,
-    },
-    /// A source statement.
-    Stmt {
-        /// File index.
-        file: u32,
-        /// Line number.
-        line: u32,
-    },
-}
-
-/// One serialized CCT node.
+/// One serialized CCT node. `parent` indexes arena order, which always
+/// places parents before children; the scope's name ids index the
+/// model's name tables, and reading a model checks them against the
+/// tables' sizes. The root is implicit, so no node's scope is
+/// [`ScopeKind::Root`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DbNode {
     /// Arena index of the parent (parents always precede children).
     pub parent: u32,
     /// The scope this node represents.
-    pub scope: DbScope,
+    pub scope: ScopeKind,
 }
 
 /// One serialized raw metric with its sparse costs.
@@ -208,54 +168,17 @@ pub(crate) fn topology_parts(cct: &Cct) -> (Vec<String>, Vec<String>, Vec<String
         .skip(1)
         .map(|n| DbNode {
             parent: topo.parent(n).expect("non-root has parent").0,
-            scope: db_scope(topo.kind(n)),
+            scope: topo.kind(n),
         })
         .collect();
     (procs, files, modules, nodes)
 }
 
-/// The storage-level record of a scope kind: ids as plain numbers.
-pub(crate) fn db_scope(kind: ScopeKind) -> DbScope {
-    match kind {
-        ScopeKind::Root => unreachable!("root is implicit"),
-        ScopeKind::Frame {
-            proc,
-            module,
-            def,
-            call_site,
-        } => DbScope::Frame {
-            proc: proc.0,
-            module: module.0,
-            def_file: def.file.0,
-            def_line: def.line,
-            call_site: call_site.map(|c| (c.file.0, c.line)),
-        },
-        ScopeKind::InlinedFrame {
-            proc,
-            def,
-            call_site,
-        } => DbScope::Inlined {
-            proc: proc.0,
-            def_file: def.file.0,
-            def_line: def.line,
-            cs_file: call_site.file.0,
-            cs_line: call_site.line,
-        },
-        ScopeKind::Loop { header } => DbScope::Loop {
-            file: header.file.0,
-            line: header.line,
-        },
-        ScopeKind::Stmt { loc } => DbScope::Stmt {
-            file: loc.file.0,
-            line: loc.line,
-        },
-    }
-}
-
 /// Reconstruct a validated [`Cct`] from serialized name tables and node
 /// records — the shared topology-decoding half of
 /// [`DbModel::into_experiment`], also the lazy reader's fallback when
-/// the topology arrays cannot be borrowed in place.
+/// the topology arrays cannot be borrowed in place. A table's name ids
+/// are its indices, so its names must be distinct.
 pub(crate) fn build_cct(
     proc_names: &[String],
     file_names: &[String],
@@ -263,28 +186,16 @@ pub(crate) fn build_cct(
     nodes: &[DbNode],
 ) -> Result<Cct, DbError> {
     let mut names = NameTable::new();
-    let procs: Vec<ProcId> = proc_names.iter().map(|s| names.proc(s)).collect();
-    let files: Vec<FileId> = file_names.iter().map(|s| names.file(s)).collect();
-    let modules: Vec<LoadModuleId> = module_names.iter().map(|s| names.module(s)).collect();
-
-    let proc_id = |i: u32| -> Result<ProcId, DbError> {
-        procs
-            .get(i as usize)
-            .copied()
-            .ok_or_else(|| DbError::new(format!("proc index {i} out of range")))
-    };
-    let file_id = |i: u32| -> Result<FileId, DbError> {
-        files
-            .get(i as usize)
-            .copied()
-            .ok_or_else(|| DbError::new(format!("file index {i} out of range")))
-    };
-    let module_id = |i: u32| -> Result<LoadModuleId, DbError> {
-        modules
-            .get(i as usize)
-            .copied()
-            .ok_or_else(|| DbError::new(format!("module index {i} out of range")))
-    };
+    let tables = [proc_names, file_names, module_names];
+    for (ns, table) in Namespace::ALL.into_iter().zip(tables) {
+        for (i, s) in table.iter().enumerate() {
+            if names.intern(ns, s) as usize != i {
+                let what = NAMESPACES[ns as usize];
+                return Err(DbError::new(format!("{what} name '{s}' appears twice")));
+            }
+        }
+    }
+    let sizes = tables.map(|t| t.len());
 
     let mut cct = Cct::new(names);
     for (i, node) in nodes.iter().enumerate() {
@@ -295,50 +206,42 @@ pub(crate) fn build_cct(
                 node.parent
             )));
         }
-        let kind = match &node.scope {
-            DbScope::Frame {
-                proc,
-                module,
-                def_file,
-                def_line,
-                call_site,
-            } => ScopeKind::Frame {
-                proc: proc_id(*proc)?,
-                module: module_id(*module)?,
-                def: SourceLoc::new(file_id(*def_file)?, *def_line),
-                call_site: match call_site {
-                    Some((f, l)) => Some(SourceLoc::new(file_id(*f)?, *l)),
-                    None => None,
-                },
-            },
-            DbScope::Inlined {
-                proc,
-                def_file,
-                def_line,
-                cs_file,
-                cs_line,
-            } => ScopeKind::InlinedFrame {
-                proc: proc_id(*proc)?,
-                def: SourceLoc::new(file_id(*def_file)?, *def_line),
-                call_site: SourceLoc::new(file_id(*cs_file)?, *cs_line),
-            },
-            DbScope::Loop { file, line } => ScopeKind::Loop {
-                header: SourceLoc::new(file_id(*file)?, *line),
-            },
-            DbScope::Stmt { file, line } => ScopeKind::Stmt {
-                loc: SourceLoc::new(file_id(*file)?, *line),
-            },
-        };
-        let added = cct.add_child(NodeId(node.parent), kind);
+        check_name_ids(id, &node.scope, sizes)?;
+        let added = cct.add_child(NodeId(node.parent), node.scope);
         debug_assert_eq!(added.0, id);
     }
     cct.validate().map_err(DbError::new)?;
     Ok(cct)
 }
 
+/// Reject a scope whose name ids reach past their tables: every
+/// `Field::Name` word of its encoded form against its namespace's
+/// `sizes` entry (procedures, files, modules).
+fn check_name_ids(id: u32, scope: &ScopeKind, sizes: [usize; 3]) -> Result<(), DbError> {
+    let (tag, mut words) = encode_kind(scope);
+    let mut dangling = None;
+    visit_fields(tag, &mut words, |field, w| match field {
+        Field::Name(ns) if *w as usize >= sizes[ns as usize] => {
+            dangling.get_or_insert((ns, *w));
+        }
+        _ => {}
+    });
+    match dangling {
+        None => Ok(()),
+        Some((ns, w)) => Err(DbError::new(format!(
+            "node {id}: {} index {w} out of range ({} names)",
+            NAMESPACES[ns as usize], sizes[ns as usize]
+        ))),
+    }
+}
+
+/// What an error calls each [`Namespace`], by discriminant.
+const NAMESPACES: [&str; 3] = ["proc", "file", "module"];
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use callpath_core::topo::{decode_kind, UNCLAMPED};
 
     pub(crate) fn sample_experiment() -> Experiment {
         let mut names = NameTable::new();
@@ -418,14 +321,52 @@ pub(crate) mod tests {
         assert_eq!(DbModel::from_experiment(&rebuilt), model);
     }
 
+    /// Every name field of every tag the sample holds (both frame tags,
+    /// inlined, loop, statement), pushed one past its table, is refused
+    /// by all three readers, naming the namespace.
     #[test]
     fn rejects_dangling_indices() {
-        let exp = sample_experiment();
-        let mut model = DbModel::from_experiment(&exp);
-        if let DbScope::Frame { proc, .. } = &mut model.nodes[0].scope {
-            *proc = 99;
+        let model = DbModel::from_experiment(&sample_experiment());
+        let sizes = [model.procs.len(), model.files.len(), model.modules.len()];
+        let mut tried = Vec::new();
+        for (i, node) in model.nodes.iter().enumerate() {
+            let (tag, words) = encode_kind(&node.scope);
+            let mut fields = Vec::new();
+            visit_fields(tag, &mut words.clone(), |field, _| fields.push(field));
+            for (j, field) in fields.into_iter().enumerate() {
+                let Field::Name(ns) = field else { continue };
+                let mut bad_words = words;
+                bad_words[j] = sizes[ns as usize] as u32;
+                let mut bad = model.clone();
+                bad.nodes[i].scope = decode_kind(tag, &bad_words, UNCLAMPED);
+                let expect = format!("{} index {}", NAMESPACES[ns as usize], bad_words[j]);
+                let errors = [
+                    bad.clone().into_experiment().err(),
+                    crate::from_xml(&crate::xml::write(&bad)).err(),
+                    crate::from_binary(&crate::bin2::write_v21(&bad)).err(),
+                ];
+                for err in errors {
+                    let err = err.unwrap_or_else(|| panic!("tag {tag} field {j} accepted"));
+                    assert!(err.message.contains(&expect), "{expect}: {err}");
+                }
+                tried.push((tag, j));
+            }
         }
-        assert!(model.into_experiment().is_err());
+        // The sample holds each tag once. Frame: proc, module, definition
+        // file, call-site file; top-level frame: the first three; inlined:
+        // proc, definition file, call-site file; loop; statement.
+        assert_eq!(tried.len(), 4 + 3 + 3 + 1 + 1, "{tried:?}");
+    }
+
+    #[test]
+    fn rejects_duplicate_names() {
+        let mut model = DbModel::from_experiment(&sample_experiment());
+        model.files.push(model.files[0].clone());
+        let err = model.into_experiment().unwrap_err();
+        assert!(
+            err.message.contains("file name 'a.c' appears twice"),
+            "{err}"
+        );
     }
 
     #[test]

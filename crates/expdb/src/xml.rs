@@ -6,7 +6,8 @@
 //! exactly the subset we emit: nested elements, attributes, escaped
 //! text.
 
-use crate::model::{DbError, DbMetric, DbModel, DbNode, DbScope};
+use crate::model::{DbError, DbMetric, DbModel, DbNode};
+use callpath_core::prelude::{FileId, LoadModuleId, ProcId, ScopeKind, SourceLoc};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -71,53 +72,45 @@ pub fn write(model: &DbModel) -> String {
 
     let _ = writeln!(out, "  <CCT>");
     for (i, n) in model.nodes.iter().enumerate() {
-        let id = i + 1;
-        match &n.scope {
-            DbScope::Frame {
+        let (id, p) = (i + 1, n.parent);
+        let _ = match n.scope {
+            ScopeKind::Frame {
                 proc,
                 module,
-                def_file,
-                def_line,
+                def,
                 call_site,
             } => {
                 let cs = match call_site {
-                    Some((f, l)) => format!(" csf=\"{f}\" csl=\"{l}\""),
+                    Some(c) => format!(" csf=\"{}\" csl=\"{}\"", c.file.0, c.line),
                     None => String::new(),
                 };
-                let _ = writeln!(
+                writeln!(
                     out,
-                    "    <F id=\"{id}\" p=\"{}\" n=\"{proc}\" lm=\"{module}\" f=\"{def_file}\" l=\"{def_line}\"{cs}/>",
-                    n.parent
-                );
+                    "    <F id=\"{id}\" p=\"{p}\" n=\"{}\" lm=\"{}\" f=\"{}\" l=\"{}\"{cs}/>",
+                    proc.0, module.0, def.file.0, def.line
+                )
             }
-            DbScope::Inlined {
+            ScopeKind::InlinedFrame {
                 proc,
-                def_file,
-                def_line,
-                cs_file,
-                cs_line,
-            } => {
-                let _ = writeln!(
+                def,
+                call_site,
+            } => writeln!(
+                out,
+                "    <I id=\"{id}\" p=\"{p}\" n=\"{}\" f=\"{}\" l=\"{}\" csf=\"{}\" csl=\"{}\"/>",
+                proc.0, def.file.0, def.line, call_site.file.0, call_site.line
+            ),
+            ScopeKind::Loop { header: at } | ScopeKind::Stmt { loc: at } => {
+                let tag = if n.scope.is_loop() { "L" } else { "S" };
+                writeln!(
                     out,
-                    "    <I id=\"{id}\" p=\"{}\" n=\"{proc}\" f=\"{def_file}\" l=\"{def_line}\" csf=\"{cs_file}\" csl=\"{cs_line}\"/>",
-                    n.parent
-                );
+                    "    <{tag} id=\"{id}\" p=\"{p}\" f=\"{}\" l=\"{}\"/>",
+                    at.file.0, at.line
+                )
             }
-            DbScope::Loop { file, line } => {
-                let _ = writeln!(
-                    out,
-                    "    <L id=\"{id}\" p=\"{}\" f=\"{file}\" l=\"{line}\"/>",
-                    n.parent
-                );
-            }
-            DbScope::Stmt { file, line } => {
-                let _ = writeln!(
-                    out,
-                    "    <S id=\"{id}\" p=\"{}\" f=\"{file}\" l=\"{line}\"/>",
-                    n.parent
-                );
-            }
-        }
+            // No element describes a root off node 0; the reader refuses
+            // this one, as the binary reader refuses a root tag.
+            ScopeKind::Root => writeln!(out, "    <Root id=\"{id}\" p=\"{p}\"/>"),
+        };
     }
     let _ = writeln!(out, "  </CCT>");
 
@@ -293,31 +286,33 @@ pub fn read(text: &str) -> Result<DbModel, DbError> {
             Tag::Empty(name, attrs) => match name.as_str() {
                 "F" | "I" | "L" | "S" => {
                     let parent = num(req(&attrs, "p", &name)?, "parent")?;
+                    let loc = |file: &str, line: &str| -> Result<SourceLoc, DbError> {
+                        let file = num(req(&attrs, file, &name)?, file)?;
+                        Ok(SourceLoc::new(
+                            FileId(file),
+                            num(req(&attrs, line, &name)?, line)?,
+                        ))
+                    };
                     let scope = match name.as_str() {
-                        "F" => DbScope::Frame {
-                            proc: num(req(&attrs, "n", "F")?, "proc")?,
-                            module: num(req(&attrs, "lm", "F")?, "module")?,
-                            def_file: num(req(&attrs, "f", "F")?, "file")?,
-                            def_line: num(req(&attrs, "l", "F")?, "line")?,
+                        "F" => ScopeKind::Frame {
+                            proc: ProcId(num(req(&attrs, "n", "F")?, "proc")?),
+                            module: LoadModuleId(num(req(&attrs, "lm", "F")?, "module")?),
+                            def: loc("f", "l")?,
                             call_site: match (attrs.get("csf"), attrs.get("csl")) {
-                                (Some(f), Some(l)) => Some((num(f, "csf")?, num(l, "csl")?)),
+                                (Some(_), Some(_)) => Some(loc("csf", "csl")?),
                                 _ => None,
                             },
                         },
-                        "I" => DbScope::Inlined {
-                            proc: num(req(&attrs, "n", "I")?, "proc")?,
-                            def_file: num(req(&attrs, "f", "I")?, "file")?,
-                            def_line: num(req(&attrs, "l", "I")?, "line")?,
-                            cs_file: num(req(&attrs, "csf", "I")?, "csf")?,
-                            cs_line: num(req(&attrs, "csl", "I")?, "csl")?,
+                        "I" => ScopeKind::InlinedFrame {
+                            proc: ProcId(num(req(&attrs, "n", "I")?, "proc")?),
+                            def: loc("f", "l")?,
+                            call_site: loc("csf", "csl")?,
                         },
-                        "L" => DbScope::Loop {
-                            file: num(req(&attrs, "f", "L")?, "file")?,
-                            line: num(req(&attrs, "l", "L")?, "line")?,
+                        "L" => ScopeKind::Loop {
+                            header: loc("f", "l")?,
                         },
-                        _ => DbScope::Stmt {
-                            file: num(req(&attrs, "f", "S")?, "file")?,
-                            line: num(req(&attrs, "l", "S")?, "line")?,
+                        _ => ScopeKind::Stmt {
+                            loc: loc("f", "l")?,
                         },
                     };
                     let id: usize = num(req(&attrs, "id", &name)?, "id")?;

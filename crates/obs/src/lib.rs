@@ -42,6 +42,9 @@
 
 mod export;
 
+use callpath_core::jsonval::Json;
+use std::fmt::Write as _;
+
 pub use export::{to_experiment, TIME_METRIC_NAME};
 
 #[cfg(feature = "enabled")]
@@ -118,28 +121,35 @@ impl Snapshot {
     }
 
     /// Render the snapshot as the `--stats` JSON document. Stable key
-    /// order, two-space indentation, no external dependencies.
+    /// order, two-space indentation, no external dependencies; strings go
+    /// through `core::jsonval`'s writer.
     pub fn to_json(&self) -> String {
+        let string = |out: &mut String, s: &str| Json::Str(s.to_owned()).write(out);
+        let comma = |i: usize, len: usize| if i + 1 < len { "," } else { "" };
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        out.push_str(&format!("  \"obs_enabled\": {},\n", enabled()));
+        let _ = writeln!(out, "  \"obs_enabled\": {},", enabled());
         out.push_str("  \"spans\": [\n");
         for (i, s) in self.spans.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"parent\": {}, \"count\": {}, \"total_ns\": {}}}{}\n",
-                json_string(&s.name),
+            out.push_str("    {\"name\": ");
+            string(&mut out, &s.name);
+            let _ = writeln!(
+                out,
+                ", \"parent\": {}, \"count\": {}, \"total_ns\": {}}}{}",
                 s.parent,
                 s.count,
                 s.total_ns,
-                if i + 1 < self.spans.len() { "," } else { "" }
-            ));
+                comma(i, self.spans.len())
+            );
         }
         out.push_str("  ],\n  \"counters\": {");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}: {v}", json_string(name)));
+            out.push_str("\n    ");
+            string(&mut out, name);
+            let _ = write!(out, ": {v}");
         }
         if !self.counters.is_empty() {
             out.push_str("\n  ");
@@ -151,60 +161,31 @@ impl Snapshot {
                 .iter()
                 .map(|(bits, n)| format!("[{bits}, {n}]"))
                 .collect();
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"count\": {}, \"sum\": {}, \"buckets\": [{}]}}{}\n",
-                json_string(&h.name),
+            out.push_str("    {\"name\": ");
+            string(&mut out, &h.name);
+            let _ = writeln!(
+                out,
+                ", \"count\": {}, \"sum\": {}, \"buckets\": [{}]}}{}",
                 h.count,
                 h.sum,
                 buckets.join(", "),
-                if i + 1 < self.histograms.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+                comma(i, self.histograms.len())
+            );
         }
         out.push_str("  ],\n  \"errors\": [\n");
         for (i, (msg, n)) in self.errors.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"message\": {}, \"count\": {n}}}{}\n",
-                json_string(msg),
-                if i + 1 < self.errors.len() { "," } else { "" }
-            ));
+            out.push_str("    {\"message\": ");
+            string(&mut out, msg);
+            let _ = writeln!(out, ", \"count\": {n}}}{}", comma(i, self.errors.len()));
         }
         out.push_str("  ]\n}\n");
         out
     }
 }
 
-/// Minimal JSON string escaping: quotes, backslashes and control bytes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escapes_special_characters() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn empty_snapshot_serializes() {

@@ -276,15 +276,16 @@ impl<'e> Session<'e> {
                             return Err("empty view".into());
                         }
                         let sort = self.sort;
-                        // Top-1 selection: a single max scan (first-max on
-                        // ties, like the stable descending sort it replaced)
-                        // instead of sorting the whole top level.
+                        // Top-1 selection: a single max scan in the pane's
+                        // ranking (NaN last; first-max on ties, like the
+                        // stable descending sort it replaced) instead of
+                        // sorting the whole top level.
                         let view = self.view();
                         let mut best = tops[0];
                         let mut best_v = view.value(sort, best);
                         for &t in &tops[1..] {
                             let v = view.value(sort, t);
-                            if v > best_v {
+                            if SortDir::Descending.cmp_values(v, best_v).is_lt() {
                                 best = t;
                                 best_v = v;
                             }

@@ -5,8 +5,8 @@
 //! 10³-column experiment in memory just to serialize it again is
 //! exactly the cost the lazy reader exists to avoid. This generator
 //! therefore emits a [`DbModel`] directly: node records and sparse cost
-//! lists, ready for `callpath_expdb::bin2::write` / `write_v21`, with
-//! nothing attributed and nothing interned twice.
+//! lists, ready for `callpath_expdb::bin2::write_v21`, with nothing
+//! attributed and nothing interned twice.
 //!
 //! Shapes are deterministic in the seed (a splitmix64 stream, so the
 //! generator needs no RNG state beyond one `u64`) and loosely modeled
@@ -17,7 +17,8 @@
 //!
 //! [`Experiment`]: callpath_core::prelude::Experiment
 
-use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
+use callpath_core::prelude::{FileId, LoadModuleId, ProcId, ScopeKind, SourceLoc};
+use callpath_expdb::model::{DbMetric, DbModel, DbNode};
 
 /// Parameters for [`synth_model`]. All sizes are exact, not targets.
 #[derive(Debug, Clone, Copy)]
@@ -102,32 +103,24 @@ pub fn synth_model(cfg: &SynthConfig) -> DbModel {
         let f = p % n_files;
         let line = 2 + (r >> 48) as u32 % 997;
         let pick = if framed[parent as usize] { r % 10 } else { 0 };
+        let (f, def_line) = (FileId(f as u32), 1 + p as u32 % 100);
         let scope = match pick {
-            0..=3 => DbScope::Frame {
-                proc: p as u32,
-                module: (r >> 24) as u32 % modules.len() as u32,
-                def_file: f as u32,
-                def_line: 1 + p as u32 % 100,
-                call_site: if r & 0x400 == 0 {
-                    Some((f as u32, line))
-                } else {
-                    None
-                },
+            0..=3 => ScopeKind::Frame {
+                proc: ProcId(p as u32),
+                module: LoadModuleId((r >> 24) as u32 % modules.len() as u32),
+                def: SourceLoc::new(f, def_line),
+                call_site: (r & 0x400 == 0).then(|| SourceLoc::new(f, line)),
             },
-            4 => DbScope::Inlined {
-                proc: p as u32,
-                def_file: f as u32,
-                def_line: 1 + p as u32 % 100,
-                cs_file: f as u32,
-                cs_line: line,
+            4 => ScopeKind::InlinedFrame {
+                proc: ProcId(p as u32),
+                def: SourceLoc::new(f, def_line),
+                call_site: SourceLoc::new(f, line),
             },
-            5 => DbScope::Loop {
-                file: f as u32,
-                line,
+            5 => ScopeKind::Loop {
+                header: SourceLoc::new(f, line),
             },
-            _ => DbScope::Stmt {
-                file: f as u32,
-                line,
+            _ => ScopeKind::Stmt {
+                loc: SourceLoc::new(f, line),
             },
         };
         framed[id as usize] = framed[parent as usize] || pick <= 4;
@@ -241,12 +234,14 @@ pub fn ensemble_run(cfg: &EnsembleConfig, r: usize) -> DbModel {
         let p = (t >> 8) as u32 % n_procs;
         model.nodes.push(DbNode {
             parent,
-            scope: DbScope::Frame {
-                proc: p,
-                module: (t >> 24) as u32 % model.modules.len() as u32,
-                def_file: p % n_files,
-                def_line: 1 + p % 100,
-                call_site: Some((p % n_files, 2 + (t >> 48) as u32 % 997)),
+            scope: ScopeKind::Frame {
+                proc: ProcId(p),
+                module: LoadModuleId((t >> 24) as u32 % model.modules.len() as u32),
+                def: SourceLoc::new(FileId(p % n_files), 1 + p % 100),
+                call_site: Some(SourceLoc::new(
+                    FileId(p % n_files),
+                    2 + (t >> 48) as u32 % 997,
+                )),
             },
         });
     }

@@ -17,7 +17,7 @@
 
 use callpath_core::names::Namespace;
 use callpath_core::prelude::*;
-use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
+use callpath_expdb::model::{DbMetric, DbModel, DbNode};
 use callpath_expdb::{bin2, open_lazy, open_lazy_path, to_binary_v21};
 use callpath_profiler::{ExecConfig, Program};
 use callpath_viewer::{render, ExpandMode, RenderConfig};
@@ -151,7 +151,9 @@ fn adversarial_db(seed: u64, n: usize) -> Vec<u8> {
     let nodes = (1..n)
         .map(|id| DbNode {
             parent: (mix(seed, id as u64) % id as u64) as u32,
-            scope: DbScope::Stmt { file: 0, line: 1 },
+            scope: ScopeKind::Stmt {
+                loc: SourceLoc::new(FileId(0), 1),
+            },
         })
         .collect();
     let metric = |name: &str, costs: Vec<(u32, f64)>| DbMetric {

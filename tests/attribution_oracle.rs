@@ -25,7 +25,7 @@
 
 use callpath_core::attribution::{attribute, attribute_sorted, frame_direct, Attribution};
 use callpath_core::prelude::*;
-use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
+use callpath_expdb::model::{DbMetric, DbModel, DbNode};
 use callpath_expdb::{bin2, open_lazy_path};
 use callpath_workloads::synth::{synth_model, SynthConfig};
 use proptest::prelude::*;
@@ -47,24 +47,26 @@ fn dyadic(r: u64) -> f64 {
     (if q == 0.0 { 1.0 } else { q }) / 64.0
 }
 
-fn frame(r: u64) -> DbScope {
-    DbScope::Frame {
+/// Line `line` of the one source file.
+fn at(line: u32) -> SourceLoc {
+    SourceLoc::new(FileId(0), line)
+}
+
+fn frame(r: u64) -> ScopeKind {
+    ScopeKind::Frame {
         // Three procedures over a long chain: every one of them recurs.
-        proc: (r >> 8) as u32 % 3,
-        module: (r >> 16) as u32 % 2,
-        def_file: 0,
-        def_line: 1 + (r >> 24) as u32 % 50,
-        call_site: (r & 1 == 0).then_some((0, (r >> 32) as u32 % 400)),
+        proc: ProcId((r >> 8) as u32 % 3),
+        module: LoadModuleId((r >> 16) as u32 % 2),
+        def: at(1 + (r >> 24) as u32 % 50),
+        call_site: (r & 1 == 0).then_some(at((r >> 32) as u32 % 400)),
     }
 }
 
-fn inlined(r: u64) -> DbScope {
-    DbScope::Inlined {
-        proc: (r >> 8) as u32 % 3,
-        def_file: 0,
-        def_line: 1 + (r >> 24) as u32 % 50,
-        cs_file: 0,
-        cs_line: (r >> 32) as u32 % 400,
+fn inlined(r: u64) -> ScopeKind {
+    ScopeKind::InlinedFrame {
+        proc: ProcId((r >> 8) as u32 % 3),
+        def: at(1 + (r >> 24) as u32 % 50),
+        call_site: at((r >> 32) as u32 % 400),
     }
 }
 
@@ -100,8 +102,8 @@ fn random_model(seed: u64, chain: usize, bushy: usize, nnz: usize, idle: usize) 
         let scope = match pick {
             0..=3 => frame(r),
             4 => inlined(r),
-            5 | 6 => DbScope::Loop { file: 0, line },
-            _ => DbScope::Stmt { file: 0, line },
+            5 | 6 => ScopeKind::Loop { header: at(line) },
+            _ => ScopeKind::Stmt { loc: at(line) },
         };
         if pick < 7 {
             hosts.push(id);
@@ -154,7 +156,7 @@ fn oracle(model: &DbModel, costs: &[(u32, f64)]) -> Oracle {
     let is_frame = |x: u32| {
         matches!(
             scope(x),
-            Some(DbScope::Frame { .. } | DbScope::Inlined { .. })
+            Some(ScopeKind::Frame { .. } | ScopeKind::InlinedFrame { .. })
         )
     };
     let mut o = Oracle {
@@ -174,17 +176,18 @@ fn oracle(model: &DbModel, costs: &[(u32, f64)]) -> Oracle {
         }
         // Eq. 1.
         match scope(y) {
-            None => {} // the root displays no exclusive cost
-            Some(DbScope::Frame { .. } | DbScope::Inlined { .. }) => {
+            // The root displays no exclusive cost.
+            None | Some(ScopeKind::Root) => {}
+            Some(ScopeKind::Frame { .. } | ScopeKind::InlinedFrame { .. }) => {
                 o.exclusive[y as usize] += d;
                 o.frame_direct[y as usize] += d;
             }
-            Some(s @ (DbScope::Loop { .. } | DbScope::Stmt { .. })) => {
+            Some(s @ (ScopeKind::Loop { .. } | ScopeKind::Stmt { .. })) => {
                 o.exclusive[y as usize] += d;
                 let p = parent(y).expect("a static scope has a parent");
                 // Rule 2: a loop sums its direct child statements.
-                if matches!(s, DbScope::Stmt { .. })
-                    && matches!(scope(p), Some(DbScope::Loop { .. }))
+                if matches!(s, ScopeKind::Stmt { .. })
+                    && matches!(scope(p), Some(ScopeKind::Loop { .. }))
                 {
                     o.exclusive[p as usize] += d;
                 }
@@ -393,25 +396,23 @@ proptest! {
 /// `idle` frames nothing has a cost at.
 fn small_model(costs: Vec<(u32, f64)>, idle: usize) -> DbModel {
     let mut model = random_model(1, 0, 0, 0, idle);
-    let top = DbScope::Frame {
-        proc: 0,
-        module: 0,
-        def_file: 0,
-        def_line: 1,
+    let top = ScopeKind::Frame {
+        proc: ProcId(0),
+        module: LoadModuleId(0),
+        def: at(1),
         call_site: None,
     };
-    let callee = DbScope::Frame {
-        proc: 1,
-        module: 0,
-        def_file: 0,
-        def_line: 20,
-        call_site: Some((0, 5)),
+    let callee = ScopeKind::Frame {
+        proc: ProcId(1),
+        module: LoadModuleId(0),
+        def: at(20),
+        call_site: Some(at(5)),
     };
     let node = |parent, scope| DbNode { parent, scope };
-    let stmt = |line| DbScope::Stmt { file: 0, line };
+    let stmt = |line| ScopeKind::Stmt { loc: at(line) };
     let active = vec![
         node(0, top),
-        node(1, DbScope::Loop { file: 0, line: 3 }),
+        node(1, ScopeKind::Loop { header: at(3) }),
         node(2, stmt(4)),
         node(2, stmt(5)),
         node(1, callee),

@@ -4,13 +4,15 @@
 //! ranking keeps its finite rows in their order — descending, ties by
 //! the caller's key — and puts every NaN row after them. (A comparator
 //! that calls NaN equal to everything is not a total order, and the
-//! standard sorts may panic on one.)
+//! standard sorts may panic on one.) Eq. 3's hot path ranks the same way:
+//! a NaN scope is never Cmax over a number, nor a session's start.
 
 use callpath_analyze::detectors::{load_imbalance, ImbalanceConfig};
 use callpath_analyze::run_query;
 use callpath_core::prelude::*;
+use callpath_core::source::SourceStore;
 use callpath_expdb::{bin2, open_lazy};
-use callpath_viewer::{render, ExpandMode, RenderConfig};
+use callpath_viewer::{render, Command, ExpandMode, RenderConfig, Session};
 use callpath_workloads::synth::{synth_model, SynthConfig};
 
 /// The synthetic database, with NaN at every fifth stored cost.
@@ -118,4 +120,59 @@ fn sorted_views_rank_nan_values_last_and_render() {
         assert!(!render(&mut view, &cfg).is_empty());
     }
     assert!(ranked > 0, "no list held a NaN");
+}
+
+/// Two top-level frames: `nanmain`, whose one statement costs NaN, then
+/// `main`, whose own statement costs 60 and whose callees are `hot` (90
+/// in its statement) and, after it, `cold` (NaN in its statement).
+/// Exclusive values: `nanmain` NaN, `main` 60, `hot` 90, `cold` NaN.
+fn nan_siblings() -> Experiment {
+    let mut names = NameTable::new();
+    let (file, module) = (names.file("nan.c"), names.module("app"));
+    let procs = ["nanmain", "main", "hot", "cold"].map(|p| names.proc(p));
+    let at = |line| SourceLoc::new(file, line);
+    let frame = |p: usize, call_site: Option<u32>| ScopeKind::Frame {
+        proc: procs[p],
+        module,
+        def: at(10 * p as u32 + 1),
+        call_site: call_site.map(at),
+    };
+    let stmt = |line| ScopeKind::Stmt { loc: at(line) };
+    let mut cct = Cct::new(names);
+    let root = cct.root();
+    let nanmain = cct.add_child(root, frame(0, None));
+    let s_nan = cct.add_child(nanmain, stmt(2));
+    let main = cct.add_child(root, frame(1, None));
+    let s_main = cct.add_child(main, stmt(11));
+    let hot = cct.add_child(main, frame(2, Some(12)));
+    let s_hot = cct.add_child(hot, stmt(21));
+    let cold = cct.add_child(main, frame(3, Some(13)));
+    let s_cold = cct.add_child(cold, stmt(31));
+    assert_eq!([main.0, hot.0, s_hot.0], [3, 5, 6]);
+    let mut raw = RawMetrics::new(StorageKind::Csr);
+    let m = raw.add_metric(MetricDesc::new("M", "ev", 1.0));
+    let costs = [
+        (s_nan, f64::NAN),
+        (s_main, 60.0),
+        (s_hot, 90.0),
+        (s_cold, f64::NAN),
+    ];
+    raw.add_costs(m, &costs);
+    Experiment::build(cct, raw, StorageKind::Csr)
+}
+
+#[test]
+fn the_hot_path_passes_a_nan_sibling_and_a_nan_top_level_scope() {
+    let exp = nan_siblings();
+    let exclusive = ColumnId(1);
+    let cfg = HotPathConfig::default();
+    // From `main`: `hot` is Cmax although the NaN `cold` comes after it.
+    let path = View::calling_context(&exp).hot_path(3, exclusive, cfg);
+    assert_eq!(path, [3, 5, 6]);
+    // Nothing selected: the start is the top-level scope the pane ranks
+    // first, `main`, not the NaN `nanmain` listed before it.
+    let mut session = Session::new(&exp, SourceStore::new());
+    session.apply(Command::SortBy(exclusive)).unwrap();
+    session.apply(Command::HotPath).unwrap();
+    assert_eq!(session.selected(), Some(6));
 }

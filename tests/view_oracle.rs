@@ -41,7 +41,7 @@
 //! dropped (`set_instances`) both properties fail at a caller line.
 
 use callpath_core::prelude::*;
-use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
+use callpath_expdb::model::{DbMetric, DbModel, DbNode};
 use callpath_expdb::{bin2, open_lazy};
 use proptest::prelude::*;
 
@@ -56,6 +56,16 @@ fn mix(seed: u64, i: u64) -> u64 {
 }
 
 const N_PROCS: u32 = 4;
+
+/// Line `line` of file `file`.
+fn at(file: u32, line: u32) -> SourceLoc {
+    SourceLoc::new(FileId(file), line)
+}
+
+/// A location in the model's own ids, as the oracle's keys hold it.
+fn ids(l: SourceLoc) -> (u32, u32) {
+    (l.file.0, l.line)
+}
 
 /// Derived columns 4, 5 and 6: source text, and the same formula as
 /// plain arithmetic over (the row's values, the program's aggregates).
@@ -98,30 +108,25 @@ fn random_model(seed: u64, chain: usize, bushy: usize, nnz: usize) -> DbModel {
         };
         let proc = (r >> 8) as u32 % N_PROCS;
         let line = 2 + (r >> 48) as u32 % 4;
+        let (def, here) = (
+            at(proc % 2, 10 * (proc + 1)),
+            at((r >> 20) as u32 % 2, line),
+        );
         let scope = match pick {
-            0..=3 => DbScope::Frame {
-                proc,
+            0..=3 => ScopeKind::Frame {
+                proc: ProcId(proc),
                 // Procedure 3 was linked into both modules.
-                module: if proc == 3 { (r >> 16) as u32 % 2 } else { 0 },
-                def_file: proc % 2,
-                def_line: 10 * (proc + 1),
-                call_site: (r & 3 != 0).then_some(((r >> 20) as u32 % 2, line)),
+                module: LoadModuleId(if proc == 3 { (r >> 16) as u32 % 2 } else { 0 }),
+                def,
+                call_site: (r & 3 != 0).then_some(here),
             },
-            4 => DbScope::Inlined {
-                proc,
-                def_file: proc % 2,
-                def_line: 10 * (proc + 1),
-                cs_file: (r >> 20) as u32 % 2,
-                cs_line: line,
+            4 => ScopeKind::InlinedFrame {
+                proc: ProcId(proc),
+                def,
+                call_site: here,
             },
-            5 | 6 => DbScope::Loop {
-                file: (r >> 20) as u32 % 2,
-                line,
-            },
-            _ => DbScope::Stmt {
-                file: (r >> 20) as u32 % 2,
-                line,
-            },
+            5 | 6 => ScopeKind::Loop { header: here },
+            _ => ScopeKind::Stmt { loc: here },
         };
         if pick < 7 {
             hosts.push(id);
@@ -224,8 +229,8 @@ impl<'m> Oracle<'m> {
                 }
                 let p = o.parent(y).expect("a static scope has a parent");
                 // Rule 2: a loop shows its direct child statements.
-                if matches!(scope, DbScope::Stmt { .. })
-                    && matches!(o.scope(p), Some(DbScope::Loop { .. }))
+                if matches!(scope, ScopeKind::Stmt { .. })
+                    && matches!(o.scope(p), Some(ScopeKind::Loop { .. }))
                 {
                     excl[p as usize] += d;
                 }
@@ -258,14 +263,14 @@ impl<'m> Oracle<'m> {
         (x != 0).then(|| self.model.nodes[x as usize - 1].parent)
     }
 
-    fn scope(&self, x: u32) -> Option<&'m DbScope> {
+    fn scope(&self, x: u32) -> Option<&'m ScopeKind> {
         (x != 0).then(|| &self.model.nodes[x as usize - 1].scope)
     }
 
     fn is_frame_like(&self, x: u32) -> bool {
         matches!(
             self.scope(x),
-            Some(DbScope::Frame { .. } | DbScope::Inlined { .. })
+            Some(ScopeKind::Frame { .. } | ScopeKind::InlinedFrame { .. })
         )
     }
 
@@ -273,12 +278,9 @@ impl<'m> Oracle<'m> {
     fn frames(&self) -> Vec<Frame> {
         (1..=self.model.nodes.len() as u32)
             .filter_map(|x| match self.scope(x)? {
-                DbScope::Frame {
-                    proc,
-                    module,
-                    def_file,
-                    ..
-                } => Some((x, [*module, *def_file, *proc])),
+                ScopeKind::Frame {
+                    proc, module, def, ..
+                } => Some((x, [module.0, def.file.0, proc.0])),
                 _ => None,
             })
             .collect()
@@ -287,7 +289,7 @@ impl<'m> Oracle<'m> {
     /// The nearest dynamic frame properly above `x`.
     fn caller_frame(&self, x: u32) -> Option<u32> {
         let mut a = self.parent(x);
-        while a.is_some_and(|a| !matches!(self.scope(a), Some(DbScope::Frame { .. }))) {
+        while a.is_some_and(|a| !matches!(self.scope(a), Some(ScopeKind::Frame { .. }))) {
             a = self.parent(a.unwrap());
         }
         a.filter(|&a| a != 0)
@@ -317,12 +319,12 @@ impl<'m> Oracle<'m> {
             let Some(caller) = self.caller_frame(at) else {
                 continue;
             };
-            let (Some(DbScope::Frame { proc, .. }), Some(DbScope::Frame { call_site, .. })) =
+            let (Some(ScopeKind::Frame { proc, .. }), Some(ScopeKind::Frame { call_site, .. })) =
                 (self.scope(caller), self.scope(at))
             else {
                 unreachable!("both are dynamic frames");
             };
-            let key = Key::Caller(*proc, *call_site);
+            let key = Key::Caller(proc.0, call_site.map(ids));
             match lines.iter_mut().find(|l| l.0 == key) {
                 Some(line) => line.1.push((inst, caller)),
                 None => lines.push((key, vec![(inst, caller)])),
@@ -384,17 +386,15 @@ impl<'m> Oracle<'m> {
                 continue;
             }
             let key = match *self.scope(c).unwrap() {
-                DbScope::Frame {
+                ScopeKind::Frame {
                     proc, call_site, ..
-                } => Key::CallSite(proc, call_site),
-                DbScope::Inlined {
-                    proc,
-                    cs_file,
-                    cs_line,
-                    ..
-                } => Key::Inlined(proc, (cs_file, cs_line)),
-                DbScope::Loop { file, line } => Key::Loop(file, line),
-                DbScope::Stmt { file, line } => Key::Stmt(file, line),
+                } => Key::CallSite(proc.0, call_site.map(ids)),
+                ScopeKind::InlinedFrame {
+                    proc, call_site, ..
+                } => Key::Inlined(proc.0, ids(call_site)),
+                ScopeKind::Loop { header } => Key::Loop(header.file.0, header.line),
+                ScopeKind::Stmt { loc } => Key::Stmt(loc.file.0, loc.line),
+                ScopeKind::Root => unreachable!("the root is no node's child"),
             };
             match rows.iter_mut().find(|r| r.0 == key) {
                 Some(row) => row.1.push(c),
@@ -456,7 +456,6 @@ impl<'m> Oracle<'m> {
 // ------------------------------------------------------------ comparison
 
 fn key_of(view: &View<'_>, n: u32) -> Key {
-    let loc = |l: SourceLoc| (l.file.0, l.line);
     let tree = match view {
         View::Callers { view, .. } => &view.tree,
         View::Flat { view, .. } => &view.tree,
@@ -464,14 +463,14 @@ fn key_of(view: &View<'_>, n: u32) -> Key {
     };
     match *tree.scope(ViewNodeId(n)) {
         ViewScope::ProcTop { proc } => Key::ProcTop(proc.0),
-        ViewScope::Caller { proc, call_site } => Key::Caller(proc.0, call_site.map(loc)),
+        ViewScope::Caller { proc, call_site } => Key::Caller(proc.0, call_site.map(ids)),
         ViewScope::Module { module } => Key::Module(module.0),
         ViewScope::File { file } => Key::File(file.0),
         ViewScope::Procedure { proc } => Key::Procedure(proc.0),
         ViewScope::Loop { header } => Key::Loop(header.file.0, header.line),
         ViewScope::Stmt { loc: l } => Key::Stmt(l.file.0, l.line),
-        ViewScope::Inlined { callee, call_site } => Key::Inlined(callee.0, loc(call_site)),
-        ViewScope::CallSite { callee, loc: l } => Key::CallSite(callee.0, l.map(loc)),
+        ViewScope::Inlined { callee, call_site } => Key::Inlined(callee.0, ids(call_site)),
+        ViewScope::CallSite { callee, loc: l } => Key::CallSite(callee.0, l.map(ids)),
     }
 }
 
@@ -583,15 +582,16 @@ proptest! {
 /// bodies of `f`, `g1`, `g2`, `g3` and 4 in `h`'s inner loop.
 #[test]
 fn the_oracle_reproduces_fig2() {
-    let frame = |proc, def_file, call_site| DbScope::Frame {
-        proc,
-        module: 0,
-        def_file,
-        def_line: 1,
-        call_site,
+    let frame = |proc, def_file, call_site: Option<(u32, u32)>| ScopeKind::Frame {
+        proc: ProcId(proc),
+        module: LoadModuleId(0),
+        def: at(def_file, 1),
+        call_site: call_site.map(|(file, line)| at(file, line)),
     };
     let node = |parent, scope| DbNode { parent, scope };
-    let stmt = |file, line| DbScope::Stmt { file, line };
+    let stmt = |file, line| ScopeKind::Stmt {
+        loc: at(file, line),
+    };
     let mut model = random_model(0, 0, 0, 0);
     model.nodes = vec![
         node(0, frame(0, 0, None)),         // 1 m
@@ -604,8 +604,8 @@ fn the_oracle_reproduces_fig2() {
         node(3, stmt(1, 3)),
         node(4, stmt(1, 4)),
         node(6, stmt(1, 3)),
-        node(5, DbScope::Loop { file: 1, line: 8 }),
-        node(11, DbScope::Loop { file: 1, line: 9 }),
+        node(5, ScopeKind::Loop { header: at(1, 8) }),
+        node(11, ScopeKind::Loop { header: at(1, 9) }),
         node(12, stmt(1, 9)),
     ];
     model.metrics[0].costs = vec![(7, 1.0), (8, 1.0), (9, 1.0), (10, 3.0), (13, 4.0)];

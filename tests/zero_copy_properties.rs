@@ -18,7 +18,7 @@
 //!    `verify_container` exists to close — see DESIGN.md §11).
 
 use callpath_core::prelude::*;
-use callpath_expdb::model::{DbMetric, DbModel, DbNode, DbScope};
+use callpath_expdb::model::{DbMetric, DbModel, DbNode};
 use callpath_expdb::{bin2, decode_all, from_binary, open_lazy, verify_container};
 use proptest::prelude::*;
 
@@ -48,13 +48,14 @@ fn random_model(seed: u64, n_nodes: usize, n_metrics: usize, max_nnz: usize) -> 
             let r = mix(seed, i as u64);
             DbNode {
                 parent: (i as u32) - (r as u32) % (i as u32 + 1).min(9),
-                scope: DbScope::Frame {
-                    proc: (r >> 8) as u32 % 7,
-                    module: (r >> 16) as u32 % 2,
-                    def_file: (r >> 24) as u32 % 3,
-                    def_line: 1 + (r >> 32) as u32 % 90,
-                    call_site: (r & 1 == 0)
-                        .then_some(((r >> 24) as u32 % 3, (r >> 40) as u32 % 500)),
+                scope: ScopeKind::Frame {
+                    proc: ProcId((r >> 8) as u32 % 7),
+                    module: LoadModuleId((r >> 16) as u32 % 2),
+                    def: SourceLoc::new(FileId((r >> 24) as u32 % 3), 1 + (r >> 32) as u32 % 90),
+                    call_site: (r & 1 == 0).then_some(SourceLoc::new(
+                        FileId((r >> 24) as u32 % 3),
+                        (r >> 40) as u32 % 500,
+                    )),
                 },
             }
         })
