@@ -34,18 +34,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| obs::count("bench.counter", 1))
     });
 
-    group.bench_function("lazy_counter_bump", |b| {
-        static C: obs::LazyCounter = obs::LazyCounter::new("bench.lazy_counter");
-        b.iter(|| C.add(1))
-    });
-
-    group.bench_function("lazy_span_open_close", |b| {
-        static S: obs::LazySpan = obs::LazySpan::new("bench.lazy_span");
-        b.iter(|| {
-            let _g = S.open();
-        })
-    });
-
     group.bench_function("histogram_observe", |b| {
         let mut x = 1u64;
         b.iter(|| {

@@ -74,6 +74,7 @@ pub mod experiment;
 pub mod exposure;
 pub mod flat;
 pub mod format;
+pub mod hash;
 pub mod hotpath;
 pub mod ids;
 pub mod jsonval;

@@ -7,7 +7,6 @@
 //! is the paper's "coherent synthesis" argument.
 
 use crate::callers::CallersView;
-use crate::cct::Cct;
 use crate::experiment::Experiment;
 use crate::flat::FlatView;
 use crate::hotpath::{hot_path, HotPathConfig};
@@ -428,14 +427,10 @@ pub fn top_k_by_column(
     nodes.extend(indexed.into_iter().map(|(n, _)| n));
 }
 
-/// Helper used by tests and the CCT presenter: borrow the underlying CCT.
-pub fn cct_of<'e>(view: &'e View<'_>) -> &'e Cct {
-    &view.experiment().cct
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cct::Cct;
     use crate::ids::{LoadModuleId, ProcId};
     use crate::metrics::{MetricDesc, RawMetrics, StorageKind};
     use crate::names::{NameTable, SourceLoc};

@@ -38,38 +38,6 @@ pub fn span_under(_parent: SpanId, _name: &'static str) -> SpanGuard {
 #[inline(always)]
 pub fn count(_name: &'static str, _delta: u64) {}
 
-/// Stub call-site counter handle: zero-sized, does nothing.
-pub struct LazyCounter;
-
-impl LazyCounter {
-    /// Stub: the name is discarded.
-    #[inline(always)]
-    pub const fn new(_name: &'static str) -> Self {
-        LazyCounter
-    }
-
-    /// Stub: discards the increment.
-    #[inline(always)]
-    pub fn add(&self, _delta: u64) {}
-}
-
-/// Stub call-site span handle: zero-sized, does nothing.
-pub struct LazySpan;
-
-impl LazySpan {
-    /// Stub: the name is discarded.
-    #[inline(always)]
-    pub const fn new(_name: &'static str) -> Self {
-        LazySpan
-    }
-
-    /// Stub: returns an inert guard.
-    #[inline(always)]
-    pub fn open(&self) -> SpanGuard {
-        SpanGuard(())
-    }
-}
-
 /// Stub: no counters exist; always 0.
 #[inline(always)]
 pub fn counter_value(_name: &str) -> u64 {

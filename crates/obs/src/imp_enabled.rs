@@ -1,27 +1,27 @@
 //! The live registry (`enabled` feature on): a span-tree arena behind
-//! one mutex, counter/histogram maps behind read-write locks, and a
-//! thread-local current-span cursor so nesting works without any
-//! per-span allocation.
+//! one mutex, counter/histogram maps behind read-write locks, and per
+//! thread a current-span cursor and a cache of resolved entries.
 //!
-//! Span nodes are leaked (`&'static`) with atomic stats, so *closing*
-//! a span never takes a lock; only interning a new `(parent, name)`
-//! pair does. Hot call sites go further with [`LazyCounter`] and
-//! [`LazySpan`], which cache the resolved registry entry at the call
-//! site — the steady-state cost is a relaxed atomic add, not a
-//! string-keyed map lookup.
+//! Every recording call resolves its registry entry through the calling
+//! thread's [`ThreadCache`]: `(parent id, name address)` → span node for
+//! [`span_under`], name address → slot for [`count`] and [`observe`]. A
+//! thread takes the arena lock (or a map's write lock) only the first
+//! time it sees a pair, so the steady-state cost is one thread-local map
+//! lookup plus relaxed atomic adds (and two clock reads for spans).
+//! Span nodes are leaked (`&'static`) with atomic stats, so *closing* a
+//! span never takes a lock either.
 
 use crate::{HistRec, Snapshot, SpanId, SpanRec};
+use callpath_core::hash::MixState;
 use parking_lot::{Mutex, RwLock};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{
-    AtomicPtr, AtomicU64, Ordering::Acquire, Ordering::Relaxed, Ordering::Release,
-};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// One aggregated `(parent, name)` node of the span tree. Leaked on
-/// intern so guards and call-site caches can hold `&'static` references
+/// intern so guards and thread caches can hold `&'static` references
 /// and record without the arena lock.
 struct SpanNode {
     name: &'static str,
@@ -51,24 +51,25 @@ impl SpanArena {
 
     /// Find or add the child of `parent` named `name`. A stale parent
     /// id (possible only across a mid-span [`reset`]) clamps to root.
-    fn intern(&mut self, parent: u32, name: &'static str) -> u32 {
+    fn intern(&mut self, parent: u32, name: &'static str) -> (u32, &'static SpanNode) {
         let parent = if (parent as usize) < self.nodes.len() {
             parent
         } else {
             0
         };
         if let Some(&id) = self.index.get(&(parent, name)) {
-            return id;
+            return (id, self.nodes[id as usize]);
         }
         let id = self.nodes.len() as u32;
-        self.nodes.push(Box::leak(Box::new(SpanNode {
+        let node = Box::leak(Box::new(SpanNode {
             name,
             parent,
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
-        })));
+        }));
+        self.nodes.push(node);
         self.index.insert((parent, name), id);
-        id
+        (id, node)
     }
 }
 
@@ -91,9 +92,10 @@ impl Hist {
 
     fn record(&self, value: u64) {
         self.count.fetch_add(1, Relaxed);
-        // Saturating sum: fetch_add wraps, but an overflowing total of
-        // nanoseconds (585 years) is out of scope for a process profile.
-        self.sum.fetch_add(value, Relaxed);
+        // `fetch_add` would wrap; the sum saturates as `HistRec` says.
+        let _ = self
+            .sum
+            .fetch_update(Relaxed, Relaxed, |s| Some(s.saturating_add(value)));
         let bits = (64 - value.leading_zeros()) as usize;
         self.buckets[bits].fetch_add(1, Relaxed);
     }
@@ -125,13 +127,48 @@ fn registry() -> &'static Registry {
     })
 }
 
-/// Bumped by [`reset`]; [`LazySpan`] call-site caches carry the epoch
-/// they resolved under and re-resolve on mismatch.
+/// Find or create the slot named `name` in one of the registry's maps.
+fn slot<T: Sync>(
+    map: &RwLock<HashMap<&'static str, &'static T>>,
+    name: &'static str,
+    new: fn() -> T,
+) -> &'static T {
+    if let Some(&s) = map.read().get(name) {
+        return s;
+    }
+    map.write()
+        .entry(name)
+        .or_insert_with(|| Box::leak(Box::new(new())))
+}
+
+/// Which arena the span entries of a [`ThreadCache`] belong to. Moved
+/// only by [`reset`], under the arena lock: a thread that reads the new
+/// value and then takes the lock is sure to find the new arena, so no
+/// entry interned in an old arena is ever filed under the current epoch.
 static EPOCH: AtomicU64 = AtomicU64::new(0);
+
+/// A thread's resolved registry entries, keyed by name *address* (a
+/// `*const str` compares address and length, never the text): each
+/// `&'static str` is hashed by content once per thread, on a miss. Two
+/// literals with equal text are two keys that resolve to the same entry.
+struct ThreadCache {
+    /// The [`EPOCH`] the span entries were interned under.
+    epoch: u64,
+    spans: HashMap<(u32, *const str), (u32, &'static SpanNode), MixState>,
+    counters: HashMap<*const str, &'static AtomicU64, MixState>,
+    hists: HashMap<*const str, &'static Hist, MixState>,
+}
 
 thread_local! {
     /// The calling thread's current span (0 = root).
     static CURRENT: Cell<u32> = const { Cell::new(0) };
+    /// The calling thread's resolved registry entries.
+    static CACHE: RefCell<ThreadCache> = const { RefCell::new(ThreadCache {
+        epoch: 0,
+        spans: HashMap::with_hasher(MixState::new()),
+        counters: HashMap::with_hasher(MixState::new()),
+        hists: HashMap::with_hasher(MixState::new()),
+    }) };
 }
 
 /// Is instrumentation compiled in? `true` in this build.
@@ -155,11 +192,17 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// capture [`current`] before handing work to `core::pool::chunked_map`,
 /// open shard spans under it inside the chunk closure.
 pub fn span_under(parent: SpanId, name: &'static str) -> SpanGuard {
-    let (id, node) = {
-        let mut arena = registry().arena.lock();
-        let id = arena.intern(parent.0, name);
-        (id, arena.nodes[id as usize])
-    };
+    let (id, node) = CACHE.with_borrow_mut(|cache| {
+        let epoch = EPOCH.load(Relaxed);
+        if cache.epoch != epoch {
+            cache.spans.clear();
+            cache.epoch = epoch;
+        }
+        *cache
+            .spans
+            .entry((parent.0, name))
+            .or_insert_with(|| registry().arena.lock().intern(parent.0, name))
+    });
     let prev = CURRENT.with(|c| c.replace(id));
     SpanGuard {
         node,
@@ -188,125 +231,16 @@ impl Drop for SpanGuard {
     }
 }
 
-/// A span whose registry node is cached at the call site:
-///
-/// ```ignore
-/// static FULL_SORT: obs::LazySpan = obs::LazySpan::new("viewer.full_sort");
-/// let _span = FULL_SORT.open();
-/// ```
-///
-/// While the parent context stays the same (the common case — one call
-/// site, one enclosing span), [`open`](LazySpan::open) skips the arena
-/// lock and the `(parent, name)` hash lookup entirely. A parent change
-/// or a [`reset`] falls back to the slow path and re-caches.
-pub struct LazySpan {
-    name: &'static str,
-    site: AtomicPtr<SpanSite>,
-}
-
-/// Immutable-after-publish cache entry for one [`LazySpan`] call site.
-struct SpanSite {
-    epoch: u64,
-    parent: u32,
-    id: u32,
-    node: &'static SpanNode,
-}
-
-impl LazySpan {
-    /// A lazy span named `name`; resolution happens on first open.
-    pub const fn new(name: &'static str) -> Self {
-        LazySpan {
-            name,
-            site: AtomicPtr::new(std::ptr::null_mut()),
-        }
-    }
-
-    /// Open the span under the thread's current context.
-    #[inline]
-    pub fn open(&self) -> SpanGuard {
-        let parent = CURRENT.with(Cell::get);
-        let site = unsafe { self.site.load(Acquire).as_ref() };
-        let (id, node) = match site {
-            Some(s) if s.parent == parent && s.epoch == EPOCH.load(Relaxed) => (s.id, s.node),
-            _ => self.resolve(parent),
-        };
-        let prev = CURRENT.with(|c| c.replace(id));
-        SpanGuard {
-            node,
-            prev,
-            start: Instant::now(),
-        }
-    }
-
-    /// Slow path: intern under the arena lock and publish a fresh cache
-    /// entry (leaked; entries are immutable once published).
-    #[cold]
-    fn resolve(&self, parent: u32) -> (u32, &'static SpanNode) {
-        let epoch = EPOCH.load(Relaxed);
-        let (id, node) = {
-            let mut arena = registry().arena.lock();
-            let id = arena.intern(parent, self.name);
-            (id, arena.nodes[id as usize])
-        };
-        let entry = Box::leak(Box::new(SpanSite {
-            epoch,
-            parent,
-            id,
-            node,
-        }));
-        self.site.store(entry, Release);
-        (id, node)
-    }
-}
-
-/// Resolve (or create) the counter named `name` in the registry.
-fn counter_handle(name: &'static str) -> &'static AtomicU64 {
-    let reg = registry();
-    if let Some(c) = reg.counters.read().get(name) {
-        return c;
-    }
-    let mut map = reg.counters.write();
-    map.entry(name)
-        .or_insert_with(|| Box::leak(Box::new(AtomicU64::new(0))))
-}
-
 /// Add `delta` to the counter named `name` (created on first use).
 pub fn count(name: &'static str, delta: u64) {
-    counter_handle(name).fetch_add(delta, Relaxed);
-}
-
-/// A counter whose registry slot is resolved once and cached at the
-/// call site:
-///
-/// ```ignore
-/// static HITS: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.hit");
-/// HITS.add(1);
-/// ```
-///
-/// After the first call, [`add`](LazyCounter::add) is one relaxed
-/// atomic add — no lock, no hash. [`reset`] zeroes the shared slot in
-/// place, so cached handles stay valid across it.
-pub struct LazyCounter {
-    name: &'static str,
-    cell: OnceLock<&'static AtomicU64>,
-}
-
-impl LazyCounter {
-    /// A lazy counter named `name`; resolution happens on first add.
-    pub const fn new(name: &'static str) -> Self {
-        LazyCounter {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    /// Add `delta` to the counter.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.cell
-            .get_or_init(|| counter_handle(self.name))
-            .fetch_add(delta, Relaxed);
-    }
+    CACHE
+        .with_borrow_mut(|cache| {
+            *cache
+                .counters
+                .entry(name)
+                .or_insert_with(|| slot(&registry().counters, name, || AtomicU64::new(0)))
+        })
+        .fetch_add(delta, Relaxed);
 }
 
 /// Current value of counter `name` (0 if it never fired).
@@ -321,16 +255,14 @@ pub fn counter_value(name: &str) -> u64 {
 
 /// Record `value` into the histogram named `name` (created on first use).
 pub fn observe(name: &'static str, value: u64) {
-    let reg = registry();
-    if let Some(h) = reg.hists.read().get(name) {
-        h.record(value);
-        return;
-    }
-    let mut map = reg.hists.write();
-    let h = map
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Hist::new())));
-    h.record(value);
+    CACHE
+        .with_borrow_mut(|cache| {
+            *cache
+                .hists
+                .entry(name)
+                .or_insert_with(|| slot(&registry().hists, name, Hist::new))
+        })
+        .record(value);
 }
 
 /// Record an error message. Distinct messages are kept separately with
@@ -406,14 +338,18 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Clear everything recorded so far (counters keep their identity but
-/// drop to zero). Intended for tests; a new epoch invalidates
-/// [`LazySpan`] caches, and spans still open across a reset record into
-/// orphaned nodes that no longer appear in snapshots.
+/// Clear everything recorded so far (counters and histograms keep their
+/// identity but drop to zero). Intended for tests; a new epoch drops
+/// every thread's cached span entries at its next open, and spans still
+/// open across a reset record into orphaned nodes that no longer appear
+/// in snapshots.
 pub fn reset() {
     let reg = registry();
-    EPOCH.fetch_add(1, Relaxed);
-    *reg.arena.lock() = SpanArena::new();
+    {
+        let mut arena = reg.arena.lock();
+        *arena = SpanArena::new();
+        EPOCH.fetch_add(1, Relaxed);
+    }
     for c in reg.counters.read().values() {
         c.store(0, Relaxed);
     }
@@ -517,45 +453,60 @@ mod tests {
     }
 
     #[test]
-    fn lazy_handles_record_like_their_slow_counterparts() {
+    fn histogram_sums_saturate() {
         let _l = TEST_LOCK.lock();
         reset();
-        static C: LazyCounter = LazyCounter::new("t.lazy.hits");
-        static S: LazySpan = LazySpan::new("t.lazy.region");
+        observe("t.huge", u64::MAX);
+        observe("t.huge", u64::MAX);
+        let snap = snapshot();
+        let h = snap.histograms.iter().find(|h| h.name == "t.huge").unwrap();
+        assert_eq!((h.count, h.sum), (2, u64::MAX));
+        assert_eq!(h.buckets, vec![(64, 2)]);
+    }
+
+    #[test]
+    fn cached_entries_record_like_first_lookups() {
+        let _l = TEST_LOCK.lock();
+        reset();
         for _ in 0..5 {
-            C.add(2);
-            let _g = S.open();
+            count("t.cached.hits", 2);
+            let _g = span("t.cached.region");
         }
-        count("t.lazy.hits", 1); // same slot, by name
-        assert_eq!(counter_value("t.lazy.hits"), 11);
+        // Another thread resolves the same slot and node on its own.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                count("t.cached.hits", 1);
+                let _g = span("t.cached.region");
+            });
+        });
+        assert_eq!(counter_value("t.cached.hits"), 11);
         let snap = snapshot();
         let s = snap
             .spans
             .iter()
-            .find(|s| s.name == "t.lazy.region")
+            .find(|s| s.name == "t.cached.region")
             .unwrap();
-        assert_eq!(s.count, 5);
+        assert_eq!(s.count, 6);
         assert_eq!(s.parent, 0);
     }
 
     #[test]
-    fn lazy_span_follows_parent_changes_and_reset() {
+    fn cached_span_follows_parent_changes_and_reset() {
         let _l = TEST_LOCK.lock();
         reset();
-        static S: LazySpan = LazySpan::new("t.lazy.child");
         {
             let _a = span("t.parent.a");
-            let _g = S.open();
+            let _g = span("t.cached.child");
         }
         {
             let _b = span("t.parent.b");
-            let _g = S.open();
+            let _g = span("t.cached.child");
         }
         let snap = snapshot();
         let children: Vec<_> = snap
             .spans
             .iter()
-            .filter(|s| s.name == "t.lazy.child")
+            .filter(|s| s.name == "t.cached.child")
             .map(|s| snap.spans[s.parent].name.clone())
             .collect();
         assert_eq!(children, vec!["t.parent.a", "t.parent.b"]);
@@ -564,14 +515,67 @@ mod tests {
         // fresh arena, not the old one.
         reset();
         {
-            let _g = S.open();
+            let _g = span("t.cached.child");
         }
         let snap = snapshot();
         let s = snap
             .spans
             .iter()
-            .find(|s| s.name == "t.lazy.child")
+            .find(|s| s.name == "t.cached.child")
             .unwrap();
         assert_eq!(s.count, 1);
+    }
+
+    #[test]
+    fn a_reset_on_another_thread_drops_this_threads_cached_spans() {
+        let _l = TEST_LOCK.lock();
+        reset();
+        let (to_worker, worker_rx) = std::sync::mpsc::channel::<()>();
+        let (to_main, main_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                drop(span("t.worker"));
+                to_main.send(()).unwrap();
+                worker_rx.recv().unwrap();
+                // The cached (root, "t.worker") entry names node 1 of
+                // the old arena; node 1 of the fresh one is "t.main".
+                drop(span("t.worker"));
+            });
+            main_rx.recv().unwrap();
+            reset();
+            drop(span("t.main"));
+            to_worker.send(()).unwrap();
+        });
+        let snap = snapshot();
+        let names: Vec<_> = snap
+            .spans
+            .iter()
+            .map(|s| (s.name.as_str(), s.parent, s.count))
+            .collect();
+        assert_eq!(
+            names,
+            vec![("(root)", 0, 0), ("t.main", 0, 1), ("t.worker", 0, 1)]
+        );
+    }
+
+    #[test]
+    fn alternating_parents_yield_one_node_each() {
+        let _l = TEST_LOCK.lock();
+        reset();
+        const N: u64 = 100;
+        for _ in 0..N {
+            for parent in ["t.parent.a", "t.parent.b"] {
+                let _p = span(parent);
+                let _c = span("t.alternating");
+            }
+        }
+        let snap = snapshot();
+        let children: Vec<_> = snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "t.alternating")
+            .map(|s| (snap.spans[s.parent].name.as_str(), s.count))
+            .collect();
+        assert_eq!(children, vec![("t.parent.a", N), ("t.parent.b", N)]);
     }
 }

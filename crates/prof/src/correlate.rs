@@ -10,11 +10,12 @@
 //! sample with the same pair, in this profile or another, is one hash
 //! lookup.
 
+use callpath_core::hash::MixState;
 use callpath_core::prelude::*;
 use callpath_profiler::{Addr, Counter, LineInfo, ProcIdx, RawProfile, NO_CALL};
 use callpath_structure::{Scope, Structure};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// Direct costs one profile contributed, per CCT node, in counter order.
 /// Sparse: only nodes with at least one non-zero counter appear.
@@ -42,27 +43,6 @@ impl Hash for Site {
     }
 }
 
-/// Multiply-rotate hashing for the memo's keys. SipHash, the `HashMap`
-/// default, costs more than the work a hit saves, and its resistance to
-/// crafted collisions is not needed here: the keys are node ids and
-/// instruction addresses the pipeline assigns itself.
-#[derive(Default)]
-struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u64(b.into()));
-    }
-    /// The product's best bits are its high ones; the table indexes
-    /// buckets with the low ones.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 /// Incremental correlator: builds one canonical CCT shared by every
 /// profile added to it.
 pub struct Correlator<'s> {
@@ -86,7 +66,7 @@ pub struct Correlator<'s> {
     /// and `find_or_add_child` would find again. A miss resolves in walk
     /// order, so first appearances — and with them node ids — are those
     /// of a correlator without the memo.
-    memo: HashMap<Site, NodeId, BuildHasherDefault<MixHasher>>,
+    memo: HashMap<Site, NodeId, MixState>,
     /// Static descents (memo misses that consulted the structure) during
     /// the current `add`, reported as `prof.static_descents`.
     descents: u64,

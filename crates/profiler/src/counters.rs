@@ -56,11 +56,6 @@ impl Counter {
             Counter::Idleness => "cycles",
         }
     }
-
-    /// Counter from its dense index.
-    pub fn from_index(i: usize) -> Counter {
-        Counter::ALL[i]
-    }
 }
 
 /// Event counts per counter: the cost of a work chunk, or an accumulator.

@@ -317,19 +317,15 @@ impl<'a, 'e> Renderer<'a, 'e> {
     /// (only the visible window is fully ordered — identical prefix to a
     /// stable full sort); full expansion falls back to a full stable sort.
     fn sort_visible(&mut self, nodes: &mut Vec<u32>, shown: usize) {
-        static BY_NAME: callpath_obs::LazyCounter =
-            callpath_obs::LazyCounter::new("viewer.sort.name");
-        static TOPK: callpath_obs::LazyCounter = callpath_obs::LazyCounter::new("viewer.sort.topk");
-        static FULL: callpath_obs::LazyCounter = callpath_obs::LazyCounter::new("viewer.sort.full");
         if self.cfg.sort_by_name {
-            BY_NAME.add(1);
+            callpath_obs::count("viewer.sort.name", 1);
             sort_nodes_with(self.view, self.labels, nodes, SortKey::Name);
         } else if let Some(c) = self.cfg.sort {
             if shown < nodes.len() {
-                TOPK.add(1);
+                callpath_obs::count("viewer.sort.topk", 1);
                 top_k_by_column(self.view, self.labels, nodes, c, SortDir::Descending, shown);
             } else {
-                FULL.add(1);
+                callpath_obs::count("viewer.sort.full", 1);
                 sort_nodes_with(
                     self.view,
                     self.labels,

@@ -400,8 +400,7 @@ impl<'e> Session<'e> {
     }
 
     fn render_impl(&mut self, numbered: bool) -> (String, Vec<u32>) {
-        static RENDER: obs::LazySpan = obs::LazySpan::new("viewer.render");
-        let _span = RENDER.open();
+        let _span = obs::span("viewer.render");
         let tops = self.top_level();
         // Field-by-field borrows: the view, its caches and its interaction
         // state are read in place, nothing is copied per render.
@@ -515,15 +514,12 @@ impl Walker<'_, '_> {
     /// list is a function of `(slot, generation)` alone, because the cache
     /// answers first; a list that also depends on zoom must not come here.
     fn queue(&mut self, slot: u64, depth: usize, nodes: impl FnOnce(&mut View<'_>) -> Vec<u32>) {
-        static HIT: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.hit");
-        static MISS: obs::LazyCounter = obs::LazyCounter::new("viewer.sort_cache.miss");
-        static FULL_SORT: obs::LazySpan = obs::LazySpan::new("viewer.full_sort");
         let view = &mut *self.r.view;
         fn rows(order: &[u32], depth: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
             order.iter().rev().map(move |&n| (n, depth))
         }
         if let Some(order) = self.sort_cache.lookup(slot, self.key, view.generation()) {
-            HIT.add(1);
+            obs::count("viewer.sort_cache.hit", 1);
             self.pending.extend(rows(order, depth));
             return;
         }
@@ -532,8 +528,8 @@ impl Walker<'_, '_> {
             self.pending.extend(rows(&out, depth));
             return;
         }
-        MISS.add(1);
-        let _span = FULL_SORT.open();
+        obs::count("viewer.sort_cache.miss", 1);
+        let _span = obs::span("viewer.full_sort");
         sort_nodes_with(view, self.r.labels, &mut out, self.key);
         self.pending.extend(rows(&out, depth));
         self.sort_cache

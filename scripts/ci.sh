@@ -49,6 +49,10 @@ cargo test -q --release --test attribution_oracle --test view_oracle --test aren
 # unification through the root package), so this is the one place
 # expdb's own unit tests see the read-to-buffer file image.
 cargo test -q -p callpath-expdb
+# Likewise the obs crate alone builds without its `enabled` feature
+# (the workspace pass turns it on), so this is the one place the no-op
+# stubs' unit test (`disabled_stubs_record_nothing`) runs.
+cargo test -q -p callpath-obs
 # The scoreboard's own checks: all four benchmark workloads at 1/50
 # size with every output verification on (server render ≡ direct
 # `Session` over TCP on three databases, eviction at a cap of 16) and no
