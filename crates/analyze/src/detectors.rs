@@ -34,7 +34,7 @@ pub enum Status {
 impl Status {
     /// Judge `score` against a warn/fail threshold pair (higher is
     /// worse).
-    pub fn judge(score: f64, warn: f64, fail: f64) -> Status {
+    fn judge(score: f64, warn: f64, fail: f64) -> Status {
         if score >= fail {
             Status::Fail
         } else if score >= warn {

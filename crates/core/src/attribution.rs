@@ -63,18 +63,6 @@ pub struct Attribution {
     pub visited: usize,
 }
 
-impl Attribution {
-    /// Inclusive cost at `n`.
-    pub fn inclusive_at(&self, n: NodeId) -> f64 {
-        self.inclusive.get(n.0)
-    }
-
-    /// Displayed (hybrid) exclusive cost at `n`.
-    pub fn exclusive_at(&self, n: NodeId) -> f64 {
-        self.exclusive.get(n.0)
-    }
-}
-
 /// A column whose ancestor chains cover at least one node in this many
 /// is swept with node-indexed vectors instead (see [`attribute_sorted`]),
 /// and sorted entries that cover as much become a node-indexed vector
@@ -345,12 +333,12 @@ mod tests {
 
         let a = attribute(&cct, &raw, m, StorageKind::Csr);
         // Fig 2a: h = (4,4), l1 = (4,0), l2 = (4,4).
-        assert_eq!(a.inclusive_at(h), 4.0);
-        assert_eq!(a.exclusive_at(h), 4.0);
-        assert_eq!(a.inclusive_at(l1), 4.0);
-        assert_eq!(a.exclusive_at(l1), 0.0);
-        assert_eq!(a.inclusive_at(l2), 4.0);
-        assert_eq!(a.exclusive_at(l2), 4.0);
+        assert_eq!(a.inclusive.get(h.0), 4.0);
+        assert_eq!(a.exclusive.get(h.0), 4.0);
+        assert_eq!(a.inclusive.get(l1.0), 4.0);
+        assert_eq!(a.exclusive.get(l1.0), 0.0);
+        assert_eq!(a.inclusive.get(l2.0), 4.0);
+        assert_eq!(a.exclusive.get(l2.0), 4.0);
         // No statement is an immediate child of h.
         assert_eq!(frame_direct(&cct, raw.column(m), h), 0.0);
     }
@@ -370,14 +358,14 @@ mod tests {
         raw.add_cost(m, in_loop, 3.0);
 
         let a = attribute(&cct, &raw, m, StorageKind::Csr);
-        assert_eq!(a.exclusive_at(f), 5.0, "rule 1: frame absorbs all stmts");
+        assert_eq!(a.exclusive.get(f.0), 5.0, "rule 1: frame absorbs all stmts");
         assert_eq!(
             frame_direct(&cct, raw.column(m), f),
             2.0,
             "only the body statement"
         );
         assert_eq!(frame_direct(&cct, raw.column(m), l), 0.0, "not a frame");
-        assert_eq!(a.exclusive_at(l), 3.0, "rule 2: direct child statement");
+        assert_eq!(a.exclusive.get(l.0), 3.0, "rule 2: direct child statement");
     }
 
     #[test]
@@ -401,16 +389,20 @@ mod tests {
 
         let a = attribute(&cct, &raw, m, StorageKind::Csr);
         assert_eq!(
-            a.exclusive_at(inl),
+            a.exclusive.get(inl.0),
             7.0,
             "inlined frame absorbs its statements"
         );
         assert_eq!(
-            a.exclusive_at(f),
+            a.exclusive.get(f.0),
             0.0,
             "host frame's exclusive must not cross the inline boundary"
         );
-        assert_eq!(a.inclusive_at(f), 7.0, "inclusive still flows to the host");
+        assert_eq!(
+            a.inclusive.get(f.0),
+            7.0,
+            "inclusive still flows to the host"
+        );
     }
 
     #[test]
@@ -428,13 +420,21 @@ mod tests {
         raw.add_cost(m, s_callee, 9.0);
 
         let a = attribute(&cct, &raw, m, StorageKind::Csr);
-        assert_eq!(a.inclusive_at(main), 10.0);
-        assert_eq!(a.exclusive_at(main), 1.0, "rule 1 does not cross the call");
-        assert_eq!(a.inclusive_at(callee), 9.0);
-        assert_eq!(a.exclusive_at(callee), 9.0);
-        assert_eq!(a.inclusive_at(root), 10.0, "root inclusive = program total");
+        assert_eq!(a.inclusive.get(main.0), 10.0);
         assert_eq!(
-            a.exclusive_at(root),
+            a.exclusive.get(main.0),
+            1.0,
+            "rule 1 does not cross the call"
+        );
+        assert_eq!(a.inclusive.get(callee.0), 9.0);
+        assert_eq!(a.exclusive.get(callee.0), 9.0);
+        assert_eq!(
+            a.inclusive.get(root.0),
+            10.0,
+            "root inclusive = program total"
+        );
+        assert_eq!(
+            a.exclusive.get(root.0),
             0.0,
             "root is dynamic: blank exclusive"
         );
@@ -449,7 +449,7 @@ mod tests {
         let m = raw.add_metric(MetricDesc::new("cyc", "cycles", 1.0));
         raw.add_cost(m, f, 3.0);
         let a = attribute(&cct, &raw, m, StorageKind::Csr);
-        assert_eq!(a.exclusive_at(f), 3.0);
+        assert_eq!(a.exclusive.get(f.0), 3.0);
         assert_eq!(frame_direct(&cct, raw.column(m), f), 3.0);
     }
 }

@@ -674,7 +674,7 @@ mod tests {
         assert_eq!(a.tree.roots().len(), b.tree.roots().len());
         while let Some((na, nb)) = pairs.pop() {
             assert_eq!(a.tree.scope(na), b.tree.scope(nb));
-            for c in 0..a.tree.column_descs().len() {
+            for c in 0..exp.columns.column_count() {
                 let c = ColumnId::from_usize(c);
                 assert_eq!(
                     a.tree.value(exp, c, na),

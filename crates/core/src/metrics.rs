@@ -121,7 +121,7 @@ impl LazySlots {
                 if !all.contains(&reason) {
                     all.push(reason);
                 }
-                MetricVec::csr()
+                MetricVec::Csr(CsrColumn::new())
             })
         }))
     }
@@ -338,11 +338,6 @@ impl MetricVec {
     /// A dense column pre-sized for `len` nodes.
     pub fn dense(len: usize) -> Self {
         MetricVec::Dense(vec![0.0; len])
-    }
-
-    /// An empty sorted columnar column.
-    pub fn csr() -> Self {
-        MetricVec::Csr(CsrColumn::new())
     }
 
     /// A column over a tree of `n_nodes` nodes from its entries, sorted
@@ -621,7 +616,7 @@ impl RawMetrics {
     pub fn add_metric(&mut self, desc: MetricDesc) -> MetricId {
         let id = MetricId::from_usize(self.descs.len());
         self.descs.push(desc);
-        self.values.push(MetricVec::csr());
+        self.values.push(MetricVec::Csr(CsrColumn::new()));
         id
     }
 
@@ -896,7 +891,7 @@ mod tests {
     #[test]
     fn dense_sparse_and_csr_agree() {
         let mut d = MetricVec::dense(0);
-        let mut c = MetricVec::csr();
+        let mut c = MetricVec::Csr(CsrColumn::new());
         for (n, v) in [(3u32, 1.5), (0, 2.0), (3, 0.5), (10, -1.0)] {
             d.add(n, v);
             c.add(n, v);

@@ -53,12 +53,6 @@ pub enum ScopeKind {
 }
 
 impl ScopeKind {
-    /// Dynamic scopes represent caller--callee relationships; everything
-    /// else is static program structure (Section IV-A of the paper).
-    pub fn is_dynamic(&self) -> bool {
-        matches!(self, ScopeKind::Root | ScopeKind::Frame { .. })
-    }
-
     /// Procedure frames get the "dynamic" exclusive-metric rule (rule 1 of
     /// Eq. 1): they absorb every descendant statement reachable without
     /// crossing a call site. Inlined frames behave the same way for
@@ -132,28 +126,26 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_classification() {
-        assert!(ScopeKind::Root.is_dynamic());
+    fn frame_classification() {
+        assert!(!ScopeKind::Root.is_frame());
         let frame = ScopeKind::Frame {
             proc: ProcId(0),
             module: LoadModuleId(0),
             def: loc(1),
             call_site: None,
         };
-        assert!(frame.is_dynamic());
         assert!(frame.is_frame());
-        assert!(!ScopeKind::Loop { header: loc(2) }.is_dynamic());
-        assert!(!ScopeKind::Stmt { loc: loc(3) }.is_dynamic());
+        assert!(!ScopeKind::Loop { header: loc(2) }.is_frame());
+        assert!(!ScopeKind::Stmt { loc: loc(3) }.is_frame());
     }
 
     #[test]
-    fn inlined_frames_are_static_but_frame_like() {
+    fn inlined_frames_are_frame_like() {
         let inl = ScopeKind::InlinedFrame {
             proc: ProcId(1),
             def: loc(10),
             call_site: loc(5),
         };
-        assert!(!inl.is_dynamic());
         assert!(inl.is_frame());
         assert_eq!(inl.frame_proc(), Some(ProcId(1)));
     }

@@ -68,11 +68,6 @@ impl SourceStore {
             .map(String::as_str)
     }
 
-    /// Number of lines of `file` (0 when unknown).
-    pub fn line_count(&self, file: FileId) -> usize {
-        self.files.get(&file).map_or(0, Vec::len)
-    }
-
     /// A numbered excerpt around `line` with `context` lines either side;
     /// the focused line is marked with `>`. Returns `None` when the file
     /// is unknown or the line is out of range.
@@ -110,8 +105,8 @@ mod tests {
         assert_eq!(s.line(f, 1), Some("int main() {"));
         assert_eq!(s.line(f, 2), Some("  work();"));
         assert_eq!(s.line(f, 0), None, "line 0 = unknown");
-        assert_eq!(s.line(f, 99), None);
-        assert_eq!(s.line_count(f), 4);
+        assert_eq!(s.line(f, 4), Some("}"));
+        assert_eq!(s.line(f, 5), None, "past the last line");
     }
 
     #[test]

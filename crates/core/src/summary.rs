@@ -96,7 +96,7 @@ impl Welford {
     }
 
     /// Population variance.
-    pub fn variance(&self) -> f64 {
+    fn variance(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {

@@ -164,16 +164,6 @@ impl<P> CctShard<P> {
             payload: Vec::new(),
         }
     }
-
-    /// Wrap an existing tree: the journal is derived from arena order.
-    pub fn from_cct(cct: Cct, payload: Vec<P>) -> Self {
-        let journal = arena_journal(&cct);
-        CctShard {
-            cct,
-            journal,
-            payload,
-        }
-    }
 }
 
 /// Merge `right` into `left`: replay `right`'s journal against
@@ -250,9 +240,14 @@ mod tests {
     fn merge_deduplicates_shared_prefixes_and_remaps_payloads() {
         let a = tree(&["main", "fast"]);
         let b = tree(&["main", "slow"]);
-        let sa = CctShard::from_cct(a, vec![Tagged(vec![NodeId(2)])]);
+        let shard = |cct: Cct, payload| CctShard {
+            journal: arena_journal(&cct),
+            cct,
+            payload: vec![payload],
+        };
+        let sa = shard(a, Tagged(vec![NodeId(2)]));
         let b_leaf = NodeId(2);
-        let sb = CctShard::from_cct(b, vec![Tagged(vec![b_leaf])]);
+        let sb = shard(b, Tagged(vec![b_leaf]));
         let merged = merge_shards(merge_shards(CctShard::empty(), sa), sb);
         // main shared; fast and slow distinct: root + 3.
         assert_eq!(merged.cct.len(), 4);

@@ -259,13 +259,10 @@ impl<'a> View<'a> {
         loc.filter(|l| l.is_known())
     }
 
-    /// Descriptors of this view's metric columns, in id order.
+    /// Descriptors of this view's metric columns, in id order: the
+    /// experiment's, for all three views.
     pub fn column_descs(&self) -> &[ColumnDesc] {
-        match self {
-            View::CallingContext(exp) => exp.columns.descs(),
-            View::Callers { view, .. } => view.tree.column_descs(),
-            View::Flat { view, .. } => view.tree.column_descs(),
-        }
+        self.experiment().columns.descs()
     }
 
     /// Column ids the metric pane renders (visible ones).
@@ -316,11 +313,12 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Generation stamp for sort-order caches over this view: any
-    /// mutation that could change child sets or column values makes a
-    /// previously observed stamp stale: the derived views' tree's. The
-    /// Calling Context View's is a constant, since it borrows its
-    /// experiment immutably for as long as it lives (DESIGN.md §9).
+    /// Generation stamp for sort-order caches over this view: a lazy
+    /// expansion that adds children makes a previously observed stamp
+    /// stale: the derived views' tree's, which counts node additions.
+    /// Column values cannot change under any view, which borrows its
+    /// experiment immutably for as long as it lives, so the Calling
+    /// Context View's stamp is a constant (DESIGN.md §9).
     pub fn generation(&self) -> u64 {
         match self {
             View::CallingContext(_) => 0,

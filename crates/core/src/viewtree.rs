@@ -18,7 +18,7 @@ use crate::derived::EvalContext;
 use crate::experiment::Experiment;
 use crate::exposure::Marks;
 use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};
-use crate::metrics::{ColumnDesc, MetricVec};
+use crate::metrics::MetricVec;
 use crate::names::{NameTable, SourceLoc};
 use crate::topo::Topo;
 use std::collections::HashMap;
@@ -146,22 +146,17 @@ struct ViewNode {
     expanded: bool,
 }
 
-/// A forest of view nodes plus their metric columns.
+/// A forest of view nodes plus their values in the experiment's columns.
 #[derive(Debug, Clone, Default)]
 pub struct ViewTree {
     nodes: Vec<ViewNode>,
     roots: Vec<u32>,
-    /// The experiment's column descriptors, in its order, then those of
-    /// columns appended to this tree ([`ViewTree::add_column`]).
-    descs: Vec<ColumnDesc>,
-    /// Column values over view node ids, parallel to `descs`. A column of
-    /// the experiment is filled, for every node there is, on first read;
-    /// an appended one comes with its values.
+    /// Column values over view node ids, one slot per column of the
+    /// experiment, in its order. A column is filled, for every node there
+    /// is, on first read.
     values: Vec<OnceLock<MetricVec>>,
     /// Node additions. See [`ViewTree::generation`].
-    structure_generation: u64,
-    /// Column appends and cell writes; a first read is neither.
-    column_generation: u64,
+    generation: u64,
     /// Scratch for the set-relative exposure of expanded nodes.
     marks: Marks,
 }
@@ -169,23 +164,23 @@ pub struct ViewTree {
 impl ViewTree {
     /// An empty forest with the columns of `exp`, none of them filled.
     pub fn new(exp: &Experiment) -> Self {
-        let descs = exp.columns.descs().to_vec();
         ViewTree {
-            values: descs.iter().map(|_| OnceLock::new()).collect(),
-            descs,
+            values: (0..exp.columns.column_count())
+                .map(|_| OnceLock::new())
+                .collect(),
             ..ViewTree::default()
         }
     }
 
-    /// Generation stamp covering **both** structure (lazy expansion
-    /// materializing children) and column values (appended summary
-    /// columns, cell writes). Each component is monotone non-decreasing,
-    /// so their sum is too: any mutation makes a previously observed stamp
-    /// stale, which is exactly what [`SortCache`] needs. Filling a column
-    /// on its first read is not a mutation: no ordering can have been
-    /// computed from values nobody had read.
+    /// Generation stamp: the number of nodes ever added (lazy expansion
+    /// materializing children), so any change to a child set makes a
+    /// previously observed stamp stale, which is exactly what
+    /// [`SortCache`] needs. Values never change once read: the columns
+    /// are the experiment's, which the view borrows immutably, and filling
+    /// a column on its first read is not a mutation, since no ordering can
+    /// have been computed from values nobody had read.
     pub fn generation(&self) -> u64 {
-        self.structure_generation + self.column_generation
+        self.generation
     }
 
     /// Number of materialized view nodes.
@@ -215,7 +210,7 @@ impl ViewTree {
             covered: Vec::new(),
             expanded: false,
         });
-        self.structure_generation += 1;
+        self.generation += 1;
         id
     }
 
@@ -335,11 +330,6 @@ impl ViewTree {
         self.nodes[n.index()].expanded = true;
     }
 
-    /// Descriptors of every column, in id order.
-    pub fn column_descs(&self) -> &[ColumnDesc] {
-        &self.descs
-    }
-
     /// Value of column `c` at node `n`, filling the column first if this
     /// is its first read. `exp` is the experiment the tree was built
     /// from: attributed values are read from `exp.columns` — faulting a
@@ -413,7 +403,7 @@ impl ViewTree {
     /// that has been read. Ascending, so that a derived column finds the
     /// columns it names already extended.
     pub(crate) fn fill_new_nodes(&mut self, exp: &Experiment, from: usize) {
-        for c in 0..exp.columns.column_count().min(self.values.len()) {
+        for c in 0..exp.columns.column_count() {
             let Some(MetricVec::Dense(mut values)) = self.values[c].take() else {
                 continue;
             };
@@ -421,24 +411,6 @@ impl ViewTree {
             self.fill(exp, ColumnId::from_usize(c), from, &mut values);
             self.values[c] = OnceLock::from(MetricVec::Dense(values));
         }
-    }
-
-    /// Append a column that comes with its values (summary statistics
-    /// over the tree's nodes, say), returning its id.
-    pub fn add_column(&mut self, desc: ColumnDesc, values: MetricVec) -> ColumnId {
-        let id = ColumnId::from_usize(self.descs.len());
-        self.descs.push(desc);
-        self.values.push(OnceLock::from(values));
-        self.column_generation += 1;
-        id
-    }
-
-    /// Accumulate into column `c` at node `n`.
-    pub fn add(&mut self, exp: &Experiment, c: ColumnId, n: ViewNodeId, delta: f64) {
-        let _ = self.column(exp, c);
-        let column = self.values[c.index()].get_mut();
-        column.expect("filled above").add(n.0, delta);
-        self.column_generation += 1;
     }
 
     /// Human-readable label of `n`.
@@ -597,17 +569,11 @@ impl SortCache {
             .insert((slot, key), CachedOrder { generation, order });
     }
 
-    /// `(hits, full_sorts)` since construction (or the last
-    /// [`SortCache::reset_stats`]). The acceptance test for "re-sorting a
-    /// built view performs zero full-child sorts" watches `full_sorts`.
+    /// `(hits, full_sorts)` since construction. The acceptance test for
+    /// "re-sorting a built view performs zero full-child sorts" watches
+    /// `full_sorts`.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.full_sorts)
-    }
-
-    /// Zero the hit/full-sort counters (entries are kept).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.full_sorts = 0;
     }
 
     /// Number of cached orderings.
@@ -680,7 +646,6 @@ impl LabelCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cct::Cct;
 
     #[test]
     fn forest_roots_and_children() {
@@ -740,7 +705,7 @@ mod tests {
     }
 
     #[test]
-    fn generation_bumps_on_structure_and_columns() {
+    fn generation_bumps_on_structure() {
         let mut t = ViewTree::default();
         let g0 = t.generation();
         let a = t.add_root(ViewScope::Procedure { proc: ProcId(0) });
@@ -752,27 +717,7 @@ mod tests {
                 header: SourceLoc::new(FileId(0), 4),
             },
         );
-        let g2 = t.generation();
-        assert!(g2 > g1, "add_child must bump the generation");
-        let desc = ColumnDesc {
-            name: "x".into(),
-            flavor: crate::metrics::ColumnFlavor::Inclusive(MetricId(0)),
-            visible: true,
-        };
-        let c = t.add_column(desc, MetricVec::dense(2));
-        assert!(
-            t.generation() > g2,
-            "column append must bump the generation"
-        );
-        let g3 = t.generation();
-        let exp = Experiment::build(
-            Cct::new(NameTable::new()),
-            crate::metrics::RawMetrics::default(),
-            crate::metrics::StorageKind::Csr,
-        );
-        t.add(&exp, c, a, 7.0);
-        assert!(t.generation() > g3, "column write must bump the generation");
-        assert_eq!(t.value(&exp, c, a), 7.0);
+        assert!(t.generation() > g1, "add_child must bump the generation");
     }
 
     #[test]
@@ -790,8 +735,6 @@ mod tests {
         assert_eq!(cache.lookup(3, SortKey::Name, 10), None);
         let (hits, full_sorts) = cache.stats();
         assert_eq!((hits, full_sorts), (1, 1));
-        cache.reset_stats();
-        assert_eq!(cache.stats(), (0, 0));
         assert_eq!(cache.len(), 1);
     }
 

@@ -45,8 +45,8 @@
 //! one follows: remembering the first check would be state kept only for
 //! the flat view's call-site cells. See DESIGN.md §10.
 //!
-//! Batch consumers that will touch everything anyway (replay, diffing,
-//! format conversion) should call [`decode_all`] right after opening:
+//! Batch consumers that will touch everything anyway (diffing, format
+//! conversion) should call [`decode_all`] right after opening:
 //! it divides the columns among threads (`core::pool::chunked_map`)
 //! instead of paying faults serially on first touch.
 

@@ -12,18 +12,14 @@
 //! * [`summarize`] streams per-rank metric values through Welford
 //!   accumulators — mean/min/max/stddev per CCT node — without ever
 //!   holding all ranks in memory at once (the paper's scalability
-//!   requirement), and can append the statistics as metric columns.
+//!   requirement), and can append the statistics as CCT metric columns.
 //! * [`imbalance`] reproduces Fig. 7's three per-process charts (scatter,
 //!   sorted, histogram) as ASCII, plus scalar imbalance statistics.
 
-pub mod hybrid;
 pub mod imbalance;
-pub mod snapshot;
 pub mod spmd;
 pub mod summarize;
 
-pub use hybrid::{run_hybrid, HybridConfig, HybridRun};
 pub use imbalance::{ascii_histogram, ascii_scatter, ascii_sorted, histogram, ImbalanceStats};
-pub use snapshot::{replay, snapshot};
 pub use spmd::{run_spmd, SpmdConfig, SpmdRun};
-pub use summarize::{summarize_ranks, summarize_view_nodes, Summaries};
+pub use summarize::{summarize_ranks, Summaries};

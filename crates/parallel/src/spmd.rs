@@ -174,16 +174,6 @@ pub fn run_spmd(program: &Program, cfg: &SpmdConfig) -> SpmdRun {
     }
 }
 
-/// Merge raw rank profiles without correlation (utility for tests and the
-/// expdb benches).
-pub fn merge_profiles(profiles: &[RawProfile]) -> RawProfile {
-    let mut merged = RawProfile::new();
-    for p in profiles {
-        merged.merge(p);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,15 +290,5 @@ mod tests {
             serial.experiment.columns.get(c, root.0),
             parallel.experiment.columns.get(c, root.0),
         );
-    }
-
-    #[test]
-    fn merge_profiles_totals_add_up() {
-        let mut a = RawProfile::new();
-        a.add_path(&[(callpath_profiler::NO_CALL, 0)], 1, Counter::Cycles, 5.0);
-        let mut b = RawProfile::new();
-        b.add_path(&[(callpath_profiler::NO_CALL, 0)], 1, Counter::Cycles, 7.0);
-        let m = merge_profiles(&[a, b]);
-        assert_eq!(m.total_samples(Counter::Cycles), 12.0);
     }
 }

@@ -179,148 +179,3 @@ mod tests {
         assert_eq!(w.max(), 20_000.0);
     }
 }
-
-/// Summarize per-rank values over the nodes of a *derived view*
-/// (Callers or Flat), summing over the instances each view node keeps
-/// ([`callpath_core::viewtree::ViewTree::kept`]) — the set the view's own
-/// columns sum — so the mean/min/max/stddev columns are consistent with
-/// the inclusive column they summarize.
-///
-/// Returns one [`Welford`] per (view node, metric), indexed by view node
-/// id.
-pub fn summarize_view_nodes(
-    exp: &Experiment,
-    tree: &callpath_core::viewtree::ViewTree,
-    counters: &[Counter],
-    rank_costs: &[PerNodeCosts],
-) -> Summaries {
-    use callpath_core::prelude::ViewNodeId;
-    let n_metrics = counters.len();
-    let n_nodes = tree.len();
-    let mut stats = vec![Welford::new(); n_nodes * n_metrics];
-    for costs in rank_costs {
-        // Per-rank inclusive values on the CCT, then view-node
-        // aggregation via the exposed sets.
-        let (raw, ids) = rank_raw(counters, costs);
-        for (mi, &id) in ids.iter().enumerate() {
-            let attr = attribute(&exp.cct, &raw, id, StorageKind::Csr);
-            for vi in 0..n_nodes {
-                let kept = tree.kept(ViewNodeId(vi as u32));
-                let v: f64 = kept.iter().map(|n| attr.inclusive.get(n.0)).sum();
-                stats[vi * n_metrics + mi].push(v);
-            }
-        }
-    }
-    Summaries { stats, n_metrics }
-}
-
-impl Summaries {
-    /// Access by view node id (same layout as [`Summaries::get`], just a
-    /// different index type).
-    pub fn get_view(&self, node: callpath_core::prelude::ViewNodeId, metric: MetricId) -> &Welford {
-        &self.stats[node.index() * self.n_metrics + metric.index()]
-    }
-
-    /// Append chosen statistics as columns on a view tree.
-    pub fn append_view_columns(
-        &self,
-        exp: &Experiment,
-        tree: &mut callpath_core::viewtree::ViewTree,
-        stats: &[Stat],
-    ) -> Vec<ColumnId> {
-        let mut out = Vec::new();
-        let n_nodes = tree.len();
-        for mi in 0..self.n_metrics {
-            let m = MetricId::from_usize(mi);
-            let base = exp.raw.desc(m).name.clone();
-            for &st in stats {
-                let desc = ColumnDesc {
-                    name: format!("{} (I) {}", base, st.label()),
-                    flavor: ColumnFlavor::Summary { base: m, stat: st },
-                    visible: true,
-                };
-                let values = (0..n_nodes).map(|i| self.stats[i * self.n_metrics + mi].stat(st));
-                out.push(tree.add_column(desc, MetricVec::Dense(values.collect())));
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod view_summary_tests {
-    use super::*;
-    use crate::spmd::{run_spmd, SpmdConfig};
-    use callpath_profiler::{Costs, ExecConfig, Op, ProgramBuilder};
-
-    /// Recursive g called from two places, two ranks with different
-    /// scales: exercises exposed aggregation inside the summaries.
-    fn run() -> crate::spmd::SpmdRun {
-        let mut b = ProgramBuilder::new("x");
-        let f = b.file("x.c");
-        let g = b.declare("g", f, 10);
-        let main = b.declare("main", f, 1);
-        b.body(
-            g,
-            vec![
-                Op::work(11, Costs::cycles(1_000)),
-                Op::call_recursive(12, g, 2),
-            ],
-        );
-        b.body(main, vec![Op::call(3, g)]);
-        b.entry(main);
-        let exec = ExecConfig {
-            jitter_seed: None,
-            ..ExecConfig::single(callpath_profiler::Counter::Cycles, 1)
-        };
-        run_spmd(&b.build(), &SpmdConfig::new(vec![1.0, 3.0], exec))
-    }
-
-    #[test]
-    fn callers_view_summaries_use_exposed_aggregation() {
-        let run = run();
-        let exp = &run.experiment;
-        let mut callers = CallersView::build(exp);
-        callers.fully_expand(exp);
-        let s = summarize_view_nodes(
-            exp,
-            &callers.tree,
-            &[callpath_profiler::Counter::Cycles],
-            &run.rank_direct,
-        );
-        // Top-level g: exposed inclusive per rank = 2000 (rank 0) and
-        // 6000 (rank 1, scale 3).
-        let g_top = callers
-            .tree
-            .roots()
-            .into_iter()
-            .find(|&r| callers.tree.label(r, &exp.cct.names) == "g")
-            .unwrap();
-        let w = s.get_view(g_top, MetricId(0));
-        assert_eq!(w.count(), 2);
-        assert_eq!(w.min(), 2_000.0);
-        assert_eq!(w.max(), 6_000.0);
-        // Consistency: mean × ranks == the view's own (summed) inclusive.
-        let summed = callers.tree.value(exp, ColumnId(0), g_top);
-        assert_eq!(w.sum(), summed);
-    }
-
-    #[test]
-    fn flat_view_summary_columns_append() {
-        let run = run();
-        let exp = &run.experiment;
-        let mut flat = FlatView::build(exp);
-        let s = summarize_view_nodes(
-            exp,
-            &flat.tree,
-            &[callpath_profiler::Counter::Cycles],
-            &run.rank_direct,
-        );
-        let before = flat.tree.column_descs().len();
-        let cols = s.append_view_columns(exp, &mut flat.tree, &[Stat::Mean, Stat::Max]);
-        assert_eq!(flat.tree.column_descs().len(), before + 2);
-        let module = flat.tree.roots()[0];
-        assert_eq!(flat.tree.value(exp, cols[0], module), 4_000.0, "mean");
-        assert_eq!(flat.tree.value(exp, cols[1], module), 6_000.0, "max");
-    }
-}

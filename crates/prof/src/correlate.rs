@@ -260,7 +260,7 @@ impl<'s> Correlator<'s> {
 
     /// The metrics (in counter order) the finished experiment will carry:
     /// every counter with a non-zero period.
-    pub fn active_counters(&self) -> Vec<Counter> {
+    fn active_counters(&self) -> Vec<Counter> {
         Counter::ALL
             .iter()
             .copied()

@@ -85,10 +85,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// Fixed-size power-of-two latency histogram: bucket `i` counts
-/// requests with `ns` in `[2^i, 2^(i+1))`. Coarse (bucket-boundary
-/// resolution) but lock-free and always-on; the serve smoke bench
-/// records exact client-side latencies alongside it.
+/// Fixed-size power-of-two latency histogram: a request lands in the
+/// bucket of its `ns`'s bit length (0 ns counts as 1), so bucket `i`
+/// counts `ns` in `[2^(i−1), 2^i)` for `1 ≤ i < 63`, bucket 63 holds
+/// everything from `2^62` up, and bucket 0 is never used. Coarse
+/// (bucket-boundary resolution) but lock-free and always-on; the serve
+/// smoke bench records exact client-side latencies alongside it.
 pub struct LatencyHist {
     buckets: [AtomicU64; 64],
 }
@@ -114,8 +116,8 @@ impl LatencyHist {
     }
 
     /// Approximate quantile in nanoseconds (`q` in [0, 1]): the lower
-    /// bound of the bucket holding the q-th sample. Returns 0 with no
-    /// samples.
+    /// bound `2^(i−1)` of the bucket `i` holding the q-th sample, up to
+    /// 2× below the true value. Returns 0 with no samples.
     pub fn quantile(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
@@ -477,6 +479,9 @@ impl Engine {
             .lock()
             .iter()
             .map(|(&method, hist)| {
+                // The quantiles here and below are bucket lower bounds
+                // (`LatencyHist::quantile`): up to 2× below the true
+                // latency.
                 let summary = obj(vec![
                     ("count", Json::Num(hist.count() as f64)),
                     ("p50_ns", Json::Num(hist.quantile(0.50) as f64)),
@@ -547,5 +552,22 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn latency_quantiles_are_bucket_lower_bounds() {
+        let one = LatencyHist::default();
+        assert_eq!(one.quantile(0.5), 0, "no samples");
+        one.record(1);
+        assert_eq!(one.quantile(0.5), 1);
+        let thousand = LatencyHist::default();
+        thousand.record(1000);
+        assert_eq!(thousand.quantile(0.5), 512, "[512, 1024) reads 512");
+        assert_eq!(thousand.count(), 1);
     }
 }

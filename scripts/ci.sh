@@ -70,3 +70,6 @@ cargo test -q --release --test scalability -- --ignored million_node
 # signatures its adapter calls still compile as they are, and that a
 # corrupt column still fails an operation.
 bash examples/bench_e2e/run.sh --test
+# A report, never a failure: public functions whose name no other file
+# mentions (see the script's header for the expected entries).
+sh scripts/single_file_pub_fns.sh

@@ -92,7 +92,7 @@ fn summarization_scales_in_ranks_without_keeping_them() {
 #[test]
 fn sparse_storage_is_proportional_to_nonzeros() {
     // Sorted arrays, the sparse shape, against a node-indexed vector.
-    let mut sparse = MetricVec::csr();
+    let mut sparse = MetricVec::Csr(CsrColumn::new());
     let mut dense = MetricVec::dense(1_000_000);
     for i in 0..100u32 {
         sparse.add(i * 10_000, 1.0);
