@@ -93,7 +93,8 @@ pub(crate) const SWEEP_ABOVE_ONE_IN: usize = 4;
 /// there a sweep of node-indexed vectors does the same additions in the
 /// same order without the searches and the sort that sparseness costs:
 /// a column with `K ≥ n / 4` (known at once when `nnz` alone is that
-/// many, else once the marking has counted `K`) takes that branch.
+/// many, else as soon as the marking has counted `n / 4`) takes that
+/// branch.
 pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
     debug_assert!(keys.windows(2).all(|w| w[0] < w[1]));
     let topo = cct.topo();
@@ -125,9 +126,9 @@ pub fn attribute_sorted(cct: &Cct, keys: &[u32], vals: &[f64]) -> Attribution {
                 None => break,
             }
         }
-    }
-    if visited * SWEEP_ABOVE_ONE_IN >= n {
-        return sweep(topo, direct);
+        if visited * SWEEP_ABOVE_ONE_IN >= n {
+            return sweep(topo, direct);
+        }
     }
     // The marked nodes in ascending order, each seeded with its direct
     // cost (every non-zero is marked, and both sequences ascend).

@@ -429,7 +429,12 @@ impl MetricVec {
     /// deltas must materialize a merged buffer first.
     pub fn nonzero_sorted(&self) -> NonzeroSorted<'_> {
         match self {
-            MetricVec::Dense(v) => NonzeroSorted::Dense { v, i: 0 },
+            MetricVec::Dense(v) => NonzeroSorted::Dense {
+                v,
+                i: 0,
+                mask: 0,
+                base: 0,
+            },
             MetricVec::Csr(c) => {
                 if c.pending.is_empty() {
                     NonzeroSorted::Csr {
@@ -481,12 +486,20 @@ impl MetricVec {
 /// node order; see [`MetricVec::nonzero_sorted`].
 #[derive(Debug)]
 pub enum NonzeroSorted<'a> {
-    /// Walks a dense vector, skipping zeros.
+    /// Walks a dense vector 64 cells at a time: a mask of a block's
+    /// non-zeros is built with no branch per cell (a column of
+    /// attributed values is a coin flip per cell), then its set bits are
+    /// handed out in order.
     Dense {
         /// The dense values.
         v: &'a [f64],
-        /// Next index to inspect.
+        /// First index of the next block to inspect.
         i: usize,
+        /// The current block's non-zeros not handed out yet: bit `b` is
+        /// index `base + b`.
+        mask: u64,
+        /// First index of the current block.
+        base: usize,
     },
     /// Walks a compacted columnar store's parallel arrays.
     Csr {
@@ -506,15 +519,16 @@ impl Iterator for NonzeroSorted<'_> {
 
     fn next(&mut self) -> Option<(u32, f64)> {
         match self {
-            NonzeroSorted::Dense { v, i } => {
-                while *i < v.len() {
-                    let at = *i;
-                    *i += 1;
-                    if v[at] != 0.0 {
-                        return Some((at as u32, v[at]));
+            NonzeroSorted::Dense { v, i, mask, base } => {
+                while *mask == 0 {
+                    if *i >= v.len() {
+                        return None;
                     }
+                    (*mask, *base, *i) = next_block(v, *i);
                 }
-                None
+                let at = *base + mask.trailing_zeros() as usize;
+                *mask &= *mask - 1;
+                Some((at as u32, v[at]))
             }
             NonzeroSorted::Csr { keys, vals, i } => {
                 while *i < keys.len() {
@@ -529,6 +543,43 @@ impl Iterator for NonzeroSorted<'_> {
             NonzeroSorted::Owned(it) => it.next(),
         }
     }
+
+    /// Internal iteration (`for_each`, `sum`, the summary kernel): one
+    /// loop per shape, not a dispatch per entry.
+    fn fold<B, F: FnMut(B, (u32, f64)) -> B>(self, mut acc: B, mut f: F) -> B {
+        match self {
+            NonzeroSorted::Dense {
+                v,
+                mut i,
+                mut mask,
+                mut base,
+            } => loop {
+                while mask != 0 {
+                    let at = base + mask.trailing_zeros() as usize;
+                    mask &= mask - 1;
+                    acc = f(acc, (at as u32, v[at]));
+                }
+                if i >= v.len() {
+                    return acc;
+                }
+                (mask, base, i) = next_block(v, i);
+            },
+            NonzeroSorted::Csr { keys, vals, i } => (keys[i..].iter().zip(&vals[i..]))
+                .filter(|e| *e.1 != 0.0)
+                .fold(acc, |acc, (&k, &x)| f(acc, (k, x))),
+            NonzeroSorted::Owned(it) => it.fold(acc, f),
+        }
+    }
+}
+
+/// The dense block of up to 64 cells at `i`: a mask of its non-zeros,
+/// built with no branch per cell, its first index, and the next block's.
+fn next_block(v: &[f64], i: usize) -> (u64, usize, usize) {
+    let block = &v[i..v.len().min(i + 64)];
+    let mask = (0..)
+        .zip(block)
+        .fold(0, |m, (b, &x)| m | u64::from(x != 0.0) << b);
+    (mask, i, i + block.len())
 }
 
 /// Selects nothing. A column's representation follows its data (module
@@ -913,6 +964,30 @@ mod tests {
         d.set(10, 0.0);
         c.set(10, 0.0);
         assert_eq!((d.nonzero_count(), c.nonzero_count()), (2, 2));
+    }
+
+    /// Both ways through a dense column — `next` and `fold`, from the
+    /// start and part way — hand out exactly its non-zeros in order,
+    /// across block boundaries and a short last block.
+    #[test]
+    fn dense_walks_agree_with_a_filter() {
+        let v: Vec<f64> = (0..203u32)
+            .map(|i| match i % 7 {
+                0 | 3 => 0.0,
+                5 => -0.0,
+                _ => f64::from(i) - 100.0,
+            })
+            .collect();
+        let col = MetricVec::Dense(v.clone());
+        let want: Vec<(u32, f64)> = (0u32..).zip(v).filter(|e| e.1 != 0.0).collect();
+        assert_eq!(col.nonzero_sorted().collect::<Vec<_>>(), want);
+        for skip in [0, 1, 40, 100, want.len()] {
+            let mut it = col.nonzero_sorted();
+            it.by_ref().take(skip).for_each(drop);
+            let mut rest = Vec::new();
+            it.for_each(|e| rest.push(e));
+            assert_eq!(rest, want[skip..], "after {skip}");
+        }
     }
 
     #[test]

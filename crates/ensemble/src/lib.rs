@@ -7,10 +7,13 @@
 //! Given N runs (each a CCT plus sparse per-metric costs), this crate
 //! builds one union CCT containing every calling context that appears
 //! in any run, remaps every run's costs into union node ids, computes
-//! per-node cross-run statistics (mean / min / max / stddev, one
-//! column each per base metric), and serializes the whole thing as a
-//! `.cpens` container ([`callpath_expdb::ens`]) that reopens
-//! topology-only in milliseconds.
+//! per-node cross-run statistics (mean / min / max / stddev per base
+//! metric) of each run's *attributed* values — every run attributed in
+//! its own tree, both halves placed at union ids, folded by the summary
+//! kernel `callpath_core::summary::Summarizer`, a context a run lacks
+//! counting as zero — and serializes the whole thing as a `.cpens` container
+//! ([`callpath_expdb::ens`]), the statistics stored as attributed
+//! (I)/(E) column pairs, that reopens topology-only in milliseconds.
 //!
 //! ## Determinism
 //!
@@ -32,15 +35,18 @@
 //!   ([`reduce_pairwise`] preserves left-to-right operand order), which
 //!   makes the parallel reduction equal to the sequential fold —
 //!   same node ids, same name table, bit for bit;
-//! * statistics fold runs in canonical order per node, in one loop, so
-//!   every f64 accumulation order is fixed too.
+//! * each base metric's statistics fold the runs in canonical order
+//!   per node, one metric per thread, so every f64 accumulation order
+//!   is fixed too.
 //!
 //! The property tests in `tests/ensemble_properties.rs` pin all of
 //! this, and `tests/ensemble_smoke.rs` measures the 1,000-run build
 //! and cold open for `BENCH_ensemble.json`.
 
+use callpath_core::attribution::attribute_sorted;
 use callpath_core::names::Namespace;
 use callpath_core::prelude::*;
+use callpath_core::summary::{stat_columns, Summarizer};
 use callpath_core::topo::{visit_fields, Field};
 use callpath_expdb::ens::{Directory, EnsembleRun, STAT_NAMES};
 use callpath_expdb::model::{DbError, DbMetric, DbModel};
@@ -318,19 +324,18 @@ pub fn build_union(runs: &[RunData], threads: usize) -> Union {
 /// node id. Replay is injective for trees built by child lookup, but a
 /// loaded file makes no such promise, so duplicates are summed (in
 /// original order — the sort is stable).
-fn remap_costs(costs: &[(u32, f64)], map: &[NodeId]) -> Vec<(u32, f64)> {
-    let mut out: Vec<(u32, f64)> = costs.iter().map(|&(n, v)| (map[n as usize].0, v)).collect();
+fn remap_costs(costs: impl IntoIterator<Item = (u32, f64)>, map: &[NodeId]) -> Vec<(u32, f64)> {
+    let mut out: Vec<(u32, f64)> = costs
+        .into_iter()
+        .map(|(n, v)| (map[n as usize].0, v))
+        .collect();
     out.sort_by_key(|&(n, _)| n);
-    let mut w = 0;
-    for i in 0..out.len() {
-        if w > 0 && out[w - 1].0 == out[i].0 {
-            out[w - 1].1 += out[i].1;
-        } else {
-            out[w] = out[i];
-            w += 1;
+    out.dedup_by(|next, kept| {
+        next.0 == kept.0 && {
+            kept.1 += next.1;
+            true
         }
-    }
-    out.truncate(w);
+    });
     out
 }
 
@@ -368,98 +373,100 @@ pub fn build(runs: &[RunData], threads: usize) -> BuiltEnsemble {
 }
 
 /// The post-union half of [`build`], split out so benches can time the
-/// union and the statistics separately. The remap and the statistics
-/// are loops (DESIGN.md §13 has the measurement), so the last argument
-/// selects nothing.
-pub fn build_from_union(runs: &[RunData], union: Union, _threads: usize) -> BuiltEnsemble {
+/// union and the statistics separately. The base metrics' statistics
+/// are independent of each other, so they divide among `threads`
+/// threads (0 = automatic) and no fold order changes.
+pub fn build_from_union(runs: &[RunData], union: Union, threads: usize) -> BuiltEnsemble {
     let _span = obs::span("ensemble.stats");
-    let first = &runs[union.order[0]];
-    let base: Vec<MetricDesc> = first.metrics.clone();
+    let base: Vec<MetricDesc> = runs[union.order[0]].metrics.clone();
     let metric_names: Vec<String> = base.iter().map(|d| d.name.clone()).collect();
-
-    // Remap every run's costs into union ids, matching metrics by name
-    // against the base list.
-    let ens_runs: Vec<EnsembleRun> = (0..union.order.len())
-        .map(|i| {
-            let run = &runs[union.order[i]];
-            let map = &union.node_maps[i];
-            let costs = base
-                .iter()
-                .map(|bd| {
-                    run.metrics
-                        .iter()
-                        .position(|d| d.name == bd.name)
-                        .map(|mi| remap_costs(&run.costs[mi], map))
-                        .unwrap_or_default()
-                })
-                .collect();
-            EnsembleRun {
-                label: run.label.clone(),
-                fingerprint: union.fingerprints[i],
-                costs,
-            }
+    let mut seen = vec![false; union.cct.len()];
+    let injective: Vec<bool> = (union.node_maps.iter())
+        .map(|map| {
+            seen.fill(false);
+            map.iter()
+                .all(|n| !std::mem::replace(&mut seen[n.index()], true))
         })
         .collect();
-
-    // One streaming pass per metric: fold runs in canonical order,
-    // then derive all four statistics. Absent nodes count as zero for
-    // min/max (a run that never reached a context spent nothing there)
-    // and for the mean/stddev denominator, which is always the run
-    // count.
-    let n_nodes = union.cct.len();
-    let n_runs = ens_runs.len() as f64;
-    let mut stat_metrics: Vec<DbMetric> = base
-        .iter()
-        .flat_map(|d| {
-            STAT_NAMES.iter().map(|s| DbMetric {
-                name: format!("{} {s}", d.name),
-                unit: d.unit.clone(),
-                period: d.period,
-                costs: Vec::new(),
-            })
+    let per_metric = chunked_map(&base, threads, |_, metrics| {
+        let stats = metrics
+            .iter()
+            .map(|d| metric_stats(runs, &union, &injective, d));
+        stats.collect::<Vec<_>>()
+    });
+    let (blocks, stats): (Vec<Vec<_>>, Vec<_>) = per_metric.into_iter().flatten().unzip();
+    let mut blocks: Vec<_> = blocks.into_iter().map(Vec::into_iter).collect();
+    let ens_runs = (0..union.order.len())
+        .map(|i| EnsembleRun {
+            label: runs[union.order[i]].label.clone(),
+            fingerprint: union.fingerprints[i],
+            costs: blocks
+                .iter_mut()
+                .map(|b| b.next().expect("a block per run"))
+                .collect(),
         })
         .collect();
-    for (m, stats) in stat_metrics.chunks_mut(STAT_NAMES.len()).enumerate() {
-        let mut sum = vec![0.0f64; n_nodes];
-        let mut sumsq = vec![0.0f64; n_nodes];
-        let mut cnt = vec![0u32; n_nodes];
-        let mut mn = vec![f64::INFINITY; n_nodes];
-        let mut mx = vec![f64::NEG_INFINITY; n_nodes];
-        for run in &ens_runs {
-            for &(node, v) in &run.costs[m] {
-                let k = node as usize;
-                sum[k] += v;
-                sumsq[k] += v * v;
-                cnt[k] += 1;
-                mn[k] = mn[k].min(v);
-                mx[k] = mx[k].max(v);
-            }
-        }
-        for k in 0..n_nodes {
-            if cnt[k] == 0 {
-                continue;
-            }
-            let mean = sum[k] / n_runs;
-            let (lo_v, hi_v) = if (cnt[k] as f64) < n_runs {
-                (mn[k].min(0.0), mx[k].max(0.0))
-            } else {
-                (mn[k], mx[k])
-            };
-            let var = (sumsq[k] / n_runs - mean * mean).max(0.0);
-            for (stat, v) in stats.iter_mut().zip([mean, lo_v, hi_v, var.sqrt()]) {
-                if v != 0.0 {
-                    stat.costs.push((k as u32, v));
-                }
-            }
-        }
-    }
-
     BuiltEnsemble {
         cct: union.cct,
         metric_names,
-        stat_metrics,
+        stat_metrics: stats.into_iter().flatten().collect(),
         runs: ens_runs,
     }
+}
+
+/// One base metric of [`build_from_union`], in one pass over the runs
+/// in canonical order: each run's costs (matched by name; a run without
+/// the metric has nothing anywhere) remapped into union ids for its run
+/// block, and attributed in the run's own tree for the metric's summary
+/// kernel, both halves placed at union ids the same way — through
+/// [`remap_costs`], which sums what lands on one node, if the run's node
+/// map is not one to one (`injective[i]` for canonical run `i`). Then
+/// the statistic columns, each statistic's inclusive then exclusive one.
+fn metric_stats(
+    runs: &[RunData],
+    union: &Union,
+    injective: &[bool],
+    d: &MetricDesc,
+) -> (Vec<Vec<(u32, f64)>>, Vec<DbMetric>) {
+    let mut kernel = Summarizer::new(union.cct.len());
+    let canonical = union.order.iter().map(|&ri| &runs[ri]);
+    let blocks: Vec<_> = (canonical.zip(&union.node_maps).zip(injective))
+        .map(|((run, map), &one_to_one)| {
+            let Some(mi) = run.metrics.iter().position(|m| m.name == d.name) else {
+                kernel.add(vec![], vec![]);
+                return Vec::new();
+            };
+            let mut direct = CsrColumn::new();
+            run.costs[mi].iter().for_each(|&(n, v)| direct.add(n, v));
+            let direct = MetricVec::Csr(direct);
+            let (keys, vals) = direct.sorted_parts();
+            let attr = attribute_sorted(&run.cct, &keys, &vals);
+            let halves = (
+                attr.inclusive.nonzero_sorted(),
+                attr.exclusive.nonzero_sorted(),
+            );
+            if one_to_one {
+                let at = |(n, v): (u32, f64)| (map[n as usize].0, v);
+                kernel.add(halves.0.map(at), halves.1.map(at));
+            } else {
+                kernel.add(remap_costs(halves.0, map), remap_costs(halves.1, map));
+            }
+            remap_costs(run.costs[mi].iter().copied(), map)
+        })
+        .collect();
+    let stats = kernel.finish();
+    let (inclusive, exclusive) = stats.split_at(stats.len() / 2);
+    let [inclusive, exclusive] = [inclusive, exclusive].map(stat_columns);
+    let mut metrics = Vec::with_capacity(2 * STAT_NAMES.len());
+    for (name, pair) in STAT_NAMES.iter().zip(inclusive.into_iter().zip(exclusive)) {
+        metrics.extend([pair.0, pair.1].map(|costs| DbMetric {
+            name: format!("{} {name}", d.name),
+            unit: d.unit.clone(),
+            period: d.period,
+            costs,
+        }));
+    }
+    (blocks, metrics)
 }
 
 /// Score each run's distance from the ensemble from directory totals
@@ -469,21 +476,11 @@ pub fn build_from_union(runs: &[RunData], union: Union, _threads: usize) -> Buil
 /// Returns `(canonical run index, score)` sorted by descending score,
 /// ties by run index.
 pub fn outlier_scores(dir: &Directory) -> Vec<(usize, f64)> {
-    let n_runs = dir.runs.len() as f64;
-    let n_metrics = dir.metric_names.len();
     let mut scores = vec![0.0f64; dir.runs.len()];
-    for m in 0..n_metrics {
-        let mean = dir.runs.iter().map(|r| r.stats[m].1).sum::<f64>() / n_runs;
-        let var = dir
-            .runs
-            .iter()
-            .map(|r| {
-                let d = r.stats[m].1 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n_runs;
-        let sd = var.sqrt();
+    for m in 0..dir.metric_names.len() {
+        let mut totals = Welford::new();
+        dir.runs.iter().for_each(|r| totals.push(r.stats[m].1));
+        let (mean, sd) = (totals.mean(), totals.std_dev());
         if sd > 0.0 {
             for (r, run) in dir.runs.iter().enumerate() {
                 let z = (run.stats[m].1 - mean).abs() / sd;
@@ -560,39 +557,27 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_absent_runs_as_zero() {
-        let runs = vec![
-            run("a", &["main"], &[(1, 3.0)]),
-            run("b", &["main"], &[(1, 5.0)]),
-            run("c", &["main", "only_c"], &[(2, 8.0)]),
-        ];
-        let built = build(&runs, 1);
-        let stat = |name: &str| {
-            built
-                .stat_metrics
-                .iter()
-                .find(|m| m.name == name)
-                .unwrap()
+    fn a_run_with_duplicate_contexts_is_one_member_at_their_union_node() {
+        // Run `a` holds `f` twice under `main`: its node map sends both to
+        // one union node, where `a` is one member worth 3 + 4.
+        let mut a = run("a", &["main", "f"], &[(2, 3.0)]);
+        let kind = a.cct.kind(NodeId(2));
+        let twin = a.cct.add_child(NodeId(1), kind);
+        a.costs[0].push((twin.0, 4.0));
+        let built = build(&[a, run("b", &["main", "f"], &[(2, 10.0)])], 1);
+        assert_eq!(built.cct.len(), 3);
+        // The first column of a statistic is its inclusive one.
+        let at_f = |name: &str| {
+            let inclusive = built.stat_metrics.iter().find(|m| m.name == name).unwrap();
+            inclusive
                 .costs
-                .clone()
+                .iter()
+                .find(|e| e.0 == 2)
+                .map_or(0.0, |e| e.1)
         };
-        // Node for "main" is 1 in the union. mean = (3+5+0)/3.
-        let mean = stat("cycles mean");
-        assert_eq!(mean.iter().find(|&&(n, _)| n == 1).unwrap().1, 8.0 / 3.0);
-        // "only_c" exists in one run of three: min counts the zeros.
-        assert!(mean.iter().any(|&(n, v)| n == 2 && v == 8.0 / 3.0));
-        assert!(!stat("cycles min").iter().any(|&(n, _)| n == 2));
-        assert_eq!(
-            stat("cycles max").iter().find(|&&(n, _)| n == 2).unwrap().1,
-            8.0
-        );
-        // All three runs hit "main": min/max are true extrema — but a
-        // missing zero at node 1 in run c widens min to 0.
-        assert!(!stat("cycles min").iter().any(|&(n, _)| n == 1));
-        assert_eq!(
-            stat("cycles max").iter().find(|&&(n, _)| n == 1).unwrap().1,
-            5.0
-        );
+        assert_eq!(at_f("cycles min"), 7.0);
+        assert_eq!(at_f("cycles max"), 10.0);
+        assert_eq!(at_f("cycles mean"), 8.5);
     }
 
     #[test]
@@ -611,7 +596,7 @@ mod tests {
             .iter()
             .find(|m| m.name == "insns mean")
             .unwrap();
-        assert_eq!(insns_mean.costs, vec![(1, 15.0)]);
+        assert_eq!(insns_mean.costs, vec![(0, 15.0), (1, 15.0)], "inclusive");
     }
 
     #[test]

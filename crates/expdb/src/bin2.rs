@@ -38,8 +38,8 @@ use crate::bin::{
 };
 use crate::model::{DbError, DbMetric, DbModel, DbNode};
 use crate::toc::{
-    Toc, TocBuilder, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS,
-    SEC_NAMES,
+    Toc, TocBuilder, SEC_ATTRIBUTED, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED,
+    SEC_METRICS, SEC_NAMES,
 };
 use callpath_core::topo::{decode_kind, encode_kind, tags, LINK_NONE, UNCLAMPED};
 
@@ -73,7 +73,7 @@ const BLOCK_FIXED: u8 = 1;
 /// section encodings.
 pub fn write_v21(model: &DbModel) -> Vec<u8> {
     let mut b = TocBuilder::new_aligned();
-    add_v21_sections(&mut b, model);
+    add_v21_sections(&mut b, model, false);
     b.finish()
 }
 
@@ -82,7 +82,13 @@ pub fn write_v21(model: &DbModel) -> Vec<u8> {
 /// definitions, and one cost block per metric. Factored out of
 /// [`write_v21`] so the ensemble container ([`crate::ens`]) can embed
 /// a complete, valid database and append its own sections after.
-pub(crate) fn add_v21_sections(b: &mut TocBuilder, model: &DbModel) {
+///
+/// `attributed` says `model.metrics` are (inclusive, exclusive) pairs of
+/// attributed columns, not direct costs: the [`SEC_ATTRIBUTED`] marker
+/// is written, and both descriptors of a pair carry as their total the
+/// pair's aggregate, the inclusive column's value at the root — where a
+/// metric of direct costs carries their sum, which is the same thing.
+pub(crate) fn add_v21_sections(b: &mut TocBuilder, model: &DbModel, attributed: bool) {
     let mut names = Vec::new();
     put_strings(&mut names, &model.procs);
     put_strings(&mut names, &model.files);
@@ -95,14 +101,23 @@ pub(crate) fn add_v21_sections(b: &mut TocBuilder, model: &DbModel) {
 
     let mut metrics = Vec::new();
     put_varint(&mut metrics, model.metrics.len() as u64);
-    for m in &model.metrics {
+    for (i, m) in model.metrics.iter().enumerate() {
+        let total = if attributed {
+            let inclusive = &model.metrics[i & !1].costs;
+            inclusive.first().filter(|e| e.0 == 0).map_or(0.0, |e| e.1)
+        } else {
+            m.costs.iter().map(|&(_, v)| v).sum()
+        };
         put_string(&mut metrics, &m.name);
         put_string(&mut metrics, &m.unit);
         put_f64(&mut metrics, m.period);
         put_varint(&mut metrics, m.costs.len() as u64);
-        put_f64(&mut metrics, m.costs.iter().map(|&(_, v)| v).sum());
+        put_f64(&mut metrics, total);
     }
     b.add(SEC_METRICS, metrics);
+    if attributed {
+        b.add(SEC_ATTRIBUTED, Vec::new());
+    }
 
     let mut derived = Vec::new();
     put_varint(&mut derived, model.derived.len() as u64);
@@ -497,6 +512,12 @@ pub(crate) fn expect_consumed(buf: &[u8], what: &str) -> Result<(), DbError> {
 /// checks.
 pub fn read(data: &[u8]) -> Result<DbModel, DbError> {
     let toc = Toc::parse(data)?;
+    if toc.contains(SEC_ATTRIBUTED) {
+        return Err(DbError::new(
+            "an ensemble (.cpens) stores its statistic columns attributed, which a \
+             model of direct costs cannot hold: open it lazily (open_path, ens::open)",
+        ));
+    }
     let (procs, files, modules) = read_names(toc.section(data, SEC_NAMES)?)?;
     let nodes = read_topology_v21(
         toc.section(data, SEC_CCT_LINKS)?,

@@ -4,12 +4,21 @@
 //! §15).
 //!
 //! A `.cpens` file **is** a valid v2.1 database: its name tables and
-//! topology describe the union CCT, and its regular metrics are the
-//! cross-run statistics, metric-major — for each base metric, one
-//! column per entry of [`STAT_NAMES`] (`"cycles mean"`, `"cycles
-//! min"`, ...). `callpath-view` and `callpath-serve` therefore open an
-//! ensemble with zero new code, topology-only, and fault exactly the
-//! stat columns a sorted view needs.
+//! topology describe the union CCT, and its metrics are the cross-run
+//! statistics, metric-major — for each base metric, one metric per
+//! entry of [`STAT_NAMES`] (`"cycles mean"`, `"cycles min"`, ...). A
+//! statistic is of each run's *attributed* values, so it is not the
+//! attribution of anything: both of its columns, `"cycles max (I)"` and
+//! `"cycles max (E)"`, are stored as they are shown, one block each,
+//! and the `SEC_ATTRIBUTED` marker section tells the lazy open to read
+//! them into their slots instead of running the attribution kernel.
+//! Both descriptors of a statistic carry its aggregate (the percent
+//! base): the inclusive column's value at the root. A statistic has no
+//! direct costs, so its raw column is empty; the eager decode
+//! ([`crate::bin2::read`]) refuses the file, since a model of direct
+//! costs cannot hold it. `callpath-view` and `callpath-serve` open an
+//! ensemble through [`crate::open_path`], topology-only, and fault
+//! exactly the stat columns a sorted view needs.
 //!
 //! On top of that base the container carries sections a plain v2.1
 //! reader skips by id (section ids are a namespace, not positions —
@@ -35,7 +44,7 @@ use crate::bin2::{self, MetricInfo};
 use crate::image::FileImage;
 use crate::lazy::open_image_with;
 use crate::model::{topology_parts, DbError, DbMetric, DbModel};
-use crate::toc::{Toc, TocBuilder, SEC_ENSEMBLE, SEC_METRICS};
+use crate::toc::{Toc, TocBuilder, SEC_ATTRIBUTED, SEC_ENSEMBLE, SEC_METRICS};
 use callpath_core::prelude::*;
 use std::path::Path;
 use std::sync::Arc;
@@ -47,8 +56,8 @@ use std::sync::Arc;
 pub(crate) const RUN_BLOCK_BASE: u32 = 1 << 20;
 
 /// The cross-run statistics stored per base metric, in column order.
-/// The stat columns of the base database are metric-major: base metric
-/// `m`'s statistic `s` is regular metric `m * STAT_NAMES.len() + s`.
+/// The stat metrics of the base database are metric-major: base metric
+/// `m`'s statistic `s` is metric `m * STAT_NAMES.len() + s`.
 pub const STAT_NAMES: [&str; 4] = ["mean", "min", "max", "stddev"];
 
 /// Hostile-input bounds for the directory decoder.
@@ -118,12 +127,14 @@ fn run_block_section(r: u64, m: u64, n_metrics: u64) -> Result<u32, DbError> {
 }
 
 /// Encode a `.cpens` container: the union CCT, `metric_names.len() *
-/// STAT_NAMES.len()` stat columns as the base database's metrics, the
-/// directory, and one block per `(run, metric)`.
+/// STAT_NAMES.len()` statistics as the base database's metrics, stored
+/// attributed, the directory, and one block per `(run, metric)`.
 ///
-/// `stat_metrics` must be metric-major ([`STAT_NAMES`] order within
-/// each base metric) and every run must carry `metric_names.len()`
-/// cost lists — builder invariants, checked by assertion.
+/// `stat_metrics` holds each statistic's inclusive column, then its
+/// exclusive one, under the statistic's name, metric-major
+/// ([`STAT_NAMES`] order within each base metric), and every run must
+/// carry `metric_names.len()` cost lists — builder invariants, checked
+/// by assertion.
 pub fn write_cpens(
     cct: &Cct,
     stat_metrics: Vec<DbMetric>,
@@ -132,8 +143,8 @@ pub fn write_cpens(
 ) -> Vec<u8> {
     assert_eq!(
         stat_metrics.len(),
-        metric_names.len() * STAT_NAMES.len(),
-        "one stat column per (metric, statistic)"
+        metric_names.len() * STAT_NAMES.len() * 2,
+        "two stat columns per (metric, statistic)"
     );
     let (procs, files, modules, nodes) = topology_parts(cct);
     let base = DbModel {
@@ -145,7 +156,7 @@ pub fn write_cpens(
         derived: Vec::new(),
     };
     let mut b = TocBuilder::new_aligned();
-    bin2::add_v21_sections(&mut b, &base);
+    bin2::add_v21_sections(&mut b, &base, true);
 
     let mut dir = Vec::new();
     put_varint(&mut dir, metric_names.len() as u64);
@@ -251,13 +262,13 @@ pub fn open_with_runs(path: &Path, selections: &[(u32, u32)]) -> Result<Ensemble
     let toc = Toc::parse(data)?;
     let dir = parse_directory(toc.section(data, SEC_ENSEMBLE)?)?;
     let infos = bin2::read_metric_infos(toc.section(data, SEC_METRICS)?)?;
-    let n_stats = STAT_NAMES.len();
-    if infos.len() != dir.metric_names.len() * n_stats {
+    let n_cols = STAT_NAMES.len() * 2;
+    if !toc.contains(SEC_ATTRIBUTED) || infos.len() != dir.metric_names.len() * n_cols {
         return Err(DbError::new(format!(
-            "ensemble has {} stat columns for {} metrics, expected {} per metric",
+            "ensemble has {} stat columns for {} metrics, expected {n_cols} per metric \
+             stored attributed (a .cpens from an older build: build it again)",
             infos.len(),
             dir.metric_names.len(),
-            n_stats
         )));
     }
     let nm = dir.metric_names.len() as u64;
@@ -274,7 +285,7 @@ pub fn open_with_runs(path: &Path, selections: &[(u32, u32)]) -> Result<Ensemble
         let (nnz, total) = run.stats[m as usize];
         // Unit and period are not repeated in the directory; the
         // metric's stat columns carry them.
-        let stat0 = &infos[m as usize * n_stats];
+        let stat0 = &infos[m as usize * n_cols];
         let info = MetricInfo {
             name: format!("{name}@{}", run.label),
             unit: stat0.unit.clone(),
@@ -332,24 +343,33 @@ mod tests {
                 costs: vec![vec![(2, 10.0 * (r + 1) as f64), (3, 5.0)], vec![(2, 1.0)]],
             })
             .collect();
-        // Stats here are hand-rolled placeholders; the builder crate
-        // computes real ones. mean over the 3 runs of metric 0.
-        let stat = |name: &str, costs: Vec<(u32, f64)>| DbMetric {
-            name: name.into(),
-            unit: "ev".into(),
-            period: 1.0,
-            costs,
+        // Stats here are hand-rolled placeholders, one (I, E) pair each;
+        // the builder crate computes real ones. Inclusive values at the
+        // root and `main`, exclusive ones at the leaves.
+        let stat = |name: &str, root: f64, leaves: [f64; 2]| {
+            let leaves = [(2, leaves[0]), (3, leaves[1])].into_iter();
+            let exclusive: Vec<(u32, f64)> = leaves.filter(|e| e.1 != 0.0).collect();
+            let inclusive = [(0, root), (1, root)].into_iter().chain(exclusive.clone());
+            [inclusive.collect(), exclusive].map(|costs| DbMetric {
+                name: name.into(),
+                unit: "ev".into(),
+                period: 1.0,
+                costs,
+            })
         };
-        let stats = vec![
-            stat("cycles mean", vec![(2, 20.0), (3, 5.0)]),
-            stat("cycles min", vec![(2, 10.0), (3, 5.0)]),
-            stat("cycles max", vec![(2, 30.0), (3, 5.0)]),
-            stat("cycles stddev", vec![(2, 8.16496580927726)]),
-            stat("insns mean", vec![(2, 1.0)]),
-            stat("insns min", vec![(2, 1.0)]),
-            stat("insns max", vec![(2, 1.0)]),
-            stat("insns stddev", vec![]),
-        ];
+        let stats = [
+            stat("cycles mean", 25.0, [20.0, 5.0]),
+            stat("cycles min", 15.0, [10.0, 5.0]),
+            stat("cycles max", 35.0, [30.0, 5.0]),
+            stat("cycles stddev", 8.16496580927726, [8.16496580927726, 0.0]),
+            stat("insns mean", 1.0, [1.0, 0.0]),
+            stat("insns min", 1.0, [1.0, 0.0]),
+            stat("insns max", 1.0, [1.0, 0.0]),
+            stat("insns stddev", 0.0, [0.0, 0.0]),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
         (cct, stats, metric_names, runs)
     }
 
@@ -369,13 +389,19 @@ mod tests {
         let (cct, stats, metric_names, runs) = sample();
         let bytes = write_cpens(&cct, stats, &metric_names, &runs);
         crate::verify_container(&bytes).unwrap();
-        // A plain v2.1 lazy open sees only the stat columns.
-        let exp = crate::open_lazy(bytes).unwrap();
+        // A plain v2.1 lazy open sees only the stat columns, as stored.
+        let exp = crate::open_lazy(bytes.clone()).unwrap();
         assert_eq!(exp.cct.len(), cct.len());
         assert_eq!(exp.raw.metric_count(), 8);
         assert_eq!(exp.raw.desc(MetricId(0)).name, "cycles mean");
-        // Inclusive mean at the root = whole-program mean total.
-        assert_eq!(exp.inclusive(MetricId(0), exp.cct.root()), 25.0);
+        let max = MetricId(2);
+        assert_eq!(exp.inclusive(max, exp.cct.root()), 35.0);
+        assert_eq!(exp.inclusive(max, NodeId(1)), 35.0, "not re-attributed");
+        assert_eq!(exp.exclusive(max, NodeId(2)), 30.0);
+        // The percent base is the root value, not the stored entries' sum.
+        assert_eq!(exp.aggregates()[exp.exclusive_col(max).index()], 35.0);
+        assert_eq!(exp.raw.column(max).nonzero_count(), 0, "no direct costs");
+        assert!(crate::bin2::read(&bytes).is_err(), "no model holds it");
     }
 
     #[test]

@@ -54,7 +54,8 @@ use crate::bin2::{self, MetricInfo};
 use crate::image::FileImage;
 use crate::model::{build_cct, DbError};
 use crate::toc::{
-    Toc, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS, SEC_NAMES,
+    Toc, SEC_ATTRIBUTED, SEC_BLOCK_BASE, SEC_CCT_KINDS, SEC_CCT_LINKS, SEC_DERIVED, SEC_METRICS,
+    SEC_NAMES,
 };
 use callpath_core::attribution::attribute_sorted;
 use callpath_core::derived;
@@ -72,12 +73,16 @@ pub(crate) struct LazyShared {
     toc: Toc,
     /// Private topology copy for attributing faulted columns.
     cct: Cct,
+    /// One descriptor per stored block, and the section id holding it:
+    /// `SEC_BLOCK_BASE + b` for the database's own blocks; an ensemble
+    /// open with per-run drill-down columns appends run-block sections.
     infos: Vec<MetricInfo>,
-    /// Section id holding metric `m`'s cost block. For a plain
-    /// database this is always `SEC_BLOCK_BASE + m`; an ensemble open
-    /// with per-run drill-down columns maps the appended metrics to
-    /// their run-block sections instead.
     sections: Vec<u32>,
+    /// Metrics stored attributed (a `.cpens`'s statistics, marked by
+    /// `SEC_ATTRIBUTED`; 0 in a plain database): metric `m < pairs` *is*
+    /// blocks `2m` and `2m + 1`, its two columns; every later metric `m`
+    /// is the direct costs in block `m + pairs`.
+    pairs: usize,
     /// Parsed derived formulas, in derived-column order.
     exprs: Vec<Expr>,
     /// Whole-program value per column (from stored totals), for `@n`
@@ -102,18 +107,18 @@ impl LazyShared {
         self.cct.len() as u32
     }
 
-    /// Raw direct costs of metric `m`. For fixed-kind blocks this
+    /// The entries of stored block `b`. For fixed-kind blocks this
     /// *borrows* the key/value arrays from the image (after verifying the
     /// block's checksum) instead of decoding them; everything else
     /// decodes to owned entries.
-    fn raw_column(&self, m: usize) -> Result<MetricVec, String> {
+    fn block(&self, b: usize) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.block_decode");
-        let id = self.sections[m];
+        let id = self.sections[b];
         let data = self.data.bytes();
         self.toc.verify_section(data, id).map_err(|e| e.message)?;
         let (off, body) = self.toc.raw_payload(data, id).map_err(|e| e.message)?;
         obs::observe("expdb.block_bytes", body.len() as u64);
-        let info = &self.infos[m];
+        let info = &self.infos[b];
         if let Some(fb) = bin2::block_layout(body, info).map_err(|e| e.message)? {
             // Construction only fails for environmental reasons (a
             // big-endian host, an unaligned image); fall through to the
@@ -136,18 +141,22 @@ impl LazyShared {
     }
 
     /// Column `c`, the inclusive (even) or exclusive (odd) half of metric
-    /// `c / 2`: taken from the parking cell if the sibling's fault left
-    /// it there, else computed — the kernel reads the block's key/value
+    /// `c / 2`. A stored attributed column is its block as it is. Else it
+    /// is taken from the parking cell if the sibling's fault left it
+    /// there, or computed — the kernel reads the block's key/value
     /// arrays where they lie in the image (small varint blocks are
     /// decoded first) — with the sibling half parked. The cell stays
     /// locked through the kernel, so racing faults of both halves read
     /// the block once.
     fn attributed(&self, c: usize) -> Result<MetricVec, String> {
+        if c < 2 * self.pairs {
+            return self.block(c);
+        }
         let mut parked = self.parked[c / 2].lock().expect("parked half lock");
         if let Some((_, half)) = parked.take_if(|(at, _)| *at == c) {
             return Ok(half);
         }
-        let raw = self.raw_column(c / 2)?;
+        let raw = self.block(c / 2 + self.pairs)?;
         let (keys, vals) = raw.sorted_parts();
         let attr = attribute_sorted(&self.cct, &keys, &vals);
         let (half, sibling) = if c.is_multiple_of(2) {
@@ -164,7 +173,7 @@ impl ColumnSource for LazyShared {
     fn load_column(&self, c: ColumnId, columns: &ColumnSet) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.column_fault");
         obs::count("expdb.lazy.fault.column", 1);
-        let (c, metric_cols) = (c.index(), self.infos.len() * 2);
+        let (c, metric_cols) = (c.index(), self.parked.len() * 2);
         let column = if c < metric_cols {
             self.attributed(c)
         } else {
@@ -178,13 +187,17 @@ impl ColumnSource for LazyShared {
         })
     }
 
+    /// A stored statistic has no direct costs: its raw column is empty.
     fn load_raw(&self, m: MetricId) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.raw_fault");
         obs::count("expdb.lazy.fault.raw", 1);
-        if m.index() >= self.infos.len() {
+        if m.index() >= self.parked.len() {
             return Err(format!("no metric {} in this database", m.index()));
         }
-        self.raw_column(m.index()).inspect_err(|reason| {
+        if m.index() < self.pairs {
+            return Ok(MetricVec::Csr(CsrColumn::new()));
+        }
+        self.block(m.index() + self.pairs).inspect_err(|reason| {
             obs::count("expdb.lazy.fault.failed", 1);
             obs::error(&format!("metric {}: {reason}", m.index()));
         })
@@ -247,6 +260,14 @@ pub(crate) fn open_image_with(
     let mut sections: Vec<u32> = (0..infos.len() as u32)
         .map(|i| SEC_BLOCK_BASE + i)
         .collect();
+    let pairs = if toc.contains(SEC_ATTRIBUTED) {
+        if infos.len() % 2 == 1 {
+            return Err(DbError::new("attributed columns do not come in pairs"));
+        }
+        infos.len() / 2
+    } else {
+        0
+    };
     for (info, sec) in extra {
         infos.push(info);
         sections.push(sec);
@@ -267,7 +288,11 @@ pub(crate) fn open_image_with(
     let mut raw = RawMetrics::new(StorageKind::Csr);
     let mut columns = ColumnSet::new();
     let mut aggregates = Vec::with_capacity(infos.len() * 2 + defs.len());
-    for (i, info) in infos.iter().enumerate() {
+    // A stored pair is one metric: its two blocks' descriptors carry
+    // its name and, each, its column's aggregate (`bin2`).
+    let metrics = (0..pairs).map(|m| [&infos[2 * m], &infos[2 * m + 1]]);
+    let rest = infos[2 * pairs..].iter().map(|info| [info, info]);
+    for (i, [info, sibling]) in metrics.chain(rest).enumerate() {
         let m = MetricId::from_usize(i);
         raw.add_metric(MetricDesc::new(&info.name, &info.unit, info.period));
         columns.add_column(ColumnDesc {
@@ -283,7 +308,7 @@ pub(crate) fn open_image_with(
         // Root inclusive == whole-program direct total, for both the
         // inclusive and the exclusive aggregate (cf. Experiment::build).
         aggregates.push(info.total);
-        aggregates.push(info.total);
+        aggregates.push(sibling.total);
     }
 
     let mut derived_cols = Vec::with_capacity(defs.len());
@@ -305,9 +330,10 @@ pub(crate) fn open_image_with(
         data: image.clone(),
         toc,
         cct: cct.clone(),
-        parked: (0..infos.len()).map(|_| Mutex::new(None)).collect(),
+        parked: (0..raw.metric_count()).map(|_| Mutex::new(None)).collect(),
         infos,
         sections,
+        pairs,
         exprs: derived_cols.iter().map(|(_, e)| e.clone()).collect(),
         aggregates: aggregates.clone(),
     });

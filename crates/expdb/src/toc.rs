@@ -75,6 +75,11 @@ pub(crate) const SEC_CCT_KINDS: u32 = 6;
 /// readers skip it, which is what makes an ensemble container a valid
 /// database.
 pub(crate) const SEC_ENSEMBLE: u32 = 7;
+/// Marker, empty body — `.cpens` files only: its presence says the
+/// metric descriptors come in (inclusive, exclusive) pairs of columns
+/// stored already attributed, which the lazy open reads into their slots
+/// as they are ([`crate::lazy`]). A plain database never carries it.
+pub(crate) const SEC_ATTRIBUTED: u32 = 8;
 /// First per-metric cost block id.
 pub(crate) const SEC_BLOCK_BASE: u32 = 16;
 
@@ -318,48 +323,37 @@ impl TocBuilder {
 
     pub fn finish(self) -> Vec<u8> {
         let toc_end = HEADER_LEN + self.sections.len() * ENTRY_LEN;
-        // Wrap bodies in their padding. Payload offsets depend on the
-        // lengths of everything before them, so pad lengths are
-        // computed here, in one pass over the final layout.
-        let mut sections: Vec<(u32, Vec<u8>)> = Vec::with_capacity(self.sections.len());
-        let mut offset = toc_end;
-        for (id, body) in self.sections {
-            let pad = (8 - (offset + 1) % 8) % 8;
-            let mut payload = Vec::with_capacity(1 + pad + body.len());
-            payload.push(pad as u8);
-            payload.resize(1 + pad, 0);
-            payload.extend_from_slice(&body);
-            offset += payload.len();
-            sections.push((id, payload));
-        }
-
-        let total: usize = toc_end + sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
+        let bodies: usize = self.sections.iter().map(|(_, body)| 8 + body.len()).sum();
+        let mut out = Vec::with_capacity(toc_end + bodies);
         out.extend_from_slice(MAGIC);
         out.push(VERSION_BYTE);
         out.push(FLAG_ALIGNED);
         out.extend_from_slice(&[0, 0]); // reserved
-        out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-        out.extend_from_slice(&[0u8; 8]); // checksum, patched below
+        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        out.resize(toc_end, 0); // checksum and TOC entries, patched below
 
-        let mut offset = toc_end as u64;
-        for (id, payload) in &sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&0u32.to_le_bytes()); // reserved
-            out.extend_from_slice(&offset.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-            offset += payload.len() as u64;
+        // Each payload is written in place — its pad length, that many
+        // zeros, its body — so the body lands on a file offset that is a
+        // multiple of 8, and is checksummed where it lies.
+        for (i, (id, body)) in self.sections.iter().enumerate() {
+            let offset = out.len();
+            let pad = (8 - (offset + 1) % 8) % 8;
+            out.push(pad as u8);
+            out.resize(offset + 1 + pad, 0);
+            out.extend_from_slice(body);
+            let checksum = fnv1a64(&out[offset..]);
+            let len = (out.len() - offset) as u64;
+            let entry = &mut out[HEADER_LEN + i * ENTRY_LEN..][..ENTRY_LEN];
+            entry[..4].copy_from_slice(&id.to_le_bytes()); // then 4 reserved bytes
+            entry[8..16].copy_from_slice(&(offset as u64).to_le_bytes());
+            entry[16..24].copy_from_slice(&len.to_le_bytes());
+            entry[24..].copy_from_slice(&checksum.to_le_bytes());
         }
         let mut digest_input = Vec::with_capacity(CHECKSUM_SPLIT + toc_end - HEADER_LEN);
         digest_input.extend_from_slice(&out[..CHECKSUM_SPLIT]);
         digest_input.extend_from_slice(&out[HEADER_LEN..toc_end]);
         let digest = fnv1a64(&digest_input).to_le_bytes();
         out[CHECKSUM_SPLIT..HEADER_LEN].copy_from_slice(&digest);
-
-        for (_, payload) in sections {
-            out.extend_from_slice(&payload);
-        }
         out
     }
 }

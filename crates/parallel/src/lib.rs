@@ -9,10 +9,12 @@
 //!   uneven domain partition; barrier waiting time is converted into
 //!   `IDLENESS` samples attributed to the barrier's calling context, and
 //!   all rank profiles are correlated into one canonical CCT.
-//! * [`summarize`] streams per-rank metric values through Welford
-//!   accumulators — mean/min/max/stddev per CCT node — without ever
-//!   holding all ranks in memory at once (the paper's scalability
-//!   requirement), and can append the statistics as CCT metric columns.
+//! * [`summarize`] streams each rank's attributed inclusive and
+//!   exclusive values through the summary kernel
+//!   (`core::summary::Summarizer`) — mean/min/max/stddev per CCT node —
+//!   without ever holding all ranks in memory at once (the paper's
+//!   scalability requirement), and can append the statistics as CCT
+//!   metric columns.
 //! * [`imbalance`] reproduces Fig. 7's three per-process charts (scatter,
 //!   sorted, histogram) as ASCII, plus scalar imbalance statistics.
 

@@ -23,10 +23,14 @@ cargo test -q --no-default-features --features obs
 # from a mapped file, then from a read-to-`Vec` image. `decode_all`
 # divides the column faults among threads, each running the kernel with
 # its own scratch: `decode_all_equals_serial_faults` must hold whether
-# the automatic count is 1 or 4. (`resolve_threads` reads the variable
-# once per process, so it is set at process start.)
-CALLPATH_THREADS=1 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
-CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_acceptance
+# the automatic count is 1 or 4, and so must the ensemble statistics
+# oracle (`tests/ensemble_properties.rs`), whose ensembles are built at
+# the automatic count. (`resolve_threads` reads the variable once per
+# process, so it is set at process start.)
+CALLPATH_THREADS=1 cargo test -q --test attribution_oracle --test lazy_storage_acceptance \
+    --test ensemble_properties
+CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_acceptance \
+    --test ensemble_properties
 # Topology reads (`core::topo::Topo`) clamp out-of-range links and
 # budget every walk in the code an optimized build runs, where no debug
 # assertion or overflow check stands behind them, and the correlator's
@@ -37,7 +41,8 @@ CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_a
 # `tests/correlate_oracle.rs`) run once more in
 # release mode, as every tool and the benchmark are built — and the lazy
 # fault tests, whose parked halves and slot races are release code too.
-# So do the run fingerprint's word mixer and the pinned `.cpens` digest
+# So do the run fingerprint's word mixer, the pinned `.cpens` digest and
+# the statistics oracle over the summary kernel
 # (`tests/ensemble_properties.rs`), and the one ranking comparator that
 # puts NaN last (`tests/nan_scores.rs`): the benchmark and the CLI run
 # them optimized.

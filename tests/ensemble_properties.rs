@@ -12,7 +12,10 @@
 use callpath_core::prelude::*;
 use callpath_ensemble::{build, build_union, fingerprint, RunData};
 use callpath_expdb::ens;
+use callpath_parallel::{run_spmd, summarize_ranks, SpmdConfig};
+use callpath_profiler::{Counter, ExecConfig};
 use proptest::prelude::*;
+use std::path::PathBuf;
 use std::process::Command;
 
 /// One synthetic run: a chain of frames drawn from a tiny proc pool,
@@ -67,8 +70,221 @@ fn runs_strategy() -> impl Strategy<Value = Vec<RunData>> {
     })
 }
 
+/// Statistic `stat` at `node` by brute force over every member's value
+/// there, absent members included as zeros: min and max over all of
+/// them; mean and stddev in the summary kernel's fold order (the
+/// non-zeros pushed in member order, then the zeros as one group).
+fn brute_force(members: &[Vec<f64>], node: usize, stat: Stat) -> f64 {
+    let values = members.iter().map(|m| m[node]);
+    match stat {
+        Stat::Min => values.fold(f64::INFINITY, f64::min),
+        Stat::Max => values.fold(f64::NEG_INFINITY, f64::max),
+        _ => {
+            let (mut w, mut zeros) = (Welford::new(), Welford::new());
+            for v in values {
+                if v != 0.0 {
+                    w.push(v)
+                } else {
+                    zeros.push(0.0)
+                }
+            }
+            w.merge(&zeros);
+            w.stat(stat)
+        }
+    }
+}
+
+/// Each run's attributed (inclusive, exclusive) values of its first
+/// metric, attributed in its own tree and placed at union node ids, in
+/// canonical run order.
+fn members_in_union(runs: &[RunData]) -> [Vec<Vec<f64>>; 2] {
+    let union = build_union(runs, 1);
+    let mut halves = [Vec::new(), Vec::new()];
+    for (&ri, map) in union.order.iter().zip(&union.node_maps) {
+        let run = &runs[ri];
+        let mut raw = RawMetrics::new(StorageKind::Csr);
+        let m = raw.add_metric(run.metrics[0].clone());
+        for &(node, v) in &run.costs[0] {
+            raw.add_cost(m, NodeId(node), v);
+        }
+        let attr = attribute(&run.cct, &raw, m, StorageKind::Csr);
+        for (half, values) in halves.iter_mut().zip([&attr.inclusive, &attr.exclusive]) {
+            let mut at = vec![0.0; union.cct.len()];
+            for local in 0..run.cct.len() {
+                at[map[local].index()] += values.get(local as u32);
+            }
+            half.push(at);
+        }
+    }
+    halves
+}
+
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("callpath-ens-{}-{name}.cpens", std::process::id()))
+}
+
+/// Write the ensemble of `runs` and open it both ways a `.cpens` opens;
+/// the eager decode refuses it.
+fn written_and_opened(runs: &[RunData], name: &str) -> [(&'static str, Experiment); 2] {
+    let path = tmp(name);
+    let bytes = build(runs, 0).to_bytes();
+    std::fs::write(&path, &bytes).unwrap();
+    let opened = [
+        ("ens::open", ens::open(&path).unwrap().exp),
+        ("open_path", callpath_expdb::open_path(&path).unwrap()),
+    ];
+    std::fs::remove_file(&path).ok();
+    assert!(callpath_expdb::from_binary(&bytes).is_err(), "eager decode");
+    opened
+}
+
+/// Every stat column of `exp`, (I) and (E), equals the brute force over
+/// the runs' attributed values, bit for bit; its aggregate is the
+/// inclusive column's root value.
+fn check_stat_columns(runs: &[RunData], how: &str, exp: &Experiment) {
+    let members = members_in_union(runs);
+    for (stat, name) in Stat::ALL.into_iter().zip(ens::STAT_NAMES) {
+        let col = |half: &str| {
+            exp.columns
+                .find(&format!("cycles {name} ({half})"))
+                .unwrap()
+        };
+        for (half, values) in ["I", "E"].into_iter().zip(&members) {
+            for node in 0..exp.cct.len() {
+                let (got, want) = (
+                    exp.columns.get(col(half), node as u32),
+                    brute_force(values, node, stat),
+                );
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{how} {name} ({half}) at {node}: {got} vs {want}"
+                );
+            }
+            let root = exp.columns.get(col("I"), 0);
+            assert_eq!(
+                exp.aggregates()[col(half).index()],
+                root,
+                "{how} {name} ({half}) aggregate"
+            );
+        }
+    }
+}
+
+/// Two runs of `main → {a, b}`: run 1 spends 10 cycles in `a`, run 2 in
+/// `b`. Each run's inclusive cost at `main` is 10, so that is its min
+/// and max over the runs, and its spread is 0 (attributing statistics
+/// of direct costs gave 20 / 0 / 10).
+#[test]
+fn stats_at_a_scope_are_of_each_runs_inclusive_value() {
+    let run = |label: &str, spent_in: u32| {
+        let mut names = NameTable::new();
+        let file = names.file("x.c");
+        let module = names.module("x");
+        let procs = ["main", "a", "b"].map(|p| names.proc(p));
+        let mut cct = Cct::new(names);
+        let frame = |proc, line| ScopeKind::Frame {
+            proc,
+            module,
+            def: SourceLoc::new(file, line),
+            call_site: None,
+        };
+        let main = cct.add_child(cct.root(), frame(procs[0], 1));
+        cct.add_child(main, frame(procs[1], 10));
+        cct.add_child(main, frame(procs[2], 20));
+        RunData {
+            label: label.into(),
+            cct,
+            metrics: vec![MetricDesc::new("cycles", "ev", 1.0)],
+            costs: vec![vec![(spent_in, 10.0)]],
+        }
+    };
+    let runs = [run("run-1", 2), run("run-2", 3)];
+    for (how, exp) in written_and_opened(&runs, "probe") {
+        let at_main = |name: &str| exp.columns.get(exp.columns.find(name).unwrap(), 1);
+        assert_eq!(at_main("cycles max (I)"), 10.0, "{how}");
+        assert_eq!(at_main("cycles min (I)"), 10.0, "{how}");
+        assert_eq!(at_main("cycles stddev (I)"), 0.0, "{how}");
+        assert_eq!(at_main("cycles mean (I)"), 10.0, "{how}");
+        // The percent base of a stat column is its root value — the max
+        // of the run totals — not the sum of its stored entries (40).
+        let max = exp.columns.find("cycles max (I)").unwrap();
+        assert_eq!(exp.aggregates()[max.index()], 10.0, "{how}");
+        check_stat_columns(&runs, how, &exp);
+    }
+}
+
+/// Costs of 10⁹ + {0, 1, 2} have a stddev of √(2/3); `sumsq/n − mean²`
+/// cancels it to 0.
+#[test]
+fn large_nearly_equal_costs_keep_their_spread_through_a_cpens() {
+    let runs: Vec<RunData> = (0..3)
+        .map(|d| chain_run(&format!("run-{d}"), &[0], &[(1, 1e9 + d as f64)]))
+        .collect();
+    for (how, exp) in written_and_opened(&runs, "spread") {
+        let col = exp.columns.find("cycles stddev (I)").unwrap();
+        let sd = exp.columns.get(col, 1);
+        assert!((sd - 0.816_496_580_927_726).abs() < 1e-9, "{how}: {sd}");
+    }
+}
+
+/// The SPMD caller of the summary kernel: every statistic of every
+/// node's inclusive and exclusive values over the ranks equals the brute
+/// force over each rank's attributed values. Idleness is zero on the
+/// heavy ranks, so absent members are exercised.
+#[test]
+fn rank_summaries_are_statistics_of_each_ranks_attributed_values() {
+    let part = callpath_workloads::pflotran::Partition::default();
+    let scales: Vec<f64> = (0..8).map(|r| part.scale(r, 8)).collect();
+    let program = callpath_workloads::pflotran::program();
+    let run = run_spmd(&program, &SpmdConfig::new(scales, ExecConfig::default()));
+    let exp = &run.experiment;
+    let counters = [Counter::Cycles, Counter::Idleness];
+    let summaries = summarize_ranks(exp, &counters, &run.rank_direct);
+    for (mi, &c) in counters.iter().enumerate() {
+        let mut members = [Vec::new(), Vec::new()];
+        for costs in &run.rank_direct {
+            let mut raw = RawMetrics::new(StorageKind::Csr);
+            let m = raw.add_metric(MetricDesc::new(c.papi_name(), c.unit(), 1.0));
+            for (node, per_counter) in costs {
+                raw.add_cost(m, *node, per_counter[c as usize]);
+            }
+            let attr = attribute(&exp.cct, &raw, m, StorageKind::Csr);
+            for (half, values) in members.iter_mut().zip([&attr.inclusive, &attr.exclusive]) {
+                half.push((0..exp.cct.len() as u32).map(|n| values.get(n)).collect());
+            }
+        }
+        let m = MetricId::from_usize(mi);
+        for node in exp.cct.all_nodes() {
+            let got = [summaries.get(node, m), summaries.exclusive(node, m)];
+            for (w, values) in got.into_iter().zip(&members) {
+                assert_eq!(w.count(), run.rank_direct.len() as u64);
+                for stat in Stat::ALL {
+                    let want = brute_force(values, node.index(), stat);
+                    assert_eq!(
+                        w.stat(stat).to_bits(),
+                        want.to_bits(),
+                        "{c:?} {stat:?} at {node:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every stat column of a written `.cpens`, opened either way, is the
+    /// statistic of each run's attributed values (an absent context
+    /// counts as zero): min and max bit for bit, mean and stddev in the
+    /// kernel's fixed fold order.
+    #[test]
+    fn stat_columns_are_statistics_of_each_runs_attributed_values(runs in runs_strategy()) {
+        for (how, exp) in written_and_opened(&runs, "oracle") {
+            check_stat_columns(&runs, how, &exp);
+        }
+    }
 
     /// The `.cpens` bytes are invariant under run order (rotation and
     /// reversal) and worker count, and every parallel split equals the
@@ -177,10 +393,11 @@ fn env_thread_counts_produce_identical_files() {
 
 /// One fixed `EnsembleConfig` family, the FNV-1a 64 of its `.cpens`
 /// bytes as an assertion that no written byte changes unnoticed. The
-/// bytes last changed when the run fingerprint got its word-mixer
-/// definition: then only each run record's 8-byte fingerprint field and
-/// the checksum words covering them moved (EXPERIMENTS.md, "Ensemble
-/// union"). Every written run record carries the `fingerprint` of its
+/// bytes last changed when the statistics became statistics of each
+/// run's attributed values, stored as (I, E) column pairs under the
+/// `SEC_ATTRIBUTED` marker (DESIGN.md §15): the stat metrics' descriptors
+/// and blocks and the marker; run records and run blocks kept their
+/// bytes. Every written run record carries the `fingerprint` of its
 /// run, which the union computed once and handed on; one of them is
 /// pinned too, so a change of the definition shows up as one. A run
 /// reopened from its own v2.1 database — a mapped tree whose ids read
@@ -226,8 +443,8 @@ fn cpens_bytes_and_run_fingerprints_are_pinned() {
     let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     });
-    assert_eq!(bytes.len(), 45_200);
-    assert_eq!(digest, 0xa983_d923_9192_18f1, "digest {digest:#018x}");
+    assert_eq!(bytes.len(), 69_168);
+    assert_eq!(digest, 0x5940_e3d2_2064_83c8, "digest {digest:#018x}");
 }
 
 /// What a fingerprint is made of, as plain data: a run whose tree holds
