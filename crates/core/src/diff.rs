@@ -62,7 +62,6 @@ pub fn merge_experiments(
                 d.period,
             ));
         }
-        let _ = label;
     }
     fold_in(a, &mut cct, &mut raw, 0);
     fold_in(b, &mut cct, &mut raw, a.raw.metric_count());

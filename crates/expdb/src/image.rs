@@ -3,21 +3,20 @@
 //! (v2.1) section bodies can be borrowed as `&[u32]` / `&[f64]` without
 //! a decode step.
 //!
-//! Two sources of bytes:
+//! Two sources of bytes, chosen by the call, not the build:
 //!
-//! * [`FileImage::open`] — with the `mmap` feature on a Unix target,
-//!   the file is mapped read-only (`MAP_PRIVATE`); pages fault in as
-//!   sections are touched, so cold-open cost is bounded by the bytes
-//!   actually read, not the file size. Mappings are page-aligned, which
-//!   implies the 8-alignment the borrow path needs. Without the
-//!   feature (or on mmap failure, or for empty files) it falls back to
-//!   reading the file into memory.
+//! * [`FileImage::open`] — on a Unix target the file is mapped
+//!   read-only (`MAP_PRIVATE`); pages fault in as sections are touched,
+//!   so cold-open cost is bounded by the bytes actually read, not the
+//!   file size. Mappings are page-aligned, which implies the
+//!   8-alignment the borrow path needs. An empty file, a failed
+//!   mapping or a non-Unix target reads the file into memory instead.
 //! * [`FileImage::from_vec`] — wraps bytes already in memory. If the
 //!   allocation happens to be 8-aligned (the common case) it is used
 //!   as-is; otherwise the bytes are copied once into an aligned buffer.
 //!
 //! The image is immutable for its whole life, so sharing it across
-//! threads behind an `Arc` is sound even for the raw-pointer mmap
+//! threads behind an `Arc` is sound even for the raw-pointer mapped
 //! variant.
 
 use std::fs;
@@ -26,7 +25,7 @@ use std::path::Path;
 
 /// A `Vec<u64>`-backed byte buffer: the allocation is 8-aligned by
 /// construction, so borrowing fixed-width arrays out of it is as valid
-/// as borrowing from an mmap.
+/// as borrowing from a mapping.
 #[derive(Debug)]
 struct AlignedBuf {
     words: Vec<u64>,
@@ -36,9 +35,10 @@ struct AlignedBuf {
 impl AlignedBuf {
     fn from_bytes(bytes: &[u8]) -> AlignedBuf {
         let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        // View the zeroed u64 storage as bytes and copy in. u8 windows
-        // always align, so prefix/suffix are empty.
-        let dst = unsafe { words.align_to_mut::<u8>().1 };
+        // SAFETY: any byte is a valid `u8`, and `u8` aligns anywhere, so
+        // the middle slice holds all the words: prefix and suffix are empty.
+        let (prefix, dst, suffix) = unsafe { words.align_to_mut::<u8>() };
+        debug_assert!(prefix.is_empty() && suffix.is_empty());
         dst[..bytes.len()].copy_from_slice(bytes);
         AlignedBuf {
             words,
@@ -47,7 +47,9 @@ impl AlignedBuf {
     }
 
     fn as_bytes(&self) -> &[u8] {
-        let all = unsafe { self.words.align_to::<u8>().1 };
+        // SAFETY: as in `from_bytes`.
+        let (prefix, all, suffix) = unsafe { self.words.align_to::<u8>() };
+        debug_assert!(prefix.is_empty() && suffix.is_empty());
         &all[..self.len]
     }
 }
@@ -58,8 +60,8 @@ enum Repr {
     Vec(Vec<u8>),
     /// Bytes copied into an explicitly aligned buffer.
     Aligned(AlignedBuf),
-    /// A read-only private file mapping.
-    #[cfg(all(feature = "mmap", unix))]
+    /// A read-only private file mapping: non-null, page-aligned, `len > 0`.
+    #[cfg(unix)]
     Mapped { ptr: *const u8, len: usize },
 }
 
@@ -71,7 +73,7 @@ pub struct FileImage {
 }
 
 // SAFETY: every variant is an immutable byte region for the life of the
-// image. The mmap variant is a MAP_PRIVATE read-only mapping that only
+// image. The mapped variant is a MAP_PRIVATE read-only mapping that only
 // `Drop` unmaps, so concurrent `&self` access from any thread is sound.
 unsafe impl Send for FileImage {}
 unsafe impl Sync for FileImage {}
@@ -88,10 +90,10 @@ impl FileImage {
         FileImage { repr }
     }
 
-    /// Open `path`: mmap when the `mmap` feature is enabled on a Unix
-    /// target, otherwise (or on any mapping failure) read into memory.
+    /// Open `path`: map it on a Unix target; read it into memory when
+    /// it is empty, when the mapping fails, or on any other target.
     pub fn open(path: &Path) -> io::Result<FileImage> {
-        #[cfg(all(feature = "mmap", unix))]
+        #[cfg(unix)]
         if let Some(img) = mmap_file(path)? {
             return Ok(img);
         }
@@ -103,15 +105,16 @@ impl FileImage {
         match &self.repr {
             Repr::Vec(v) => v,
             Repr::Aligned(b) => b.as_bytes(),
-            #[cfg(all(feature = "mmap", unix))]
+            // SAFETY: a live read-only mapping (`mmap_file`) only `Drop` unmaps.
+            #[cfg(unix)]
             Repr::Mapped { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
         }
     }
 
-    /// True when the bytes come from an mmap rather than owned memory.
+    /// True when the bytes come from a mapping rather than owned memory.
     pub fn is_mapped(&self) -> bool {
         match &self.repr {
-            #[cfg(all(feature = "mmap", unix))]
+            #[cfg(unix)]
             Repr::Mapped { .. } => true,
             _ => false,
         }
@@ -124,7 +127,7 @@ impl AsRef<[u8]> for FileImage {
     }
 }
 
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(unix)]
 impl Drop for FileImage {
     fn drop(&mut self) {
         if let Repr::Mapped { ptr, len } = self.repr {
@@ -139,7 +142,7 @@ impl Drop for FileImage {
 
 /// Minimal raw bindings — the workspace vendors no libc crate, and the
 /// two calls we need have had stable Linux ABIs forever.
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(unix)]
 mod sys {
     pub const PROT_READ: i32 = 1;
     pub const MAP_PRIVATE: i32 = 2;
@@ -158,7 +161,7 @@ mod sys {
 
 /// Map `path` read-only. `Ok(None)` means "fall back to reading":
 /// empty files (zero-length mappings are invalid) or a failed mmap.
-#[cfg(all(feature = "mmap", unix))]
+#[cfg(unix)]
 fn mmap_file(path: &Path) -> io::Result<Option<FileImage>> {
     use std::os::unix::io::AsRawFd;
     let file = fs::File::open(path)?;
@@ -181,6 +184,7 @@ fn mmap_file(path: &Path) -> io::Result<Option<FileImage>> {
     if ptr as isize == -1 {
         return Ok(None);
     }
+    debug_assert!(!ptr.is_null() && (ptr as usize).is_multiple_of(8) && len > 0);
     // The fd can be closed once the mapping exists; the mapping keeps
     // the pages alive.
     Ok(Some(FileImage {
@@ -231,7 +235,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(all(feature = "mmap", unix))]
+    #[cfg(unix)]
     #[test]
     fn open_prefers_the_mapping() {
         let dir = std::env::temp_dir().join("callpath-image-test");

@@ -217,21 +217,21 @@ fn check_keys(keys: &[u32], n_nodes: u32) -> Result<(), String> {
     Ok(())
 }
 
-/// Open a database lazily from bytes already in memory: decode the TOC,
-/// names, metric descriptors and derived definitions now; leave every
-/// cost block on the shelf until a view touches a column computed from
-/// it. The topology is *borrowed*, not decoded — see [`open_lazy_path`]
-/// for the mmap-backed variant that extends the same property to the
-/// file itself.
+/// Open a database lazily from bytes already in memory (the read image):
+/// decode the TOC, names, metric descriptors and derived definitions
+/// now; leave every cost block on the shelf until a view touches a
+/// column computed from it. The topology is *borrowed* from the bytes,
+/// not decoded — exactly as [`open_lazy_path`] borrows it from a mapped
+/// file.
 pub fn open_lazy(data: Vec<u8>) -> Result<Experiment, DbError> {
     open_image(FileImage::from_vec(data))
 }
 
-/// Open a database file lazily. With the `mmap` feature the file is
-/// memory-mapped, so open-time cost is bounded by the sections actually
-/// touched (header, TOC, names, descriptors, and one structural pass
-/// over the topology arrays); cost blocks fault in page by page as
-/// columns are first read.
+/// Open a database file lazily, memory-mapped on Unix ([`FileImage::open`]),
+/// so open-time cost is bounded by the sections actually touched
+/// (header, TOC, names, descriptors, and one structural pass over the
+/// topology arrays); cost blocks fault in page by page as columns are
+/// first read.
 pub fn open_lazy_path(path: &Path) -> Result<Experiment, DbError> {
     let image = FileImage::open(path).map_err(|e| DbError::new(format!("open failed: {e}")))?;
     open_image(image)

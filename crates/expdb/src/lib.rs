@@ -87,8 +87,8 @@ pub fn from_binary(data: &[u8]) -> Result<Experiment, DbError> {
 /// Open a database file of either encoding. A file that starts with
 /// the `CPDB` magic (a `.cpdb` database or a `.cpens` ensemble, which
 /// opens as its stats experiment) goes through [`open_lazy_path`] —
-/// mapped in place under the `mmap` feature, columns faulted on first
-/// read; anything else is read whole and parsed as XML.
+/// mapped in place on Unix, columns faulted on first read; anything
+/// else is read whole and parsed as XML.
 pub fn open_path(path: &Path) -> Result<Experiment, DbError> {
     let io_err = |e| DbError::new(format!("cannot read {}: {e}", path.display()));
     let mut file = std::fs::File::open(path).map_err(io_err)?;

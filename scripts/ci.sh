@@ -1,36 +1,27 @@
 #!/usr/bin/env sh
 # The full local gate, in the order failures are cheapest to find:
-# formatting, lints as errors across every target, then the test suite
-# with the `mmap` feature on and off (the two passes below), the thread
-# pin, and the benchmark's own checks and tests.
-# Both feature passes run the depth tests of `tests/session_nav.rs` (a
+# formatting, lints as errors across every target, the test suite, its
+# oracles once more optimized, the obs crate alone, and the benchmark's
+# own checks and tests.
+# One build reaches every file image and thread count: the oracles open
+# each model through a mapped file (`open_lazy_path`, `open_path`,
+# `ens::open`) and through bytes read into memory (`open_lazy`) in the
+# same process, and pass thread counts explicitly
+# (`decode_all_equals_serial_faults` at 0, 1 and 4; the ensemble
+# statistics oracle built at 1 and 4), so no pass repeats the suite to
+# flip a cargo feature or pin `CALLPATH_THREADS`.
+# The workspace pass runs the depth tests of `tests/session_nav.rs` (a
 # 100 000-level chain through both render walkers on a 64 KiB stack, a
 # 2 000-level hot path whose rows keep label, column alignment and byte
-# budget, rows above the indentation gutter byte-identical to before it)
-# and the cell property tests of `crates/core/src/format.rs` (the fast
-# formatters equal `core::fmt` on random bit patterns and the edges) —
-# the first pass only for the latter, a unit test of the core crate.
+# budget, rows above the indentation gutter byte-identical to before it),
+# the cell property tests of `crates/core/src/format.rs` (the fast
+# formatters equal `core::fmt` on random bit patterns and the edges) and
+# every crate's unit tests, expdb's file-image tests among them.
 set -eu
 cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test -q --workspace
-# The zero-copy borrow path must behave identically from an owned
-# aligned buffer: rerun the integration suite with `mmap` off.
-cargo test -q --no-default-features --features obs
-# The attribution oracle (`tests/attribution_oracle.rs`) and the
-# fault-path properties ran in both passes above — topology borrowed
-# from a mapped file, then from a read-to-`Vec` image. `decode_all`
-# divides the column faults among threads, each running the kernel with
-# its own scratch: `decode_all_equals_serial_faults` must hold whether
-# the automatic count is 1 or 4, and so must the ensemble statistics
-# oracle (`tests/ensemble_properties.rs`), whose ensembles are built at
-# the automatic count. (`resolve_threads` reads the variable once per
-# process, so it is set at process start.)
-CALLPATH_THREADS=1 cargo test -q --test attribution_oracle --test lazy_storage_acceptance \
-    --test ensemble_properties
-CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_acceptance \
-    --test ensemble_properties
 # Topology reads (`core::topo::Topo`) clamp out-of-range links and
 # budget every walk in the code an optimized build runs, where no debug
 # assertion or overflow check stands behind them, and the correlator's
@@ -49,13 +40,8 @@ CALLPATH_THREADS=4 cargo test -q --test attribution_oracle --test lazy_storage_a
 cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct \
     --test correlate_oracle --test lazy_storage_acceptance --test lazy_fault_stress \
     --test ensemble_properties --test nan_scores
-# The `--no-default-features` pass above runs only the root package's
-# tests, and the workspace pass compiles expdb with `mmap` on (feature
-# unification through the root package), so this is the one place
-# expdb's own unit tests see the read-to-buffer file image.
-cargo test -q -p callpath-expdb
-# Likewise the obs crate alone builds without its `enabled` feature
-# (the workspace pass turns it on), so this is the one place the no-op
+# The obs crate alone builds without its `enabled` feature (the
+# workspace pass turns it on), so this is the one place the no-op
 # stubs' unit test (`disabled_stubs_record_nothing`) runs.
 cargo test -q -p callpath-obs
 # The scoreboard's own checks: all four benchmark workloads at 1/50

@@ -11,6 +11,7 @@
 //! ```
 
 use callpath_core::prelude::*;
+use callpath_expdb::{ens, FileImage};
 use callpath_viewer::{render_hot_path, RenderConfig};
 use std::process::ExitCode;
 
@@ -110,7 +111,15 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn load(path: &str) -> Result<Experiment, String> {
-    let exp = callpath_expdb::open_path(std::path::Path::new(path)).map_err(|e| e.to_string())?;
+    let file = std::path::Path::new(path);
+    // A `.cpens` stores its statistics attributed, with no direct costs
+    // to difference (DESIGN.md §15): refuse it rather than print zeros.
+    if FileImage::open(file).is_ok_and(|image| ens::read_directory(image.bytes()).is_ok()) {
+        return Err(format!(
+            "{path} is an ensemble (.cpens), not a single run: diff two .cpdb or XML databases"
+        ));
+    }
+    let exp = callpath_expdb::open_path(file).map_err(|e| e.to_string())?;
     // Diffing touches every column of both databases, so fan block
     // decode across threads now instead of paying faults serially
     // mid-analysis (a no-op for an eagerly parsed XML file).

@@ -199,8 +199,7 @@ fn adversarial_db(seed: u64, n: usize) -> Vec<u8> {
 }
 
 /// Every kernel that reads a `Topo`, over one adversarial database
-/// opened by path (mapped with the `mmap` feature, read into a buffer
-/// without it): each must return. The replay also matches its oracle:
+/// mapped by path: each must return. The replay also matches its oracle:
 /// out-of-range name ids read through the clamp, and a top-level frame's
 /// trailing words, which the image fills with anything, are ignored.
 fn drive_every_kernel(seed: u64, n: usize) {

@@ -14,19 +14,21 @@
 //! on trees padded with idle frames (the walk, asserted) and without.
 //!
 //! Every case is checked on the owned arena and on the topology borrowed
-//! from a database file opened by path (mapped with the `mmap` feature,
-//! read into a buffer without it — `scripts/ci.sh` runs both), and
-//! through the lazy column-fault path. Results are read through
+//! from both file images in the same process — a database file mapped by
+//! path (`open_lazy_path`) and its bytes read into memory (`open_lazy`)
+//! — and through the lazy column-fault path. Results are read through
 //! `nonzero_sorted()` and `get`, which give the same entries whether the
 //! kernel handed over sorted arrays (the walk) or vectors (the sweep).
 //! Frame-direct cost is not a kernel output: `frame_direct` sums it from
 //! the raw column on demand, and is held to the oracle over the same
-//! matrix.
+//! matrix. Eq. 3, the hot path from the root of the Calling Context
+//! View, is held through every opener to its definition over the
+//! oracle's inclusive values.
 
 use callpath_core::attribution::{attribute, attribute_sorted, frame_direct, Attribution};
 use callpath_core::prelude::*;
 use callpath_expdb::model::{DbMetric, DbModel, DbNode};
-use callpath_expdb::{bin2, open_lazy_path};
+use callpath_expdb::{bin2, open_lazy, open_lazy_path};
 use callpath_workloads::synth::{synth_model, SynthConfig};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -255,44 +257,86 @@ fn check_attribute(cct: &Cct, costs: &[(u32, f64)], want: &Oracle) {
     );
 }
 
-/// Write `model` to a scratch file and open it by path, so the CCT's
-/// topology is borrowed from the file image this build uses.
-fn open_by_path(model: &DbModel, tag: &str) -> Experiment {
+/// The database of `model` through both file images: written to a
+/// scratch file and mapped by path, and read from its bytes. Either way
+/// the CCT's topology is borrowed from the image.
+fn opened(model: &DbModel, tag: &str) -> [(&'static str, Experiment); 2] {
+    let bytes = bin2::write_v21(model);
     let path =
         std::env::temp_dir().join(format!("callpath-oracle-{}-{tag}.cpdb", std::process::id()));
-    std::fs::write(&path, bin2::write_v21(model)).unwrap();
-    let exp = open_lazy_path(&path).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = open_lazy_path(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert!(
-        exp.cct.is_mapped(),
-        "an opened database borrows its topology"
-    );
-    exp
+    let opened = [("mapped", mapped), ("read", open_lazy(bytes).unwrap())];
+    for (how, exp) in &opened {
+        assert!(
+            exp.cct.is_mapped(),
+            "{how}: an opened database borrows its topology"
+        );
+    }
+    opened
 }
 
-/// Owned and borrowed topology and the lazy fault path, all against the
-/// oracle.
+/// Eq. 3 from the root by definition: descend to the first child, in
+/// tree order, of the largest inclusive value, while the parent's value
+/// is above zero and that child holds at least `t` of it — at most 512
+/// steps.
+fn hot_path_by_definition(model: &DbModel, inclusive: &[f64], t: f64) -> Vec<u32> {
+    let mut children = vec![Vec::new(); inclusive.len()];
+    for (i, node) in model.nodes.iter().enumerate() {
+        children[node.parent as usize].push(i + 1);
+    }
+    let mut path = vec![0];
+    while path.len() <= 512 && inclusive[*path.last().unwrap()] > 0.0 {
+        let x = *path.last().unwrap();
+        let first_max =
+            children[x]
+                .iter()
+                .copied()
+                .reduce(|a, b| if inclusive[b] > inclusive[a] { b } else { a });
+        match first_max {
+            Some(c) if inclusive[c] >= t * inclusive[x] => path.push(c),
+            _ => break,
+        }
+    }
+    path.into_iter().map(|x| x as u32).collect()
+}
+
+/// Owned and borrowed topology through both file images, the lazy fault
+/// path and the hot path, all against the oracle.
 fn check_model(model: &DbModel, tag: &str) {
     let costs = &model.metrics[0].costs;
     let want = oracle(model, costs);
-    check_attribute(&model.build_cct().unwrap(), costs, &want);
-    let lazy = open_by_path(model, tag);
-    check_attribute(&lazy.cct, costs, &want);
-    let n = lazy.cct.len();
-    assert_eq!(
-        column_bits(lazy.columns.vec(ColumnId(0)), n),
-        bits(&want.inclusive)
-    );
-    assert_eq!(
-        column_bits(lazy.columns.vec(ColumnId(1)), n),
-        bits(&want.exclusive)
-    );
-    assert_eq!(
-        frame_direct_bits(&lazy.cct, lazy.raw.column(MetricId(0))),
-        bits(&want.frame_direct)
-    );
-    assert!(lazy.columns.lazy_errors().is_empty());
-    assert!(lazy.raw.lazy_errors().is_empty());
+    let hot_paths =
+        [0.05, 0.5, 1.0].map(|t| (t, hot_path_by_definition(model, &want.inclusive, t)));
+    let built = model.clone().into_experiment().unwrap();
+    let [mapped, read] = opened(model, tag);
+    for (how, exp) in [("built", built), mapped, read] {
+        let n = exp.cct.len();
+        check_attribute(&exp.cct, costs, &want);
+        assert_eq!(
+            frame_direct_bits(&exp.cct, exp.raw.column(MetricId(0))),
+            bits(&want.frame_direct),
+            "{how}"
+        );
+        assert_eq!(
+            column_bits(exp.columns.vec(ColumnId(0)), n),
+            bits(&want.inclusive),
+            "{how}"
+        );
+        assert_eq!(
+            column_bits(exp.columns.vec(ColumnId(1)), n),
+            bits(&want.exclusive),
+            "{how}"
+        );
+        for (t, want) in &hot_paths {
+            let config = HotPathConfig::with_threshold(*t);
+            let got = View::calling_context(&exp).hot_path(0, ColumnId(0), config);
+            assert_eq!(&got, want, "{how}: hot path at t = {t}");
+        }
+        assert!(exp.columns.lazy_errors().is_empty());
+        assert!(exp.raw.lazy_errors().is_empty());
+    }
 }
 
 /// Idle frames enough that the other `active` scopes are under a quarter
@@ -473,6 +517,13 @@ fn keys_beyond_the_tree_are_dropped() {
     }
 }
 
+/// s1 and s2 hold half of their loop each, so at t = 0.5 both qualify and
+/// the hot path takes the first of them (checked in `check_model`).
+#[test]
+fn the_hot_path_breaks_ties_toward_the_first_child() {
+    on_both_branches(&[(3, 2.0), (4, 2.0)], "tie", |_, _| {});
+}
+
 #[test]
 fn values_that_cancel_leave_no_entry() {
     // s1 and s2 cancel in their loop and in everything above it; s3
@@ -512,8 +563,8 @@ fn the_kernel_visits_only_the_union_of_ancestor_chains() {
         }
     }
     let n = model.nodes.len() + 1;
-    let lazy = open_by_path(&model, "work");
-    for cct in [&model.build_cct().unwrap(), &lazy.cct] {
+    let [(_, mapped), (_, read)] = opened(&model, "work");
+    for cct in [&model.build_cct().unwrap(), &mapped.cct, &read.cct] {
         let got = attribute_sorted(cct, &keys, &vals);
         assert_eq!(got.visited, chains.len(), "mapped {}", cct.is_mapped());
         assert!(

@@ -254,6 +254,38 @@ fn diff_output_is_byte_identical_to_the_golden() {
     std::fs::remove_file(&peer).ok();
 }
 
+/// A `.cpens` stores attributed statistics and no direct costs, so a
+/// diff over one would difference empty columns and print zeros: it is
+/// refused by name, whichever side it is on.
+#[test]
+fn diff_refuses_an_ensemble_by_name() {
+    let files = [tmp("diff-a.cpens"), tmp("diff-b.cpens")].map(|p| p.display().to_string());
+    for (file, runs) in files.iter().zip(["8", "12"]) {
+        assert!(Command::new(env!("CARGO_BIN_EXE_callpath-ensemble"))
+            .args(["build", file, "--synth", runs])
+            .status()
+            .unwrap()
+            .success());
+    }
+    for (base, peer) in [(&files[0], &files[1]), (&files[1], &files[0])] {
+        let out = Command::new(env!("CARGO_BIN_EXE_callpath-diff"))
+            .args([base, peer, "--metric", "PAPI_ENS_00 mean"])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(err.contains(&format!("{base} is an ensemble")), "{err}");
+    }
+    for file in &files {
+        std::fs::remove_file(file).ok();
+    }
+}
+
 #[test]
 fn record_profiles_a_cps_scenario_file() {
     let db = tmp("imagepipe.cpdb");

@@ -123,18 +123,22 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("callpath-ens-{}-{name}.cpens", std::process::id()))
 }
 
-/// Write the ensemble of `runs` and open it both ways a `.cpens` opens;
-/// the eager decode refuses it.
-fn written_and_opened(runs: &[RunData], name: &str) -> [(&'static str, Experiment); 2] {
+/// Write the ensemble of `runs`, built at one and at four threads, and
+/// open it every way a `.cpens` opens: `ens::open` and `open_path` map
+/// the file, `open_lazy` reads its bytes. The eager decode refuses it.
+fn written_and_opened(runs: &[RunData], name: &str) -> Vec<(String, Experiment)> {
     let path = tmp(name);
-    let bytes = build(runs, 0).to_bytes();
-    std::fs::write(&path, &bytes).unwrap();
-    let opened = [
-        ("ens::open", ens::open(&path).unwrap().exp),
-        ("open_path", callpath_expdb::open_path(&path).unwrap()),
-    ];
+    let mut opened = Vec::new();
+    for threads in [1, 4] {
+        let bytes = build(runs, threads).to_bytes();
+        std::fs::write(&path, &bytes).unwrap();
+        let how = |opener: &str| format!("{opener} at {threads} threads");
+        opened.push((how("ens::open"), ens::open(&path).unwrap().exp));
+        opened.push((how("open_path"), callpath_expdb::open_path(&path).unwrap()));
+        assert!(callpath_expdb::from_binary(&bytes).is_err(), "eager decode");
+        opened.push((how("open_lazy"), callpath_expdb::open_lazy(bytes).unwrap()));
+    }
     std::fs::remove_file(&path).ok();
-    assert!(callpath_expdb::from_binary(&bytes).is_err(), "eager decode");
     opened
 }
 
@@ -210,7 +214,7 @@ fn stats_at_a_scope_are_of_each_runs_inclusive_value() {
         // of the run totals — not the sum of its stored entries (40).
         let max = exp.columns.find("cycles max (I)").unwrap();
         assert_eq!(exp.aggregates()[max.index()], 10.0, "{how}");
-        check_stat_columns(&runs, how, &exp);
+        check_stat_columns(&runs, &how, &exp);
     }
 }
 
@@ -275,14 +279,14 @@ fn rank_summaries_are_statistics_of_each_ranks_attributed_values() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every stat column of a written `.cpens`, opened either way, is the
+    /// Every stat column of a written `.cpens`, opened every way, is the
     /// statistic of each run's attributed values (an absent context
     /// counts as zero): min and max bit for bit, mean and stddev in the
     /// kernel's fixed fold order.
     #[test]
     fn stat_columns_are_statistics_of_each_runs_attributed_values(runs in runs_strategy()) {
         for (how, exp) in written_and_opened(&runs, "oracle") {
-            check_stat_columns(&runs, how, &exp);
+            check_stat_columns(&runs, &how, &exp);
         }
     }
 

@@ -115,39 +115,42 @@ fn callers_and_flat_renders_fault_only_the_columns_they_show() {
 
 /// `decode_all` brings every block in, and the result matches an eager
 /// open of the same bytes node-for-node — presentation columns and raw
-/// metrics alike. Both paths run the same attribution code over the same
-/// decoded costs, so equality here is exact, not approximate.
+/// metrics alike, at one thread and at four. Both paths run the same
+/// attribution code over the same decoded costs, so equality here is
+/// exact, not approximate.
 #[test]
 fn forced_decode_matches_an_eager_open_node_for_node() {
     let bytes = s3d_cpdb();
     let eager = from_binary(&bytes).unwrap();
-    let lazy = open_lazy(bytes).unwrap();
-    decode_all(&lazy, 0);
+    for threads in [1, 4] {
+        let lazy = open_lazy(bytes.clone()).unwrap();
+        decode_all(&lazy, threads);
 
-    assert_eq!(
-        lazy.columns.materialized_columns(),
-        lazy.columns.column_count()
-    );
-    assert_eq!(lazy.raw.materialized_metrics(), lazy.raw.metric_count());
-    assert!(lazy.columns.lazy_errors().is_empty());
-    assert!(lazy.raw.lazy_errors().is_empty());
+        assert_eq!(
+            lazy.columns.materialized_columns(),
+            lazy.columns.column_count()
+        );
+        assert_eq!(lazy.raw.materialized_metrics(), lazy.raw.metric_count());
+        assert!(lazy.columns.lazy_errors().is_empty());
+        assert!(lazy.raw.lazy_errors().is_empty());
 
-    assert_eq!(eager.cct.len(), lazy.cct.len());
-    assert_eq!(eager.columns.column_count(), lazy.columns.column_count());
-    for n in 0..eager.cct.len() as u32 {
-        for c in eager.columns.columns() {
-            assert_eq!(
-                eager.columns.get(c, n),
-                lazy.columns.get(c, n),
-                "column {c:?} node {n}"
-            );
-        }
-        for m in 0..eager.raw.metric_count() as u32 {
-            assert_eq!(
-                eager.raw.direct(MetricId(m), NodeId(n)),
-                lazy.raw.direct(MetricId(m), NodeId(n)),
-                "metric {m} node {n}"
-            );
+        assert_eq!(eager.cct.len(), lazy.cct.len());
+        assert_eq!(eager.columns.column_count(), lazy.columns.column_count());
+        for n in 0..eager.cct.len() as u32 {
+            for c in eager.columns.columns() {
+                assert_eq!(
+                    eager.columns.get(c, n),
+                    lazy.columns.get(c, n),
+                    "column {c:?} node {n}"
+                );
+            }
+            for m in 0..eager.raw.metric_count() as u32 {
+                assert_eq!(
+                    eager.raw.direct(MetricId(m), NodeId(n)),
+                    lazy.raw.direct(MetricId(m), NodeId(n)),
+                    "metric {m} node {n}"
+                );
+            }
         }
     }
 }

@@ -27,7 +27,10 @@
 //! "equal" means equal bits. CCTs are random, with direct and mutual
 //! recursion (three procedures over a long chain), inlined bodies, loops,
 //! and one procedure spread over two load modules. Each is presented
-//! through `Experiment::build` and through a lazily opened database, and
+//! through `Experiment::build` and through every way a database of it
+//! opens, in one process: XML (`from_xml`), the eager decode
+//! (`from_binary`), and the lazy open from both file images — mapped by
+//! path (`open_lazy_path`) and read from bytes (`open_lazy`). Each is
 //! read in a seed-drawn order: some columns row by row while the tree is
 //! being expanded (each before or after its row's expansion), the rest
 //! for the first time once everything is expanded — a column filled on
@@ -42,8 +45,9 @@
 
 use callpath_core::prelude::*;
 use callpath_expdb::model::{DbMetric, DbModel, DbNode};
-use callpath_expdb::{bin2, open_lazy};
+use callpath_expdb::{bin2, from_binary, from_xml, open_lazy, open_lazy_path, xml};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// splitmix64: models and read orders are pure functions of the scalars.
 fn mix(seed: u64, i: u64) -> u64 {
@@ -478,6 +482,7 @@ fn key_of(view: &View<'_>, n: u32) -> Key {
 /// and comparing the columns `reads(row number)` names — those listed
 /// before the split ahead of the row's expansion, the rest after it.
 fn compare(
+    how: &str,
     view: &mut View<'_>,
     oracle: &Oracle<'_>,
     rows: &[Row],
@@ -496,7 +501,7 @@ fn compare(
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "{:?} column {c}: got {got}, want {want} over instances {:?}",
+                "{how}: {:?} column {c}: got {got}, want {want} over instances {:?}",
                 row.key,
                 row.set
             );
@@ -508,7 +513,7 @@ fn compare(
     while let Some((nodes, rows)) = pending.pop() {
         let keys: Vec<Key> = nodes.iter().map(|&n| key_of(view, n)).collect();
         let want: Vec<Key> = rows.iter().map(|r| r.key.clone()).collect();
-        assert_eq!(keys, want, "sibling rows, in order");
+        assert_eq!(keys, want, "{how}: sibling rows, in order");
         for (&n, row) in nodes.iter().zip(rows) {
             let (columns, split) = reads(visited);
             visited += 1;
@@ -523,15 +528,15 @@ fn compare(
 /// Both views of `exp` against the oracle: a first pass that expands
 /// everything while reading the columns of `early` in a drawn order
 /// around each expansion, a second that reads every column.
-fn check_views(exp: &Experiment, oracle: &Oracle<'_>, order: u64, early: u32) {
+fn check_views(how: &str, exp: &Experiment, oracle: &Oracle<'_>, order: u64, early: u32) {
     let n_columns = 4 + DERIVED.len() as u32;
-    assert_eq!(exp.columns.column_count(), n_columns as usize);
-    assert_eq!(exp.aggregates(), oracle.aggregates.as_slice());
+    assert_eq!(exp.columns.column_count(), n_columns as usize, "{how}");
+    assert_eq!(exp.aggregates(), oracle.aggregates.as_slice(), "{how}");
     for (mut view, rows) in [
         (View::callers(exp), oracle.callers()),
         (View::flat(exp), oracle.flat()),
     ] {
-        compare(&mut view, oracle, &rows, &mut |row| {
+        compare(how, &mut view, oracle, &rows, &mut |row| {
             let r = mix(order, row);
             let mut columns: Vec<u32> = (0..n_columns).filter(|c| early >> c & 1 == 1).collect();
             for i in (1..columns.len()).rev() {
@@ -541,20 +546,43 @@ fn check_views(exp: &Experiment, oracle: &Oracle<'_>, order: u64, early: u32) {
             (columns, split)
         });
         let before = view.node_count();
-        compare(&mut view, oracle, &rows, &mut |_| {
+        compare(how, &mut view, oracle, &rows, &mut |_| {
             ((0..n_columns).collect(), 0)
         });
-        assert_eq!(view.node_count(), before, "the first pass expanded it all");
+        assert_eq!(
+            view.node_count(),
+            before,
+            "{how}: the first pass expanded it all"
+        );
     }
     assert!(exp.columns.lazy_errors().is_empty() && exp.raw.lazy_errors().is_empty());
 }
 
+/// Scratch files of the mapped opens, one name per model.
+static FILES: AtomicUsize = AtomicUsize::new(0);
+
+/// Both views of the built experiment and of every open of its
+/// database, against the oracle.
 fn check_model(model: &DbModel, order: u64, early: u32) {
     let oracle = Oracle::new(model);
-    let built = model.clone().into_experiment().unwrap();
-    check_views(&built, &oracle, order, early);
-    let lazy = open_lazy(bin2::write_v21(model)).unwrap();
-    check_views(&lazy, &oracle, order, early);
+    let bytes = bin2::write_v21(model);
+    let path = std::env::temp_dir().join(format!(
+        "callpath-view-oracle-{}-{}.cpdb",
+        std::process::id(),
+        FILES.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+    let mapped = open_lazy_path(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    for (how, exp) in [
+        ("built", model.clone().into_experiment().unwrap()),
+        ("xml", from_xml(&xml::write(model)).unwrap()),
+        ("from_binary", from_binary(&bytes).unwrap()),
+        ("open_lazy_path", mapped),
+        ("open_lazy", open_lazy(bytes).unwrap()),
+    ] {
+        check_views(how, &exp, &oracle, order, early);
+    }
 }
 
 proptest! {
