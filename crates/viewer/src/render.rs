@@ -1,7 +1,9 @@
 //! The tree-table renderer: navigation pane + metric pane as plain text.
 
+use callpath_core::hash::MixState;
 use callpath_core::prelude::*;
 use callpath_core::view::Row;
+use std::collections::HashMap;
 
 /// How far to expand the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,6 +137,50 @@ pub(crate) struct Renderer<'a, 'e> {
     // one rendered label per node instead of allocating per use. Borrowed,
     // so a session keeps them across renders.
     pub(crate) labels: &'a mut LabelCache,
+    /// A session's last frame, when this render repeats its key.
+    pub(crate) frame: Option<&'a mut Frame>,
+}
+
+/// What a cell's padding is sliced from: the widest pad, 19 blanks.
+const BLANKS: &str = "                   ";
+
+/// The metric cells of the rows a session's last render wrote, so that
+/// a render of the same view and shown columns copies a row instead of
+/// formatting it (DESIGN.md §12). A cell depends on the node, the shown
+/// columns, their aggregates and `show_percent`: the maps are by node,
+/// the key is the view and the columns, and the view's experiment and
+/// the session's `RenderConfig` cannot change while it holds.
+#[derive(Default)]
+pub(crate) struct Frame {
+    key: Option<(usize, Vec<ColumnId>)>,
+    /// Trimmed cells by node: what the previous render recorded, and
+    /// what this one records.
+    last: HashMap<u32, String, MixState>,
+    next: HashMap<u32, String, MixState>,
+    /// Rows this render copied from `last`.
+    pub(crate) reused: usize,
+}
+
+impl Frame {
+    /// Start a render of `cols` in view `view`. A repeat of the previous
+    /// render's key reads what that render recorded and records its own
+    /// rows; any other render is a miss: it empties the frame, and its
+    /// caller formats every row and records none. Returns whether it
+    /// repeats.
+    pub(crate) fn begin(&mut self, view: usize, cols: &[ColumnId]) -> bool {
+        self.reused = 0;
+        let repeat = self
+            .key
+            .as_ref()
+            .is_some_and(|(v, c)| *v == view && c == cols);
+        if !repeat {
+            self.key = Some((view, cols.to_vec()));
+            self.next.clear();
+        }
+        std::mem::swap(&mut self.last, &mut self.next);
+        self.next.clear();
+        repeat
+    }
 }
 
 impl<'a, 'e> Renderer<'a, 'e> {
@@ -159,6 +205,7 @@ impl<'a, 'e> Renderer<'a, 'e> {
             cells_buf: String::new(),
             cell_buf: String::new(),
             labels,
+            frame: None,
         }
     }
 
@@ -224,9 +271,19 @@ impl<'a, 'e> Renderer<'a, 'e> {
         self.out.push('\n');
     }
 
-    /// Fill `cells_buf` with `n`'s metric cells, each right-aligned to 18
-    /// display characters, without allocating.
+    /// Append `n`'s metric cells, each right-aligned to 18 display
+    /// characters, trailing blanks trimmed, to `out`: copied from the
+    /// frame when it holds `n`, formatted (and recorded, when there is a
+    /// frame) otherwise.
     fn write_cells(&mut self, n: u32) {
+        if let Some(f) = self.frame.as_deref_mut() {
+            if let Some(cells) = f.last.remove(&n) {
+                f.reused += 1;
+                self.out.push_str(&cells);
+                f.next.insert(n, cells);
+                return;
+            }
+        }
         self.cells_buf.clear();
         for (i, &c) in self.cols.iter().enumerate() {
             let v = self.view.value(c, n);
@@ -238,9 +295,14 @@ impl<'a, 'e> Renderer<'a, 'e> {
             }
             // A cell is ASCII, so its length is its display width.
             let pad = 19usize.saturating_sub(self.cell_buf.len()).max(1);
-            self.cells_buf.extend(std::iter::repeat_n(' ', pad));
+            self.cells_buf.push_str(&BLANKS[..pad]);
             self.cells_buf.push_str(&self.cell_buf);
         }
+        let cells = self.cells_buf.trim_end();
+        if let Some(f) = self.frame.as_deref_mut() {
+            f.next.insert(n, cells.to_owned());
+        }
+        self.out.push_str(cells);
     }
 
     /// Emit one `indent label    cells` row for `n` straight into `out`.
@@ -268,12 +330,11 @@ impl<'a, 'e> Renderer<'a, 'e> {
         if mark_no_source && !row.has_source {
             self.label_buf.push_str(NO_SOURCE_MARK);
         }
-        self.write_cells(n);
         let gutter = write_indent(depth, &mut self.out);
         let width = self.cfg.label_width.saturating_sub(gutter);
         format::write_fit(&self.label_buf, width, &mut self.out);
         self.out.push_str("    ");
-        self.out.push_str(self.cells_buf.trim_end());
+        self.write_cells(n);
         self.out.push('\n');
     }
 

@@ -23,7 +23,7 @@
 //! [`crate::render`] row writer formats them — the same code that writes
 //! the static views.
 
-use crate::render::{RenderConfig, Renderer, HOT_ICON};
+use crate::render::{Frame, RenderConfig, Renderer, HOT_ICON};
 use crate::source_pane::render_selection_filtered;
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
@@ -97,6 +97,10 @@ pub struct Session<'e> {
     // labels. Re-rendering an unchanged view costs lookups, not sorts.
     sort_caches: [SortCache; 3],
     label_caches: [LabelCache; 3],
+    // The metric cells of the last render's rows, for a render of the
+    // same view and columns to copy; `(reused, formatted)` rows so far.
+    frame: Frame,
+    cell_stats: (u64, u64),
 }
 
 fn idx(kind: ViewKind) -> usize {
@@ -124,6 +128,8 @@ impl<'e> Session<'e> {
             cfg: RenderConfig::default(),
             sort_caches: Default::default(),
             label_caches: Default::default(),
+            frame: Frame::default(),
+            cell_stats: (0, 0),
         }
     }
 
@@ -140,6 +146,14 @@ impl<'e> Session<'e> {
             let (ch, cf) = c.stats();
             (h + ch, f + cf)
         })
+    }
+
+    /// `(reused, formatted)`: rows whose metric cells this session's
+    /// renders copied from the previous frame, and rows they formatted.
+    /// The process-wide obs registry counts the same rows as
+    /// `viewer.cells.reused` / `viewer.cells.formatted`.
+    pub fn cell_stats(&self) -> (u64, u64) {
+        self.cell_stats
     }
 
     /// How many of the experiment's presentation columns hold resident
@@ -344,6 +358,9 @@ impl<'e> Session<'e> {
                 Ok(())
             }
             Command::ShowColumn(c) => {
+                if c.index() >= self.exp.columns.column_count() {
+                    return Err(format!("no column {c:?}"));
+                }
                 self.hidden.remove(&c.0);
                 Ok(())
             }
@@ -408,10 +425,11 @@ impl<'e> Session<'e> {
         let view = view_slot(&mut self.views[i], self.kind, self.exp);
         let state = &self.states[i];
         let hidden = &self.hidden;
-        let cols = view
+        let cols: Vec<ColumnId> = view
             .visible_columns()
             .filter(|c| !hidden.contains(&c.0))
             .collect();
+        let repeat = self.frame.begin(i, &cols);
         let mut w = Walker {
             r: Renderer::new(view, &self.cfg, &mut self.label_caches[i], cols),
             sort_cache: &mut self.sort_caches[i],
@@ -428,6 +446,7 @@ impl<'e> Session<'e> {
             rows: Vec::new(),
             pending: Vec::new(),
         };
+        w.r.frame = repeat.then_some(&mut self.frame);
         let _ = writeln!(w.r.out, "[{}]", self.kind.title());
         w.r.name_line();
         // Top-level ordering goes through the same cache under a synthetic slot
@@ -443,7 +462,13 @@ impl<'e> Session<'e> {
             w.r.out.push('\n');
             w.r.out.push_str(&pane);
         }
-        (w.r.out, w.rows)
+        let (out, rows) = (w.r.out, w.rows);
+        let reused = self.frame.reused as u64;
+        let formatted = rows.len() as u64 - reused;
+        obs::count("viewer.cells.reused", reused);
+        obs::count("viewer.cells.formatted", formatted);
+        self.cell_stats = (self.cell_stats.0 + reused, self.cell_stats.1 + formatted);
+        (out, rows)
     }
 }
 
@@ -762,6 +787,7 @@ mod extra_tests {
         s.apply(Command::ShowColumn(ColumnId(1))).unwrap();
         assert!(s.render().contains("PAPI_TOT_CYC (E)"));
         assert!(s.apply(Command::HideColumn(ColumnId(99))).is_err());
+        assert!(s.apply(Command::ShowColumn(ColumnId(99))).is_err());
     }
 
     #[test]

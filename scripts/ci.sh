@@ -36,10 +36,14 @@ cargo test -q --workspace
 # the statistics oracle over the summary kernel
 # (`tests/ensemble_properties.rs`), and the one ranking comparator that
 # puts NaN last (`tests/nan_scores.rs`): the benchmark and the CLI run
-# them optimized.
+# them optimized. So does a session's row frame, whose hits skip the
+# cell formatter: the warm ≡ cold replay (`tests/session_fuzz.rs`) and
+# the reused/formatted row counts (`tests/session_cache_acceptance.rs`)
+# run optimized too.
 cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct \
     --test correlate_oracle --test lazy_storage_acceptance --test lazy_fault_stress \
-    --test ensemble_properties --test nan_scores
+    --test ensemble_properties --test nan_scores --test session_fuzz \
+    --test session_cache_acceptance
 # The obs crate alone builds without its `enabled` feature (the
 # workspace pass turns it on), so this is the one place the no-op
 # stubs' unit test (`disabled_stubs_record_nothing`) runs.

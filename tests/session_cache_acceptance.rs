@@ -2,7 +2,9 @@
 //! and rendered, re-sorting and re-rendering it must be served entirely
 //! from the generation-stamped sort caches — **zero** additional full
 //! child `sort_by` calls (observed through [`Session::sort_stats`]) —
-//! while producing byte-identical output.
+//! while producing byte-identical output. A re-render of the same view
+//! and columns copies each row's metric cells from the last frame
+//! instead of formatting them (observed through [`Session::cell_stats`]).
 
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
@@ -100,4 +102,52 @@ fn cache_survives_view_switches_but_not_column_edits() {
         sorts_after, sorts_before,
         "switching back re-sorted the CCT"
     );
+}
+
+/// One render's `(reused, formatted)` rows, checked to cover every row.
+fn render_counts(session: &mut Session<'_>) -> (u64, u64) {
+    let (r0, f0) = session.cell_stats();
+    let (_, rows) = session.render_numbered();
+    let (r1, f1) = session.cell_stats();
+    assert_eq!(r1 - r0 + f1 - f0, rows.len() as u64);
+    (r1 - r0, f1 - f0)
+}
+
+#[test]
+fn a_re_render_formats_only_rows_the_last_frame_lacks() {
+    let exp = pipeline::build_experiment(
+        &s3d::program(s3d::S3dConfig::default()),
+        &ExecConfig::default(),
+    );
+    let mut session = Session::new(&exp, SourceStore::new());
+    let (_, top) = session.render_numbered();
+    assert_eq!(render_counts(&mut session), (0, top.len() as u64));
+    // An expand formats the rows it reveals and copies the others.
+    session.apply(Command::Expand(top[0])).unwrap();
+    let (reused, formatted) = render_counts(&mut session);
+    assert_eq!(reused, top.len() as u64);
+    assert!(formatted > 0);
+    // A sort, a hot path and a find only move rows already on screen.
+    session.apply(Command::SortBy(ColumnId(1))).unwrap();
+    let (_, rows) = session.render_numbered();
+    session.apply(Command::SortBy(ColumnId(0))).unwrap();
+    assert_eq!(render_counts(&mut session), (rows.len() as u64, 0));
+    session.apply(Command::SortByName(true)).unwrap();
+    assert_eq!(render_counts(&mut session), (rows.len() as u64, 0));
+    session.apply(Command::Find("main".into())).unwrap();
+    assert_eq!(render_counts(&mut session).1, 0);
+    // A column edit or a view switch changes the key: every row of the
+    // first render after it is formatted, none reused.
+    let edits = [
+        Command::HideColumn(ColumnId(1)),
+        Command::ShowColumn(ColumnId(1)),
+        Command::SwitchView(ViewKind::Flat),
+        Command::SwitchView(ViewKind::CallingContext),
+    ];
+    for cmd in edits {
+        session.render();
+        session.apply(cmd.clone()).unwrap();
+        let (reused, formatted) = render_counts(&mut session);
+        assert!(reused == 0 && formatted > 0, "{cmd:?}: {reused} reused");
+    }
 }

@@ -75,6 +75,28 @@ proptest! {
         }
     }
 
+    /// Warm ≡ cold: a session that rendered after every command shows
+    /// what a fresh session replaying the same commands shows on its
+    /// first render, so no state one render leaves for the next (sort
+    /// orders, labels, the last frame's cells) can outlive what it was
+    /// computed from.
+    #[test]
+    fn a_warm_session_renders_what_a_cold_replay_renders(
+        seed in 0u64..500,
+        cmds in proptest::collection::vec(arb_command(300), 1..40),
+    ) {
+        let exp = random_experiment(seed, 150, 10);
+        let mut warm = Session::new(&exp, SourceStore::new());
+        for (i, c) in cmds.iter().enumerate() {
+            let _ = warm.apply(c.clone());
+            let mut cold = Session::new(&exp, SourceStore::new());
+            for c in &cmds[..=i] {
+                let _ = cold.apply(c.clone());
+            }
+            prop_assert_eq!(warm.render_numbered(), cold.render_numbered(), "after {:?}", &cmds[..=i]);
+        }
+    }
+
     #[test]
     fn selection_is_always_visible(
         seed in 0u64..200,
