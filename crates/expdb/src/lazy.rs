@@ -14,7 +14,7 @@
 //!
 //! **What one fault costs.** A column fault costs what the column
 //! touches, not what the tree holds: one checksum pass over the metric's
-//! block, then the attribution kernel
+//! block (on the block's first read only), then the attribution kernel
 //! ([`attribute_sorted`]) reading the block's key/value arrays where
 //! they lie in the image — O(K) for K the union of the non-zeros'
 //! ancestor chains, with one bit per node of private scratch; a column
@@ -40,10 +40,14 @@
 //! `LazyShared` keeps its **own copy** of the CCT (the `Experiment`
 //! owns another): a fault reaches the source through the column set, not
 //! the experiment, so the kernel needs a tree of its own. Both copies
-//! borrow the same mapped arrays, so the duplication is cheap. A block is
-//! verified by its metric's column fault and again by its raw fault, if
-//! one follows: remembering the first check would be state kept only for
-//! the flat view's call-site cells. See DESIGN.md §10.
+//! borrow the same mapped arrays, so the duplication is cheap. A block's
+//! checksum is verified on the block's first read and remembered, one
+//! flag per block, so a raw fault after a column fault of the same metric
+//! hashes nothing again: [`decode_all`] makes one per metric, the flat
+//! view's call-site cells one per metric they show. A failed check is not
+//! remembered: a corrupt block fails every read. A caller about to fault
+//! several columns checks their blocks first, four at a time
+//! (`ColumnSet::precheck`, [`Toc::verify_sections`]). See DESIGN.md §10.
 //!
 //! Batch consumers that will touch everything anyway (diffing, format
 //! conversion) should call [`decode_all`] right after opening:
@@ -62,6 +66,7 @@ use callpath_core::derived;
 use callpath_core::prelude::*;
 use callpath_obs as obs;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 /// Everything a lazily opened experiment needs to fault columns in:
@@ -78,6 +83,10 @@ pub(crate) struct LazyShared {
     /// open with per-run drill-down columns appends run-block sections.
     infos: Vec<MetricInfo>,
     sections: Vec<u32>,
+    /// Per stored block, whether its checksum has passed: a block is
+    /// hashed on its first read only. A failed check sets nothing, so a
+    /// corrupt block fails every read.
+    verified: Vec<AtomicBool>,
     /// Metrics stored attributed (a `.cpens`'s statistics, marked by
     /// `SEC_ATTRIBUTED`; 0 in a plain database): metric `m < pairs` *is*
     /// blocks `2m` and `2m + 1`, its two columns; every later metric `m`
@@ -108,14 +117,19 @@ impl LazyShared {
     }
 
     /// The entries of stored block `b`. For fixed-kind blocks this
-    /// *borrows* the key/value arrays from the image (after verifying the
-    /// block's checksum) instead of decoding them; everything else
-    /// decodes to owned entries.
+    /// *borrows* the key/value arrays from the image instead of decoding
+    /// them; everything else decodes to owned entries. Each read verifies
+    /// the block's checksum until one check has passed.
     fn block(&self, b: usize) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.block_decode");
         let id = self.sections[b];
         let data = self.data.bytes();
-        self.toc.verify_section(data, id).map_err(|e| e.message)?;
+        // The image never changes, so a flag seen late costs at most one
+        // more hash: Relaxed is enough.
+        if !self.verified[b].load(Relaxed) {
+            self.toc.verify_section(data, id).map_err(|e| e.message)?;
+            self.verified[b].store(true, Relaxed);
+        }
         let (off, body) = self.toc.raw_payload(data, id).map_err(|e| e.message)?;
         obs::observe("expdb.block_bytes", body.len() as u64);
         let info = &self.infos[b];
@@ -140,6 +154,16 @@ impl LazyShared {
             .map_err(|e| e.message)
     }
 
+    /// The stored block metric column `c` is read from: itself for a
+    /// stored attributed column, else its metric's direct costs.
+    fn block_of(&self, c: usize) -> usize {
+        if c < 2 * self.pairs {
+            c
+        } else {
+            c / 2 + self.pairs
+        }
+    }
+
     /// Column `c`, the inclusive (even) or exclusive (odd) half of metric
     /// `c / 2`. A stored attributed column is its block as it is. Else it
     /// is taken from the parking cell if the sibling's fault left it
@@ -156,7 +180,7 @@ impl LazyShared {
         if let Some((_, half)) = parked.take_if(|(at, _)| *at == c) {
             return Ok(half);
         }
-        let raw = self.block(c / 2 + self.pairs)?;
+        let raw = self.block(self.block_of(c))?;
         let (keys, vals) = raw.sorted_parts();
         let attr = attribute_sorted(&self.cct, &keys, &vals);
         let (half, sibling) = if c.is_multiple_of(2) {
@@ -170,6 +194,28 @@ impl LazyShared {
 }
 
 impl ColumnSource for LazyShared {
+    /// Checksum the unverified blocks behind `cols` four at a time
+    /// ([`Toc::verify_sections`]), and flag those that pass.
+    fn precheck(&self, cols: &[ColumnId]) {
+        let metric_cols = self.parked.len() * 2;
+        let mut blocks: Vec<usize> = cols
+            .iter()
+            .map(|c| c.index())
+            .filter(|&c| c < metric_cols)
+            .map(|c| self.block_of(c))
+            .filter(|&b| !self.verified[b].load(Relaxed))
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        let ids: Vec<u32> = blocks.iter().map(|&b| self.sections[b]).collect();
+        let passed = self.toc.verify_sections(self.data.bytes(), &ids);
+        for (b, ok) in blocks.into_iter().zip(passed) {
+            if ok {
+                self.verified[b].store(true, Relaxed);
+            }
+        }
+    }
+
     fn load_column(&self, c: ColumnId, columns: &ColumnSet) -> Result<MetricVec, String> {
         let _span = obs::span("expdb.column_fault");
         obs::count("expdb.lazy.fault.column", 1);
@@ -331,6 +377,7 @@ pub(crate) fn open_image_with(
         toc,
         cct: cct.clone(),
         parked: (0..raw.metric_count()).map(|_| Mutex::new(None)).collect(),
+        verified: infos.iter().map(|_| AtomicBool::new(false)).collect(),
         infos,
         sections,
         pairs,
@@ -550,6 +597,37 @@ mod tests {
         let c = ColumnId(2); // second metric's inclusive column
         assert_eq!(lazy.columns.get(c, 0), 0.0);
         assert!(lazy.columns.lazy_errors()[0].contains("checksum"));
+    }
+
+    #[test]
+    fn a_block_is_checksummed_until_a_check_passes() {
+        let bytes = crate::to_binary_v21(&sample_experiment());
+        let open = |bytes: Vec<u8>| {
+            let image = ByteImage::new(Arc::new(FileImage::from_vec(bytes)));
+            open_image_with(image, Vec::new()).unwrap()
+        };
+        let flags = |shared: &LazyShared| -> Vec<bool> {
+            shared.verified.iter().map(|v| v.load(Relaxed)).collect()
+        };
+        let (lazy, shared) = open(bytes.clone());
+        assert_eq!(flags(&shared), [false, false]);
+        decode_all(&lazy, 1);
+        assert_eq!(flags(&shared), [true, true]);
+        // The last section is the second metric's cost block.
+        let mut bad = bytes;
+        let n = bad.len();
+        bad[n - 3] ^= 0xff;
+        let (_, shared) = open(bad.clone());
+        for _ in 0..2 {
+            assert!(shared.block(1).unwrap_err().contains("checksum"));
+        }
+        assert!(shared.block(0).is_ok());
+        assert_eq!(flags(&shared), [true, false]);
+        // A precheck flags the blocks that pass, and only those.
+        let (_, shared) = open(bad);
+        shared.precheck(&[ColumnId(3), ColumnId(0), ColumnId(2)]);
+        assert_eq!(flags(&shared), [true, false]);
+        assert!(shared.block(1).unwrap_err().contains("checksum"));
     }
 
     /// The sample tree with the two metrics' costs at different nodes, so

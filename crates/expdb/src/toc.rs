@@ -97,15 +97,52 @@ const ENTRY_LEN: usize = 32;
 /// Checksummed prefix of the header (everything before the digest field).
 const CHECKSUM_SPLIT: usize = 12;
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit: tiny, dependency-free, and plenty for integrity
 /// checking (this guards against rot and truncation, not adversaries).
 pub(crate) fn fnv1a64(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(FNV_OFFSET, data)
+}
+
+fn fnv1a64_from(mut hash: u64, data: &[u8]) -> u64 {
     for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        hash = (hash ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// [`fnv1a64`] of four byte strings at once. One string's hash is a
+/// chain of dependent multiplies, each waiting on the last; four chains
+/// side by side keep the multiplier busy, so four blocks hash in about
+/// the time of two.
+fn fnv1a64_x4(data: [&[u8]; 4]) -> [u64; 4] {
+    let mut h = [FNV_OFFSET; 4];
+    let [a, b, c, d] = data;
+    for (((&x0, &x1), &x2), &x3) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ x0 as u64).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ x1 as u64).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ x2 as u64).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ x3 as u64).wrapping_mul(FNV_PRIME);
+    }
+    let common = data.iter().map(|s| s.len()).min().unwrap_or(0);
+    for (h, s) in h.iter_mut().zip(data) {
+        *h = fnv1a64_from(*h, &s[common..]);
+    }
+    h
+}
+
+/// Count one checksum comparison of `entry`'s payload, whose hash is
+/// `hash`, and say whether it matched.
+fn checked(entry: &TocEntry, hash: u64) -> bool {
+    callpath_obs::count("expdb.toc.verify", 1);
+    callpath_obs::observe("expdb.toc.section_bytes", entry.len);
+    let ok = hash == entry.checksum;
+    if !ok {
+        callpath_obs::count("expdb.toc.verify_fail", 1);
+    }
+    ok
 }
 
 /// One parsed TOC entry.
@@ -115,6 +152,14 @@ pub(crate) struct TocEntry {
     pub offset: u64,
     pub len: u64,
     pub checksum: u64,
+}
+
+impl TocEntry {
+    /// The checksummed payload in `data` (padding included); `Toc::parse`
+    /// checked that it lies inside the file.
+    fn payload<'a>(&self, data: &'a [u8]) -> &'a [u8] {
+        &data[self.offset as usize..(self.offset + self.len) as usize]
+    }
 }
 
 /// The parsed table of contents of a CPDB file.
@@ -240,14 +285,32 @@ impl Toc {
     /// decoding anything.
     pub fn verify_section(&self, data: &[u8], id: u32) -> Result<(), DbError> {
         let entry = self.entry(id)?;
-        let payload = &data[entry.offset as usize..(entry.offset + entry.len) as usize];
-        callpath_obs::count("expdb.toc.verify", 1);
-        callpath_obs::observe("expdb.toc.section_bytes", payload.len() as u64);
-        if fnv1a64(payload) != entry.checksum {
-            callpath_obs::count("expdb.toc.verify_fail", 1);
+        if !checked(entry, fnv1a64(entry.payload(data))) {
             return Err(DbError::new(format!("section {id} checksum mismatch")));
         }
         Ok(())
+    }
+
+    /// [`Toc::verify_section`] for several sections, hashed four at a
+    /// time: whether each one's checksum matches, in the order of `ids`
+    /// (an unknown id does not).
+    pub fn verify_sections(&self, data: &[u8], ids: &[u32]) -> Vec<bool> {
+        let mut passed = Vec::with_capacity(ids.len());
+        for group in ids.chunks(4) {
+            let entries: Vec<Option<&TocEntry>> =
+                group.iter().map(|&id| self.entry(id).ok()).collect();
+            // A short group repeats its last section in the spare lanes,
+            // which costs no time: the lanes run side by side.
+            let payload = |i: usize| {
+                let entry = entries[i.min(entries.len() - 1)];
+                entry.map_or(&[][..], |e| e.payload(data))
+            };
+            let hashes = fnv1a64_x4(std::array::from_fn(payload));
+            for (entry, hash) in entries.iter().zip(hashes) {
+                passed.push(entry.is_some_and(|e| checked(e, hash)));
+            }
+        }
+        passed
     }
 
     /// Checksum every section. Batch consumers and property tests use
@@ -270,7 +333,7 @@ impl Toc {
     pub fn raw_payload<'a>(&self, data: &'a [u8], id: u32) -> Result<(usize, &'a [u8]), DbError> {
         let entry = self.entry(id)?;
         let start = entry.offset as usize;
-        let payload = &data[start..start + entry.len as usize];
+        let payload = entry.payload(data);
         let pad = *payload
             .first()
             .ok_or_else(|| DbError::new(format!("section {id}: empty aligned payload")))?
@@ -368,6 +431,43 @@ mod tests {
         b.add(SEC_CCT_LINKS, vec![]);
         b.add(SEC_BLOCK_BASE, vec![9; 40]);
         b.finish()
+    }
+
+    #[test]
+    fn four_lane_hash_equals_one_hash_per_string() {
+        let bytes: Vec<u8> = (0..300u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for lens in [
+            [0, 0, 0, 0],
+            [7, 7, 7, 7],
+            [300, 1, 0, 77],
+            [5, 300, 299, 64],
+        ] {
+            let parts: [&[u8]; 4] = std::array::from_fn(|i| &bytes[..lens[i]]);
+            assert_eq!(fnv1a64_x4(parts), parts.map(fnv1a64), "lengths {lens:?}");
+        }
+    }
+
+    #[test]
+    fn verify_sections_matches_verify_section_one_by_one() {
+        let mut bytes = sample();
+        let toc = Toc::parse(&bytes).unwrap();
+        let ids = [SEC_BLOCK_BASE, SEC_NAMES, 99, SEC_CCT_LINKS, SEC_BLOCK_BASE];
+        assert_eq!(
+            toc.verify_sections(&bytes, &ids),
+            [true, true, false, true, true]
+        );
+        let block = toc.entry(SEC_BLOCK_BASE).copied().unwrap();
+        bytes[block.offset as usize + 1] ^= 0x20;
+        assert_eq!(
+            toc.verify_sections(&bytes, &ids),
+            [false, true, false, true, false]
+        );
+        for id in [SEC_BLOCK_BASE, SEC_NAMES] {
+            let one = toc.verify_sections(&bytes, &[id])[0];
+            assert_eq!(one, toc.verify_section(&bytes, id).is_ok(), "section {id}");
+        }
     }
 
     #[test]
