@@ -17,7 +17,7 @@
 //! entry's exposed activations at once; children materialize on first
 //! expansion, numbers on the first read of their column
 //! ([`ViewTree::value`]). `CallersView::fully_expand` provides the eager
-//! variant for the ablation bench.
+//! variant the lazy-vs-eager tests compare against.
 
 use crate::experiment::Experiment;
 use crate::exposure::exposed_on_entry;

@@ -28,8 +28,7 @@
 //! metrics don't depend on the deferred children (a file's exclusive sums
 //! its child *procedures'* exclusives), so the shell's numbers are final.
 //! [`FlatView::flatten_once`]/[`FlatView::flatten`] force fills on
-//! demand; the free [`flatten_once`]/[`flatten`] functions remain for
-//! trees that are already fully forced.
+//! demand, so flattening descends through interiors not yet filled.
 
 use crate::experiment::Experiment;
 use crate::exposure::exposed_on_entry;
@@ -214,9 +213,12 @@ impl FlatView {
         }
     }
 
-    /// Forcing variant of the free [`flatten_once`]: scopes in `current`
-    /// are expanded first, so flattening descends through not-yet-filled
-    /// procedure interiors.
+    /// One flattening step: replace every scope in `current` that has
+    /// children with its children; childless scopes stay. Scopes are
+    /// expanded first, so flattening descends through not-yet-filled
+    /// procedure interiors. Repeated application strips successive layers
+    /// of hierarchy so that, e.g., all loops across all routines end up
+    /// side by side for direct comparison (Fig. 6).
     pub fn flatten_once(&mut self, exp: &Experiment, current: &[ViewNodeId]) -> Vec<ViewNodeId> {
         let mut out = Vec::with_capacity(current.len());
         for &n in current {
@@ -230,8 +232,8 @@ impl FlatView {
         out
     }
 
-    /// Forcing variant of the free [`flatten`]: apply
-    /// [`FlatView::flatten_once`] `times` times, stopping at a fixed point.
+    /// Apply [`FlatView::flatten_once`] `times` times, stopping early at a
+    /// fixed point.
     pub fn flatten(
         &mut self,
         exp: &Experiment,
@@ -248,35 +250,6 @@ impl FlatView {
         }
         cur
     }
-}
-
-/// One flattening step: replace every scope in `current` that has children
-/// with its children; childless scopes stay. Repeated application strips
-/// successive layers of hierarchy so that, e.g., all loops across all
-/// routines end up side by side for direct comparison (Fig. 6).
-pub fn flatten_once(tree: &ViewTree, current: &[ViewNodeId]) -> Vec<ViewNodeId> {
-    let mut out = Vec::with_capacity(current.len());
-    for &n in current {
-        if tree.has_children(n) {
-            out.extend(tree.children(n));
-        } else {
-            out.push(n);
-        }
-    }
-    out
-}
-
-/// Apply `flatten_once` `times` times, stopping early at a fixed point.
-pub fn flatten(tree: &ViewTree, roots: &[ViewNodeId], times: usize) -> Vec<ViewNodeId> {
-    let mut cur = roots.to_vec();
-    for _ in 0..times {
-        let next = flatten_once(tree, &cur);
-        if next == cur {
-            break;
-        }
-        cur = next;
-    }
-    cur
 }
 
 #[cfg(test)]
@@ -553,11 +526,11 @@ mod tests {
     #[test]
     fn flatten_keeps_leaves() {
         let exp = fig1_experiment();
-        let view = forced(&exp);
-        let deep = flatten(&view.tree, &view.tree.roots(), 100);
+        let mut view = FlatView::build(&exp);
+        let deep = view.flatten(&exp, &view.tree.roots(), 100);
         // Fixed point: every element is a leaf.
         assert!(deep.iter().all(|&n| !view.tree.has_children(n)));
-        let again = flatten_once(&view.tree, &deep);
+        let again = view.flatten_once(&exp, &deep);
         assert_eq!(again, deep);
     }
 
@@ -707,33 +680,5 @@ mod tests {
         let eager = forced(&exp);
         assert_eq!(lazy.tree.len(), eager.tree.len());
         assert_same_forest(&exp, &lazy, &eager);
-    }
-
-    #[test]
-    fn forcing_flatten_on_unforced_tree_matches_eager_flatten() {
-        let exp = fig1_experiment();
-        let mut lazy = FlatView::build(&exp);
-        let eager = forced(&exp);
-        for level in 0..6 {
-            let from_lazy = lazy.flatten(&exp, &lazy.tree.roots(), level);
-            let from_eager = flatten(&eager.tree, &eager.tree.roots(), level);
-            let labels = |view: &FlatView, nodes: &[ViewNodeId]| -> Vec<(String, f64, f64)> {
-                nodes
-                    .iter()
-                    .map(|&n| {
-                        (
-                            view.tree.label(n, &exp.cct.names),
-                            val(view, &exp, n, 0),
-                            val(view, &exp, n, 1),
-                        )
-                    })
-                    .collect()
-            };
-            assert_eq!(
-                labels(&lazy, &from_lazy),
-                labels(&eager, &from_eager),
-                "flatten level {level}"
-            );
-        }
     }
 }

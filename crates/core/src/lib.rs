@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::diff::{merge_experiments, scaling_loss, ScalingAnalysis};
     pub use crate::experiment::Experiment;
     pub use crate::exposure::exposed;
-    pub use crate::flat::{flatten, flatten_once, FlatView};
+    pub use crate::flat::FlatView;
     pub use crate::format;
     pub use crate::hotpath::{hot_path, HotPathConfig};
     pub use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};

@@ -476,7 +476,7 @@ impl MetricVec {
         }
     }
 
-    /// Approximate heap footprint in bytes, for the storage ablation bench.
+    /// Approximate heap footprint in bytes.
     pub fn heap_bytes(&self) -> usize {
         match self {
             MetricVec::Dense(v) => v.capacity() * std::mem::size_of::<f64>(),

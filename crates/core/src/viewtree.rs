@@ -424,7 +424,8 @@ impl ViewTree {
         self.nodes[n.index()].scope.write_label(names, out)
     }
 
-    /// Approximate heap footprint, for the lazy-vs-eager ablation bench.
+    /// Approximate heap footprint, for the lazy-vs-eager comparison in
+    /// `tests/scalability.rs`.
     pub fn heap_bytes(&self) -> usize {
         let nodes = self.nodes.capacity() * std::mem::size_of::<ViewNode>();
         let instances: usize = self

@@ -17,8 +17,7 @@
 //!   metric column, so the lazy reader ([`lazy`]) borrows topology from
 //!   the file image and decodes a column only when a view first reads
 //!   it. A `.cpens` ensemble ([`ens`]) is a CPDB file with extra
-//!   sections. The `expdb_formats` bench quantifies the size and speed
-//!   gaps.
+//!   sections. `tests/expdb_roundtrip.rs` asserts the size gap.
 //!
 //! Both round-trip losslessly: name tables, the canonical CCT, metric
 //! descriptors, sparse direct costs, and derived-metric definitions.

@@ -12,8 +12,9 @@
 //! counter.
 //!
 //! Each sample also charges a configurable tool overhead
-//! (`sample_cost_cycles`), which the E8 bench uses to reproduce the
-//! paper's "only a few percent overhead" claim for asynchronous sampling.
+//! (`sample_cost_cycles`), which `tests/pipeline_end_to_end.rs` uses to
+//! check the paper's "only a few percent overhead" claim for asynchronous
+//! sampling (E8).
 
 use crate::binary::{Addr, Binary, InstrKind};
 use crate::counters::{Costs, Counter};

@@ -116,11 +116,6 @@ impl Structure {
         let p = self.proc_at(addr)?;
         Some((p, self.procs[p].scope_chain(addr)))
     }
-
-    /// Total number of recovered scopes (for stats and tests).
-    pub fn scope_count(&self) -> usize {
-        self.procs.iter().map(|p| p.nodes.len()).sum()
-    }
 }
 
 /// Half-recovered interval, before tree construction.
@@ -356,7 +351,6 @@ mod tests {
             b.entry(m);
         });
         assert_eq!(s.procs[0].nodes.len(), 0);
-        assert_eq!(s.scope_count(), 0);
     }
 
     #[test]

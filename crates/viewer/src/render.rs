@@ -466,7 +466,7 @@ pub fn render_subtree(view: &mut View<'_>, start: u32, cfg: &RenderConfig) -> St
 }
 
 /// Render starting from an explicit root list — used with
-/// [`callpath_core::flat::flatten`] to present a flattened Flat View.
+/// [`FlatView::flatten`] to present a flattened Flat View.
 pub fn render_flattened(view: &mut View<'_>, roots: &[u32], cfg: &RenderConfig) -> String {
     let cols = configured_columns(view, cfg);
     let mut labels = LabelCache::new();
@@ -734,9 +734,9 @@ mod tests {
     #[test]
     fn flattened_render_uses_custom_roots() {
         let exp = sample();
-        let flat = FlatView::build(&exp);
+        let mut flat = FlatView::build(&exp);
         let roots = flat.tree.roots();
-        let once = flatten_once(&flat.tree, &roots);
+        let once = flat.flatten_once(&exp, &roots);
         let ids: Vec<u32> = once.iter().map(|n| n.0).collect();
         let mut view = View::Flat {
             exp: &exp,

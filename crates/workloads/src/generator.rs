@@ -1,7 +1,7 @@
 //! Random workload generators for the scalability experiments
 //! (Section VII): arbitrary-size programs for the full pipeline, and
-//! arbitrary-size ready-made experiments for view-construction benches
-//! that don't need the simulator in the loop.
+//! arbitrary-size ready-made experiments for view-construction tests
+//! and the benchmark, which don't need the simulator in the loop.
 
 use callpath_core::prelude::*;
 use callpath_profiler::{Costs, Op, Program, ProgramBuilder};
@@ -74,7 +74,7 @@ pub fn random_program(cfg: GenConfig) -> Program {
 
 /// Generate a ready-made experiment with approximately `target_nodes` CCT
 /// nodes: a random tree of frames with statements carrying random costs.
-/// Bypasses the simulator so view benches isolate view construction.
+/// Bypasses the simulator so view tests isolate view construction.
 pub fn random_experiment(seed: u64, target_nodes: usize, n_procs: usize) -> Experiment {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut names = NameTable::new();

@@ -2,7 +2,7 @@
 //! # callpath-workloads
 //!
 //! Synthetic program models shaped like the paper's case studies, plus
-//! random workload generators for the scalability benches.
+//! random workload generators for the scalability tests.
 //!
 //! | Module | Paper artifact | Shape |
 //! |---|---|---|

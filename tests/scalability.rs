@@ -1,5 +1,6 @@
 //! E7 — Section VII's scalability claims, validated functionally (the
-//! timing side lives in the Criterion benches):
+//! benchmark's `core.view_build_callers_ms_p50` and
+//! `core.view_build_flat_ms_p50` rows time view construction):
 //!
 //! * lazy Callers View construction materializes a small fraction of the
 //!   eager tree until expansion is requested;

@@ -21,7 +21,9 @@
 //! call-site row's exclusive is the sum of their frame-direct costs and a
 //! file's or module's the sum of its child rows' exclusives. A derived
 //! column is its formula over the row's own values. Siblings come in the
-//! order of their lowest instance. A zero is a blank cell.
+//! order of their lowest instance. A zero is a blank cell. Flattening a
+//! Flat View N times (§III-C) replaces each row that has children by its
+//! children, N times or until every row is a leaf.
 //!
 //! Costs are small integers, so every sum is exact in any order and
 //! "equal" means equal bits. CCTs are random, with direct and mutual
@@ -35,19 +37,26 @@
 //! being expanded (each before or after its row's expansion), the rest
 //! for the first time once everything is expanded — a column filled on
 //! its first read and a node filled on its expansion must come to the
-//! same numbers whichever happens first.
+//! same numbers whichever happens first. Each open is also flattened 0
+//! to 6 times, each time from a new, unforced Flat View.
 //!
 //! Mutation check (done once, by hand, when this file was written): with
 //! the exposure filter dropped — `ViewTree::push_instance` and
 //! `set_instances` keeping every instance — all three tests fail, Fig. 2
 //! with the textbook `ga = 14` for 9; with only the expansion's filter
-//! dropped (`set_instances`) both properties fail at a caller line.
+//! dropped (`set_instances`) both properties fail at a caller line. In
+//! `FlatView::flatten_once` keeping a parent beside its children, and in
+//! `FlatView::flatten` stopping one level early, fail both properties and
+//! Fig. 2 at level 1; dropping `flatten`'s fixed-point check fails
+//! `flattening_stops_at_a_fixed_point` on its timeout.
 
 use callpath_core::prelude::*;
 use callpath_expdb::model::{DbMetric, DbModel, DbNode};
 use callpath_expdb::{bin2, from_binary, from_xml, open_lazy, open_lazy_path, xml};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// splitmix64: models and read orders are pure functions of the scalars.
 fn mix(seed: u64, i: u64) -> u64 {
@@ -457,6 +466,28 @@ impl<'m> Oracle<'m> {
     }
 }
 
+/// §III-C's flattening by definition: `rows` with each row that has
+/// children replaced by its children, `times` times or until no row has
+/// any.
+fn flatten(rows: &[Row], times: usize) -> Vec<&Row> {
+    let mut cur: Vec<&Row> = rows.iter().collect();
+    for _ in 0..times {
+        if cur.iter().all(|r| r.children.is_empty()) {
+            break;
+        }
+        let mut next = Vec::new();
+        for r in cur {
+            if r.children.is_empty() {
+                next.push(r);
+            } else {
+                next.extend(&r.children);
+            }
+        }
+        cur = next;
+    }
+    cur
+}
+
 // ------------------------------------------------------------ comparison
 
 fn key_of(view: &View<'_>, n: u32) -> Key {
@@ -478,6 +509,28 @@ fn key_of(view: &View<'_>, n: u32) -> Key {
     }
 }
 
+/// Row `n` of `view` against the oracle's `row` in `columns`.
+fn check_row(how: &str, view: &View<'_>, oracle: &Oracle<'_>, n: u32, row: &Row, columns: &[u32]) {
+    let want = oracle.values(row);
+    for &c in columns {
+        // Blank means zero, and zero means +0.0.
+        let want = if want[c as usize] == 0.0 {
+            0.0
+        } else {
+            want[c as usize]
+        };
+        let got = view.value(ColumnId(c), n);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{how}: {:?} column {c}: got {got}, want {want} over instances {:?}",
+            row.key,
+            row.set
+        );
+        assert_eq!(format::metric_value(got).is_empty(), want == 0.0);
+    }
+}
+
 /// Walk `view` and the oracle's rows side by side, expanding everything
 /// and comparing the columns `reads(row number)` names — those listed
 /// before the split ahead of the row's expansion, the rest after it.
@@ -488,26 +541,6 @@ fn compare(
     rows: &[Row],
     reads: &mut dyn FnMut(u64) -> (Vec<u32>, usize),
 ) {
-    let check = |view: &View<'_>, n: u32, row: &Row, columns: &[u32]| {
-        let want = oracle.values(row);
-        for &c in columns {
-            // Blank means zero, and zero means +0.0.
-            let want = if want[c as usize] == 0.0 {
-                0.0
-            } else {
-                want[c as usize]
-            };
-            let got = view.value(ColumnId(c), n);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "{how}: {:?} column {c}: got {got}, want {want} over instances {:?}",
-                row.key,
-                row.set
-            );
-            assert_eq!(format::metric_value(got).is_empty(), want == 0.0);
-        }
-    };
     let mut visited = 0;
     let mut pending: Vec<(Vec<u32>, &[Row])> = vec![(view.roots(), rows)];
     while let Some((nodes, rows)) = pending.pop() {
@@ -517,9 +550,9 @@ fn compare(
         for (&n, row) in nodes.iter().zip(rows) {
             let (columns, split) = reads(visited);
             visited += 1;
-            check(view, n, row, &columns[..split]);
+            check_row(how, view, oracle, n, row, &columns[..split]);
             let children = view.children(n);
-            check(view, n, row, &columns[split..]);
+            check_row(how, view, oracle, n, row, &columns[split..]);
             pending.push((children, &row.children));
         }
     }
@@ -555,7 +588,40 @@ fn check_views(how: &str, exp: &Experiment, oracle: &Oracle<'_>, order: u64, ear
             "{how}: the first pass expanded it all"
         );
     }
+    check_flatten(how, exp, oracle, 0..=6);
     assert!(exp.columns.lazy_errors().is_empty() && exp.raw.lazy_errors().is_empty());
+}
+
+/// The Flat View flattened `levels` times, each from a new, unforced
+/// shell, against the oracle's rows flattened as often: the same rows in
+/// the same order, with the same value in every column.
+fn check_flatten(
+    how: &str,
+    exp: &Experiment,
+    oracle: &Oracle<'_>,
+    levels: impl IntoIterator<Item = usize>,
+) {
+    let rows = oracle.flat();
+    let columns: Vec<u32> = (0..exp.columns.column_count() as u32).collect();
+    for level in levels {
+        let mut view = View::flat(exp);
+        let View::Flat { view: flat, .. } = &mut view else {
+            unreachable!("View::flat builds a Flat View")
+        };
+        let roots = flat.tree.roots();
+        let nodes: Vec<u32> = flat
+            .flatten(exp, &roots, level)
+            .iter()
+            .map(|n| n.0)
+            .collect();
+        let want = flatten(&rows, level);
+        let keys: Vec<Key> = nodes.iter().map(|&n| key_of(&view, n)).collect();
+        let want_keys: Vec<Key> = want.iter().map(|r| r.key.clone()).collect();
+        assert_eq!(keys, want_keys, "{how}: flattened {level} times");
+        for (&n, row) in nodes.iter().zip(want) {
+            check_row(how, &view, oracle, n, row, &columns);
+        }
+    }
 }
 
 /// Scratch files of the mapped opens, one name per model.
@@ -602,6 +668,30 @@ proptest! {
         order in 0u64..1_000, early in 0u32..128
     ) {
         check_model(&random_model(seed, chain, bushy, nnz), order, early);
+    }
+}
+
+/// Asked for more layers than the tree has, flattening stops at its
+/// fixed point, every row a leaf, rather than stepping on in place. The
+/// walk runs on its own thread, so a flatten that never stops fails here
+/// instead of hanging the suite.
+#[test]
+fn flattening_stops_at_a_fixed_point() {
+    let (done, stopped) = mpsc::channel();
+    let walk = std::thread::spawn(move || {
+        let model = random_model(7, 30, 60, 40);
+        let oracle = Oracle::new(&model);
+        let exp = model.clone().into_experiment().unwrap();
+        check_flatten("built", &exp, &oracle, [usize::MAX]);
+        done.send(()).ok();
+    });
+    let waited = stopped.recv_timeout(Duration::from_secs(10));
+    assert!(
+        !matches!(waited, Err(RecvTimeoutError::Timeout)),
+        "flattening usize::MAX times never reached a fixed point"
+    );
+    if let Err(panic) = walk.join() {
+        std::panic::resume_unwind(panic);
     }
 }
 
