@@ -317,7 +317,7 @@ pub fn load_bench_records(path: &Path) -> Result<Vec<BenchRecord>, String> {
     }
 }
 
-/// Reduce an experiment to a gateable record: one `"<metric> total"
+/// Reduce an experiment to a gateable record: one `"<metric> total"`
 /// field per raw metric, from the stored per-column aggregates (no
 /// column is faulted on a lazily opened database).
 pub fn record_from_experiment(name: &str, exp: &Experiment) -> BenchRecord {

@@ -39,7 +39,7 @@ impl Experiment {
     /// Attribute all metrics of `raw` over `cct` and set up the standard
     /// inclusive/exclusive column pair per metric. Ingestion ends here, so
     /// the raw columns then take the shape their coverage of the tree
-    /// calls for ([`MetricVec::from_sorted`]; after attribution, which
+    /// calls for ([`MetricVec::from_sorted`](crate::metrics::MetricVec::from_sorted); after attribution, which
     /// reads their sorted arrays in place). The last argument selects
     /// nothing ([`StorageKind`]).
     pub fn build(cct: Cct, mut raw: RawMetrics, _: StorageKind) -> Self {

@@ -14,11 +14,11 @@
 //! exposed. Two routines decide it, neither of which walks an instance's
 //! ancestors to the root:
 //!
-//! * [`exposed_on_entry`], for sets that partition the frames by a key
+//! * `exposed_on_entry`, for sets that partition the frames by a key
 //!   (a procedure, a file, a load module): one depth-first pass with a
 //!   counter per key of how many of its activations are on the stack
 //!   decides every set at once — what the views do when they are built;
-//! * [`Marks`], for an arbitrary set: stamp its members into an array over
+//! * `Marks`, for an arbitrary set: stamp its members into an array over
 //!   the CCT and climb from an instance to the first stamped ancestor,
 //!   leaving the answer on the nodes passed, so that a set costs the union
 //!   of its members' chains — what an expansion does.

@@ -135,11 +135,15 @@ pub fn percent(fraction: f64) -> String {
 /// with an ellipsis when truncated. Keeps the tabular layout aligned
 /// without pulling in a full terminal-width library.
 pub fn write_fit(label: &str, width: usize, out: &mut String) {
+    const BLANKS: &str = "                                ";
     let n = label.chars().count();
     if n <= width {
         out.push_str(label);
-        for _ in n..width {
-            out.push(' ');
+        let mut pad = width - n;
+        while pad > 0 {
+            let run = pad.min(BLANKS.len());
+            out.push_str(&BLANKS[..run]);
+            pad -= run;
         }
     } else if width >= 1 {
         out.extend(label.chars().take(width - 1));
@@ -315,6 +319,8 @@ mod tests {
         assert_eq!(fit("abcdef", 4), "abc…");
         assert_eq!(fit("abcd", 4), "abcd");
         assert_eq!(fit("x", 0), "");
+        // A pad wider than the blank run it is sliced from.
+        assert_eq!(fit("ab", 70), format!("ab{:68}", ""));
     }
 
     #[test]

@@ -347,6 +347,22 @@ impl<'a> Topo<'a> {
         self.tag(n) == tags::STMT
     }
 
+    /// The line word of the location `n` itself stands at — a frame's
+    /// definition, a loop's header, a statement's line — as stored; 0
+    /// for the root and for an unknown line. What
+    /// `SourceLoc::is_known` reads on that location of [`Topo::kind`],
+    /// off one word instead of a decoded [`ScopeKind`].
+    #[inline]
+    pub fn own_line(&self, n: NodeId) -> u32 {
+        let at = n.index() * tags::N_FIELDS;
+        match self.tag(n) {
+            tags::ROOT => 0,
+            tags::FRAME | tags::FRAME_TOP => self.fields[at + 3],
+            tags::INLINED => self.fields[at + 2],
+            _ => self.fields[at + 1],
+        }
+    }
+
     /// The scope kind of `n`, decoded from its tag and fields.
     #[inline]
     pub fn kind(&self, n: NodeId) -> ScopeKind {

@@ -11,7 +11,7 @@ use crate::experiment::Experiment;
 use crate::flat::FlatView;
 use crate::hotpath::{hot_path, HotPathConfig};
 use crate::ids::{ColumnId, NodeId, ViewNodeId};
-use crate::metrics::{visible_columns, ColumnDesc};
+use crate::metrics::{visible_columns, ColumnDesc, MetricVec};
 use crate::names::SourceLoc;
 use crate::scope::ScopeKind;
 use crate::viewtree::{LabelCache, SortDir, SortKey, ViewScope};
@@ -142,18 +142,24 @@ impl<'a> View<'a> {
     /// with a non-zero metric somewhere below them exist at all (sparse
     /// representation), so no extra filtering is required here.
     pub fn children(&mut self, n: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.children_into(n, &mut out);
+        out
+    }
+
+    /// [`View::children`] appended to `out`, which a caller that visits
+    /// many scopes reuses: no allocation once it has grown.
+    pub fn children_into(&mut self, n: u32, out: &mut Vec<u32>) {
         match self {
-            View::CallingContext(exp) => exp.cct.children(NodeId(n)).map(|c| c.0).collect(),
-            View::Callers { exp, view } => view
-                .children_of(exp, ViewNodeId(n))
-                .iter()
-                .map(|c| c.0)
-                .collect(),
-            View::Flat { exp, view } => view
-                .children_of(exp, ViewNodeId(n))
-                .iter()
-                .map(|c| c.0)
-                .collect(),
+            View::CallingContext(exp) => out.extend(exp.cct.children(NodeId(n)).map(|c| c.0)),
+            View::Callers { exp, view } => {
+                view.expand(exp, ViewNodeId(n));
+                out.extend(view.tree.child_ids(n));
+            }
+            View::Flat { exp, view } => {
+                view.expand(exp, ViewNodeId(n));
+                out.extend(view.tree.child_ids(n));
+            }
         }
     }
 
@@ -192,9 +198,7 @@ impl<'a> View<'a> {
     /// instead of as hyperlinks.
     pub fn has_source(&self, n: u32) -> bool {
         match self {
-            View::CallingContext(exp) => {
-                own_loc(exp.cct.kind(NodeId(n))).is_some_and(|l| l.is_known())
-            }
+            View::CallingContext(exp) => exp.cct.topo().own_line(NodeId(n)) != 0,
             View::Callers { .. } => true,
             View::Flat { view, .. } => {
                 !matches!(view.tree.scope(ViewNodeId(n)), ViewScope::Module { .. })
@@ -204,14 +208,15 @@ impl<'a> View<'a> {
 
     /// What a row's decorations need to know about scope `n` — call icon,
     /// source link, expansion marker — from one visit to the node. A
-    /// Calling Context row reads them off one borrowed [`crate::topo::Topo`].
+    /// Calling Context row reads them off one borrowed [`crate::topo::Topo`]:
+    /// the tag, the line word and the first-child link, no [`ScopeKind`].
     pub fn row(&self, n: u32) -> Row {
         match self {
             View::CallingContext(exp) => {
                 let (topo, n) = (exp.cct.topo(), NodeId(n));
                 Row {
                     is_call: topo.is_call(n),
-                    has_source: own_loc(topo.kind(n)).is_some_and(|l| l.is_known()),
+                    has_source: topo.own_line(n) != 0,
                     may_expand: topo.first_child(n).is_some(),
                 }
             }
@@ -279,6 +284,17 @@ impl<'a> View<'a> {
             View::CallingContext(exp) => exp.columns.get(c, n),
             View::Callers { exp, view } => view.tree.value(exp, c, ViewNodeId(n)),
             View::Flat { exp, view } => view.tree.value(exp, c, ViewNodeId(n)),
+        }
+    }
+
+    /// The storage of column `c`, when this view reads its values
+    /// straight from it: the Calling Context View's, which a renderer
+    /// resolves once and reads for every row. The other views keep their
+    /// values in their tree, which an expansion may rebuild; `None`.
+    pub fn column_vec(&self, c: ColumnId) -> Option<&'a MetricVec> {
+        match *self {
+            View::CallingContext(exp) => Some(exp.columns.vec(c)),
+            _ => None,
         }
     }
 
@@ -371,15 +387,34 @@ fn cmp_by_column(
 /// Sort `nodes` under `key`, routing label lookups through the interned
 /// [`LabelCache`] (each label is rendered at most once per view instead
 /// of once per comparison). Stable, and ordering-identical to the
-/// historical `sort_by`/`sort_by_key` calls it replaces.
-pub fn sort_nodes_with(view: &View<'_>, labels: &mut LabelCache, nodes: &mut [u32], key: SortKey) {
+/// historical `sort_by`/`sort_by_key` calls it replaces. A Calling
+/// Context column is read with [`MetricVec::get_near`] from `*finger`:
+/// a walker that sorts lists whose node ids lie close together — the
+/// levels of a tree, depth first — keeps one finger for all of them; any
+/// finger gives the same order.
+pub fn sort_nodes_with(
+    view: &View<'_>,
+    labels: &mut LabelCache,
+    nodes: &mut [u32],
+    key: SortKey,
+    finger: &mut usize,
+) {
     for &n in nodes.iter() {
         labels.ensure(n, |buf| view.write_label(n, buf));
     }
+    let by_label = |a: u32, b: u32| labels.peek(a).cmp(labels.peek(b));
     match key {
-        SortKey::Name => nodes.sort_by(|&a, &b| labels.peek(a).cmp(labels.peek(b))),
+        SortKey::Name => nodes.sort_by(|&a, &b| by_label(a, b)),
         SortKey::Column { column, dir } => {
-            nodes.sort_by(|&a, &b| cmp_by_column(view, labels, column, dir, a, b))
+            let stored = view.column_vec(column);
+            let mut value = |n| match stored {
+                Some(values) => values.get_near(n, finger),
+                None => view.value(column, n),
+            };
+            nodes.sort_by(|&a, &b| {
+                dir.cmp_values(value(a), value(b))
+                    .then_with(|| by_label(a, b))
+            })
         }
     }
 }

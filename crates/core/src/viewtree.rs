@@ -17,6 +17,7 @@ use crate::attribution::frame_direct;
 use crate::derived::EvalContext;
 use crate::experiment::Experiment;
 use crate::exposure::Marks;
+use crate::hash::MixState;
 use crate::ids::{ColumnId, FileId, LoadModuleId, MetricId, NodeId, ProcId, ViewNodeId};
 use crate::metrics::MetricVec;
 use crate::names::{NameTable, SourceLoc};
@@ -251,7 +252,8 @@ impl ViewTree {
         self.child_ids(n.0).map(ViewNodeId).collect()
     }
 
-    fn child_ids(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
+    /// Children of `n` as raw ids, in insertion order.
+    pub(crate) fn child_ids(&self, n: u32) -> impl Iterator<Item = u32> + '_ {
         let first = self.nodes[n as usize].first_child;
         std::iter::successors((first != NONE).then_some(first), |&c| {
             let next = self.nodes[c as usize].next_sibling;
@@ -526,7 +528,8 @@ struct CachedOrder {
 /// Per-view cache of sorted child orderings, keyed by `(slot, sort key)`
 /// and validated with a generation stamp. A slot is either a parent
 /// view-node id or a [`TOP_SLOT_BASE`]-offset synthetic slot for a
-/// top-level list.
+/// top-level list. Each sort key has a table of its own, so a render
+/// under one key probes that key's orderings only, not every key's.
 ///
 /// What is cached: the sorted node-id vector of every list the caller
 /// had to sort — two or more scopes. What is not: a list of zero or one
@@ -537,10 +540,12 @@ struct CachedOrder {
 /// nothing is copied). Lookups at a stale generation miss; the caller
 /// recomputes and inserts at the generation observed *after* recomputing
 /// (child materialization during the recompute bumps the tree
-/// generation, and stamping afterward keeps the entry valid).
+/// generation, and stamping afterward keeps the entry valid). Slots are
+/// ids the program assigns, so the map hashes them with
+/// [`MixState`], not SipHash.
 #[derive(Debug, Default)]
 pub struct SortCache {
-    entries: HashMap<(u64, SortKey), CachedOrder>,
+    entries: HashMap<SortKey, HashMap<u64, CachedOrder, MixState>, MixState>,
     hits: u64,
     full_sorts: u64,
 }
@@ -554,7 +559,7 @@ impl SortCache {
     /// The cached ordering for `(slot, key)` if it was computed at
     /// exactly `generation`; counts a hit when present.
     pub fn lookup(&mut self, slot: u64, key: SortKey, generation: u64) -> Option<&[u32]> {
-        match self.entries.get(&(slot, key)) {
+        match self.entries.get(&key).and_then(|e| e.get(&slot)) {
             Some(c) if c.generation == generation => {
                 self.hits += 1;
                 Some(&c.order)
@@ -567,7 +572,9 @@ impl SortCache {
     pub fn insert(&mut self, slot: u64, key: SortKey, generation: u64, order: Vec<u32>) {
         self.full_sorts += 1;
         self.entries
-            .insert((slot, key), CachedOrder { generation, order });
+            .entry(key)
+            .or_default()
+            .insert(slot, CachedOrder { generation, order });
     }
 
     /// `(hits, full_sorts)` since construction. The acceptance test for
@@ -579,12 +586,12 @@ impl SortCache {
 
     /// Number of cached orderings.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(HashMap::len).sum()
     }
 
     /// True when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 

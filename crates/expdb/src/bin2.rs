@@ -16,8 +16,8 @@
 //!   aggregates (the `@n` values formulas reference) are available at
 //!   open time without touching any cost block.
 //! * **Topology** is stored as fixed-width arrays:
-//!   [`crate::toc::SEC_CCT_LINKS`] holds the parent / first-child /
-//!   next-sibling `u32` arrays and [`crate::toc::SEC_CCT_KINDS`] a tag
+//!   `SEC_CCT_LINKS` holds the parent / first-child /
+//!   next-sibling `u32` arrays and `SEC_CCT_KINDS` a tag
 //!   byte plus six `u32` fields per node (the field layout of
 //!   `callpath_core::topo`). Both include the root at index 0. A lazy
 //!   reader borrows these arrays straight from the file image.

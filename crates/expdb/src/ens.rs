@@ -24,7 +24,7 @@
 //! reader skips by id (section ids are a namespace, not positions —
 //! see [`crate::toc`]):
 //!
-//! * [`SEC_ENSEMBLE`] — the **directory**: base metric names, then per
+//! * `SEC_ENSEMBLE` — the **directory**: base metric names, then per
 //!   run its label, content fingerprint, and per-metric `(nnz, total)`
 //!   summary. Small and always resident; outlier scoring needs nothing
 //!   else.
@@ -80,7 +80,7 @@ pub struct RunEntry {
     pub stats: Vec<(u64, f64)>,
 }
 
-/// The decoded [`SEC_ENSEMBLE`] directory.
+/// The decoded `SEC_ENSEMBLE` directory.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Directory {
     /// Base metric names (`"cycles"`, not `"cycles mean"`), index = m.

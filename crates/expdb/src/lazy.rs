@@ -5,7 +5,7 @@
 //!
 //! [`open_lazy`] returns an ordinary [`Experiment`] whose
 //! [`RawMetrics`] and [`ColumnSet`] have a [`ColumnSource`] attached
-//! (the [`LazyShared`] state in this module, holding the raw file
+//! (the `LazyShared` state in this module, holding the raw file
 //! bytes). Every view reads attributed values from `exp.columns` and
 //! nowhere else: every view faults in exactly the columns it sorts and
 //! displays, on their first read. The raw direct-cost columns are
@@ -47,7 +47,7 @@
 //! view's call-site cells one per metric they show. A failed check is not
 //! remembered: a corrupt block fails every read. A caller about to fault
 //! several columns checks their blocks first, four at a time
-//! (`ColumnSet::precheck`, [`Toc::verify_sections`]). See DESIGN.md §10.
+//! (`ColumnSet::precheck`, `Toc::verify_sections`). See DESIGN.md §10.
 //!
 //! Batch consumers that will touch everything anyway (diffing, format
 //! conversion) should call [`decode_all`] right after opening:

@@ -46,12 +46,12 @@
 //! 8-aligned memory (an mmap, or an aligned buffer) can then borrow
 //! `u32`/`f64` arrays straight out of the body with no decode step.
 //! Section checksums cover the whole payload, padding included.
-//! [`Toc::section`] strips the padding transparently; the borrow path
-//! uses [`Toc::raw_payload`] to learn absolute body offsets.
+//! `Toc::section` strips the padding transparently; the borrow path
+//! uses `Toc::raw_payload` to learn absolute body offsets.
 //!
 //! Files written by the two retired encodings — version byte 1, and
-//! version 2 without [`FLAG_ALIGNED`] — carry the same magic;
-//! [`Toc::parse`] names them and asks for a re-record instead of
+//! version 2 without `FLAG_ALIGNED` — carry the same magic;
+//! `Toc::parse` names them and asks for a re-record instead of
 //! misreading them.
 
 use crate::model::DbError;

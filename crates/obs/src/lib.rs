@@ -4,7 +4,8 @@
 //! Self-observability for the `callpath` pipeline: lightweight **span
 //! timers**, **counters**, **histograms** and an **error set** feeding a
 //! process-wide static registry, plus an exporter that turns the
-//! recorded span tree into a canonical [`Experiment`] — so the tool can
+//! recorded span tree into a canonical
+//! [`Experiment`](callpath_core::experiment::Experiment) — so the tool can
 //! present its *own* profile in its own three views (the paper's thesis
 //! applied to the paper's tool).
 //!

@@ -15,8 +15,8 @@
 //!   it (Section V-C);
 //! * **flattening** and **zoom** for the Flat View (Section III-C).
 //!
-//! One writer ([`render`]'s `Renderer`) formats every header line, metric
-//! cell and scope row; the static renders in [`render`] and the
+//! One writer ([`render`](mod@render)'s `Renderer`) formats every header line, metric
+//! cell and scope row; the static renders in [`render`](mod@render) and the
 //! interactive [`Session`] are two walkers over it that differ only in
 //! which rows they ask for and how they mark them.
 //!

@@ -81,16 +81,51 @@ const NO_SOURCE_MARK: &str = " †";
 /// same bytes and its cells sit under their headers at any depth.
 const GUTTER_LEVELS: usize = 12;
 
+/// What pads and indents are sliced from: the widest, a full gutter.
+const BLANKS: &str = "                        ";
+const _: () = assert!(BLANKS.len() == 2 * GUTTER_LEVELS);
+
+/// Decimal digits of the widest `usize`.
+const DIGITS: usize = usize::MAX.ilog10() as usize + 1;
+
+/// `n` in decimal, written into the tail of `buf`.
+fn digits(mut n: usize, buf: &mut [u8; DIGITS]) -> &str {
+    let mut at = DIGITS;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII")
+}
+
 /// The one indentation rule: append the gutter of a row at `depth` and
-/// return its display width.
+/// return its display width. Bytes equal to `⋯{depth:<23}` past the
+/// gutter levels, without `core::fmt`.
 fn write_indent(depth: usize, out: &mut String) -> usize {
-    use std::fmt::Write as _;
     if depth <= GUTTER_LEVELS {
-        out.extend(std::iter::repeat_n("  ", depth));
+        out.push_str(&BLANKS[..2 * depth]);
         return 2 * depth;
     }
-    let _ = write!(out, "⋯{depth:<width$}", width = 2 * GUTTER_LEVELS - 1);
+    let mut buf = [0; DIGITS];
+    let d = digits(depth, &mut buf);
+    out.push('⋯');
+    out.push_str(d);
+    out.push_str(&BLANKS[..2 * GUTTER_LEVELS - 1 - d.len()]);
     2 * GUTTER_LEVELS
+}
+
+/// Append a session row's number as `[{row:>3}] `, without `core::fmt`.
+pub(crate) fn write_row_number(row: usize, out: &mut String) {
+    let mut buf = [0; DIGITS];
+    let d = digits(row, &mut buf);
+    out.push('[');
+    out.push_str(&BLANKS[..3usize.saturating_sub(d.len())]);
+    out.push_str(d);
+    out.push_str("] ");
 }
 
 /// Truncate a column/metric name longer than 18 characters to
@@ -131,18 +166,22 @@ pub(crate) struct Renderer<'a, 'e> {
     // Scratch buffers reused across rows: the row loop is the renderer's
     // hot path, and per-row `format!`/label clones dominated it before.
     label_buf: String,
-    cells_buf: String,
     cell_buf: String,
     // Interned per-node labels: sort comparisons, tie-breaks and rows share
     // one rendered label per node instead of allocating per use. Borrowed,
     // so a session keeps them across renders.
     pub(crate) labels: &'a mut LabelCache,
+    // The storage of each shown column ([`View::column_vec`]; `None` where
+    // the view keeps values itself) and where the last row's search in it
+    // ended, resolved by the first row's cells: a row reads its value near
+    // the previous row's ([`MetricVec::get_near`]) instead of looking the
+    // column up and bisecting it again.
+    stores: Option<Vec<(Option<&'e MetricVec>, usize)>>,
+    // Where the last sort's column search ended ([`Renderer::sort`]).
+    sort_finger: usize,
     /// A session's last frame, when this render repeats its key.
     pub(crate) frame: Option<&'a mut Frame>,
 }
-
-/// What a cell's padding is sliced from: the widest pad, 19 blanks.
-const BLANKS: &str = "                   ";
 
 /// The metric cells of the rows a session's last render wrote, so that
 /// a render of the same view and shown columns copies a row instead of
@@ -202,9 +241,10 @@ impl<'a, 'e> Renderer<'a, 'e> {
             aggregates,
             out: String::new(),
             label_buf: String::new(),
-            cells_buf: String::new(),
             cell_buf: String::new(),
             labels,
+            stores: None,
+            sort_finger: 0,
             frame: None,
         }
     }
@@ -284,9 +324,16 @@ impl<'a, 'e> Renderer<'a, 'e> {
                 return;
             }
         }
-        self.cells_buf.clear();
-        for (i, &c) in self.cols.iter().enumerate() {
-            let v = self.view.value(c, n);
+        let start = self.out.len();
+        let view = &*self.view;
+        let stores = self
+            .stores
+            .get_or_insert_with(|| self.cols.iter().map(|&c| (view.column_vec(c), 0)).collect());
+        for (i, (&c, (store, finger))) in self.cols.iter().zip(stores.iter_mut()).enumerate() {
+            let v = match store {
+                Some(column) => column.get_near(n, finger),
+                None => view.value(c, n),
+            };
             self.cell_buf.clear();
             if self.cfg.show_percent {
                 format::write_metric_with_percent(v, self.aggregates[i], &mut self.cell_buf);
@@ -295,14 +342,14 @@ impl<'a, 'e> Renderer<'a, 'e> {
             }
             // A cell is ASCII, so its length is its display width.
             let pad = 19usize.saturating_sub(self.cell_buf.len()).max(1);
-            self.cells_buf.push_str(&BLANKS[..pad]);
-            self.cells_buf.push_str(&self.cell_buf);
+            self.out.push_str(&BLANKS[..pad]);
+            self.out.push_str(&self.cell_buf);
         }
-        let cells = self.cells_buf.trim_end();
+        let end = start + self.out[start..].trim_end().len();
+        self.out.truncate(end);
         if let Some(f) = self.frame.as_deref_mut() {
-            f.next.insert(n, cells.to_owned());
+            f.next.insert(n, self.out[start..].to_owned());
         }
-        self.out.push_str(cells);
     }
 
     /// Emit one `indent label    cells` row for `n` straight into `out`.
@@ -380,16 +427,14 @@ impl<'a, 'e> Renderer<'a, 'e> {
     fn sort_visible(&mut self, nodes: &mut Vec<u32>, shown: usize) {
         if self.cfg.sort_by_name {
             callpath_obs::count("viewer.sort.name", 1);
-            sort_nodes_with(self.view, self.labels, nodes, SortKey::Name);
+            self.sort(nodes, SortKey::Name);
         } else if let Some(c) = self.cfg.sort {
             if shown < nodes.len() {
                 callpath_obs::count("viewer.sort.topk", 1);
                 top_k_by_column(self.view, self.labels, nodes, c, SortDir::Descending, shown);
             } else {
                 callpath_obs::count("viewer.sort.full", 1);
-                sort_nodes_with(
-                    self.view,
-                    self.labels,
+                self.sort(
                     nodes,
                     SortKey::Column {
                         column: c,
@@ -398,6 +443,12 @@ impl<'a, 'e> Renderer<'a, 'e> {
                 );
             }
         }
+    }
+
+    /// Sort one child list under `key` ([`sort_nodes_with`]): the lists a
+    /// walker sorts come depth first, so one finger serves them all.
+    pub(crate) fn sort(&mut self, nodes: &mut [u32], key: SortKey) {
+        sort_nodes_with(self.view, self.labels, nodes, key, &mut self.sort_finger);
     }
 
     /// The static walker: header, then `roots` expanded per `cfg.expand`,
@@ -790,6 +841,38 @@ mod tests {
         let a = render(&mut View::calling_context(&exp), &RenderConfig::default());
         let b = render(&mut View::calling_context(&exp), &RenderConfig::default());
         assert_eq!(a, b);
+    }
+
+    /// The depths and row numbers a writer test covers: every value up to
+    /// 200 000, then the widest ones.
+    fn writer_inputs() -> impl Iterator<Item = usize> {
+        (0..=200_000).chain([u32::MAX as usize, usize::MAX])
+    }
+
+    #[test]
+    fn gutter_writer_equals_core_fmt() {
+        let mut out = String::new();
+        for depth in writer_inputs() {
+            out.clear();
+            let width = write_indent(depth, &mut out);
+            let expected = if depth <= GUTTER_LEVELS {
+                "  ".repeat(depth)
+            } else {
+                format!("⋯{depth:<23}")
+            };
+            assert_eq!(out, expected, "depth {depth}");
+            assert_eq!(width, out.chars().count(), "depth {depth}");
+        }
+    }
+
+    #[test]
+    fn row_number_writer_equals_core_fmt() {
+        let mut out = String::new();
+        for row in writer_inputs() {
+            out.clear();
+            write_row_number(row, &mut out);
+            assert_eq!(out, format!("[{row:>3}] "), "row {row}");
+        }
     }
 
     #[test]

@@ -20,16 +20,22 @@
 //! Rendering is a walk, not a formatter: [`Session::render`] decides which
 //! rows are visible (top level → expanded scopes, each level in its cached
 //! sort order) and which marks they carry, and the shared
-//! [`crate::render`] row writer formats them — the same code that writes
-//! the static views.
+//! [`crate::render`](mod@crate::render) row writer formats them — the same
+//! code that writes the static views.
 
-use crate::render::{Frame, RenderConfig, Renderer, HOT_ICON};
+use crate::render::{write_row_number, Frame, RenderConfig, Renderer, HOT_ICON};
 use crate::source_pane::render_selection_filtered;
+use callpath_core::hash::MixState;
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
 use callpath_obs as obs;
 use std::collections::HashSet;
 use std::fmt::Write as _;
+
+/// A set of node ids. The ids are the session's own — every one that
+/// `Expand`, `Select` or a hot path adds was checked to be a visible
+/// scope — so the multiply-rotate hash stands in for SipHash.
+type NodeSet = HashSet<u32, MixState>;
 
 /// A user action.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,11 +79,11 @@ pub enum Command {
 /// Per-view interaction state.
 #[derive(Debug, Default)]
 struct ViewState {
-    expanded: HashSet<u32>,
+    expanded: NodeSet,
     selected: Option<u32>,
     zoom: Option<u32>,
     flatten_level: usize,
-    hot: HashSet<u32>,
+    hot: NodeSet,
 }
 
 /// An interactive session over one experiment.
@@ -436,6 +442,7 @@ impl<'e> Session<'e> {
         if !repeat {
             self.exp.columns.precheck(&cols);
         }
+        let sorts_before = self.sort_caches[i].stats();
         let mut w = Walker {
             r: Renderer::new(view, &self.cfg, &mut self.label_caches[i], cols),
             sort_cache: &mut self.sort_caches[i],
@@ -451,6 +458,7 @@ impl<'e> Session<'e> {
             numbered,
             rows: Vec::new(),
             pending: Vec::new(),
+            kids: Vec::new(),
         };
         w.r.frame = repeat.then_some(&mut self.frame);
         let _ = writeln!(w.r.out, "[{}]", self.kind.title());
@@ -459,7 +467,9 @@ impl<'e> Session<'e> {
         // (per flatten level); a zoom target, which no slot names, bypasses it.
         match state.zoom {
             Some(z) => w.pending.push((z, 0)),
-            None => w.queue(TOP_SLOT_BASE + state.flatten_level as u64, 0, |_| tops),
+            None => w.queue(TOP_SLOT_BASE + state.flatten_level as u64, 0, |_, out| {
+                out.extend_from_slice(&tops)
+            }),
         }
         w.walk();
         // Source pane for the selection.
@@ -467,6 +477,16 @@ impl<'e> Session<'e> {
             let pane = render_selection_filtered(w.r.view, sel, &self.store, 2, hidden);
             w.r.out.push('\n');
             w.r.out.push_str(&pane);
+        }
+        // Sorted levels are counted once a render, not once a level.
+        let (hits, sorts) = w.sort_cache.stats();
+        for (name, n) in [
+            ("viewer.sort_cache.hit", hits - sorts_before.0),
+            ("viewer.sort_cache.miss", sorts - sorts_before.1),
+        ] {
+            if n > 0 {
+                obs::count(name, n);
+            }
         }
         let (out, rows) = (w.r.out, w.rows);
         let reused = self.frame.reused as u64;
@@ -505,6 +525,10 @@ struct Walker<'a, 'e> {
     /// The explicit stack: `(scope, depth)` rows still to write, next on
     /// top. Depth costs heap here, never call stack.
     pending: Vec<(u32, usize)>,
+    /// The child list [`Walker::queue`] fills, emptied before each scope
+    /// and reused across them: a list too short to sort or cache costs
+    /// no allocation.
+    kids: Vec<u32>,
 }
 
 impl Walker<'_, '_> {
@@ -512,7 +536,7 @@ impl Walker<'_, '_> {
     fn walk(&mut self) {
         while let Some((n, depth)) = self.pending.pop() {
             if self.numbered {
-                let _ = write!(self.r.out, "[{:>3}] ", self.rows.len());
+                write_row_number(self.rows.len(), &mut self.r.out);
             }
             self.rows.push(n);
             let state = self.state;
@@ -530,41 +554,43 @@ impl Walker<'_, '_> {
             self.r
                 .emit_row(n, row, depth, &[selected, flame, marker], true);
             if expanded {
-                self.queue(n as u64, depth + 1, |v| v.children(n));
+                self.queue(n as u64, depth + 1, |v, out| v.children_into(n, out));
             }
         }
     }
 
     /// Queue `slot`'s scopes at `depth` in `self.key` order, first on top.
-    /// Two or more go through the per-view [`SortCache`]: a valid cached
-    /// ordering is read in place; a miss sorts via the interned
-    /// [`LabelCache`] and hands the vector over, stamped with the
-    /// generation observed *after* computing (lazy views may materialize
-    /// children — and bump the generation — inside `nodes`). A shorter
-    /// list has one order: no sort, no span, no entry. Invariant: `nodes`'
-    /// list is a function of `(slot, generation)` alone, because the cache
-    /// answers first; a list that also depends on zoom must not come here.
-    fn queue(&mut self, slot: u64, depth: usize, nodes: impl FnOnce(&mut View<'_>) -> Vec<u32>) {
+    /// `nodes` appends them to the emptied child buffer. Two or more go
+    /// through the per-view [`SortCache`]: a valid cached ordering is read
+    /// in place; a miss sorts ([`Renderer::sort`]) and hands the buffer
+    /// over, stamped with the generation observed *after* computing (lazy
+    /// views may materialize children — and bump the generation — inside
+    /// `nodes`). A shorter list has one order: no sort, no entry, and the
+    /// buffer stays for the next scope. A sorted level is counted, not
+    /// timed: `viewer.sort_cache.miss` adds the cache's own count once a
+    /// render. Invariant: `nodes`' list is a function of
+    /// `(slot, generation)` alone, because the cache answers first; a list
+    /// that also depends on zoom must not come here.
+    fn queue(&mut self, slot: u64, depth: usize, nodes: impl FnOnce(&mut View<'_>, &mut Vec<u32>)) {
         let view = &mut *self.r.view;
         fn rows(order: &[u32], depth: usize) -> impl Iterator<Item = (u32, usize)> + '_ {
             order.iter().rev().map(move |&n| (n, depth))
         }
         if let Some(order) = self.sort_cache.lookup(slot, self.key, view.generation()) {
-            obs::count("viewer.sort_cache.hit", 1);
             self.pending.extend(rows(order, depth));
             return;
         }
-        let mut out = nodes(view);
-        if out.len() < 2 {
-            self.pending.extend(rows(&out, depth));
+        self.kids.clear();
+        nodes(view, &mut self.kids);
+        if self.kids.len() < 2 {
+            self.pending.extend(rows(&self.kids, depth));
             return;
         }
-        obs::count("viewer.sort_cache.miss", 1);
-        let _span = obs::span("viewer.full_sort");
-        sort_nodes_with(view, self.r.labels, &mut out, self.key);
+        let mut out = std::mem::take(&mut self.kids);
+        self.r.sort(&mut out, self.key);
         self.pending.extend(rows(&out, depth));
-        self.sort_cache
-            .insert(slot, self.key, view.generation(), out);
+        let generation = self.r.view.generation();
+        self.sort_cache.insert(slot, self.key, generation, out);
     }
 }
 

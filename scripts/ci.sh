@@ -21,6 +21,10 @@ set -eu
 cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc as errors: a broken or private intra-doc link fails here.
+# `--lib`, because a binary and a library of one name collide in the
+# doc output and cargo warns about that whatever the docs say.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
 cargo test -q --workspace
 # Topology reads (`core::topo::Topo`) clamp out-of-range links and
 # budget every walk in the code an optimized build runs, where no debug
@@ -42,11 +46,13 @@ cargo test -q --workspace
 # run optimized too. So does the per-block flag that checksums a cost
 # block once, which a first render sets for its shown columns before
 # any row reads one (`tests/session_prefault.rs`, legs at 1 and 4
-# threads).
+# threads). So does the walker's reused child buffer and its digit
+# writers, which the benchmark's deep session script reaches past row
+# 999 and depth 12 (`tests/session_nav.rs`).
 cargo test -q --release --test attribution_oracle --test view_oracle --test arena_cct \
     --test correlate_oracle --test lazy_storage_acceptance --test lazy_fault_stress \
     --test ensemble_properties --test nan_scores --test session_fuzz \
-    --test session_cache_acceptance --test session_prefault
+    --test session_cache_acceptance --test session_prefault --test session_nav
 # The obs crate alone builds without its `enabled` feature (the
 # workspace pass turns it on), so this is the one place the no-op
 # stubs' unit test (`disabled_stubs_record_nothing`) runs.

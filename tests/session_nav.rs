@@ -15,8 +15,10 @@
 
 use callpath_core::prelude::*;
 use callpath_core::source::SourceStore;
+use callpath_expdb::{bin2, open_lazy};
 use callpath_profiler::ExecConfig;
 use callpath_viewer::{render, Command, RenderConfig, Session};
+use callpath_workloads::synth::{synth_model, SynthConfig};
 use callpath_workloads::{pipeline, s3d};
 use std::time::{Duration, Instant};
 
@@ -197,6 +199,124 @@ fn the_gutter_changes_no_row_above_it() {
         rows[13],
         "⋯13                     🔥▼ level_000013_of_…          1.00e2 100.0%"
     );
+}
+
+/// Apply `cmds` to the warm session, render it, and check the render:
+/// it equals a fresh session's replay of every command so far (`done`),
+/// and row `i` opens with its number and its gutter as `core::fmt`
+/// writes them, sits under the nearest row above it one level up, and
+/// shows a scope no other row shows. Returns the rows and their lines.
+fn warm_equals_cold(
+    exp: &Experiment,
+    warm: &mut Session<'_>,
+    done: &mut Vec<Command>,
+    cmds: Vec<Command>,
+) -> (Vec<u32>, Vec<String>) {
+    for c in cmds {
+        warm.apply(c.clone()).expect("a scripted command applies");
+        done.push(c);
+    }
+    let (text, rows) = warm.render_numbered();
+    let mut cold = Session::new(exp, SourceStore::new());
+    for c in done.iter() {
+        cold.apply(c.clone()).expect("a replayed command applies");
+    }
+    assert!(
+        cold.render_numbered() == (text.clone(), rows.clone()),
+        "after {done:?}"
+    );
+
+    let topo = exp.cct.topo();
+    let lines: Vec<String> = text
+        .lines()
+        .skip(2)
+        .take(rows.len())
+        .map(String::from)
+        .collect();
+    let mut path: Vec<u32> = Vec::new();
+    for (i, (&n, line)) in rows.iter().zip(&lines).enumerate() {
+        let depth = topo.ancestors(NodeId(n)).count() - 1;
+        let gutter = if depth <= 12 {
+            "  ".repeat(depth)
+        } else {
+            format!("⋯{depth:<23}")
+        };
+        let head = format!("[{i:>3}] {gutter}");
+        assert!(
+            line.starts_with(&head),
+            "row {i} at depth {depth}: {line:?}"
+        );
+        path.truncate(depth);
+        assert_eq!(path.len(), depth, "row {i} skips a level");
+        if let Some(&parent) = path.last() {
+            assert_eq!(topo.parent(NodeId(n)), Some(NodeId(parent)), "row {i}");
+        }
+        path.push(n);
+    }
+    let mut unique = rows.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    assert_eq!(unique.len(), rows.len(), "a scope shown twice");
+    (rows, lines)
+}
+
+/// The benchmark's large-database script at test size: one column shown,
+/// then eight times the swap to a fresh column — hide, show, sort, hot
+/// path — each opening a new hot path beside the old ones, then a repeat
+/// render, a name sort on and off, and a collapse, every render checked
+/// by [`warm_equals_cold`]. The script reaches rows past the gutter
+/// levels and past row 999, which small random sessions never do.
+#[test]
+fn a_deep_session_renders_what_a_cold_replay_renders() {
+    let model = synth_model(&SynthConfig {
+        seed: 44,
+        n_nodes: 20_000,
+        n_metrics: 16,
+        nnz_per_metric: 1024,
+        n_procs: 500,
+    });
+    let exp = open_lazy(bin2::write_v21(&model)).expect("open the synthetic database");
+    let topo = exp.cct.topo();
+    let mut script: Vec<Vec<Command>> = Vec::new();
+    let columns = exp.columns.column_count() as u32;
+    let hide = (1..columns).map(|c| Command::HideColumn(ColumnId(c)));
+    script.push(
+        hide.chain([Command::SortBy(ColumnId(0)), Command::HotPath])
+            .collect(),
+    );
+    for m in 1..=8 {
+        let (old, new) = (ColumnId(2 * (m - 1)), ColumnId(2 * m));
+        script.push(vec![
+            Command::HideColumn(old),
+            Command::ShowColumn(new),
+            Command::SortBy(new),
+            Command::HotPath,
+        ]);
+    }
+    script.push(Vec::new());
+    script.push(vec![Command::SortByName(true)]);
+    script.push(vec![Command::SortByName(false)]);
+
+    let mut warm = Session::new(&exp, SourceStore::new());
+    let mut done = Vec::new();
+    let (mut deepest, mut most_rows) = (0, 0);
+    let mut last = (Vec::new(), Vec::new());
+    for cmds in script {
+        last = warm_equals_cold(&exp, &mut warm, &mut done, cmds);
+        let rows = &last.0;
+        let depths = rows.iter().map(|&n| topo.ancestors(NodeId(n)).count() - 1);
+        deepest = deepest.max(depths.max().unwrap_or(0));
+        most_rows = most_rows.max(rows.len());
+    }
+    assert!(deepest > 12, "the deepest row sits at depth {deepest}");
+    assert!(most_rows > 1000, "the longest render has {most_rows} rows");
+
+    // Collapse an expanded scope halfway down the screen.
+    let (rows, lines) = last;
+    let expanded = (rows.len() / 2..rows.len()).find(|&i| lines[i].contains('▼'));
+    let n = rows[expanded.expect("an expanded row below the middle")];
+    let (after, _) = warm_equals_cold(&exp, &mut warm, &mut done, vec![Command::Collapse(n)]);
+    assert!(after.len() < rows.len(), "the collapse hid rows");
 }
 
 fn expand_all(session: &mut Session<'_>) {

@@ -48,7 +48,7 @@ fn cached(
         return order.to_vec();
     }
     let mut out = nodes.to_vec();
-    sort_nodes_with(view, labels, &mut out, key);
+    sort_nodes_with(view, labels, &mut out, key, &mut 0);
     cache.insert(slot, key, view.generation(), out.clone());
     out
 }
